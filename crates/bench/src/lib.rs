@@ -48,49 +48,6 @@ pub fn time_per_call(iters: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / iters as f64
 }
 
-/// One noise-hardened measurement: the best (minimum) of `iters` timed calls
-/// after `warmup` untimed ones, plus the repetition counts so the emitted
-/// artifact records how the number was taken.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Measurement {
-    /// Seconds per call — the fastest observed repetition.
-    pub secs: f64,
-    /// Timed repetitions the minimum was taken over.
-    pub iters: usize,
-    /// Untimed warmup calls before timing started.
-    pub warmup: usize,
-}
-
-/// Minimum floor for [`min_time_per_call`]'s timed repetitions: a min-of-2 is
-/// barely better than a single sample.
-pub const MIN_BENCH_ITERS: usize = 3;
-
-/// Wall-time one closure and keep the *minimum* over `iters` repetitions
-/// (clamped up to [`MIN_BENCH_ITERS`]) after `warmup >= 1` untimed calls.
-///
-/// The minimum — not the mean — is the robust estimator for a dedicated
-/// machine: every source of noise (scheduler preemption, cache/TLB cold
-/// start, frequency ramp) only ever *adds* time, so the fastest observed
-/// repetition is the closest to the code's true cost.
-pub fn min_time_per_call(iters: usize, warmup: usize, mut f: impl FnMut()) -> Measurement {
-    let iters = iters.max(MIN_BENCH_ITERS);
-    let warmup = warmup.max(1);
-    for _ in 0..warmup {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    Measurement {
-        secs: best,
-        iters,
-        warmup,
-    }
-}
-
 /// Format a cell count as a human-readable mesh size.
 pub fn fmt_cells(cells: u64) -> String {
     if cells >= 1_000_000_000_000 {
@@ -120,16 +77,6 @@ mod tests {
         assert_eq!(fmt_cells(500), "500");
         assert_eq!(fmt_cells(35_000_000), "35.0M");
         assert_eq!(fmt_cells(5_600_000_000_000), "5.60T");
-    }
-
-    #[test]
-    fn min_time_per_call_clamps_and_records() {
-        let mut calls = 0usize;
-        let m = min_time_per_call(1, 0, || calls += 1);
-        assert_eq!(m.iters, MIN_BENCH_ITERS);
-        assert_eq!(m.warmup, 1);
-        assert_eq!(calls, MIN_BENCH_ITERS + 1);
-        assert!(m.secs >= 0.0 && m.secs.is_finite());
     }
 
     #[test]

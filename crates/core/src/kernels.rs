@@ -1090,31 +1090,6 @@ pub(crate) unsafe fn aa_generic_rect<L: Lattice>(
     }
 }
 
-/// Safe wrapper over [`aa_generic_rect`]: one AA half-step of the flavor named
-/// by `parity` over the rectangle `xr × ys` of the single grid `field`.
-pub fn aa_step_rect<L: Lattice>(
-    flags: &FlagField,
-    field: &mut SoaField<L>,
-    collision: &CollisionKind,
-    parity: AaParity,
-    xr: Range<usize>,
-    ys: Range<usize>,
-) {
-    debug_assert_eq!(field.raw().len(), L::Q * flags.dims().cells());
-    // SAFETY: `&mut field` proves exclusive access to the grid.
-    unsafe {
-        aa_generic_rect::<L>(
-            flags,
-            field.raw_mut().as_mut_ptr(),
-            collision,
-            parity,
-            xr,
-            ys,
-            None,
-        );
-    }
-}
-
 /// AA-pattern counterpart of [`fused_step_optimized`]: one in-place AA
 /// half-step over the y-slab `ys`, fastest eligible interior kernel plus the
 /// generic AA sweep on the boundary shell. The grid's parity flips after this

@@ -318,7 +318,6 @@ impl AaParity {
 #[derive(Debug, Clone)]
 pub enum Storage<F> {
     /// Double-buffered (ping-pong) state.
-    #[allow(deprecated)]
     Ab(AbBuffers<F>),
     /// Single-grid AA-pattern state.
     Aa {
@@ -329,7 +328,6 @@ pub enum Storage<F> {
     },
 }
 
-#[allow(deprecated)]
 impl<F> Storage<F> {
     /// Build storage for `scheme`; `make` allocates one grid (called once for
     /// AA, twice for AB).
@@ -387,11 +385,6 @@ impl<F> Storage<F> {
 /// writes to the other, then the roles swap. This is what makes the fused
 /// streaming+collision kernel race-free: no cell ever reads a value written in the
 /// same step.
-#[deprecated(
-    since = "0.7.0",
-    note = "use the scheme-agnostic `Storage`/`StorageScheme` surface (`Solver::state()`, \
-            `SolverBuilder::storage(...)`) instead of AB-only buffer plumbing"
-)]
 #[derive(Debug, Clone)]
 pub struct AbBuffers<F> {
     bufs: [F; 2],
@@ -399,7 +392,6 @@ pub struct AbBuffers<F> {
     cur: usize,
 }
 
-#[allow(deprecated)]
 impl<F> AbBuffers<F> {
     /// Build from two identically-sized fields; `a` holds the initial state.
     pub fn new(a: F, b: F) -> Self {
@@ -574,7 +566,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn ab_buffers_flip_and_pair() {
         let dims = GridDims::new2d(2, 2);
         let a = SoaField::<D2Q9>::new(dims);

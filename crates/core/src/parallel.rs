@@ -281,8 +281,8 @@ impl ThreadPool {
     }
 
     /// [`ThreadPool::fused_step`] restricted to the rectangle `xr × yr` (full z
-    /// depth) — the entry point the distributed engine uses for the inner
-    /// rectangle of a subdomain.
+    /// depth) — the entry point the distributed engine uses for every sweep
+    /// of a subdomain, inner rectangle and frame strips alike.
     #[allow(clippy::too_many_arguments)]
     pub fn step_rect<L: Lattice, F: PopField<L>>(
         &self,
@@ -410,8 +410,8 @@ impl ThreadPool {
     }
 
     /// [`ThreadPool::aa_fused_step`] restricted to the rectangle `xr × yr`
-    /// (full z depth) — the entry point the distributed engine uses for the
-    /// inner rectangle of a subdomain.
+    /// (full z depth) — the entry point the distributed engine uses for every
+    /// sweep of a subdomain, inner rectangle and frame strips alike.
     #[allow(clippy::too_many_arguments)]
     pub fn aa_step_rect<L: Lattice>(
         &self,

@@ -23,8 +23,7 @@
 //! (the raw current grid, whose slot interpretation depends on the scheme and
 //! [`Solver::parity`]) plus [`Solver::canonical_populations`]/
 //! [`Solver::restore_canonical`] (the scheme-portable post-collision view used
-//! by checkpoints, diagnostics and equivalence tests). The AB-only
-//! `populations()`/`populations_mut()` accessors are deprecated.
+//! by checkpoints, diagnostics and equivalence tests).
 
 use crate::collision::{BgkParams, CollisionKind};
 use crate::error::CoreError;
@@ -304,42 +303,6 @@ impl<L: Lattice> Solver<L> {
         self.storage.state_mut()
     }
 
-    /// Current (readable) population field — AB scheme only.
-    ///
-    /// # Panics
-    /// Panics under AA storage, where the raw grid is not canonically ordered;
-    /// use [`Solver::state`] or [`Solver::canonical_populations`] instead.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use the scheme-agnostic `state()` / `canonical_populations()` instead"
-    )]
-    pub fn populations(&self) -> &SoaField<L> {
-        assert_eq!(
-            self.storage.scheme(),
-            StorageScheme::Ab,
-            "populations() is AB-only; use state()/canonical_populations() under AA storage"
-        );
-        self.storage.state()
-    }
-
-    /// Mutable access to the current populations — AB scheme only.
-    ///
-    /// # Panics
-    /// Panics under AA storage; use [`Solver::state_mut`] or
-    /// [`Solver::restore_canonical`] instead.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use the scheme-agnostic `state_mut()` / `restore_canonical()` instead"
-    )]
-    pub fn populations_mut(&mut self) -> &mut SoaField<L> {
-        assert_eq!(
-            self.storage.scheme(),
-            StorageScheme::Ab,
-            "populations_mut() is AB-only; use state_mut()/restore_canonical() under AA storage"
-        );
-        self.storage.state_mut()
-    }
-
     /// The canonical (AB-ordered) post-collision populations of the current
     /// state: borrowed zero-copy under AB, materialized under AA by undoing
     /// the slot reversal (`Reversed`) or the in-place streaming (`Streamed`).
@@ -559,21 +522,30 @@ impl<L: Lattice> Solver<L> {
         Ok(())
     }
 
+    /// Advance by one depth-`time_block` wavefront sweep when a whole block
+    /// fits in `remaining` and may start here, else by one plain step;
+    /// returns the steps taken. The one block-or-step policy behind
+    /// [`Solver::run`] and [`Solver::run_checked`].
+    fn advance(&mut self, remaining: u64) -> Result<u64, SwlbError> {
+        let k = self.time_block as u64;
+        if remaining >= k && self.block_ready() {
+            self.try_block()?;
+            Ok(k)
+        } else {
+            self.try_step()?;
+            Ok(1)
+        }
+    }
+
     /// Advance `n` steps — in depth-`time_block` wavefront sweeps where the
     /// depth divides the remaining count (any remainder runs per-step, with
     /// identical results).
     pub fn run(&mut self, n: u64) {
         let mut done = 0;
         while done < n {
-            let k = self.time_block as u64;
-            if n - done >= k && self.block_ready() {
-                self.try_block()
-                    .unwrap_or_else(|e| panic!("solver step failed: {e}"));
-                done += k;
-            } else {
-                self.step();
-                done += 1;
-            }
+            done += self
+                .advance(n - done)
+                .unwrap_or_else(|e| panic!("solver step failed: {e}"));
         }
     }
 
@@ -584,14 +556,7 @@ impl<L: Lattice> Solver<L> {
         let mut done = 0;
         let mut next_check = every;
         while done < n {
-            let k = self.time_block as u64;
-            if n - done >= k && self.block_ready() {
-                self.try_block()?;
-                done += k;
-            } else {
-                self.try_step()?;
-                done += 1;
-            }
+            done += self.advance(n - done)?;
             if done >= next_check || done == n {
                 let m = self.macroscopic();
                 if m.has_non_finite() {

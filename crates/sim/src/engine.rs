@@ -1,54 +1,71 @@
 //! The distributed solver: halo exchange + fused kernel per rank.
 //!
-//! Each rank owns an `(lnx + 2) × (lny + 2) × nz` local grid — interior plus a
-//! one-cell halo ring in x/y. Under the default A-B (double-buffer) storage a
-//! time step is:
+//! Each rank owns an `(lnx + 2k) × (lny + 2k) × nz` local grid: its owned
+//! block plus a `k`-cell ghost ring in x/y, where `k = time_block` (default 1)
+//! is the number of steps advanced per halo exchange. There is **one**
+//! schedule. A *block* is `k` consecutive steps, `k = 1` is a block of one,
+//! and intra-block step `s` (1-based) computes the owned block expanded by
+//! `e = k − s` ghost layers:
 //!
-//! 1. send the 8 boundary strips of the current state to the neighbors,
-//! 2. (on-the-fly mode) compute the inner cells that need no halo,
-//! 3. receive the 8 halo strips into the current state's ring,
-//! 4. compute the remaining cells,
-//! 5. flip the A-B buffers.
+//! 1. (`s = 1`) send the 8 boundary strips of the current state to the
+//!    neighbors,
+//! 2. (`s = 1`) sweep the inner rectangle, the owned cells that touch no
+//!    ghost cell,
+//! 3. (`s = 1`) receive the 8 strips into the ghost ring,
+//! 4. (`s = 1`) sweep the frame: the rest of the expansion-`e` rectangle,
+//!    as four strips around the inner rectangle,
+//! 5. (`s > 1`) sweep the whole expansion-`e` rectangle, with no
+//!    communication,
+//! 6. advance the storage: flip the A-B buffers, or the AA parity.
 //!
-//! Sends are buffered (never block) and receives match `(source, direction)`
-//! tags, so the two schedules are both deadlock-free and *bit-identical* —
+//! [`ExchangeMode::Sequential`] runs 3 before 2; [`ExchangeMode::OnTheFly`]
+//! runs them as listed, so the inner rectangle is computed while the strips
+//! fly. Sends are buffered (never block) and receives match
+//! `(source, direction)` tags, so both orders are deadlock-free, and they
+//! cut the region into the same rectangles, so they are *bit-identical*:
 //! overlap changes only when work happens, not what is computed. This is the
-//! property the paper relies on when pipelining the MPE (communication) against
-//! the CPE cluster (inner-domain computation), Fig. 6(2)/Fig. 9(2).
+//! property the paper relies on when pipelining the MPE (communication)
+//! against the CPE cluster (inner-domain computation), Fig. 6(2)/Fig. 9(2).
 //!
-//! ## AA-pattern (single-grid) storage
+//! Every sweep, inner rectangle and 1-cell frame strip alike, goes through
+//! the rank's [`ThreadPool`] with the interior fast-path index; there is no
+//! separate serial path for the boundary ring. The stepper matches the
+//! storage scheme in exactly two private methods: `sweep` (which kernel runs
+//! over a rectangle) and `advance` (step 6).
+//!
+//! ## What AA (single-grid) storage adds at `k = 1`
 //!
 //! With [`StorageScheme::Aa`] each rank holds ONE grid and alternates two step
 //! flavors (see `swlb_core::layout`):
 //!
 //! - **Odd steps** (parity `Reversed`) gather from the upwind neighborhood and
 //!   scatter downwind — including *into the ghost ring*, whose cells stand in
-//!   for the neighbor's boundary cells. The schedule is the AB pre-exchange
-//!   (tags `0..8`, populating the ghosts so gathers see the neighbor's state)
-//!   plus a **post-exchange** (tags `8..16`): each rank ships its ghost strips
-//!   — now holding scatters that belong to the neighbor — back across, and
-//!   the receiver merges exactly those slots `(cell, q)` whose *writer*
-//!   `cell − c_q` lies in the sender's region. Slot ownership (each slot has a
-//!   unique writer, which is also its unique reader) makes the merge
-//!   predicates disjoint across the 8 senders, wraparound self-sends included.
+//!   for the neighbor's boundary cells. They run steps 1–4 above (tags `0..8`,
+//!   populating the ghosts so gathers see the neighbor's state) and then the
+//!   one scheme-specific hook, a **post-exchange** (tags `8..16`) on the same
+//!   send/receive loops: each rank ships its ghost strips — now holding
+//!   scatters that belong to the neighbor — back across, and the receiver
+//!   merges exactly those slots `(cell, q)` whose *writer* `cell − c_q` lies
+//!   in the sender's region. Slot ownership (each slot has a unique writer,
+//!   which is also its unique reader) makes the merge predicates disjoint
+//!   across the 8 senders, wraparound self-sends included, and makes the
+//!   order of inner rectangle and frame irrelevant.
 //! - **Even steps** (parity `Streamed`) read and write only the cell's own
 //!   slots and the mailbox slots of adjacent walls, all of which the rank's
-//!   own odd step wrote locally: even steps need **no communication at all** —
-//!   the AA scheme halves both the resident set and the halo traffic.
+//!   own odd step wrote locally. They need **no communication at all**, so an
+//!   even step is step 5 with `e = 0` — the "`s = 2`" of a two-step block
+//!   whose ghosts are only one cell deep. The AA scheme halves both the
+//!   resident set and the halo traffic.
 //!
-//! ## Depth-k temporal blocking (deep halos)
+//! ## What `k > 1` adds (deep halos)
 //!
-//! With `time_block(k)` (k > 1) each rank's ghost ring is `k` cells deep and
-//! the halo exchange runs **once per k steps** instead of once per step. A
-//! block starts with the deep exchange, then advances the grid `k` times,
-//! shrinking the computed rectangle by one ghost layer per intra-block step:
-//! step `s` (1-based) computes the owned block *expanded* by `e = k − s` ghost
-//! layers. The expanded region redundantly recomputes ghost cells with exactly
-//! the data the owning neighbor uses (the flags there sample the same global
-//! field), so owned cells after every intra-block step are identical to a
-//! per-step exchange — results stay bit-identical to `k = 1` on
-//! scalar-semantics lanes and within the usual dispatch tolerance otherwise.
-//! Validity accounting per scheme:
+//! With `time_block(k)` the ghost ring is `k` cells deep and the exchange
+//! runs **once per k steps**. The expanded region redundantly recomputes
+//! ghost cells with exactly the data the owning neighbor uses (the flags
+//! there sample the same global field), so owned cells after every
+//! intra-block step are identical to a per-step exchange — results stay
+//! bit-identical to `k = 1` on scalar-semantics lanes and within the usual
+//! dispatch tolerance otherwise. Validity accounting per scheme:
 //!
 //! - **AB** pulls from distance 1, so validity shrinks by one layer per step:
 //!   step `s` may compute to depth `k − s` because depth `k − s + 1 ≤ k` was
@@ -56,18 +73,20 @@
 //! - **AA** alternates the odd (gather + scatter, shrinks validity by two
 //!   layers) and even (cell-local, shrinks by zero) flavors; the same
 //!   `e = k − s` schedule is exactly tight for even `k`, which is why the
-//!   builder requires it. The odd-step scatters that `k = 1` returns with a
+//!   builder requires it. The odd-step scatters that `k = 1` returns with the
 //!   post-exchange are instead *recomputed* by the neighbor inside its own
-//!   ghost ring, so a blocked AA step needs the pre-exchange only.
+//!   ghost ring, so blocked AA has no post-exchange.
 //!
 //! When a subdomain is shallower than the ring (`ln < k`) one exchange cannot
-//! fill it, so the exchange repeats for `R = ceil(k / min_ln)` rounds (tags
-//! `64 + 16·(round−1) + d` past round 0): each round forwards what the
-//! previous round made valid, advancing the valid front by at least `min_ln`
-//! layers per round. Checkpoint capture stays valid mid-block (owned cells are
-//! always current); restore lands on a block *boundary* — it resets the
-//! intra-block phase so the next step re-exchanges before anything reads the
-//! (then stale) ghosts.
+//! fill it, so step 3 becomes `R = ceil(k / min_ln)` rounds, each past round 0
+//! a send and a receive (tags `64 + 16·(round−1) + d`): a round forwards what
+//! the previous round made valid, advancing the valid front by at least
+//! `min_ln` layers. AA updates in place, so with `R > 1` it always receives
+//! before it sweeps: a later round re-packs strips that the inner sweep's
+//! scatters would already have changed. Checkpoint capture stays valid
+//! mid-block (owned cells are always current); restore lands on a block
+//! *boundary* — it resets the intra-block phase so the next step re-exchanges
+//! before anything reads the (then stale) ghosts.
 
 use crate::partition::Partition2d;
 use std::ops::Range;
@@ -75,12 +94,10 @@ use std::time::Duration;
 use swlb_comm::cart::NEIGHBOR_OFFSETS;
 use swlb_comm::frame::{check_frame, seal_frame, FrameCheck, FRAME_HEADER};
 use swlb_comm::{Comm, CommError, Communicator, Tag};
-use swlb_core::collision::{collide, CollisionKind};
+use swlb_core::collision::CollisionKind;
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{
-    apply_non_fluid, canonicalize_streamed, gather_pull, reverse_planes, InteriorIndex, MAX_Q,
-};
+use swlb_core::kernels::{canonicalize_streamed, reverse_planes, InteriorIndex};
 use swlb_core::lattice::Lattice;
 use swlb_core::layout::{AaParity, PopField, SoaField, Storage, StorageScheme};
 use swlb_core::macroscopic::MacroFields;
@@ -99,29 +116,40 @@ pub enum ExchangeMode {
     OnTheFly,
 }
 
+/// An `x × y` rectangle of local cells (full z), the unit of every sweep.
+type Rect = (Range<usize>, Range<usize>);
+
 /// Index of the opposite direction in [`NEIGHBOR_OFFSETS`] order.
 fn opposite_dir(d: usize) -> usize {
     // E↔W, N↔S, NE↔SW, SE↔NW.
     d ^ 1
 }
 
-/// Tag base of the AA odd-step post-exchange (ghost-scatter return traffic);
-/// the pre-exchange uses tags `0..8` and the restart scatter uses `40`.
-const AA_POST_TAG_BASE: u64 = 8;
+/// The two halo exchanges of the schedule. They share the send and receive
+/// loops and differ in three things only: which strips are packed, the tag
+/// block, and how an arrived strip lands.
+#[derive(Clone, Copy)]
+enum Exchange {
+    /// Round `r` of the pre-exchange that fills the ghost ring before a
+    /// block: owned boundary strips land in the neighbor's ghosts.
+    Pre(usize),
+    /// The post-exchange of an AA `k = 1` odd step: ghost strips, holding
+    /// scatters that belong to the neighbor, are merged into its owned
+    /// boundary strips.
+    AaPost,
+}
 
-/// Tag base of deep-halo exchange rounds past the first: round `r ≥ 1` in
-/// direction `d` uses `ROUND_TAG_BASE + ROUND_TAG_STRIDE·(r−1) + d`, keeping
-/// every round's 8 strips distinguishable from round 0 (`0..8`), the AA
-/// post-exchange (`8..16`) and the restart tags (`40`, `41`).
-const ROUND_TAG_BASE: u64 = 64;
-const ROUND_TAG_STRIDE: u64 = 16;
-
-/// The tag of halo direction `d` in exchange round `round`.
-fn round_tag(round: usize, d: usize) -> u64 {
-    if round == 0 {
-        d as u64
-    } else {
-        ROUND_TAG_BASE + ROUND_TAG_STRIDE * (round as u64 - 1) + d as u64
+impl Exchange {
+    /// The tag of halo direction `d`. Pre-exchange round 0 uses `0..8`, the
+    /// post-exchange `8..16`, and pre-exchange round `r ≥ 1` uses
+    /// `64 + 16·(r−1) + d`, so every exchange's 8 strips stay distinguishable
+    /// from each other and from the restart tags (`40`, `41`).
+    fn tag(self, d: usize) -> u64 {
+        match self {
+            Exchange::Pre(0) => d as u64,
+            Exchange::AaPost => 8 + d as u64,
+            Exchange::Pre(r) => 64 + 16 * (r as u64 - 1) + d as u64,
+        }
     }
 }
 
@@ -199,7 +227,7 @@ pub struct DistributedSolver<'c, L: Lattice, C: Communicator = Comm> {
     /// block (exchanges halos). Reset by initialize/restore so a resumed run
     /// never reads stale ghosts.
     phase: usize,
-    /// Execution pipeline for the inner rectangle: the same pooled + z-blocked
+    /// Execution pipeline for every sweep: the same pooled + z-blocked
     /// dispatch the shared-memory [`Solver`](swlb_core::solver::Solver) uses.
     pool: ThreadPool,
     /// Interior fast-path index of the local grid (per-cell mask + run-length
@@ -210,7 +238,7 @@ pub struct DistributedSolver<'c, L: Lattice, C: Communicator = Comm> {
     /// Set by [`DistributedSolver::local_flags_mut`]; the next step rebuilds
     /// the interior index and the active-cell count before dispatch.
     interior_dirty: bool,
-    /// Which kernel class served the most recent step's inner rectangle.
+    /// Which kernel class served the most recent sweep.
     last_class: KernelClass,
     /// Reusable halo frame buffers: once capacities stabilize, the
     /// steady-state step performs no heap allocation.
@@ -304,10 +332,10 @@ impl<'c, 'f, L: Lattice, C: Communicator> DistributedSolverBuilder<'c, 'f, L, C>
         self
     }
 
-    /// Run this rank's inner rectangle on the given thread pool (default: a
+    /// Run this rank's sweeps on the given thread pool (default: a
     /// single-threaded pool). This is the second level of the paper's two-level
     /// parallelism: ranks partition the domain, the pool's threads partition
-    /// each rank's inner rectangle into y-slabs with z-tile blocking.
+    /// each swept rectangle into y-slabs with z-tile blocking.
     pub fn pool(mut self, pool: ThreadPool) -> Self {
         self.pool = Some(pool);
         self
@@ -530,7 +558,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         &mut self.flags
     }
 
-    /// Which kernel class served the most recent step's inner rectangle
+    /// Which kernel class served the most recent step's last sweep
     /// ([`KernelClass::Generic`] before the first step).
     pub fn last_kernel_class(&self) -> KernelClass {
         self.last_class
@@ -659,11 +687,19 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         assert!(it.next().is_none(), "halo message too long");
     }
 
-    /// Post all 8 halo sends of the current state for exchange round `round`.
+    /// Post the 8 halo sends of exchange `ex`, timed as [`Phase::HaloPack`].
     /// Each frame is built in place in the reusable send buffer:
     /// `[epoch, step, crc]` header, then the packed strip, then the checksum
     /// filled into its slot.
-    fn post_sends(&mut self, round: usize) -> Result<(), CommError> {
+    fn send_strips(&mut self, ex: Exchange) -> Result<(), CommError> {
+        let rec = self.recorder.clone();
+        let _pack = rec.phase(Phase::HaloPack);
+        // The pre-exchange ships what the neighbor's ghosts mirror; the
+        // post-exchange ships the ghosts themselves.
+        let strip = match ex {
+            Exchange::Pre(_) => Self::send_range,
+            Exchange::AaPost => Self::recv_range,
+        };
         let mut buf = std::mem::take(&mut self.send_buf);
         let result = (|| {
             for (d, (dx, dy)) in NEIGHBOR_OFFSETS.iter().enumerate() {
@@ -675,15 +711,15 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
                 buf.clear();
                 buf.resize(FRAME_HEADER, 0.0);
                 self.pack_into(
-                    Self::send_range(*dx, self.lnx, self.halo),
-                    Self::send_range(*dy, self.lny, self.halo),
+                    strip(*dx, self.lnx, self.halo),
+                    strip(*dy, self.lny, self.halo),
                     &mut buf,
                 );
                 seal_frame(&mut buf, self.epoch, self.step);
                 self.obs_halo_msgs.inc();
                 self.obs_halo_bytes
                     .add((buf.len() * std::mem::size_of::<f64>()) as u64);
-                self.comm.send_buffered(dst, round_tag(round, d), &buf)?;
+                self.comm.send_buffered(dst, ex.tag(d), &buf)?;
             }
             Ok(())
         })();
@@ -754,9 +790,10 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         }
     }
 
-    /// Receive all 8 halo strips of exchange round `round` into the current
-    /// state's ring.
-    fn recv_halos(&mut self, round: usize) -> Result<(), CommError> {
+    /// Receive the 8 halo strips of exchange `ex`; each wait is timed as
+    /// [`Phase::HaloExchange`] and each landing as [`Phase::HaloUnpack`].
+    fn recv_strips(&mut self, ex: Exchange) -> Result<(), CommError> {
+        let rec = self.recorder.clone();
         let mut buf = std::mem::take(&mut self.recv_buf);
         let result = (|| {
             for (d, (dx, dy)) in NEIGHBOR_OFFSETS.iter().enumerate() {
@@ -765,20 +802,23 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
                     .cart
                     .neighbor(self.comm.rank(), *dx, *dy)
                     .expect("periodic topology always has neighbors");
-                let t_recv = self.recorder.now();
-                self.recv_framed_into(src_rank, round_tag(round, opposite_dir(d)), &mut buf)?;
+                let t_recv = rec.now();
+                self.recv_framed_into(src_rank, ex.tag(opposite_dir(d)), &mut buf)?;
                 if let Some(t) = t_recv {
                     let ns = t.elapsed().as_nanos() as u64;
-                    self.recorder.record_phase_ns(Phase::HaloExchange, ns);
+                    rec.record_phase_ns(Phase::HaloExchange, ns);
                     self.obs_halo_us.record(ns as f64 / 1e3);
                 }
-                let rec = self.recorder.clone();
                 let _unpack = rec.phase(Phase::HaloUnpack);
-                self.unpack(
-                    Self::recv_range(*dx, self.lnx, self.halo),
-                    Self::recv_range(*dy, self.lny, self.halo),
-                    &buf[FRAME_HEADER..],
-                );
+                let data = &buf[FRAME_HEADER..];
+                match ex {
+                    Exchange::Pre(_) => self.unpack(
+                        Self::recv_range(*dx, self.lnx, self.halo),
+                        Self::recv_range(*dy, self.lny, self.halo),
+                        data,
+                    ),
+                    Exchange::AaPost => self.aa_merge_strip(*dx, *dy, data),
+                }
             }
             Ok(())
         })();
@@ -786,237 +826,16 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         result
     }
 
-    /// Complete a deep-halo exchange whose round-0 sends are already posted:
+    /// Complete a pre-exchange whose round-0 sends are already posted:
     /// receive round 0, then run any further rounds needed to fill a ring
     /// deeper than the shallowest subdomain.
     fn finish_exchange(&mut self) -> Result<(), CommError> {
-        self.recv_halos(0)?;
+        self.recv_strips(Exchange::Pre(0))?;
         for round in 1..self.rounds {
-            {
-                let rec = self.recorder.clone();
-                let _pack = rec.phase(Phase::HaloPack);
-                self.post_sends(round)?;
-            }
-            self.recv_halos(round)?;
+            self.send_strips(Exchange::Pre(round))?;
+            self.recv_strips(Exchange::Pre(round))?;
         }
         Ok(())
-    }
-
-    /// Fused stream+collide over the inner rectangle `2..lnx × 2..lny` (the
-    /// cells that touch no halo), dispatched through the thread pool: y-slabs
-    /// across threads, z-tile blocking inside each slab, and the vectorized
-    /// (or hand-optimized scalar) D3Q19 kernel on interior BGK run-length
-    /// runs. Matches the serial generic path bit-for-bit on scalar-semantics
-    /// lanes and within the FMA dispatch tolerance under AVX2.
-    fn step_inner(&mut self) {
-        if self.lnx <= 2 || self.lny <= 2 {
-            self.last_class = KernelClass::Generic;
-            return;
-        }
-        let (xr, yr) = self.inner_ranges();
-        let collision = self.collision;
-        let flags = &self.flags;
-        let pool = &self.pool;
-        let interior = &self.interior;
-        let Storage::Ab(bufs) = &mut self.store else {
-            unreachable!("step_inner is the AB path")
-        };
-        let (src, dst) = bufs.pair_mut();
-        let class = pool.step_rect::<L, _>(flags, src, dst, &collision, xr, yr, Some(interior));
-        self.last_class = class;
-    }
-
-    /// The inner rectangle: owned cells whose step-1 pulls and scatters touch
-    /// no ghost cell (empty for degenerate subdomains).
-    fn inner_ranges(&self) -> (Range<usize>, Range<usize>) {
-        let h = self.halo;
-        (h + 1..h + self.lnx - 1, h + 1..h + self.lny - 1)
-    }
-
-    /// The owned block expanded by `e` ghost layers on every side.
-    fn expanded_ranges(&self, e: usize) -> (Range<usize>, Range<usize>) {
-        let h = self.halo;
-        debug_assert!(e < h, "expansion exceeds the ring");
-        (h - e..h + self.lnx + e, h - e..h + self.lny + e)
-    }
-
-    /// Fused stream+collide over the boundary ring (the four strips adjacent
-    /// to the halo, corners included exactly once) on the generic serial path.
-    /// Together with [`DistributedSolver::step_inner`] this covers every
-    /// owned cell exactly once, including degenerate subdomains (`lnx ≤ 2` or
-    /// `lny ≤ 2`) where the inner rectangle is empty and the ring is the
-    /// whole subdomain.
-    fn step_ring(&mut self) {
-        let (lnx, lny) = (self.lnx, self.lny);
-        let h = self.halo;
-        self.step_rect(h..h + lnx, h..h + 1); // south row
-        if lny > 1 {
-            self.step_rect(h..h + lnx, h + lny - 1..h + lny); // north row
-        }
-        if lny > 2 {
-            self.step_rect(h..h + 1, h + 1..h + lny - 1); // west column
-            if lnx > 1 {
-                self.step_rect(h + lnx - 1..h + lnx, h + 1..h + lny - 1); // east column
-            }
-        }
-    }
-
-    /// Fused stream+collide over the rectangle `xr × yr` (local coords, full z).
-    fn step_rect(&mut self, xr: Range<usize>, yr: Range<usize>) {
-        let dims = self.flags.dims();
-        let collision = self.collision;
-        let flags = &self.flags;
-        let Storage::Ab(bufs) = &mut self.store else {
-            unreachable!("step_rect is the AB path")
-        };
-        let (src, dst) = bufs.pair_mut();
-        let mut f = [0.0; MAX_Q];
-        for y in yr {
-            for x in xr.clone() {
-                for z in 0..dims.nz {
-                    let cell = dims.idx(x, y, z);
-                    let kind = flags.kind(cell);
-                    if kind.is_fluid() || kind.is_nebb() {
-                        gather_pull::<L, _>(flags, src, x, y, z, &mut f[..L::Q]);
-                        swlb_core::kernels::reconstruct_nebb::<L>(&mut f[..L::Q], kind);
-                        collide::<L>(&mut f[..L::Q], &collision);
-                        dst.store_cell(cell, &f[..L::Q]);
-                    } else {
-                        apply_non_fluid::<L, _>(flags, src, dst, x, y, z, kind);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fused AA stream+collide over the inner rectangle `2..lnx × 2..lny`
-    /// (whose gathers *and scatters* stay within owned cells), dispatched
-    /// through the thread pool exactly like the AB inner rectangle.
-    fn aa_step_inner(&mut self) {
-        if self.lnx <= 2 || self.lny <= 2 {
-            self.last_class = KernelClass::Generic;
-            return;
-        }
-        let (xr, yr) = self.inner_ranges();
-        let collision = self.collision;
-        let flags = &self.flags;
-        let pool = &self.pool;
-        let interior = &self.interior;
-        let Storage::Aa { field, parity } = &mut self.store else {
-            unreachable!("aa_step_inner is the AA path")
-        };
-        let class =
-            pool.aa_step_rect::<L>(flags, field, &collision, *parity, xr, yr, Some(interior));
-        self.last_class = class;
-    }
-
-    /// AA sweep over the boundary ring on the generic serial path. Odd-step
-    /// ring cells gather from and scatter into the ghost ring; slot ownership
-    /// (unique writer = unique reader per slot) makes the order against
-    /// [`DistributedSolver::aa_step_inner`] irrelevant — the schedules stay
-    /// bit-identical.
-    fn aa_step_ring(&mut self) {
-        let (lnx, lny) = (self.lnx, self.lny);
-        let h = self.halo;
-        self.aa_step_rect(h..h + lnx, h..h + 1); // south row
-        if lny > 1 {
-            self.aa_step_rect(h..h + lnx, h + lny - 1..h + lny); // north row
-        }
-        if lny > 2 {
-            self.aa_step_rect(h..h + 1, h + 1..h + lny - 1); // west column
-            if lnx > 1 {
-                self.aa_step_rect(h + lnx - 1..h + lnx, h + 1..h + lny - 1); // east column
-            }
-        }
-    }
-
-    /// AA sweep over the rectangle `xr × yr` (local coords, full z).
-    fn aa_step_rect(&mut self, xr: Range<usize>, yr: Range<usize>) {
-        let collision = self.collision;
-        let flags = &self.flags;
-        let Storage::Aa { field, parity } = &mut self.store else {
-            unreachable!("aa_step_rect is the AA path")
-        };
-        swlb_core::kernels::aa_step_rect::<L>(flags, field, &collision, *parity, xr, yr);
-    }
-
-    /// One pooled AA dispatch over every owned cell `1..=lnx × 1..=lny` — the
-    /// even (cell-local) step flavor, which needs no halo traffic.
-    fn aa_step_owned(&mut self) {
-        let collision = self.collision;
-        let flags = &self.flags;
-        let pool = &self.pool;
-        let interior = &self.interior;
-        let h = self.halo;
-        let (xr, yr) = (h..h + self.lnx, h..h + self.lny);
-        let Storage::Aa { field, parity } = &mut self.store else {
-            unreachable!("aa_step_owned is the AA path")
-        };
-        let class =
-            pool.aa_step_rect::<L>(flags, field, &collision, *parity, xr, yr, Some(interior));
-        self.last_class = class;
-    }
-
-    /// AA odd-step post-exchange: ship the ghost strips (which now hold this
-    /// rank's scatters into the neighbors' cells) across, and merge the 8
-    /// incoming strips into the owned boundary ring — but only the slots
-    /// `(cell, q)` whose writer `cell − c_q` lies in the *sender's* region.
-    /// Every slot has exactly one writer, so the merge predicates are disjoint
-    /// across senders (wraparound self-sends included) and never clobber a
-    /// locally-computed value.
-    fn aa_post_exchange(&mut self) -> Result<(), CommError> {
-        let mut buf = std::mem::take(&mut self.send_buf);
-        let send_result = (|| {
-            for (d, (dx, dy)) in NEIGHBOR_OFFSETS.iter().enumerate() {
-                let dst = self
-                    .part
-                    .cart
-                    .neighbor(self.comm.rank(), *dx, *dy)
-                    .expect("periodic topology always has neighbors");
-                buf.clear();
-                buf.resize(FRAME_HEADER, 0.0);
-                self.pack_into(
-                    Self::recv_range(*dx, self.lnx, self.halo),
-                    Self::recv_range(*dy, self.lny, self.halo),
-                    &mut buf,
-                );
-                seal_frame(&mut buf, self.epoch, self.step);
-                self.obs_halo_msgs.inc();
-                self.obs_halo_bytes
-                    .add((buf.len() * std::mem::size_of::<f64>()) as u64);
-                self.comm
-                    .send_buffered(dst, AA_POST_TAG_BASE + d as u64, &buf)?;
-            }
-            Ok(())
-        })();
-        self.send_buf = buf;
-        send_result?;
-
-        let mut buf = std::mem::take(&mut self.recv_buf);
-        let recv_result = (|| {
-            for (d, (dx, dy)) in NEIGHBOR_OFFSETS.iter().enumerate() {
-                let src_rank = self
-                    .part
-                    .cart
-                    .neighbor(self.comm.rank(), *dx, *dy)
-                    .expect("periodic topology always has neighbors");
-                let t_recv = self.recorder.now();
-                self.recv_framed_into(
-                    src_rank,
-                    AA_POST_TAG_BASE + opposite_dir(d) as u64,
-                    &mut buf,
-                )?;
-                if let Some(t) = t_recv {
-                    let ns = t.elapsed().as_nanos() as u64;
-                    self.recorder.record_phase_ns(Phase::HaloExchange, ns);
-                    self.obs_halo_us.record(ns as f64 / 1e3);
-                }
-                self.aa_merge_strip(*dx, *dy, &buf[FRAME_HEADER..]);
-            }
-            Ok(())
-        })();
-        self.recv_buf = buf;
-        recv_result
     }
 
     /// Merge one post-exchange strip from the neighbor in direction
@@ -1055,235 +874,121 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         assert!(it.next().is_none(), "post-exchange message too long");
     }
 
-    /// One AB time step: pre-exchange, compute, buffer flip.
-    fn step_ab(&mut self, rec: &Recorder) -> Result<(), CommError> {
-        {
-            let _pack = rec.phase(Phase::HaloPack);
-            self.post_sends(0)?;
-        }
-        // Both schedules run the identical inner-rectangle (pooled, optimized)
-        // and boundary-ring (generic) kernels; they differ only in *when* the
-        // inner rectangle runs relative to the halo receives. That is what
-        // keeps them bit-identical.
-        match self.mode {
-            ExchangeMode::Sequential => {
-                self.recv_halos(0)?;
-                {
-                    let _cs = rec.phase(Phase::CollideStream);
-                    self.step_inner();
-                }
-                let _bd = rec.phase(Phase::Boundary);
-                self.step_ring();
-            }
-            ExchangeMode::OnTheFly => {
-                // Inner cells touch no halo: compute them while messages fly.
-                {
-                    let _cs = rec.phase(Phase::CollideStream);
-                    self.step_inner();
-                }
-                self.recv_halos(0)?;
-                let _bd = rec.phase(Phase::Boundary);
-                self.step_ring();
-            }
-        }
-        let Storage::Ab(bufs) = &mut self.store else {
-            unreachable!("step_ab is the AB path")
-        };
-        bufs.flip();
-        Ok(())
+    /// The inner rectangle: owned cells whose step-1 pulls and scatters touch
+    /// no ghost cell (empty for degenerate subdomains, `lnx ≤ 2` or `lny ≤ 2`).
+    fn inner_ranges(&self) -> Rect {
+        let h = self.halo;
+        (h + 1..h + self.lnx - 1, h + 1..h + self.lny - 1)
     }
 
-    /// One pooled AB dispatch over an arbitrary rectangle of the expanded
-    /// local grid (blocked intra-block steps; ghost cells included).
-    fn ab_dispatch_rect(&mut self, xr: Range<usize>, yr: Range<usize>) {
-        let collision = self.collision;
-        let flags = &self.flags;
-        let pool = &self.pool;
-        let interior = &self.interior;
-        let Storage::Ab(bufs) = &mut self.store else {
-            unreachable!("ab_dispatch_rect is the AB path")
-        };
-        let (src, dst) = bufs.pair_mut();
-        let class = pool.step_rect::<L, _>(flags, src, dst, &collision, xr, yr, Some(interior));
-        self.last_class = class;
-    }
-
-    /// One pooled AA dispatch over an arbitrary rectangle of the expanded
-    /// local grid.
-    fn aa_dispatch_rect(&mut self, xr: Range<usize>, yr: Range<usize>) {
-        let collision = self.collision;
-        let flags = &self.flags;
-        let pool = &self.pool;
-        let interior = &self.interior;
-        let Storage::Aa { field, parity } = &mut self.store else {
-            unreachable!("aa_dispatch_rect is the AA path")
-        };
-        let class =
-            pool.aa_step_rect::<L>(flags, field, &collision, *parity, xr, yr, Some(interior));
-        self.last_class = class;
+    /// The owned block expanded by `e` ghost layers on every side.
+    fn expanded_ranges(&self, e: usize) -> Rect {
+        let h = self.halo;
+        debug_assert!(e < h, "expansion exceeds the ring");
+        (h - e..h + self.lnx + e, h - e..h + self.lny + e)
     }
 
     /// The frame of the expansion-`e` rectangle left after the inner
-    /// rectangle — four pooled strips (or the whole rectangle when the inner
-    /// one is empty). Per-cell results are independent of how the region is
-    /// cut into dispatch rectangles: z-runs are never split by an x/y cut, so
-    /// this decomposition is exactly as bit-stable as one big dispatch.
-    fn frame_rects(&self, e: usize) -> Vec<(Range<usize>, Range<usize>)> {
+    /// rectangle: four strips, corners included exactly once (or the whole
+    /// rectangle when the inner one is empty), as a fixed array plus its
+    /// length so a block start allocates nothing. With `e = 0` these are the
+    /// four 1-cell strips of the owned boundary ring. Per-cell results are
+    /// independent of how the region is cut into dispatch rectangles: z-runs
+    /// are never split by an x/y cut, so this decomposition is exactly as
+    /// bit-stable as one big dispatch.
+    fn frame_rects(&self, e: usize) -> ([Rect; 4], usize) {
         let (xo, yo) = self.expanded_ranges(e);
         if self.lnx <= 2 || self.lny <= 2 {
-            return vec![(xo, yo)];
+            const UNUSED: Rect = (0..0, 0..0);
+            return ([(xo, yo), UNUSED, UNUSED, UNUSED], 1);
         }
         let (xi, yi) = self.inner_ranges();
-        vec![
-            (xo.clone(), yo.start..yi.start),       // south strip
-            (xo.clone(), yi.end..yo.end),           // north strip
-            (xo.start..xi.start, yi.start..yi.end), // west strip
-            (xi.end..xo.end, yi.start..yi.end),     // east strip
-        ]
+        let rects = [
+            (xo.clone(), yo.start..yi.start), // south strip
+            (xo.clone(), yi.end..yo.end),     // north strip
+            (xo.start..xi.start, yi.clone()), // west strip
+            (xi.end..xo.end, yi),             // east strip
+        ];
+        (rects, 4)
     }
 
-    /// One intra-block AB step under temporal blocking. Phase 0 pays the deep
-    /// exchange and computes the widest expanded rectangle; later phases
-    /// shrink by one ghost layer each and need no communication.
-    fn step_block_ab(&mut self, rec: &Recorder) -> Result<(), CommError> {
-        let s = self.phase + 1; // intra-block step, 1-based
-        let e = self.time_block - s; // ghost layers to recompute this step
-        if s == 1 {
-            {
-                let _pack = rec.phase(Phase::HaloPack);
-                self.post_sends(0)?;
+    /// Fused stream+collide over the rectangle `xr × yr` (local coords, full
+    /// z; ghost cells allowed), dispatched through the thread pool: y-slabs
+    /// across threads, z-tile blocking inside each slab, and the vectorized
+    /// (or hand-optimized scalar) D3Q19 kernel on interior BGK run-length
+    /// runs. Matches the serial generic kernel bit-for-bit on
+    /// scalar-semantics lanes and within the FMA dispatch tolerance under
+    /// AVX2. One of the two places the stepper matches the storage scheme.
+    fn sweep(&mut self, (xr, yr): Rect) {
+        let (flags, pool, collision) = (&self.flags, &self.pool, &self.collision);
+        let interior = Some(&self.interior);
+        self.last_class = match &mut self.store {
+            Storage::Ab(bufs) => {
+                let (src, dst) = bufs.pair_mut();
+                pool.step_rect::<L, _>(flags, src, dst, collision, xr, yr, interior)
             }
-            // Same inner/frame split in both modes (so they stay
-            // bit-identical); OnTheFly just overlaps the inner rectangle with
-            // the receives.
-            match self.mode {
-                ExchangeMode::Sequential => {
-                    self.finish_exchange()?;
-                    {
-                        let _cs = rec.phase(Phase::CollideStream);
-                        self.step_inner();
-                    }
-                }
-                ExchangeMode::OnTheFly => {
-                    {
-                        let _cs = rec.phase(Phase::CollideStream);
-                        self.step_inner();
-                    }
-                    self.finish_exchange()?;
-                }
+            Storage::Aa { field, parity } => {
+                pool.aa_step_rect::<L>(flags, field, collision, *parity, xr, yr, interior)
             }
-            let _bd = rec.phase(Phase::Boundary);
-            for (xr, yr) in self.frame_rects(e) {
-                self.ab_dispatch_rect(xr, yr);
-            }
-        } else {
-            let _cs = rec.phase(Phase::CollideStream);
-            let (xr, yr) = self.expanded_ranges(e);
-            self.ab_dispatch_rect(xr, yr);
-        }
-        let Storage::Ab(bufs) = &mut self.store else {
-            unreachable!("step_block_ab is the AB path")
         };
-        bufs.flip();
-        Ok(())
     }
 
-    /// One intra-block AA step under temporal blocking. The odd flavor's
-    /// ghost-bound scatters are recomputed by the neighbor inside its own
-    /// ring, so blocked AA needs the phase-0 pre-exchange only — no
-    /// post-exchange (see the module docs).
-    fn step_block_aa(&mut self, rec: &Recorder) -> Result<(), CommError> {
-        let s = self.phase + 1;
-        let e = self.time_block - s;
-        if s == 1 {
-            debug_assert_eq!(
-                self.store.parity(),
-                Some(AaParity::Reversed),
-                "an AA block starts on the odd flavor"
-            );
-            {
-                let _pack = rec.phase(Phase::HaloPack);
-                self.post_sends(0)?;
-            }
-            // AA updates in place, so the overlap is sound only for a
-            // single-round exchange: with `rounds > 1` the round-1 re-pack
-            // reads strips (`send_range` spans ghost layers when `h > ln`)
-            // that the inner sweep's odd-flavor scatters have already
-            // mutated, and the deep ring would carry post-step values.
-            let overlap = self.mode == ExchangeMode::OnTheFly && self.rounds == 1;
-            if overlap {
-                {
-                    let _cs = rec.phase(Phase::CollideStream);
-                    self.aa_step_inner();
-                }
-                self.finish_exchange()?;
-            } else {
-                self.finish_exchange()?;
-                {
-                    let _cs = rec.phase(Phase::CollideStream);
-                    self.aa_step_inner();
-                }
-            }
-            let _bd = rec.phase(Phase::Boundary);
-            for (xr, yr) in self.frame_rects(e) {
-                self.aa_dispatch_rect(xr, yr);
-            }
-        } else {
-            let _cs = rec.phase(Phase::CollideStream);
-            let (xr, yr) = self.expanded_ranges(e);
-            self.aa_dispatch_rect(xr, yr);
+    /// Make the state the last sweeps wrote the current one: the other place
+    /// the stepper matches the storage scheme.
+    fn advance(&mut self) {
+        match &mut self.store {
+            Storage::Ab(bufs) => bufs.flip(),
+            Storage::Aa { parity, .. } => *parity = parity.flip(),
         }
-        let Storage::Aa { parity, .. } = &mut self.store else {
-            unreachable!("step_block_aa is the AA path")
-        };
-        *parity = parity.flip();
-        Ok(())
     }
 
-    /// One AA time step: odd flavor communicates (pre- and post-exchange),
-    /// even flavor is entirely local; the parity flips afterwards.
-    fn step_aa(&mut self, rec: &Recorder) -> Result<(), CommError> {
-        let parity = self.store.parity().expect("step_aa is the AA path");
-        match parity {
-            AaParity::Reversed => {
-                {
-                    let _pack = rec.phase(Phase::HaloPack);
-                    self.post_sends(0)?;
-                }
-                match self.mode {
-                    ExchangeMode::Sequential => {
-                        self.recv_halos(0)?;
-                        {
-                            let _cs = rec.phase(Phase::CollideStream);
-                            self.aa_step_inner();
-                        }
-                        let _bd = rec.phase(Phase::Boundary);
-                        self.aa_step_ring();
-                    }
-                    ExchangeMode::OnTheFly => {
-                        // The inner rectangle neither gathers from nor
-                        // scatters into the ghost ring: overlap it with the
-                        // pre-exchange receives.
-                        {
-                            let _cs = rec.phase(Phase::CollideStream);
-                            self.aa_step_inner();
-                        }
-                        self.recv_halos(0)?;
-                        let _bd = rec.phase(Phase::Boundary);
-                        self.aa_step_ring();
-                    }
-                }
-                self.aa_post_exchange()?;
+    /// One time step of the single schedule (see the module docs): intra-block
+    /// step `s = phase + 1` computes the owned block expanded by
+    /// `e = time_block − s` ghost layers. An AA even step (`Streamed`) never
+    /// starts a block: it is communication-free whatever the ghost depth.
+    fn step_block(&mut self, rec: &Recorder) -> Result<(), CommError> {
+        let e = self.time_block - (self.phase + 1);
+        let parity = self.store.parity();
+        if self.phase == 0 && parity != Some(AaParity::Streamed) {
+            self.send_strips(Exchange::Pre(0))?;
+            // Both modes sweep the same inner rectangle and frame strips (so
+            // they stay bit-identical); OnTheFly just runs the inner
+            // rectangle, which touches no ghost, while the strips fly. AA
+            // updates in place, so that is sound only for a single-round
+            // exchange: with `rounds > 1` the round-1 re-pack reads strips
+            // (`send_range` spans ghost layers when `h > ln`) that the inner
+            // sweep's odd-flavor scatters have already mutated, and the deep
+            // ring would carry post-step values.
+            let overlap =
+                self.mode == ExchangeMode::OnTheFly && (parity.is_none() || self.rounds == 1);
+            if !overlap {
+                self.finish_exchange()?;
             }
-            AaParity::Streamed => {
+            {
                 let _cs = rec.phase(Phase::CollideStream);
-                self.aa_step_owned();
+                self.sweep(self.inner_ranges());
             }
+            if overlap {
+                self.finish_exchange()?;
+            }
+            {
+                let _bd = rec.phase(Phase::Boundary);
+                let (rects, n) = self.frame_rects(e);
+                for rect in rects.into_iter().take(n) {
+                    self.sweep(rect);
+                }
+            }
+            // 1-deep ghosts cannot recompute the neighbor's share of an AA
+            // odd step, so its scatters into the ghost ring go back across.
+            if parity.is_some() && self.time_block == 1 {
+                self.send_strips(Exchange::AaPost)?;
+                self.recv_strips(Exchange::AaPost)?;
+            }
+        } else {
+            let _cs = rec.phase(Phase::CollideStream);
+            self.sweep(self.expanded_ranges(e));
         }
-        let Storage::Aa { parity, .. } = &mut self.store else {
-            unreachable!("step_aa is the AA path")
-        };
-        *parity = parity.flip();
+        self.advance();
         Ok(())
     }
 
@@ -1294,13 +999,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         let t_step = rec.now();
         self.ensure_interior();
         self.comm.notify_step(self.step);
-        let blocked = self.time_block > 1;
-        match (self.store.scheme(), blocked) {
-            (StorageScheme::Ab, false) => self.step_ab(&rec)?,
-            (StorageScheme::Aa, false) => self.step_aa(&rec)?,
-            (StorageScheme::Ab, true) => self.step_block_ab(&rec)?,
-            (StorageScheme::Aa, true) => self.step_block_aa(&rec)?,
-        }
+        self.step_block(&rec)?;
         self.phase = (self.phase + 1) % self.time_block;
         self.step += 1;
         if let Some(t) = t_step {
@@ -1890,6 +1589,37 @@ mod tests {
     }
 
     #[test]
+    fn aa_post_exchange_is_timed_as_pack_and_unpack() {
+        // An odd AA k = 1 step runs two exchanges of 8 strips each (pre and
+        // post): two pack passes and sixteen strip landings. If the
+        // post-exchange escaped the phase timers, half of each would be
+        // missing. 8 steps = 4 odd steps; even steps exchange nothing.
+        let global = GridDims::new(8, 8, 4);
+        let mut flags = FlagField::new(global);
+        flags.set_box_walls();
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        let flags_ref = &flags;
+        let snaps = World::new(2).run(|comm| {
+            let rec = Recorder::enabled();
+            let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
+                .storage(StorageScheme::Aa)
+                .recorder(rec.clone())
+                .build();
+            s.initialize_uniform(1.0, [0.0; 3]);
+            s.run(8).unwrap();
+            rec.snapshot(8).expect("recorder is enabled")
+        });
+        for (rank, snap) in snaps.iter().enumerate() {
+            let calls = |phase: Phase| {
+                let p = snap.phases.iter().find(|p| p.name == phase.name());
+                p.expect("every phase is exported").calls
+            };
+            assert_eq!(calls(Phase::HaloUnpack), 16 * 4, "rank {rank}");
+            assert_eq!(calls(Phase::HaloPack), 2 * 4, "rank {rank}");
+        }
+    }
+
+    #[test]
     fn aa_rejects_open_boundaries_with_typed_error() {
         let global = GridDims::new(8, 8, 4);
         let mut flags = FlagField::new(global);
@@ -2207,7 +1937,8 @@ mod tests {
         // per-step message count falls by exactly k for both schemes.
         let global = GridDims::new(8, 8, 4);
         let steps = 8u64;
-        let count = |scheme: StorageScheme, k: usize| -> u64 {
+        // (messages, bytes) summed over the 4 ranks.
+        let count = |scheme: StorageScheme, k: usize| -> (u64, u64) {
             let mut flags = FlagField::new(global);
             flags.set_box_walls();
             let flags_ref = &flags;
@@ -2215,6 +1946,7 @@ mod tests {
             let out = World::new(4).run(|comm| {
                 let rec = Recorder::enabled();
                 let msgs = rec.counter("halo.messages");
+                let bytes = rec.counter("halo.bytes");
                 let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
                     .storage(scheme)
                     .time_block(k)
@@ -2222,14 +1954,22 @@ mod tests {
                     .build();
                 s.initialize_uniform(1.0, [0.0; 3]);
                 s.run(steps).unwrap();
-                msgs.get()
+                (msgs.get(), bytes.get())
             });
-            out.iter().sum()
+            out.iter().fold((0, 0), |(m, b), (rm, rb)| (m + rm, b + rb))
         };
+        // The ratio alone survives a refactor that doubles or drops both of
+        // its sides, so the absolute traffic is pinned too: 4 ranks x 8 steps
+        // x 8 strips for AB, 4 ranks x 4 odd steps x (8 pre + 8 post) for AA.
+        // The byte totals (the same for both schemes) are the values measured
+        // before the four step drivers were folded into one.
         for scheme in [StorageScheme::Ab, StorageScheme::Aa] {
-            let base = count(scheme, 1);
-            for k in [2u64, 4] {
-                let blocked = count(scheme, k as usize);
+            let (base, base_bytes) = count(scheme, 1);
+            assert_eq!(base, 256, "{scheme:?}: k=1 message count");
+            assert_eq!(base_bytes, 395_264, "{scheme:?}: k=1 bytes");
+            for (k, pinned_bytes) in [(2u64, 470_016u64), (4, 624_128)] {
+                let (blocked, blocked_bytes) = count(scheme, k as usize);
+                assert_eq!(blocked_bytes, pinned_bytes, "{scheme:?}: k={k} bytes");
                 assert_eq!(
                     blocked * k,
                     base,

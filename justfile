@@ -40,14 +40,20 @@ crash-check:
     cargo test -q -p swlb-serve --release --test serve_crash
     cargo test -q -p swlb-serve --release --test serve_crash -- --ignored
 
-# Quick bench sanity: run the native scalar-vs-SIMD sweep in quick mode,
-# validate the emitted JSON schema (host metadata included), and run the
-# cross-layer equivalence suites for the unified dispatch pipeline.
+# The cross-layer equivalence suites for the unified dispatch pipeline.
 bench-smoke:
-    cargo run --release -p swlb-bench --bin native_scaling -- --quick --json /tmp/bench_pr4_smoke.json
-    cargo run --release -p swlb-bench --bin native_scaling -- --validate /tmp/bench_pr4_smoke.json
     cargo test -q -p swlb-sim --release --test unified_dispatch
     cargo test -q -p swlb-sim --release --test simd_equivalence
+
+# The benchmark's own gate (benchmark/README.md): fmt, clippy, self-tests,
+# the smoke suite and schema validation of every result line.
+bench-check:
+    benchmark/check.sh
+
+# The repo's one benchmark: the seven workloads, five end-to-end metrics and
+# per-layer ladder declared in BENCHMARK.json (see benchmark/README.md).
+bench:
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml
 
 # The SIMD correctness contract, both ways: native dispatch (tolerance-based
 # under AVX2+FMA) and SWLB_NO_SIMD=1 (portable lane, bit-exact everywhere).
@@ -57,19 +63,11 @@ simd-check:
     SWLB_NO_SIMD=1 cargo test -q -p swlb-sim --release --test simd_equivalence --test unified_dispatch
     SWLB_NO_SIMD=1 cargo test -q -p swlb-core --release
 
-# The full sweep behind docs/PERFORMANCE.md: 128^3 cavity, scalar vs SIMD
-# across 1/2/4 threads, rewrites BENCH_pr4.json in the repository root.
-bench-sweep:
-    cargo run --release -p swlb-bench --bin native_scaling -- --json BENCH_pr4.json
-
 # AA-pattern acceptance (docs/PERFORMANCE.md, "Streaming patterns"): the
-# storage-scheme smoke sweep + schema validation, the AA↔AB equivalence
-# matrix (native lanes and the pinned AVX-512/portable-8 policies), the
-# cross-scheme checkpoint roundtrip, and the same matrix under
+# AA↔AB equivalence matrix (native lanes and the pinned AVX-512/portable-8
+# policies), the cross-scheme checkpoint roundtrip, and the same matrix under
 # SWLB_NO_SIMD=1 where every lane falls back to scalar semantics.
 aa-check:
-    cargo run --release -p swlb-bench --bin native_scaling -- --pr6 --quick --json /tmp/bench_pr6_smoke.json
-    cargo run --release -p swlb-bench --bin native_scaling -- --validate /tmp/bench_pr6_smoke.json
     cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence --test checkpoint_roundtrip
     SWLB_NO_SIMD=1 cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence
 
@@ -85,28 +83,13 @@ reshard-check:
     cargo test -q -p swlb-io
     cargo test -q -p swlb-serve --release --test serve_integration elastic
 
-# The full AB-vs-AA storage-scheme sweep: 128^3 and 256^3 cavities across
-# 1/2/4 threads and the host's SIMD lanes, rewrites BENCH_pr6.json.
-bench-pr6:
-    cargo run --release -p swlb-bench --bin native_scaling -- --pr6 --json BENCH_pr6.json
-
 # Temporal-blocking acceptance (docs/PERFORMANCE.md, "Temporal blocking"):
-# the quick depth-k smoke sweep + schema validation (halo-message k-times
-# reduction included), the depth-k vs depth-1 equivalence matrix, the
-# depth-k conservation proptest, and the blocked checkpoint/reshard
-# roundtrips.
+# the depth-k vs depth-1 equivalence matrix, the depth-k conservation
+# proptest, and the blocked checkpoint/reshard roundtrips.
 tb-check:
-    cargo run --release -p swlb-bench --bin native_scaling -- --pr9 --quick --json /tmp/bench_pr9_smoke.json
-    cargo run --release -p swlb-bench --bin native_scaling -- --validate /tmp/bench_pr9_smoke.json
     cargo test -q -p swlb-sim --release --test unified_dispatch temporal_blocking
     cargo test -q -p swlb-core --release --test properties temporal_blocking
     cargo test -q -p swlb-sim --release --test checkpoint_roundtrip
-
-# The full temporal-blocking sweep: depth 1/2/4 for both storage schemes on
-# 128^3 and 256^3 cavities plus the distributed halo-message accounting,
-# rewrites BENCH_pr9.json.
-bench-pr9:
-    cargo run --release -p swlb-bench --bin native_scaling -- --pr9 --json BENCH_pr9.json
 
 # Regenerate every paper figure/table harness.
 figures:

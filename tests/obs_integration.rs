@@ -91,12 +91,14 @@ fn disabled_recorder_step_makes_no_allocations() {
 /// Guarantee 1, distributed: with metrics off, the steady-state
 /// `DistributedSolver::step` — halo pack, framing, buffered send/receive,
 /// pooled inner-rectangle dispatch, boundary ring — performs zero heap
-/// allocations on the rank thread. The warm-up steps let every reusable
-/// buffer (frame buffers, the world's payload freelist, channel queues, the
-/// unexpected-message stash) reach its steady capacity.
+/// allocations on the rank thread, for both storage schemes and for blocked
+/// (k = 2) as well as per-step (k = 1) exchange. The warm-up steps let every
+/// reusable buffer (frame buffers, the world's payload freelist, channel
+/// queues, the unexpected-message stash) reach its steady capacity.
 #[test]
 fn distributed_steady_state_step_makes_no_allocations() {
     use swlb_core::lattice::D3Q19;
+    use swlb_core::layout::StorageScheme;
     use swlb_core::parallel::ThreadPool;
 
     let global = GridDims::new(8, 4, 4);
@@ -106,40 +108,52 @@ fn distributed_steady_state_step_makes_no_allocations() {
     let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
 
     let flags_ref = &flags;
-    let out = World::new(2).run(|comm| {
-        let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
-            .exchange(ExchangeMode::OnTheFly)
-            .pool(ThreadPool::new(2).with_tile_z(2))
-            .build();
-        assert!(!s.recorder().is_enabled());
-        s.initialize_uniform(1.0, [0.0; 3]);
-        s.run(30).unwrap();
+    for (scheme, k) in [
+        (StorageScheme::Ab, 1),
+        (StorageScheme::Ab, 2),
+        (StorageScheme::Aa, 1),
+        (StorageScheme::Aa, 2),
+    ] {
+        // Shown only when an assertion below fails: names the failing input.
+        println!("input: {scheme:?}, time_block {k}");
+        let out = World::new(2).run(|comm| {
+            let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
+                .exchange(ExchangeMode::OnTheFly)
+                .storage(scheme)
+                .time_block(k)
+                .pool(ThreadPool::new(2).with_tile_z(2))
+                .build();
+            assert!(!s.recorder().is_enabled());
+            s.initialize_uniform(1.0, [0.0; 3]);
+            s.run(30).unwrap();
 
-        // Every remaining allocation is a one-time capacity growth (a freelist
-        // or queue hitting a new concurrency high-water mark), monotone toward
-        // a finite ceiling — so keep warming until a full window is clean on
-        // EVERY rank. The break must be collective (allreduce over the window
-        // counts): a rank that stopped stepping alone would starve its
-        // neighbor's halo receives. The reduction itself allocates, but sits
-        // outside the measured window.
-        let mut allocs = u64::MAX;
-        for _ in 0..10 {
-            let before = thread_allocs();
-            s.run(20).unwrap();
-            allocs = thread_allocs() - before;
-            let worst = comm.allreduce_max(&[allocs as f64]).unwrap()[0];
-            if worst == 0.0 {
-                break;
+            // Every remaining allocation is a one-time capacity growth (a
+            // freelist or queue hitting a new concurrency high-water mark),
+            // monotone toward a finite ceiling — so keep warming until a full
+            // window is clean on EVERY rank. The break must be collective
+            // (allreduce over the window counts): a rank that stopped
+            // stepping alone would starve its neighbor's halo receives. The
+            // reduction itself allocates, but sits outside the measured
+            // window.
+            let mut allocs = u64::MAX;
+            for _ in 0..10 {
+                let before = thread_allocs();
+                s.run(20).unwrap();
+                allocs = thread_allocs() - before;
+                let worst = comm.allreduce_max(&[allocs as f64]).unwrap()[0];
+                if worst == 0.0 {
+                    break;
+                }
             }
+            allocs
+        });
+        for (rank, allocs) in out.iter().enumerate() {
+            assert_eq!(
+                *allocs, 0,
+                "rank {rank}: distributed stepping with metrics off must reach a \
+                 zero-allocation steady state (20 consecutive allocation-free steps)"
+            );
         }
-        allocs
-    });
-    for (rank, allocs) in out.iter().enumerate() {
-        assert_eq!(
-            *allocs, 0,
-            "rank {rank}: distributed stepping with metrics off must reach a \
-             zero-allocation steady state (20 consecutive allocation-free steps)"
-        );
     }
 }
 
