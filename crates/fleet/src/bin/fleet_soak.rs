@@ -45,25 +45,10 @@ fn spawn_worker(pool_dir: &std::path::Path, idx: u64, controller: &str) -> Serve
     cfg.slice_steps = 16;
     cfg.threads = 2;
     let server = Server::spawn(cfg).expect("spawn worker");
-    let body = Json::obj([
-        ("name", Json::str(format!("worker-{idx}"))),
-        ("addr", Json::str(server.addr().to_string())),
-        (
-            "dir",
-            Json::str(dir.canonicalize().unwrap_or(dir).display().to_string()),
-        ),
-    ])
-    .to_text();
-    for _ in 0..50 {
-        if matches!(
-            swlb_serve::http::roundtrip(controller, "POST", "/v1/fleet/register", body.as_bytes()),
-            Ok((200, _))
-        ) {
-            return server;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    panic!("worker-{idx} could not register with {controller}");
+    ServeClient::new(controller)
+        .register_worker(&format!("worker-{idx}"), server.addr(), &dir)
+        .unwrap_or_else(|e| panic!("worker-{idx} could not register with {controller}: {e}"));
+    server
 }
 
 fn spec(i: u64) -> JobSpec {

@@ -17,7 +17,7 @@
 
 use std::process::ExitCode;
 use swlb_fleet::{Controller, FleetConfig};
-use swlb_serve::{Json, ServeConfig, Server};
+use swlb_serve::{ServeClient, ServeConfig, Server};
 
 type CliResult<T> = std::result::Result<T, String>;
 
@@ -146,41 +146,14 @@ fn cmd_worker(args: &[String]) -> ExitCode {
         server.addr(),
         base_dir.display()
     );
+    // After the announcement the controller drives everything through
+    // heartbeats and pushes.
     if let Some(controller) = controller {
-        let body = Json::obj([
-            ("name", Json::str(name)),
-            ("addr", Json::str(server.addr().to_string())),
-            (
-                "dir",
-                Json::str(
-                    base_dir
-                        .canonicalize()
-                        .unwrap_or(base_dir)
-                        .display()
-                        .to_string(),
-                ),
-            ),
-        ])
-        .to_text();
-        let mut registered = false;
-        for _ in 0..50 {
-            match swlb_serve::http::roundtrip(
-                &controller,
-                "POST",
-                "/v1/fleet/register",
-                body.as_bytes(),
-            ) {
-                Ok((200, _)) => {
-                    registered = true;
-                    break;
-                }
-                Ok(_) | Err(_) => std::thread::sleep(std::time::Duration::from_millis(200)),
-            }
-        }
-        if registered {
-            println!("registered with controller at {controller}");
-        } else {
-            eprintln!("warning: could not register with controller at {controller}");
+        let announced =
+            ServeClient::new(controller.clone()).register_worker(&name, server.addr(), &base_dir);
+        match announced {
+            Ok(()) => println!("registered with controller at {controller}"),
+            Err(e) => eprintln!("warning: could not register with controller at {controller}: {e}"),
         }
     }
     loop {

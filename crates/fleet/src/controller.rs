@@ -43,9 +43,8 @@
 //!    whatever width its own elastic scheduler grants — bit-exact through
 //!    the rank-count-independent chunked format.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -53,13 +52,13 @@ use std::time::Duration;
 use swlb_comm::frame::{
     check_frame, frame_from_bytes, frame_to_bytes, seal_frame, FrameCheck, FRAME_HEADER,
 };
-use swlb_io::{CheckpointStore, Journal, JournalConfig};
+use swlb_io::{CheckpointStore, Wal};
 use swlb_obs::{Recorder, SwlbError};
-use swlb_serve::http::{self, Request};
+use swlb_serve::http::{self, Listener, Request};
 use swlb_serve::{json, JobSpec, Json, Priority, PushEnvelope, ServeClient};
 
 use crate::policy::{self, PendingJob, PolicyConfig, TenantAccount};
-use crate::record::{self, FleetEvent, FleetJournal, FleetOutcome};
+use crate::record::{FleetEvent, FleetFold, FleetOutcome};
 use crate::registry::{Worker, WorkerLoad};
 
 /// Controller configuration.
@@ -185,7 +184,7 @@ struct FleetState {
     jobs: Vec<FleetJob>,
     workers: Vec<Worker>,
     accounts: Vec<TenantAccount>,
-    journal: FleetJournal,
+    journal: Wal<FleetEvent>,
     next_id: u64,
     next_seq: u64,
     tick: u64,
@@ -194,6 +193,62 @@ struct FleetState {
 }
 
 impl FleetState {
+    /// The controller's world as the journal left it.
+    fn restore(journal: Wal<FleetEvent>, replayed: FleetFold) -> FleetState {
+        let mut accounts: Vec<TenantAccount> = Vec::new();
+        let mut jobs = Vec::new();
+        let mut next_id = 1;
+        let mut next_seq = 0;
+        for j in replayed.fold.jobs {
+            next_id = next_id.max(j.id + 1);
+            next_seq = next_seq.max(j.seq + 1);
+            let binding = match j.outcome {
+                FleetOutcome::Pending => Binding::Pending { wait_ticks: 0 },
+                FleetOutcome::Placed {
+                    worker,
+                    local,
+                    step,
+                } => Binding::Placed {
+                    worker,
+                    local,
+                    step,
+                },
+                FleetOutcome::Completed => Binding::Completed,
+                FleetOutcome::Cancelled => Binding::Cancelled,
+                FleetOutcome::Failed(e) => Binding::Failed(e),
+            };
+            // Any job that ever got placed was charged; rebuild the accounts
+            // so fair-share history survives the restart.
+            if !matches!(binding, Binding::Pending { .. }) {
+                policy::charge(&mut accounts, &j.spec.tenant, j.spec.priority);
+            }
+            jobs.push(FleetJob {
+                id: j.id,
+                seq: j.seq,
+                width: j.spec.width.max(1),
+                spec: j.spec,
+                binding,
+                migrations: 0,
+            });
+        }
+        let workers = replayed
+            .workers
+            .into_iter()
+            .map(|w| Worker::new(w.name, w.addr, w.dir, 1))
+            .collect();
+        FleetState {
+            jobs,
+            workers,
+            accounts,
+            journal,
+            next_id,
+            next_seq,
+            tick: 0,
+            migrations: 0,
+            stopping: false,
+        }
+    }
+
     fn job(&self, id: u64) -> Option<&FleetJob> {
         self.jobs.iter().find(|j| j.id == id)
     }
@@ -256,16 +311,48 @@ impl FleetState {
         self.journal.append(&ev);
         self.jobs[idx].binding = outcome;
     }
+
+    /// Journal and apply a re-binding of job `id`: onto `(worker, local)`
+    /// resuming from `step`, or back to pending when no worker took it.
+    /// `migration` says whether a landed re-binding counts as one (a re-push
+    /// onto the worker the job came from does not). Returns whether it landed.
+    fn rebind(&mut self, id: u64, placed: Option<(String, u64, u64)>, migration: bool) -> bool {
+        let landed = placed.is_some();
+        let moved = landed && migration;
+        let (ev, binding) = match placed {
+            Some((worker, local, step)) => (
+                FleetEvent::Migrated {
+                    id,
+                    worker: worker.clone(),
+                    local,
+                    step,
+                },
+                Binding::Placed {
+                    worker,
+                    local,
+                    step,
+                },
+            ),
+            None => (
+                FleetEvent::Unplaced { id },
+                Binding::Pending { wait_ticks: 0 },
+            ),
+        };
+        self.journal.append(&ev);
+        self.migrations += moved as u64;
+        if let Some(job) = self.job_mut(id) {
+            job.binding = binding;
+            job.migrations += moved as u32;
+        }
+        landed
+    }
 }
 
 /// A running controller instance.
 pub struct Controller {
     shared: Arc<Mutex<FleetState>>,
-    addr: std::net::SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    listener: Listener,
     ticker: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    accepting: Arc<AtomicBool>,
 }
 
 fn lock(shared: &Mutex<FleetState>) -> MutexGuard<'_, FleetState> {
@@ -275,90 +362,22 @@ fn lock(shared: &Mutex<FleetState>) -> MutexGuard<'_, FleetState> {
 impl Controller {
     /// Replay the journal, bind, spawn the tick and acceptor threads.
     pub fn spawn(cfg: FleetConfig) -> Result<Controller, SwlbError> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        let mut listener = Listener::bind(&cfg.addr)?;
         std::fs::create_dir_all(&cfg.base_dir)?;
 
-        // ---- crash recovery: replay, restore, compact ------------------
-        let journal_dir = cfg.base_dir.join("journal");
-        let (records, report) = Journal::replay(&journal_dir)?;
-        let (replayed, reg_workers, unparseable) = record::fold_records(&records);
-        let corrupt = report.skipped() + unparseable;
-        if corrupt > 0 {
-            cfg.recorder.counter("fleet.journal.corrupt").add(corrupt);
-        }
-        let disk = Journal::open(&journal_dir, JournalConfig::default())?;
-        let mut journal = FleetJournal::new(disk, cfg.journal_buffer, cfg.recorder.clone());
-        if !replayed.is_empty() || !reg_workers.is_empty() {
-            let mut compacted: Vec<String> = reg_workers
-                .iter()
-                .map(|w| {
-                    FleetEvent::Worker {
-                        name: w.name.clone(),
-                        addr: w.addr.clone(),
-                        dir: w.dir.clone(),
-                    }
-                    .to_line()
-                })
-                .collect();
-            compacted.extend(replayed.iter().flat_map(record::compacted_records));
-            journal.compact(&compacted);
+        // ---- crash recovery: replay, compact, restore ------------------
+        let (journal, replayed, _): (_, FleetFold, _) = Wal::recover(
+            &cfg.base_dir.join("journal"),
+            cfg.journal_buffer,
+            cfg.recorder.clone(),
+            "fleet.journal",
+        )?;
+        if !replayed.fold.jobs.is_empty() {
             cfg.recorder
                 .counter("fleet.replayed_jobs")
-                .add(replayed.len() as u64);
+                .add(replayed.fold.jobs.len() as u64);
         }
-        let mut accounts: Vec<TenantAccount> = Vec::new();
-        let mut jobs = Vec::new();
-        let mut next_id = 1;
-        let mut next_seq = 0;
-        for j in replayed {
-            next_id = next_id.max(j.id + 1);
-            next_seq = next_seq.max(j.seq + 1);
-            let binding = match j.outcome {
-                FleetOutcome::Pending => Binding::Pending { wait_ticks: 0 },
-                FleetOutcome::Placed {
-                    worker,
-                    local,
-                    step,
-                } => Binding::Placed {
-                    worker,
-                    local,
-                    step,
-                },
-                FleetOutcome::Completed => Binding::Completed,
-                FleetOutcome::Cancelled => Binding::Cancelled,
-                FleetOutcome::Failed(e) => Binding::Failed(e),
-            };
-            // Any job that ever got placed was charged; rebuild the accounts
-            // so fair-share history survives the restart.
-            if !matches!(binding, Binding::Pending { .. }) {
-                policy::charge(&mut accounts, &j.spec.tenant, j.spec.priority);
-            }
-            jobs.push(FleetJob {
-                id: j.id,
-                seq: j.seq,
-                width: j.spec.width.max(1),
-                spec: j.spec,
-                binding,
-                migrations: 0,
-            });
-        }
-        let workers = reg_workers
-            .into_iter()
-            .map(|w| Worker::new(w.name, w.addr, w.dir, 1))
-            .collect();
-
-        let shared = Arc::new(Mutex::new(FleetState {
-            jobs,
-            workers,
-            accounts,
-            journal,
-            next_id,
-            next_seq,
-            tick: 0,
-            migrations: 0,
-            stopping: false,
-        }));
+        let shared = Arc::new(Mutex::new(FleetState::restore(journal, replayed)));
 
         let tick_cfg = TickCfg {
             max_missed: cfg.max_missed,
@@ -379,46 +398,21 @@ impl Controller {
             })
         };
 
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accepting = Arc::new(AtomicBool::new(true));
-        let acceptor = {
-            let shared = shared.clone();
-            let conns = conns.clone();
-            let accepting = accepting.clone();
-            let io_timeout = cfg.io_timeout;
-            std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if !accepting.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let _ = stream.set_read_timeout(io_timeout);
-                    let _ = stream.set_write_timeout(io_timeout);
-                    let shared = shared.clone();
-                    let handle = std::thread::spawn(move || {
-                        handle_connection(stream, &shared);
-                    });
-                    conns
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .push(handle);
-                }
-            })
-        };
+        let conn_shared = shared.clone();
+        listener.start(cfg.io_timeout, move |stream| {
+            handle_connection(stream, &conn_shared)
+        });
 
         Ok(Controller {
             shared,
-            addr,
-            acceptor: Some(acceptor),
+            listener,
             ticker: Some(ticker),
-            conns,
-            accepting,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Stop every thread, flush the journal, and join.
@@ -428,19 +422,11 @@ impl Controller {
 
     fn stop_threads(&mut self) {
         lock(&self.shared).stopping = true;
-        self.accepting.store(false, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+        self.listener.stop_accepting();
         if let Some(h) = self.ticker.take() {
             let _ = h.join();
         }
-        let handles: Vec<_> =
-            std::mem::take(&mut *self.conns.lock().unwrap_or_else(|p| p.into_inner()));
-        for h in handles {
-            let _ = h.join();
-        }
+        self.listener.join_handlers();
         lock(&self.shared).journal.sync();
     }
 }
@@ -556,31 +542,8 @@ fn tick(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
         if st.job(id).is_none_or(|j| j.binding.is_terminal()) {
             continue; // settled while the replay push was in flight
         }
-        match placed {
-            Some((worker, local, step)) => {
-                st.journal.append(&FleetEvent::Migrated {
-                    id,
-                    worker: worker.clone(),
-                    local,
-                    step,
-                });
-                st.migrations += 1;
-                cfg.recorder.counter("fleet.migrations").inc();
-                if let Some(job) = st.job_mut(id) {
-                    job.binding = Binding::Placed {
-                        worker,
-                        local,
-                        step,
-                    };
-                    job.migrations += 1;
-                }
-            }
-            None => {
-                st.journal.append(&FleetEvent::Unplaced { id });
-                if let Some(job) = st.job_mut(id) {
-                    job.binding = Binding::Pending { wait_ticks: 0 };
-                }
-            }
+        if st.rebind(id, placed, true) {
+            cfg.recorder.counter("fleet.migrations").inc();
         }
     }
 
@@ -667,34 +630,10 @@ fn tick(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
                 .iter()
                 .find(|w| w.name == t)
                 .map(|w| w.addr.clone())?;
-            push_envelope(&addr, &env).map(|new_local| (t, new_local))
+            push_envelope(&addr, &env).map(|new_local| (t, new_local, step))
         });
-        let mut st = lock(shared);
-        match pushed {
-            Some((worker, new_local)) => {
-                st.journal.append(&FleetEvent::Migrated {
-                    id,
-                    worker: worker.clone(),
-                    local: new_local,
-                    step,
-                });
-                st.migrations += 1;
-                cfg.recorder.counter("fleet.rescues").inc();
-                if let Some(job) = st.job_mut(id) {
-                    job.binding = Binding::Placed {
-                        worker,
-                        local: new_local,
-                        step,
-                    };
-                    job.migrations += 1;
-                }
-            }
-            None => {
-                st.journal.append(&FleetEvent::Unplaced { id });
-                if let Some(job) = st.job_mut(id) {
-                    job.binding = Binding::Pending { wait_ticks: 0 };
-                }
-            }
+        if lock(shared).rebind(id, pushed, true) {
+            cfg.recorder.counter("fleet.rescues").inc();
         }
     }
 
@@ -923,23 +862,8 @@ fn rebalance_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
             // admission capacity forever. Best-effort: if the source is
             // dying anyway, the husk dies with it.
             let _ = ServeClient::new(src_addr.clone()).cancel(local);
-            let mut st = lock(shared);
-            st.journal.append(&FleetEvent::Migrated {
-                id,
-                worker: dst_name.clone(),
-                local: new_local,
-                step,
-            });
-            st.migrations += 1;
+            lock(shared).rebind(id, Some((dst_name, new_local, step)), true);
             cfg.recorder.counter("fleet.migrations").inc();
-            if let Some(job) = st.job_mut(id) {
-                job.binding = Binding::Placed {
-                    worker: dst_name,
-                    local: new_local,
-                    step,
-                };
-                job.migrations += 1;
-            }
         }
         None => {
             // The destination refused: the job is already parked on the
@@ -956,26 +880,10 @@ fn rebalance_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
                     .find(|w| w.addr == src_addr)
                     .map(|w| w.name.clone());
                 if let Some(worker) = src_name {
-                    st.journal.append(&FleetEvent::Migrated {
-                        id,
-                        worker: worker.clone(),
-                        local: new_local,
-                        step,
-                    });
-                    if let Some(job) = st.job_mut(id) {
-                        job.binding = Binding::Placed {
-                            worker,
-                            local: new_local,
-                            step,
-                        };
-                    }
+                    st.rebind(id, Some((worker, new_local, step)), false);
                 }
             } else {
-                let mut st = lock(shared);
-                st.journal.append(&FleetEvent::Unplaced { id });
-                if let Some(job) = st.job_mut(id) {
-                    job.binding = Binding::Pending { wait_ticks: 0 };
-                }
+                lock(shared).rebind(id, None, false);
             }
         }
     }
@@ -1037,11 +945,7 @@ fn err_json(msg: &str) -> Json {
 /// degraded the controller answers 503 — it will not accept work it cannot
 /// make crash-safe (same contract as the single-worker serve tier).
 fn submit(shared: &Arc<Mutex<FleetState>>, req: &Request) -> (u16, Json) {
-    let spec = match std::str::from_utf8(&req.body)
-        .map_err(|_| SwlbError::CorruptData("body is not UTF-8".into()))
-        .and_then(json::parse)
-        .and_then(|v| JobSpec::from_json(&v))
-    {
+    let spec = match JobSpec::from_body(&req.body) {
         Ok(s) => s,
         Err(e) => return (400, err_json(&e.to_string())),
     };
@@ -1128,11 +1032,17 @@ fn register(shared: &Arc<Mutex<FleetState>>, req: &Request) -> (u16, Json) {
     if st.journal.degraded() {
         return (503, err_json("fleet journal degraded"));
     }
-    st.journal.append(&FleetEvent::Worker {
+    let ev = FleetEvent::Worker {
         name: name.clone(),
         addr: addr.clone(),
         dir: dir.clone(),
-    });
+    };
+    if !st.journal.append(&ev) {
+        // Same contract as admission: a registration that is not on disk is
+        // refused, and must not linger in the retry buffer.
+        st.journal.retract_last(&ev);
+        return (503, err_json("fleet journal degraded"));
+    }
     match st.worker_mut(&name) {
         Some(w) => w.reregister(addr, dir),
         None => st.workers.push(Worker::new(name.clone(), addr, dir, 1)),
@@ -1249,4 +1159,72 @@ fn stats(shared: &Arc<Mutex<FleetState>>) -> (u16, Json) {
             ("journal_degraded", Json::Bool(st.journal.degraded())),
         ]),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn recover(dir: &std::path::Path) -> (Wal<FleetEvent>, FleetFold, u64) {
+        Wal::recover(dir, 8, Recorder::disabled(), "fleet.journal").unwrap()
+    }
+
+    fn post(body: &str) -> Request {
+        Request {
+            method: "POST".into(),
+            target: "/".into(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    /// The failure-matrix row "journal disk loss / full": 503, and nothing
+    /// acknowledged that cannot be replayed.
+    #[test]
+    fn degraded_journal_refuses_admission_and_registration_and_leaves_no_ghost() {
+        let dir = std::env::temp_dir().join(format!("swlb-fleet-degraded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, replayed, _) = recover(&dir);
+        let shared = Arc::new(Mutex::new(FleetState::restore(journal, replayed)));
+        let job = post(
+            r#"{"name":"j","case":"cavity","lattice":"d2q9","nx":8,"ny":8,"nz":1,"tau":0.8,
+                "u":0.05,"steps":32,"priority":"batch","tenant":"acme"}"#,
+        );
+        let worker = post(r#"{"name":"w0","addr":"127.0.0.1:9","dir":"/tmp/w0"}"#);
+
+        // The disk fails. The first write discovers it: refused and retracted.
+        lock(&shared).journal.set_fail_writes(true);
+        assert_eq!(submit(&shared, &job).0, 503);
+        assert_eq!(lock(&shared).journal.buffered(), 0);
+        // Now known degraded: refused before any write is attempted.
+        assert_eq!(register(&shared, &worker).0, 503);
+        assert_eq!(submit(&shared, &job).0, 503);
+        assert!(lock(&shared).jobs.is_empty() && lock(&shared).workers.is_empty());
+
+        // The disk recovers: admission resumes with the next id, not a gap.
+        lock(&shared).journal.set_fail_writes(false);
+        let (status, body) = submit(&shared, &job);
+        assert_eq!(
+            (status, body.get("id").and_then(Json::as_u64)),
+            (202, Some(1))
+        );
+
+        // A registration that discovers the failure itself is refused too.
+        lock(&shared).journal.set_fail_writes(true);
+        assert_eq!(register(&shared, &worker).0, 503);
+        assert_eq!(lock(&shared).journal.buffered(), 0);
+        lock(&shared).journal.set_fail_writes(false);
+        lock(&shared).journal.sync();
+
+        // Replay yields exactly the one acknowledged job: no ghost admission,
+        // no ghost worker.
+        drop(shared);
+        let (_, replayed, corrupt) = recover(&dir);
+        assert_eq!(corrupt, 0);
+        let ids: Vec<u64> = replayed.fold.jobs.iter().map(|j| j.id).collect();
+        assert_eq!(ids, [1]);
+        assert_eq!(replayed.fold.jobs[0].outcome, FleetOutcome::Pending);
+        assert!(replayed.workers.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

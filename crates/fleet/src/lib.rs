@@ -38,5 +38,5 @@ pub mod registry;
 
 pub use controller::{Controller, FleetConfig};
 pub use policy::{PendingJob, PolicyConfig, TenantAccount};
-pub use record::{FleetEvent, FleetJournal, FleetOutcome, ReplayedFleetJob, ReplayedWorker};
+pub use record::{FleetEvent, FleetFold, FleetOutcome, ReplayedWorker};
 pub use registry::{Worker, WorkerLoad};

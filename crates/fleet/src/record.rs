@@ -1,7 +1,7 @@
-//! Typed fleet-lifecycle records over the [`swlb_io::journal`] write-ahead
-//! log, the replay fold that rebuilds the controller's job table and worker
-//! registry after a crash, and the degradation-aware writer the controller
-//! threads share.
+//! Typed fleet-lifecycle records for the [`swlb_io::journal::Wal`]
+//! write-ahead log, and the fold that rebuilds the controller's job table and
+//! worker registry from them after a crash. The writer, its degraded mode and
+//! the recovery sequence are `Wal`'s — the same ones the serve tier runs on.
 //!
 //! Record schema (one JSON object per journal line):
 //!
@@ -23,10 +23,9 @@
 //! keeps its worker binding and is re-synced from that worker's live table;
 //! a pending job keeps its original id and arrival order.
 
-use std::collections::VecDeque;
-use swlb_io::journal::Journal;
-use swlb_obs::Recorder;
-use swlb_serve::{json, Json, JobSpec};
+use swlb_io::journal::{WalEvent, WalState};
+use swlb_serve::journal::{Fold, Outcome};
+use swlb_serve::{json, JobSpec, Json};
 
 /// One journaled fleet transition.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,10 +95,10 @@ pub enum FleetEvent {
     },
 }
 
-impl FleetEvent {
+impl WalEvent for FleetEvent {
     /// Admissions, registrations and terminals gate acknowledgements and are
     /// fsynced before the caller proceeds.
-    pub fn is_durable(&self) -> bool {
+    fn is_durable(&self) -> bool {
         matches!(
             self,
             FleetEvent::Admitted { .. }
@@ -110,8 +109,7 @@ impl FleetEvent {
         )
     }
 
-    /// Encode as one JSON line (the journal payload).
-    pub fn to_line(&self) -> String {
+    fn to_line(&self) -> String {
         let v = match self {
             FleetEvent::Admitted { id, seq, spec } => Json::obj([
                 ("rec", Json::str("admitted")),
@@ -164,8 +162,7 @@ impl FleetEvent {
         v.to_text()
     }
 
-    /// Decode one journal payload; `None` if unparseable or unknown.
-    pub fn parse(line: &str) -> Option<FleetEvent> {
+    fn parse(line: &str) -> Option<FleetEvent> {
         let v = json::parse(line).ok()?;
         let id = || v.get("id").and_then(Json::as_u64);
         let s = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
@@ -204,9 +201,10 @@ impl FleetEvent {
 }
 
 /// A fleet job's folded fate after replay.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum FleetOutcome {
     /// Waiting for placement (never placed, or unplaced by a worker death).
+    #[default]
     Pending,
     /// Bound to `worker` as its `local` job; `step` is the newest journaled
     /// migration step (0 for a first placement).
@@ -226,27 +224,13 @@ pub enum FleetOutcome {
     Failed(String),
 }
 
-impl FleetOutcome {
-    /// Whether the job can never run again.
-    pub fn is_terminal(&self) -> bool {
+impl Outcome for FleetOutcome {
+    fn is_terminal(&self) -> bool {
         matches!(
             self,
             FleetOutcome::Completed | FleetOutcome::Cancelled | FleetOutcome::Failed(_)
         )
     }
-}
-
-/// One job rebuilt from the journal.
-#[derive(Debug, Clone)]
-pub struct ReplayedFleetJob {
-    /// Original controller-assigned id.
-    pub id: u64,
-    /// Original arrival order.
-    pub seq: u64,
-    /// The original submission.
-    pub spec: JobSpec,
-    /// Folded fate.
-    pub outcome: FleetOutcome,
 }
 
 /// A worker registration rebuilt from the journal (last record wins).
@@ -260,236 +244,105 @@ pub struct ReplayedWorker {
     pub dir: String,
 }
 
-/// Fold raw journal payloads into per-job outcomes (ordered by arrival) and
-/// the worker registry. Returns `(jobs, workers, unparseable_count)`.
-pub fn fold_records(records: &[String]) -> (Vec<ReplayedFleetJob>, Vec<ReplayedWorker>, u64) {
-    let mut jobs: Vec<ReplayedFleetJob> = Vec::new();
-    let mut workers: Vec<ReplayedWorker> = Vec::new();
-    let mut unparseable = 0u64;
-    fn find(id: u64, jobs: &[ReplayedFleetJob]) -> Option<usize> {
-        jobs.iter().position(|j| j.id == id)
-    }
-    for line in records {
-        let Some(ev) = FleetEvent::parse(line) else {
-            unparseable += 1;
-            continue;
-        };
+/// The controller's journal fold: per-job outcomes (ordered by arrival) and
+/// the worker registry. The journal itself is a `Wal<FleetEvent>`.
+#[derive(Debug, Clone, Default)]
+pub struct FleetFold {
+    /// Job outcomes, folded by the rules the serve tier's table uses.
+    pub fold: Fold<FleetOutcome>,
+    /// Registered workers, in first-announcement order.
+    pub workers: Vec<ReplayedWorker>,
+}
+
+impl WalState<FleetEvent> for FleetFold {
+    fn apply(&mut self, ev: FleetEvent) {
+        let jobs = &mut self.fold;
         match ev {
-            FleetEvent::Admitted { id, seq, spec } => {
-                if find(id, &jobs).is_none() {
-                    jobs.push(ReplayedFleetJob {
-                        id,
-                        seq,
-                        spec,
-                        outcome: FleetOutcome::Pending,
-                    });
-                }
-            }
+            FleetEvent::Admitted { id, seq, spec } => jobs.admit(id, seq, spec),
             FleetEvent::Worker { name, addr, dir } => {
-                match workers.iter_mut().find(|w| w.name == name) {
+                match self.workers.iter_mut().find(|w| w.name == name) {
                     Some(w) => {
                         w.addr = addr;
                         w.dir = dir;
                     }
-                    None => workers.push(ReplayedWorker { name, addr, dir }),
+                    None => self.workers.push(ReplayedWorker { name, addr, dir }),
                 }
             }
-            FleetEvent::Placed { id, worker, local } => {
-                if let Some(i) = find(id, &jobs) {
-                    if !jobs[i].outcome.is_terminal() {
-                        jobs[i].outcome = FleetOutcome::Placed {
-                            worker,
-                            local,
-                            step: 0,
-                        };
-                    }
-                }
-            }
+            FleetEvent::Placed { id, worker, local } => jobs.set(
+                id,
+                FleetOutcome::Placed {
+                    worker,
+                    local,
+                    step: 0,
+                },
+            ),
             FleetEvent::Migrated {
                 id,
                 worker,
                 local,
                 step,
-            } => {
-                if let Some(i) = find(id, &jobs) {
-                    if !jobs[i].outcome.is_terminal() {
-                        jobs[i].outcome = FleetOutcome::Placed {
-                            worker,
-                            local,
-                            step,
-                        };
-                    }
-                }
-            }
-            FleetEvent::Unplaced { id } => {
-                if let Some(i) = find(id, &jobs) {
-                    if !jobs[i].outcome.is_terminal() {
-                        jobs[i].outcome = FleetOutcome::Pending;
-                    }
-                }
-            }
-            FleetEvent::Completed { id } => {
-                if let Some(i) = find(id, &jobs) {
-                    jobs[i].outcome = FleetOutcome::Completed;
-                }
-            }
-            FleetEvent::Cancelled { id } => {
-                if let Some(i) = find(id, &jobs) {
-                    jobs[i].outcome = FleetOutcome::Cancelled;
-                }
-            }
-            FleetEvent::Failed { id, error } => {
-                if let Some(i) = find(id, &jobs) {
-                    jobs[i].outcome = FleetOutcome::Failed(error);
-                }
-            }
-        }
-    }
-    jobs.sort_by_key(|j| j.seq);
-    (jobs, workers, unparseable)
-}
-
-/// Re-encode a replayed job as its minimal compacted record set.
-pub fn compacted_records(job: &ReplayedFleetJob) -> Vec<String> {
-    let mut out = vec![FleetEvent::Admitted {
-        id: job.id,
-        seq: job.seq,
-        spec: job.spec.clone(),
-    }
-    .to_line()];
-    let state = match &job.outcome {
-        FleetOutcome::Pending => None,
-        FleetOutcome::Placed {
-            worker,
-            local,
-            step,
-        } => Some(FleetEvent::Migrated {
-            id: job.id,
-            worker: worker.clone(),
-            local: *local,
-            step: *step,
-        }),
-        FleetOutcome::Completed => Some(FleetEvent::Completed { id: job.id }),
-        FleetOutcome::Cancelled => Some(FleetEvent::Cancelled { id: job.id }),
-        FleetOutcome::Failed(e) => Some(FleetEvent::Failed {
-            id: job.id,
-            error: e.clone(),
-        }),
-    };
-    out.extend(state.map(|ev| ev.to_line()));
-    out
-}
-
-/// The journal writer the controller threads share. Mirrors the failure
-/// domain of the serve tier's `JournalHandle`: an I/O error buffers the
-/// record in memory (bounded), flips `degraded()` — admission then answers
-/// 503 — and every later append retries the backlog first so on-disk order
-/// matches logical order.
-pub struct FleetJournal {
-    inner: Option<Journal>,
-    pending: VecDeque<(String, bool)>,
-    buffer_max: usize,
-    degraded: bool,
-    recorder: Recorder,
-}
-
-impl FleetJournal {
-    /// A no-op handle (unit tests).
-    pub fn disabled() -> Self {
-        FleetJournal {
-            inner: None,
-            pending: VecDeque::new(),
-            buffer_max: 0,
-            degraded: false,
-            recorder: Recorder::disabled(),
+            } => jobs.set(
+                id,
+                FleetOutcome::Placed {
+                    worker,
+                    local,
+                    step,
+                },
+            ),
+            FleetEvent::Unplaced { id } => jobs.set(id, FleetOutcome::Pending),
+            FleetEvent::Completed { id } => jobs.set(id, FleetOutcome::Completed),
+            FleetEvent::Cancelled { id } => jobs.set(id, FleetOutcome::Cancelled),
+            FleetEvent::Failed { id, error } => jobs.set(id, FleetOutcome::Failed(error)),
         }
     }
 
-    /// Wrap an open journal.
-    pub fn new(journal: Journal, buffer_max: usize, recorder: Recorder) -> Self {
-        FleetJournal {
-            inner: Some(journal.with_recorder(recorder.clone())),
-            pending: VecDeque::new(),
-            buffer_max: buffer_max.max(1),
-            degraded: false,
-            recorder,
+    /// Workers first (placements name them), then per job the admission plus
+    /// (if any) its latest binding or terminal.
+    fn compacted(&self) -> Vec<FleetEvent> {
+        let mut out: Vec<FleetEvent> = self
+            .workers
+            .iter()
+            .map(|w| FleetEvent::Worker {
+                name: w.name.clone(),
+                addr: w.addr.clone(),
+                dir: w.dir.clone(),
+            })
+            .collect();
+        for job in &self.fold.jobs {
+            let id = job.id;
+            out.push(FleetEvent::Admitted {
+                id,
+                seq: job.seq,
+                spec: job.spec.clone(),
+            });
+            out.extend(match &job.outcome {
+                FleetOutcome::Pending => None,
+                FleetOutcome::Placed {
+                    worker,
+                    local,
+                    step,
+                } => Some(FleetEvent::Migrated {
+                    id,
+                    worker: worker.clone(),
+                    local: *local,
+                    step: *step,
+                }),
+                FleetOutcome::Completed => Some(FleetEvent::Completed { id }),
+                FleetOutcome::Cancelled => Some(FleetEvent::Cancelled { id }),
+                FleetOutcome::Failed(e) => Some(FleetEvent::Failed {
+                    id,
+                    error: e.clone(),
+                }),
+            });
         }
-    }
-
-    /// Whether records currently reach stable storage.
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Append a fleet record; returns whether it (and the backlog) reached
-    /// the disk.
-    pub fn append(&mut self, ev: &FleetEvent) -> bool {
-        if self.inner.is_none() {
-            return true;
-        }
-        self.pending.push_back((ev.to_line(), ev.is_durable()));
-        while self.pending.len() > self.buffer_max {
-            self.pending.pop_front();
-            self.recorder.counter("fleet.journal.dropped").inc();
-        }
-        self.drain();
-        !self.degraded
-    }
-
-    /// Withdraw the most recently appended record if it never reached disk
-    /// (the admission path answered 503, so the record must not replay as a
-    /// ghost job).
-    pub fn retract_last(&mut self, ev: &FleetEvent) -> bool {
-        if self
-            .pending
-            .back()
-            .is_some_and(|(line, _)| *line == ev.to_line())
-        {
-            self.pending.pop_back();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn drain(&mut self) {
-        let Some(journal) = self.inner.as_mut() else {
-            return;
-        };
-        while let Some((line, durable)) = self.pending.front() {
-            if journal.append(line, *durable).is_err() {
-                if !self.degraded {
-                    self.degraded = true;
-                    self.recorder.counter("fleet.journal.degraded").inc();
-                }
-                return;
-            }
-            self.pending.pop_front();
-        }
-        self.degraded = false;
-    }
-
-    /// Flush batched appends (shutdown path).
-    pub fn sync(&mut self) {
-        self.drain();
-        if let Some(j) = self.inner.as_mut() {
-            let _ = j.sync();
-        }
-    }
-
-    /// Atomically rewrite the journal to `records` (startup compaction).
-    pub fn compact(&mut self, records: &[String]) {
-        if let Some(j) = self.inner.as_mut() {
-            if j.compact(records).is_err() {
-                self.degraded = true;
-            }
-        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swlb_io::journal::fold;
     use swlb_serve::{CaseKind, CaseSpec, LatticeKind, OutputKind, Priority};
 
     fn spec(name: &str) -> JobSpec {
@@ -548,6 +401,47 @@ mod tests {
                 error: "boom".into(),
             },
         ];
+        // The on-disk schema, byte for byte: a journal written by any earlier
+        // build must replay on this one.
+        let pinned = [
+            r#"{"rec":"admitted","id":1,"seq":0,"spec":{"name":"a","case":"cavity","lattice":"d2q9","nx":8,"ny":8,"nz":1,"tau":0.8,"u":0.05,"storage":"ab","steps":32,"priority":"batch","outputs":["ppm"],"tenant":"acme"}}"#,
+            r#"{"rec":"worker","name":"w0","addr":"127.0.0.1:9","dir":"/tmp/w0"}"#,
+            r#"{"rec":"placed","id":1,"worker":"w0","local":3}"#,
+            r#"{"rec":"migrated","id":1,"worker":"w1","local":5,"step":96}"#,
+            r#"{"rec":"unplaced","id":1}"#,
+            r#"{"rec":"completed","id":1}"#,
+            r#"{"rec":"cancelled","id":2}"#,
+            r#"{"rec":"failed","id":3,"error":"boom"}"#,
+        ];
+        for (ev, want) in events.iter().zip(pinned) {
+            assert_eq!(ev.to_line(), want);
+        }
+        // Strings a record must carry through the line codec unharmed.
+        let hostile = [
+            "say \"hi\"",
+            "back\\slash \\n is two characters",
+            "two\nlines\r\n\ttabbed",
+            "na\u{ef}ve \u{2207}\u{b7}u \u{2260} 0 \u{6d41}\u{4f53}",
+            "",
+        ];
+        let hostile_events = hostile.iter().flat_map(|s| {
+            [
+                FleetEvent::Worker {
+                    name: s.to_string(),
+                    addr: s.to_string(),
+                    dir: s.to_string(),
+                },
+                FleetEvent::Failed {
+                    id: 3,
+                    error: s.to_string(),
+                },
+            ]
+        });
+        for ev in hostile_events {
+            let line = ev.to_line();
+            assert!(!line.contains('\n'), "{line}");
+            assert_eq!(FleetEvent::parse(&line), Some(ev));
+        }
         for ev in &events {
             assert_eq!(FleetEvent::parse(&ev.to_line()).as_ref(), Some(ev));
         }
@@ -606,7 +500,8 @@ mod tests {
         .iter()
         .map(FleetEvent::to_line)
         .collect();
-        let (jobs, workers, bad) = fold_records(&lines);
+        let (state, bad) = fold::<FleetEvent, FleetFold>(&lines);
+        let (jobs, workers) = (state.fold.jobs.clone(), state.workers.clone());
         assert_eq!(bad, 0);
         assert_eq!(workers, vec![ReplayedWorker {
             name: "w0".into(),
@@ -617,8 +512,8 @@ mod tests {
         assert_eq!(jobs[0].outcome, FleetOutcome::Completed);
         assert_eq!(jobs[1].outcome, FleetOutcome::Pending);
         // Compaction preserves the fold.
-        let compacted: Vec<String> = jobs.iter().flat_map(compacted_records).collect();
-        let (again, _, _) = fold_records(&compacted);
+        let compacted: Vec<String> = state.compacted().iter().map(FleetEvent::to_line).collect();
+        let again = fold::<FleetEvent, FleetFold>(&compacted).0.fold.jobs;
         assert_eq!(again[0].outcome, FleetOutcome::Completed);
         assert_eq!(again[1].outcome, FleetOutcome::Pending);
     }

@@ -24,12 +24,23 @@
 //! (write-ahead semantics for records that gate an acknowledgement);
 //! non-durable appends are batched and fsynced every
 //! [`JournalConfig::fsync_every`] records, on rotation, and on [`Journal::sync`].
+//!
+//! [`Wal`] is the typed state-machine log both control planes run on: a
+//! [`WalEvent`] names the record codec, a [`WalState`] the table the records
+//! fold into. [`Wal::recover`] owns the crash-recovery sequence (replay, fold,
+//! open, compact) and the returned writer owns the failure domain: when the
+//! disk is full or slow it buffers records in memory (bounded), flips to
+//! degraded — admission then returns 503 — and drains the buffer once writes
+//! succeed again. A record is never silently dropped until the bound is hit,
+//! and drops are counted.
 
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
-use swlb_obs::crc32;
+use swlb_obs::{crc32, Recorder};
 
 /// Record frame tag; bump if the line format ever changes.
 const FRAME_TAG: &str = "J1";
@@ -190,21 +201,17 @@ impl Journal {
         let last_seg = segs.len();
         for (seg_no, (_, path)) in segs.iter().enumerate() {
             report.segments += 1;
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    // Non-UTF-8 garbage: treat the whole segment body as one
-                    // damaged blob rather than failing replay.
-                    report.corrupt += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let complete_tail = text.ends_with('\n');
-            let lines: Vec<&str> = text.lines().collect();
+            // Split on bytes, not on `str::lines`: a flipped bit that breaks
+            // UTF-8 must cost the record it hit, not the whole segment.
+            let bytes = std::fs::read(path)?;
+            let complete_tail = bytes.last() == Some(&b'\n');
+            let mut lines: Vec<&[u8]> = bytes.split(|b| *b == b'\n').collect();
+            if lines.last().is_some_and(|l| l.is_empty()) {
+                lines.pop(); // the piece after the final newline, not a line
+            }
             for (line_no, line) in lines.iter().enumerate() {
                 let is_final_line = seg_no + 1 == last_seg && line_no + 1 == lines.len();
-                match unframe(line) {
+                match std::str::from_utf8(line).ok().and_then(unframe) {
                     Some(payload) => {
                         // A valid frame on an incomplete final line can only
                         // happen if the payload itself was cut at a point
@@ -317,6 +324,225 @@ impl Journal {
 fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
+    }
+}
+
+/// One record type of a write-ahead state-machine log.
+pub trait WalEvent: Sized {
+    /// Encode as the single-line journal payload.
+    fn to_line(&self) -> String;
+    /// Decode one payload; `None` if unparseable or unknown (skipped by
+    /// replay, counted as corrupt at the record layer).
+    fn parse(line: &str) -> Option<Self>;
+    /// Whether the record gates an acknowledgement and is fsynced before
+    /// [`Wal::append`] returns.
+    fn is_durable(&self) -> bool;
+}
+
+/// The table a log of `E` folds into, one record at a time.
+pub trait WalState<E>: Default {
+    /// Apply the next record in write order.
+    fn apply(&mut self, ev: E);
+    /// The minimal record set that folds back to this state (what startup
+    /// compaction rewrites the journal to); empty for an empty state.
+    fn compacted(&self) -> Vec<E>;
+}
+
+/// Fold raw journal payloads into a state. Returns the state plus the count
+/// of records that framed correctly but failed to parse (schema damage).
+pub fn fold<E: WalEvent, S: WalState<E>>(records: &[String]) -> (S, u64) {
+    let mut state = S::default();
+    let mut unparseable = 0;
+    for line in records {
+        match E::parse(line) {
+            Some(ev) => state.apply(ev),
+            None => unparseable += 1,
+        }
+    }
+    (state, unparseable)
+}
+
+/// The typed journal writer a control plane's threads share (behind its
+/// state mutex).
+///
+/// Failure domain: an I/O error on append or sync does not propagate — the
+/// record is kept in a bounded in-memory buffer, `degraded()` flips true
+/// (admission answers 503 until the disk recovers), and every subsequent
+/// append retries the buffered backlog first so the on-disk order matches
+/// the logical order.
+pub struct Wal<E> {
+    inner: Option<Journal>,
+    pending: VecDeque<(String, bool)>,
+    buffer_max: usize,
+    degraded: bool,
+    /// Chaos switch: force every disk write to fail (ENOSPC simulation).
+    fail_writes: bool,
+    recorder: Recorder,
+    counter_prefix: &'static str,
+    _event: PhantomData<fn(E)>,
+}
+
+impl<E> std::fmt::Debug for Wal<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Wal")
+            .field("enabled", &self.inner.is_some())
+            .field("pending", &self.pending.len())
+            .field("degraded", &self.degraded)
+            .finish()
+    }
+}
+
+impl<E: WalEvent> Wal<E> {
+    /// A no-op log (unit tests, ephemeral servers).
+    pub fn disabled() -> Self {
+        Wal {
+            inner: None,
+            pending: VecDeque::new(),
+            buffer_max: 0,
+            degraded: false,
+            fail_writes: false,
+            recorder: Recorder::disabled(),
+            counter_prefix: "",
+            _event: PhantomData,
+        }
+    }
+
+    /// Crash recovery: replay the journal at `dir` and fold it into an `S`
+    /// (damage is counted in `<counter_prefix>.corrupt`, never fatal), then
+    /// open the journal for appending and — if anything was replayed —
+    /// compact it to `S::compacted()`, dropping terminal history and
+    /// superseded records atomically. Returns the writer, the folded state
+    /// and the number of records lost to frame or schema damage.
+    ///
+    /// `buffer_max` bounds the in-memory backlog held across disk outages;
+    /// `recorder` receives the `journal.*` traffic counters and this log's
+    /// `<counter_prefix>.{dropped,degraded,buffered,corrupt}`.
+    pub fn recover<S: WalState<E>>(
+        dir: &Path,
+        buffer_max: usize,
+        recorder: Recorder,
+        counter_prefix: &'static str,
+    ) -> io::Result<(Self, S, u64)> {
+        let (records, report) = Journal::replay(dir)?;
+        let (state, unparseable) = fold::<E, S>(&records);
+        let corrupt = report.skipped() + unparseable;
+        let mut journal =
+            Journal::open(dir, JournalConfig::default())?.with_recorder(recorder.clone());
+        let live: Vec<String> = state.compacted().iter().map(E::to_line).collect();
+        let compact_failed = !live.is_empty() && journal.compact(&live).is_err();
+        let wal = Wal {
+            inner: Some(journal),
+            buffer_max: buffer_max.max(1),
+            degraded: compact_failed,
+            recorder,
+            counter_prefix,
+            ..Wal::disabled()
+        };
+        if corrupt > 0 {
+            wal.count("corrupt", corrupt);
+        }
+        if compact_failed {
+            wal.count("degraded", 1);
+        }
+        Ok((wal, state, corrupt))
+    }
+
+    fn count(&self, what: &str, n: u64) {
+        self.recorder
+            .counter(&format!("{}.{what}", self.counter_prefix))
+            .add(n);
+    }
+
+    /// Whether records currently reach stable storage. Admission refuses
+    /// (503) while degraded: the service will not accept work it cannot make
+    /// crash-safe.
+    pub fn degraded(&self) -> bool {
+        self.degraded
+    }
+
+    /// Records waiting in memory for the disk to recover.
+    pub fn buffered(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Chaos hook: make every disk write fail (on) / recover (off), then
+    /// immediately re-attempt the backlog on recovery.
+    pub fn set_fail_writes(&mut self, fail: bool) {
+        self.fail_writes = fail;
+        if !fail {
+            self.drain();
+        }
+    }
+
+    /// Append a record. Never panics and never blocks admission
+    /// correctness: on disk failure the record is buffered and the log
+    /// degrades. Returns whether the record (and the whole backlog) reached
+    /// the disk.
+    pub fn append(&mut self, ev: &E) -> bool {
+        if self.inner.is_none() {
+            return true;
+        }
+        self.pending.push_back((ev.to_line(), ev.is_durable()));
+        while self.pending.len() > self.buffer_max {
+            self.pending.pop_front();
+            self.count("dropped", 1);
+        }
+        self.drain();
+        !self.degraded
+    }
+
+    /// Withdraw the most recently appended record if it has not reached the
+    /// disk. Admission uses this when it answers the failure with a refusal
+    /// (503): the client never got an acknowledgement, so the record must
+    /// not survive in the retry buffer and replay as a ghost job.
+    ///
+    /// The retraction is verified against `ev`: only a still-buffered copy of
+    /// that exact record is removed. A record that already reached the disk
+    /// is no longer in `pending` (the drain pops front-first and a successful
+    /// append leaves the buffer empty), so a flushed record can never be
+    /// retracted — nor can an unrelated record buffered behind it. Returns
+    /// whether a record was withdrawn.
+    pub fn retract_last(&mut self, ev: &E) -> bool {
+        let matches = self
+            .pending
+            .back()
+            .is_some_and(|(line, _)| *line == ev.to_line());
+        if matches {
+            self.pending.pop_back();
+        }
+        matches
+    }
+
+    /// Try to push the backlog to disk, preserving order.
+    fn drain(&mut self) {
+        let Some(journal) = self.inner.as_mut() else {
+            return;
+        };
+        let mut stuck = false;
+        while let Some((line, durable)) = self.pending.front() {
+            stuck = self.fail_writes || journal.append(line, *durable).is_err();
+            if stuck {
+                break;
+            }
+            self.pending.pop_front();
+        }
+        if stuck {
+            if !self.degraded {
+                self.count("degraded", 1);
+            }
+            self.count("buffered", 1);
+        }
+        self.degraded = stuck;
+    }
+
+    /// Flush batched appends (shutdown path). Best-effort while degraded.
+    pub fn sync(&mut self) {
+        self.drain();
+        if let Some(j) = self.inner.as_mut() {
+            if !self.fail_writes {
+                let _ = j.sync();
+            }
+        }
     }
 }
 
@@ -486,6 +712,106 @@ mod tests {
         assert_eq!(j.segment_count().unwrap(), 1);
         let (recs, _) = replayed(&dir);
         assert_eq!(recs, vec!["first".to_string(), "second".to_string()]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The smallest state machine a `Wal` can carry: records are numbers,
+    /// the state is the numbers seen, in order.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Num(u64);
+
+    impl WalEvent for Num {
+        fn to_line(&self) -> String {
+            format!("{{\"n\":{}}}", self.0)
+        }
+        fn parse(line: &str) -> Option<Num> {
+            let digits = line.strip_prefix("{\"n\":")?.strip_suffix('}')?;
+            digits.parse().ok().map(Num)
+        }
+        fn is_durable(&self) -> bool {
+            true
+        }
+    }
+
+    #[derive(Default)]
+    struct Seen(Vec<u64>);
+
+    impl WalState<Num> for Seen {
+        fn apply(&mut self, ev: Num) {
+            self.0.push(ev.0);
+        }
+        fn compacted(&self) -> Vec<Num> {
+            self.0.iter().map(|n| Num(*n)).collect()
+        }
+    }
+
+    fn recover(dir: &Path) -> (Wal<Num>, Vec<u64>, u64) {
+        let (wal, seen, corrupt) =
+            Wal::recover::<Seen>(dir, 8, Recorder::disabled(), "test.journal").unwrap();
+        (wal, seen.0, corrupt)
+    }
+
+    /// The `J1` record corpus: every truncation of a three-record segment and
+    /// every single-bit flip of its middle record. Recovery never panics,
+    /// never invents a record, returns every record the damage did not touch
+    /// in order, and counts every damaged line.
+    #[test]
+    fn damaged_segment_corpus_loses_only_what_the_damage_touched() {
+        let dir = temp_dir("corpus");
+        let written = [11u64, 22, 33];
+        let (mut wal, _, _) = recover(&dir);
+        for n in written {
+            assert!(wal.append(&Num(n)));
+        }
+        drop(wal);
+        let image = std::fs::read(segment_path(&dir, 1)).unwrap();
+        // Offsets of each record's terminating newline.
+        let newlines: Vec<usize> = (0..image.len()).filter(|i| image[*i] == b'\n').collect();
+        assert_eq!(newlines.len(), 3);
+        let recover_image = |damaged: &[u8]| {
+            // Recovery compacts into a new segment, so start from scratch.
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(segment_path(&dir, 1), damaged).unwrap();
+            let (_, seen, corrupt) = recover(&dir);
+            (seen, corrupt)
+        };
+
+        for cut in 0..=image.len() {
+            let (seen, corrupt) = recover_image(&image[..cut]);
+            // A record survives once its payload is whole (the newline may
+            // be missing); a line cut anywhere earlier is the torn tail.
+            let intact = newlines.iter().filter(|nl| cut >= **nl).count();
+            let begun = (cut > 0) as usize + newlines.iter().filter(|nl| cut > **nl + 1).count();
+            assert_eq!(seen, written[..intact], "cut at {cut}");
+            assert_eq!(corrupt as usize, begun - intact, "cut at {cut}");
+        }
+
+        let middle = newlines[0] + 1;
+        let crc_field = middle + FRAME_TAG.len() + 1..middle + FRAME_TAG.len() + 9;
+        for at in middle..=newlines[1] {
+            for bit in 0..8 {
+                let mut damaged = image.clone();
+                damaged[at] ^= 1 << bit;
+                let (seen, corrupt) = recover_image(&damaged);
+                if at == newlines[1] {
+                    // A flipped newline merges the record into its successor:
+                    // one damaged line, both neighbours lost.
+                    assert_eq!(seen, [11], "newline bit {bit}");
+                    assert_eq!(corrupt, 1, "newline bit {bit}");
+                } else if bit == 5 && crc_field.contains(&at) && image[at].is_ascii_alphabetic() {
+                    // The one harmless flip: the case of a CRC hex letter.
+                    assert_eq!(seen, written, "byte {at} bit {bit}");
+                    assert_eq!(corrupt, 0, "byte {at} bit {bit}");
+                } else {
+                    // A byte flipped *into* a newline splits the record into
+                    // two damaged lines.
+                    let split = (damaged[at] == b'\n') as u64;
+                    assert_eq!(seen, [11, 33], "byte {at} bit {bit}");
+                    assert_eq!(corrupt, 1 + split, "byte {at} bit {bit}");
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

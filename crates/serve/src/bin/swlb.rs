@@ -15,8 +15,6 @@
 //!             [--storage ab|aa] [--time-block K] [--width N]
 //!             [--priority interactive|batch]
 //!             [--output vtk|ppm] [--deadline-ms N] [--chaos-at STEP]
-//! swlb worker [--addr 127.0.0.1:0] [--dir swlb-worker] [--controller HOST:PORT]
-//!             [--capacity N] [--slice-steps N] [--threads N] [--name N]
 //! swlb status [--addr HOST:PORT] [job-id]
 //! swlb watch  [--addr HOST:PORT] <job-id> [--from N]
 //! swlb cancel [--addr HOST:PORT] <job-id>
@@ -65,8 +63,6 @@ fn usage() -> ExitCode {
          [--nx N] [--ny N] [--nz N] [--tau T] [--u U] [--steps N] [--storage ab|aa] \
          [--time-block K] [--width N] [--priority P] [--output vtk|ppm] \
          [--deadline-ms N] [--chaos-at STEP] [--tenant T] [--retries N]\n\
-         \x20      swlb worker [--addr HOST:PORT] [--dir PATH] [--controller HOST:PORT] \
-         [--capacity N] [--slice-steps N] [--threads N] [--name N]\n\
          \x20      swlb status [--addr HOST:PORT] [job-id]\n\
          \x20      swlb watch  [--addr HOST:PORT] <job-id> [--from N]\n\
          \x20      swlb cancel [--addr HOST:PORT] <job-id>\n\
@@ -100,7 +96,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("serve") => return cmd_serve(&args[1..]),
-        Some("worker") => return cmd_worker(&args[1..]),
         Some("submit") => return cmd_submit(&args[1..]),
         Some("status") => return cmd_status(&args[1..]),
         Some("watch") => return cmd_watch(&args[1..]),
@@ -203,80 +198,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         base_dir.display()
     );
     // Resident service: run until the process is killed.
-    loop {
-        std::thread::park();
-    }
-}
-
-/// `swlb worker` — a serve instance with the fleet data-plane routes enabled
-/// (`/v1/fleet/ping`, `/v1/fleet/push`, `/v1/jobs/<id>/handoff`) that
-/// announces itself to a controller. Registration is retried because worker
-/// and controller commonly race at pool start-up; after that the controller
-/// drives everything through heartbeats and pushes.
-fn cmd_worker(args: &[String]) -> ExitCode {
-    let parsed = (|| -> CliResult<(ServeConfig, Option<String>, String)> {
-        let dir = flag_value(args, "--dir")?.unwrap_or_else(|| "swlb-worker".into());
-        let name = flag_value(args, "--name")?.unwrap_or_else(|| dir.clone());
-        let mut cfg = ServeConfig::new(dir);
-        cfg.worker_routes = true;
-        // Workers default to an ephemeral port: several share a host.
-        cfg.addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".to_string());
-        if let Some(v) = flag_value(args, "--capacity")? {
-            cfg.capacity = v.parse().map_err(|_| "--capacity needs an integer")?;
-        }
-        if let Some(v) = flag_value(args, "--slice-steps")? {
-            cfg.slice_steps = v.parse().map_err(|_| "--slice-steps needs an integer")?;
-        }
-        if let Some(v) = flag_value(args, "--threads")? {
-            cfg.threads = v.parse().map_err(|_| "--threads needs an integer")?;
-        }
-        Ok((cfg, flag_value(args, "--controller")?, name))
-    })();
-    let (cfg, controller, name) = match parsed {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    let base_dir = cfg.base_dir.clone();
-    let server = match Server::spawn(cfg) {
-        Ok(s) => s,
-        Err(e) => return fail(e),
-    };
-    println!(
-        "swlb-worker listening on {} (state in {})",
-        server.addr(),
-        base_dir.display()
-    );
-    if let Some(controller) = controller {
-        let body = Json::obj([
-            ("name", Json::str(name)),
-            ("addr", Json::str(server.addr().to_string())),
-            (
-                "dir",
-                Json::str(base_dir.canonicalize().unwrap_or(base_dir).display().to_string()),
-            ),
-        ])
-        .to_text();
-        let mut registered = false;
-        for _ in 0..50 {
-            match swlb_serve::http::roundtrip(
-                &controller,
-                "POST",
-                "/v1/fleet/register",
-                body.as_bytes(),
-            ) {
-                Ok((200, _)) => {
-                    registered = true;
-                    break;
-                }
-                Ok(_) | Err(_) => std::thread::sleep(std::time::Duration::from_millis(200)),
-            }
-        }
-        if registered {
-            println!("registered with controller at {controller}");
-        } else {
-            eprintln!("warning: could not register with controller at {controller}");
-        }
-    }
     loop {
         std::thread::park();
     }

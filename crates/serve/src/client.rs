@@ -74,6 +74,39 @@ impl ServeClient {
         }
     }
 
+    /// Announce a worker-mode serve instance (`name`, its bound `addr` and
+    /// its state directory) to the fleet controller at this address.
+    /// Retried for up to ten seconds because worker and controller commonly
+    /// race at pool start-up, and a degraded controller answers 503.
+    pub fn register_worker(
+        &self,
+        name: &str,
+        addr: std::net::SocketAddr,
+        dir: &std::path::Path,
+    ) -> Result<(), SwlbError> {
+        let dir = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
+        let body = Json::obj([
+            ("name", Json::str(name)),
+            ("addr", Json::str(addr.to_string())),
+            ("dir", Json::str(dir.display().to_string())),
+        ])
+        .to_text();
+        let mut attempt = 1;
+        loop {
+            let reply = http::roundtrip(&self.addr, "POST", "/v1/fleet/register", body.as_bytes());
+            let err = match reply {
+                Ok((200, _)) => return Ok(()),
+                Ok((status, resp)) => error_of(status, &parse_body(&resp).unwrap_or(Json::Null)),
+                Err(e) => e,
+            };
+            if attempt == 50 {
+                return Err(err);
+            }
+            attempt += 1;
+            std::thread::sleep(std::time::Duration::from_millis(200));
+        }
+    }
+
     /// Status object for one job.
     pub fn status(&self, id: u64) -> Result<Json, SwlbError> {
         self.get_json(&format!("/v1/jobs/{id}"))

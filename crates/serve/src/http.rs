@@ -7,9 +7,18 @@
 //! rejected exactly like a damaged halo frame. Event streams are
 //! `application/x-ndjson` bodies written line-by-line until the connection
 //! closes — no chunked encoding needed.
+//!
+//! [`Listener`] is the one accept loop under both control planes (the serve
+//! tier and the fleet controller): connections are handled on short-lived
+//! threads that it spawns, bounds with socket deadlines, reaps, and joins on
+//! shutdown.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 use swlb_comm::frame::body_crc;
 use swlb_obs::SwlbError;
 
@@ -179,6 +188,101 @@ pub fn write_stream_head(stream: &mut TcpStream) -> std::io::Result<()> {
     stream.flush()
 }
 
+/// A bound TCP listener plus the threads serving it: one acceptor and one
+/// short-lived handler per connection.
+///
+/// Shutdown is two calls so the owner can stop its own worker thread in
+/// between: [`Listener::stop_accepting`], then [`Listener::join_handlers`].
+pub struct Listener {
+    socket: Option<TcpListener>,
+    addr: SocketAddr,
+    accepting: Arc<AtomicBool>,
+    /// Returns the handlers still tracked when it stopped.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    handlers: Vec<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Bind `addr` (`127.0.0.1:0` picks a free loopback port). Connections
+    /// queue in the OS backlog until [`Listener::start`].
+    pub fn bind(addr: &str) -> std::io::Result<Listener> {
+        let socket = TcpListener::bind(addr)?;
+        Ok(Listener {
+            addr: socket.local_addr()?,
+            socket: Some(socket),
+            accepting: Arc::new(AtomicBool::new(true)),
+            acceptor: None,
+            handlers: Vec::new(),
+        })
+    }
+
+    /// The bound address (resolves port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Spawn the acceptor. Every connection gets `io_timeout` as its read and
+    /// write deadline — bounding how long a hung or dead client can pin a
+    /// handler thread (and thereby graceful drain) — and its own thread
+    /// running `handler`.
+    pub fn start(
+        &mut self,
+        io_timeout: Option<Duration>,
+        handler: impl Fn(TcpStream) + Send + Sync + 'static,
+    ) {
+        let socket = self.socket.take().expect("Listener::start called twice");
+        let accepting = self.accepting.clone();
+        let handler = Arc::new(handler);
+        self.acceptor = Some(std::thread::spawn(move || {
+            let mut live: Vec<JoinHandle<()>> = Vec::new();
+            for conn in socket.incoming() {
+                if !accepting.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = conn else { continue };
+                let _ = stream.set_read_timeout(io_timeout);
+                let _ = stream.set_write_timeout(io_timeout);
+                // Reap finished handlers: an unjoined thread keeps its stack
+                // mapped, so a long-lived process would otherwise grow by one
+                // mapping per connection ever served until spawn fails.
+                let mut i = 0;
+                while i < live.len() {
+                    if live[i].is_finished() {
+                        let _ = live.swap_remove(i).join();
+                    } else {
+                        i += 1;
+                    }
+                }
+                let handler = handler.clone();
+                // An OS refusal (EAGAIN) drops this connection — the closure
+                // owns the stream — instead of panicking the accept loop.
+                if let Ok(h) = std::thread::Builder::new().spawn(move || handler(stream)) {
+                    live.push(h);
+                }
+            }
+            live
+        }));
+    }
+
+    /// Stop taking connections and join the acceptor. Handlers already
+    /// running keep running.
+    pub fn stop_accepting(&mut self) {
+        self.accepting.store(false, Ordering::SeqCst);
+        // Unblock the acceptor's blocking accept() with a no-op connection.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(h) = self.acceptor.take() {
+            self.handlers = h.join().unwrap_or_default();
+        }
+    }
+
+    /// Join every handler thread (call after [`Listener::stop_accepting`]).
+    pub fn join_handlers(&mut self) {
+        for h in self.handlers.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
 /// Send `request` over a fresh connection and read the full response.
 /// Returns `(status, body)`; verifies the response CRC header when present.
 pub fn roundtrip(
@@ -341,5 +445,34 @@ mod tests {
             server.join().unwrap(),
             Err(SwlbError::CorruptData(_))
         ));
+    }
+
+    #[test]
+    fn listener_reaps_finished_handlers_and_joins_the_rest() {
+        let mut listener = Listener::bind("127.0.0.1:0").unwrap();
+        listener.start(Some(Duration::from_secs(10)), |mut s| {
+            if read_request(&mut s).is_ok() {
+                let _ = write_response(&mut s, 200, "application/json", b"{}");
+            }
+        });
+        let addr = listener.addr().to_string();
+        for _ in 0..300 {
+            let (status, _) = roundtrip(&addr, "GET", "/", b"").unwrap();
+            assert_eq!(status, 200);
+        }
+        listener.stop_accepting();
+        // Every accept reaps what finished before it, so a sequential client
+        // leaves a handful of handles at most — not one per request served.
+        let tracked = listener.handlers.len();
+        assert!(
+            tracked <= 8,
+            "{tracked} handler threads tracked after 300 requests"
+        );
+        listener.join_handlers();
+        assert!(listener.handlers.is_empty());
+        assert!(
+            roundtrip(&addr, "GET", "/", b"").is_err(),
+            "socket is closed"
+        );
     }
 }

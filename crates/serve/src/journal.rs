@@ -1,6 +1,5 @@
-//! Typed job-lifecycle records over the [`swlb_io::journal`] write-ahead log,
-//! the replay fold that rebuilds the job table after a crash, and the
-//! degradation-aware writer the server threads share.
+//! Typed job-lifecycle records for the [`swlb_io::journal::Wal`] write-ahead
+//! log, and the fold that rebuilds the job table from them after a crash.
 //!
 //! Record schema (one JSON object per journal line):
 //!
@@ -22,17 +21,14 @@
 //! checkpoint on its first slice (corrupt generations are skipped by
 //! [`CheckpointStore::load_latest_valid`](swlb_io::CheckpointStore)).
 //!
-//! [`JournalHandle`] wraps the on-disk journal for the server: when the disk
-//! is full or slow it buffers records in memory (bounded), flips to degraded
-//! — admission then returns 503 — and drains the buffer once writes succeed
-//! again. A lifecycle record is never silently dropped until the bound is
-//! hit, and drops are counted.
+//! The per-job half of that fold — first admission wins, arrival order, a
+//! terminal is never demoted — is [`Fold`], which the fleet controller's
+//! record fold reuses with its own outcome type. The writer, its degraded
+//! mode and the recovery sequence are [`swlb_io::journal::Wal`]'s.
 
 use crate::json::Json;
 use crate::spec::JobSpec;
-use std::collections::VecDeque;
-use swlb_io::journal::{Journal, ReplayReport};
-use swlb_obs::Recorder;
+use swlb_io::journal::{WalEvent, WalState};
 
 /// One journaled lifecycle transition.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,9 +98,9 @@ pub enum JobEvent {
     },
 }
 
-impl JobEvent {
+impl WalEvent for JobEvent {
     /// Terminal records (and admissions) are fsynced before acknowledgement.
-    pub fn is_durable(&self) -> bool {
+    fn is_durable(&self) -> bool {
         matches!(
             self,
             JobEvent::Admitted { .. }
@@ -115,8 +111,7 @@ impl JobEvent {
         )
     }
 
-    /// Encode as one JSON line (the journal payload).
-    pub fn to_line(&self) -> String {
+    fn to_line(&self) -> String {
         let v = match self {
             JobEvent::Admitted { id, seq, spec } => Json::obj([
                 ("rec", Json::str("admitted")),
@@ -165,9 +160,7 @@ impl JobEvent {
         v.to_text()
     }
 
-    /// Decode one journal payload; `None` if unparseable or unknown (skipped
-    /// by replay, counted as corrupt at the record layer).
-    pub fn parse(line: &str) -> Option<JobEvent> {
+    fn parse(line: &str) -> Option<JobEvent> {
         let v = crate::json::parse(line).ok()?;
         let id = v.get("id").and_then(Json::as_u64)?;
         let step = || v.get("step").and_then(Json::as_u64);
@@ -202,9 +195,10 @@ impl JobEvent {
 }
 
 /// A job's folded fate after replay.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum ReplayOutcome {
     /// Never ran (or no progress survived): re-queue from step 0.
+    #[default]
     Queued,
     /// Ran before the crash: re-queue and rebind to the latest valid
     /// checkpoint (`last_step` is the newest journaled checkpoint step — the
@@ -221,9 +215,25 @@ pub enum ReplayOutcome {
     Faulted(String),
 }
 
-/// One job rebuilt from the journal.
+/// What [`Fold`] asks of a tier's outcome type: `Default` is the fate of a
+/// job that was admitted and nothing more.
+pub trait Outcome: Default {
+    /// Whether the job can never run again.
+    fn is_terminal(&self) -> bool;
+}
+
+impl Outcome for ReplayOutcome {
+    fn is_terminal(&self) -> bool {
+        matches!(
+            self,
+            ReplayOutcome::Completed | ReplayOutcome::Cancelled | ReplayOutcome::Faulted(_)
+        )
+    }
+}
+
+/// One job rebuilt from a journal, with the tier's folded fate `O`.
 #[derive(Debug, Clone)]
-pub struct ReplayedJob {
+pub struct Replayed<O> {
     /// Original service-assigned id.
     pub id: u64,
     /// Original arrival order.
@@ -231,276 +241,116 @@ pub struct ReplayedJob {
     /// The original submission.
     pub spec: JobSpec,
     /// Folded fate.
-    pub outcome: ReplayOutcome,
+    pub outcome: O,
 }
 
-/// Fold raw journal payloads into per-job outcomes, ordered by original
-/// arrival (`seq`). Returns the jobs plus the count of records that framed
-/// correctly but failed to parse as job events (schema damage).
-pub fn fold_records(records: &[String]) -> (Vec<ReplayedJob>, u64) {
-    let mut jobs: Vec<ReplayedJob> = Vec::new();
-    let mut unparseable = 0u64;
-    fn find(id: u64, jobs: &[ReplayedJob]) -> Option<usize> {
-        jobs.iter().position(|j| j.id == id)
+/// One job of the serve tier's job table rebuilt from the journal.
+pub type ReplayedJob = Replayed<ReplayOutcome>;
+
+/// Per-job outcomes folded from a journal, ordered by original arrival
+/// (`seq`). Each tier's [`WalState::apply`] maps its records onto
+/// [`Fold::admit`] and [`Fold::set`].
+#[derive(Debug, Clone, Default)]
+pub struct Fold<O> {
+    /// The jobs, in arrival order.
+    pub jobs: Vec<Replayed<O>>,
+}
+
+impl<O: Outcome> Fold<O> {
+    /// Record an admission. Duplicate admission records (e.g.
+    /// post-compaction overlap) keep the first occurrence.
+    pub fn admit(&mut self, id: u64, seq: u64, spec: JobSpec) {
+        if self.jobs.iter().all(|j| j.id != id) {
+            let job = Replayed {
+                id,
+                seq,
+                spec,
+                outcome: O::default(),
+            };
+            let at = self.jobs.partition_point(|j| j.seq <= seq);
+            self.jobs.insert(at, job);
+        }
     }
-    for line in records {
-        let Some(ev) = JobEvent::parse(line) else {
-            unparseable += 1;
-            continue;
-        };
+
+    /// Move job `id` to `outcome`; a record for a job whose admission was
+    /// lost is ignored. Terminal outcomes are never demoted: a progress
+    /// record *after* a terminal (out-of-order tail from a duplicated
+    /// segment) must not resurrect the job.
+    pub fn set(&mut self, id: u64, outcome: O) {
+        if let Some(job) = self.jobs.iter_mut().find(|j| j.id == id) {
+            if outcome.is_terminal() || !job.outcome.is_terminal() {
+                job.outcome = outcome;
+            }
+        }
+    }
+}
+
+/// The serve tier's journal fold; the journal itself is a `Wal<JobEvent>`.
+pub type JobTable = Fold<ReplayOutcome>;
+
+impl WalState<JobEvent> for JobTable {
+    fn apply(&mut self, ev: JobEvent) {
         match ev {
-            JobEvent::Admitted { id, seq, spec } => {
-                // Duplicate admission records (e.g. post-compaction overlap)
-                // keep the first occurrence.
-                if find(id, &jobs).is_none() {
-                    jobs.push(ReplayedJob {
-                        id,
-                        seq,
-                        spec,
-                        outcome: ReplayOutcome::Queued,
-                    });
-                }
-            }
-            JobEvent::Started { id } => {
-                // Started but no checkpoint yet: restart from 0 — still
-                // Queued, build_or_resume finds no checkpoint and rebuilds.
-                let _ = id;
-            }
-            JobEvent::Resharded { .. } => {
-                // Width history, not progress: replay always recomputes the
-                // effective width from the spec and the live-job census, so
-                // the record informs operators, not the fold.
-            }
+            JobEvent::Admitted { id, seq, spec } => self.admit(id, seq, spec),
+            // Started but no checkpoint yet: restart from 0 — still Queued,
+            // build_or_resume finds no checkpoint and rebuilds. Resharded is
+            // width history, not progress: replay always recomputes the
+            // effective width from the spec and the live-job census, so the
+            // record informs operators, not the fold.
+            JobEvent::Started { .. } | JobEvent::Resharded { .. } => {}
             JobEvent::Checkpointed { id, step }
             | JobEvent::Preempted { id, step }
             | JobEvent::Drained { id, step } => {
-                if let Some(i) = find(id, &jobs) {
-                    // Terminal outcomes are never demoted back to resumable.
-                    if matches!(
-                        jobs[i].outcome,
-                        ReplayOutcome::Queued | ReplayOutcome::Resumable { .. }
-                    ) {
-                        jobs[i].outcome = ReplayOutcome::Resumable { last_step: step };
-                    }
-                }
+                self.set(id, ReplayOutcome::Resumable { last_step: step })
             }
-            JobEvent::Completed { id } => {
-                if let Some(i) = find(id, &jobs) {
-                    jobs[i].outcome = ReplayOutcome::Completed;
-                }
-            }
-            JobEvent::Cancelled { id } => {
-                if let Some(i) = find(id, &jobs) {
-                    jobs[i].outcome = ReplayOutcome::Cancelled;
-                }
-            }
-            JobEvent::Faulted { id, error } => {
-                if let Some(i) = find(id, &jobs) {
-                    jobs[i].outcome = ReplayOutcome::Faulted(error);
-                }
-            }
-        }
-    }
-    jobs.sort_by_key(|j| j.seq);
-    (jobs, unparseable)
-}
-
-/// Re-encode a replayed job as its minimal compacted record set: the
-/// admission plus (if any) its latest materialized state.
-pub fn compacted_records(job: &ReplayedJob) -> Vec<String> {
-    let admitted = JobEvent::Admitted {
-        id: job.id,
-        seq: job.seq,
-        spec: job.spec.clone(),
-    };
-    let mut out = vec![admitted.to_line()];
-    let state = match &job.outcome {
-        ReplayOutcome::Queued => None,
-        ReplayOutcome::Resumable { last_step } => Some(JobEvent::Checkpointed {
-            id: job.id,
-            step: *last_step,
-        }),
-        ReplayOutcome::Completed => Some(JobEvent::Completed { id: job.id }),
-        ReplayOutcome::Cancelled => Some(JobEvent::Cancelled { id: job.id }),
-        ReplayOutcome::Faulted(e) => Some(JobEvent::Faulted {
-            id: job.id,
-            error: e.clone(),
-        }),
-    };
-    out.extend(state.map(|ev| ev.to_line()));
-    out
-}
-
-/// The journal writer the server threads share (behind the state mutex).
-///
-/// Failure domain: an I/O error on append or sync does not propagate — the
-/// record is kept in a bounded in-memory buffer, `degraded()` flips true
-/// (admission answers 503 until the disk recovers), and every subsequent
-/// append retries the buffered backlog first so the on-disk order matches
-/// the logical order.
-pub struct JournalHandle {
-    inner: Option<Journal>,
-    pending: VecDeque<(String, bool)>,
-    buffer_max: usize,
-    degraded: bool,
-    /// Chaos switch: force every disk write to fail (ENOSPC simulation).
-    fail_writes: bool,
-    recorder: Recorder,
-}
-
-impl std::fmt::Debug for JournalHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JournalHandle")
-            .field("enabled", &self.inner.is_some())
-            .field("pending", &self.pending.len())
-            .field("degraded", &self.degraded)
-            .finish()
-    }
-}
-
-impl JournalHandle {
-    /// A no-op handle (unit tests, ephemeral servers).
-    pub fn disabled() -> Self {
-        JournalHandle {
-            inner: None,
-            pending: VecDeque::new(),
-            buffer_max: 0,
-            degraded: false,
-            fail_writes: false,
-            recorder: Recorder::disabled(),
+            JobEvent::Completed { id } => self.set(id, ReplayOutcome::Completed),
+            JobEvent::Cancelled { id } => self.set(id, ReplayOutcome::Cancelled),
+            JobEvent::Faulted { id, error } => self.set(id, ReplayOutcome::Faulted(error)),
         }
     }
 
-    /// Wrap an open journal. `buffer_max` bounds the in-memory backlog held
-    /// across disk outages; `recorder` receives the `journal.*` counters.
-    pub fn new(journal: Journal, buffer_max: usize, recorder: Recorder) -> Self {
-        JournalHandle {
-            inner: Some(journal.with_recorder(recorder.clone())),
-            pending: VecDeque::new(),
-            buffer_max: buffer_max.max(1),
-            degraded: false,
-            fail_writes: false,
-            recorder,
+    /// Per job: the admission plus (if any) its latest materialized state.
+    fn compacted(&self) -> Vec<JobEvent> {
+        let mut out = Vec::new();
+        for job in &self.jobs {
+            let id = job.id;
+            out.push(JobEvent::Admitted {
+                id,
+                seq: job.seq,
+                spec: job.spec.clone(),
+            });
+            out.extend(match &job.outcome {
+                ReplayOutcome::Queued => None,
+                ReplayOutcome::Resumable { last_step } => Some(JobEvent::Checkpointed {
+                    id,
+                    step: *last_step,
+                }),
+                ReplayOutcome::Completed => Some(JobEvent::Completed { id }),
+                ReplayOutcome::Cancelled => Some(JobEvent::Cancelled { id }),
+                ReplayOutcome::Faulted(e) => Some(JobEvent::Faulted {
+                    id,
+                    error: e.clone(),
+                }),
+            });
         }
+        out
     }
-
-    /// Whether records currently reach stable storage. Admission refuses
-    /// (503) while degraded: the service will not accept work it cannot make
-    /// crash-safe.
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Records waiting in memory for the disk to recover.
-    pub fn buffered(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Chaos hook: make every disk write fail (on) / recover (off), then
-    /// immediately re-attempt the backlog on recovery.
-    pub fn set_fail_writes(&mut self, fail: bool) {
-        self.fail_writes = fail;
-        if !fail {
-            self.drain();
-        }
-    }
-
-    /// Append a lifecycle record. Never panics and never blocks admission
-    /// correctness: on disk failure the record is buffered and the handle
-    /// degrades. Returns whether the record (and the whole backlog) reached
-    /// the disk.
-    pub fn append(&mut self, ev: &JobEvent) -> bool {
-        if self.inner.is_none() {
-            return true;
-        }
-        self.pending.push_back((ev.to_line(), ev.is_durable()));
-        while self.pending.len() > self.buffer_max {
-            self.pending.pop_front();
-            self.recorder.counter("journal.dropped").inc();
-        }
-        self.drain();
-        !self.degraded
-    }
-
-    /// Withdraw the most recently appended record if it has not reached the
-    /// disk. Admission uses this when it answers the failure with a refusal
-    /// (503): the client never got an acknowledgement, so the record must
-    /// not survive in the retry buffer and replay as a ghost job.
-    ///
-    /// The retraction is verified against `ev`: only a still-buffered copy of
-    /// that exact record is removed. A record that already reached the disk
-    /// is no longer in `pending` (the drain pops front-first and a successful
-    /// append leaves the buffer empty), so a flushed record can never be
-    /// retracted — nor can an unrelated record buffered behind it. Returns
-    /// whether a record was withdrawn.
-    pub fn retract_last(&mut self, ev: &JobEvent) -> bool {
-        if self
-            .pending
-            .back()
-            .is_some_and(|(line, _)| *line == ev.to_line())
-        {
-            self.pending.pop_back();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Try to push the backlog to disk, preserving order.
-    fn drain(&mut self) {
-        let Some(journal) = self.inner.as_mut() else {
-            return;
-        };
-        while let Some((line, durable)) = self.pending.front() {
-            let failed = self.fail_writes || journal.append(line, *durable).is_err();
-            if failed {
-                if !self.degraded {
-                    self.degraded = true;
-                    self.recorder.counter("journal.degraded").inc();
-                }
-                self.recorder.counter("journal.buffered").inc();
-                return;
-            }
-            self.pending.pop_front();
-        }
-        self.degraded = false;
-    }
-
-    /// Flush batched appends (shutdown path). Best-effort while degraded.
-    pub fn sync(&mut self) {
-        self.drain();
-        if let Some(j) = self.inner.as_mut() {
-            if !self.fail_writes {
-                let _ = j.sync();
-            }
-        }
-    }
-
-    /// Atomically rewrite the journal to `records` (startup compaction).
-    pub fn compact(&mut self, records: &[String]) {
-        if let Some(j) = self.inner.as_mut() {
-            if j.compact(records).is_err() {
-                self.degraded = true;
-                self.recorder.counter("journal.degraded").inc();
-            }
-        }
-    }
-}
-
-/// Replay an on-disk journal directory into jobs ready for table restore.
-/// Damage is counted, never fatal: `report` carries the frame-level skips,
-/// the second return the schema-level ones.
-pub fn replay_dir(dir: &std::path::Path) -> std::io::Result<(Vec<ReplayedJob>, ReplayReport, u64)> {
-    let (records, report) = Journal::replay(dir)?;
-    let (jobs, unparseable) = fold_records(&records);
-    Ok((jobs, report, unparseable))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{OutputKind, Priority};
+    use swlb_io::journal::{fold, Journal, Wal};
+    use swlb_obs::Recorder;
     use swlb_sim::cases::{CaseKind, CaseSpec, LatticeKind};
+
+    /// A `Wal<JobEvent>` over a fresh journal at `dir`.
+    fn open(dir: &std::path::Path, buffer_max: usize) -> Wal<JobEvent> {
+        Wal::recover::<JobTable>(dir, buffer_max, Recorder::disabled(), "journal")
+            .unwrap()
+            .0
+    }
 
     fn spec(name: &str) -> JobSpec {
         JobSpec {
@@ -550,9 +400,40 @@ mod tests {
                 error: "restart budget exhausted".into(),
             },
         ];
-        for ev in events {
+        // The on-disk schema, byte for byte: a journal written by any earlier
+        // build must replay on this one.
+        let pinned = [
+            r#"{"rec":"admitted","id":3,"seq":2,"spec":{"name":"a","case":"cavity","lattice":"d2q9","nx":8,"ny":8,"nz":1,"tau":0.8,"u":0.05,"storage":"ab","steps":100,"priority":"batch","outputs":["ppm"]}}"#,
+            r#"{"rec":"started","id":3}"#,
+            r#"{"rec":"checkpointed","id":3,"step":64}"#,
+            r#"{"rec":"preempted","id":3,"step":64}"#,
+            r#"{"rec":"resharded","id":3,"from":4,"to":2}"#,
+            r#"{"rec":"drained","id":3,"step":96}"#,
+            r#"{"rec":"completed","id":3}"#,
+            r#"{"rec":"cancelled","id":3}"#,
+            r#"{"rec":"faulted","id":3,"error":"restart budget exhausted"}"#,
+        ];
+        for (ev, want) in events.into_iter().zip(pinned) {
             let line = ev.to_line();
+            assert_eq!(line, want);
             assert!(!line.contains('\n'));
+            assert_eq!(JobEvent::parse(&line), Some(ev));
+        }
+        // Strings a record must carry through the line codec unharmed.
+        let hostile = [
+            "say \"hi\"",
+            "back\\slash \\n is two characters",
+            "two\nlines\r\n\ttabbed",
+            "na\u{ef}ve \u{2207}\u{b7}u \u{2260} 0 \u{6d41}\u{4f53}",
+            "",
+        ];
+        for error in hostile {
+            let ev = JobEvent::Faulted {
+                id: 3,
+                error: error.into(),
+            };
+            let line = ev.to_line();
+            assert!(!line.contains('\n'), "{line}");
             assert_eq!(JobEvent::parse(&line), Some(ev));
         }
         assert_eq!(JobEvent::parse("{\"rec\":\"warp\",\"id\":1}"), None);
@@ -586,7 +467,7 @@ mod tests {
             JobEvent::Completed { id: 2 }.to_line(),
             "garbage that frames fine but is not an event".to_string(),
         ];
-        let (jobs, unparseable) = fold_records(&lines);
+        let (JobTable { jobs }, unparseable) = fold::<JobEvent, JobTable>(&lines);
         assert_eq!(unparseable, 1);
         assert_eq!(jobs.len(), 3);
         assert_eq!(jobs[0].id, 1);
@@ -610,7 +491,7 @@ mod tests {
             JobEvent::Completed { id: 1 }.to_line(),
             JobEvent::Checkpointed { id: 1, step: 10 }.to_line(),
         ];
-        let (jobs, _) = fold_records(&lines);
+        let jobs = fold::<JobEvent, JobTable>(&lines).0.jobs;
         assert_eq!(jobs[0].outcome, ReplayOutcome::Completed);
     }
 
@@ -629,10 +510,12 @@ mod tests {
             (ReplayOutcome::Cancelled, 2),
             (ReplayOutcome::Faulted("boom".into()), 2),
         ] {
-            let job = mk(outcome.clone());
-            let recs = compacted_records(&job);
+            let table = JobTable {
+                jobs: vec![mk(outcome.clone())],
+            };
+            let recs: Vec<String> = table.compacted().iter().map(JobEvent::to_line).collect();
             assert_eq!(recs.len(), want_lines, "{outcome:?}");
-            let (folded, 0) = fold_records(&recs) else {
+            let (JobTable { jobs: folded }, 0) = fold::<JobEvent, JobTable>(&recs) else {
                 panic!("compacted records must all parse")
             };
             assert_eq!(folded.len(), 1);
@@ -644,8 +527,7 @@ mod tests {
     fn handle_buffers_and_degrades_on_disk_failure() {
         let dir = std::env::temp_dir().join(format!("swlb-handle-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let journal = Journal::open(&dir, swlb_io::journal::JournalConfig::default()).unwrap();
-        let mut h = JournalHandle::new(journal, 4, Recorder::disabled());
+        let mut h = open(&dir, 4);
         assert!(h.append(&JobEvent::Started { id: 1 }));
         assert!(!h.degraded());
 
@@ -675,8 +557,7 @@ mod tests {
     fn degraded_backlog_flushes_in_admission_order() {
         let dir = std::env::temp_dir().join(format!("swlb-journal-order-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let journal = Journal::open(&dir, swlb_io::journal::JournalConfig::default()).unwrap();
-        let mut h = JournalHandle::new(journal, 8, Recorder::disabled());
+        let mut h = open(&dir, 8);
 
         // A lands on disk; B and C buffer while degraded; D arrives after
         // recovery and must drain the backlog first, so the on-disk order is
@@ -712,8 +593,7 @@ mod tests {
     fn retract_never_removes_a_flushed_or_unrelated_record() {
         let dir = std::env::temp_dir().join(format!("swlb-journal-retract-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let journal = Journal::open(&dir, swlb_io::journal::JournalConfig::default()).unwrap();
-        let mut h = JournalHandle::new(journal, 8, Recorder::disabled());
+        let mut h = open(&dir, 8);
 
         // Flushed record: append succeeded, buffer is empty, so a retract of
         // the same event is refused — the disk already has it.
@@ -748,10 +628,9 @@ mod tests {
 
     #[test]
     fn disabled_handle_is_a_cheap_noop() {
-        let mut h = JournalHandle::disabled();
+        let mut h = Wal::disabled();
         assert!(h.append(&JobEvent::Started { id: 1 }));
         assert!(!h.degraded());
         h.sync();
-        h.compact(&[]);
     }
 }

@@ -89,7 +89,7 @@ pub mod state;
 pub mod wire;
 
 pub use client::ServeClient;
-pub use journal::{JobEvent, JournalHandle, ReplayOutcome, ReplayedJob};
+pub use journal::{JobEvent, JobTable, ReplayOutcome, ReplayedJob};
 pub use json::Json;
 pub use server::{ServeConfig, Server};
 pub use spec::{JobSpec, JobState, OutputKind, Priority, DEFAULT_TENANT};

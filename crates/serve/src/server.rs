@@ -39,21 +39,21 @@
 //! running and their records buffer in memory (bounded) until the disk
 //! recovers.
 
-use crate::http::{self, Request};
-use crate::journal::{self, JournalHandle};
+use crate::http::{self, Listener, Request};
+use crate::journal::{JobTable, Outcome};
 use crate::json::Json;
 use crate::scheduler::{self, SchedConfig};
 use crate::spec::{JobSpec, JobState, Priority};
 use crate::state::Shared;
 use crate::wire::PushEnvelope;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use swlb_core::parallel::ThreadPool;
-use swlb_io::{CheckpointStore, Journal, JournalConfig};
+use swlb_io::{CheckpointStore, Wal};
 use swlb_obs::{JsonlSink, Recorder, SwlbError};
 use swlb_sim::RecoveryPolicy;
 
@@ -126,11 +126,8 @@ struct ConnCtx {
 /// A running service instance.
 pub struct Server {
     shared: Arc<Shared>,
-    addr: std::net::SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    listener: Listener,
     scheduler: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    accepting: Arc<AtomicBool>,
     jobs_dir: PathBuf,
 }
 
@@ -138,47 +135,31 @@ impl Server {
     /// Replay the journal, bind, spawn the scheduler and acceptor threads,
     /// and return the handle.
     pub fn spawn(cfg: ServeConfig) -> Result<Server, SwlbError> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        let mut listener = Listener::bind(&cfg.addr)?;
         let jobs_dir = cfg.base_dir.join("jobs");
         std::fs::create_dir_all(&jobs_dir)?;
         let store = CheckpointStore::new(cfg.base_dir.join("checkpoints"), cfg.retain)?;
         let shared = Arc::new(Shared::new(cfg.capacity));
         let pool = ThreadPool::new(cfg.threads);
 
-        // ---- crash recovery: replay, restore, compact ------------------
-        let journal_dir = cfg.base_dir.join("journal");
-        let (replayed, report, unparseable) = journal::replay_dir(&journal_dir)?;
-        let corrupt = report.skipped() + unparseable;
-        if corrupt > 0 {
-            cfg.recorder.counter("journal.corrupt").add(corrupt);
-        }
-        let disk_journal = Journal::open(&journal_dir, JournalConfig::default())?
-            .with_recorder(cfg.recorder.clone());
-        let mut handle =
-            JournalHandle::new(disk_journal, cfg.journal_buffer, cfg.recorder.clone());
-        if !replayed.is_empty() {
-            // One admission + one state record per job; terminal history and
-            // superseded checkpoints are dropped atomically.
-            let compacted: Vec<String> = replayed
-                .iter()
-                .flat_map(journal::compacted_records)
-                .collect();
-            handle.compact(&compacted);
+        // ---- crash recovery: replay, compact, restore ------------------
+        let (journal, replayed, _): (_, JobTable, _) = Wal::recover(
+            &cfg.base_dir.join("journal"),
+            cfg.journal_buffer,
+            cfg.recorder.clone(),
+            "journal",
+        )?;
+        if !replayed.jobs.is_empty() {
             cfg.recorder
                 .counter("journal.replayed_jobs")
-                .add(replayed.len() as u64);
+                .add(replayed.jobs.len() as u64);
         }
         {
             let mut st = shared.lock_state();
-            st.journal = handle;
-            for job in replayed {
+            st.journal = journal;
+            for job in replayed.jobs {
                 let id = job.id;
-                let live = matches!(
-                    job.outcome,
-                    journal::ReplayOutcome::Queued
-                        | journal::ReplayOutcome::Resumable { .. }
-                );
+                let live = !job.outcome.is_terminal();
                 // Live jobs get a fresh metrics stream; terminal jobs are
                 // history and never record again.
                 let recorder = if live {
@@ -210,9 +191,7 @@ impl Server {
         let scheduler =
             std::thread::spawn(move || scheduler::run(sched_shared, sched_cfg));
 
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accepting = Arc::new(AtomicBool::new(true));
-        let ctx = Arc::new(ConnCtx {
+        let ctx = ConnCtx {
             jobs_dir: jobs_dir.clone(),
             recorder: cfg.recorder.clone(),
             slice_steps: cfg.slice_steps,
@@ -221,46 +200,23 @@ impl Server {
             // A second handle on the same checkpoint root; the scheduler owns
             // the first. Namespacing keeps their file sets disjoint per job.
             store: CheckpointStore::new(cfg.base_dir.join("checkpoints"), cfg.retain)?,
-        });
-        let io_timeout = cfg.io_timeout;
-        let acceptor = {
-            let shared = shared.clone();
-            let conns = conns.clone();
-            let accepting = accepting.clone();
-            std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if !accepting.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    // Deadlines bound how long a hung or dead client can pin
-                    // a handler thread (and thereby graceful drain).
-                    let _ = stream.set_read_timeout(io_timeout);
-                    let _ = stream.set_write_timeout(io_timeout);
-                    let shared = shared.clone();
-                    let ctx = ctx.clone();
-                    let handle = std::thread::spawn(move || {
-                        handle_connection(stream, &shared, &ctx);
-                    });
-                    conns.lock().unwrap_or_else(|p| p.into_inner()).push(handle);
-                }
-            })
         };
+        let conn_shared = shared.clone();
+        listener.start(cfg.io_timeout, move |stream| {
+            handle_connection(stream, &conn_shared, &ctx)
+        });
 
         Ok(Server {
             shared,
-            addr,
-            acceptor: Some(acceptor),
+            listener,
             scheduler: Some(scheduler),
-            conns,
-            accepting,
             jobs_dir,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Directory per-job artifacts land in.
@@ -301,21 +257,11 @@ impl Server {
         }
         self.shared.sched_wake.notify_all();
         self.shared.event_wake.notify_all();
-        self.accepting.store(false, Ordering::SeqCst);
-        // Unblock the acceptor's blocking accept() with a no-op connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+        self.listener.stop_accepting();
         if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
-        let handles: Vec<_> = std::mem::take(
-            &mut *self.conns.lock().unwrap_or_else(|p| p.into_inner()),
-        );
-        for h in handles {
-            let _ = h.join();
-        }
+        self.listener.join_handlers();
         // Scheduler has exited; push any batched journal tail to disk.
         self.shared.lock_state().journal.sync();
     }
@@ -435,11 +381,7 @@ fn error_json(e: &SwlbError) -> String {
 }
 
 fn submit(shared: &Shared, req: &Request, ctx: &ConnCtx) -> (u16, Json) {
-    let spec = match std::str::from_utf8(&req.body)
-        .map_err(|_| SwlbError::CorruptData("body is not UTF-8".into()))
-        .and_then(crate::json::parse)
-        .and_then(|v| JobSpec::from_json(&v))
-    {
+    let spec = match JobSpec::from_body(&req.body) {
         Ok(s) => s,
         Err(e) => return (400, Json::obj([("error", Json::str(e.to_string()))])),
     };

@@ -188,6 +188,13 @@ impl JobSpec {
         Json::Obj(m)
     }
 
+    /// Decode the raw bytes of a `POST /v1/jobs` body (UTF-8 JSON).
+    pub fn from_body(body: &[u8]) -> Result<Self, SwlbError> {
+        let text = std::str::from_utf8(body)
+            .map_err(|_| SwlbError::CorruptData("body is not UTF-8".into()))?;
+        Self::from_json(&crate::json::parse(text)?)
+    }
+
     /// Decode a submit body. Unknown keys are ignored (forward compatibility);
     /// missing or ill-typed required keys are `CorruptData`.
     pub fn from_json(v: &Json) -> Result<Self, SwlbError> {

@@ -22,12 +22,13 @@
 //! connection only — the job table is made of plain values that are valid at
 //! every instruction boundary, never of half-applied multi-step invariants.
 
-use crate::journal::{JobEvent, JournalHandle, ReplayOutcome, ReplayedJob};
+use crate::journal::{JobEvent, ReplayOutcome, ReplayedJob};
 use crate::json::Json;
 use crate::spec::{JobSpec, JobState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+use swlb_io::Wal;
 use swlb_obs::{Recorder, SwlbError};
 
 /// One job's full service-side record.
@@ -199,7 +200,7 @@ pub struct State {
     pub rejected: u64,
     /// The write-ahead lifecycle journal. Living behind the same mutex as
     /// the job table makes admit+journal one atomic step.
-    pub journal: JournalHandle,
+    pub journal: Wal<JobEvent>,
 }
 
 impl State {
@@ -430,7 +431,7 @@ impl Shared {
                 drained: false,
                 stopping: false,
                 rejected: 0,
-                journal: JournalHandle::disabled(),
+                journal: Wal::disabled(),
             }),
             sched_wake: Condvar::new(),
             event_wake: Condvar::new(),
@@ -712,10 +713,12 @@ mod tests {
     fn admission_refuses_while_journal_degraded() {
         let dir = std::env::temp_dir().join(format!("swlb-state-journal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let journal = swlb_io::Journal::open(&dir, swlb_io::JournalConfig::default()).unwrap();
         let shared = Shared::new(4);
         let mut st = shared.lock_state();
-        st.journal = JournalHandle::new(journal, 16, Recorder::disabled());
+        st.journal =
+            Wal::recover::<crate::journal::JobTable>(&dir, 16, Recorder::disabled(), "journal")
+                .unwrap()
+                .0;
         st.admit(spec(Priority::Batch), Recorder::disabled())
             .unwrap();
         st.journal.set_fail_writes(true);

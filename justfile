@@ -40,10 +40,10 @@ crash-check:
     cargo test -q -p swlb-serve --release --test serve_crash
     cargo test -q -p swlb-serve --release --test serve_crash -- --ignored
 
-# The cross-layer equivalence suites for the unified dispatch pipeline.
-bench-smoke:
-    cargo test -q -p swlb-sim --release --test unified_dispatch
-    cargo test -q -p swlb-sim --release --test simd_equivalence
+# The cross-layer equivalence suites, once each: dispatch (incl. the depth-k
+# matrix), AA↔AB / lane policies, and the checkpoint + reshard roundtrips.
+equivalence:
+    cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence --test checkpoint_roundtrip
 
 # The benchmark's own gate (benchmark/README.md): fmt, clippy, self-tests,
 # the smoke suite and schema validation of every result line.
@@ -63,33 +63,26 @@ simd-check:
     SWLB_NO_SIMD=1 cargo test -q -p swlb-sim --release --test simd_equivalence --test unified_dispatch
     SWLB_NO_SIMD=1 cargo test -q -p swlb-core --release
 
-# AA-pattern acceptance (docs/PERFORMANCE.md, "Streaming patterns"): the
-# AA↔AB equivalence matrix (native lanes and the pinned AVX-512/portable-8
-# policies), the cross-scheme checkpoint roundtrip, and the same matrix under
-# SWLB_NO_SIMD=1 where every lane falls back to scalar semantics.
+# AA-pattern acceptance (docs/PERFORMANCE.md, "Streaming patterns") beyond
+# `just equivalence`: the AA↔AB matrix again under SWLB_NO_SIMD=1, where
+# every lane falls back to scalar semantics.
 aa-check:
-    cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence --test checkpoint_roundtrip
     SWLB_NO_SIMD=1 cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence
 
-# Rank-elastic checkpoint acceptance (docs/SERVING.md, "Elastic resume"):
-# the checkpoint-on-N / resume-on-M equivalence matrix (AB and mid-parity
-# AA, including degenerate narrow source subdomains), rollback across a
-# reshard, the service-level shrink-and-grow cycle, and the malformed
-# checkpoint corpus — every truncated or hostile header must fail typed,
-# never panic.
+# Rank-elastic checkpoint acceptance (docs/SERVING.md, "Elastic resume")
+# beyond the checkpoint-on-N / resume-on-M matrix in `just equivalence`:
+# rollback across a reshard, the service-level shrink-and-grow cycle, and
+# the malformed checkpoint and journal-record corpora — every truncated or
+# hostile input must fail typed or be skipped and counted, never panic.
 reshard-check:
-    cargo test -q -p swlb-sim --release --test checkpoint_roundtrip
     cargo test -q -p swlb-sim --release --lib resilience
     cargo test -q -p swlb-io
     cargo test -q -p swlb-serve --release --test serve_integration elastic
 
-# Temporal-blocking acceptance (docs/PERFORMANCE.md, "Temporal blocking"):
-# the depth-k vs depth-1 equivalence matrix, the depth-k conservation
-# proptest, and the blocked checkpoint/reshard roundtrips.
+# Temporal-blocking acceptance (docs/PERFORMANCE.md, "Temporal blocking")
+# beyond `just equivalence`: the depth-k conservation proptest.
 tb-check:
-    cargo test -q -p swlb-sim --release --test unified_dispatch temporal_blocking
     cargo test -q -p swlb-core --release --test properties temporal_blocking
-    cargo test -q -p swlb-sim --release --test checkpoint_roundtrip
 
 # Regenerate every paper figure/table harness.
 figures:

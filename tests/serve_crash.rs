@@ -306,7 +306,7 @@ fn kill_restart_soak_across_cycles() {
 
 #[test]
 fn replay_tolerates_corrupt_record_and_truncated_tail() {
-    use swlb_io::{Journal, JournalConfig};
+    use swlb_io::{Journal, JournalConfig, WalEvent};
     use swlb_serve::JobEvent;
 
     let dir = unique_dir("corrupt-replay");
