@@ -17,6 +17,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::{Arc, Barrier, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Message tag. User tags must stay below [`ReservedTags::RESERVED_BASE`].
@@ -518,6 +519,30 @@ impl World {
         self.size
     }
 
+    /// One connected endpoint per rank, in rank order: the only place a
+    /// [`Comm`] is constructed.
+    fn endpoints(&self) -> Vec<Comm> {
+        let size = self.size;
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..size).map(|_| unbounded()).unzip();
+        let senders = Arc::new(senders);
+        let barrier = Arc::new(Barrier::new(size));
+        let pool = Arc::new(BufferPool::new());
+        receivers
+            .into_iter()
+            .enumerate()
+            .map(|(rank, rx)| Comm {
+                rank,
+                size,
+                senders: Arc::clone(&senders),
+                rx,
+                stash: RefCell::new(Vec::new()),
+                barrier: Arc::clone(&barrier),
+                op_timeout: Cell::new(None),
+                pool: Arc::clone(&pool),
+            })
+            .collect()
+    }
+
     /// Run `f` on every rank concurrently and return the per-rank results,
     /// ordered by rank. Panics in any rank propagate (fail-fast, like an MPI
     /// abort).
@@ -527,31 +552,10 @@ impl World {
         F: Fn(Comm) -> T + Sync,
     {
         let size = self.size;
-        let mut senders = Vec::with_capacity(size);
-        let mut receivers = Vec::with_capacity(size);
-        for _ in 0..size {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let senders = Arc::new(senders);
-        let barrier = Arc::new(Barrier::new(size));
-        let pool = Arc::new(BufferPool::new());
-
         let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
         crossbeam::scope(|scope| {
             let mut handles = Vec::with_capacity(size);
-            for (rank, rx) in receivers.into_iter().enumerate() {
-                let comm = Comm {
-                    rank,
-                    size,
-                    senders: Arc::clone(&senders),
-                    rx,
-                    stash: RefCell::new(Vec::new()),
-                    barrier: Arc::clone(&barrier),
-                    op_timeout: Cell::new(None),
-                    pool: Arc::clone(&pool),
-                };
+            for comm in self.endpoints() {
                 let f = &f;
                 handles.push(scope.spawn(move |_| f(comm)));
             }
@@ -564,6 +568,30 @@ impl World {
             .into_iter()
             .map(|r| r.expect("missing rank result"))
             .collect()
+    }
+
+    /// Spawn one *resident* thread per rank, named `swlb-rank-<r>`, each
+    /// running its own `body()` on its own [`Comm`]. Unlike [`World::run`] the
+    /// threads are not scoped: they outlive this call and the caller joins
+    /// them through `handles`, which receives the ranks spawned so far even
+    /// when the OS refuses a later one — so the caller can release and join
+    /// those before reporting the error.
+    pub fn spawn_resident<F>(
+        &self,
+        mut body: impl FnMut() -> F,
+        handles: &mut Vec<JoinHandle<()>>,
+    ) -> std::io::Result<()>
+    where
+        F: FnOnce(Comm) + Send + 'static,
+    {
+        for comm in self.endpoints() {
+            let body = body();
+            let spawned = std::thread::Builder::new()
+                .name(format!("swlb-rank-{}", comm.rank()))
+                .spawn(move || body(comm))?;
+            handles.push(spawned);
+        }
+        Ok(())
     }
 }
 

@@ -176,8 +176,8 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
         // ---- slice loop: keep the pool until a boundary event ---------
         let mut release = false;
         {
-            let r = cur.as_mut().unwrap();
             loop {
+                let r = cur.as_mut().expect("a picked job has its solver built");
                 let (steps_total, chaos_at, chaos_fired, eff_width) = {
                     let mut st = shared.lock_state();
                     let live = st.live_count();
@@ -428,18 +428,16 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                         }
                     }
                     Boundary::Rollback => {
-                        // Load the last valid checkpoint (or rebuild from
+                        // Drop the faulted solver first, so its state and
+                        // rank threads never coexist with the replacement's,
+                        // then resume from the last valid checkpoint (or from
                         // scratch — step 0 is always recoverable because the
-                        // spec is deterministic), then retry with backoff.
-                        let store = cfg.store.namespaced(&format!("job-{picked}"));
-                        let target = store
-                            .ok()
-                            .and_then(|s| s.load_latest_valid().ok().flatten())
-                            .map(|(ck, _)| ck);
-                        let to_step = target.as_ref().map_or(0, |ck| ck.step);
+                        // spec is deterministic) and retry with backoff.
+                        cur = None;
                         match build_or_resume(&shared, &cfg, picked) {
                             Ok(fresh) => {
-                                *r = fresh;
+                                let to_step = fresh.solver.step_count();
+                                cur = Some(fresh);
                                 let mut st = shared.lock_state();
                                 let job = st.job_mut(picked).unwrap();
                                 job.rollbacks += 1;
@@ -512,7 +510,9 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
 /// The width a job actually runs at: its requested width divided among the
 /// live jobs sharing the service (never below 1). Deterministic in the job
 /// census, so a competitor completing grows a shrunk job back at its next
-/// slice — the canonical chunked checkpoint format makes the re-shard free.
+/// slice. The re-shard is not free: the job's state makes one trip through
+/// the canonical chunked form and a new rank world is spawned
+/// (`sim.elastic_reshard_ms`).
 fn effective_width(requested: u32, live: usize) -> u32 {
     (requested / live.max(1) as u32).max(1)
 }

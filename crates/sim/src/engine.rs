@@ -94,10 +94,12 @@ use std::time::Duration;
 use swlb_comm::cart::NEIGHBOR_OFFSETS;
 use swlb_comm::frame::{check_frame, seal_frame, FrameCheck, FRAME_HEADER};
 use swlb_comm::{Comm, CommError, Communicator, Tag};
+use swlb_core::boundary::NodeKind;
 use swlb_core::collision::CollisionKind;
+use swlb_core::equilibrium::{moments, velocity};
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{canonicalize_streamed, reverse_planes, InteriorIndex};
+use swlb_core::kernels::{canonicalize_streamed, reverse_planes, InteriorIndex, MAX_Q};
 use swlb_core::lattice::Lattice;
 use swlb_core::layout::{AaParity, PopField, SoaField, Storage, StorageScheme};
 use swlb_core::macroscopic::MacroFields;
@@ -1041,10 +1043,101 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         }
     }
 
-    /// Local macroscopic snapshot (includes the halo ring; interior is
-    /// `1..=lnx × 1..=lny`).
+    /// Local macroscopic snapshot (includes the halo ring; the owned block is
+    /// `halo..halo+lnx × halo..halo+lny`).
     pub fn local_macroscopic(&self) -> MacroFields {
         MacroFields::compute::<L, _>(&self.flags, self.local_canonical().as_ref())
+    }
+
+    /// The canonical populations of local cell `(x, y, z)`, read in place
+    /// whatever the scheme and parity: AB stores them at the cell, AA
+    /// `Reversed` at the cell's opposite slots, and AA `Streamed` at
+    /// `(cell + c_q, q)` — which for an owned cell never leaves the local
+    /// grid. Nothing the size of the field is materialized.
+    fn load_canonical(&self, x: usize, y: usize, z: usize, f: &mut [Scalar]) {
+        let dims = self.flags.dims();
+        let src = self.store.state();
+        let cell = dims.idx(x, y, z);
+        match self.store.parity() {
+            None => src.load_cell(cell, f),
+            Some(AaParity::Reversed) => {
+                for q in 0..L::Q {
+                    f[q] = src.get(cell, L::OPP[q]);
+                }
+            }
+            Some(AaParity::Streamed) => {
+                for q in 0..L::Q {
+                    let c = L::C[q];
+                    let [a, b, d] = dims.neighbor_periodic(x, y, z, [c[0], c[1], c[2]]);
+                    f[q] = src.get(dims.idx(a, b, d), q);
+                }
+            }
+        }
+    }
+
+    /// Visit the node kind, density and velocity of every owned cell in the
+    /// planes `zr`, in chunk wire order (y → x → z). Solid cells report
+    /// `(1, 0)`, as [`MacroFields::compute`] does.
+    pub fn for_each_owned_moment(
+        &self,
+        zr: Range<usize>,
+        mut visit: impl FnMut(NodeKind, Scalar, [Scalar; 3]),
+    ) {
+        let dims = self.flags.dims();
+        let h = self.halo;
+        let mut f = [0.0; MAX_Q];
+        for y in h..h + self.lny {
+            for x in h..h + self.lnx {
+                for z in zr.clone() {
+                    let kind = self.flags.kind(dims.idx(x, y, z));
+                    if kind.is_solid() {
+                        visit(kind, 1.0, [0.0; 3]);
+                        continue;
+                    }
+                    self.load_canonical(x, y, z, &mut f[..L::Q]);
+                    let (rho, j) = moments::<L>(&f[..L::Q]);
+                    visit(kind, rho, velocity(rho, j));
+                }
+            }
+        }
+    }
+
+    /// This rank's owned block of *canonical* populations in chunk wire
+    /// order (y → x → z → q): the payload of one checkpoint chunk.
+    pub fn pack_owned_canonical(&self) -> Vec<Scalar> {
+        let nz = self.flags.dims().nz;
+        let h = self.halo;
+        let mut f = [0.0; MAX_Q];
+        let mut out = Vec::with_capacity(self.lnx * self.lny * nz * L::Q);
+        for y in h..h + self.lny {
+            for x in h..h + self.lnx {
+                for z in 0..nz {
+                    self.load_canonical(x, y, z, &mut f[..L::Q]);
+                    out.extend_from_slice(&f[..L::Q]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Land this rank's owned block from a canonical wire-order payload (the
+    /// inverse of [`DistributedSolver::pack_owned_canonical`]) and resume at
+    /// `step` on a block boundary. AA converts to its raw representation:
+    /// restarting on the odd flavor from a canonical state is exactly the AB
+    /// continuation, and the stale ghost ring is overwritten by the
+    /// pre-exchange before anything reads it.
+    pub fn restore_owned(&mut self, payload: &[Scalar], step: u64) {
+        self.unpack(
+            self.halo..self.halo + self.lnx,
+            self.halo..self.halo + self.lny,
+            payload,
+        );
+        if let Storage::Aa { field, parity } = &mut self.store {
+            reverse_planes::<L>(field);
+            *parity = AaParity::Reversed;
+        }
+        self.step = step;
+        self.phase = 0;
     }
 
     /// Current local raw state (with halo ring). Under AB this is the source
@@ -1128,33 +1221,15 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
                     }
                 }
                 if rank == 0 {
-                    self.unpack(
-                        self.halo..self.halo + self.lnx,
-                        self.halo..self.halo + self.lny,
-                        &payload,
-                    );
+                    self.restore_owned(&payload, step);
                 } else {
                     self.comm.send(rank, SCATTER_TAG, payload)?;
                 }
             }
         } else {
             let payload = self.comm.recv(0, SCATTER_TAG)?;
-            self.unpack(
-                self.halo..self.halo + self.lnx,
-                self.halo..self.halo + self.lny,
-                &payload,
-            );
+            self.restore_owned(&payload, step);
         }
-        // The payload is canonical (AB-ordered); convert to the scheme's raw
-        // representation. Restarting AA on the odd flavor from a canonical
-        // state is exactly the AB continuation; the stale ghost ring is
-        // overwritten by the pre-exchange before anything reads it.
-        if let Storage::Aa { field, parity } = &mut self.store {
-            reverse_planes::<L>(field);
-            *parity = AaParity::Reversed;
-        }
-        self.step = step;
-        self.phase = 0;
         Ok(())
     }
 
@@ -1162,14 +1237,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// elsewhere) — scheme-portable: AA ranks canonicalize their owned block
     /// before packing.
     pub fn gather_populations(&self) -> Result<Option<SoaField<L>>, CommError> {
-        let mut payload = Vec::new();
-        Self::pack_strip(
-            self.local_canonical().as_ref(),
-            self.halo..self.halo + self.lnx,
-            self.halo..self.halo + self.lny,
-            &mut payload,
-        );
-        let gathered = self.comm.gather_to_root(&payload)?;
+        let gathered = self.comm.gather_to_root(&self.pack_owned_canonical())?;
         if self.comm.rank() != 0 {
             return Ok(None);
         }
@@ -1201,14 +1269,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// per-source-rank, which is what lets a later resume re-shard them onto
     /// any layout.
     pub fn capture_chunked(&self) -> Result<Option<ChunkedCheckpoint>, CommError> {
-        let mut payload = Vec::new();
-        Self::pack_strip(
-            self.local_canonical().as_ref(),
-            self.halo..self.halo + self.lnx,
-            self.halo..self.halo + self.lny,
-            &mut payload,
-        );
-        let gathered = self.comm.gather_to_root(&payload)?;
+        let gathered = self.comm.gather_to_root(&self.pack_owned_canonical())?;
         if self.comm.rank() != 0 {
             return Ok(None);
         }
@@ -1216,17 +1277,9 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         let chunks = gathered
             .into_iter()
             .enumerate()
-            .map(|(rank, data)| {
-                let ((x0, lnx), (y0, lny)) = self.part.owned(rank);
-                swlb_io::CheckpointChunk {
-                    meta: swlb_io::ChunkMeta {
-                        x0: x0 as u32,
-                        y0: y0 as u32,
-                        lnx: lnx as u32,
-                        lny: lny as u32,
-                    },
-                    data,
-                }
+            .map(|(rank, data)| swlb_io::CheckpointChunk {
+                meta: self.part.chunk_meta(rank),
+                data,
             })
             .collect();
         Ok(Some(ChunkedCheckpoint {
@@ -1253,7 +1306,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     pub fn restore_chunked(&mut self, ck: Option<&ChunkedCheckpoint>) -> Result<(), SwlbError> {
         const RESHARD_TAG: u64 = 41;
         let global = self.part.global;
-        let step = if self.comm.rank() == 0 {
+        if self.comm.rank() == 0 {
             let ck = ck.expect("rank 0 must supply the checkpoint");
             let want = (global.nx as u32, global.ny as u32, global.nz as u32);
             if ck.dims != want || ck.q != L::Q as u32 {
@@ -1278,45 +1331,26 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
                     .extract_rect(x0, y0, lnx, lny)
                     .map_err(swlb_obs::SwlbError::from)?;
                 if rank == 0 {
-                    self.unpack(
-                        self.halo..self.halo + self.lnx,
-                        self.halo..self.halo + self.lny,
-                        &payload,
-                    );
+                    self.restore_owned(&payload, ck.step);
                 } else {
                     self.comm
                         .send(rank, RESHARD_TAG, payload)
                         .map_err(SwlbError::from)?;
                 }
             }
-            ck.step
         } else {
             let step = self.comm.broadcast(&[0.0]).map_err(SwlbError::from)?[0] as u64;
             let payload = self.comm.recv(0, RESHARD_TAG).map_err(SwlbError::from)?;
-            self.unpack(
-                self.halo..self.halo + self.lnx,
-                self.halo..self.halo + self.lny,
-                &payload,
-            );
-            step
-        };
-        // Same scheme conversion as `scatter_populations`: the payload is
-        // canonical, AA restarts on the odd flavor.
-        if let Storage::Aa { field, parity } = &mut self.store {
-            reverse_planes::<L>(field);
-            *parity = AaParity::Reversed;
+            self.restore_owned(&payload, step);
         }
-        self.step = step;
-        self.phase = 0;
         Ok(())
     }
 }
 
 /// Wrap a legacy (v1/v2) whole-domain checkpoint as a single-chunk v3
-/// checkpoint: decode the SoA payload into a field and re-pack it in chunk
-/// wire order (y → x → z → q). This is what lets pre-v3 files flow through
-/// the re-sharding [`DistributedSolver::restore_chunked`] path onto any
-/// destination layout.
+/// checkpoint: re-pack the SoA payload in chunk wire order (y → x → z → q).
+/// This is what lets pre-v3 files flow through the re-sharding
+/// [`DistributedSolver::restore_chunked`] path onto any destination layout.
 pub fn chunked_from_legacy<L: Lattice>(
     ck: &swlb_io::Checkpoint,
 ) -> Result<ChunkedCheckpoint, SwlbError> {
@@ -1332,22 +1366,80 @@ pub fn chunked_from_legacy<L: Lattice>(
             L::Q
         )));
     }
-    let mut field = SoaField::<L>::new(dims);
-    field.raw_mut().copy_from_slice(&ck.data);
-    let mut data = Vec::with_capacity(ck.data.len());
-    for y in 0..dims.ny {
-        for x in 0..dims.nx {
-            for z in 0..dims.nz {
-                let cell = dims.idx(x, y, z);
-                for q in 0..L::Q {
-                    data.push(field.get(cell, q));
+    Ok(ChunkedCheckpoint::single_chunk(
+        ck.step,
+        ck.dims,
+        ck.q,
+        ck.scheme,
+        wire_from_soa::<L>(&ck.data),
+    ))
+}
+
+/// Re-pack a whole-domain SoA payload (`raw[q · cells + cell]`) in chunk wire
+/// order (y → x → z → q). Cells are indexed y → x → z, so this is a plain
+/// `[Q][cells]` → `[cells][Q]` transpose with no field in between, done in
+/// cell blocks small enough that a block of the output stays in cache while
+/// the `Q` planes stream through it.
+pub(crate) fn wire_from_soa<L: Lattice>(raw: &[Scalar]) -> Vec<Scalar> {
+    const BLOCK: usize = 512;
+    let cells = raw.len() / L::Q;
+    let mut wire = vec![0.0; raw.len()];
+    for (b, out) in wire.chunks_mut(BLOCK * L::Q).enumerate() {
+        let first = b * BLOCK;
+        let n = out.len() / L::Q;
+        for q in 0..L::Q {
+            let plane = &raw[q * cells + first..q * cells + first + n];
+            for (i, &v) in plane.iter().enumerate() {
+                out[i * L::Q + q] = v;
+            }
+        }
+    }
+    wire
+}
+
+/// Unpack a chunked checkpoint's canonical payload straight into one
+/// whole-domain SoA payload (`raw[q · cells + cell]`, the inverse of
+/// [`wire_from_soa`]), chunk by chunk with no assembled wire-order
+/// intermediate. A cell column covered by no chunk is a coverage gap and
+/// yields `CorruptData`.
+pub(crate) fn soa_from_chunked<L: Lattice>(
+    ck: &ChunkedCheckpoint,
+) -> Result<Vec<Scalar>, SwlbError> {
+    ck.validate()?;
+    let dims = GridDims::new(ck.dims.0 as usize, ck.dims.1 as usize, ck.dims.2 as usize);
+    if ck.q != L::Q as u32 {
+        return Err(SwlbError::CorruptData(format!(
+            "chunked checkpoint has q = {}, lattice needs q = {}",
+            ck.q,
+            L::Q
+        )));
+    }
+    let cells = dims.cells();
+    let mut raw = vec![0.0; cells * L::Q];
+    let mut filled = vec![false; dims.nx * dims.ny];
+    for ch in &ck.chunks {
+        let m = ch.meta;
+        let mut it = ch.data.iter();
+        for y in m.y0 as usize..(m.y0 + m.lny) as usize {
+            for x in m.x0 as usize..(m.x0 + m.lnx) as usize {
+                filled[y * dims.nx + x] = true;
+                for z in 0..dims.nz {
+                    let cell = dims.idx(x, y, z);
+                    for q in 0..L::Q {
+                        raw[q * cells + cell] = *it.next().expect("validated chunk length");
+                    }
                 }
             }
         }
     }
-    Ok(ChunkedCheckpoint::single_chunk(
-        ck.step, ck.dims, ck.q, ck.scheme, data,
-    ))
+    if let Some(col) = filled.iter().position(|&f| !f) {
+        return Err(SwlbError::CorruptData(format!(
+            "coverage gap: no chunk covers global cell column ({}, {})",
+            col % dims.nx,
+            col / dims.nx
+        )));
+    }
+    Ok(raw)
 }
 
 #[cfg(test)]

@@ -49,6 +49,17 @@ impl Partition2d {
         )
     }
 
+    /// `rank`'s owned rectangle as the metadata of its checkpoint chunk.
+    pub fn chunk_meta(&self, rank: usize) -> swlb_io::ChunkMeta {
+        let ((x0, lnx), (y0, lny)) = self.owned(rank);
+        swlb_io::ChunkMeta {
+            x0: x0 as u32,
+            y0: y0 as u32,
+            lnx: lnx as u32,
+            lny: lny as u32,
+        }
+    }
+
     /// Local grid dims of `rank` *including* the one-cell xy halo ring.
     pub fn local_dims(&self, rank: usize) -> GridDims {
         self.local_dims_h(rank, 1)

@@ -71,11 +71,14 @@ aa-check:
 
 # Rank-elastic checkpoint acceptance (docs/SERVING.md, "Elastic resume")
 # beyond the checkpoint-on-N / resume-on-M matrix in `just equivalence`:
-# rollback across a reshard, the service-level shrink-and-grow cycle, and
-# the malformed checkpoint and journal-record corpora — every truncated or
-# hostile input must fail typed or be skipped and counted, never panic.
+# rollback across a reshard, the resident rank world's ownership tests in
+# release (they otherwise run only in debug), the service-level
+# shrink-and-grow cycle, and the malformed checkpoint and journal-record
+# corpora — every truncated or hostile input must fail typed or be skipped
+# and counted, never panic.
 reshard-check:
     cargo test -q -p swlb-sim --release --lib resilience
+    cargo test -q -p swlb-sim --release --lib cases::tests::elastic
     cargo test -q -p swlb-io
     cargo test -q -p swlb-serve --release --test serve_integration elastic
 

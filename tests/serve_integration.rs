@@ -540,6 +540,40 @@ fn cancel_stops_a_running_job_at_a_slice_boundary() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A rollback reports the step it actually restored: the job's last
+/// checkpoint before the fault, not 0. Slices of 8 with a checkpoint every 16
+/// steps put checkpoints at 8 and 24; the fault injected at step 24 trips the
+/// check after the next slice and the job rolls back to 24.
+#[test]
+fn rollback_event_reports_the_restored_checkpoint_step() {
+    let dir = unique_dir("rollback-step");
+    let server = Server::spawn(config(&dir, 4, 8)).unwrap();
+    let client = ServeClient::new(server.addr().to_string());
+
+    let mut faulted = job("faulted", cavity(16, 16), 64, Priority::Batch);
+    faulted.chaos_nan_at_step = Some(24);
+    let id = client.submit(&faulted).unwrap();
+    let events = client.watch(id, 0).unwrap();
+    assert!(
+        events.iter().any(|e| e.contains("\"event\":\"completed\"")),
+        "{events:?}"
+    );
+
+    let rollbacks: Vec<Json> = events
+        .iter()
+        .filter(|e| e.contains("\"event\":\"rollback\""))
+        .map(|e| json::parse(e).unwrap())
+        .collect();
+    assert_eq!(rollbacks.len(), 1, "{events:?}");
+    assert_eq!(num_of(&rollbacks[0], "to_step"), 24, "{events:?}");
+    let status = client.status(id).unwrap();
+    assert_eq!(num_of(&status, "rollbacks"), 1, "{}", status.to_text());
+    assert_eq!(num_of(&status, "steps_done"), 64, "{}", status.to_text());
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Loopback soak: forty mixed jobs pushed through a capacity-8 table with
 /// submit-retry on backpressure. Slow — run with `cargo test -- --ignored`.
 #[test]
