@@ -1,7 +1,7 @@
 //! The [`Communicator`] trait: the message-passing surface the distributed
 //! engine is written against.
 //!
-//! [`Comm`](crate::Comm) is the real transport; [`ChaosComm`](crate::ChaosComm)
+//! [`Comm`] is the real transport; [`ChaosComm`](crate::ChaosComm)
 //! wraps it with deterministic fault injection. Making the engine generic over
 //! this trait means resilience tests exercise the *production* solver code
 //! path — no special-casing, no test-only forks of the halo exchange.

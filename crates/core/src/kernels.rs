@@ -801,7 +801,7 @@ pub fn fused_step_d3q19_interior_simd(
 /// `CollisionKind` — no lossy ω→τ→ω reconstruction), while every other
 /// operator (LES, forced BGK, MRT) falls back to the generic kernel for the
 /// whole slab. `tile_z` blocks the interior sweep in z (`0` = no tiling). The
-/// interior/vector/scalar choice is resolved by [`crate::simd::select_fast_path`]
+/// interior/vector/scalar choice is resolved by `crate::simd::select_fast_path`
 /// (runtime CPU detection, `SWLB_NO_SIMD`, [`crate::simd::LanePolicy`]).
 pub fn fused_step_optimized(
     flags: &FlagField,

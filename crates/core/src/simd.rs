@@ -11,14 +11,14 @@
 //!   the expression tree matches [`crate::kernels`]' scalar interior kernel
 //!   bit for bit),
 //!
-//! and the vectorized interior kernel [`d3q19_interior_simd`], which consumes
+//! and the vectorized interior kernel `d3q19_interior_simd`, which consumes
 //! precomputed run-length-encoded interior runs ([`crate::kernels::InteriorRuns`])
 //! instead of testing a per-cell `Vec<bool>` mask: the SoA layout is z-innermost
 //! (`idx = (y·nx + x)·nz + z`), so within a run all 19 pull-scheme gathers are
 //! plain contiguous (unaligned) lane-wide loads from a shifted line. Sub-lane
 //! remainders fall back to the shared scalar per-cell update, so coverage is
 //! identical to the mask-based scalar kernel. The same lanes also drive the
-//! AA-pattern single-grid interior kernels ([`aa_d3q19_interior_simd`]): the odd
+//! AA-pattern single-grid interior kernels (`aa_d3q19_interior_simd`): the odd
 //! flavor pulls from reversed slots and scatters, the even flavor is a purely
 //! local load/collide/reversed-store permute.
 //!
@@ -27,7 +27,7 @@
 //! twin for pinning its chunking without the hardware) rides behind the same
 //! [`Lane`] trait via its associated `WIDTH`.
 //!
-//! Dispatch policy (what [`select_fast_path`] resolves, reported per step via
+//! Dispatch policy (what `select_fast_path` resolves, reported per step via
 //! the `kernel_class` observability gauge):
 //!
 //! * AVX-512F detected at runtime → the 8-wide AVX-512 lane

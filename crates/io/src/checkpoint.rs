@@ -1,42 +1,56 @@
-//! Versioned binary checkpoint/restart codec.
+//! The checkpoint/restart controller: one snapshot type, one format, one
+//! upgrade.
 //!
 //! The paper's I/O layer includes "a checkpoint and restart controller which
 //! enables fast recover from system-level or hardware fault" (§IV-B) — on
 //! month-long production runs this is a first-class feature, not a convenience.
 //!
-//! Format (all integers little-endian):
+//! Everything above this crate sees exactly one checkpoint type,
+//! [`ChunkedCheckpoint`], and one on-disk format, the chunked container of
+//! [`crate::chunked`]. [`CheckpointStore`] writes only that format, and
+//! [`ChunkedCheckpoint::read`] is the only reader. What this module adds:
+//!
+//! * [`CheckpointError`], the typed failure of every read;
+//! * [`CheckpointStore`], the atomic, retained, namespaced directory of
+//!   checkpoint files;
+//! * `upgrade_legacy`, the read-only decoder of the two retired whole-domain
+//!   layouts. State directories and in-flight migration payloads written
+//!   before the chunked format still resume: the one reader hands a
+//!   `SWLBCKPT` body to the upgrade and gets back a single whole-domain chunk.
+//!   Nothing writes these layouts any more.
+//!
+//! Retired layout (all integers little-endian), accepted by the upgrade only:
 //!
 //! ```text
 //! magic   8 B   "SWLBCKPT"
-//! version u32   format version (currently 2; version-1 files still load)
+//! version u32   1 or 2
 //! step    u64   completed time steps
 //! nx,ny,nz u32  grid dims
 //! q       u32   populations per cell
 //! scheme  u8    producer storage scheme (0 = AB, 1 = AA)        [v2 only]
-//! parity  u8    AA payload parity (0 = canonical/Reversed-origin,
-//!               1 = Streamed-origin)                            [v2 only]
+//! parity  u8    must be 0: the payload is canonical             [v2 only]
 //! pad     u16   reserved, zero                                  [v2 only]
 //! len     u64   population payload length (f64 count) = cells · q
-//! data    len × f64
+//! data    len × f64, SoA: `data[q_i · cells + cell]`
 //! crc     u32   CRC-32 of everything above
 //! ```
 //!
-//! The production capture paths always serialize the *canonical* (AB-ordered
-//! post-collision) payload regardless of the running scheme, so `parity` is 0
-//! in files this workspace writes; the `scheme` byte records what the producer
-//! ran so a restart can warn when resuming a checkpoint under a different
-//! scheme (the restore itself is scheme-agnostic). Version-1 files decode as
-//! `scheme = 0, parity = 0`.
+//! Every writer this workspace ever had serialized the *canonical*
+//! (AB-ordered post-collision) payload regardless of the running scheme, so a
+//! nonzero `parity` byte can only come from a damaged or hostile file. No
+//! restore path could honour it; the reader rejects it. The `scheme` byte
+//! records what the producer ran (the restore itself is scheme-agnostic).
+//! Version-1 files decode as `scheme = 0`.
 
+use crate::chunked::{wire_from_soa, ChunkedCheckpoint};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
-const MAGIC: &[u8; 8] = b"SWLBCKPT";
-const VERSION: u32 = 2;
+const LEGACY_MAGIC: &[u8; 8] = b"SWLBCKPT";
 
-/// [`Checkpoint::scheme`] value for AB (double-buffer) producers.
+/// Scheme byte of AB (double-buffer) producers.
 pub const SCHEME_AB: u8 = 0;
-/// [`Checkpoint::scheme`] value for AA (single-grid) producers.
+/// Scheme byte of AA (single-grid) producers.
 pub const SCHEME_AA: u8 = 1;
 
 /// Errors produced by checkpoint reading.
@@ -74,7 +88,8 @@ impl From<CheckpointError> for swlb_obs::SwlbError {
     }
 }
 
-/// An in-memory checkpoint of solver state.
+/// A whole-domain in-memory snapshot of solver state. It has no file format:
+/// what goes to disk or over the wire is a [`ChunkedCheckpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Completed time steps at capture.
@@ -86,12 +101,8 @@ pub struct Checkpoint {
     /// Producer storage scheme ([`SCHEME_AB`] or [`SCHEME_AA`]); metadata
     /// only — the payload is canonical either way.
     pub scheme: u8,
-    /// AA payload parity (0 = canonical, matching an AA `Reversed` origin;
-    /// 1 = `Streamed` origin). Production writers canonicalize before saving,
-    /// so this is 0 everywhere in this workspace.
-    pub parity: u8,
-    /// Raw population payload (layout-defined by the producer; SoA for the
-    /// production solver), length `cells · q`.
+    /// Canonical populations, SoA (`data[q_i · cells + cell]`), length
+    /// `cells · q`.
     pub data: Vec<f64>,
 }
 
@@ -99,28 +110,6 @@ pub struct Checkpoint {
 // swlb-comm / swlb-serve can share it; re-exported here so existing
 // `swlb_io::checkpoint::{crc32, Crc32}` paths keep resolving.
 pub use swlb_obs::{crc32, Crc32};
-
-/// Serialize a checkpoint (always the current version-2 layout).
-pub fn write_checkpoint(w: &mut impl Write, ck: &Checkpoint) -> io::Result<()> {
-    let mut body = Vec::with_capacity(48 + ck.data.len() * 8);
-    body.extend_from_slice(MAGIC);
-    body.extend_from_slice(&VERSION.to_le_bytes());
-    body.extend_from_slice(&ck.step.to_le_bytes());
-    body.extend_from_slice(&ck.dims.0.to_le_bytes());
-    body.extend_from_slice(&ck.dims.1.to_le_bytes());
-    body.extend_from_slice(&ck.dims.2.to_le_bytes());
-    body.extend_from_slice(&ck.q.to_le_bytes());
-    body.push(ck.scheme);
-    body.push(ck.parity);
-    body.extend_from_slice(&0u16.to_le_bytes());
-    body.extend_from_slice(&(ck.data.len() as u64).to_le_bytes());
-    for v in &ck.data {
-        body.extend_from_slice(&v.to_le_bytes());
-    }
-    let crc = crc32(&body);
-    w.write_all(&body)?;
-    w.write_all(&crc.to_le_bytes())
-}
 
 /// Bounds-checked cursor over a verified payload. Every accessor returns
 /// [`CheckpointError::Corrupt`] instead of slicing out of bounds, so a file
@@ -179,9 +168,9 @@ impl<'a> FieldReader<'a> {
     }
 }
 
-/// `nx·ny·nz·q` with overflow rejection: a hostile header must not be able to
-/// wrap the expected payload length into a false match or drive a huge
-/// allocation.
+/// `nx·ny·nz·q`, rejecting zero and overflow: a hostile header must not be
+/// able to wrap the expected payload length into a false match, drive a huge
+/// allocation, or describe a grid with nothing in it.
 pub(crate) fn checked_payload_len(
     dims: (u32, u32, u32),
     q: u32,
@@ -190,12 +179,32 @@ pub(crate) fn checked_payload_len(
         .checked_mul(dims.1 as usize)
         .and_then(|v| v.checked_mul(dims.2 as usize))
         .and_then(|v| v.checked_mul(q as usize))
+        .filter(|&len| len > 0)
         .ok_or_else(|| {
             CheckpointError::Corrupt(format!(
-                "header dims {}x{}x{}x{q} overflow the addressable payload size",
+                "header dims {}x{}x{}x{q} are empty or overflow the addressable payload size",
                 dims.0, dims.1, dims.2
             ))
         })
+}
+
+/// The parity byte both generations carry. Writers only ever emitted 0 (the
+/// canonical payload); no restore path can install anything else.
+pub(crate) fn check_canonical(parity: u8) -> Result<(), CheckpointError> {
+    if parity != 0 {
+        return Err(CheckpointError::Corrupt(format!(
+            "payload parity {parity} is not canonical (0)"
+        )));
+    }
+    Ok(())
+}
+
+/// Decode little-endian `f64`s; `bytes.len()` must be a multiple of 8.
+pub(crate) fn f64s_from_le(bytes: &[u8]) -> Vec<f64> {
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+        .collect()
 }
 
 /// Split `body` into (payload, stored CRC) and verify the checksum.
@@ -217,15 +226,18 @@ pub(crate) fn split_verified(body: &[u8]) -> Result<&[u8], CheckpointError> {
     Ok(payload)
 }
 
-/// Parse an already-read legacy (v1/v2) checkpoint body.
-pub(crate) fn parse_checkpoint(body: &[u8]) -> Result<Checkpoint, CheckpointError> {
+/// Decode a retired whole-domain (v1/v2) body and upgrade it to the one
+/// checkpoint type: a single chunk covering the global rectangle, its SoA
+/// payload transposed into chunk wire order. Only
+/// [`ChunkedCheckpoint::parse`] calls this.
+pub(crate) fn upgrade_legacy(body: &[u8]) -> Result<ChunkedCheckpoint, CheckpointError> {
     let payload = split_verified(body)?;
     let mut rd = FieldReader::new(payload);
-    if rd.take(8, "magic")? != MAGIC {
+    if rd.take(8, "magic")? != LEGACY_MAGIC {
         return Err(CheckpointError::Corrupt("bad magic".into()));
     }
     let version = rd.u32("version")?;
-    if version != 1 && version != VERSION {
+    if version != 1 && version != 2 {
         return Err(CheckpointError::Corrupt(format!(
             "unsupported version {version}"
         )));
@@ -234,18 +246,13 @@ pub(crate) fn parse_checkpoint(body: &[u8]) -> Result<Checkpoint, CheckpointErro
     let dims = (rd.u32("nx")?, rd.u32("ny")?, rd.u32("nz")?);
     let q = rd.u32("q")?;
     // Version 1 has no scheme/parity bytes: `len` follows `q` directly.
-    let (scheme, parity) = if version == 1 {
-        (SCHEME_AB, 0)
+    let scheme = if version == 1 {
+        SCHEME_AB
     } else {
-        let s = rd.u8("scheme")?;
-        let p = rd.u8("parity")?;
+        let scheme = rd.u8("scheme")?;
+        check_canonical(rd.u8("parity")?)?;
         let _pad = rd.u16("pad")?;
-        if s > SCHEME_AA || p > 1 {
-            return Err(CheckpointError::Corrupt(format!(
-                "unknown storage scheme {s} / parity {p}"
-            )));
-        }
-        (s, p)
+        scheme
     };
     let len = rd.u64("payload length")?;
     let expected = checked_payload_len(dims, q)?;
@@ -255,8 +262,7 @@ pub(crate) fn parse_checkpoint(body: &[u8]) -> Result<Checkpoint, CheckpointErro
             dims.0, dims.1, dims.2
         )));
     }
-    let len = len as usize;
-    let data_bytes = len.checked_mul(8).ok_or_else(|| {
+    let data_bytes = expected.checked_mul(8).ok_or_else(|| {
         CheckpointError::Corrupt(format!("payload length {len} overflows the file size"))
     })?;
     if payload.len() - rd.pos() != data_bytes {
@@ -266,27 +272,18 @@ pub(crate) fn parse_checkpoint(body: &[u8]) -> Result<Checkpoint, CheckpointErro
             rd.pos() + data_bytes + 4
         )));
     }
-    // `len` is bounded by the actual file size here, so this allocation
+    // `expected` is bounded by the actual file size here, so this allocation
     // cannot be driven past the bytes we were handed.
-    let mut data = Vec::with_capacity(len);
-    for chunk in rd.rest().chunks_exact(8) {
-        data.push(f64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)")));
-    }
-    Ok(Checkpoint {
+    let soa = f64s_from_le(rd.rest());
+    let ck = ChunkedCheckpoint::single_chunk(
         step,
         dims,
         q,
         scheme,
-        parity,
-        data,
-    })
-}
-
-/// Deserialize and verify a checkpoint.
-pub fn read_checkpoint(r: &mut impl Read) -> Result<Checkpoint, CheckpointError> {
-    let mut body = Vec::new();
-    r.read_to_end(&mut body)?;
-    parse_checkpoint(&body)
+        wire_from_soa(&soa, q as usize),
+    );
+    ck.validate()?;
+    Ok(ck)
 }
 
 /// An on-disk checkpoint directory with atomic writes and bounded retention.
@@ -357,21 +354,12 @@ impl CheckpointStore {
         stem.parse().ok()
     }
 
-    /// Atomically persist `ck`: write `*.tmp`, fsync, rename into place, then
-    /// prune beyond the retention window. Returns the final path.
-    pub fn save(&self, ck: &Checkpoint) -> Result<std::path::PathBuf, CheckpointError> {
-        // Header (48 B) + payload + trailing CRC (4 B) — the on-disk footprint.
-        self.save_with(ck.step, 52 + ck.data.len() as u64 * 8, |f| {
-            write_checkpoint(f, ck)
-        })
-    }
-
-    /// Atomically persist a rank-count-independent (v3) checkpoint under the
-    /// same `ckpt-{step}.swlb` naming as legacy saves; readers dispatch on
-    /// the file magic (see [`crate::chunked::read_any_checkpoint`]).
+    /// Atomically persist `ck` as `ckpt-{step}.swlb`: write `*.tmp`, fsync,
+    /// rename into place, then prune beyond the retention window. Returns the
+    /// final path.
     pub fn save_chunked(
         &self,
-        ck: &crate::chunked::ChunkedCheckpoint,
+        ck: &ChunkedCheckpoint,
     ) -> Result<std::path::PathBuf, CheckpointError> {
         ck.validate()?;
         let payload: u64 = ck.chunks.iter().map(|c| c.data.len() as u64 * 8).sum();
@@ -424,89 +412,60 @@ impl CheckpointStore {
     }
 
     /// The newest checkpoint on disk (by step), if any. Existence only — the
-    /// file is not validated; use [`CheckpointStore::load_latest_valid`] to
-    /// also survive corruption.
+    /// file is not validated; use [`CheckpointStore::load_latest_valid_any`]
+    /// to also survive corruption.
     pub fn latest(&self) -> io::Result<Option<(u64, std::path::PathBuf)>> {
         Ok(self.list()?.pop())
     }
 
-    /// Read and verify the checkpoint for `step`.
-    pub fn load(&self, step: u64) -> Result<Checkpoint, CheckpointError> {
-        let mut f = std::fs::File::open(self.path_for(step))?;
-        read_checkpoint(&mut f)
+    /// The newest file that passes verification, with its raw bytes; the
+    /// corrupt files passed on the way down are pushed onto `skipped`.
+    fn newest_valid(
+        &self,
+        skipped: &mut Vec<std::path::PathBuf>,
+    ) -> Result<Option<(ChunkedCheckpoint, Vec<u8>)>, CheckpointError> {
+        for (_, path) in self.list()?.into_iter().rev() {
+            let bytes = std::fs::read(&path)?;
+            match ChunkedCheckpoint::parse(&bytes) {
+                Ok(ck) => return Ok(Some((ck, bytes))),
+                Err(CheckpointError::Corrupt(_)) => skipped.push(path),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(None)
     }
 
     /// Load the newest checkpoint that passes verification, skipping (and
-    /// reporting) corrupt ones. `Ok(None)` if no valid checkpoint exists.
-    pub fn load_latest_valid(
-        &self,
-    ) -> Result<Option<(Checkpoint, Vec<std::path::PathBuf>)>, CheckpointError> {
-        let mut skipped = Vec::new();
-        for (_, path) in self.list()?.into_iter().rev() {
-            let mut f = std::fs::File::open(&path)?;
-            match read_checkpoint(&mut f) {
-                Ok(ck) => return Ok(Some((ck, skipped))),
-                Err(CheckpointError::Corrupt(_)) => skipped.push(path),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
-    }
-
-    /// Read and verify the checkpoint for `step`, accepting either the legacy
-    /// (v1/v2) or the chunked (v3) format.
-    pub fn load_any(&self, step: u64) -> Result<crate::chunked::AnyCheckpoint, CheckpointError> {
-        let mut f = std::fs::File::open(self.path_for(step))?;
-        crate::chunked::read_any_checkpoint(&mut f)
-    }
-
-    /// Format-agnostic [`CheckpointStore::load_latest_valid`]: the newest
-    /// file of either generation that passes verification, with corrupt ones
-    /// skipped and reported — a store directory may mix legacy and chunked
-    /// checkpoints across an upgrade.
+    /// reporting) corrupt ones; `Ok(None)` if no valid checkpoint exists. A
+    /// directory left by an older deployment may hold retired whole-domain
+    /// files: the reader upgrades them, so they are restart candidates too.
     pub fn load_latest_valid_any(
         &self,
-    ) -> Result<Option<(crate::chunked::AnyCheckpoint, Vec<std::path::PathBuf>)>, CheckpointError>
-    {
+    ) -> Result<Option<(ChunkedCheckpoint, Vec<std::path::PathBuf>)>, CheckpointError> {
         let mut skipped = Vec::new();
-        for (_, path) in self.list()?.into_iter().rev() {
-            let mut f = std::fs::File::open(&path)?;
-            match crate::chunked::read_any_checkpoint(&mut f) {
-                Ok(ck) => return Ok(Some((ck, skipped))),
-                Err(CheckpointError::Corrupt(_)) => skipped.push(path),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
+        let newest = self.newest_valid(&mut skipped)?;
+        Ok(newest.map(|(ck, _)| (ck, skipped)))
     }
 
-    /// Raw bytes of the newest checkpoint (either generation) that passes
-    /// verification — the migration payload a fleet controller ships between
-    /// workers without re-encoding. Returns the checkpointed step alongside
-    /// the bytes; `Ok(None)` if no valid checkpoint exists.
+    /// Raw bytes of the newest checkpoint that passes verification — the
+    /// migration payload a fleet controller ships between workers without
+    /// re-encoding. Returns the checkpointed step alongside the bytes;
+    /// `Ok(None)` if no valid checkpoint exists.
     pub fn latest_valid_bytes(&self) -> Result<Option<(u64, Vec<u8>)>, CheckpointError> {
-        for (_, path) in self.list()?.into_iter().rev() {
-            let bytes = std::fs::read(&path)?;
-            match crate::chunked::read_any_checkpoint(&mut bytes.as_slice()) {
-                Ok(ck) => return Ok(Some((ck.step(), bytes))),
-                Err(CheckpointError::Corrupt(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
+        let newest = self.newest_valid(&mut Vec::new())?;
+        Ok(newest.map(|(ck, bytes)| (ck.step, bytes)))
     }
 
-    /// Install pre-encoded checkpoint bytes (either generation) as this
-    /// store's checkpoint for `step` — the receiving half of a migration.
-    /// The bytes are verified before the atomic tmp→rename install, so a
-    /// payload damaged in transit never lands under a valid name.
+    /// Install pre-encoded checkpoint bytes as this store's checkpoint for
+    /// `step` — the receiving half of a migration. The bytes are verified
+    /// before the atomic tmp→rename install, so a payload damaged in transit
+    /// never lands under a valid name.
     pub fn seed_bytes(
         &self,
         step: u64,
         bytes: &[u8],
     ) -> Result<std::path::PathBuf, CheckpointError> {
-        let mut r = bytes;
-        crate::chunked::read_any_checkpoint(&mut r)?;
+        ChunkedCheckpoint::parse(bytes)?;
         self.save_with(step, bytes.len() as u64, |f| f.write_all(bytes))
     }
 
@@ -521,9 +480,20 @@ impl CheckpointStore {
     }
 }
 
+/// Re-seal a tampered buffer with a freshly computed CRC so the structural
+/// checks (not the checksum) are what reject it — the hostile-writer case,
+/// where CRC validity proves nothing.
+#[cfg(test)]
+pub(crate) fn reseal(buf: &mut [u8]) {
+    let crc_at = buf.len() - 4;
+    let crc = crc32(&buf[..crc_at]);
+    buf[crc_at..].copy_from_slice(&crc.to_le_bytes());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::{CheckpointChunk, ChunkMeta};
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -531,22 +501,25 @@ mod tests {
             dims: (3, 2, 2),
             q: 19,
             scheme: SCHEME_AB,
-            parity: 0,
             data: (0..3 * 2 * 2 * 19).map(|i| i as f64 * 0.5).collect(),
         }
     }
 
-    /// Serialize `ck` in the retired version-1 layout (no scheme/parity
-    /// bytes) — what pre-AA deployments left on disk.
-    fn write_v1(ck: &Checkpoint) -> Vec<u8> {
+    /// Serialize `ck` in a retired whole-domain layout: version 2, or
+    /// version 1 (no scheme/parity bytes) — what deployments older than the
+    /// chunked format left on disk. Nothing outside tests writes these.
+    fn write_legacy(version: u32, ck: &Checkpoint) -> Vec<u8> {
         let mut body = Vec::new();
-        body.extend_from_slice(MAGIC);
-        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(LEGACY_MAGIC);
+        body.extend_from_slice(&version.to_le_bytes());
         body.extend_from_slice(&ck.step.to_le_bytes());
         body.extend_from_slice(&ck.dims.0.to_le_bytes());
         body.extend_from_slice(&ck.dims.1.to_le_bytes());
         body.extend_from_slice(&ck.dims.2.to_le_bytes());
         body.extend_from_slice(&ck.q.to_le_bytes());
+        if version >= 2 {
+            body.extend_from_slice(&[ck.scheme, 0, 0, 0]); // scheme, parity, pad
+        }
         body.extend_from_slice(&(ck.data.len() as u64).to_le_bytes());
         for v in &ck.data {
             body.extend_from_slice(&v.to_le_bytes());
@@ -556,81 +529,102 @@ mod tests {
         body
     }
 
-    #[test]
-    fn version1_files_still_load() {
-        let ck = sample();
-        let bytes = write_v1(&ck);
-        let back = read_checkpoint(&mut bytes.as_slice()).unwrap();
-        // v1 carries no scheme/parity: decodes as AB/canonical.
-        assert_eq!(back, ck);
+    fn read(bytes: &[u8]) -> Result<ChunkedCheckpoint, CheckpointError> {
+        ChunkedCheckpoint::read(&mut &bytes[..])
+    }
+
+    /// The whole-domain SoA payload a single-chunk checkpoint stands for:
+    /// the inverse of the upgrade's transpose, written out index by index.
+    fn soa_of(ck: &ChunkedCheckpoint) -> Vec<f64> {
+        assert_eq!(ck.chunks.len(), 1, "an upgraded file is one chunk");
+        let ch = &ck.chunks[0];
+        let (nx, ny, _) = ck.dims;
+        assert_eq!(
+            ch.meta,
+            ChunkMeta { x0: 0, y0: 0, lnx: nx, lny: ny },
+            "the chunk covers the whole domain"
+        );
+        let q = ck.q as usize;
+        let cells = ch.data.len() / q;
+        let mut soa = vec![0.0; ch.data.len()];
+        for cell in 0..cells {
+            for qi in 0..q {
+                soa[qi * cells + cell] = ch.data[cell * q + qi];
+            }
+        }
+        soa
+    }
+
+    /// What `ck` must upgrade to.
+    fn assert_upgrades_to(back: &ChunkedCheckpoint, ck: &Checkpoint) {
+        assert_eq!(
+            (back.step, back.dims, back.q, back.scheme),
+            (ck.step, ck.dims, ck.q, ck.scheme)
+        );
+        assert_eq!(soa_of(back), ck.data);
     }
 
     #[test]
-    fn scheme_and_parity_roundtrip() {
+    fn version1_files_upgrade_to_one_whole_domain_chunk() {
+        let ck = sample();
+        // v1 carries no scheme byte: decodes as AB.
+        assert_upgrades_to(&read(&write_legacy(1, &ck)).unwrap(), &ck);
+    }
+
+    #[test]
+    fn version2_files_upgrade_with_their_scheme_byte() {
         let mut ck = sample();
+        assert_upgrades_to(&read(&write_legacy(2, &ck)).unwrap(), &ck);
         ck.scheme = SCHEME_AA;
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
-        let back = read_checkpoint(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.scheme, SCHEME_AA);
-        assert_eq!(back.parity, 0);
-        assert_eq!(back, ck);
+        assert_upgrades_to(&read(&write_legacy(2, &ck)).unwrap(), &ck);
     }
 
     #[test]
     fn unknown_scheme_byte_is_rejected() {
-        let ck = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
+        let mut buf = write_legacy(2, &sample());
         buf[36] = 7; // invalid scheme
-        let crc_at = buf.len() - 4;
-        let crc = crc32(&buf[..crc_at]);
-        buf[crc_at..].copy_from_slice(&crc.to_le_bytes());
-        match read_checkpoint(&mut buf.as_slice()) {
-            Err(CheckpointError::Corrupt(m)) => assert!(m.contains("scheme")),
+        reseal(&mut buf);
+        match read(&buf) {
+            Err(CheckpointError::Corrupt(m)) => assert!(m.contains("scheme"), "{m}"),
             other => panic!("expected scheme error, got {other:?}"),
         }
     }
 
     #[test]
-    fn roundtrip_is_exact() {
-        let ck = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
-        let back = read_checkpoint(&mut buf.as_slice()).unwrap();
-        assert_eq!(ck, back);
+    fn v2_streamed_parity_byte_is_rejected_behind_a_valid_crc() {
+        // No restore path reads the parity byte, so a payload claiming the
+        // Streamed origin would be installed as canonical: refuse it.
+        let mut buf = write_legacy(2, &sample());
+        buf[37] = 1;
+        reseal(&mut buf);
+        match read(&buf) {
+            Err(CheckpointError::Corrupt(m)) => assert!(m.contains("parity"), "{m}"),
+            other => panic!("expected parity error, got {other:?}"),
+        }
     }
 
     #[test]
     fn bit_flip_is_detected() {
-        let ck = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
+        let mut buf = write_legacy(2, &sample());
         let mid = buf.len() / 2;
         buf[mid] ^= 0x40;
-        match read_checkpoint(&mut buf.as_slice()) {
+        match read(&buf) {
             Err(CheckpointError::Corrupt(m)) => assert!(m.contains("CRC")),
             other => panic!("expected CRC error, got {other:?}"),
         }
     }
 
     #[test]
-    fn truncation_is_detected() {
-        let ck = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
-        buf.truncate(buf.len() - 10);
-        assert!(read_checkpoint(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
     fn bad_magic_is_detected() {
-        let ck = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
+        let mut buf = write_legacy(2, &sample());
         buf[0] = b'X';
         // CRC catches it first; either way it must fail.
-        assert!(read_checkpoint(&mut buf.as_slice()).is_err());
+        assert!(read(&buf).is_err());
+        reseal(&mut buf);
+        match read(&buf) {
+            Err(CheckpointError::Corrupt(m)) => assert!(m.contains("magic"), "{m}"),
+            other => panic!("expected magic error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -638,9 +632,7 @@ mod tests {
         // Hand-craft a header whose len disagrees with dims.
         let mut ck = sample();
         ck.data.push(1.0); // one extra value
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
-        match read_checkpoint(&mut buf.as_slice()) {
+        match read(&write_legacy(2, &ck)) {
             Err(CheckpointError::Corrupt(m)) => assert!(m.contains("does not match")),
             other => panic!("expected mismatch error, got {other:?}"),
         }
@@ -666,20 +658,32 @@ mod tests {
         CheckpointStore::new(dir, retain).unwrap()
     }
 
-    fn at_step(step: u64) -> Checkpoint {
-        Checkpoint { step, ..sample() }
+    /// A 4×2×1, q = 2 checkpoint in two x-halves.
+    fn at_step(step: u64) -> ChunkedCheckpoint {
+        let half = |x0: u32| CheckpointChunk {
+            meta: ChunkMeta { x0, y0: 0, lnx: 2, lny: 2 },
+            data: (0..8).map(|i| (x0 * 100 + i) as f64).collect(),
+        };
+        ChunkedCheckpoint {
+            step,
+            dims: (4, 2, 1),
+            q: 2,
+            scheme: SCHEME_AB,
+            chunks: vec![half(0), half(2)],
+        }
     }
 
     #[test]
     fn store_saves_atomically_and_reports_latest() {
         let store = temp_store(3);
         assert!(store.latest().unwrap().is_none());
-        store.save(&at_step(10)).unwrap();
-        store.save(&at_step(20)).unwrap();
+        store.save_chunked(&at_step(10)).unwrap();
+        store.save_chunked(&at_step(20)).unwrap();
         let (step, path) = store.latest().unwrap().unwrap();
         assert_eq!(step, 20);
         assert!(path.ends_with("ckpt-000000000020.swlb"));
-        assert_eq!(store.load(10).unwrap().step, 10);
+        let first = std::fs::read(store.path_for(10)).unwrap();
+        assert_eq!(read(&first).unwrap(), at_step(10));
         // No temp droppings left behind.
         let stray: Vec<_> = std::fs::read_dir(store.dir())
             .unwrap()
@@ -695,7 +699,7 @@ mod tests {
     fn store_prunes_beyond_retention() {
         let store = temp_store(2);
         for step in [1, 2, 3, 4] {
-            store.save(&at_step(step)).unwrap();
+            store.save_chunked(&at_step(step)).unwrap();
         }
         let steps: Vec<u64> = store.list().unwrap().into_iter().map(|(s, _)| s).collect();
         assert_eq!(steps, vec![3, 4]);
@@ -705,15 +709,18 @@ mod tests {
     #[test]
     fn load_latest_valid_skips_corrupt_newest() {
         let store = temp_store(3);
-        store.save(&at_step(5)).unwrap();
-        let newest = store.save(&at_step(9)).unwrap();
+        store.save_chunked(&at_step(5)).unwrap();
+        let newest = store.save_chunked(&at_step(9)).unwrap();
         // Corrupt the newest file in place.
         let mut bytes = std::fs::read(&newest).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&newest, bytes).unwrap();
-        let (ck, skipped) = store.load_latest_valid().unwrap().expect("older file is valid");
-        assert_eq!(ck.step, 5);
+        let (ck, skipped) = store
+            .load_latest_valid_any()
+            .unwrap()
+            .expect("older file is valid");
+        assert_eq!(ck, at_step(5));
         assert_eq!(skipped, vec![newest]);
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
@@ -721,11 +728,34 @@ mod tests {
     #[test]
     fn load_latest_valid_is_none_when_all_corrupt() {
         let store = temp_store(2);
-        let p = store.save(&at_step(1)).unwrap();
+        let p = store.save_chunked(&at_step(1)).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[0] ^= 0xFF;
         std::fs::write(&p, bytes).unwrap();
-        assert!(store.load_latest_valid().unwrap().is_none());
+        assert!(store.load_latest_valid_any().unwrap().is_none());
+        std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn a_retired_file_is_a_restart_candidate_behind_a_corrupt_chunked_one() {
+        // A directory straddling the format change: the older file is a v2
+        // whole-domain checkpoint, the newer chunked one is damaged. The
+        // store falls back to the v2 file, upgraded, and reports the skip.
+        let store = temp_store(3);
+        let old = Checkpoint { step: 5, ..sample() };
+        std::fs::write(store.path_for(5), write_legacy(2, &old)).unwrap();
+        let newest = store.save_chunked(&at_step(9)).unwrap();
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&newest, bytes).unwrap();
+        let (ck, skipped) = store.load_latest_valid_any().unwrap().unwrap();
+        assert_upgrades_to(&ck, &old);
+        assert_eq!(skipped, vec![newest]);
+        // The migration payload is the file as it sits on disk: a receiver
+        // runs the same reader, so it needs no re-encode.
+        let (step, raw) = store.latest_valid_bytes().unwrap().unwrap();
+        assert_eq!((step, raw), (5, write_legacy(2, &old)));
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
 
@@ -734,17 +764,17 @@ mod tests {
         let store = temp_store(2);
         let a = store.namespaced("job-a").unwrap();
         let b = store.namespaced("job-b").unwrap();
-        a.save(&at_step(5)).unwrap();
-        b.save(&at_step(7)).unwrap();
+        a.save_chunked(&at_step(5)).unwrap();
+        b.save_chunked(&at_step(7)).unwrap();
         // Same step numbers never collide across namespaces.
-        a.save(&at_step(7)).unwrap();
+        a.save_chunked(&at_step(7)).unwrap();
         assert_eq!(
             a.list().unwrap().iter().map(|(s, _)| *s).collect::<Vec<_>>(),
             vec![5, 7]
         );
         assert_eq!(b.latest().unwrap().unwrap().0, 7);
         // Retention is inherited and applied per namespace.
-        a.save(&at_step(9)).unwrap();
+        a.save_chunked(&at_step(9)).unwrap();
         assert_eq!(
             a.list().unwrap().iter().map(|(s, _)| *s).collect::<Vec<_>>(),
             vec![7, 9]
@@ -762,31 +792,13 @@ mod tests {
     }
 
     #[test]
-    fn truncated_file_reports_corrupt_not_raw_io() {
-        // A file cut mid-payload must surface as Corrupt with a clear message,
-        // never as a raw unexpected-EOF I/O error.
-        let ck = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
-        for keep in [0, 10, 43, buf.len() / 2, buf.len() - 1] {
-            let mut cut = buf.clone();
-            cut.truncate(keep);
-            match read_checkpoint(&mut cut.as_slice()) {
-                Err(CheckpointError::Corrupt(_)) => {}
-                other => panic!("truncation to {keep} B: expected Corrupt, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn malformed_corpus_yields_typed_errors_at_every_field_boundary() {
         // Cut a valid v2 file (and a v1 file) at every header field boundary
-        // and at every byte of the header besides: none may panic, all must
-        // yield a typed CheckpointError.
+        // and at every byte of the header besides: none may panic, none may
+        // surface as a raw unexpected-EOF I/O error, all must be Corrupt.
         let ck = sample();
-        let mut v2 = Vec::new();
-        write_checkpoint(&mut v2, &ck).unwrap();
-        let v1 = write_v1(&ck);
+        let v2 = write_legacy(2, &ck);
+        let v1 = write_legacy(1, &ck);
         // Field boundaries: magic, version, step, nx, ny, nz, q,
         // scheme/parity/pad (v2), len, first payload word, crc.
         let boundaries = [0, 8, 12, 20, 24, 28, 32, 36, 37, 38, 40, 44, 48, 56];
@@ -795,25 +807,14 @@ mod tests {
                 .iter()
                 .copied()
                 .chain(0..64.min(buf.len()))
-                .chain([buf.len() - 5, buf.len() - 4, buf.len() - 1])
+                .chain([buf.len() / 2, buf.len() - 10, buf.len() - 5, buf.len() - 4, buf.len() - 1])
             {
-                let mut cut = buf.clone();
-                cut.truncate(keep);
-                match read_checkpoint(&mut cut.as_slice()) {
+                match read(&buf[..keep]) {
                     Err(CheckpointError::Corrupt(_)) => {}
                     other => panic!("cut to {keep} B: expected Corrupt, got {other:?}"),
                 }
             }
         }
-    }
-
-    /// Re-seal a tampered buffer with a freshly computed CRC so the header
-    /// checks (not the checksum) are what reject it — the hostile-writer
-    /// case, where CRC validity proves nothing.
-    fn reseal(buf: &mut [u8]) {
-        let crc_at = buf.len() - 4;
-        let crc = crc32(&buf[..crc_at]);
-        buf[crc_at..].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -825,18 +826,16 @@ mod tests {
             dims: (2, 2, 2),
             q: 2,
             scheme: SCHEME_AB,
-            parity: 0,
             data: vec![0.0; 16],
         };
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
+        let mut buf = write_legacy(2, &ck);
         // 2^31 × 2^31 × 2^2 × 2^0 ≡ 16 (mod 2^64): a wrap-around false match.
         for (off, val) in [(20u32, 1u32 << 31), (24, 1 << 31), (28, 4), (32, 1)] {
             let o = off as usize;
             buf[o..o + 4].copy_from_slice(&val.to_le_bytes());
         }
         reseal(&mut buf);
-        match read_checkpoint(&mut buf.as_slice()) {
+        match read(&buf) {
             Err(CheckpointError::Corrupt(m)) => assert!(m.contains("overflow"), "{m}"),
             other => panic!("expected overflow rejection, got {other:?}"),
         }
@@ -846,31 +845,42 @@ mod tests {
     fn hostile_len_cannot_drive_a_huge_allocation() {
         // A CRC-valid header claiming a multi-exabyte payload must be
         // rejected by arithmetic before any allocation is attempted.
-        let ck = sample();
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
+        let mut buf = write_legacy(2, &sample());
         let huge = (u64::MAX / 8).to_le_bytes();
         buf[40..48].copy_from_slice(&huge);
         reseal(&mut buf);
-        match read_checkpoint(&mut buf.as_slice()) {
+        match read(&buf) {
             Err(CheckpointError::Corrupt(_)) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
     #[test]
-    fn empty_grid_roundtrip() {
+    fn hostile_empty_grid_is_corrupt_not_a_division_by_zero() {
+        // q = 0 (or a zero extent) with a matching zero-length payload is
+        // self-consistent; the upgrade's transpose must never see it.
+        for zeroed in [20usize, 32] {
+            let ck = Checkpoint { data: Vec::new(), ..sample() };
+            let mut buf = write_legacy(2, &ck);
+            buf[zeroed..zeroed + 4].copy_from_slice(&0u32.to_le_bytes());
+            reseal(&mut buf);
+            match read(&buf) {
+                Err(CheckpointError::Corrupt(m)) => assert!(m.contains("empty"), "{m}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn single_cell_grid_upgrades() {
         let ck = Checkpoint {
             step: 0,
             dims: (1, 1, 1),
             q: 9,
             scheme: SCHEME_AB,
-            parity: 0,
-            data: vec![0.25; 9],
+            data: (0..9).map(|i| i as f64 + 0.25).collect(),
         };
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ck).unwrap();
-        assert_eq!(read_checkpoint(&mut buf.as_slice()).unwrap(), ck);
+        assert_upgrades_to(&read(&write_legacy(2, &ck)).unwrap(), &ck);
     }
 
     #[test]
@@ -879,12 +889,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let src = CheckpointStore::new(dir.join("src"), 2).unwrap();
         let dst = CheckpointStore::new(dir.join("dst"), 2).unwrap();
-        let ck = sample();
-        src.save(&ck).unwrap();
+        let ck = at_step(1234);
+        src.save_chunked(&ck).unwrap();
         let (step, bytes) = src.latest_valid_bytes().unwrap().unwrap();
         assert_eq!(step, ck.step);
         dst.seed_bytes(step, &bytes).unwrap();
-        assert_eq!(dst.load(step).unwrap(), ck);
+        assert_eq!(dst.load_latest_valid_any().unwrap().unwrap().0, ck);
         // Bytes damaged in transit are refused before landing on disk.
         let mut bad = bytes.clone();
         let mid = bad.len() / 2;

@@ -1,25 +1,26 @@
-//! Rank-count-independent checkpoints (format v3).
+//! The checkpoint format: rank-count-independent chunks (format v3).
 //!
-//! Formats v1/v2 serialize one gathered global field, which records nothing
-//! about the decomposition and pins restore to "rebuild the whole domain,
-//! then scatter". Version 3 instead stores **per-source-rank chunks tagged
-//! with their global rectangle**: a manifest records the global dims plus
-//! each chunk's `(x0, y0, lnx, lny)`, and each chunk carries its owned
-//! interior (no halo ring) in a fixed y → x → z → q order — the same wire
-//! order the distributed engine's halo/scatter paths use. A resume on any
-//! rank count assembles each destination rectangle from whichever source
-//! chunks overlap it ([`ChunkedCheckpoint::extract_rect`]), so
-//! checkpoint-on-N / resume-on-M becomes pure coordinate arithmetic — the
-//! elastic re-sharding the ROADMAP's fleet item calls for, and the same
-//! block-wise repartitioning waLBerla-style frameworks use for dynamic
-//! load balancing.
+//! [`ChunkedCheckpoint`] is the only checkpoint type anything above this
+//! crate sees, and this is its only on-disk form. A checkpoint stores
+//! **per-source-rank chunks tagged with their global rectangle**: a manifest
+//! records the global dims plus each chunk's `(x0, y0, lnx, lny)`, and each
+//! chunk carries its owned interior (no halo ring) in a fixed
+//! y → x → z → q order — the same wire order the distributed engine's halo
+//! and restore paths use. A resume on any rank count assembles each
+//! destination rectangle from whichever source chunks overlap it
+//! ([`ChunkedCheckpoint::extract_rect`]), so checkpoint-on-N / resume-on-M is
+//! pure coordinate arithmetic — the same block-wise repartitioning
+//! waLBerla-style frameworks use for dynamic load balancing. A serial
+//! solver's checkpoint is the special case of one chunk covering the domain.
 //!
-//! On disk a v3 checkpoint reuses the [`GroupFile`] container (the paper's
+//! [`ChunkedCheckpoint::read`] is the one reader. It dispatches on the file
+//! magic: a group container is decoded here; anything else is handed to the
+//! upgrade of the retired whole-domain layouts (see [`crate::checkpoint`]),
+//! which returns one whole-domain chunk. Callers never learn which it was.
+//!
+//! On disk a checkpoint reuses the [`GroupFile`] container (the paper's
 //! group-I/O aggregation, §IV-B): chunk payloads are the member chunks, and
-//! the manifest sits under the reserved id [`MANIFEST_ID`]. The container's
-//! distinct `SWLBGRP1` magic (vs the legacy `SWLBCKPT`) is what lets
-//! [`read_any_checkpoint`] dispatch between legacy and chunked files, so one
-//! store directory can hold both generations.
+//! the manifest sits under the reserved id [`MANIFEST_ID`].
 //!
 //! Manifest layout (little-endian), stored as the [`MANIFEST_ID`] chunk:
 //!
@@ -29,7 +30,7 @@
 //! nx,ny,nz u32  GLOBAL grid dims
 //! q       u32   populations per cell
 //! scheme  u8    producer storage scheme (0 = AB, 1 = AA)
-//! parity  u8    payload parity (always 0: chunks are canonical)
+//! parity  u8    always 0: chunks are canonical (the reader rejects others)
 //! pad     u16   reserved, zero
 //! count   u32   number of chunks
 //! count × { x0 u32, y0 u32, lnx u32, lny u32 }   global rectangles
@@ -40,9 +41,10 @@
 //! with `(x, y)` local to the chunk.
 
 use crate::checkpoint::{
-    checked_payload_len, parse_checkpoint, Checkpoint, CheckpointError, FieldReader, SCHEME_AA,
+    check_canonical, checked_payload_len, f64s_from_le, upgrade_legacy, CheckpointError,
+    FieldReader, SCHEME_AA,
 };
-use crate::group::{GroupFile, GroupFileError};
+use crate::group::{GroupFile, GroupFileError, GROUP_MAGIC};
 use std::io::{self, Read, Write};
 
 /// Reserved [`GroupFile`] id holding the manifest.
@@ -94,15 +96,14 @@ pub struct ChunkedCheckpoint {
     pub q: u32,
     /// Producer storage scheme (metadata only; chunk payloads are canonical).
     pub scheme: u8,
-    /// Payload parity — always 0: producers canonicalize before chunking.
-    pub parity: u8,
     /// Source rectangles, one per producing rank.
     pub chunks: Vec<CheckpointChunk>,
 }
 
 impl ChunkedCheckpoint {
-    /// Wrap a legacy whole-domain payload (laid out y → x → z → q over the
-    /// full grid) as a single chunk covering the global rectangle.
+    /// Wrap a whole-domain payload (laid out y → x → z → q over the full
+    /// grid, see [`wire_from_soa`]) as a single chunk covering the global
+    /// rectangle.
     pub fn single_chunk(
         step: u64,
         dims: (u32, u32, u32),
@@ -115,7 +116,6 @@ impl ChunkedCheckpoint {
             dims,
             q,
             scheme,
-            parity: 0,
             chunks: vec![CheckpointChunk {
                 meta: ChunkMeta {
                     x0: 0,
@@ -131,13 +131,13 @@ impl ChunkedCheckpoint {
     /// Structural validation: sane header fields, every rectangle inside the
     /// global domain, every payload exactly `lnx·lny·nz·q` long.
     pub fn validate(&self) -> Result<(), CheckpointError> {
-        if self.scheme > SCHEME_AA || self.parity > 1 {
+        if self.scheme > SCHEME_AA {
             return Err(CheckpointError::Corrupt(format!(
-                "unknown storage scheme {} / parity {}",
-                self.scheme, self.parity
+                "unknown storage scheme {}",
+                self.scheme
             )));
         }
-        // Also rejects dims×q products that overflow.
+        // Also rejects dims×q products that are zero or overflow.
         checked_payload_len(self.dims, self.q)?;
         let zq = self.dims.2 as usize * self.q as usize;
         for (i, ch) in self.chunks.iter().enumerate() {
@@ -246,7 +246,7 @@ impl ChunkedCheckpoint {
         manifest.extend_from_slice(&self.dims.2.to_le_bytes());
         manifest.extend_from_slice(&self.q.to_le_bytes());
         manifest.push(self.scheme);
-        manifest.push(self.parity);
+        manifest.push(0); // parity: chunks are canonical
         manifest.extend_from_slice(&0u16.to_le_bytes());
         manifest.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
         for ch in &self.chunks {
@@ -283,7 +283,7 @@ impl ChunkedCheckpoint {
         let dims = (rd.u32("nx")?, rd.u32("ny")?, rd.u32("nz")?);
         let q = rd.u32("q")?;
         let scheme = rd.u8("scheme")?;
-        let parity = rd.u8("parity")?;
+        check_canonical(rd.u8("parity")?)?;
         let _pad = rd.u16("pad")?;
         let count = rd.u32("chunk count")?;
         let mut chunks = Vec::new();
@@ -303,92 +303,66 @@ impl ChunkedCheckpoint {
                     bytes.len()
                 )));
             }
-            let mut data = Vec::with_capacity(bytes.len() / 8);
-            for c in bytes.chunks_exact(8) {
-                data.push(f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")));
-            }
-            chunks.push(CheckpointChunk { meta, data });
+            chunks.push(CheckpointChunk {
+                meta,
+                data: f64s_from_le(bytes),
+            });
         }
         let ck = ChunkedCheckpoint {
             step,
             dims,
             q,
             scheme,
-            parity,
             chunks,
         };
         ck.validate()?;
         Ok(ck)
     }
 
-    /// Deserialize and verify a chunked checkpoint.
+    /// Read and verify a checkpoint — the one reader. Retired whole-domain
+    /// files come back upgraded to a single chunk.
     pub fn read(r: &mut impl Read) -> Result<Self, CheckpointError> {
-        let group = GroupFile::read(r)?;
-        Self::from_group(&group)
-    }
-}
-
-/// A checkpoint of either generation, as found on disk.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyCheckpoint {
-    /// v1/v2 whole-domain payload (`SWLBCKPT` magic).
-    Legacy(Checkpoint),
-    /// v3 per-rectangle chunks in a group container (`SWLBGRP1` magic).
-    Chunked(ChunkedCheckpoint),
-}
-
-impl AnyCheckpoint {
-    /// Completed steps at capture.
-    pub fn step(&self) -> u64 {
-        match self {
-            AnyCheckpoint::Legacy(ck) => ck.step,
-            AnyCheckpoint::Chunked(ck) => ck.step,
-        }
+        let mut body = Vec::new();
+        r.read_to_end(&mut body)?;
+        Self::parse(&body)
     }
 
-    /// Global grid dims.
-    pub fn dims(&self) -> (u32, u32, u32) {
-        match self {
-            AnyCheckpoint::Legacy(ck) => ck.dims,
-            AnyCheckpoint::Chunked(ck) => ck.dims,
-        }
-    }
-
-    /// Populations per cell.
-    pub fn q(&self) -> u32 {
-        match self {
-            AnyCheckpoint::Legacy(ck) => ck.q,
-            AnyCheckpoint::Chunked(ck) => ck.q,
-        }
-    }
-
-    /// Producer storage scheme byte.
-    pub fn scheme(&self) -> u8 {
-        match self {
-            AnyCheckpoint::Legacy(ck) => ck.scheme,
-            AnyCheckpoint::Chunked(ck) => ck.scheme,
+    /// [`ChunkedCheckpoint::read`] over bytes already in memory.
+    pub(crate) fn parse(body: &[u8]) -> Result<Self, CheckpointError> {
+        if body.starts_with(GROUP_MAGIC) {
+            Self::from_group(&GroupFile::parse(body)?)
+        } else {
+            upgrade_legacy(body)
         }
     }
 }
 
-/// Read a checkpoint of either generation, dispatching on the file magic.
-pub fn read_any_checkpoint(r: &mut impl Read) -> Result<AnyCheckpoint, CheckpointError> {
-    let mut body = Vec::new();
-    r.read_to_end(&mut body)?;
-    if body.len() >= 8 && &body[..8] == b"SWLBGRP1" {
-        let group = GroupFile::read(&mut body.as_slice())?;
-        Ok(AnyCheckpoint::Chunked(ChunkedCheckpoint::from_group(
-            &group,
-        )?))
-    } else {
-        parse_checkpoint(&body).map(AnyCheckpoint::Legacy)
+/// Re-pack a whole-domain SoA payload (`raw[q_i · cells + cell]`, `q ≥ 1`
+/// planes) in chunk wire order (y → x → z → q). Cells are indexed y → x → z,
+/// so this is a plain `[q][cells]` → `[cells][q]` transpose with no field in
+/// between, done in cell blocks small enough that a block of the output stays
+/// in cache while the `q` planes stream through it.
+pub fn wire_from_soa(raw: &[f64], q: usize) -> Vec<f64> {
+    const BLOCK: usize = 512;
+    let cells = raw.len() / q;
+    let mut wire = vec![0.0; raw.len()];
+    for (b, out) in wire.chunks_mut(BLOCK * q).enumerate() {
+        let first = b * BLOCK;
+        let n = out.len() / q;
+        for qi in 0..q {
+            let plane = &raw[qi * cells + first..qi * cells + first + n];
+            for (i, &v) in plane.iter().enumerate() {
+                out[i * q + qi] = v;
+            }
+        }
     }
+    wire
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{write_checkpoint, SCHEME_AB};
+    use crate::checkpoint::{reseal, SCHEME_AB};
 
     /// 6×4×1 domain, q = 2, split into two x-halves with distinct values so
     /// misplacement is visible.
@@ -424,8 +398,25 @@ mod tests {
             dims,
             q,
             scheme: SCHEME_AB,
-            parity: 0,
             chunks: vec![chunk(0, 3), chunk(3, 3)],
+        }
+    }
+
+    fn bytes_of(ck: &ChunkedCheckpoint) -> Vec<u8> {
+        let mut buf = Vec::new();
+        ck.write(&mut buf).unwrap();
+        buf
+    }
+
+    fn read(bytes: &[u8]) -> Result<ChunkedCheckpoint, CheckpointError> {
+        ChunkedCheckpoint::read(&mut &bytes[..])
+    }
+
+    #[track_caller]
+    fn assert_corrupt(got: Result<ChunkedCheckpoint, CheckpointError>, what: &str) -> String {
+        match got {
+            Err(CheckpointError::Corrupt(m)) => m,
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
         }
     }
 
@@ -500,55 +491,212 @@ mod tests {
     }
 
     #[test]
-    fn read_any_dispatches_on_magic() {
-        let chunked = sample();
-        let mut buf = Vec::new();
-        chunked.write(&mut buf).unwrap();
-        match read_any_checkpoint(&mut buf.as_slice()).unwrap() {
-            AnyCheckpoint::Chunked(back) => assert_eq!(back, chunked),
-            other => panic!("expected chunked, got {other:?}"),
+    fn wire_from_soa_is_the_cell_major_transpose() {
+        // 5 cells × 3 planes, and a payload longer than one transpose block.
+        for (cells, q) in [(5usize, 3usize), (1300, 2)] {
+            let soa: Vec<f64> = (0..cells * q).map(|i| i as f64).collect();
+            let wire = wire_from_soa(&soa, q);
+            for cell in 0..cells {
+                for qi in 0..q {
+                    assert_eq!(wire[cell * q + qi], soa[qi * cells + cell]);
+                }
+            }
         }
+    }
 
-        let legacy = Checkpoint {
-            step: 3,
-            dims: (2, 2, 1),
-            q: 9,
-            scheme: SCHEME_AB,
-            parity: 0,
-            data: vec![0.5; 2 * 2 * 9],
-        };
-        let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &legacy).unwrap();
-        match read_any_checkpoint(&mut buf.as_slice()).unwrap() {
-            AnyCheckpoint::Legacy(back) => assert_eq!(back, legacy),
-            other => panic!("expected legacy, got {other:?}"),
+    // The malformed-file corpus. A v3 file is a container (magic, count,
+    // index, payload, crc) whose last member is the manifest; the reader
+    // must answer every damaged or hostile variant with a typed `Corrupt`.
+    //
+    // Layout of `sample()` on disk: magic 0..8, count 8..12, three 20-byte
+    // index entries 12..72 (chunk 0, chunk 1, manifest), chunk payloads
+    // 72..264 and 264..456, the 68-byte manifest 456..524, crc 524..528.
+    const INDEX_END: usize = 72;
+    const MANIFEST_AT: usize = 456;
+    /// Offsets of the manifest's fields, relative to its start: version,
+    /// step, nx, ny, nz, q, scheme, parity, pad, count, then two rectangles.
+    const MANIFEST_FIELDS: [usize; 19] =
+        [0, 4, 12, 16, 20, 24, 28, 29, 30, 32, 36, 40, 44, 48, 52, 56, 60, 64, 68];
+
+    #[test]
+    fn corpus_layout_constants_match_the_writer() {
+        let buf = bytes_of(&sample());
+        assert_eq!(buf.len(), MANIFEST_AT + 68 + 4);
+        let entry = &buf[INDEX_END - 20..INDEX_END];
+        assert_eq!(u32::from_le_bytes(entry[..4].try_into().unwrap()), MANIFEST_ID);
+        assert_eq!(
+            u64::from_le_bytes(entry[4..12].try_into().unwrap()),
+            MANIFEST_AT as u64
+        );
+    }
+
+    #[test]
+    fn file_cut_anywhere_is_corrupt() {
+        // Every container-index and manifest field boundary, every byte of
+        // both regions besides, and a few cuts inside the payloads.
+        let buf = bytes_of(&sample());
+        let cuts = (0..=INDEX_END)
+            .chain(MANIFEST_AT..buf.len())
+            .chain([100, buf.len() / 2, 300]);
+        for keep in cuts {
+            assert_corrupt(read(&buf[..keep]), &format!("cut to {keep} B"));
         }
     }
 
     #[test]
-    fn truncated_chunked_file_reports_corrupt() {
+    fn file_cut_and_resealed_is_corrupt() {
+        // The same cuts behind a recomputed CRC: the checksum now passes, so
+        // the index and manifest bounds checks are what must refuse.
+        let buf = bytes_of(&sample());
+        for keep in (12..=INDEX_END).chain(MANIFEST_AT..buf.len() - 4) {
+            let mut cut = buf[..keep].to_vec();
+            cut.extend_from_slice(&[0; 4]);
+            reseal(&mut cut);
+            assert_corrupt(read(&cut), &format!("cut to {keep} B and resealed"));
+        }
+    }
+
+    #[test]
+    fn manifest_cut_at_every_field_boundary_is_corrupt() {
+        // A well-formed container around a short manifest.
         let ck = sample();
-        let mut buf = Vec::new();
-        ck.write(&mut buf).unwrap();
-        for keep in [0, 7, 11, 20, buf.len() / 2, buf.len() - 1] {
-            let mut cut = buf.clone();
-            cut.truncate(keep);
-            match read_any_checkpoint(&mut cut.as_slice()) {
-                Err(CheckpointError::Corrupt(_)) => {}
-                other => panic!("truncation to {keep} B: expected Corrupt, got {other:?}"),
+        let group = GroupFile::parse(&bytes_of(&ck)).unwrap();
+        let manifest = group.chunk(MANIFEST_ID).unwrap().to_vec();
+        assert_eq!(manifest.len(), *MANIFEST_FIELDS.last().unwrap());
+        for keep in MANIFEST_FIELDS.iter().copied().filter(|&k| k < manifest.len()) {
+            let mut g = group.clone();
+            g.insert(MANIFEST_ID, manifest[..keep].to_vec());
+            let m = assert_corrupt(
+                ChunkedCheckpoint::from_group(&g),
+                &format!("manifest cut to {keep} B"),
+            );
+            assert!(m.contains("cut short"), "{m}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_caught_by_the_crc() {
+        let buf = bytes_of(&sample());
+        for byte in (0..INDEX_END).chain(MANIFEST_AT..buf.len()).chain([100, 300]) {
+            for bit in 0..8 {
+                let mut bad = buf.clone();
+                bad[byte] ^= 1 << bit;
+                assert_corrupt(read(&bad), &format!("bit {bit} of byte {byte}"));
             }
         }
     }
 
     #[test]
-    fn missing_manifest_is_corrupt() {
-        let mut group = GroupFile::new();
-        group.insert(0, vec![0u8; 16]);
-        let mut buf = Vec::new();
-        group.write(&mut buf).unwrap();
-        match read_any_checkpoint(&mut buf.as_slice()) {
-            Err(CheckpointError::Corrupt(m)) => assert!(m.contains("manifest"), "{m}"),
-            other => panic!("expected manifest error, got {other:?}"),
+    fn resealed_bit_flips_never_panic_and_structural_ones_are_corrupt() {
+        // Behind a valid CRC a flipped bit is just a different file: it may
+        // decode (a different step, a different scheme), but it must never
+        // panic or fail untyped.
+        let buf = bytes_of(&sample());
+        for byte in (8..INDEX_END).chain(MANIFEST_AT..buf.len() - 4) {
+            for bit in 0..8 {
+                let mut bad = buf.clone();
+                bad[byte] ^= 1 << bit;
+                reseal(&mut bad);
+                match read(&bad) {
+                    Ok(_) | Err(CheckpointError::Corrupt(_)) => {}
+                    Err(e) => panic!("bit {bit} of byte {byte}: untyped failure {e:?}"),
+                }
+            }
         }
+        // Fields nothing can reinterpret: container count, a member's
+        // offset, the manifest version, the parity byte, the chunk count, a
+        // rectangle's width.
+        let m = MANIFEST_AT;
+        for (byte, what) in [
+            (8, "container count"),
+            (16, "chunk 0 offset"),
+            (24, "chunk 0 length"),
+            (m, "manifest version"),
+            (m + 29, "parity"),
+            (m + 32, "chunk count"),
+            (m + 44, "chunk 0 lnx"),
+        ] {
+            let mut bad = buf.clone();
+            bad[byte] ^= 1;
+            reseal(&mut bad);
+            assert_corrupt(read(&bad), what);
+        }
+    }
+
+    #[test]
+    fn v3_streamed_parity_byte_is_rejected_behind_a_valid_crc() {
+        let mut buf = bytes_of(&sample());
+        buf[MANIFEST_AT + 29] = 1;
+        reseal(&mut buf);
+        let m = assert_corrupt(read(&buf), "parity 1");
+        assert!(m.contains("parity"), "{m}");
+    }
+
+    /// `sample()`'s container with its manifest patched at `at`.
+    fn with_manifest_patch(at: usize, bytes: &[u8]) -> GroupFile {
+        let mut group = GroupFile::parse(&bytes_of(&sample())).unwrap();
+        let mut manifest = group.chunk(MANIFEST_ID).unwrap().to_vec();
+        manifest[at..at + bytes.len()].copy_from_slice(bytes);
+        group.insert(MANIFEST_ID, manifest);
+        group
+    }
+
+    #[test]
+    fn hostile_chunk_count_is_corrupt_without_a_huge_allocation() {
+        for count in [3u32, 1 << 20, u32::MAX] {
+            let g = with_manifest_patch(32, &count.to_le_bytes());
+            assert_corrupt(ChunkedCheckpoint::from_group(&g), &format!("count {count}"));
+        }
+        // Fewer chunks than the domain needs decodes, and is refused where
+        // it matters: at extraction, as a coverage gap.
+        let g = with_manifest_patch(32, &1u32.to_le_bytes());
+        let ck = ChunkedCheckpoint::from_group(&g).unwrap();
+        assert!(ck.assemble_global().is_err());
+    }
+
+    #[test]
+    fn hostile_dims_product_overflow_is_corrupt() {
+        // 2^31 · 2^31 · 4 · 1 wraps to 0 mod 2^64.
+        let mut dims_q = Vec::new();
+        for v in [1u32 << 31, 1 << 31, 4, 1] {
+            dims_q.extend_from_slice(&v.to_le_bytes());
+        }
+        let g = with_manifest_patch(12, &dims_q);
+        let m = assert_corrupt(ChunkedCheckpoint::from_group(&g), "dims overflow");
+        assert!(m.contains("overflow"), "{m}");
+    }
+
+    #[test]
+    fn missing_short_and_duplicate_member_chunks_are_corrupt() {
+        let buf = bytes_of(&sample());
+        let group = GroupFile::parse(&buf).unwrap();
+
+        // No manifest at all.
+        let mut g = GroupFile::new();
+        g.insert(0, vec![0u8; 16]);
+        let m = assert_corrupt(ChunkedCheckpoint::from_group(&g), "no manifest");
+        assert!(m.contains("manifest"), "{m}");
+
+        // The manifest lists two chunks; the container holds one.
+        let mut g = GroupFile::new();
+        g.insert(MANIFEST_ID, group.chunk(MANIFEST_ID).unwrap().to_vec());
+        g.insert(0, group.chunk(0).unwrap().to_vec());
+        let m = assert_corrupt(ChunkedCheckpoint::from_group(&g), "missing chunk 1");
+        assert!(m.contains("missing"), "{m}");
+
+        // A member one value short, and one cut mid-value.
+        for cut in [8, 3] {
+            let mut g = group.clone();
+            let full = group.chunk(1).unwrap();
+            g.insert(1, full[..full.len() - cut].to_vec());
+            assert_corrupt(ChunkedCheckpoint::from_group(&g), &format!("chunk 1 short by {cut} B"));
+        }
+
+        // Two index entries naming the same member.
+        let mut dup = buf.clone();
+        dup[32..36].copy_from_slice(&0u32.to_le_bytes()); // entry 1: rank 1 -> 0
+        reseal(&mut dup);
+        let m = assert_corrupt(read(&dup), "duplicate member");
+        assert!(m.contains("duplicate"), "{m}");
     }
 }

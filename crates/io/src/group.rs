@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 8] = b"SWLBGRP1";
+pub(crate) const GROUP_MAGIC: &[u8; 8] = b"SWLBGRP1";
 
 /// Errors from group-file parsing.
 #[derive(Debug)]
@@ -90,7 +90,7 @@ impl GroupFile {
     /// Serialize the container.
     pub fn write(&self, w: &mut impl Write) -> io::Result<()> {
         let mut body = Vec::new();
-        body.extend_from_slice(MAGIC);
+        body.extend_from_slice(GROUP_MAGIC);
         body.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
         let index_len = self.chunks.len() * 20;
         let mut offset = (8 + 4 + index_len) as u64;
@@ -112,6 +112,11 @@ impl GroupFile {
     pub fn read(r: &mut impl Read) -> Result<Self, GroupFileError> {
         let mut body = Vec::new();
         r.read_to_end(&mut body)?;
+        Self::parse(&body)
+    }
+
+    /// [`GroupFile::read`] over bytes already in memory.
+    pub(crate) fn parse(body: &[u8]) -> Result<Self, GroupFileError> {
         if body.len() < 16 {
             return Err(GroupFileError::Corrupt(format!(
                 "file too short: {} B",
@@ -126,36 +131,48 @@ impl GroupFile {
                 "CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
             )));
         }
-        if &payload[..8] != MAGIC {
+        if &payload[..8] != GROUP_MAGIC {
             return Err(GroupFileError::Corrupt("bad magic".into()));
         }
         let count = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
         // All index arithmetic is checked: a hostile count/offset/len must
         // surface as Corrupt, never as an overflow panic or a wrapped slice.
-        if count
+        let Some(index_end) = count
             .checked_mul(20)
             .and_then(|n| n.checked_add(12))
             .filter(|&end| end <= payload.len())
-            .is_none()
-        {
+        else {
             return Err(GroupFileError::Corrupt("truncated index".into()));
-        }
-        let mut chunks = BTreeMap::new();
-        for i in 0..count {
-            let o = 12 + i * 20;
-            let rank = u32::from_le_bytes(payload[o..o + 4].try_into().unwrap());
-            let offset = u64::from_le_bytes(payload[o + 4..o + 12].try_into().unwrap());
-            let len = u64::from_le_bytes(payload[o + 12..o + 20].try_into().unwrap());
+        };
+        // (start, end, rank) of every entry, all inside the payload region.
+        let mut spans = Vec::with_capacity(count);
+        for entry in payload[12..index_end].chunks_exact(20) {
+            let rank = u32::from_le_bytes(entry[..4].try_into().unwrap());
+            let offset = u64::from_le_bytes(entry[4..12].try_into().unwrap());
+            let len = u64::from_le_bytes(entry[12..].try_into().unwrap());
             let end = offset
                 .checked_add(len)
-                .filter(|&e| e <= payload.len() as u64);
+                .filter(|&e| offset >= index_end as u64 && e <= payload.len() as u64);
             let Some(end) = end else {
                 return Err(GroupFileError::Corrupt(format!(
-                    "chunk for rank {rank} overruns the file"
+                    "chunk for rank {rank} leaves the payload region"
                 )));
             };
-            let (offset, end) = (offset as usize, end as usize);
-            if chunks.insert(rank, payload[offset..end].to_vec()).is_some() {
+            spans.push((offset as usize, end as usize, rank));
+        }
+        // Entries must not share bytes. Every chunk is copied out below, so
+        // aliased ranges would let a small file demand `count` times its own
+        // size; disjoint ones bound the copies by the file length.
+        spans.sort_unstable();
+        if let Some(w) = spans.windows(2).find(|w| w[0].1 > w[1].0) {
+            return Err(GroupFileError::Corrupt(format!(
+                "chunks for ranks {} and {} overlap",
+                w[0].2, w[1].2
+            )));
+        }
+        let mut chunks = BTreeMap::new();
+        for (start, end, rank) in spans {
+            if chunks.insert(rank, payload[start..end].to_vec()).is_some() {
                 return Err(GroupFileError::Corrupt(format!(
                     "duplicate chunk for rank {rank}"
                 )));
@@ -258,6 +275,55 @@ mod tests {
         g.write(&mut buf).unwrap();
         buf.truncate(20);
         assert!(GroupFile::read(&mut buf.as_slice()).is_err());
+    }
+
+    /// A hand-built container: `entries` as `(rank, offset, len)` over one
+    /// shared `payload`, behind a valid CRC.
+    fn forged(entries: &[(u32, u64, u64)], payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(GROUP_MAGIC);
+        buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for (rank, offset, len) in entries {
+            buf.extend_from_slice(&rank.to_le_bytes());
+            buf.extend_from_slice(&offset.to_le_bytes());
+            buf.extend_from_slice(&len.to_le_bytes());
+        }
+        buf.extend_from_slice(payload);
+        buf.extend_from_slice(&[0; 4]);
+        crate::checkpoint::reseal(&mut buf);
+        buf
+    }
+
+    fn corrupt_message(buf: &[u8]) -> String {
+        match GroupFile::parse(buf) {
+            Err(GroupFileError::Corrupt(m)) => m,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn aliased_index_entries_are_rejected_before_any_copy() {
+        // 4096 entries all naming the same 64 KiB: a ~150 KiB file asking
+        // for 256 MiB of copies. With a body near the service's request cap
+        // the same shape asks for terabytes.
+        let n = 4096u32;
+        let start = 12 + n as u64 * 20;
+        let payload = vec![7u8; 64 << 10];
+        let entries: Vec<_> = (0..n).map(|r| (r, start, payload.len() as u64)).collect();
+        let m = corrupt_message(&forged(&entries, &payload));
+        assert!(m.contains("overlap"), "{m}");
+
+        // Partial overlap, and an entry reaching back into the index.
+        let m = corrupt_message(&forged(&[(0, 52, 10), (1, 60, 6)], &[0; 16]));
+        assert!(m.contains("overlap"), "{m}");
+        let m = corrupt_message(&forged(&[(0, 12, 8)], &[0; 16]));
+        assert!(m.contains("payload region"), "{m}");
+
+        // Disjoint entries in any index order, empty ones included, load.
+        let ok = forged(&[(5, 112, 8), (1, 72, 40), (9, 112, 0)], &[1; 48]);
+        let g = GroupFile::parse(&ok).unwrap();
+        assert_eq!((g.chunk(1).unwrap().len(), g.chunk(5).unwrap().len()), (40, 8));
+        assert_eq!(g.chunk(9).unwrap(), &[] as &[u8]);
     }
 
     #[test]

@@ -4,9 +4,43 @@
 
 use proptest::prelude::*;
 use swlb_io::{
-    colormap_jet, colormap_viridis_like, read_checkpoint, write_checkpoint, Checkpoint,
-    PpmImage, ProbeLog,
+    colormap_jet, colormap_viridis_like, CheckpointChunk, ChunkMeta, ChunkedCheckpoint, PpmImage,
+    ProbeLog,
 };
+
+/// An `nx × ny × nz`, `q`-population checkpoint cut into a `px × py` grid of
+/// chunks (ragged last column/row), values drawn from `seed`.
+fn tiled(
+    step: u64,
+    (nx, ny, nz): (u32, u32, u32),
+    q: u32,
+    (px, py): (u32, u32),
+    scheme: u8,
+    seed: u64,
+) -> ChunkedCheckpoint {
+    let cuts = |n: u32, parts: u32| -> Vec<(u32, u32)> {
+        let parts = parts.min(n);
+        let step = n.div_ceil(parts);
+        (0..parts)
+            .map(|i| (i * step, step.min(n.saturating_sub(i * step))))
+            .filter(|&(_, len)| len > 0)
+            .collect()
+    };
+    let mut chunks = Vec::new();
+    for &(y0, lny) in &cuts(ny, py) {
+        for &(x0, lnx) in &cuts(nx, px) {
+            let len = (lnx * lny * nz * q) as usize;
+            let salt = (x0 * 31 + y0 * 17) as f64;
+            chunks.push(CheckpointChunk {
+                meta: ChunkMeta { x0, y0, lnx, lny },
+                data: (0..len)
+                    .map(|i| ((seed as f64 + salt + i as f64) * 0.37).sin() * 1e3)
+                    .collect(),
+            });
+        }
+    }
+    ChunkedCheckpoint { step, dims: (nx, ny, nz), q, scheme, chunks }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -14,20 +48,18 @@ proptest! {
     #[test]
     fn checkpoint_roundtrips_arbitrary_state(
         step in 0u64..u64::MAX / 2,
-        nx in 1u32..6, ny in 1u32..6, nz in 1u32..4,
+        nx in 1u32..7, ny in 1u32..7, nz in 1u32..4,
         q in prop::sample::select(vec![9u32, 15, 19, 27]),
+        px in 1u32..4, py in 1u32..4,
         seed in 0u64..1_000_000,
         scheme in 0u8..=1,
-        parity in 0u8..=1,
     ) {
-        let len = (nx * ny * nz * q) as usize;
-        let data: Vec<f64> = (0..len)
-            .map(|i| ((seed as f64 + i as f64) * 0.37).sin() * 1e3)
-            .collect();
-        let ck = Checkpoint { step, dims: (nx, ny, nz), q, scheme, parity, data };
+        let ck = tiled(step, (nx, ny, nz), q, (px, py), scheme, seed);
         let mut bytes = Vec::new();
-        write_checkpoint(&mut bytes, &ck).unwrap();
-        let back = read_checkpoint(&mut bytes.as_slice()).unwrap();
+        ck.write(&mut bytes).unwrap();
+        let back = ChunkedCheckpoint::read(&mut bytes.as_slice()).unwrap();
+        // Whatever the tiling, the chunks cover the domain exactly once.
+        prop_assert_eq!(back.assemble_global().unwrap().len(), (nx * ny * nz * q) as usize);
         prop_assert_eq!(back, ck);
     }
 
@@ -36,20 +68,13 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let ck = Checkpoint {
-            step: 7,
-            dims: (2, 2, 2),
-            q: 9,
-            scheme: 0,
-            parity: 0,
-            data: (0..72).map(|i| i as f64).collect(),
-        };
+        let ck = tiled(7, (4, 2, 2), 9, (2, 1), 0, 3);
         let mut bytes = Vec::new();
-        write_checkpoint(&mut bytes, &ck).unwrap();
+        ck.write(&mut bytes).unwrap();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
         // Any single-byte change must fail (CRC-32 catches all 1-byte errors).
-        prop_assert!(read_checkpoint(&mut bytes.as_slice()).is_err());
+        prop_assert!(ChunkedCheckpoint::read(&mut bytes.as_slice()).is_err());
     }
 
     #[test]

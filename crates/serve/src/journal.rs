@@ -19,7 +19,7 @@
 //! was admitted but not terminal is re-admitted with its original id, spec
 //! and arrival order, and — if it ever ran — rebinds to its latest valid
 //! checkpoint on its first slice (corrupt generations are skipped by
-//! [`CheckpointStore::load_latest_valid`](swlb_io::CheckpointStore)).
+//! [`CheckpointStore::load_latest_valid_any`](swlb_io::CheckpointStore::load_latest_valid_any)).
 //!
 //! The per-job half of that fold — first admission wins, arrival order, a
 //! terminal is never demoted — is [`Fold`], which the fleet controller's

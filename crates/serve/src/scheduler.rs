@@ -517,9 +517,8 @@ fn effective_width(requested: u32, live: usize) -> u32 {
     (requested / live.max(1) as u32).max(1)
 }
 
-/// Save the running job's populations into its namespaced store, in the
-/// rank-count-independent chunked format (v3) — resumable at any width.
-/// Returns the checkpointed step.
+/// Save the running job's populations into its namespaced store — one chunk
+/// per rank, resumable at any width. Returns the checkpointed step.
 fn checkpoint(cfg: &SchedConfig, r: &Running) -> Result<u64, SwlbError> {
     let store = cfg.store.namespaced(&format!("job-{}", r.id))?;
     let ck = r.solver.capture_chunked();
@@ -528,9 +527,8 @@ fn checkpoint(cfg: &SchedConfig, r: &Running) -> Result<u64, SwlbError> {
 }
 
 /// Build the job's solver on the shared pool; restore its latest valid
-/// checkpoint if one exists (resume after preemption or rollback). Accepts
-/// both checkpoint generations: legacy whole-domain v1/v2 files and chunked
-/// v3 — either restores at whatever width the job currently runs at.
+/// checkpoint if one exists (resume after preemption or rollback), at
+/// whatever width the job currently runs at.
 fn build_or_resume(
     shared: &Shared,
     cfg: &SchedConfig,
@@ -554,8 +552,8 @@ fn build_or_resume(
     let store = cfg.store.namespaced(&format!("job-{id}"))?;
     let mut last_ckpt = u64::MAX;
     if let Some((ck, _skipped)) = store.load_latest_valid_any()? {
-        solver.restore_any(&ck)?;
-        let ck_step = ck.step();
+        solver.restore_chunked_state(&ck)?;
+        let ck_step = ck.step;
         last_ckpt = ck_step;
         let mut st = shared.lock_state();
         if let Some(job) = st.job_mut(id) {

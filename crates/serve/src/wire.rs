@@ -7,15 +7,16 @@
 //! magic     8 B   "SWLBFLT1"
 //! meta_len  u32   length of the JSON metadata blob
 //! meta      JSON  {"spec":{...},"fleet_id":N,"step":N,"width":W}
-//! ckpt      rest  raw checkpoint-store bytes (either generation; may be
-//!                 empty when the job has never checkpointed)
+//! ckpt      rest  raw checkpoint-store bytes (may be empty when the job
+//!                 has never checkpointed)
 //! ```
 //!
 //! The checkpoint bytes are the exact on-disk form produced by
 //! [`swlb_io::CheckpointStore::latest_valid_bytes`] and installed verbatim
 //! by `seed_bytes` on the receiving worker — no re-encode, so a migration
-//! between workers at different widths round-trips bit-exact through the v3
-//! chunked store. Transport integrity comes from the HTTP `x-swlb-crc32`
+//! between workers at different widths round-trips bit-exact through the
+//! chunked store. The receiver verifies them with the one checkpoint reader,
+//! so a payload in a retired whole-domain layout still lands. Transport integrity comes from the HTTP `x-swlb-crc32`
 //! header plus the checkpoint's own internal CRC.
 
 use crate::json::{self, Json};

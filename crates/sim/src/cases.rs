@@ -9,9 +9,7 @@
 //! the enum closes over the lattice type parameter so a scheduler can hold
 //! jobs of mixed lattices in one queue.
 
-use crate::engine::{
-    chunked_from_legacy, soa_from_chunked, wire_from_soa, DistributedSolver, ExchangeMode,
-};
+use crate::engine::{soa_from_chunked, DistributedSolver, ExchangeMode};
 use crate::partition::Partition2d;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::cell::Cell;
@@ -28,7 +26,8 @@ use swlb_core::simd::KernelClass;
 use swlb_core::solver::{Solver, StepStats};
 use swlb_core::Scalar;
 use swlb_io::checkpoint::{SCHEME_AA, SCHEME_AB};
-use swlb_io::{AnyCheckpoint, Checkpoint, CheckpointChunk, ChunkedCheckpoint};
+use swlb_io::chunked::wire_from_soa;
+use swlb_io::{Checkpoint, CheckpointChunk, ChunkedCheckpoint};
 use swlb_obs::{Counter, Recorder, SwlbError};
 
 /// Lattice family a case runs on.
@@ -366,17 +365,24 @@ impl ElasticSolver {
         }
     }
 
-    fn run_checked(&mut self, n: u64) -> Result<(), SwlbError> {
+    /// Run `n` steps in pieces of `check_every`, each followed by the per-rank
+    /// finite check, so a fault is reported within `check_every` steps of
+    /// where it happened — the serial solver's contract.
+    fn run_checked(&mut self, n: u64, check_every: u64) -> Result<(), SwlbError> {
         if self.width_pending() {
             let state = self.try_capture_chunked()?;
             self.rebuild_world()?;
             self.restore_chunked(&state)?;
         }
-        self.advance(|_| Ok(Cmd::Run(n)))?;
-        // The divergence check runs at the slice boundary: a NaN injected
-        // before the slice has spread through the steps by now.
-        if self.try_has_non_finite()? {
-            return Err(SwlbError::Diverged { step: self.step });
+        let every = check_every.max(1);
+        let mut left = n;
+        while left > 0 {
+            let piece = left.min(every);
+            self.advance(|_| Ok(Cmd::Run(piece)))?;
+            if self.try_has_non_finite()? {
+                return Err(SwlbError::Diverged { step: self.step });
+            }
+            left -= piece;
         }
         Ok(())
     }
@@ -418,7 +424,6 @@ impl ElasticSolver {
             dims: extent(self.setup.spec.dims()),
             q: self.setup.spec.lattice.q(),
             scheme: scheme_byte(self.setup.spec.storage),
-            parity: 0,
             chunks,
         })
     }
@@ -809,13 +814,14 @@ impl CaseSolver {
         }
     }
 
-    /// Advance `n` steps with divergence checks every `check_every` steps
-    /// (an elastic solver checks once, at the end of the slice).
+    /// Advance `n` steps with a divergence check every `check_every` steps
+    /// and one at the end; a serial solver under temporal blocking rounds
+    /// each check up to its block boundary.
     pub fn run_checked(&mut self, n: u64, check_every: u64) -> Result<(), SwlbError> {
         match self {
             CaseSolver::D2(s) => s.run_checked(n, check_every),
             CaseSolver::D3(s) => s.run_checked(n, check_every),
-            CaseSolver::Elastic(e) => e.run_checked(n),
+            CaseSolver::Elastic(e) => e.run_checked(n, check_every),
         }
     }
 
@@ -887,15 +893,13 @@ impl CaseSolver {
         }
     }
 
-    /// Capture the full population state as a [`Checkpoint`] — the
-    /// preemption primitive: save this, drop the solver, rebuild later from
-    /// the same [`CaseSpec`] and [`CaseSolver::restore`].
+    /// The full population state as one whole-domain SoA snapshot, for
+    /// comparing states in memory. What is saved, shipped and restored is
+    /// [`CaseSolver::capture_chunked`].
     ///
     /// The payload is always the canonical (AB-convention, post-collision)
-    /// state regardless of the solver's storage scheme, so checkpoints are
-    /// portable across schemes: an AA job's checkpoint restores into an AB
-    /// solver and vice versa. The checkpoint's `scheme` byte records the
-    /// producer for provenance; `parity` is always 0 (canonical).
+    /// state regardless of the solver's storage scheme; the `scheme` byte
+    /// records the producer for provenance.
     pub fn capture(&self) -> Checkpoint {
         let data = match self {
             CaseSolver::D2(s) => s.canonical_populations().raw().to_vec(),
@@ -914,55 +918,23 @@ impl CaseSolver {
             dims: extent(self.dims()),
             q: self.q(),
             scheme: scheme_byte(self.scheme()),
-            parity: 0,
             data,
         }
     }
 
-    /// A checkpoint restores only into the grid and lattice it was captured
-    /// from.
-    fn check_shape(&self, what: &str, dims: (u32, u32, u32), q: u32) -> Result<(), SwlbError> {
-        let want = extent(self.dims());
-        if dims != want || q != self.q() {
-            return Err(SwlbError::CorruptData(format!(
-                "{what} is {}x{}x{} q{q}, solver wants {}x{}x{} q{}",
-                dims.0,
-                dims.1,
-                dims.2,
-                want.0,
-                want.1,
-                want.2,
-                self.q()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Restore population state and step count from a checkpoint captured off
-    /// a solver built from the same spec.
-    pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), SwlbError> {
-        self.check_shape("checkpoint", ck.dims, ck.q)?;
-        match self {
-            CaseSolver::D2(s) => s.restore_canonical(&ck.data, ck.step),
-            CaseSolver::D3(s) => s.restore_canonical(&ck.data, ck.step),
-            CaseSolver::Elastic(e) => {
-                let ck = match e.setup.spec.lattice {
-                    LatticeKind::D2Q9 => chunked_from_legacy::<D2Q9>(ck),
-                    LatticeKind::D3Q19 => chunked_from_legacy::<D3Q19>(ck),
-                }?;
-                e.restore_chunked(&ck)
-            }
-        }
-    }
-
-    /// Capture the state in the rank-count-independent chunked (format v3)
-    /// representation: one chunk per rank of an elastic solver's world, a
-    /// single whole-domain chunk otherwise.
+    /// Capture the state as a checkpoint — the preemption primitive: save
+    /// this, drop the solver, rebuild later from the same [`CaseSpec`] and
+    /// [`CaseSolver::restore_chunked_state`]. One chunk per rank of an
+    /// elastic solver's world, a single whole-domain chunk otherwise.
+    ///
+    /// Chunk payloads are canonical, so checkpoints are portable across
+    /// schemes: an AA job's checkpoint restores into an AB solver and vice
+    /// versa.
     pub fn capture_chunked(&self) -> ChunkedCheckpoint {
         let data = match self {
             CaseSolver::Elastic(e) => return e.view("capture", e.try_capture_chunked()),
-            CaseSolver::D2(s) => wire_from_soa::<D2Q9>(s.canonical_populations().raw()),
-            CaseSolver::D3(s) => wire_from_soa::<D3Q19>(s.canonical_populations().raw()),
+            CaseSolver::D2(s) => wire_from_soa(s.canonical_populations().raw(), D2Q9::Q),
+            CaseSolver::D3(s) => wire_from_soa(s.canonical_populations().raw(), D3Q19::Q),
         };
         ChunkedCheckpoint::single_chunk(
             self.step_count(),
@@ -973,24 +945,29 @@ impl CaseSolver {
         )
     }
 
-    /// Restore from a chunked checkpoint written by whatever source
-    /// partition — this is what lets a job checkpointed at one width resume
-    /// at another. An elastic solver lands at its requested width.
+    /// Restore population state and step count from a checkpoint of the same
+    /// grid and lattice, written by whatever source partition — this is what
+    /// lets a job checkpointed at one width resume at another. An elastic
+    /// solver lands at its requested width.
     pub fn restore_chunked_state(&mut self, ck: &ChunkedCheckpoint) -> Result<(), SwlbError> {
-        self.check_shape("chunked checkpoint", ck.dims, ck.q)?;
+        let want = extent(self.dims());
+        if ck.dims != want || ck.q != self.q() {
+            return Err(SwlbError::CorruptData(format!(
+                "checkpoint is {}x{}x{} q{}, solver wants {}x{}x{} q{}",
+                ck.dims.0,
+                ck.dims.1,
+                ck.dims.2,
+                ck.q,
+                want.0,
+                want.1,
+                want.2,
+                self.q()
+            )));
+        }
         match self {
             CaseSolver::D2(s) => s.restore_canonical(&soa_from_chunked::<D2Q9>(ck)?, ck.step),
             CaseSolver::D3(s) => s.restore_canonical(&soa_from_chunked::<D3Q19>(ck)?, ck.step),
             CaseSolver::Elastic(e) => e.restore_chunked(ck),
-        }
-    }
-
-    /// Restore from either checkpoint generation: legacy whole-domain v1/v2
-    /// files or chunked v3.
-    pub fn restore_any(&mut self, ck: &AnyCheckpoint) -> Result<(), SwlbError> {
-        match ck {
-            AnyCheckpoint::Legacy(ck) => self.restore(ck),
-            AnyCheckpoint::Chunked(ck) => self.restore_chunked_state(ck),
         }
     }
 
@@ -1109,11 +1086,10 @@ mod tests {
 
         // Mid-parity capture (odd step count => AA state is Streamed): the
         // payload must still be canonical and restore into an *AB* solver.
-        let ck = sb.capture();
+        let ck = sb.capture_chunked();
         assert_eq!(ck.scheme, SCHEME_AA);
-        assert_eq!(ck.parity, 0);
         let mut sc = ab.build(pool, Recorder::disabled()).unwrap();
-        sc.restore(&ck).unwrap();
+        sc.restore_chunked_state(&ck).unwrap();
         sa.run_checked(3, 3).unwrap();
         sb.run_checked(3, 3).unwrap();
         sc.run_checked(3, 3).unwrap();
@@ -1139,14 +1115,14 @@ mod tests {
         let pool = ThreadPool::new(1);
         let mut a = spec().build(pool.clone(), Recorder::disabled()).unwrap();
         a.run_checked(6, 6).unwrap();
-        let ck = a.capture();
+        let ck = a.capture_chunked();
         assert_eq!(ck.step, 6);
         // Keep running the original to step 10.
         a.run_checked(4, 4).unwrap();
 
         // Fresh solver, restored at step 6, run the same 4 steps.
         let mut b = spec().build(pool, Recorder::disabled()).unwrap();
-        b.restore(&ck).unwrap();
+        b.restore_chunked_state(&ck).unwrap();
         assert_eq!(b.step_count(), 6);
         b.run_checked(4, 4).unwrap();
 
@@ -1162,9 +1138,12 @@ mod tests {
         let mut solver = spec().build(pool.clone(), Recorder::disabled()).unwrap();
         let mut other = spec();
         other.nx = 10;
-        let foreign = other.build(pool, Recorder::disabled()).unwrap().capture();
+        let foreign = other
+            .build(pool, Recorder::disabled())
+            .unwrap()
+            .capture_chunked();
         assert!(matches!(
-            solver.restore(&foreign),
+            solver.restore_chunked_state(&foreign),
             Err(SwlbError::CorruptData(_))
         ));
     }
@@ -1250,16 +1229,21 @@ mod tests {
 
     #[test]
     fn elastic_poison_trips_divergence_at_slice_boundary() {
-        let mut elastic = spec()
-            .build_with_width(ThreadPool::new(1), Recorder::disabled(), 2)
-            .unwrap();
-        elastic.run_checked(2, 2).unwrap();
-        elastic.poison_with_nan();
-        assert!(elastic.has_non_finite());
-        assert!(matches!(
-            elastic.run_checked(2, 1),
-            Err(SwlbError::Diverged { .. })
-        ));
+        // The fault is reported within `check_every` steps of where it
+        // happened, not at the end of the 8-step slice.
+        for check_every in [1u64, 3, 8] {
+            let mut elastic = spec()
+                .build_with_width(ThreadPool::new(1), Recorder::disabled(), 2)
+                .unwrap();
+            elastic.run_checked(2, 2).unwrap();
+            elastic.poison_with_nan();
+            assert!(elastic.has_non_finite());
+            match elastic.run_checked(8, check_every) {
+                Err(SwlbError::Diverged { step }) => assert_eq!(step, 2 + check_every),
+                other => panic!("check_every {check_every}: expected Diverged, got {other:?}"),
+            }
+            assert_eq!(elastic.step_count(), 2 + check_every);
+        }
     }
 
     fn elastic_counters(rec: &Recorder) -> (u64, u64) {
@@ -1373,7 +1357,7 @@ mod tests {
     fn elastic_drop_joins_the_rank_threads() {
         let mut elastic =
             ElasticSolver::new(spec(), ThreadPool::new(1), Recorder::disabled(), 3).unwrap();
-        elastic.run_checked(2).unwrap();
+        elastic.run_checked(2, 2).unwrap();
         // Every rank thread holds the global flag field for as long as it
         // lives, so the field being freed means every thread has exited.
         let flags = Arc::downgrade(&elastic.setup.flags);

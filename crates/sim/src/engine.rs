@@ -1194,78 +1194,23 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         Ok(self.comm.allreduce_sum(&[self.local_mass()])?[0])
     }
 
-    /// Scatter a global population field from rank 0 to every rank's interior
-    /// (the restart path: inverse of [`DistributedSolver::gather_populations`]).
-    /// Ranks other than 0 may pass `None`.
-    pub fn scatter_populations(
-        &mut self,
-        global_field: Option<&SoaField<L>>,
-        step: u64,
-    ) -> Result<(), CommError> {
-        const SCATTER_TAG: u64 = 40;
-        let global = self.part.global;
-        if self.comm.rank() == 0 {
-            let field = global_field.expect("rank 0 must supply the global field");
-            assert_eq!(field.dims(), global, "checkpoint dims mismatch");
-            for rank in (0..self.comm.size()).rev() {
-                let ((x0, lnx), (y0, lny)) = self.part.owned(rank);
-                let mut payload = Vec::with_capacity(lnx * lny * global.nz * L::Q);
-                for y in 0..lny {
-                    for x in 0..lnx {
-                        for z in 0..global.nz {
-                            let cell = global.idx(x0 + x, y0 + y, z);
-                            for q in 0..L::Q {
-                                payload.push(field.get(cell, q));
-                            }
-                        }
-                    }
-                }
-                if rank == 0 {
-                    self.restore_owned(&payload, step);
-                } else {
-                    self.comm.send(rank, SCATTER_TAG, payload)?;
-                }
-            }
-        } else {
-            let payload = self.comm.recv(0, SCATTER_TAG)?;
-            self.restore_owned(&payload, step);
-        }
-        Ok(())
-    }
-
     /// Gather the full global *canonical* population field on rank 0 (`None`
-    /// elsewhere) — scheme-portable: AA ranks canonicalize their owned block
-    /// before packing.
+    /// elsewhere): [`DistributedSolver::capture_chunked`], unpacked into one
+    /// whole-domain field.
     pub fn gather_populations(&self) -> Result<Option<SoaField<L>>, CommError> {
-        let gathered = self.comm.gather_to_root(&self.pack_owned_canonical())?;
-        if self.comm.rank() != 0 {
-            return Ok(None);
-        }
-        let global = self.part.global;
-        let mut field = SoaField::<L>::new(global);
-        for (rank, data) in gathered.iter().enumerate() {
-            let ((x0, lnx), (y0, lny)) = self.part.owned(rank);
-            let mut it = data.iter();
-            for y in 0..lny {
-                for x in 0..lnx {
-                    for z in 0..global.nz {
-                        let cell = global.idx(x0 + x, y0 + y, z);
-                        for q in 0..L::Q {
-                            field.set(cell, q, *it.next().expect("gather payload short"));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(Some(field))
+        Ok(self.capture_chunked()?.map(|ck| {
+            let soa = soa_from_chunked::<L>(&ck).expect("a self-capture tiles the domain");
+            let mut field = SoaField::<L>::new(self.part.global);
+            field.raw_mut().copy_from_slice(&soa);
+            field
+        }))
     }
 
-    /// Capture a rank-count-independent (v3) checkpoint on rank 0 (`None`
-    /// elsewhere): each rank packs its owned interior's *canonical*
-    /// populations in chunk wire order (y → x → z → q — the same order the
-    /// scatter/gather paths use), and rank 0 tags each payload with its
-    /// global rectangle. Unlike [`DistributedSolver::gather_populations`]
-    /// nothing is re-assembled into a whole-domain field — the chunks stay
+    /// Capture a checkpoint on rank 0 (`None` elsewhere): each rank packs its
+    /// owned interior's *canonical* populations in chunk wire order
+    /// (y → x → z → q — the same order the halo and restore paths use), and
+    /// rank 0 tags each payload with its global rectangle. Nothing is
+    /// re-assembled into a whole-domain field — the chunks stay
     /// per-source-rank, which is what lets a later resume re-shard them onto
     /// any layout.
     pub fn capture_chunked(&self) -> Result<Option<ChunkedCheckpoint>, CommError> {
@@ -1290,19 +1235,18 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
                 StorageScheme::Ab => swlb_io::checkpoint::SCHEME_AB,
                 StorageScheme::Aa => swlb_io::checkpoint::SCHEME_AA,
             },
-            parity: 0,
             chunks,
         }))
     }
 
-    /// Restore from a rank-count-independent (v3) checkpoint — the elastic
-    /// resume path. Rank 0 holds the checkpoint and extracts each
-    /// destination rank's owned rectangle from whichever source chunks
-    /// overlap it, so the producing partition (its rank count, its
-    /// `px × py` shape, even a serial single-chunk capture) never needs to
-    /// match the current one. Payloads are canonical; AA ranks convert to
-    /// their raw representation exactly as the scatter path does. Ranks
-    /// other than 0 pass `None`.
+    /// Restore from a checkpoint — the one restart path. Rank 0 holds the
+    /// checkpoint and extracts each destination rank's owned rectangle from
+    /// whichever source chunks overlap it, so the producing partition (its
+    /// rank count, its `px × py` shape, a serial single-chunk capture, a
+    /// whole-domain file upgraded by the reader) never needs to match the
+    /// current one. Payloads are canonical; AA ranks convert to their raw
+    /// representation in [`DistributedSolver::restore_owned`]. Ranks other
+    /// than 0 pass `None`.
     pub fn restore_chunked(&mut self, ck: Option<&ChunkedCheckpoint>) -> Result<(), SwlbError> {
         const RESHARD_TAG: u64 = 41;
         let global = self.part.global;
@@ -1347,59 +1291,9 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     }
 }
 
-/// Wrap a legacy (v1/v2) whole-domain checkpoint as a single-chunk v3
-/// checkpoint: re-pack the SoA payload in chunk wire order (y → x → z → q).
-/// This is what lets pre-v3 files flow through the re-sharding
-/// [`DistributedSolver::restore_chunked`] path onto any destination layout.
-pub fn chunked_from_legacy<L: Lattice>(
-    ck: &swlb_io::Checkpoint,
-) -> Result<ChunkedCheckpoint, SwlbError> {
-    let dims = GridDims::new(ck.dims.0 as usize, ck.dims.1 as usize, ck.dims.2 as usize);
-    if ck.q != L::Q as u32 || ck.data.len() != dims.cells() * L::Q {
-        return Err(SwlbError::CorruptData(format!(
-            "legacy checkpoint is {}x{}x{}x{} ({} values), lattice needs q = {}",
-            ck.dims.0,
-            ck.dims.1,
-            ck.dims.2,
-            ck.q,
-            ck.data.len(),
-            L::Q
-        )));
-    }
-    Ok(ChunkedCheckpoint::single_chunk(
-        ck.step,
-        ck.dims,
-        ck.q,
-        ck.scheme,
-        wire_from_soa::<L>(&ck.data),
-    ))
-}
-
-/// Re-pack a whole-domain SoA payload (`raw[q · cells + cell]`) in chunk wire
-/// order (y → x → z → q). Cells are indexed y → x → z, so this is a plain
-/// `[Q][cells]` → `[cells][Q]` transpose with no field in between, done in
-/// cell blocks small enough that a block of the output stays in cache while
-/// the `Q` planes stream through it.
-pub(crate) fn wire_from_soa<L: Lattice>(raw: &[Scalar]) -> Vec<Scalar> {
-    const BLOCK: usize = 512;
-    let cells = raw.len() / L::Q;
-    let mut wire = vec![0.0; raw.len()];
-    for (b, out) in wire.chunks_mut(BLOCK * L::Q).enumerate() {
-        let first = b * BLOCK;
-        let n = out.len() / L::Q;
-        for q in 0..L::Q {
-            let plane = &raw[q * cells + first..q * cells + first + n];
-            for (i, &v) in plane.iter().enumerate() {
-                out[i * L::Q + q] = v;
-            }
-        }
-    }
-    wire
-}
-
 /// Unpack a chunked checkpoint's canonical payload straight into one
 /// whole-domain SoA payload (`raw[q · cells + cell]`, the inverse of
-/// [`wire_from_soa`]), chunk by chunk with no assembled wire-order
+/// [`swlb_io::chunked::wire_from_soa`]), chunk by chunk with no assembled wire-order
 /// intermediate. A cell column covered by no chunk is a coverage gap and
 /// yields `CorruptData`.
 pub(crate) fn soa_from_chunked<L: Lattice>(

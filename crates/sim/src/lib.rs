@@ -31,9 +31,7 @@ pub mod resilience;
 
 pub use cases::{CaseKind, CaseSolver, CaseSpec, ElasticSolver, LatticeKind};
 pub use config::CaseConfig;
-pub use engine::{
-    chunked_from_legacy, DistributedSolver, DistributedSolverBuilder, ExchangeMode, HaloRetry,
-};
+pub use engine::{DistributedSolver, DistributedSolverBuilder, ExchangeMode, HaloRetry};
 pub use forces::momentum_exchange_force;
 pub use group_io::aggregate_group;
 pub use partition::Partition2d;

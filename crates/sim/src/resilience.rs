@@ -37,12 +37,12 @@
 //! `recovery.rollbacks` / `recovery.wasted_steps` counters and times the
 //! `checkpoint` / `rollback` phases.
 
-use crate::engine::{chunked_from_legacy, DistributedSolver};
+use crate::engine::DistributedSolver;
 use std::time::Duration;
 use swlb_comm::{CommError, Communicator};
 use swlb_core::lattice::Lattice;
 use swlb_io::checkpoint::CheckpointStore;
-use swlb_io::{AnyCheckpoint, ChunkedCheckpoint};
+use swlb_io::ChunkedCheckpoint;
 use swlb_obs::{Phase, SwlbError};
 
 /// When to checkpoint, how often to retry, how long to wait.
@@ -116,11 +116,9 @@ fn capture<L: Lattice, C: Communicator>(
     solver.capture_chunked()
 }
 
-/// Roll every rank back to the newest valid checkpoint (collective). Accepts
-/// both generations: a legacy (v1/v2) whole-domain file is wrapped as a
-/// single chunk, then both restore through the re-sharding
-/// [`DistributedSolver::restore_chunked`] path — so a rollback works even
-/// when the checkpoint was written under a different rank count.
+/// Roll every rank back to the newest valid checkpoint (collective), through
+/// the re-sharding [`DistributedSolver::restore_chunked`] path — so a rollback
+/// works even when the checkpoint was written under a different rank count.
 fn rollback<L: Lattice, C: Communicator>(
     solver: &mut DistributedSolver<'_, L, C>,
     store: &CheckpointStore,
@@ -132,10 +130,7 @@ fn rollback<L: Lattice, C: Communicator>(
         for path in skipped {
             eprintln!("[recovery] skipping corrupt checkpoint {}", path.display());
         }
-        Some(match ck {
-            AnyCheckpoint::Chunked(ck) => ck,
-            AnyCheckpoint::Legacy(ck) => chunked_from_legacy::<L>(&ck)?,
-        })
+        Some(ck)
     } else {
         None
     };

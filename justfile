@@ -8,9 +8,11 @@ build:
 test:
     cargo test --workspace -q
 
-# Lints as CI runs them.
+# Lints as CI runs them: clippy, then rustdoc with warnings denied (a
+# dangling intra-doc link is one).
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The chaos/resilience suite: fault injection, retry healing, rollback
 # recovery (deterministic seeds — failures reproduce exactly).
@@ -41,7 +43,8 @@ crash-check:
     cargo test -q -p swlb-serve --release --test serve_crash -- --ignored
 
 # The cross-layer equivalence suites, once each: dispatch (incl. the depth-k
-# matrix), AA↔AB / lane policies, and the checkpoint + reshard roundtrips.
+# matrix), AA↔AB / lane policies, and the checkpoint + reshard roundtrips
+# (every one through the checkpoint codec's write and its one reader).
 equivalence:
     cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence --test checkpoint_roundtrip
 
@@ -73,9 +76,12 @@ aa-check:
 # beyond the checkpoint-on-N / resume-on-M matrix in `just equivalence`:
 # rollback across a reshard, the resident rank world's ownership tests in
 # release (they otherwise run only in debug), the service-level
-# shrink-and-grow cycle, and the malformed checkpoint and journal-record
-# corpora — every truncated or hostile input must fail typed or be skipped
-# and counted, never panic.
+# shrink-and-grow cycle, and the malformed-input corpora of swlb-io — the
+# chunked checkpoint (index and manifest cut at every field boundary, bit
+# flips with and without a resealed CRC, hostile counts, aliased / missing /
+# duplicate / short member chunks), the retired whole-domain layouts the one
+# reader upgrades, and the journal records — where every truncated or hostile
+# input must fail typed or be skipped and counted, never panic.
 reshard-check:
     cargo test -q -p swlb-sim --release --lib resilience
     cargo test -q -p swlb-sim --release --lib cases::tests::elastic

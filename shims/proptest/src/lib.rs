@@ -188,7 +188,7 @@ pub mod prop {
         use crate::test_runner::TestRng;
         use std::ops::{Range, RangeInclusive};
 
-        /// Length specification for [`vec`].
+        /// Length specification for [`vec()`].
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             lo: usize,

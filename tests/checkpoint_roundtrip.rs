@@ -1,78 +1,98 @@
 //! Checkpoint/restart integration: solver state survives the round trip
 //! exactly, restarts continue bit-identically, and corruption is detected.
 
+use swlb_core::parallel::ThreadPool;
 use swlb_core::prelude::*;
-use swlb_io::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointError};
+use swlb_io::{CheckpointError, ChunkedCheckpoint};
+use swlb_obs::Recorder;
+use swlb_sim::{CaseKind, CaseSolver, CaseSpec, LatticeKind};
 
-fn make_solver() -> Solver<D2Q9> {
-    let dims = GridDims::new2d(24, 24);
-    let mut s = Solver::<D2Q9>::builder(dims, BgkParams::from_tau(0.7)).build();
-    s.flags_mut().set_box_walls();
-    s.flags_mut().paint_lid([0.06, 0.0, 0.0]);
-    s.initialize_uniform(1.0, [0.0; 3]);
-    s
-}
-
-fn capture(s: &Solver<D2Q9>) -> Checkpoint {
-    let d = s.dims();
-    Checkpoint {
-        step: s.step_count(),
-        dims: (d.nx as u32, d.ny as u32, d.nz as u32),
-        q: 9,
-        scheme: swlb_io::checkpoint::SCHEME_AB,
-        parity: 0,
-        data: s.canonical_populations().raw().to_vec(),
+/// A 2-D lid-driven cavity (tau 0.7, lid 0.06) on one thread.
+fn cavity(nx: usize, ny: usize, storage: StorageScheme, time_block: usize) -> CaseSolver {
+    CaseSpec {
+        case: CaseKind::Cavity,
+        lattice: LatticeKind::D2Q9,
+        nx,
+        ny,
+        nz: 1,
+        tau: 0.7,
+        u_lattice: 0.06,
+        storage,
+        time_block,
     }
+    .build(ThreadPool::new(1), Recorder::disabled())
+    .unwrap()
 }
 
-fn restore(s: &mut Solver<D2Q9>, ck: &Checkpoint) {
-    assert_eq!(ck.dims.0 as usize, s.dims().nx);
-    assert_eq!(ck.dims.1 as usize, s.dims().ny);
-    s.restore_canonical(&ck.data, ck.step).unwrap();
+fn make_solver() -> CaseSolver {
+    cavity(24, 24, StorageScheme::Ab, 1)
+}
+
+fn run(s: &mut CaseSolver, steps: u64) {
+    s.run_checked(steps, steps).unwrap();
+}
+
+fn to_bytes(ck: &ChunkedCheckpoint) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    ck.write(&mut bytes).unwrap();
+    bytes
+}
+
+/// Through the binary codec and back.
+fn through_codec(ck: &ChunkedCheckpoint) -> ChunkedCheckpoint {
+    ChunkedCheckpoint::read(&mut to_bytes(ck).as_slice()).unwrap()
+}
+
+/// Fluid-cell populations of `b` within `tol` of `a`'s (solid cells hold
+/// scheme-dependent leftovers).
+fn assert_fluid_close(a: &CaseSolver, b: &CaseSolver, tol: f64, what: &str) {
+    let cells = a.dims().cells();
+    let (pa, pb) = (a.capture().data, b.capture().data);
+    for cell in (0..cells).filter(|&c| a.flags().kind(c) == NodeKind::Fluid) {
+        for q in 0..9 {
+            let (va, vb) = (pa[q * cells + cell], pb[q * cells + cell]);
+            assert!(
+                (va - vb).abs() <= tol,
+                "{what}: cell {cell} q {q}: {va} vs {vb}"
+            );
+        }
+    }
 }
 
 #[test]
 fn restart_continues_bit_identically() {
     // Run 40 steps straight through.
     let mut straight = make_solver();
-    straight.run(40);
+    run(&mut straight, 40);
 
     // Run 15, checkpoint through the binary codec, restore, run 25 more.
     let mut first = make_solver();
-    first.run(15);
-    let ck = capture(&first);
-    let mut bytes = Vec::new();
-    write_checkpoint(&mut bytes, &ck).unwrap();
-    let restored_ck = read_checkpoint(&mut bytes.as_slice()).unwrap();
+    run(&mut first, 15);
+    let restored_ck = through_codec(&first.capture_chunked());
     assert_eq!(restored_ck.step, 15);
 
     let mut resumed = make_solver();
-    restore(&mut resumed, &restored_ck);
-    resumed.run(25);
+    resumed.restore_chunked_state(&restored_ck).unwrap();
+    run(&mut resumed, 25);
 
-    let (a, b) = (straight.state(), resumed.state());
-    for cell in 0..straight.dims().cells() {
-        for q in 0..9 {
-            assert_eq!(a.get(cell, q), b.get(cell, q), "cell {cell} q {q}");
-        }
-    }
+    assert_eq!(straight.capture(), resumed.capture());
 }
 
 #[test]
 fn checkpoint_through_a_file_on_disk() {
     let mut s = make_solver();
-    s.run(7);
-    let ck = capture(&s);
+    run(&mut s, 7);
+    let ck = s.capture_chunked();
 
     let dir = std::env::temp_dir().join("swlb_ckpt_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("state.swlb");
     {
         let mut f = std::fs::File::create(&path).unwrap();
-        write_checkpoint(&mut f, &ck).unwrap();
+        ck.write(&mut f).unwrap();
     }
     let mut f = std::fs::File::open(&path).unwrap();
-    let back = read_checkpoint(&mut f).unwrap();
+    let back = ChunkedCheckpoint::read(&mut f).unwrap();
     assert_eq!(back, ck);
     std::fs::remove_file(&path).ok();
 }
@@ -80,14 +100,12 @@ fn checkpoint_through_a_file_on_disk() {
 #[test]
 fn corrupted_checkpoint_refuses_to_restore() {
     let mut s = make_solver();
-    s.run(3);
-    let ck = capture(&s);
-    let mut bytes = Vec::new();
-    write_checkpoint(&mut bytes, &ck).unwrap();
+    run(&mut s, 3);
+    let mut bytes = to_bytes(&s.capture_chunked());
     // Flip one population bit in the middle of the payload.
     let mid = bytes.len() / 2;
     bytes[mid] ^= 1;
-    match read_checkpoint(&mut bytes.as_slice()) {
+    match ChunkedCheckpoint::read(&mut bytes.as_slice()) {
         Err(CheckpointError::Corrupt(_)) => {}
         other => panic!("corruption not detected: {other:?}"),
     }
@@ -96,8 +114,8 @@ fn corrupted_checkpoint_refuses_to_restore() {
 #[test]
 fn distributed_checkpoint_restart_continues_bit_identically() {
     // The paper's checkpoint/restart controller operates on multi-process
-    // runs: gather → write → (crash) → read → scatter → continue. The resumed
-    // trajectory must equal the uninterrupted one bit-for-bit.
+    // runs: capture → write → (crash) → read → restore → continue. The
+    // resumed trajectory must equal the uninterrupted one bit-for-bit.
     use swlb_comm::World;
     use swlb_core::collision::CollisionKind;
     use swlb_core::layout::PopField;
@@ -127,20 +145,7 @@ fn distributed_checkpoint_restart_continues_bit_identically() {
             .build();
         s.initialize_uniform(1.0, [0.0; 3]);
         s.run(8).unwrap();
-        let gathered = s.gather_populations().unwrap();
-        gathered.map(|field| {
-            let ck = Checkpoint {
-                step: s.step_count(),
-                dims: (global.nx as u32, global.ny as u32, global.nz as u32),
-                q: 9,
-                scheme: swlb_io::checkpoint::SCHEME_AB,
-                parity: 0,
-                data: field.raw().to_vec(),
-            };
-            let mut bytes = Vec::new();
-            write_checkpoint(&mut bytes, &ck).unwrap();
-            bytes
-        })
+        s.capture_chunked().unwrap().map(|ck| to_bytes(&ck))
     });
     let bytes = ckpt_bytes[0].clone().expect("rank 0 wrote the checkpoint");
 
@@ -151,16 +156,9 @@ fn distributed_checkpoint_restart_continues_bit_identically() {
             .exchange(ExchangeMode::OnTheFly)
             .build();
         s.initialize_uniform(1.0, [0.0; 3]);
-        let (global_field, step) = if comm.rank() == 0 {
-            let ck = read_checkpoint(&mut bytes_ref.as_slice()).unwrap();
-            assert_eq!(ck.step, 8);
-            let mut field = swlb_core::layout::SoaField::<D2Q9>::new(global);
-            field.raw_mut().copy_from_slice(&ck.data);
-            (Some(field), ck.step)
-        } else {
-            (None, 8)
-        };
-        s.scatter_populations(global_field.as_ref(), step).unwrap();
+        let ck = (comm.rank() == 0)
+            .then(|| ChunkedCheckpoint::read(&mut bytes_ref.as_slice()).unwrap());
+        s.restore_chunked(ck.as_ref()).unwrap();
         assert_eq!(s.step_count(), 8);
         s.run(12).unwrap();
         s.gather_populations().unwrap()
@@ -178,21 +176,21 @@ fn distributed_checkpoint_restart_continues_bit_identically() {
 fn restart_from_store_skips_corrupted_newest_checkpoint() {
     // The recovery controller's restart path: a run checkpoints periodically
     // into a store, crashes, and the newest checkpoint file turns out damaged
-    // (torn write, bad disk). `load_latest_valid` must fall back to the newest
+    // (torn write, bad disk). The store must fall back to the newest
     // checkpoint that passes its CRC, and the resumed trajectory from there
     // must still match the uninterrupted one bit-for-bit.
     use swlb_io::CheckpointStore;
 
     let mut straight = make_solver();
-    straight.run(30);
+    run(&mut straight, 30);
 
     let dir = std::env::temp_dir().join(format!("swlb_ckpt_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::new(&dir, 4).unwrap();
     let mut s = make_solver();
     for _ in 0..3 {
-        s.run(10);
-        store.save(&capture(&s)).unwrap();
+        run(&mut s, 10);
+        store.save_chunked(&s.capture_chunked()).unwrap();
     }
 
     // Damage the newest checkpoint (step 30): flip a payload bit on disk.
@@ -202,52 +200,50 @@ fn restart_from_store_skips_corrupted_newest_checkpoint() {
     let mut bytes = std::fs::read(&newest).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 1;
-    std::fs::write(&newest, bytes).unwrap();
-    match store.load(30) {
+    std::fs::write(&newest, &bytes).unwrap();
+    match ChunkedCheckpoint::read(&mut bytes.as_slice()) {
         Err(CheckpointError::Corrupt(_)) => {}
         other => panic!("damaged file not flagged: {other:?}"),
     }
 
     // Restart: fall back to step 20 and replay the last 10 steps.
     let (ck, skipped) = store
-        .load_latest_valid()
+        .load_latest_valid_any()
         .unwrap()
         .expect("a valid checkpoint survives");
     assert_eq!(ck.step, 20);
     assert_eq!(skipped, vec![store.path_for(30)]);
     let mut resumed = make_solver();
-    restore(&mut resumed, &ck);
-    resumed.run(10);
+    resumed.restore_chunked_state(&ck).unwrap();
+    run(&mut resumed, 10);
 
-    let (a, b) = (straight.state(), resumed.state());
-    for cell in 0..straight.dims().cells() {
-        for q in 0..9 {
-            assert_eq!(a.get(cell, q), b.get(cell, q), "cell {cell} q {q}");
-        }
-    }
+    assert_eq!(straight.capture(), resumed.capture());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn checkpoint_of_3d_solver_roundtrips() {
-    let dims = GridDims::new(8, 8, 8);
-    let mut s = Solver::<D3Q19>::builder(dims, BgkParams::from_tau(0.8)).build();
-    s.flags_mut().set_box_walls();
-    s.initialize_uniform(1.0, [0.01, 0.0, 0.0]);
-    s.run(5);
-    let ck = Checkpoint {
-        step: s.step_count(),
-        dims: (8, 8, 8),
-        q: 19,
-        scheme: swlb_io::checkpoint::SCHEME_AB,
-        parity: 0,
-        data: s.canonical_populations().raw().to_vec(),
+    let spec = CaseSpec {
+        case: CaseKind::Cavity,
+        lattice: LatticeKind::D3Q19,
+        nx: 8,
+        ny: 8,
+        nz: 8,
+        tau: 0.8,
+        u_lattice: 0.01,
+        storage: StorageScheme::Ab,
+        time_block: 1,
     };
-    let mut bytes = Vec::new();
-    write_checkpoint(&mut bytes, &ck).unwrap();
-    let back = read_checkpoint(&mut bytes.as_slice()).unwrap();
-    assert_eq!(back.data.len(), 8 * 8 * 8 * 19);
+    let mut s = spec.build(ThreadPool::new(1), Recorder::disabled()).unwrap();
+    run(&mut s, 5);
+    let ck = s.capture_chunked();
+    let back = through_codec(&ck);
+    assert_eq!(back.chunks[0].data.len(), 8 * 8 * 8 * 19);
     assert_eq!(back, ck);
+    // The codec's chunk order and the solver's SoA order describe one state.
+    let mut fresh = spec.build(ThreadPool::new(1), Recorder::disabled()).unwrap();
+    fresh.restore_chunked_state(&back).unwrap();
+    assert_eq!(fresh.capture(), s.capture());
 }
 
 /// Reshard equivalence matrix: a chunked (v3) checkpoint taken on N ranks
@@ -303,7 +299,6 @@ fn reshard_matrix_resumes_on_any_rank_count() {
             // Checkpoint at step 9: odd, so an AA producer is mid-cycle.
             let ck = run_world(n, scheme, None, 9);
             assert_eq!(ck.chunks.len(), n, "one chunk per source rank");
-            assert_eq!(ck.parity, 0, "chunks are always canonical");
 
             for m in [1usize, 2, 6] {
                 let got = run_world(m, scheme, Some(&ck), 15)
@@ -385,36 +380,14 @@ fn reshard_handles_degenerate_narrow_source_subdomains() {
 /// trace of the producer's blocking depth.
 #[test]
 fn blocked_checkpoint_at_block_boundary_restores_across_schemes_and_depths() {
-    let make = |scheme: StorageScheme, k: usize| {
-        let dims = GridDims::new2d(20, 16);
-        let mut s = Solver::<D2Q9>::builder(dims, BgkParams::from_tau(0.7))
-            .storage(scheme)
-            .time_block(k)
-            .try_build()
-            .unwrap();
-        s.flags_mut().set_box_walls();
-        s.flags_mut().paint_lid([0.06, 0.0, 0.0]);
-        s.initialize_uniform(1.0, [0.0; 3]);
-        s
-    };
+    let make = |scheme: StorageScheme, k: usize| cavity(20, 16, scheme, k);
 
     let mut straight = make(StorageScheme::Ab, 2);
-    straight.run(24);
+    run(&mut straight, 24);
 
     let mut first = make(StorageScheme::Ab, 2);
-    first.run(6);
-    let d = first.dims();
-    let ck = Checkpoint {
-        step: first.step_count(),
-        dims: (d.nx as u32, d.ny as u32, d.nz as u32),
-        q: 9,
-        scheme: swlb_io::checkpoint::SCHEME_AB,
-        parity: 0,
-        data: first.canonical_populations().raw().to_vec(),
-    };
-    let mut bytes = Vec::new();
-    write_checkpoint(&mut bytes, &ck).unwrap();
-    let back = read_checkpoint(&mut bytes.as_slice()).unwrap();
+    run(&mut first, 6);
+    let back = through_codec(&first.capture_chunked());
     assert_eq!(back.step, 6);
 
     let tol = 1e-14_f64.max(swlb_core::simd::dispatch_tolerance() * 100.0);
@@ -424,23 +397,10 @@ fn blocked_checkpoint_at_block_boundary_restores_across_schemes_and_depths() {
         (StorageScheme::Aa, 2),
     ] {
         let mut resumed = make(scheme, k);
-        resumed.restore_canonical(&back.data, back.step).unwrap();
-        resumed.run(18);
+        resumed.restore_chunked_state(&back).unwrap();
+        run(&mut resumed, 18);
         assert_eq!(resumed.step_count(), 24);
-        let a = straight.canonical_populations();
-        let b = resumed.canonical_populations();
-        for cell in 0..d.cells() {
-            if straight.flags().kind(cell) != NodeKind::Fluid {
-                continue;
-            }
-            for q in 0..9 {
-                let (va, vb) = (a.get(cell, q), b.get(cell, q));
-                assert!(
-                    (va - vb).abs() <= tol,
-                    "resume into {scheme:?} k={k}: cell {cell} q {q}: {va} vs {vb}"
-                );
-            }
-        }
+        assert_fluid_close(&straight, &resumed, tol, &format!("resume into {scheme:?} k={k}"));
     }
 }
 
@@ -494,7 +454,6 @@ fn reshard_matrix_resumes_blocked_runs_on_any_rank_count() {
         for n in [1usize, 2, 4] {
             let ck = run_world(n, scheme, None, 10);
             assert_eq!(ck.chunks.len(), n, "one chunk per source rank");
-            assert_eq!(ck.parity, 0, "chunks are always canonical");
             for m in [1usize, 2, 6] {
                 let got = run_world(m, scheme, Some(&ck), 14)
                     .assemble_global()
@@ -517,56 +476,26 @@ fn aa_mid_parity_checkpoint_restores_across_schemes() {
     // solver of EITHER scheme and continue the same trajectory.
     use swlb_io::checkpoint::SCHEME_AA;
 
-    let make = |scheme: StorageScheme| {
-        let dims = GridDims::new2d(20, 16);
-        let mut s = Solver::<D2Q9>::builder(dims, BgkParams::from_tau(0.7))
-            .storage(scheme)
-            .build();
-        s.flags_mut().set_box_walls();
-        s.flags_mut().paint_lid([0.06, 0.0, 0.0]);
-        s.initialize_uniform(1.0, [0.0; 3]);
-        s
-    };
+    let make = |scheme: StorageScheme| cavity(20, 16, scheme, 1);
 
     let mut straight = make(StorageScheme::Aa);
-    straight.run(24);
+    run(&mut straight, 24);
 
     let mut first = make(StorageScheme::Aa);
-    first.run(9);
-    assert_eq!(first.parity(), Some(AaParity::Streamed));
-    let d = first.dims();
-    let ck = Checkpoint {
-        step: first.step_count(),
-        dims: (d.nx as u32, d.ny as u32, d.nz as u32),
-        q: 9,
-        scheme: SCHEME_AA,
-        parity: 0,
-        data: first.canonical_populations().raw().to_vec(),
+    run(&mut first, 9);
+    let CaseSolver::D2(serial) = &first else {
+        panic!("a width-1 D2Q9 case is a serial solver");
     };
-    let mut bytes = Vec::new();
-    write_checkpoint(&mut bytes, &ck).unwrap();
-    let back = read_checkpoint(&mut bytes.as_slice()).unwrap();
-    assert_eq!((back.scheme, back.parity, back.step), (SCHEME_AA, 0, 9));
+    assert_eq!(serial.parity(), Some(AaParity::Streamed));
+    let back = through_codec(&first.capture_chunked());
+    assert_eq!((back.scheme, back.step), (SCHEME_AA, 9));
 
     let tol = swlb_core::simd::dispatch_tolerance() * 100.0;
     for scheme in [StorageScheme::Aa, StorageScheme::Ab] {
         let mut resumed = make(scheme);
-        resumed.restore_canonical(&back.data, back.step).unwrap();
-        resumed.run(15);
+        resumed.restore_chunked_state(&back).unwrap();
+        run(&mut resumed, 15);
         assert_eq!(resumed.step_count(), 24);
-        let a = straight.canonical_populations();
-        let b = resumed.canonical_populations();
-        for cell in 0..d.cells() {
-            if straight.flags().kind(cell) != NodeKind::Fluid {
-                continue;
-            }
-            for q in 0..9 {
-                let (va, vb) = (a.get(cell, q), b.get(cell, q));
-                assert!(
-                    (va - vb).abs() <= tol,
-                    "resume into {scheme:?}: cell {cell} q {q}: {va} vs {vb}"
-                );
-            }
-        }
+        assert_fluid_close(&straight, &resumed, tol, &format!("resume into {scheme:?}"));
     }
 }

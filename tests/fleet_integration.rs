@@ -299,12 +299,12 @@ fn fleet_aging_lets_batch_overtake_later_interactive() {
 #[test]
 fn migration_envelope_roundtrips_bit_exact_across_widths() {
     use swlb_core::parallel::ThreadPool;
-    use swlb_io::{read_any_checkpoint, AnyCheckpoint, CheckpointStore};
+    use swlb_io::{CheckpointStore, ChunkedCheckpoint};
     use swlb_obs::Recorder;
 
     let dir = unique_dir("bitexact");
     // Source: an elastic solver at width 2, advanced far enough that the
-    // state is nontrivial, captured in the v3 chunked format.
+    // state is nontrivial, captured one chunk per rank.
     let spec = cavity(14, 12);
     let mut src = spec
         .build_with_width(ThreadPool::new(1), Recorder::disabled(), 2)
@@ -339,10 +339,8 @@ fn migration_envelope_roundtrips_bit_exact_across_widths() {
 
     // Restore at a *different* width (3) and at width 1 (serial): the
     // assembled global state matches the width-2 capture exactly.
-    let restored = match store_b.load_latest_valid_any().unwrap().unwrap() {
-        (AnyCheckpoint::Chunked(ck), _) => ck,
-        other => panic!("expected a chunked checkpoint, got {other:?}"),
-    };
+    let (restored, _) = store_b.load_latest_valid_any().unwrap().unwrap();
+    assert_eq!(restored, ck, "the chunks survive the wire as captured");
     assert_eq!(restored.assemble_global().unwrap(), reference);
     for width in [1u32, 3] {
         let mut dst = spec
@@ -357,10 +355,7 @@ fn migration_envelope_roundtrips_bit_exact_across_widths() {
         );
     }
     // Sanity on the raw parse path the receiver uses to verify transit.
-    assert!(matches!(
-        read_any_checkpoint(&mut bytes.as_slice()).unwrap(),
-        AnyCheckpoint::Chunked(_)
-    ));
+    assert_eq!(ChunkedCheckpoint::read(&mut bytes.as_slice()).unwrap(), ck);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -306,9 +306,7 @@ fn drain_leaves_resumable_checkpoints() {
     }
 
     // Restore each drained job's latest checkpoint into a fresh solver and
-    // confirm it lands exactly where the service said it stopped. Service
-    // checkpoints are written in the rank-elastic chunked (v3) format, so the
-    // load goes through the format-agnostic reader.
+    // confirm it lands exactly where the service said it stopped.
     let store = CheckpointStore::new(dir.join("checkpoints"), 2).unwrap();
     for &id in &ids {
         let steps_done = num_of(&client.status(id).unwrap(), "steps_done");
@@ -318,11 +316,11 @@ fn drain_leaves_resumable_checkpoints() {
             .load_latest_valid_any()
             .unwrap()
             .unwrap_or_else(|| panic!("job {id}: drain left no valid checkpoint"));
-        assert_eq!(ck.step(), steps_done, "job {id}: checkpoint lags status");
+        assert_eq!(ck.step, steps_done, "job {id}: checkpoint lags status");
         let mut solver = cavity(16, 16)
             .build(ThreadPool::new(1), Recorder::disabled())
             .unwrap();
-        solver.restore_any(&ck).unwrap();
+        solver.restore_chunked_state(&ck).unwrap();
         assert_eq!(solver.step_count(), steps_done);
     }
 
@@ -331,7 +329,7 @@ fn drain_leaves_resumable_checkpoints() {
 }
 
 /// An AA-storage job runs through submit → preempt → drain, and its canonical
-/// checkpoint (scheme byte `SCHEME_AA`, parity 0) restores into a fresh
+/// checkpoint (scheme byte `SCHEME_AA`) restores into a fresh
 /// solver of EITHER storage scheme — the service can resume a drained AA job
 /// as AA or migrate it to AB without any conversion tooling.
 #[test]
@@ -352,20 +350,18 @@ fn aa_job_drains_to_cross_scheme_resumable_checkpoint() {
     let steps_done = num_of(&client.status(id).unwrap(), "steps_done");
 
     let store = CheckpointStore::new(dir.join("checkpoints"), 2).unwrap();
+    let store = store.namespaced(&format!("job-{id}")).unwrap();
     let (ck, _) = store
-        .namespaced(&format!("job-{id}"))
-        .unwrap()
         .load_latest_valid_any()
         .unwrap()
         .expect("AA job left no valid checkpoint");
-    assert_eq!(ck.scheme(), swlb_io::checkpoint::SCHEME_AA);
-    match &ck {
-        swlb_io::chunked::AnyCheckpoint::Chunked(c) => {
-            assert_eq!(c.parity, 0, "service checkpoints must be canonical");
-        }
-        other => panic!("service should write chunked (v3) checkpoints: {other:?}"),
-    }
-    assert_eq!(ck.step(), steps_done);
+    assert_eq!(ck.scheme, swlb_io::checkpoint::SCHEME_AA);
+    let (_, newest) = store.latest().unwrap().unwrap();
+    assert!(
+        std::fs::read(newest).unwrap().starts_with(b"SWLBGRP1"),
+        "the service writes the chunked container, nothing else"
+    );
+    assert_eq!(ck.step, steps_done);
 
     let mut ab_case = case.clone();
     ab_case.storage = StorageScheme::Ab;
@@ -373,7 +369,7 @@ fn aa_job_drains_to_cross_scheme_resumable_checkpoint() {
         let mut solver = spec
             .build(ThreadPool::new(1), Recorder::disabled())
             .unwrap();
-        solver.restore_any(&ck).unwrap();
+        solver.restore_chunked_state(&ck).unwrap();
         assert_eq!(solver.step_count(), steps_done);
         solver.run_checked(4, 2).unwrap();
         assert!(!solver.has_non_finite());
@@ -572,6 +568,93 @@ fn rollback_event_reports_the_restored_checkpoint_step() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `start`'s state in a retired whole-domain layout (version 1 or 2), as a
+/// deployment older than the chunked format left it on disk.
+fn retired_layout_bytes(version: u32, start: &swlb_io::Checkpoint) -> Vec<u8> {
+    let mut body = b"SWLBCKPT".to_vec();
+    body.extend_from_slice(&version.to_le_bytes());
+    body.extend_from_slice(&start.step.to_le_bytes());
+    for d in [start.dims.0, start.dims.1, start.dims.2, start.q] {
+        body.extend_from_slice(&d.to_le_bytes());
+    }
+    if version >= 2 {
+        body.extend_from_slice(&[start.scheme, 0, 0, 0]); // scheme, parity, pad
+    }
+    body.extend_from_slice(&(start.data.len() as u64).to_le_bytes());
+    for v in &start.data {
+        body.extend_from_slice(&v.to_le_bytes());
+    }
+    let crc = swlb_io::crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
+/// A state directory written before the chunked format resumes through the
+/// scheduler: the job picks up at the retired file's step and continues the
+/// uninterrupted trajectory bit-for-bit. With a damaged chunked file on top,
+/// the store reports it skipped and falls back to the retired one. Slice 8,
+/// checkpoint every 16: resumed at 8, the service checkpoints again at 24.
+#[test]
+fn retired_checkpoint_layouts_resume_through_the_scheduler() {
+    let case = cavity(16, 16);
+    let solver = || {
+        case.build(ThreadPool::new(1), Recorder::disabled())
+            .unwrap()
+    };
+    let mut straight = solver();
+    straight.run_checked(8, 8).unwrap();
+    let start = straight.capture();
+    straight.run_checked(4, 4).unwrap();
+    let later = straight.capture_chunked();
+    straight.run_checked(12, 12).unwrap();
+    let want = straight.capture_chunked();
+    assert_eq!((start.step, later.step, want.step), (8, 12, 24));
+
+    for (tag, version, damaged_on_top) in
+        [("v1", 1, false), ("v2", 2, false), ("v2-under-bad-v3", 2, true)]
+    {
+        let dir = unique_dir(&format!("retired-{tag}"));
+        let store = CheckpointStore::new(dir.join("checkpoints"), 2)
+            .unwrap()
+            .namespaced("job-1")
+            .unwrap();
+        std::fs::write(store.path_for(8), retired_layout_bytes(version, &start)).unwrap();
+        if damaged_on_top {
+            let newer = store.save_chunked(&later).unwrap();
+            let mut bytes = std::fs::read(&newer).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x20;
+            std::fs::write(&newer, bytes).unwrap();
+            let (ck, skipped) = store.load_latest_valid_any().unwrap().unwrap();
+            assert_eq!(ck.step, 8, "{tag}");
+            assert_eq!(skipped, vec![newer], "{tag}");
+        }
+
+        let server = Server::spawn(config(&dir, 4, 8)).unwrap();
+        let client = ServeClient::new(server.addr().to_string());
+        let id = client
+            .submit(&job("old-state", case.clone(), 32, Priority::Batch))
+            .unwrap();
+        assert_eq!(id, 1, "{tag}: the seeded namespace is job 1's");
+        let events = client.watch(id, 0).unwrap();
+        let resumed = events
+            .iter()
+            .find(|e| e.contains("\"event\":\"resumed\""))
+            .unwrap_or_else(|| panic!("{tag}: no resumed event in {events:?}"));
+        assert_eq!(num_of(&json::parse(resumed).unwrap(), "at_step"), 8, "{tag}");
+        assert!(
+            events.iter().any(|e| e.contains("\"event\":\"completed\"")),
+            "{tag}: {events:?}"
+        );
+        assert_eq!(num_of(&client.status(id).unwrap(), "steps_done"), 32, "{tag}");
+        server.shutdown();
+
+        let (got, _) = store.load_latest_valid_any().unwrap().unwrap();
+        assert_eq!(got, want, "{tag}: resumed populations at step 24");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Loopback soak: forty mixed jobs pushed through a capacity-8 table with
