@@ -5,10 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use swlb_core::collision::{BgkParams, CollisionKind, SmagorinskyParams};
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{fused_step, fused_step_optimized, InteriorIndex};
+use swlb_core::kernels::fused_step;
 use swlb_core::lattice::D3Q19;
 use swlb_core::layout::{PopField, SoaField};
-use swlb_core::simd::{set_lane_policy, LanePolicy};
 use swlb_core::stream::{push_step, split_step};
 
 fn setup(dims: GridDims) -> (FlagField, SoaField<D3Q19>, SoaField<D3Q19>) {
@@ -28,7 +27,6 @@ fn bench_kernels(c: &mut Criterion) {
     let les = CollisionKind::SmagorinskyLes(
         SmagorinskyParams::new(BgkParams::from_tau(0.8), 0.16).unwrap(),
     );
-    let interior = InteriorIndex::build::<D3Q19>(&flags);
 
     let mut group = c.benchmark_group("kernels_d3q19_64cubed");
     group.throughput(Throughput::Elements(dims.cells() as u64));
@@ -36,27 +34,6 @@ fn bench_kernels(c: &mut Criterion) {
 
     group.bench_function("fused_generic", |b| {
         b.iter(|| fused_step(&flags, &src, &mut dst, &coll))
-    });
-    group.bench_function("fused_optimized_scalar", |b| {
-        set_lane_policy(LanePolicy::ForceScalar);
-        b.iter(|| fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny, 0));
-        set_lane_policy(LanePolicy::Auto);
-    });
-    group.bench_function("fused_optimized_simd", |b| {
-        b.iter(|| fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny, 0))
-    });
-    group.bench_function("fused_optimized_simd_tiled", |b| {
-        b.iter(|| {
-            fused_step_optimized(
-                &flags,
-                &src,
-                &mut dst,
-                &coll,
-                &interior,
-                0..dims.ny,
-                swlb_core::parallel::DEFAULT_TILE_Z,
-            )
-        })
     });
     group.bench_function("split_two_pass", |b| {
         b.iter(|| split_step(&flags, &src, &mut dst, &coll))

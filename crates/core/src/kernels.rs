@@ -8,25 +8,31 @@
 //! — the property the paper exploits to fuse the memory-bound propagation with the
 //! compute-bound collision (§IV-C.3, ~30 % gain on Sunway).
 //!
-//! Two implementations are provided:
+//! This module holds the per-cell bodies; the loops that drive them live in
+//! two places only:
 //!
-//! * [`fused_step_range`] — the generic reference kernel, valid for every lattice,
-//!   layout and boundary condition. All other execution paths in the workspace
+//! * [`fused_step`] / [`fused_step_rect`] — the generic reference kernel, valid
+//!   for every lattice, layout and boundary condition: one cell body, written
+//!   through a shared writer so the thread pool in [`crate::parallel`] runs the
+//!   very same code per y-slab. All other execution paths in the workspace
 //!   (split kernels, push scheme, the CPE-cluster emulator in `swlb-arch`, the
 //!   distributed engine in `swlb-sim`) are tested for exact agreement with it.
-//! * [`fused_step_d3q19_interior`] — a hand-specialized D3Q19/SoA kernel with
-//!   hoisted neighbor offsets and a fully unrolled direction loop, the portable
-//!   analog of the paper's assembly-level optimization stage (manual unroll +
-//!   instruction reordering). It handles interior cells only; callers finish the
-//!   boundary shell with the generic kernel.
+//! * the hand-specialized D3Q19/SoA **interior** cell updates (AB pull, AA
+//!   odd, AA even) with hoisted neighbor offsets and a fully unrolled
+//!   direction loop, the portable analog of the paper's assembly-level
+//!   optimization stage (manual unroll + instruction reordering). They cover
+//!   interior cells only and are driven by the one z-tile × y × x × run loop
+//!   nest in [`crate::simd`], reached through
+//!   [`crate::parallel::ThreadPool`]; the generic body finishes the boundary
+//!   shell, skipping the cells of the [`InteriorIndex`] mask.
 
 use crate::boundary::NodeKind;
 use crate::collision::{collide, CollisionKind};
 use crate::equilibrium::{equilibrium, moments};
 use crate::flags::FlagField;
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::Lattice;
 use crate::layout::{AaParity, PopField, SoaField};
-use crate::simd::{FastPath, KernelClass};
+use crate::parallel::ThreadPool;
 use crate::Scalar;
 use std::ops::Range;
 
@@ -124,48 +130,67 @@ pub fn reconstruct_nebb<L: Lattice>(f: &mut [Scalar], kind: NodeKind) {
     }
 }
 
-/// One fused stream+collide step over the y-slab `ys` (generic reference kernel).
+/// A `Send + Sync` writer over a population field's raw storage.
 ///
-/// `src` must hold the complete post-collision state of the previous step; `dst`
-/// receives the new state. Slabs with disjoint `ys` touch disjoint `dst` cells,
-/// which is what makes the multithreaded driver in [`crate::parallel`] sound.
-pub fn fused_step_range<L: Lattice, F: PopField<L>>(
-    flags: &FlagField,
-    src: &F,
-    dst: &mut F,
-    collision: &CollisionKind,
-    ys: Range<usize>,
-) {
-    let dims = flags.dims();
-    debug_assert!(ys.end <= dims.ny);
-    let mut f = [0.0; MAX_Q];
-    for y in ys {
-        for x in 0..dims.nx {
-            for z in 0..dims.nz {
-                let this = dims.idx(x, y, z);
-                let kind = flags.kind(this);
-                if kind.is_fluid() || kind.is_nebb() {
-                    gather_pull::<L, F>(flags, src, x, y, z, &mut f[..L::Q]);
-                    reconstruct_nebb::<L>(&mut f[..L::Q], kind);
-                    collide::<L>(&mut f[..L::Q], collision);
-                    dst.store_cell(this, &f[..L::Q]);
-                } else {
-                    apply_non_fluid::<L, F>(flags, src, dst, x, y, z, kind);
-                }
-            }
+/// # Safety contract
+/// Constructed from a uniquely-borrowed field; concurrent users must write
+/// disjoint `(cell, q)` index sets. The pool in [`crate::parallel`] guarantees
+/// this by handing every thread disjoint y-slabs.
+pub(crate) struct SharedWriter {
+    ptr: *mut Scalar,
+    len: usize,
+}
+
+// SAFETY: the pointer refers to a buffer whose unique borrow is held (and not
+// otherwise used) for as long as the writer lives; disjointness of writes is
+// the users' contract above.
+unsafe impl Send for SharedWriter {}
+unsafe impl Sync for SharedWriter {}
+
+impl SharedWriter {
+    /// Wrap the uniquely borrowed raw storage of a field.
+    pub(crate) fn new(raw: &mut [Scalar]) -> Self {
+        SharedWriter {
+            ptr: raw.as_mut_ptr(),
+            len: raw.len(),
         }
+    }
+
+    /// The raw destination pointer (for the interior kernels, which index
+    /// the SoA planes themselves).
+    #[inline(always)]
+    pub(crate) fn ptr(&self) -> *mut Scalar {
+        self.ptr
+    }
+
+    /// # Safety
+    /// `index < len` and no other thread writes the same index concurrently.
+    #[inline(always)]
+    unsafe fn write(&self, index: usize, v: Scalar) {
+        debug_assert!(index < self.len);
+        unsafe { *self.ptr.add(index) = v };
     }
 }
 
-/// [`fused_step_range`] restricted to the x range `xr` as well — the generic
-/// kernel over the rectangle `xr × ys` (full z depth).
-pub fn fused_step_rect<L: Lattice, F: PopField<L>>(
+/// The generic cell body: one fused stream+collide step over the rectangle
+/// `xr × ys` (full z depth), written through `writer`. Cells flagged in
+/// `skip_mask` were already produced by the interior kernels and are skipped.
+///
+/// `src` must hold the complete post-collision state of the previous step.
+/// Rectangles with disjoint `ys` touch disjoint destination cells, which is
+/// what makes the multithreaded driver in [`crate::parallel`] sound.
+///
+/// # Safety
+/// `writer` must target a field of `src`'s layout and dimensions, and no
+/// other thread may write any cell of `xr × ys` concurrently.
+pub(crate) unsafe fn generic_rect<L: Lattice, F: PopField<L>>(
     flags: &FlagField,
     src: &F,
-    dst: &mut F,
+    writer: &SharedWriter,
     collision: &CollisionKind,
     xr: Range<usize>,
     ys: Range<usize>,
+    skip_mask: Option<&[bool]>,
 ) {
     let dims = flags.dims();
     debug_assert!(ys.end <= dims.ny && xr.end <= dims.nx);
@@ -174,163 +199,84 @@ pub fn fused_step_rect<L: Lattice, F: PopField<L>>(
         for x in xr.clone() {
             for z in 0..dims.nz {
                 let this = dims.idx(x, y, z);
+                if skip_mask.is_some_and(|m| m[this]) {
+                    continue;
+                }
                 let kind = flags.kind(this);
-                if kind.is_fluid() || kind.is_nebb() {
-                    gather_pull::<L, F>(flags, src, x, y, z, &mut f[..L::Q]);
-                    reconstruct_nebb::<L>(&mut f[..L::Q], kind);
-                    collide::<L>(&mut f[..L::Q], collision);
-                    dst.store_cell(this, &f[..L::Q]);
-                } else {
-                    apply_non_fluid::<L, F>(flags, src, dst, x, y, z, kind);
+                // SAFETY (every write below): (this, q) lies inside the
+                // caller's rectangle.
+                match kind {
+                    NodeKind::Fluid
+                    | NodeKind::VelocityNebb { .. }
+                    | NodeKind::PressureNebb { .. } => {
+                        gather_pull::<L, F>(flags, src, x, y, z, &mut f[..L::Q]);
+                        reconstruct_nebb::<L>(&mut f[..L::Q], kind);
+                        collide::<L>(&mut f[..L::Q], collision);
+                        for q in 0..L::Q {
+                            unsafe { writer.write(src.index_of(this, q), f[q]) };
+                        }
+                    }
+                    NodeKind::Wall | NodeKind::MovingWall { .. } => {
+                        for q in 0..L::Q {
+                            unsafe { writer.write(src.index_of(this, q), src.get(this, q)) };
+                        }
+                    }
+                    NodeKind::Inlet { rho, u } => {
+                        equilibrium::<L>(rho, u, &mut f[..L::Q]);
+                        for q in 0..L::Q {
+                            unsafe { writer.write(src.index_of(this, q), f[q]) };
+                        }
+                    }
+                    NodeKind::Outlet { normal } => {
+                        let m = dims
+                            .neighbor_checked(x, y, z, [-normal[0], -normal[1], -normal[2]])
+                            .map(|[a, b, c]| dims.idx(a, b, c))
+                            .unwrap_or(this);
+                        for q in 0..L::Q {
+                            unsafe { writer.write(src.index_of(this, q), src.get(m, q)) };
+                        }
+                    }
                 }
             }
         }
     }
 }
 
-/// Convenience wrapper: fused step over the whole domain.
+/// One fused stream+collide step over the rectangle `xr × ys` (full z depth)
+/// — the generic reference kernel. It is the safe face of the one generic
+/// cell body (`generic_rect`): a 1-thread pool runs inline, and without an
+/// interior index every cell takes that body.
+pub fn fused_step_rect<L: Lattice, F: PopField<L>>(
+    flags: &FlagField,
+    src: &F,
+    dst: &mut F,
+    collision: &CollisionKind,
+    xr: Range<usize>,
+    ys: Range<usize>,
+) {
+    // Through the pool rather than straight into `generic_rect`, so the body
+    // keeps a single call site and is compiled into the slab job: out of
+    // line it spills more and measured ~12 % slower (taylor-green2d, and the
+    // boundary shell of every D3Q19 workload).
+    ThreadPool::new(1).step_rect::<L, F>(flags, src, dst, collision, xr, ys, None);
+}
+
+/// The generic reference kernel over the whole domain.
 pub fn fused_step<L: Lattice, F: PopField<L>>(
     flags: &FlagField,
     src: &F,
     dst: &mut F,
     collision: &CollisionKind,
 ) {
-    fused_step_range::<L, F>(flags, src, dst, collision, 0..flags.dims().ny);
-}
-
-/// Hand-optimized fused kernel for **interior** D3Q19/SoA cells of the y-slab `ys`.
-///
-/// Interior means `1 ≤ x < nx−1`, `1 ≤ y < ny−1`, `1 ≤ z < nz−1` *and* all 18
-/// neighbors are fluid; the caller is responsible for running the generic kernel
-/// on everything else (see [`fused_step_optimized`]). Under those guarantees each
-/// neighbor is a constant linear offset, the direction loop is fully unrolled, and
-/// no flag checks or wraps happen in the hot loop — the Rust analog of the paper's
-/// manually scheduled assembly kernel.
-///
-/// Covers the whole x extent with no cache blocking; see
-/// [`fused_step_d3q19_interior_tiled`] for the rect/tiled variant.
-pub fn fused_step_d3q19_interior(
-    flags: &FlagField,
-    src: &SoaField<D3Q19>,
-    dst: &mut SoaField<D3Q19>,
-    omega: Scalar,
-    ys: Range<usize>,
-    interior_mask: &[bool],
-) {
-    fused_step_d3q19_interior_tiled(
-        flags,
-        src,
-        dst,
-        omega,
-        0..flags.dims().nx,
-        ys,
-        0,
-        interior_mask,
-    );
-}
-
-/// [`fused_step_d3q19_interior`] restricted to the x range `xr` and blocked in
-/// z-tiles of `tile_z` cells (`0` disables tiling).
-///
-/// The z tiling is the CPU mirror of the paper's 64×3×70 CPE blocking: each
-/// (slab, tile) pass touches a bounded working set of the 19 SoA planes so the
-/// gathered source stays cache-resident across the x sweep. Per-cell updates
-/// are independent, so the traversal order change is bit-exact.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_step_d3q19_interior_tiled(
-    flags: &FlagField,
-    src: &SoaField<D3Q19>,
-    dst: &mut SoaField<D3Q19>,
-    omega: Scalar,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    interior_mask: &[bool],
-) {
-    // SAFETY: `&mut dst` proves exclusive access to the destination.
-    unsafe {
-        d3q19_interior_raw(
-            flags,
-            src.raw(),
-            dst.raw_mut().as_mut_ptr(),
-            omega,
-            xr,
-            ys,
-            tile_z,
-            interior_mask,
-        );
-    }
-}
-
-/// Raw-pointer core of the interior kernel, shared with the persistent worker
-/// pool in [`crate::parallel`] (workers write through a shared pointer; slabs
-/// with disjoint `ys` touch disjoint cells).
-///
-/// # Safety
-/// `draw` must point at `19 * cells` writable scalars and no other thread may
-/// write any cell in `xr × ys` concurrently.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn d3q19_interior_raw(
-    flags: &FlagField,
-    sraw: &[Scalar],
-    draw: *mut Scalar,
-    omega: Scalar,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    interior_mask: &[bool],
-) {
     let dims = flags.dims();
-    let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
-    if nx < 3 || ny < 3 || nz < 3 {
-        return; // no interior at all; generic path covers everything
-    }
-    let cells = dims.cells();
-    debug_assert_eq!(interior_mask.len(), cells);
-    debug_assert_eq!(sraw.len(), 19 * cells);
-
-    // Per-direction linear offset of the *pull source* (x − c_q).
-    let mut off = [0isize; 19];
-    for q in 0..19 {
-        let c = D3Q19::C[q];
-        off[q] = -((c[1] as isize * nx as isize + c[0] as isize) * nz as isize + c[2] as isize);
-    }
-
-    let y0 = ys.start.max(1);
-    let y1 = ys.end.min(ny - 1);
-    let x0 = xr.start.max(1);
-    let x1 = xr.end.min(nx - 1);
-    let z0 = 1;
-    let z1 = nz - 1;
-    let tile = if tile_z == 0 { z1 - z0 } else { tile_z };
-
-    let mut zt = z0;
-    while zt < z1 {
-        let zt_end = (zt + tile).min(z1);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let base = (y * nx + x) * nz;
-                for z in zt..zt_end {
-                    let this = base + z;
-                    if !interior_mask[this] {
-                        continue;
-                    }
-                    // SAFETY: the mask certifies an interior cell with all 18
-                    // pull sources in bounds; the caller certifies the buffers
-                    // and write exclusivity.
-                    unsafe { d3q19_cell_update(sraw, draw, cells, &off, this, omega) };
-                }
-            }
-        }
-        zt = zt_end;
-    }
+    fused_step_rect::<L, F>(flags, src, dst, collision, 0..dims.nx, 0..dims.ny);
 }
 
 /// One fused pull+BGK update of a single interior D3Q19/SoA cell at linear
-/// index `this`, with per-direction pull offsets `off`. Shared by the scalar
-/// interior kernel above and the sub-lane remainder path of the vectorized
-/// kernel in [`crate::simd`] — keeping it in one place is what makes the
-/// portable-lane path bit-exact by construction.
+/// index `this`, with per-direction pull offsets `off`. The one interior loop
+/// nest in [`crate::simd`] runs it on sub-lane remainders, and on every run
+/// cell under `LanePolicy::ForceScalar` — keeping it in one place is what
+/// makes the scalar and portable-lane paths bit-exact by construction.
 ///
 /// # Safety
 /// `this` must be an interior cell (all 18 pull sources in bounds per `off`),
@@ -622,8 +568,7 @@ pub(crate) unsafe fn aa_even_cell_update(
     store_rev!(18, 17);
 }
 
-/// Precompute the interior-fast-path mask for [`fused_step_d3q19_interior`]:
-/// `true` where the cell is fluid, geometrically interior, and all 18 pull
+/// Precompute the interior-fast-path mask: `true` where the cell is fluid, geometrically interior, and all 18 pull
 /// sources are fluid too.
 pub fn interior_mask<L: Lattice>(flags: &FlagField) -> Vec<bool> {
     let dims = flags.dims();
@@ -658,7 +603,7 @@ pub fn interior_mask<L: Lattice>(flags: &FlagField) -> Vec<bool> {
 /// maximal spans `(z0, z1)` of consecutive mask-true cells, CSR-packed.
 ///
 /// The SoA layout is z-innermost, so a span is a contiguous stretch of linear
-/// indices — exactly what the vectorized kernel in [`crate::simd`] needs to
+/// indices — exactly what the interior loop nest in [`crate::simd`] needs to
 /// issue whole-lane loads with no per-cell mask test. Built once per flag
 /// generation (cached on `Solver` / `DistributedSolver`), not per step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -713,12 +658,15 @@ impl InteriorRuns {
     }
 }
 
-/// The interior fast-path index: the per-cell mask (consumed by the scalar
-/// kernel and the generic-remainder sweep) plus its run-length encoding
-/// (consumed by the vectorized kernel). Both views describe the same cell set;
+/// The interior fast-path index: the per-cell mask (the skip set of the
+/// generic-remainder sweep) plus its run-length encoding (what the interior
+/// loop nest walks). Both views describe the same cell set;
 /// build it once per flag generation with [`InteriorIndex::build`].
 #[derive(Debug, Clone)]
 pub struct InteriorIndex {
+    /// The grid the index was built for; the pool refuses any other, which is
+    /// what keeps its safe entry points memory-safe.
+    pub(crate) dims: crate::geometry::GridDims,
     mask: Vec<bool>,
     runs: InteriorRuns,
 }
@@ -727,8 +675,9 @@ impl InteriorIndex {
     /// Compute mask + runs for the current flags (see [`interior_mask`]).
     pub fn build<L: Lattice>(flags: &FlagField) -> Self {
         let mask = interior_mask::<L>(flags);
-        let runs = InteriorRuns::from_mask(flags.dims(), &mask);
-        InteriorIndex { mask, runs }
+        let dims = flags.dims();
+        let runs = InteriorRuns::from_mask(dims, &mask);
+        InteriorIndex { dims, mask, runs }
     }
 
     /// Per-cell interior mask (z-innermost linear indexing).
@@ -744,233 +693,6 @@ impl InteriorIndex {
     }
 }
 
-/// Safe wrapper over the vectorized interior kernel for direct equivalence
-/// tests and benchmarks: runs *only* the interior runs (callers finish the
-/// remainder with the generic kernel, as [`fused_step_optimized_rect`] does).
-/// `portable = true` pins the bit-exact `[f64; 4]` fallback lane; `false`
-/// requires AVX2+FMA support (panics otherwise).
-#[allow(clippy::too_many_arguments)]
-pub fn fused_step_d3q19_interior_simd(
-    flags: &FlagField,
-    src: &SoaField<D3Q19>,
-    dst: &mut SoaField<D3Q19>,
-    omega: Scalar,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    runs: &InteriorRuns,
-    portable: bool,
-) {
-    assert!(
-        portable || crate::simd::simd_available(),
-        "AVX2+FMA lane requested on a CPU without support"
-    );
-    let path = if portable {
-        FastPath::Portable
-    } else if crate::simd::avx512_available() {
-        FastPath::Avx512
-    } else {
-        FastPath::Avx2
-    };
-    // SAFETY: `&mut dst` proves exclusive access; `runs` came from this
-    // geometry's interior mask per the caller's contract; the hardware lane
-    // was feature-checked above.
-    unsafe {
-        crate::simd::d3q19_interior_simd(
-            flags,
-            src.raw(),
-            dst.raw_mut().as_mut_ptr(),
-            omega,
-            xr,
-            ys,
-            tile_z,
-            runs,
-            path,
-        );
-    }
-}
-
-/// Full fused step that runs the fastest eligible interior kernel and the
-/// generic kernel everywhere else, returning the [`KernelClass`] that served
-/// the interior. Equivalent to [`fused_step`]: bit-for-bit when the scalar or
-/// portable-lane path is selected, within 1e-12 under the AVX2+FMA lane (FMA
-/// contraction is the only rounding difference).
-///
-/// The caller's `collision` is threaded through unchanged: plain constant-ω BGK
-/// takes the interior fast path (+ generic remainder with the *same*
-/// `CollisionKind` — no lossy ω→τ→ω reconstruction), while every other
-/// operator (LES, forced BGK, MRT) falls back to the generic kernel for the
-/// whole slab. `tile_z` blocks the interior sweep in z (`0` = no tiling). The
-/// interior/vector/scalar choice is resolved by `crate::simd::select_fast_path`
-/// (runtime CPU detection, `SWLB_NO_SIMD`, [`crate::simd::LanePolicy`]).
-pub fn fused_step_optimized(
-    flags: &FlagField,
-    src: &SoaField<D3Q19>,
-    dst: &mut SoaField<D3Q19>,
-    collision: &CollisionKind,
-    interior: &InteriorIndex,
-    ys: Range<usize>,
-    tile_z: usize,
-) -> KernelClass {
-    fused_step_optimized_rect(
-        flags,
-        src,
-        dst,
-        collision,
-        interior,
-        0..flags.dims().nx,
-        ys,
-        tile_z,
-    )
-}
-
-/// [`fused_step_optimized`] restricted to the x range `xr` (used by the
-/// distributed engine for the inner rectangle of a subdomain).
-#[allow(clippy::too_many_arguments)]
-pub fn fused_step_optimized_rect(
-    flags: &FlagField,
-    src: &SoaField<D3Q19>,
-    dst: &mut SoaField<D3Q19>,
-    collision: &CollisionKind,
-    interior: &InteriorIndex,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-) -> KernelClass {
-    let omega = match collision {
-        CollisionKind::Bgk(p) => p.omega,
-        // Variable-ω / forced / moment-space operators have no hand-optimized
-        // interior kernel; run the generic reference kernel on the whole rect.
-        _ => {
-            fused_step_rect::<D3Q19, _>(flags, src, dst, collision, xr, ys);
-            return KernelClass::Generic;
-        }
-    };
-    let (path, class) = crate::simd::select_fast_path();
-    // SAFETY: `&mut dst` proves exclusive access to the destination.
-    unsafe {
-        let draw = dst.raw_mut().as_mut_ptr();
-        match path {
-            FastPath::MaskScalar => d3q19_interior_raw(
-                flags,
-                src.raw(),
-                draw,
-                omega,
-                xr.clone(),
-                ys.clone(),
-                tile_z,
-                interior.mask(),
-            ),
-            _ => crate::simd::d3q19_interior_simd(
-                flags,
-                src.raw(),
-                draw,
-                omega,
-                xr.clone(),
-                ys.clone(),
-                tile_z,
-                interior.runs(),
-                path,
-            ),
-        }
-    }
-    // Finish every cell the fast path skipped, with the caller's collision.
-    let mask = interior.mask();
-    let dims = flags.dims();
-    let mut f = [0.0; MAX_Q];
-    for y in ys {
-        for x in xr.clone() {
-            for z in 0..dims.nz {
-                let this = dims.idx(x, y, z);
-                if mask[this] {
-                    continue;
-                }
-                let kind = flags.kind(this);
-                if kind.is_fluid() || kind.is_nebb() {
-                    gather_pull::<D3Q19, _>(flags, src, x, y, z, &mut f[..19]);
-                    reconstruct_nebb::<D3Q19>(&mut f[..19], kind);
-                    collide::<D3Q19>(&mut f[..19], collision);
-                    dst.store_cell(this, &f[..19]);
-                } else {
-                    apply_non_fluid::<D3Q19, _>(flags, src, dst, x, y, z, kind);
-                }
-            }
-        }
-    }
-    class
-}
-
-/// Scalar AA-pattern interior driver — the [`FastPath::MaskScalar`] twin of
-/// [`d3q19_interior_raw`]: the same z-tiled loop nest and per-cell mask test,
-/// dispatching the odd or even in-place cell update by `parity`.
-///
-/// # Safety
-/// `raw` must point at `19 * cells` writable scalars; `interior_mask` must be
-/// the current [`interior_mask`] of `flags` (certifying in-bounds gathers *and*
-/// scatters); concurrent callers must cover disjoint cell sets (the AA
-/// slot-ownership discipline makes cross-slab scatters race-free).
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn aa_d3q19_interior_raw(
-    flags: &FlagField,
-    raw: *mut Scalar,
-    omega: Scalar,
-    parity: AaParity,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    interior_mask: &[bool],
-) {
-    let dims = flags.dims();
-    let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
-    if nx < 3 || ny < 3 || nz < 3 {
-        return; // no interior at all; generic path covers everything
-    }
-    let cells = dims.cells();
-    debug_assert_eq!(interior_mask.len(), cells);
-
-    let mut off = [0isize; 19];
-    for q in 0..19 {
-        let c = D3Q19::C[q];
-        off[q] = -((c[1] as isize * nx as isize + c[0] as isize) * nz as isize + c[2] as isize);
-    }
-
-    let y0 = ys.start.max(1);
-    let y1 = ys.end.min(ny - 1);
-    let x0 = xr.start.max(1);
-    let x1 = xr.end.min(nx - 1);
-    let z0 = 1;
-    let z1 = nz - 1;
-    let tile = if tile_z == 0 { z1 - z0 } else { tile_z };
-
-    let mut zt = z0;
-    while zt < z1 {
-        let zt_end = (zt + tile).min(z1);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let base = (y * nx + x) * nz;
-                for z in zt..zt_end {
-                    let this = base + z;
-                    if !interior_mask[this] {
-                        continue;
-                    }
-                    // SAFETY: the mask certifies an interior cell (all 18
-                    // gather sources and scatter targets in bounds); the
-                    // caller certifies the buffer and cell-set disjointness.
-                    unsafe {
-                        match parity {
-                            AaParity::Reversed => {
-                                aa_odd_cell_update(raw, cells, &off, this, omega)
-                            }
-                            AaParity::Streamed => aa_even_cell_update(raw, cells, this, omega),
-                        }
-                    };
-                }
-            }
-        }
-        zt = zt_end;
-    }
-}
-
 /// Generic AA-pattern sweep over the rectangle `xr × ys` (full z depth) — the
 /// single-grid counterpart of [`fused_step_rect`], valid for every lattice and
 /// collision operator but only for Fluid/Wall/MovingWall node kinds (open
@@ -981,7 +703,8 @@ pub(crate) unsafe fn aa_d3q19_interior_raw(
 /// becomes `Streamed`); `Streamed` runs the even step (gather own slots /
 /// wall mailboxes, collide, store locally reversed — grid becomes
 /// `Reversed`). Cells where `skip_mask` is `true` are left untouched, which
-/// is how the optimized dispatch runs only the boundary-shell remainder.
+/// is how the pool runs only the boundary-shell remainder after the interior
+/// kernels.
 ///
 /// Solid cells are never processed; their slots serve as bounce-back
 /// mailboxes and hold scheme-dependent (but always finite) values.
@@ -1090,90 +813,6 @@ pub(crate) unsafe fn aa_generic_rect<L: Lattice>(
     }
 }
 
-/// AA-pattern counterpart of [`fused_step_optimized`]: one in-place AA
-/// half-step over the y-slab `ys`, fastest eligible interior kernel plus the
-/// generic AA sweep on the boundary shell. The grid's parity flips after this
-/// returns (the caller owns the parity bookkeeping).
-pub fn aa_fused_step_optimized(
-    flags: &FlagField,
-    field: &mut SoaField<D3Q19>,
-    collision: &CollisionKind,
-    interior: &InteriorIndex,
-    parity: AaParity,
-    ys: Range<usize>,
-    tile_z: usize,
-) -> KernelClass {
-    aa_fused_step_optimized_rect(
-        flags,
-        field,
-        collision,
-        interior,
-        parity,
-        0..flags.dims().nx,
-        ys,
-        tile_z,
-    )
-}
-
-/// [`aa_fused_step_optimized`] restricted to the x range `xr` (used by the
-/// distributed engine for the inner rectangle of a subdomain).
-#[allow(clippy::too_many_arguments)]
-pub fn aa_fused_step_optimized_rect(
-    flags: &FlagField,
-    field: &mut SoaField<D3Q19>,
-    collision: &CollisionKind,
-    interior: &InteriorIndex,
-    parity: AaParity,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-) -> KernelClass {
-    let raw = field.raw_mut().as_mut_ptr();
-    let omega = match collision {
-        CollisionKind::Bgk(p) => p.omega,
-        // No hand-optimized AA interior kernel for variable-ω / forced /
-        // moment-space operators; run the generic AA sweep on the whole rect.
-        _ => {
-            // SAFETY: `&mut field` proves exclusive access.
-            unsafe { aa_generic_rect::<D3Q19>(flags, raw, collision, parity, xr, ys, None) };
-            return KernelClass::Generic;
-        }
-    };
-    let (path, class) = crate::simd::select_fast_path();
-    // SAFETY: `&mut field` proves exclusive access; the interior index came
-    // from this geometry's flags; slot ownership makes the interior-then-
-    // remainder pass order race-free (each slot is read and written only by
-    // the single cell that owns it, which gathers before scattering).
-    unsafe {
-        match path {
-            FastPath::MaskScalar => aa_d3q19_interior_raw(
-                flags,
-                raw,
-                omega,
-                parity,
-                xr.clone(),
-                ys.clone(),
-                tile_z,
-                interior.mask(),
-            ),
-            _ => crate::simd::aa_d3q19_interior_simd(
-                flags,
-                raw,
-                omega,
-                parity,
-                xr.clone(),
-                ys.clone(),
-                tile_z,
-                interior.runs(),
-                path,
-            ),
-        }
-        // Finish every cell the fast path skipped, with the caller's collision.
-        aa_generic_rect::<D3Q19>(flags, raw, collision, parity, xr, ys, Some(interior.mask()));
-    }
-    class
-}
-
 /// Swap each direction plane `q` with its opposite `opp(q)` in place — the
 /// whole-grid slot reversal that converts between the canonical (AB-ordered)
 /// post-collision state and the AA `Reversed` state. An involution.
@@ -1275,8 +914,9 @@ mod tests {
     use super::*;
     use crate::collision::BgkParams;
     use crate::geometry::GridDims;
-    use crate::lattice::D2Q9;
+    use crate::lattice::{D2Q9, D3Q19};
     use crate::layout::AosField;
+    use crate::simd::{ab_interior_sweep, FastPath, KernelClass};
 
     fn setup_random_field<L: Lattice, F: PopField<L>>(dims: GridDims, seed: u64) -> F {
         let mut field = F::new(dims);
@@ -1394,14 +1034,12 @@ mod tests {
         let tol = crate::simd::dispatch_tolerance();
         for tile_z in [0, 1, 2, 3, 70] {
             let mut opt_dst = SoaField::<D3Q19>::new(dims);
-            let class = fused_step_optimized(
+            let class = ThreadPool::new(1).with_tile_z(tile_z).fused_step(
                 &flags,
                 &src,
                 &mut opt_dst,
                 &coll,
-                &interior,
-                0..dims.ny,
-                tile_z,
+                Some(&interior),
             );
             assert_ne!(class, KernelClass::Generic, "BGK must take a fast path");
 
@@ -1431,8 +1069,13 @@ mod tests {
         let mut ref_dst = SoaField::<D3Q19>::new(dims);
         fused_step(&flags, &src, &mut ref_dst, &coll);
         let mut opt_dst = SoaField::<D3Q19>::new(dims);
-        let class =
-            fused_step_optimized(&flags, &src, &mut opt_dst, &coll, &interior, 0..dims.ny, 2);
+        let class = ThreadPool::new(1).with_tile_z(2).fused_step(
+            &flags,
+            &src,
+            &mut opt_dst,
+            &coll,
+            Some(&interior),
+        );
         assert_eq!(class, KernelClass::Generic);
         for c in 0..dims.cells() {
             for q in 0..19 {
@@ -1476,8 +1119,9 @@ mod tests {
 
     #[test]
     fn simd_interior_kernel_matches_scalar_on_runs() {
-        // Direct kernel-level check: portable lane bit-exact vs the mask-based
-        // scalar kernel; AVX2 lane (when present) within 1e-12.
+        // Direct kernel-level check of the one interior nest: portable lane
+        // bit-exact vs the per-cell scalar walk; AVX2 lane (when present)
+        // within 1e-12.
         let dims = GridDims::new(8, 6, 13); // nz−2 = 11: full lanes + remainder
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
@@ -1485,32 +1129,31 @@ mod tests {
         let src: SoaField<D3Q19> = setup_random_field(dims, 77);
         let interior = InteriorIndex::build::<D3Q19>(&flags);
         let omega = BgkParams::from_tau(0.85).omega;
+        // Interior cells only; the remainder of `dst` stays zero.
+        let sweep = |tile_z: usize, path: FastPath| {
+            let mut dst = SoaField::<D3Q19>::new(dims);
+            // SAFETY: `dst` is exclusively ours; the runs came from `flags`;
+            // hardware lanes are only requested after detection.
+            unsafe {
+                ab_interior_sweep(
+                    &flags,
+                    src.raw(),
+                    dst.raw_mut().as_mut_ptr(),
+                    omega,
+                    0..dims.nx,
+                    0..dims.ny,
+                    tile_z,
+                    interior.runs(),
+                    path,
+                )
+            };
+            dst
+        };
 
-        let mut scalar_dst = SoaField::<D3Q19>::new(dims);
-        fused_step_d3q19_interior_tiled(
-            &flags,
-            &src,
-            &mut scalar_dst,
-            omega,
-            0..dims.nx,
-            0..dims.ny,
-            0,
-            interior.mask(),
-        );
+        let scalar_dst = sweep(0, FastPath::Cells);
 
         for tile_z in [0, 1, 3, 70] {
-            let mut simd_dst = SoaField::<D3Q19>::new(dims);
-            fused_step_d3q19_interior_simd(
-                &flags,
-                &src,
-                &mut simd_dst,
-                omega,
-                0..dims.nx,
-                0..dims.ny,
-                tile_z,
-                interior.runs(),
-                true, // portable lane: must be bit-exact
-            );
+            let simd_dst = sweep(tile_z, FastPath::Portable); // must be bit-exact
             for c in 0..dims.cells() {
                 for q in 0..19 {
                     assert_eq!(
@@ -1522,18 +1165,12 @@ mod tests {
             }
 
             if crate::simd::simd_available() {
-                let mut avx_dst = SoaField::<D3Q19>::new(dims);
-                fused_step_d3q19_interior_simd(
-                    &flags,
-                    &src,
-                    &mut avx_dst,
-                    omega,
-                    0..dims.nx,
-                    0..dims.ny,
-                    tile_z,
-                    interior.runs(),
-                    false,
-                );
+                let path = if crate::simd::avx512_available() {
+                    FastPath::Avx512
+                } else {
+                    FastPath::Avx2
+                };
+                let avx_dst = sweep(tile_z, path);
                 for c in 0..dims.cells() {
                     for q in 0..19 {
                         let (s, v) = (scalar_dst.get(c, q), avx_dst.get(c, q));
@@ -1659,9 +1296,9 @@ mod tests {
         fused_step(&flags, &src, &mut whole, &coll);
 
         let mut pieces = SoaField::<D3Q19>::new(dims);
-        fused_step_range(&flags, &src, &mut pieces, &coll, 0..2);
-        fused_step_range(&flags, &src, &mut pieces, &coll, 2..5);
-        fused_step_range(&flags, &src, &mut pieces, &coll, 5..6);
+        fused_step_rect(&flags, &src, &mut pieces, &coll, 0..dims.nx, 0..2);
+        fused_step_rect(&flags, &src, &mut pieces, &coll, 0..dims.nx, 2..5);
+        fused_step_rect(&flags, &src, &mut pieces, &coll, 0..dims.nx, 5..6);
 
         for c in 0..dims.cells() {
             for q in 0..19 {

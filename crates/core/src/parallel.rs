@@ -12,33 +12,30 @@
 //! plain `(fn, ctx)` pair — no per-step thread spawn, no boxed closures, no
 //! channel traffic — so a steady-state step performs zero heap allocations.
 //! Work is distributed by atomic slab stealing over a contiguous, balanced
-//! y-partition; the caller participates as worker 0.
+//! y-partition; the caller participates as worker 0. There is **one**
+//! dispatch protocol (`ThreadPool::dispatch`) under the AB and the AA step,
+//! and it admits one dispatcher at a time: clones of a pool share its workers,
+//! so a second concurrent caller waits its turn.
 //!
-//! Each slab dispatches the fastest eligible D3Q19 interior kernel (with
-//! z-tile cache blocking, the CPU mirror of the paper's 64×3×70 CPE tiling)
-//! when the field is SoA/D3Q19, the collision is plain BGK, and the caller
-//! supplied an interior index: the AVX2+FMA vectorized kernel over run-length
-//! interior runs when the CPU supports it, else the portable-lane or scalar
-//! kernel (see [`crate::simd`]). Everything else — other lattices, layouts and
-//! operators, and the non-interior remainder cells — runs the generic
-//! reference kernel. Results are bit-for-bit identical to
+//! Each slab runs the one interior loop nest of [`crate::simd`] (z-tile cache
+//! blocking, the CPU mirror of the paper's 64×3×70 CPE tiling, over run-length
+//! interior runs) when the field is SoA/D3Q19, the collision is plain BGK, and
+//! the caller supplied an interior index — on the AVX-512/AVX2+FMA lane when
+//! the CPU supports it, else the portable lane or per-cell scalar updates.
+//! Everything else — other lattices, layouts and operators, and the
+//! non-interior remainder cells — runs the generic cell body of
+//! [`crate::kernels`]. Results are bit-for-bit identical to
 //! [`crate::kernels::fused_step`] regardless of thread count or tile size on
 //! the scalar-semantics paths (per-cell updates are independent), and within
-//! 1e-12 under the AVX2+FMA lane.
+//! 1e-12 under the FMA lanes.
 
-use crate::boundary::NodeKind;
-use crate::collision::{collide, CollisionKind};
-use crate::equilibrium::equilibrium;
+use crate::collision::CollisionKind;
 use crate::flags::FlagField;
-use crate::kernels::{
-    aa_d3q19_interior_raw, aa_generic_rect, d3q19_interior_raw, gather_pull, InteriorIndex,
-    InteriorRuns, MAX_Q,
-};
+use crate::kernels::{aa_generic_rect, generic_rect, InteriorIndex, SharedWriter};
 use crate::lattice::{Lattice, D3Q19};
 use crate::layout::{AaParity, PopField, SoaField};
-use crate::simd::{FastPath, KernelClass};
-use crate::Scalar;
-use std::any::Any;
+use crate::simd::{aa_interior_sweep, ab_interior_sweep, select_fast_path, KernelClass};
+use std::any::{Any, TypeId};
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -49,33 +46,6 @@ use std::thread::JoinHandle;
 /// Default z-tile extent: the paper's CPE blocking is 64×3×70 (x×y×z), so 70
 /// z-cells per tile is the direct mapping (see `docs/PERFORMANCE.md`).
 pub const DEFAULT_TILE_Z: usize = 70;
-
-/// A `Send + Sync` writer over a population field's raw storage.
-///
-/// # Safety contract
-/// Constructed from a uniquely-borrowed field; concurrent users must write
-/// disjoint `(cell, q)` index sets. The parallel driver below guarantees this by
-/// assigning disjoint y-slabs.
-struct SharedWriter {
-    ptr: *mut Scalar,
-    len: usize,
-}
-
-// SAFETY: the pointer refers to a buffer whose unique borrow is held (and not
-// otherwise used) for the lifetime of the job; disjointness of writes is
-// guaranteed by the slab partition.
-unsafe impl Send for SharedWriter {}
-unsafe impl Sync for SharedWriter {}
-
-impl SharedWriter {
-    /// # Safety
-    /// `index < len` and no other thread writes the same index concurrently.
-    #[inline(always)]
-    unsafe fn write(&self, index: usize, v: Scalar) {
-        debug_assert!(index < self.len);
-        unsafe { *self.ptr.add(index) = v };
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Persistent worker pool.
@@ -90,8 +60,8 @@ struct Job {
     ctx: *const (),
 }
 
-// SAFETY: `ctx` only ever points at a `StepCtx`, whose contents are Send+Sync
-// (shared references to field data plus the SharedWriter).
+// SAFETY: `ctx` only ever points at a `SlabJob<F>` with `F: Sync` (see
+// `ThreadPool::for_each_slab`), which is therefore shareable across threads.
 unsafe impl Send for Job {}
 
 struct PoolState {
@@ -112,6 +82,10 @@ struct PoolShared {
 
 struct PoolInner {
     shared: Arc<PoolShared>,
+    /// Held by the dispatcher for the whole of a dispatch: `state` has one job
+    /// slot and one `active` count, so two callers (clones share the workers)
+    /// must take turns.
+    turn: Mutex<()>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -163,8 +137,9 @@ fn worker_loop(shared: Arc<PoolShared>) {
 /// Thread-count + tile-size configuration and the persistent worker pool that
 /// executes fused steps.
 ///
-/// Cloning is cheap and shares the underlying workers. Equality and `Debug`
-/// look at the configuration only.
+/// Cloning is cheap and shares the underlying workers; clones may dispatch
+/// from different threads, one dispatch at a time. Equality and `Debug` look
+/// at the configuration only.
 #[derive(Clone)]
 pub struct ThreadPool {
     threads: usize,
@@ -215,6 +190,7 @@ impl ThreadPool {
                 .collect();
             Arc::new(PoolInner {
                 shared,
+                turn: Mutex::new(()),
                 handles: Mutex::new(handles),
             })
         });
@@ -234,8 +210,8 @@ impl ThreadPool {
         )
     }
 
-    /// Set the z-tile extent for the optimized interior kernel (`0` disables
-    /// tiling). Default: [`DEFAULT_TILE_Z`].
+    /// Set the z-tile extent of the interior loop nest (`0` = one tile over
+    /// the whole z extent, i.e. no blocking). Default: [`DEFAULT_TILE_Z`].
     pub fn with_tile_z(mut self, tile_z: usize) -> Self {
         self.tile_z = tile_z;
         self
@@ -246,7 +222,7 @@ impl ThreadPool {
         self.threads
     }
 
-    /// z-tile extent used by the optimized interior kernel.
+    /// z-tile extent of the interior loop nest (`0` = no blocking).
     pub fn tile_z(&self) -> usize {
         self.tile_z
     }
@@ -257,17 +233,76 @@ impl ThreadPool {
         (0..n).map(|i| slab_range(&(0..ny), i, n)).collect()
     }
 
+    /// Run `func(ctx)` once on every pool thread, the caller included, and
+    /// return when all of them have finished — the one dispatch protocol:
+    /// take the turn, install the job, wake the workers, participate, wait,
+    /// clear, re-raise any panic. A 1-thread pool runs `func(ctx)` inline.
+    ///
+    /// # Safety
+    /// `func(ctx)` must be sound to run concurrently on `threads` threads for
+    /// as long as this call lasts.
+    unsafe fn dispatch(&self, func: unsafe fn(*const ()), ctx: *const ()) {
+        let Some(inner) = &self.inner else {
+            // SAFETY: the caller's contract, on one thread.
+            return unsafe { func(ctx) };
+        };
+        // The guard protects no data, so a turn poisoned by a dispatcher that
+        // re-raised a job panic below is still a valid turn.
+        let _turn = inner.turn.lock().unwrap_or_else(|e| e.into_inner());
+        {
+            let mut st = inner.shared.state.lock().unwrap();
+            st.job = Some(Job { func, ctx });
+            st.generation += 1;
+            st.active = self.threads - 1;
+        }
+        inner.shared.work_cv.notify_all();
+        // Participate as worker 0. Even if this panics, we must wait for the
+        // workers before unwinding: the job context lives on the caller's
+        // stack frame.
+        // SAFETY: the caller's contract.
+        let mine = catch_unwind(AssertUnwindSafe(|| unsafe { func(ctx) }));
+        let panicked = {
+            let mut st = inner.shared.state.lock().unwrap();
+            while st.active > 0 {
+                st = inner.shared.done_cv.wait(st).unwrap();
+            }
+            st.job = None;
+            std::mem::replace(&mut st.panicked, false)
+        };
+        if let Err(payload) = mine {
+            resume_unwind(payload);
+        }
+        if panicked {
+            panic!("worker thread panicked");
+        }
+    }
+
+    /// Run `slab(ys)` for every slab of the balanced partition of `yr` into
+    /// at most `threads` contiguous slabs, on all pool threads at once (atomic
+    /// slab stealing). `slab` lives on this stack frame: no allocation.
+    fn for_each_slab<F: Fn(Range<usize>) + Sync>(&self, yr: Range<usize>, slab: F) {
+        let job = SlabJob {
+            n_slabs: self.threads.min(yr.len()),
+            yr,
+            next: AtomicUsize::new(0),
+            slab,
+        };
+        // SAFETY: `run_slabs::<F>` only shares `job` (`F: Sync`, the rest is
+        // plain data and an atomic), which outlives the dispatch.
+        unsafe { self.dispatch(run_slabs::<F>, &job as *const SlabJob<F> as *const ()) };
+    }
+
     /// One fused stream+collide step executed by all worker threads, returning
     /// the [`KernelClass`] that served the interior cells.
     ///
     /// Produces the same `dst` state as [`crate::kernels::fused_step`]
     /// (verified by tests and property tests), independent of thread count and
     /// tile size — bit-for-bit on the scalar-semantics paths, within 1e-12
-    /// under the AVX2+FMA lane. When `interior` is supplied, the field is
+    /// under the FMA lanes. When `interior` is supplied, the field is
     /// SoA/D3Q19 and the collision is plain BGK, interior cells run the
-    /// fastest eligible kernel (vectorized over interior runs, or scalar; with
-    /// z-tile blocking) and only the remainder takes the generic path;
-    /// otherwise the whole slab runs the generic kernel.
+    /// interior loop nest (on the fastest eligible lane, with z-tile
+    /// blocking) and only the remainder takes the generic body; otherwise the
+    /// whole slab runs the generic body.
     pub fn fused_step<L: Lattice, F: PopField<L>>(
         &self,
         flags: &FlagField,
@@ -294,96 +329,51 @@ impl ThreadPool {
         yr: Range<usize>,
         interior: Option<&InteriorIndex>,
     ) -> KernelClass {
-        let ny = yr.end.saturating_sub(yr.start);
-        if ny == 0 || xr.end <= xr.start {
+        if yr.is_empty() || xr.is_empty() {
             return KernelClass::Generic;
         }
+        let dims = flags.dims();
+        assert!(
+            yr.end <= dims.ny
+                && xr.end <= dims.nx
+                && src.dims() == dims
+                && dst.dims() == dims
+                && interior.is_none_or(|ix| ix.dims == dims),
+            "rectangle, fields or interior index do not fit the flag grid"
+        );
         // Fast-path eligibility: plain constant-ω BGK on an SoA/D3Q19 field
         // with a caller-provided interior index.
         let fast = match (collision, interior) {
-            (CollisionKind::Bgk(p), Some(_)) => (src as &dyn Any)
+            (CollisionKind::Bgk(p), Some(ix)) => (src as &dyn Any)
                 .downcast_ref::<SoaField<D3Q19>>()
-                .map(|s| (s.raw(), p.omega)),
+                .map(|s| (s.raw(), p.omega, ix)),
             _ => None,
         };
-        // The generic remainder skips fast-path cells only when the fast
-        // kernel actually ran; otherwise it must cover every cell.
-        let (skip_mask, runs) = if fast.is_some() {
-            let ix = interior.expect("fast implies interior");
-            (Some(ix.mask()), Some(ix.runs()))
-        } else {
-            (None, None)
-        };
-        let (path, class) = crate::simd::select_fast_path();
-        let class = if fast.is_some() {
+        let (path, class) = select_fast_path();
+        let tile_z = self.tile_z;
+        let writer = SharedWriter::new(dst.raw_mut());
+        self.for_each_slab(yr, |ys| {
+            // SAFETY: `&mut dst` is held for the whole dispatch and disjoint
+            // y-slabs write disjoint cells; fields and index have the grid of
+            // `flags` (asserted above), so every run cell and its 18 pull
+            // sources are in bounds. Slabs never split a z-pencil, so the run
+            // iteration is identical for every thread count.
+            unsafe {
+                if let Some((sraw, omega, ix)) = fast {
+                    let (draw, xr, ys) = (writer.ptr(), xr.clone(), ys.clone());
+                    ab_interior_sweep(flags, sraw, draw, omega, xr, ys, tile_z, ix.runs(), path);
+                }
+                // The remainder skips fast-path cells only when the interior
+                // kernel actually ran; otherwise it covers every cell.
+                let skip = fast.map(|(_, _, ix)| ix.mask());
+                generic_rect::<L, F>(flags, src, &writer, collision, xr.clone(), ys, skip);
+            }
+        });
+        if fast.is_some() {
             class
         } else {
             KernelClass::Generic
-        };
-
-        let raw = dst.raw_mut();
-        let writer = SharedWriter {
-            ptr: raw.as_mut_ptr(),
-            len: raw.len(),
-        };
-        let n_slabs = self.threads.min(ny);
-        let ctx = StepCtx::<L, F> {
-            flags,
-            src,
-            writer,
-            collision,
-            fast_sraw: fast.map(|(s, _)| s),
-            omega: fast.map(|(_, o)| o).unwrap_or(0.0),
-            skip_mask,
-            runs,
-            path,
-            xr,
-            yr,
-            tile_z: self.tile_z,
-            n_slabs,
-            next: AtomicUsize::new(0),
-            _lattice: std::marker::PhantomData,
-        };
-
-        match &self.inner {
-            None => unsafe { run_step_job::<L, F>(&ctx as *const StepCtx<L, F> as *const ()) },
-            Some(inner) => {
-                let workers = {
-                    let mut st = inner.shared.state.lock().unwrap();
-                    st.job = Some(Job {
-                        func: run_step_job::<L, F>,
-                        ctx: &ctx as *const StepCtx<L, F> as *const (),
-                    });
-                    st.generation += 1;
-                    st.active = self.threads - 1;
-                    st.active
-                };
-                if workers > 0 {
-                    inner.shared.work_cv.notify_all();
-                }
-                // Participate as worker 0. Even if this panics, we must wait
-                // for the workers before unwinding: the job context lives on
-                // this stack frame.
-                let mine = catch_unwind(AssertUnwindSafe(|| unsafe {
-                    run_step_job::<L, F>(&ctx as *const StepCtx<L, F> as *const ())
-                }));
-                let panicked = {
-                    let mut st = inner.shared.state.lock().unwrap();
-                    while st.active > 0 {
-                        st = inner.shared.done_cv.wait(st).unwrap();
-                    }
-                    st.job = None;
-                    std::mem::replace(&mut st.panicked, false)
-                };
-                if let Err(payload) = mine {
-                    resume_unwind(payload);
-                }
-                if panicked {
-                    panic!("worker thread panicked");
-                }
-            }
         }
-        class
     }
 
     /// One in-place AA-pattern half-step executed by all worker threads,
@@ -393,7 +383,7 @@ impl ThreadPool {
     /// this returns). The AA slot-ownership discipline — every slot is read
     /// and written only by the single cell that owns it, which gathers before
     /// scattering — makes the odd step's cross-slab scatters race-free for any
-    /// slab partition, so the same atomic slab-stealing driver as
+    /// slab partition, so the same atomic slab-stealing dispatch as
     /// [`ThreadPool::fused_step`] applies unchanged. Thread count and tile
     /// size never change the result (bit-for-bit on scalar-semantics paths,
     /// within 1e-12 under FMA lanes).
@@ -406,7 +396,15 @@ impl ThreadPool {
         interior: Option<&InteriorIndex>,
     ) -> KernelClass {
         let dims = flags.dims();
-        self.aa_step_rect::<L>(flags, field, collision, parity, 0..dims.nx, 0..dims.ny, interior)
+        self.aa_step_rect::<L>(
+            flags,
+            field,
+            collision,
+            parity,
+            0..dims.nx,
+            0..dims.ny,
+            interior,
+        )
     }
 
     /// [`ThreadPool::aa_fused_step`] restricted to the rectangle `xr × yr`
@@ -423,90 +421,51 @@ impl ThreadPool {
         yr: Range<usize>,
         interior: Option<&InteriorIndex>,
     ) -> KernelClass {
-        let ny = yr.end.saturating_sub(yr.start);
-        if ny == 0 || xr.end <= xr.start {
+        if yr.is_empty() || xr.is_empty() {
             return KernelClass::Generic;
         }
+        let dims = flags.dims();
+        assert!(
+            yr.end <= dims.ny
+                && xr.end <= dims.nx
+                && field.dims() == dims
+                && interior.is_none_or(|ix| ix.dims == dims),
+            "rectangle, field or interior index does not fit the flag grid"
+        );
         // Fast-path eligibility mirrors `step_rect`: plain constant-ω BGK on a
         // D3Q19 grid with a caller-provided interior index.
-        let omega = match collision {
-            CollisionKind::Bgk(p) => p.omega,
-            _ => 0.0,
-        };
-        let fast = matches!(collision, CollisionKind::Bgk(_))
-            && interior.is_some()
-            && std::any::TypeId::of::<L>() == std::any::TypeId::of::<D3Q19>();
-        let (skip_mask, runs) = if fast {
-            let ix = interior.expect("fast implies interior");
-            (Some(ix.mask()), Some(ix.runs()))
-        } else {
-            (None, None)
-        };
-        let (path, class) = crate::simd::select_fast_path();
-        let class = if fast { class } else { KernelClass::Generic };
-
-        let raw = field.raw_mut();
-        let grid = SharedWriter {
-            ptr: raw.as_mut_ptr(),
-            len: raw.len(),
-        };
-        let n_slabs = self.threads.min(ny);
-        let ctx = AaStepCtx::<L> {
-            flags,
-            grid,
-            collision,
-            parity,
-            fast,
-            omega,
-            skip_mask,
-            runs,
-            path,
-            xr,
-            yr,
-            tile_z: self.tile_z,
-            n_slabs,
-            next: AtomicUsize::new(0),
-            _lattice: std::marker::PhantomData,
-        };
-
-        match &self.inner {
-            None => unsafe { run_aa_step_job::<L>(&ctx as *const AaStepCtx<L> as *const ()) },
-            Some(inner) => {
-                let workers = {
-                    let mut st = inner.shared.state.lock().unwrap();
-                    st.job = Some(Job {
-                        func: run_aa_step_job::<L>,
-                        ctx: &ctx as *const AaStepCtx<L> as *const (),
-                    });
-                    st.generation += 1;
-                    st.active = self.threads - 1;
-                    st.active
-                };
-                if workers > 0 {
-                    inner.shared.work_cv.notify_all();
-                }
-                // Participate as worker 0; wait for the workers even on panic
-                // (the job context lives on this stack frame).
-                let mine = catch_unwind(AssertUnwindSafe(|| unsafe {
-                    run_aa_step_job::<L>(&ctx as *const AaStepCtx<L> as *const ())
-                }));
-                let panicked = {
-                    let mut st = inner.shared.state.lock().unwrap();
-                    while st.active > 0 {
-                        st = inner.shared.done_cv.wait(st).unwrap();
-                    }
-                    st.job = None;
-                    std::mem::replace(&mut st.panicked, false)
-                };
-                if let Err(payload) = mine {
-                    resume_unwind(payload);
-                }
-                if panicked {
-                    panic!("worker thread panicked");
-                }
+        let fast = match (collision, interior) {
+            (CollisionKind::Bgk(p), Some(ix)) if TypeId::of::<L>() == TypeId::of::<D3Q19>() => {
+                Some((p.omega, ix))
             }
+            _ => None,
+        };
+        let (path, class) = select_fast_path();
+        let tile_z = self.tile_z;
+        let grid = SharedWriter::new(field.raw_mut());
+        self.for_each_slab(yr, |ys| {
+            // SAFETY: `&mut field` is held for the whole dispatch; field and
+            // index have the grid of `flags` (asserted above); each cell is
+            // processed exactly once across all slabs and both passes, and
+            // every slot has a single owning cell, so slabs touch disjoint
+            // slots even across odd-step scatters. Slabs never split a
+            // z-pencil, so the run iteration is identical for every thread
+            // count.
+            unsafe {
+                let raw = grid.ptr();
+                if let Some((omega, ix)) = fast {
+                    let (xr, ys) = (xr.clone(), ys.clone());
+                    aa_interior_sweep(flags, raw, parity, omega, xr, ys, tile_z, ix.runs(), path);
+                }
+                let skip = fast.map(|(_, ix)| ix.mask());
+                aa_generic_rect::<L>(flags, raw, collision, parity, xr.clone(), ys, skip);
+            }
+        });
+        if fast.is_some() {
+            class
+        } else {
+            KernelClass::Generic
         }
-        class
     }
 }
 
@@ -525,239 +484,41 @@ fn slab_range(yr: &Range<usize>, i: usize, n: usize) -> Range<usize> {
     start..start + base + usize::from(i < extra)
 }
 
-/// The type-erased per-step context shared by all participants. Lives on the
-/// dispatching caller's stack for the duration of the step.
-struct StepCtx<'a, L: Lattice, F: PopField<L>> {
-    flags: &'a FlagField,
-    src: &'a F,
-    writer: SharedWriter,
-    collision: &'a CollisionKind,
-    /// `Some` ⇒ run the optimized D3Q19 interior kernel on masked cells.
-    fast_sraw: Option<&'a [Scalar]>,
-    omega: Scalar,
-    /// `Some` ⇒ the generic remainder skips cells the fast path covered.
-    skip_mask: Option<&'a [bool]>,
-    /// Run-length interior view for the vectorized kernel (set iff fast path).
-    runs: Option<&'a InteriorRuns>,
-    /// Which interior kernel the fast path executes (resolved once per step).
-    path: FastPath,
-    xr: Range<usize>,
+/// The per-dispatch context shared by all participants: the slab partition,
+/// the stealing cursor and the slab body. Lives on the dispatching caller's
+/// stack for the duration of the step.
+struct SlabJob<F> {
     yr: Range<usize>,
-    tile_z: usize,
     n_slabs: usize,
     next: AtomicUsize,
-    _lattice: std::marker::PhantomData<L>,
+    slab: F,
 }
 
 /// Job body: steal slabs until the partition is exhausted.
 ///
 /// # Safety
-/// `ctx` must point at a live `StepCtx<L, F>` whose writer targets a buffer no
-/// other code touches during the job.
-unsafe fn run_step_job<L: Lattice, F: PopField<L>>(ctx: *const ()) {
-    let ctx = unsafe { &*(ctx as *const StepCtx<L, F>) };
+/// `ctx` must point at a live `SlabJob<F>`.
+unsafe fn run_slabs<F: Fn(Range<usize>) + Sync>(ctx: *const ()) {
+    let job = unsafe { &*(ctx as *const SlabJob<F>) };
     loop {
-        let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-        if i >= ctx.n_slabs {
+        let i = job.next.fetch_add(1, Ordering::Relaxed);
+        if i >= job.n_slabs {
             break;
         }
-        let ys = slab_range(&ctx.yr, i, ctx.n_slabs);
-        if let (Some(sraw), Some(mask)) = (ctx.fast_sraw, ctx.skip_mask) {
-            // SAFETY: disjoint y-slabs ⇒ disjoint writes; writer length checked
-            // at construction. Slabs never split a z-pencil, so the vectorized
-            // run iteration is identical for every thread count.
-            unsafe {
-                match ctx.path {
-                    FastPath::MaskScalar => d3q19_interior_raw(
-                        ctx.flags,
-                        sraw,
-                        ctx.writer.ptr,
-                        ctx.omega,
-                        ctx.xr.clone(),
-                        ys.clone(),
-                        ctx.tile_z,
-                        mask,
-                    ),
-                    _ => crate::simd::d3q19_interior_simd(
-                        ctx.flags,
-                        sraw,
-                        ctx.writer.ptr,
-                        ctx.omega,
-                        ctx.xr.clone(),
-                        ys.clone(),
-                        ctx.tile_z,
-                        ctx.runs.expect("fast path implies runs"),
-                        ctx.path,
-                    ),
-                }
-            }
-        }
-        step_slab_rect::<L, F>(
-            ctx.flags,
-            ctx.src,
-            &ctx.writer,
-            ctx.collision,
-            ctx.xr.clone(),
-            ys,
-            ctx.skip_mask,
-        );
-    }
-}
-
-/// The type-erased per-step context of the in-place AA driver. Lives on the
-/// dispatching caller's stack for the duration of the step.
-struct AaStepCtx<'a, L: Lattice> {
-    flags: &'a FlagField,
-    /// The single grid, shared read+write: the AA slot-ownership discipline
-    /// guarantees no two threads ever touch the same slot.
-    grid: SharedWriter,
-    collision: &'a CollisionKind,
-    /// The grid's current state (selects the odd or even step flavor).
-    parity: AaParity,
-    /// `true` ⇒ run the optimized D3Q19 AA interior kernel on masked cells.
-    fast: bool,
-    omega: Scalar,
-    /// `Some` ⇒ the generic remainder skips cells the fast path covered.
-    skip_mask: Option<&'a [bool]>,
-    /// Run-length interior view for the vectorized kernel (set iff fast path).
-    runs: Option<&'a InteriorRuns>,
-    path: FastPath,
-    xr: Range<usize>,
-    yr: Range<usize>,
-    tile_z: usize,
-    n_slabs: usize,
-    next: AtomicUsize,
-    _lattice: std::marker::PhantomData<L>,
-}
-
-/// AA job body: steal slabs until the partition is exhausted.
-///
-/// # Safety
-/// `ctx` must point at a live `AaStepCtx<L>` whose grid no other code touches
-/// during the job.
-unsafe fn run_aa_step_job<L: Lattice>(ctx: *const ()) {
-    let ctx = unsafe { &*(ctx as *const AaStepCtx<L>) };
-    loop {
-        let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-        if i >= ctx.n_slabs {
-            break;
-        }
-        let ys = slab_range(&ctx.yr, i, ctx.n_slabs);
-        if ctx.fast {
-            // SAFETY: slot ownership ⇒ disjoint slot access across slabs even
-            // for cross-slab odd scatters; grid length checked at construction.
-            // Slabs never split a z-pencil, so the vectorized run iteration is
-            // identical for every thread count.
-            unsafe {
-                match ctx.path {
-                    FastPath::MaskScalar => aa_d3q19_interior_raw(
-                        ctx.flags,
-                        ctx.grid.ptr,
-                        ctx.omega,
-                        ctx.parity,
-                        ctx.xr.clone(),
-                        ys.clone(),
-                        ctx.tile_z,
-                        ctx.skip_mask.expect("fast path implies mask"),
-                    ),
-                    _ => crate::simd::aa_d3q19_interior_simd(
-                        ctx.flags,
-                        ctx.grid.ptr,
-                        ctx.omega,
-                        ctx.parity,
-                        ctx.xr.clone(),
-                        ys.clone(),
-                        ctx.tile_z,
-                        ctx.runs.expect("fast path implies runs"),
-                        ctx.path,
-                    ),
-                }
-            }
-        }
-        // SAFETY: as above — each cell is processed exactly once across all
-        // slabs and passes, and every slot has a single owning cell.
-        unsafe {
-            aa_generic_rect::<L>(
-                ctx.flags,
-                ctx.grid.ptr,
-                ctx.collision,
-                ctx.parity,
-                ctx.xr.clone(),
-                ys,
-                ctx.skip_mask,
-            )
-        };
-    }
-}
-
-/// Per-thread generic body: fused step over one slab of the rectangle, writing
-/// through the shared writer. When `skip_mask` is given, cells flagged there
-/// were already produced by the optimized interior kernel and are skipped.
-fn step_slab_rect<L: Lattice, F: PopField<L>>(
-    flags: &FlagField,
-    src: &F,
-    writer: &SharedWriter,
-    collision: &CollisionKind,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    skip_mask: Option<&[bool]>,
-) {
-    let dims = flags.dims();
-    let mut f = [0.0; MAX_Q];
-    for y in ys {
-        for x in xr.clone() {
-            for z in 0..dims.nz {
-                let this = dims.idx(x, y, z);
-                if skip_mask.is_some_and(|m| m[this]) {
-                    continue;
-                }
-                let kind = flags.kind(this);
-                match kind {
-                    NodeKind::Fluid
-                    | NodeKind::VelocityNebb { .. }
-                    | NodeKind::PressureNebb { .. } => {
-                        gather_pull::<L, F>(flags, src, x, y, z, &mut f[..L::Q]);
-                        crate::kernels::reconstruct_nebb::<L>(&mut f[..L::Q], kind);
-                        collide::<L>(&mut f[..L::Q], collision);
-                        for q in 0..L::Q {
-                            // SAFETY: (this, q) is inside this thread's slab.
-                            unsafe { writer.write(src.index_of(this, q), f[q]) };
-                        }
-                    }
-                    NodeKind::Wall | NodeKind::MovingWall { .. } => {
-                        for q in 0..L::Q {
-                            unsafe { writer.write(src.index_of(this, q), src.get(this, q)) };
-                        }
-                    }
-                    NodeKind::Inlet { rho, u } => {
-                        equilibrium::<L>(rho, u, &mut f[..L::Q]);
-                        for q in 0..L::Q {
-                            unsafe { writer.write(src.index_of(this, q), f[q]) };
-                        }
-                    }
-                    NodeKind::Outlet { normal } => {
-                        let m = dims
-                            .neighbor_checked(x, y, z, [-normal[0], -normal[1], -normal[2]])
-                            .map(|[a, b, c]| dims.idx(a, b, c))
-                            .unwrap_or(this);
-                        for q in 0..L::Q {
-                            unsafe { writer.write(src.index_of(this, q), src.get(m, q)) };
-                        }
-                    }
-                }
-            }
-        }
+        (job.slab)(slab_range(&job.yr, i, job.n_slabs));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boundary::NodeKind;
     use crate::collision::BgkParams;
     use crate::geometry::GridDims;
     use crate::kernels::fused_step;
     use crate::lattice::{D2Q9, D3Q19};
     use crate::layout::{AosField, SoaField};
+    use crate::Scalar;
 
     fn random_field<L: Lattice, F: PopField<L>>(dims: GridDims, seed: u64) -> F {
         let mut field = F::new(dims);
@@ -1016,6 +777,90 @@ mod tests {
                 let (x, s) = (a.get(c, q), serial_a.get(c, q));
                 assert!((x - s).abs() <= tol, "cell {c} q {q}: {x} vs {s}");
             }
+        }
+    }
+
+    #[test]
+    fn second_dispatcher_waits_for_the_job_in_flight() {
+        // Forced interleaving: B dispatches on a clone while A's slab bodies
+        // are provably still running. B's body must not start before A's
+        // dispatch has returned.
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let pool = ThreadPool::new(2);
+        let (a_inside, b_ran, overlap) = (
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+        );
+        let b_pool = pool.clone();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !a_inside.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                b_pool.for_each_slab(0..2, |_| b_ran.store(true, Ordering::SeqCst));
+            });
+            pool.for_each_slab(0..2, |_| {
+                a_inside.store(true, Ordering::SeqCst);
+                // Give B ample time to barge in; it never may, so under the
+                // turn lock this wait always runs to its deadline.
+                let deadline = Instant::now() + Duration::from_millis(200);
+                while Instant::now() < deadline {
+                    if b_ran.load(Ordering::SeqCst) {
+                        overlap.store(true, Ordering::SeqCst);
+                        return;
+                    }
+                    std::thread::yield_now();
+                }
+            });
+        });
+        assert!(!overlap.load(Ordering::SeqCst), "B ran inside A's dispatch");
+        assert!(b_ran.load(Ordering::SeqCst), "B never ran");
+    }
+
+    #[test]
+    fn concurrent_dispatchers_on_one_pool_match_the_one_thread_pool() {
+        // Clones share the workers and the single job slot. Two threads
+        // dispatching at once used to overwrite each other's job and `active`
+        // count: the first caller returned while a worker was still inside its
+        // (now dangling) context, and the worker's decrement underflowed.
+        let dims = GridDims::new(24, 24, 24);
+        let mut flags = FlagField::new(dims);
+        flags.set_box_walls();
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        let interior = InteriorIndex::build::<D3Q19>(&flags);
+        let steps = 300;
+        let run = |pool: &ThreadPool, seed: u64| {
+            let mut a: SoaField<D3Q19> = random_field(dims, seed);
+            let mut b = SoaField::<D3Q19>::new(dims);
+            for _ in 0..steps {
+                pool.fused_step(&flags, &a, &mut b, &coll, Some(&interior));
+                std::mem::swap(&mut a, &mut b);
+            }
+            a
+        };
+        let one = ThreadPool::new(1);
+        let want = [run(&one, 11), run(&one, 12)];
+
+        let pool = ThreadPool::new(2);
+        let start = std::sync::Barrier::new(2);
+        let got = std::thread::scope(|s| {
+            let handles = [11, 12].map(|seed| {
+                let (pool, start, run) = (pool.clone(), &start, &run);
+                s.spawn(move || {
+                    start.wait();
+                    run(&pool, seed)
+                })
+            });
+            handles.map(|h| h.join().expect("dispatcher thread"))
+        });
+        // Thread count never changes a result bitwise, so neither may sharing.
+        for (w, g) in want.iter().zip(&got) {
+            assert!(
+                w.raw() == g.raw(),
+                "shared pool diverged from the 1-thread pool"
+            );
         }
     }
 

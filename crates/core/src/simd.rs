@@ -8,19 +8,21 @@
 //! * an AVX2+FMA lane (`std::arch` intrinsics behind `is_x86_feature_detected!`),
 //! * a portable `[f64; 4]` lane that compiles everywhere and carries exactly the
 //!   scalar kernel's rounding (every lane op is a separately rounded f64 op, so
-//!   the expression tree matches [`crate::kernels`]' scalar interior kernel
+//!   the expression tree matches [`crate::kernels`]' scalar per-cell updates
 //!   bit for bit),
 //!
-//! and the vectorized interior kernel `d3q19_interior_simd`, which consumes
-//! precomputed run-length-encoded interior runs ([`crate::kernels::InteriorRuns`])
-//! instead of testing a per-cell `Vec<bool>` mask: the SoA layout is z-innermost
+//! and **the one interior loop nest** of the workspace, `interior_nest`
+//! (entered through `interior_sweep`): z-tiles × y × x pencils × precomputed
+//! run-length-encoded interior runs ([`crate::kernels::InteriorRuns`]) — no
+//! per-cell `Vec<bool>` mask test. The SoA layout is z-innermost
 //! (`idx = (y·nx + x)·nz + z`), so within a run all 19 pull-scheme gathers are
 //! plain contiguous (unaligned) lane-wide loads from a shifted line. Sub-lane
-//! remainders fall back to the shared scalar per-cell update, so coverage is
-//! identical to the mask-based scalar kernel. The same lanes also drive the
-//! AA-pattern single-grid interior kernels (`aa_d3q19_interior_simd`): the odd
-//! flavor pulls from reversed slots and scatters, the even flavor is a purely
-//! local load/collide/reversed-store permute.
+//! remainders take the shared scalar per-cell update, so coverage is exactly
+//! the interior mask. The nest is generic over the lane and over a small
+//! `InteriorUpdate` — the AB pull (read `src`, write `dst`) or the AA in-place
+//! half-step (odd: pull reversed slots and scatter; even: a purely local
+//! load/collide/reversed-store permute) — and it is the only place the z-tile
+//! extent (`ThreadPool::tile_z`, `0` = one tile) is read.
 //!
 //! Lane widths: the AVX2 lane and the default portable lane are 4 × f64
 //! ([`LANES`]); an 8 × f64 AVX-512F lane (plus a bit-exact `[f64; 8]` portable
@@ -36,9 +38,10 @@
 //!   `a*b + c` into one rounding).
 //! * `SWLB_NO_SIMD=1` in the environment, or no vector unit → the portable lane
 //!   ([`KernelClass::Scalar`]); results are bit-exact against the scalar kernel.
-//! * Benchmarks force the legacy mask-based scalar kernel via
-//!   [`LanePolicy::ForceScalar`] for honest scalar baselines; equivalence runs
-//!   pin specific lanes via `ForcePortable`/`ForceAvx2`/`ForceAvx512`.
+//! * Benchmarks switch the lanes off via [`LanePolicy::ForceScalar`] — the
+//!   same nest over the same runs, every cell through the scalar per-cell
+//!   update — for honest scalar baselines; equivalence runs pin specific
+//!   lanes via `ForcePortable`/`ForceAvx2`/`ForceAvx512`.
 //!
 //! The module also hosts the host-metadata helpers (`cpu_features`,
 //! `logical_cores`, `physical_cores`) that bench output and the CLI exit
@@ -69,8 +72,9 @@ pub enum KernelClass {
     /// Generic reference kernel (non-BGK collision, non-SoA layout, or a
     /// lattice without a fast path).
     Generic,
-    /// Scalar-semantics interior fast path: the mask-based hand-optimized
-    /// kernel or the portable lane (both bit-exact against the reference).
+    /// Scalar-semantics interior fast path: per-cell scalar updates or a
+    /// portable lane over the interior runs (both bit-exact against the
+    /// reference).
     Scalar,
     /// AVX2+FMA vectorized interior fast path (within 1e-12 of the reference).
     Simd,
@@ -118,7 +122,8 @@ pub enum LanePolicy {
     Auto,
     /// Always run the portable `[f64; 4]` lane (scalar-exact).
     ForcePortable,
-    /// Always run the legacy mask-based scalar interior kernel.
+    /// No lane at all: every interior-run cell takes the scalar per-cell
+    /// update (the same cells in the same loop nest as every other policy).
     ForceScalar,
     /// Pin the 4-wide AVX2+FMA lane even when AVX-512F is available (falls back
     /// to the portable 4-wide lane on CPUs without AVX2+FMA).
@@ -204,15 +209,15 @@ pub(crate) enum FastPath {
     /// Portable `[f64; 8]` lane over interior runs (scalar-exact, 8-wide
     /// chunking — the software twin of the AVX-512 lane).
     Portable8,
-    /// Legacy mask-based scalar kernel ([`crate::kernels::fused_step_d3q19_interior_tiled`]).
-    MaskScalar,
+    /// Scalar per-cell updates over interior runs (no lane).
+    Cells,
 }
 
 /// Resolve the lane policy, environment and CPU into the fast path an eligible
 /// step will take, plus the [`KernelClass`] it reports.
 pub(crate) fn select_fast_path() -> (FastPath, KernelClass) {
     match lane_policy() {
-        LanePolicy::ForceScalar => (FastPath::MaskScalar, KernelClass::Scalar),
+        LanePolicy::ForceScalar => (FastPath::Cells, KernelClass::Scalar),
         LanePolicy::ForcePortable => (FastPath::Portable, KernelClass::Scalar),
         LanePolicy::ForceAvx2 => {
             if !no_simd_env() && simd_available() {
@@ -812,103 +817,109 @@ unsafe fn aa_even_lane_update<V: Lane>(raw: *mut Scalar, cells: usize, this: usi
                (11, 12) (12, 11) (13, 14) (14, 13) (15, 16) (16, 15) (17, 18) (18, 17));
 }
 
-/// Shared loop nest: z-tiles × y × x pencils × interior runs, full lanes
-/// through [`lane_update`], sub-lane remainders through the scalar per-cell
-/// update — so every run cell is covered exactly once, matching the mask.
-///
-/// # Safety
-/// See [`d3q19_interior_simd`].
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-unsafe fn interior_runs_impl<V: Lane>(
-    flags: &FlagField,
-    sraw: &[Scalar],
+/// What one interior sweep does to the cells it visits — the only thing the
+/// AB and AA sweeps differ in. An update supplies the lane-wide and the
+/// single-cell form of the same operation; `interior_sweep` drives either
+/// through the one loop nest.
+trait InteriorUpdate: Copy {
+    /// Update the `V::WIDTH` consecutive-z interior cells starting at `this`.
+    ///
+    /// # Safety
+    /// Cells `this .. this + WIDTH` must all be interior per `off` (every
+    /// gather source and scatter target in bounds), the update's buffers must
+    /// cover `19 * cells` scalars, and no other thread may touch the slots
+    /// these cells own.
+    unsafe fn lanes<V: Lane>(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar);
+
+    /// Update the single interior cell `this`.
+    ///
+    /// # Safety
+    /// As [`InteriorUpdate::lanes`], for one cell.
+    unsafe fn cell(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar);
+}
+
+/// The AB (two-grid) update: pull from `sraw`, collide, store to `draw`.
+/// Concurrent sweeps must cover disjoint cells of `draw`.
+#[derive(Clone, Copy)]
+struct AbPull<'a> {
+    sraw: &'a [Scalar],
     draw: *mut Scalar,
-    omega: Scalar,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    runs: &InteriorRuns,
-) {
-    let dims = flags.dims();
-    let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
-    if nx < 3 || ny < 3 || nz < 3 {
-        return; // no interior at all; generic path covers everything
-    }
-    let cells = dims.cells();
-    debug_assert_eq!(sraw.len(), 19 * cells);
+}
 
-    let mut off = [0isize; 19];
-    for q in 0..19 {
-        let c = D3Q19::C[q];
-        off[q] = -((c[1] as isize * nx as isize + c[0] as isize) * nz as isize + c[2] as isize);
+impl InteriorUpdate for AbPull<'_> {
+    #[inline(always)]
+    unsafe fn lanes<V: Lane>(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar) {
+        unsafe { lane_update::<V>(self.sraw, self.draw, cells, off, this, omega) }
     }
 
-    let y0 = ys.start.max(1);
-    let y1 = ys.end.min(ny - 1);
-    let x0 = xr.start.max(1);
-    let x1 = xr.end.min(nx - 1);
-    let z0 = 1;
-    let z1 = nz - 1;
-    let tile = if tile_z == 0 { z1 - z0 } else { tile_z };
-
-    let mut zt = z0;
-    while zt < z1 {
-        let zt_end = (zt + tile).min(z1);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let pencil = y * nx + x;
-                let base = pencil * nz;
-                for &(rz0, rz1) in runs.pencil(pencil) {
-                    let a = (rz0 as usize).max(zt);
-                    let b = (rz1 as usize).min(zt_end);
-                    let mut z = a;
-                    while z + V::WIDTH <= b {
-                        // SAFETY: the run certifies cells base+z .. base+z+WIDTH
-                        // interior; caller certifies buffers and exclusivity.
-                        unsafe { lane_update::<V>(sraw, draw, cells, &off, base + z, omega) };
-                        z += V::WIDTH;
-                    }
-                    while z < b {
-                        // SAFETY: as above, single interior cell.
-                        unsafe {
-                            crate::kernels::d3q19_cell_update(
-                                sraw,
-                                draw,
-                                cells,
-                                &off,
-                                base + z,
-                                omega,
-                            )
-                        };
-                        z += 1;
-                    }
-                }
-            }
-        }
-        zt = zt_end;
+    #[inline(always)]
+    unsafe fn cell(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar) {
+        unsafe { crate::kernels::d3q19_cell_update(self.sraw, self.draw, cells, off, this, omega) }
     }
 }
 
-/// The AA-pattern twin of [`interior_runs_impl`]: same z-tiles × y × x pencils
-/// × interior-runs loop nest (so the vector/scalar chunk split per cell is
-/// identical to the AB kernel at equal lane width), dispatching the odd or even
-/// AA lane update per [`AaParity`], with the matching scalar per-cell updates
-/// covering sub-lane remainders.
+/// The AA (single-grid) update: the odd (pull reversed slots, scatter) or even
+/// (local permute) half-step in place on `raw`, by the grid's current
+/// `parity`. The AA slot-ownership discipline makes concurrent sweeps over
+/// disjoint cell sets race-free, cross-slab odd scatters included.
+#[derive(Clone, Copy)]
+struct AaInPlace {
+    raw: *mut Scalar,
+    parity: AaParity,
+}
+
+impl InteriorUpdate for AaInPlace {
+    #[inline(always)]
+    unsafe fn lanes<V: Lane>(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar) {
+        unsafe {
+            match self.parity {
+                AaParity::Reversed => aa_odd_lane_update::<V>(self.raw, cells, off, this, omega),
+                AaParity::Streamed => aa_even_lane_update::<V>(self.raw, cells, this, omega),
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn cell(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar) {
+        unsafe {
+            match self.parity {
+                AaParity::Reversed => {
+                    crate::kernels::aa_odd_cell_update(self.raw, cells, off, this, omega)
+                }
+                AaParity::Streamed => {
+                    crate::kernels::aa_even_cell_update(self.raw, cells, this, omega)
+                }
+            }
+        }
+    }
+}
+
+/// The one interior loop nest: z-tiles × y × x pencils × interior runs. With
+/// `vector` set, full lanes go through [`InteriorUpdate::lanes`] and sub-lane
+/// remainders through [`InteriorUpdate::cell`]; without it every run cell
+/// takes the single-cell update. Either way each run cell is covered exactly
+/// once, matching the interior mask.
+///
+/// The z tiling is the CPU mirror of the paper's 64×3×70 CPE blocking: each
+/// (slab, tile) pass touches a bounded working set of the 19 SoA planes so
+/// the gathered source stays cache-resident across the x sweep. `tile_z == 0`
+/// means one tile spanning the whole z extent. Per-cell updates are
+/// independent, so the traversal order never changes a scalar-semantics
+/// result; under an FMA lane it moves the vector/scalar chunk split.
 ///
 /// # Safety
-/// See [`aa_d3q19_interior_simd`].
+/// See [`interior_sweep`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn aa_interior_runs_impl<V: Lane>(
+unsafe fn interior_nest<V: Lane, U: InteriorUpdate>(
     flags: &FlagField,
-    raw: *mut Scalar,
+    update: U,
     omega: Scalar,
-    parity: AaParity,
     xr: Range<usize>,
     ys: Range<usize>,
     tile_z: usize,
     runs: &InteriorRuns,
+    vector: bool,
 ) {
     let dims = flags.dims();
     let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
@@ -917,6 +928,7 @@ unsafe fn aa_interior_runs_impl<V: Lane>(
     }
     let cells = dims.cells();
 
+    // Per-direction linear offset of the *pull source* (x − c_q).
     let mut off = [0isize; 19];
     for q in 0..19 {
         let c = D3Q19::C[q];
@@ -942,42 +954,16 @@ unsafe fn aa_interior_runs_impl<V: Lane>(
                     let a = (rz0 as usize).max(zt);
                     let b = (rz1 as usize).min(zt_end);
                     let mut z = a;
-                    while z + V::WIDTH <= b {
+                    while vector && z + V::WIDTH <= b {
                         // SAFETY: the run certifies cells base+z .. base+z+WIDTH
-                        // interior (all 18 neighbors fluid and in bounds, so odd
-                        // scatters stay in bounds); caller certifies the buffer
-                        // and the AA slot-ownership race-freedom argument.
-                        unsafe {
-                            match parity {
-                                AaParity::Reversed => {
-                                    aa_odd_lane_update::<V>(raw, cells, &off, base + z, omega)
-                                }
-                                AaParity::Streamed => {
-                                    aa_even_lane_update::<V>(raw, cells, base + z, omega)
-                                }
-                            }
-                        };
+                        // interior (all 18 neighbors fluid and in bounds);
+                        // caller certifies buffers and exclusivity.
+                        unsafe { update.lanes::<V>(cells, &off, base + z, omega) };
                         z += V::WIDTH;
                     }
                     while z < b {
                         // SAFETY: as above, single interior cell.
-                        unsafe {
-                            match parity {
-                                AaParity::Reversed => crate::kernels::aa_odd_cell_update(
-                                    raw,
-                                    cells,
-                                    &off,
-                                    base + z,
-                                    omega,
-                                ),
-                                AaParity::Streamed => crate::kernels::aa_even_cell_update(
-                                    raw,
-                                    cells,
-                                    base + z,
-                                    omega,
-                                ),
-                            }
-                        };
+                        unsafe { update.cell(cells, &off, base + z, omega) };
                         z += 1;
                     }
                 }
@@ -988,105 +974,62 @@ unsafe fn aa_interior_runs_impl<V: Lane>(
 }
 
 /// AVX2+FMA instantiation. The `target_feature` wrapper makes every intrinsic
-/// inline into one feature-enabled region (no per-op function calls).
+/// inline into one feature-enabled region per update (no per-op function
+/// calls).
 ///
 /// # Safety
 /// CPU must support AVX2 and FMA (checked by the dispatcher), plus the
-/// contract of [`d3q19_interior_simd`].
+/// contract of [`interior_sweep`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn interior_runs_avx2(
+unsafe fn interior_nest_avx2<U: InteriorUpdate>(
     flags: &FlagField,
-    sraw: &[Scalar],
-    draw: *mut Scalar,
+    update: U,
     omega: Scalar,
     xr: Range<usize>,
     ys: Range<usize>,
     tile_z: usize,
     runs: &InteriorRuns,
 ) {
-    unsafe { interior_runs_impl::<Avx2Lane>(flags, sraw, draw, omega, xr, ys, tile_z, runs) };
+    unsafe { interior_nest::<Avx2Lane, U>(flags, update, omega, xr, ys, tile_z, runs, true) };
 }
 
-/// AVX-512F instantiation of the AB interior kernel.
+/// AVX-512F instantiation.
 ///
 /// # Safety
 /// CPU must support AVX-512F (checked by the dispatcher), plus the contract of
-/// [`d3q19_interior_simd`].
+/// [`interior_sweep`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn interior_runs_avx512(
+unsafe fn interior_nest_avx512<U: InteriorUpdate>(
     flags: &FlagField,
-    sraw: &[Scalar],
-    draw: *mut Scalar,
+    update: U,
     omega: Scalar,
     xr: Range<usize>,
     ys: Range<usize>,
     tile_z: usize,
     runs: &InteriorRuns,
 ) {
-    unsafe { interior_runs_impl::<Avx512Lane>(flags, sraw, draw, omega, xr, ys, tile_z, runs) };
+    unsafe { interior_nest::<Avx512Lane, U>(flags, update, omega, xr, ys, tile_z, runs, true) };
 }
 
-/// AVX2+FMA instantiation of the AA interior kernel.
-///
-/// # Safety
-/// CPU must support AVX2 and FMA, plus the contract of
-/// [`aa_d3q19_interior_simd`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn aa_interior_runs_avx2(
-    flags: &FlagField,
-    raw: *mut Scalar,
-    omega: Scalar,
-    parity: AaParity,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    runs: &InteriorRuns,
-) {
-    unsafe { aa_interior_runs_impl::<Avx2Lane>(flags, raw, omega, parity, xr, ys, tile_z, runs) };
-}
-
-/// AVX-512F instantiation of the AA interior kernel.
-///
-/// # Safety
-/// CPU must support AVX-512F, plus the contract of [`aa_d3q19_interior_simd`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn aa_interior_runs_avx512(
-    flags: &FlagField,
-    raw: *mut Scalar,
-    omega: Scalar,
-    parity: AaParity,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    runs: &InteriorRuns,
-) {
-    unsafe { aa_interior_runs_impl::<Avx512Lane>(flags, raw, omega, parity, xr, ys, tile_z, runs) };
-}
-
-/// The vectorized fused D3Q19 interior kernel over run-length-encoded interior
-/// runs — the raw entry the unified dispatch (serial, pooled and distributed)
-/// shares. `path` selects the lane (resolved by [`select_fast_path`]);
-/// [`FastPath::MaskScalar`] is the caller's job, not this function's.
-///
-/// # Safety
-/// `draw` must point at `19 * cells` writable scalars, `runs` must describe
-/// interior cells of `flags` (every run cell has all 18 pull sources in
-/// bounds), no other thread may write any cell in `xr × ys` concurrently, and
-/// hardware lanes require their CPU feature (guaranteed by
+/// One interior pass of `update` over the run-length-encoded interior cells
+/// of `xr × ys` — the single dispatcher under every fused step (1-thread,
+/// pooled and distributed, AB and AA). `path` selects the lane (resolved by
 /// [`select_fast_path`]).
+///
+/// # Safety
+/// The update's buffers must cover `19 * cells` scalars of `flags`' grid;
+/// `runs` must describe interior cells of `flags` (every run cell has all 18
+/// gather sources and scatter targets in bounds); concurrent callers must
+/// cover disjoint cell sets; and hardware lanes require their CPU feature
+/// (guaranteed by [`select_fast_path`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn d3q19_interior_simd(
+unsafe fn interior_sweep<U: InteriorUpdate>(
     flags: &FlagField,
-    sraw: &[Scalar],
-    draw: *mut Scalar,
+    update: U,
     omega: Scalar,
     xr: Range<usize>,
     ys: Range<usize>,
@@ -1100,16 +1043,12 @@ pub(crate) unsafe fn d3q19_interior_simd(
             FastPath::Avx512 => {
                 debug_assert!(avx512_available(), "AVX-512 lane dispatched without support");
                 // SAFETY: caller contract + feature check above.
-                return unsafe {
-                    interior_runs_avx512(flags, sraw, draw, omega, xr, ys, tile_z, runs)
-                };
+                return unsafe { interior_nest_avx512(flags, update, omega, xr, ys, tile_z, runs) };
             }
             FastPath::Avx2 => {
                 debug_assert!(simd_available(), "AVX2 lane dispatched without support");
                 // SAFETY: caller contract + feature check above.
-                return unsafe {
-                    interior_runs_avx2(flags, sraw, draw, omega, xr, ys, tile_z, runs)
-                };
+                return unsafe { interior_nest_avx2(flags, update, omega, xr, ys, tile_z, runs) };
             }
             _ => {}
         }
@@ -1118,66 +1057,66 @@ pub(crate) unsafe fn d3q19_interior_simd(
     unsafe {
         match path {
             FastPath::Portable8 => {
-                interior_runs_impl::<Portable8Lane>(flags, sraw, draw, omega, xr, ys, tile_z, runs)
+                interior_nest::<Portable8Lane, U>(flags, update, omega, xr, ys, tile_z, runs, true)
             }
-            _ => {
-                interior_runs_impl::<PortableLane>(flags, sraw, draw, omega, xr, ys, tile_z, runs)
+            FastPath::Cells => {
+                interior_nest::<PortableLane, U>(flags, update, omega, xr, ys, tile_z, runs, false)
             }
+            _ => interior_nest::<PortableLane, U>(flags, update, omega, xr, ys, tile_z, runs, true),
         }
     }
 }
 
-/// The AA-pattern counterpart of [`d3q19_interior_simd`]: one in-place interior
-/// pass of the step flavor selected by `parity` over the single grid `raw`.
+/// One AB interior pass over `xr × ys`: pull from `sraw`, write `draw`.
+///
+/// This and [`aa_interior_sweep`] are the crate's two entries into the nest.
+/// They are deliberately not generic: the pool's step functions are, and
+/// every downstream crate instantiating them would otherwise compile its own
+/// copy of the whole nest.
 ///
 /// # Safety
-/// `raw` must point at `19 * cells` writable scalars; `runs` must describe
-/// interior cells of `flags`; no other code may read or write the grid during
-/// the pass except through the AA step itself (whose slot-ownership discipline
-/// makes concurrent slabs race-free); hardware lanes require their CPU feature.
+/// The contract of `interior_sweep`; concurrent callers must cover disjoint
+/// cells of `draw`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn aa_d3q19_interior_simd(
+pub(crate) unsafe fn ab_interior_sweep(
     flags: &FlagField,
-    raw: *mut Scalar,
+    sraw: &[Scalar],
+    draw: *mut Scalar,
     omega: Scalar,
-    parity: AaParity,
     xr: Range<usize>,
     ys: Range<usize>,
     tile_z: usize,
     runs: &InteriorRuns,
     path: FastPath,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match path {
-            FastPath::Avx512 => {
-                debug_assert!(avx512_available(), "AVX-512 lane dispatched without support");
-                // SAFETY: caller contract + feature check above.
-                return unsafe {
-                    aa_interior_runs_avx512(flags, raw, omega, parity, xr, ys, tile_z, runs)
-                };
-            }
-            FastPath::Avx2 => {
-                debug_assert!(simd_available(), "AVX2 lane dispatched without support");
-                // SAFETY: caller contract + feature check above.
-                return unsafe {
-                    aa_interior_runs_avx2(flags, raw, omega, parity, xr, ys, tile_z, runs)
-                };
-            }
-            _ => {}
-        }
-    }
-    // SAFETY: caller contract.
-    unsafe {
-        match path {
-            FastPath::Portable8 => aa_interior_runs_impl::<Portable8Lane>(
-                flags, raw, omega, parity, xr, ys, tile_z, runs,
-            ),
-            _ => aa_interior_runs_impl::<PortableLane>(
-                flags, raw, omega, parity, xr, ys, tile_z, runs,
-            ),
-        }
-    }
+    debug_assert_eq!(sraw.len(), 19 * flags.dims().cells());
+    // SAFETY: the caller's contract.
+    let update = AbPull { sraw, draw };
+    unsafe { interior_sweep(flags, update, omega, xr, ys, tile_z, runs, path) }
+}
+
+/// One in-place AA interior pass over `xr × ys` of the step flavor selected
+/// by the grid's current `parity`.
+///
+/// # Safety
+/// The contract of `interior_sweep`; no other code may touch the grid during
+/// the pass except the AA step itself, whose slot-ownership discipline makes
+/// concurrent slabs race-free.
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn aa_interior_sweep(
+    flags: &FlagField,
+    raw: *mut Scalar,
+    parity: AaParity,
+    omega: Scalar,
+    xr: Range<usize>,
+    ys: Range<usize>,
+    tile_z: usize,
+    runs: &InteriorRuns,
+    path: FastPath,
+) {
+    // SAFETY: the caller's contract.
+    let update = AaInPlace { raw, parity };
+    unsafe { interior_sweep(flags, update, omega, xr, ys, tile_z, runs, path) }
 }
 
 // ---------------------------------------------------------------------------
@@ -1339,10 +1278,7 @@ mod tests {
     fn policy_roundtrip_and_selection() {
         let prev = lane_policy();
         set_lane_policy(LanePolicy::ForceScalar);
-        assert_eq!(
-            select_fast_path(),
-            (FastPath::MaskScalar, KernelClass::Scalar)
-        );
+        assert_eq!(select_fast_path(), (FastPath::Cells, KernelClass::Scalar));
         set_lane_policy(LanePolicy::ForcePortable);
         assert_eq!(
             select_fast_path(),

@@ -7,17 +7,19 @@
 //! (AB) or [`ThreadPool::aa_fused_step`] (AA), which dispatch the
 //! hand-optimized D3Q19 interior kernel (z-tile blocked) per y-slab whenever
 //! the field/collision combination supports it and the generic reference
-//! kernel everywhere else. Thread count and tile size are configuration, not
+//! kernel everywhere else. Thread count and tile size are the pool's
+//! configuration ([`ThreadPool::new`], [`ThreadPool::with_tile_z`]), not
 //! modes — a 1-thread pool runs inline with no worker threads and identical
 //! (bit-exact) results. It is the unit the distributed engine (`swlb-sim`)
 //! instantiates per rank, and the reference implementation the architecture
 //! emulator (`swlb-arch`) is validated against.
 //!
 //! Construction goes through [`SolverBuilder`] — the single path for dims,
-//! collision, storage scheme, thread pool, tile size and observability
-//! recorder. The historical `Solver::new` + `with_*` chain and the `ExecMode`
-//! selector were removed after every in-tree caller migrated; contradictory
-//! settings (e.g. `tile_z == 0`) are rejected by [`SolverBuilder::try_build`].
+//! collision, storage scheme, thread pool, temporal-blocking depth and
+//! observability recorder. The historical `Solver::new` + `with_*` chain and
+//! the `ExecMode` selector were removed after every in-tree caller migrated;
+//! contradictory settings (e.g. an odd `time_block` under AA storage) are
+//! rejected by [`SolverBuilder::try_build`].
 //!
 //! The scheme-agnostic state surface is [`Solver::state`]/[`Solver::state_mut`]
 //! (the raw current grid, whose slot interpretation depends on the scheme and
@@ -62,8 +64,7 @@ pub struct StepStats {
 /// use swlb_core::prelude::*;
 ///
 /// let solver = Solver::<D2Q9>::builder(GridDims::new2d(16, 16), BgkParams::from_tau(0.8))
-///     .pool(ThreadPool::new(4))
-///     .tile_z(70)
+///     .pool(ThreadPool::new(4).with_tile_z(70))
 ///     .build();
 /// assert_eq!(solver.step_count(), 0);
 /// ```
@@ -73,7 +74,6 @@ pub struct SolverBuilder<L: Lattice> {
     collision: CollisionKind,
     storage: StorageScheme,
     pool: Option<ThreadPool>,
-    tile_z: Option<usize>,
     time_block: usize,
     recorder: Recorder,
     _lattice: PhantomData<L>,
@@ -87,7 +87,6 @@ impl<L: Lattice> SolverBuilder<L> {
             collision: CollisionKind::Bgk(params),
             storage: StorageScheme::default(),
             pool: None,
-            tile_z: None,
             time_block: 1,
             recorder: Recorder::disabled(),
             _lattice: PhantomData,
@@ -113,16 +112,11 @@ impl<L: Lattice> SolverBuilder<L> {
     }
 
     /// Thread pool for the unified execution pipeline (default: one thread,
-    /// which runs inline with no worker threads).
+    /// which runs inline with no worker threads). The z-tile extent of the
+    /// interior sweep is the pool's too ([`ThreadPool::with_tile_z`]; default
+    /// [`crate::parallel::DEFAULT_TILE_Z`], the paper's 64×3×**70** blocking).
     pub fn pool(mut self, pool: ThreadPool) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// z-tile extent for the optimized interior kernel (must be ≥ 1; default
-    /// [`crate::parallel::DEFAULT_TILE_Z`], the paper's 64×3×**70** blocking).
-    pub fn tile_z(mut self, tile_z: usize) -> Self {
-        self.tile_z = Some(tile_z);
         self
     }
 
@@ -145,14 +139,9 @@ impl<L: Lattice> SolverBuilder<L> {
 
     /// Build the solver, rejecting contradictory settings.
     ///
-    /// Errors: `tile_z == 0` (use the default or a positive tile instead),
-    /// `time_block == 0`, and an odd `time_block > 1` under AA storage.
+    /// Errors: `time_block == 0`, and an odd `time_block > 1` under AA
+    /// storage.
     pub fn try_build(self) -> Result<Solver<L>, SwlbError> {
-        if self.tile_z == Some(0) {
-            return Err(SwlbError::InvalidConfig(
-                "tile_z must be >= 1 (omit it for the default blocking)".into(),
-            ));
-        }
         if self.time_block == 0 {
             return Err(SwlbError::InvalidConfig(
                 "time_block must be >= 1 (1 disables temporal blocking)".into(),
@@ -165,10 +154,7 @@ impl<L: Lattice> SolverBuilder<L> {
                 self.time_block
             )));
         }
-        let mut pool = self.pool.unwrap_or_else(|| ThreadPool::new(1));
-        if let Some(t) = self.tile_z {
-            pool = pool.with_tile_z(t);
-        }
+        let pool = self.pool.unwrap_or_else(|| ThreadPool::new(1));
         let obs_mlups = self.recorder.gauge("mlups");
         let obs_steps = self.recorder.counter("steps");
         let obs_kernel_class = self.recorder.gauge("kernel_class");
@@ -413,42 +399,70 @@ impl<L: Lattice> Solver<L> {
     /// Advance one time step, reporting scheme/boundary incompatibilities as a
     /// typed error instead of panicking.
     pub fn try_step(&mut self) -> Result<(), SwlbError> {
+        self.sweep(1)
+    }
+
+    /// Advance `k` steps through the one execution pipeline — the body under
+    /// [`Solver::try_step`] (`k = 1`) and [`Solver::try_block`].
+    ///
+    /// The pool dispatches the interior loop nest per y-slab where the
+    /// field/collision combination allows (SoA + D3Q19 + plain BGK, via the
+    /// cached interior index — vectorized when the CPU supports it) and the
+    /// generic kernel everywhere else; a 1-thread pool runs inline. Depth 1 is
+    /// one whole-grid dispatch; a depth-`k` wavefront is `k · ny / threads`
+    /// narrow ones, which is a different schedule, so `k = 1` does not go
+    /// through [`crate::temporal`].
+    fn sweep(&mut self, k: usize) -> Result<(), SwlbError> {
         self.ensure_interior()?;
         // `now()` is `None` for a disabled recorder: the instrumented path
         // then takes no clock reading and touches no atomic.
         let t0 = self.recorder.now();
-        // One pipeline for every configuration: the pool dispatches the
-        // fastest eligible interior kernel per y-slab where the field/collision
-        // combination allows (SoA + D3Q19 + plain BGK, via the cached interior
-        // index — vectorized when the CPU supports it) and the generic kernel
-        // everywhere else. A 1-thread pool runs inline.
         let flags = &self.flags;
         let collision = self.collision;
         let interior = self.interior.as_ref();
         let pool = &self.pool;
         let class = match &mut self.storage {
             Storage::Ab(bufs) => {
-                let (src, dst) = bufs.pair_mut();
-                let class = pool.fused_step::<L, _>(flags, src, dst, &collision, interior);
-                bufs.flip();
+                let (src, dst) = bufs.both_mut();
+                let class = if k == 1 {
+                    pool.fused_step::<L, _>(flags, src, dst, &collision, interior)
+                } else {
+                    crate::temporal::ab_block::<L>(pool, flags, src, dst, &collision, interior, k)
+                };
+                // Level k leaves the final state in `dst` only for odd depths.
+                if k % 2 == 1 {
+                    bufs.flip();
+                }
                 class
             }
-            Storage::Aa { field, parity } => {
+            Storage::Aa { field, parity } if k == 1 => {
                 let class = pool.aa_fused_step::<L>(flags, field, &collision, *parity, interior);
                 *parity = parity.flip();
                 class
+            }
+            Storage::Aa { field, parity } => {
+                if *parity != AaParity::Reversed {
+                    return Err(SwlbError::InvalidConfig(
+                        "an AA temporal block must start at Reversed parity \
+                         (even completed step count)"
+                            .into(),
+                    ));
+                }
+                // Even depth: the block returns to Reversed, parity unchanged.
+                crate::temporal::aa_block::<L>(pool, flags, field, &collision, *parity, interior, k)
             }
         };
         self.last_class = class;
         if let Some(t0) = t0 {
             let ns = (t0.elapsed().as_nanos() as u64).max(1);
             self.recorder.record_phase_ns(Phase::CollideStream, ns);
-            self.obs_steps.inc();
-            // MLUPS = cells / seconds / 1e6 = cells · 1000 / ns.
-            self.obs_mlups.set(self.active as f64 * 1e3 / ns as f64);
+            self.obs_steps.add(k as u64);
+            // MLUPS = cells · steps / seconds / 1e6 = cells · steps · 1000 / ns.
+            self.obs_mlups
+                .set(self.active as f64 * k as f64 * 1e3 / ns as f64);
             self.obs_kernel_class.set(class.as_gauge());
         }
-        self.step += 1;
+        self.step += k as u64;
         self.recorder.maybe_flush(self.step);
         Ok(())
     }
@@ -472,54 +486,10 @@ impl<L: Lattice> Solver<L> {
 
     /// Advance `time_block` steps in one cache-resident wavefront sweep —
     /// bit-identical to that many [`Solver::try_step`] calls, but touching
-    /// DRAM roughly once instead of `time_block` times. Falls back to a plain
-    /// step when blocking is disabled.
+    /// DRAM roughly once instead of `time_block` times. A plain step when
+    /// blocking is disabled.
     pub fn try_block(&mut self) -> Result<(), SwlbError> {
-        let k = self.time_block;
-        if k <= 1 {
-            return self.try_step();
-        }
-        self.ensure_interior()?;
-        let t0 = self.recorder.now();
-        let flags = &self.flags;
-        let collision = self.collision;
-        let interior = self.interior.as_ref();
-        let pool = &self.pool;
-        let class = match &mut self.storage {
-            Storage::Ab(bufs) => {
-                let (src, dst) = bufs.both_mut();
-                let class =
-                    crate::temporal::ab_block::<L>(pool, flags, src, dst, &collision, interior, k);
-                // Level k leaves the final state in `dst` only for odd depths.
-                if k % 2 == 1 {
-                    bufs.flip();
-                }
-                class
-            }
-            Storage::Aa { field, parity } => {
-                if *parity != AaParity::Reversed {
-                    return Err(SwlbError::InvalidConfig(
-                        "an AA temporal block must start at Reversed parity \
-                         (even completed step count)"
-                            .into(),
-                    ));
-                }
-                // Even depth: the block returns to Reversed, parity unchanged.
-                crate::temporal::aa_block::<L>(pool, flags, field, &collision, *parity, interior, k)
-            }
-        };
-        self.last_class = class;
-        if let Some(t0) = t0 {
-            let ns = (t0.elapsed().as_nanos() as u64).max(1);
-            self.recorder.record_phase_ns(Phase::CollideStream, ns);
-            self.obs_steps.add(k as u64);
-            self.obs_mlups
-                .set(self.active as f64 * k as f64 * 1e3 / ns as f64);
-            self.obs_kernel_class.set(class.as_gauge());
-        }
-        self.step += k as u64;
-        self.recorder.maybe_flush(self.step);
-        Ok(())
+        self.sweep(self.time_block)
     }
 
     /// Advance by one depth-`time_block` wavefront sweep when a whole block
@@ -703,23 +673,6 @@ mod tests {
             snap.gauge("kernel_class"),
             Some(s.last_kernel_class().as_gauge())
         );
-    }
-
-    #[test]
-    fn builder_rejects_contradictory_settings() {
-        let dims = GridDims::new2d(8, 8);
-        let err = Solver::<D2Q9>::builder(dims, BgkParams::from_tau(0.8))
-            .tile_z(0)
-            .try_build()
-            .unwrap_err();
-        assert!(matches!(err, SwlbError::InvalidConfig(_)), "{err}");
-
-        // A positive tile with any pool is fine.
-        assert!(Solver::<D2Q9>::builder(dims, BgkParams::from_tau(0.8))
-            .tile_z(2)
-            .pool(ThreadPool::new(2))
-            .try_build()
-            .is_ok());
     }
 
     #[test]

@@ -1,0 +1,130 @@
+//! The core-level lane × tile × scheme matrix of the one interior loop nest.
+//!
+//! Every lane policy, every z-tile extent (none, sub-lane, odd, the default,
+//! larger than the grid) and every sweep flavor (AB, AA odd, AA even) must
+//! reproduce the generic reference kernel on a geometry whose interior
+//! obstacles split runs mid-pencil: bit-for-bit under the scalar-semantics
+//! policies, within `dispatch_tolerance()` under the FMA lanes.
+//!
+//! The lane policy is process-global, so this matrix is the only test of its
+//! binary.
+
+use swlb_core::boundary::NodeKind;
+use swlb_core::collision::{BgkParams, CollisionKind};
+use swlb_core::flags::FlagField;
+use swlb_core::geometry::GridDims;
+use swlb_core::kernels::{
+    canonicalize_streamed, fused_step, initialize_with, reverse_planes, InteriorIndex,
+};
+use swlb_core::lattice::{Lattice, D3Q19};
+use swlb_core::layout::{AaParity, PopField, SoaField};
+use swlb_core::parallel::ThreadPool;
+use swlb_core::simd::{dispatch_tolerance, set_lane_policy, KernelClass, LanePolicy};
+
+type Field = SoaField<D3Q19>;
+
+fn assert_close(
+    flags: &FlagField,
+    want: &Field,
+    got: &Field,
+    fluid_only: bool,
+    tol: f64,
+    what: &str,
+) {
+    for cell in 0..want.cells() {
+        if fluid_only && !flags.kind(cell).is_fluid() {
+            continue; // AA solid slots are bounce-back mailboxes
+        }
+        for q in 0..D3Q19::Q {
+            let (w, g) = (want.get(cell, q), got.get(cell, q));
+            assert!(
+                (w - g).abs() <= tol,
+                "{what}: cell {cell} q {q}: generic {w} vs {g} (tol {tol:e})"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_lane_tile_and_scheme_matches_the_generic_kernel() {
+    // nz − 2 = 19 interior cells per pencil: full 8- and 4-wide lanes plus
+    // remainders, re-cut by every tile extent below.
+    let dims = GridDims::new(9, 7, 21);
+    let mut flags = FlagField::new(dims);
+    flags.set_box_walls();
+    flags.paint_lid([0.05, 0.0, 0.0]);
+    flags.set(4, 3, 10, NodeKind::Wall);
+    flags.set(3, 2, 5, NodeKind::Wall);
+    flags.set(3, 2, 6, NodeKind::Wall);
+    let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+    let interior = InteriorIndex::build::<D3Q19>(&flags);
+
+    // Canonical states after 0, 1 and 2 steps of the generic kernel.
+    let mut step0 = Field::new(dims);
+    initialize_with::<D3Q19, _>(&flags, &mut step0, |x, y, z| {
+        let v = 0.01 * ((x * 7 + y * 3 + z) % 11) as f64;
+        (1.0 + v, [v * 0.1, -v * 0.05, 0.02 * v])
+    });
+    let mut step1 = Field::new(dims);
+    fused_step(&flags, &step0, &mut step1, &coll);
+    let mut step2 = Field::new(dims);
+    fused_step(&flags, &step1, &mut step2, &coll);
+
+    // The AA inputs: step 0 in the Reversed state, step 1 in the Streamed
+    // state (one odd half-step of the generic AA body — no lane involved).
+    let mut reversed = step0.clone();
+    reverse_planes::<D3Q19>(&mut reversed);
+    let mut streamed = reversed.clone();
+    let one = ThreadPool::new(1);
+    one.aa_fused_step::<D3Q19>(&flags, &mut streamed, &coll, AaParity::Reversed, None);
+
+    for policy in [
+        LanePolicy::ForceScalar,
+        LanePolicy::ForcePortable,
+        LanePolicy::ForceAvx2,
+        LanePolicy::ForceAvx512,
+        LanePolicy::Auto,
+    ] {
+        set_lane_policy(policy);
+        let tol = dispatch_tolerance();
+        if matches!(policy, LanePolicy::ForceScalar | LanePolicy::ForcePortable) {
+            assert_eq!(tol, 0.0, "{policy:?} has scalar semantics");
+        }
+        for tile_z in [0, 1, 3, 70, dims.nz + 5] {
+            for threads in [1, 3] {
+                let pool = ThreadPool::new(threads).with_tile_z(tile_z);
+                let what =
+                    |scheme: &str| format!("{scheme} {policy:?} tile_z={tile_z} T={threads}");
+
+                let mut ab = Field::new(dims);
+                let class = pool.fused_step(&flags, &step0, &mut ab, &coll, Some(&interior));
+                assert_ne!(class, KernelClass::Generic);
+                assert_close(&flags, &step1, &ab, false, tol, &what("AB"));
+
+                let mut odd = reversed.clone();
+                let class = pool.aa_fused_step::<D3Q19>(
+                    &flags,
+                    &mut odd,
+                    &coll,
+                    AaParity::Reversed,
+                    Some(&interior),
+                );
+                assert_ne!(class, KernelClass::Generic);
+                let odd = canonicalize_streamed::<D3Q19>(&odd);
+                assert_close(&flags, &step1, &odd, true, tol, &what("AA-odd"));
+
+                let mut even = streamed.clone();
+                pool.aa_fused_step::<D3Q19>(
+                    &flags,
+                    &mut even,
+                    &coll,
+                    AaParity::Streamed,
+                    Some(&interior),
+                );
+                reverse_planes::<D3Q19>(&mut even);
+                assert_close(&flags, &step2, &even, true, tol, &what("AA-even"));
+            }
+        }
+    }
+    set_lane_policy(LanePolicy::Auto);
+}

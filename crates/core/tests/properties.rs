@@ -12,7 +12,7 @@ use swlb_core::collision::{
 use swlb_core::equilibrium::{equilibrium, moments};
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{fused_step, fused_step_optimized, InteriorIndex};
+use swlb_core::kernels::{fused_step, InteriorIndex};
 use swlb_core::lattice::{Lattice, D2Q9, D3Q19};
 use swlb_core::layout::{AosField, PopField, SoaField, StorageScheme};
 use swlb_core::parallel::ThreadPool;
@@ -217,12 +217,14 @@ proptest! {
         fused_step(&flags, &src, &mut reference, &coll);
 
         // The collision kind is threaded through (no ω→τ→ω round-trip), so
-        // serial optimized dispatch is bit-exact against the reference on
+        // 1-thread optimized dispatch is bit-exact against the reference on
         // scalar-semantics lanes; under auto-selected AVX2 the fused
         // multiply-adds differ from the reference by rounding only.
         let tol = swlb_core::simd::dispatch_tolerance();
         let mut optimized = SoaField::<D3Q19>::new(dims);
-        fused_step_optimized(&flags, &src, &mut optimized, &coll, &interior, 0..dims.ny, tile_z);
+        ThreadPool::new(1)
+            .with_tile_z(tile_z)
+            .fused_step(&flags, &src, &mut optimized, &coll, Some(&interior));
         for c in 0..dims.cells() {
             for q in 0..D3Q19::Q {
                 let (r, o) = (reference.get(c, q), optimized.get(c, q));
@@ -251,7 +253,7 @@ proptest! {
         // Periodic box, no walls: one fused step is a permutation (streaming)
         // composed with a per-cell conservative collision, so total mass and
         // momentum are invariant. The interior cells take whatever lane path
-        // the host auto-selects (AVX2, portable, or mask-scalar under
+        // the host auto-selects (AVX-512, AVX2, or portable under
         // SWLB_NO_SIMD=1), so this pins conservation on the vector kernel.
         let dims = GridDims::new(7, 6, 9);
         let flags = FlagField::new(dims);
@@ -259,7 +261,9 @@ proptest! {
         let coll = CollisionKind::Bgk(BgkParams::from_tau(tau));
         let interior = InteriorIndex::build::<D3Q19>(&flags);
         let mut dst = SoaField::<D3Q19>::new(dims);
-        fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny, 0);
+        ThreadPool::new(1)
+            .with_tile_z(0)
+            .fused_step(&flags, &src, &mut dst, &coll, Some(&interior));
         let sums = |f: &SoaField<D3Q19>| {
             let mut m = 0.0;
             let mut j = [0.0; 3];

@@ -66,12 +66,6 @@ simd-check:
     SWLB_NO_SIMD=1 cargo test -q -p swlb-sim --release --test simd_equivalence --test unified_dispatch
     SWLB_NO_SIMD=1 cargo test -q -p swlb-core --release
 
-# AA-pattern acceptance (docs/PERFORMANCE.md, "Streaming patterns") beyond
-# `just equivalence`: the AA↔AB matrix again under SWLB_NO_SIMD=1, where
-# every lane falls back to scalar semantics.
-aa-check:
-    SWLB_NO_SIMD=1 cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence
-
 # Rank-elastic checkpoint acceptance (docs/SERVING.md, "Elastic resume")
 # beyond the checkpoint-on-N / resume-on-M matrix in `just equivalence`:
 # rollback across a reshard, the resident rank world's ownership tests in

@@ -2,8 +2,9 @@
 //! the vectorized D3Q19 dispatch (paper Fig. 8's vectorization rung).
 //!
 //! Three kernel classes serve interior BGK cells: the generic per-cell
-//! reference, the hand-optimized mask-scalar kernel, and the lane kernel
-//! (portable `[f64; 4]` or AVX2+FMA). The contract:
+//! reference, the hand-optimized scalar cell update, and the lane update
+//! (portable `[f64; 4]` or AVX2+FMA) — the latter two through the one
+//! interior loop nest. The contract:
 //!
 //! * portable lane ↔ scalar ↔ generic: **bit-exact** (the portable lane uses
 //!   unfused multiply-add, so its expression tree rounds identically), for
@@ -20,7 +21,7 @@ use swlb_comm::World;
 use swlb_core::collision::{BgkParams, CollisionKind};
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{fused_step, fused_step_optimized, InteriorIndex};
+use swlb_core::kernels::{fused_step, InteriorIndex};
 use swlb_core::lattice::{Lattice, D3Q19};
 use swlb_core::layout::{PopField, SoaField};
 use swlb_core::parallel::ThreadPool;
@@ -77,7 +78,13 @@ fn optimized_step(
 ) -> (SoaField<D3Q19>, KernelClass) {
     let dims = src.dims();
     let mut dst = SoaField::<D3Q19>::new(dims);
-    let class = fused_step_optimized(flags, src, &mut dst, coll, interior, 0..dims.ny, tile_z);
+    let class = ThreadPool::new(1).with_tile_z(tile_z).fused_step(
+        flags,
+        src,
+        &mut dst,
+        coll,
+        Some(interior),
+    );
     (dst, class)
 }
 
@@ -93,7 +100,7 @@ fn assert_fields_close(a: &SoaField<D3Q19>, b: &SoaField<D3Q19>, tol: f64, what:
     }
 }
 
-/// Portable lane, mask-scalar kernel, and generic reference agree bit-for-bit
+/// Portable lane, per-cell scalar walk, and generic reference agree bit-for-bit
 /// for every tile size exercised elsewhere in the suite.
 #[test]
 fn portable_lane_is_bit_exact_against_scalar_and_generic() {
@@ -162,7 +169,7 @@ fn no_simd_env_never_selects_simd_class() {
 }
 
 /// AA-pattern storage must agree with AB under every pinned lane policy —
-/// the portable lanes (4- and 8-wide), the mask-scalar kernel, the AVX2+FMA
+/// the portable lanes (4- and 8-wide), the per-cell scalar walk, the AVX2+FMA
 /// lane, and the 8-wide AVX-512F lane where the host detects `avx512f`
 /// (`ForceAvx512` falls back to the bit-identical portable 8-wide lane
 /// elsewhere, so the matrix is runnable on any host). Odd step counts end at
