@@ -21,7 +21,7 @@
 //!   odd, AA even) with hoisted neighbor offsets and a fully unrolled
 //!   direction loop, the portable analog of the paper's assembly-level
 //!   optimization stage (manual unroll + instruction reordering). They cover
-//!   interior cells only and are driven by the one z-tile × y × x × run loop
+//!   interior cells only and are driven by the one y × x × run loop
 //!   nest in [`crate::simd`], reached through
 //!   [`crate::parallel::ThreadPool`]; the generic body finishes the boundary
 //!   shell, skipping the cells of the [`InteriorIndex`] mask.

@@ -12,16 +12,22 @@
 //! plain `(fn, ctx)` pair — no per-step thread spawn, no boxed closures, no
 //! channel traffic — so a steady-state step performs zero heap allocations.
 //! Work is distributed by atomic slab stealing over a contiguous, balanced
-//! y-partition; the caller participates as worker 0. There is **one**
+//! y-partition that is **finer than the thread count** (`slab_count`), so a
+//! participant that finishes early takes what is left instead of waiting for
+//! the slower one; the caller participates as worker 0. There is **one**
 //! dispatch protocol (`ThreadPool::dispatch`) under the AB and the AA step,
 //! and it admits one dispatcher at a time: clones of a pool share its workers,
 //! so a second concurrent caller waits its turn.
 //!
-//! Each slab runs the one interior loop nest of [`crate::simd`] (z-tile cache
-//! blocking, the CPU mirror of the paper's 64×3×70 CPE tiling, over run-length
-//! interior runs) when the field is SoA/D3Q19, the collision is plain BGK, and
-//! the caller supplied an interior index — on the AVX-512/AVX2+FMA lane when
-//! the CPU supports it, else the portable lane or per-cell scalar updates.
+//! Each slab runs the one interior loop nest of [`crate::simd`] over
+//! run-length interior runs when the field is SoA/D3Q19, the collision is
+//! plain BGK, and the caller supplied an interior index — on the
+//! AVX-512/AVX2+FMA lane when the CPU supports it, else the portable lane or
+//! per-cell scalar updates. By default the nest streams the whole z extent of
+//! every pencil: a fused pull sweep reads each population once per step, so a
+//! cache host has nothing for a z-tile to keep resident. The paper's 64×3×70
+//! blocking feeds a 64 KB software-managed LDM (reproduced in `swlb-arch`);
+//! here it is the explicit opt-in [`ThreadPool::with_tile_z`].
 //! Everything else — other lattices, layouts and operators, and the
 //! non-interior remainder cells — runs the generic cell body of
 //! [`crate::kernels`]. Results are bit-for-bit identical to
@@ -39,13 +45,10 @@ use std::any::{Any, TypeId};
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// Default z-tile extent: the paper's CPE blocking is 64×3×70 (x×y×z), so 70
-/// z-cells per tile is the direct mapping (see `docs/PERFORMANCE.md`).
-pub const DEFAULT_TILE_Z: usize = 70;
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Persistent worker pool.
@@ -78,6 +81,27 @@ struct PoolShared {
     state: Mutex<PoolState>,
     work_cv: Condvar,
     done_cv: Condvar,
+    /// Nanoseconds each participant (0 = the dispatching caller) has spent
+    /// inside job bodies, and the dispatches' total wall time. Statistics
+    /// only: `Relaxed`, they publish no other data.
+    busy_ns: Vec<AtomicU64>,
+    wall_ns: AtomicU64,
+}
+
+impl PoolShared {
+    /// Run the job as participant `who`, adding its duration to `busy_ns`.
+    ///
+    /// # Safety
+    /// The contract of [`ThreadPool::dispatch`].
+    unsafe fn timed(&self, who: usize, job: Job) -> std::thread::Result<()> {
+        let t0 = Instant::now();
+        // The job body only touches per-slab state; a panic is recorded and
+        // re-raised on the dispatching thread so the pool stays usable.
+        // SAFETY: the caller's contract.
+        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (job.func)(job.ctx) }));
+        self.busy_ns[who].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        result
+    }
 }
 
 struct PoolInner {
@@ -102,7 +126,7 @@ impl Drop for PoolInner {
     }
 }
 
-fn worker_loop(shared: Arc<PoolShared>) {
+fn worker_loop(shared: Arc<PoolShared>, who: usize) {
     let mut seen = 0u64;
     loop {
         let job = {
@@ -120,9 +144,8 @@ fn worker_loop(shared: Arc<PoolShared>) {
                 st = shared.work_cv.wait(st).unwrap();
             }
         };
-        // The job body only touches per-slab state; a panic is recorded and
-        // re-raised on the dispatching thread so the pool stays usable.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (job.func)(job.ctx) }));
+        // SAFETY: the dispatcher keeps `job.ctx` alive until `active` is 0.
+        let result = unsafe { shared.timed(who, job) };
         let mut st = shared.state.lock().unwrap();
         if result.is_err() {
             st.panicked = true;
@@ -181,11 +204,16 @@ impl ThreadPool {
                 }),
                 work_cv: Condvar::new(),
                 done_cv: Condvar::new(),
+                busy_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+                wall_ns: AtomicU64::new(0),
             });
-            let handles = (0..threads - 1)
-                .map(|_| {
+            let handles = (1..threads)
+                .map(|who| {
                     let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || worker_loop(shared))
+                    std::thread::Builder::new()
+                        .name(format!("swlb-pool-{who}"))
+                        .spawn(move || worker_loop(shared, who))
+                        .expect("spawn pool worker")
                 })
                 .collect();
             Arc::new(PoolInner {
@@ -196,7 +224,7 @@ impl ThreadPool {
         });
         Self {
             threads,
-            tile_z: DEFAULT_TILE_Z,
+            tile_z: 0,
             inner,
         }
     }
@@ -210,8 +238,10 @@ impl ThreadPool {
         )
     }
 
-    /// Set the z-tile extent of the interior loop nest (`0` = one tile over
-    /// the whole z extent, i.e. no blocking). Default: [`DEFAULT_TILE_Z`].
+    /// Walk the interior loop nest in z-tiles of `tile_z` cells instead of
+    /// streaming every pencil's whole z extent (`0`, the default). An explicit
+    /// opt-in: no cache host measured so far prefers a tile (the benchmark's
+    /// `core.ladder.tiled` rung keeps pricing 70, the paper's LDM blocking).
     pub fn with_tile_z(mut self, tile_z: usize) -> Self {
         self.tile_z = tile_z;
         self
@@ -227,10 +257,31 @@ impl ThreadPool {
         self.tile_z
     }
 
-    /// Partition `0..ny` into at most `threads` contiguous, balanced slabs.
-    pub fn slabs(&self, ny: usize) -> Vec<Range<usize>> {
-        let n = self.threads.min(ny).max(1);
-        (0..n).map(|i| slab_range(&(0..ny), i, n)).collect()
+    /// The fewest rows of `row_cells` cells that one dispatch cuts into its
+    /// full slab count — what a caller that dispatches a grid piecewise (the
+    /// wavefront of [`crate::temporal`]) should hand over at a time, so each
+    /// piece balances as well as a whole-grid dispatch. One row for a 1-thread
+    /// pool, which dispatches inline.
+    pub(crate) fn balanced_rows(&self, row_cells: usize) -> usize {
+        if self.threads == 1 {
+            return 1;
+        }
+        self.threads * SLABS_PER_THREAD * min_slab_rows(row_cells)
+    }
+
+    /// `(Σ busy, wall)` nanoseconds since construction: the time all
+    /// participants have spent inside job bodies, and the time dispatches have
+    /// taken end to end. `Δbusy / (threads · Δwall)` over an interval is the
+    /// pool's busy share — what is missing from 1 went to wake-up latency and
+    /// to waiting for the last participant. `(0, 0)` for a 1-thread pool,
+    /// which runs inline and reads no clock.
+    pub fn busy_wall_ns(&self) -> (u64, u64) {
+        let Some(inner) = &self.inner else {
+            return (0, 0);
+        };
+        let shared = &inner.shared;
+        let busy = shared.busy_ns.iter().map(|a| a.load(Ordering::Relaxed));
+        (busy.sum(), shared.wall_ns.load(Ordering::Relaxed))
     }
 
     /// Run `func(ctx)` once on every pool thread, the caller included, and
@@ -249,9 +300,10 @@ impl ThreadPool {
         // The guard protects no data, so a turn poisoned by a dispatcher that
         // re-raised a job panic below is still a valid turn.
         let _turn = inner.turn.lock().unwrap_or_else(|e| e.into_inner());
+        let (job, t0) = (Job { func, ctx }, Instant::now());
         {
             let mut st = inner.shared.state.lock().unwrap();
-            st.job = Some(Job { func, ctx });
+            st.job = Some(job);
             st.generation += 1;
             st.active = self.threads - 1;
         }
@@ -260,7 +312,7 @@ impl ThreadPool {
         // workers before unwinding: the job context lives on the caller's
         // stack frame.
         // SAFETY: the caller's contract.
-        let mine = catch_unwind(AssertUnwindSafe(|| unsafe { func(ctx) }));
+        let mine = unsafe { inner.shared.timed(0, job) };
         let panicked = {
             let mut st = inner.shared.state.lock().unwrap();
             while st.active > 0 {
@@ -269,6 +321,8 @@ impl ThreadPool {
             st.job = None;
             std::mem::replace(&mut st.panicked, false)
         };
+        let wall = t0.elapsed().as_nanos() as u64;
+        inner.shared.wall_ns.fetch_add(wall, Ordering::Relaxed);
         if let Err(payload) = mine {
             resume_unwind(payload);
         }
@@ -277,12 +331,18 @@ impl ThreadPool {
         }
     }
 
-    /// Run `slab(ys)` for every slab of the balanced partition of `yr` into
-    /// at most `threads` contiguous slabs, on all pool threads at once (atomic
-    /// slab stealing). `slab` lives on this stack frame: no allocation.
-    fn for_each_slab<F: Fn(Range<usize>) + Sync>(&self, yr: Range<usize>, slab: F) {
+    /// Run `slab(ys)` for every slab of the balanced partition of `yr` (rows
+    /// of `row_cells` cells) into [`slab_count`] contiguous slabs, on all pool
+    /// threads at once (atomic slab stealing). `slab` lives on this stack
+    /// frame: no allocation.
+    fn for_each_slab<F: Fn(Range<usize>) + Sync>(
+        &self,
+        yr: Range<usize>,
+        row_cells: usize,
+        slab: F,
+    ) {
         let job = SlabJob {
-            n_slabs: self.threads.min(yr.len()),
+            n_slabs: slab_count(self.threads, yr.len(), row_cells),
             yr,
             next: AtomicUsize::new(0),
             slab,
@@ -300,9 +360,9 @@ impl ThreadPool {
     /// tile size — bit-for-bit on the scalar-semantics paths, within 1e-12
     /// under the FMA lanes. When `interior` is supplied, the field is
     /// SoA/D3Q19 and the collision is plain BGK, interior cells run the
-    /// interior loop nest (on the fastest eligible lane, with z-tile
-    /// blocking) and only the remainder takes the generic body; otherwise the
-    /// whole slab runs the generic body.
+    /// interior loop nest (on the fastest eligible lane) and only the
+    /// remainder takes the generic body; otherwise the whole slab runs the
+    /// generic body.
     pub fn fused_step<L: Lattice, F: PopField<L>>(
         &self,
         flags: &FlagField,
@@ -352,7 +412,7 @@ impl ThreadPool {
         let (path, class) = select_fast_path();
         let tile_z = self.tile_z;
         let writer = SharedWriter::new(dst.raw_mut());
-        self.for_each_slab(yr, |ys| {
+        self.for_each_slab(yr, xr.len() * dims.nz, |ys| {
             // SAFETY: `&mut dst` is held for the whole dispatch and disjoint
             // y-slabs write disjoint cells; fields and index have the grid of
             // `flags` (asserted above), so every run cell and its 18 pull
@@ -443,7 +503,7 @@ impl ThreadPool {
         let (path, class) = select_fast_path();
         let tile_z = self.tile_z;
         let grid = SharedWriter::new(field.raw_mut());
-        self.for_each_slab(yr, |ys| {
+        self.for_each_slab(yr, xr.len() * dims.nz, |ys| {
             // SAFETY: `&mut field` is held for the whole dispatch; field and
             // index have the grid of `flags` (asserted above); each cell is
             // processed exactly once across all slabs and both passes, and
@@ -473,6 +533,29 @@ impl Default for ThreadPool {
     fn default() -> Self {
         Self::auto()
     }
+}
+
+/// Slabs a thread should find on the stealing cursor, so the end of a
+/// dispatch waits for a fraction of a thread's share, not for all of it.
+const SLABS_PER_THREAD: usize = 8;
+
+/// … but no slab below this many cells (one row when a row is larger): every
+/// slab costs a hit on the shared cursor and a pass through the nest's set-up.
+const MIN_SLAB_CELLS: usize = 1 << 14;
+
+/// Rows of `row_cells` cells in the smallest slab worth stealing.
+fn min_slab_rows(row_cells: usize) -> usize {
+    MIN_SLAB_CELLS.div_ceil(row_cells.max(1))
+}
+
+/// How many slabs to cut `rows` rows of `row_cells` cells into: one for a
+/// 1-thread pool (nothing to balance), else as many as [`MIN_SLAB_CELLS`]
+/// allows between `min(threads, rows)` and `threads · SLABS_PER_THREAD`.
+fn slab_count(threads: usize, rows: usize, row_cells: usize) -> usize {
+    if threads == 1 {
+        return rows.min(1);
+    }
+    (rows / min_slab_rows(row_cells)).clamp(threads.min(rows), threads * SLABS_PER_THREAD)
 }
 
 /// Contiguous balanced slab `i` of `n` over `yr`.
@@ -536,26 +619,111 @@ mod tests {
         field
     }
 
+    /// The partition `for_each_slab` walks: slab `i` of `slab_count` over `yr`.
+    fn partition(threads: usize, yr: Range<usize>, row_cells: usize) -> Vec<Range<usize>> {
+        let n = slab_count(threads, yr.len(), row_cells);
+        (0..n).map(|i| slab_range(&yr, i, n)).collect()
+    }
+
     #[test]
     fn slab_partition_is_balanced_and_covers() {
-        let pool = ThreadPool::new(4);
-        let slabs = pool.slabs(10);
-        assert_eq!(slabs.len(), 4);
-        let total: usize = slabs.iter().map(|r| r.len()).sum();
-        assert_eq!(total, 10);
-        assert_eq!(slabs[0], 0..3);
-        assert_eq!(slabs.last().unwrap().end, 10);
-        // Sizes differ by at most one.
-        let sizes: Vec<usize> = slabs.iter().map(|r| r.len()).collect();
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+        // 3-D rows of every size class, and the 2-D 512-row case (nz = 1).
+        let cases = (0..=40usize)
+            .flat_map(|len| [1, 84, 4096, 128 * 128].map(|rc| (7..7 + len, rc)))
+            .chain([(0..512, 512), (3..515, 512)]);
+        for (yr, row_cells) in cases {
+            for threads in 1..=5usize {
+                let slabs = partition(threads, yr.clone(), row_cells);
+                let what = format!("threads {threads} yr {yr:?} row_cells {row_cells}");
+                // Contiguous, disjoint, non-empty, covering `yr` in order.
+                let mut at = yr.start;
+                for s in &slabs {
+                    assert!(s.start == at && s.end > s.start, "{what}: {slabs:?}");
+                    at = s.end;
+                }
+                assert_eq!(at, yr.end, "{what}: {slabs:?}");
+                // Balanced: sizes differ by at most one row.
+                let sizes = slabs.iter().map(|s| s.len());
+                if let (Some(max), Some(min)) = (sizes.clone().max(), sizes.min()) {
+                    assert!(max - min <= 1, "{what}: {slabs:?}");
+                }
+                // Never coarser than one slab per thread; one thread, one slab.
+                assert!(slabs.len() >= threads.min(yr.len()), "{what}: {slabs:?}");
+                if threads == 1 {
+                    assert_eq!(slabs.len(), yr.len().min(1), "{what}");
+                }
+            }
+        }
+        // Finer than the thread count where there is work to steal.
+        assert_eq!(partition(2, 0..128, 128 * 128).len(), 2 * SLABS_PER_THREAD);
+        assert_eq!(partition(4, 0..10, 1).len(), 4);
     }
 
     #[test]
     fn more_threads_than_rows_degrades_gracefully() {
-        let pool = ThreadPool::new(16);
-        let slabs = pool.slabs(3);
+        let slabs = partition(16, 0..3, 128 * 128);
         assert_eq!(slabs.len(), 3);
         assert!(slabs.iter().all(|r| r.len() == 1));
+    }
+
+    /// Spin until `done()`; a broken pool fails the test instead of hanging it.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_stalled_participant_leaves_the_rest_to_the_other() {
+        // Whoever takes the first slab stalls inside it until every other row
+        // has been run — which, on a 2-thread pool, only the other participant
+        // can do. With one slab per thread that is half of the rows at best;
+        // with slabs to steal it is all but the first slab.
+        let (rows, pool) = (64usize, ThreadPool::new(2));
+        let by_other = AtomicUsize::new(0);
+        pool.for_each_slab(0..rows, 128 * 128, |ys| {
+            if ys.start == 0 {
+                let rest = rows - ys.len();
+                wait_for("the other rows never ran", || {
+                    by_other.load(Ordering::SeqCst) == rest
+                });
+            } else {
+                by_other.fetch_add(ys.len(), Ordering::SeqCst);
+            }
+        });
+        let by_other = by_other.into_inner();
+        assert!(
+            2 * by_other > rows,
+            "the free participant ran {by_other} of {rows} rows: nothing to steal"
+        );
+    }
+
+    #[test]
+    fn new_pool_streams_z_names_its_workers_and_accounts_busy_time() {
+        assert_eq!(ThreadPool::new(3).tile_z(), 0);
+        assert_eq!(ThreadPool::new(3).with_tile_z(70).tile_z(), 70);
+        // One thread runs inline and reads no clock.
+        let one = ThreadPool::new(1);
+        one.for_each_slab(0..4, 1, |_| {});
+        assert_eq!(one.busy_wall_ns(), (0, 0));
+        // Two slabs that each wait for the other to start: one per participant.
+        let pool = ThreadPool::new(2);
+        let (started, names) = (AtomicUsize::new(0), Mutex::new(Vec::new()));
+        pool.for_each_slab(0..2, 1, |_| {
+            let me = std::thread::current();
+            names.lock().unwrap().push(me.name().map(String::from));
+            started.fetch_add(1, Ordering::SeqCst);
+            wait_for("second participant never came", || {
+                started.load(Ordering::SeqCst) == 2
+            });
+        });
+        let names = names.into_inner().unwrap();
+        let workers = names.iter().flatten().filter(|n| *n == "swlb-pool-1");
+        assert_eq!(workers.count(), 1, "{names:?}");
+        let (busy, wall) = pool.busy_wall_ns();
+        assert!(0 < busy && busy <= 2 * wall, "busy {busy} wall {wall}");
     }
 
     #[test]
@@ -799,9 +967,9 @@ mod tests {
                 while !a_inside.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
-                b_pool.for_each_slab(0..2, |_| b_ran.store(true, Ordering::SeqCst));
+                b_pool.for_each_slab(0..2, 1, |_| b_ran.store(true, Ordering::SeqCst));
             });
-            pool.for_each_slab(0..2, |_| {
+            pool.for_each_slab(0..2, 1, |_| {
                 a_inside.store(true, Ordering::SeqCst);
                 // Give B ample time to barge in; it never may, so under the
                 // turn lock this wait always runs to its deadline.

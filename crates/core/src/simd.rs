@@ -12,9 +12,10 @@
 //!   bit for bit),
 //!
 //! and **the one interior loop nest** of the workspace, `interior_nest`
-//! (entered through `interior_sweep`): z-tiles × y × x pencils × precomputed
+//! (entered through `interior_sweep`): y × x pencils × precomputed
 //! run-length-encoded interior runs ([`crate::kernels::InteriorRuns`]) — no
-//! per-cell `Vec<bool>` mask test. The SoA layout is z-innermost
+//! per-cell `Vec<bool>` mask test — streamed over the whole z extent, or
+//! clipped to z-tiles when the pool opted in. The SoA layout is z-innermost
 //! (`idx = (y·nx + x)·nz + z`), so within a run all 19 pull-scheme gathers are
 //! plain contiguous (unaligned) lane-wide loads from a shifted line. Sub-lane
 //! remainders take the shared scalar per-cell update, so coverage is exactly
@@ -22,7 +23,7 @@
 //! `InteriorUpdate` — the AB pull (read `src`, write `dst`) or the AA in-place
 //! half-step (odd: pull reversed slots and scatter; even: a purely local
 //! load/collide/reversed-store permute) — and it is the only place the z-tile
-//! extent (`ThreadPool::tile_z`, `0` = one tile) is read.
+//! extent (`ThreadPool::tile_z`; `0`, the default, = one tile) is read.
 //!
 //! Lane widths: the AVX2 lane and the default portable lane are 4 × f64
 //! ([`LANES`]); an 8 × f64 AVX-512F lane (plus a bit-exact `[f64; 8]` portable
@@ -894,17 +895,19 @@ impl InteriorUpdate for AaInPlace {
     }
 }
 
-/// The one interior loop nest: z-tiles × y × x pencils × interior runs. With
+/// The one interior loop nest: (z-tiles ×) y × x pencils × interior runs. With
 /// `vector` set, full lanes go through [`InteriorUpdate::lanes`] and sub-lane
 /// remainders through [`InteriorUpdate::cell`]; without it every run cell
 /// takes the single-cell update. Either way each run cell is covered exactly
 /// once, matching the interior mask.
 ///
-/// The z tiling is the CPU mirror of the paper's 64×3×70 CPE blocking: each
-/// (slab, tile) pass touches a bounded working set of the 19 SoA planes so
-/// the gathered source stays cache-resident across the x sweep. `tile_z == 0`
-/// means one tile spanning the whole z extent. Per-cell updates are
-/// independent, so the traversal order never changes a scalar-semantics
+/// `tile_z == 0` (the pool's default) is one tile spanning the whole z
+/// extent: the field is z-fastest, so every plane is then walked as one
+/// contiguous stream and read once per step. A non-zero `tile_z` walks the
+/// slab once per tile in `tile_z`-cell fragments — the shape of the paper's
+/// 64×3×70 CPE blocking, which feeds a 64 KB LDM by DMA; a cache host gains
+/// nothing from it (`docs/PERFORMANCE.md`), so it is opt-in. Per-cell updates
+/// are independent, so the traversal order never changes a scalar-semantics
 /// result; under an FMA lane it moves the vector/scalar chunk split.
 ///
 /// # Safety

@@ -5,9 +5,9 @@
 //! parameters, and advances the lattice in time through **one unified
 //! execution pipeline**: every step goes through [`ThreadPool::fused_step`]
 //! (AB) or [`ThreadPool::aa_fused_step`] (AA), which dispatch the
-//! hand-optimized D3Q19 interior kernel (z-tile blocked) per y-slab whenever
-//! the field/collision combination supports it and the generic reference
-//! kernel everywhere else. Thread count and tile size are the pool's
+//! hand-optimized D3Q19 interior kernel per y-slab whenever the
+//! field/collision combination supports it and the generic reference kernel
+//! everywhere else. Thread count and the opt-in z-tile are the pool's
 //! configuration ([`ThreadPool::new`], [`ThreadPool::with_tile_z`]), not
 //! modes — a 1-thread pool runs inline with no worker threads and identical
 //! (bit-exact) results. It is the unit the distributed engine (`swlb-sim`)
@@ -64,7 +64,7 @@ pub struct StepStats {
 /// use swlb_core::prelude::*;
 ///
 /// let solver = Solver::<D2Q9>::builder(GridDims::new2d(16, 16), BgkParams::from_tau(0.8))
-///     .pool(ThreadPool::new(4).with_tile_z(70))
+///     .pool(ThreadPool::new(4))
 ///     .build();
 /// assert_eq!(solver.step_count(), 0);
 /// ```
@@ -112,9 +112,9 @@ impl<L: Lattice> SolverBuilder<L> {
     }
 
     /// Thread pool for the unified execution pipeline (default: one thread,
-    /// which runs inline with no worker threads). The z-tile extent of the
-    /// interior sweep is the pool's too ([`ThreadPool::with_tile_z`]; default
-    /// [`crate::parallel::DEFAULT_TILE_Z`], the paper's 64×3×**70** blocking).
+    /// which runs inline with no worker threads). The interior sweep streams
+    /// the whole z extent by default; z-tiling is the pool's explicit opt-in
+    /// ([`ThreadPool::with_tile_z`]), not a solver setting.
     pub fn pool(mut self, pool: ThreadPool) -> Self {
         self.pool = Some(pool);
         self
@@ -158,6 +158,12 @@ impl<L: Lattice> SolverBuilder<L> {
         let obs_mlups = self.recorder.gauge("mlups");
         let obs_steps = self.recorder.counter("steps");
         let obs_kernel_class = self.recorder.gauge("kernel_class");
+        // A 1-thread pool runs inline and keeps no busy clock.
+        let obs_pool_busy = if pool.threads() > 1 {
+            self.recorder.gauge("pool.busy_share")
+        } else {
+            Gauge::noop()
+        };
         let dims = self.dims;
         Ok(Solver {
             dims,
@@ -175,6 +181,7 @@ impl<L: Lattice> SolverBuilder<L> {
             obs_mlups,
             obs_steps,
             obs_kernel_class,
+            obs_pool_busy,
         })
     }
 
@@ -215,6 +222,7 @@ pub struct Solver<L: Lattice> {
     obs_mlups: Gauge,
     obs_steps: Counter,
     obs_kernel_class: Gauge,
+    obs_pool_busy: Gauge,
 }
 
 impl<L: Lattice> Solver<L> {
@@ -409,18 +417,19 @@ impl<L: Lattice> Solver<L> {
     /// field/collision combination allows (SoA + D3Q19 + plain BGK, via the
     /// cached interior index — vectorized when the CPU supports it) and the
     /// generic kernel everywhere else; a 1-thread pool runs inline. Depth 1 is
-    /// one whole-grid dispatch; a depth-`k` wavefront is `k · ny / threads`
-    /// narrow ones, which is a different schedule, so `k = 1` does not go
-    /// through [`crate::temporal`].
+    /// one whole-grid dispatch; a depth-`k` wavefront is `k · ny / by` narrow
+    /// ones (`by` = [`crate::temporal::slab_rows`], sized by the cells in a
+    /// row), which is a different schedule, so `k = 1` does not go through
+    /// [`crate::temporal`].
     fn sweep(&mut self, k: usize) -> Result<(), SwlbError> {
         self.ensure_interior()?;
         // `now()` is `None` for a disabled recorder: the instrumented path
         // then takes no clock reading and touches no atomic.
-        let t0 = self.recorder.now();
+        let pool = &self.pool;
+        let t0 = self.recorder.now().map(|t| (t, pool.busy_wall_ns()));
         let flags = &self.flags;
         let collision = self.collision;
         let interior = self.interior.as_ref();
-        let pool = &self.pool;
         let class = match &mut self.storage {
             Storage::Ab(bufs) => {
                 let (src, dst) = bufs.both_mut();
@@ -453,7 +462,7 @@ impl<L: Lattice> Solver<L> {
             }
         };
         self.last_class = class;
-        if let Some(t0) = t0 {
+        if let Some((t0, (busy0, wall0))) = t0 {
             let ns = (t0.elapsed().as_nanos() as u64).max(1);
             self.recorder.record_phase_ns(Phase::CollideStream, ns);
             self.obs_steps.add(k as u64);
@@ -461,6 +470,12 @@ impl<L: Lattice> Solver<L> {
             self.obs_mlups
                 .set(self.active as f64 * k as f64 * 1e3 / ns as f64);
             self.obs_kernel_class.set(class.as_gauge());
+            // Σ busy / (threads · dispatch wall) over this sweep's dispatches.
+            let (busy, wall) = self.pool.busy_wall_ns();
+            if wall > wall0 {
+                let slots = self.pool.threads() as u64 * (wall - wall0);
+                self.obs_pool_busy.set((busy - busy0) as f64 / slots as f64);
+            }
         }
         self.step += k as u64;
         self.recorder.maybe_flush(self.step);
@@ -673,6 +688,28 @@ mod tests {
             snap.gauge("kernel_class"),
             Some(s.last_kernel_class().as_gauge())
         );
+        // A 1-thread pool keeps no busy clock, so it publishes no share.
+        assert_eq!(snap.gauge("pool.busy_share"), None);
+    }
+
+    #[test]
+    fn pool_busy_share_is_published_per_sweep() {
+        for k in [1usize, 2] {
+            let rec = Recorder::enabled();
+            let mut s = Solver::<D3Q19>::builder(GridDims::new(8, 8, 8), BgkParams::from_tau(0.8))
+                .pool(ThreadPool::new(2))
+                .time_block(k)
+                .recorder(rec.clone())
+                .build();
+            s.flags_mut().set_box_walls();
+            s.initialize_uniform(1.0, [0.0; 3]);
+            s.run(4);
+            let share = rec.snapshot(4).unwrap().gauge("pool.busy_share");
+            assert!(
+                share.is_some_and(|v| 0.0 < v && v <= 1.0),
+                "k={k}: {share:?}"
+            );
+        }
     }
 
     #[test]
@@ -709,6 +746,46 @@ mod tests {
                     let blocked = run(StorageScheme::Aa, k, threads, steps);
                     assert_canonical_match(&aa_ref, &blocked, 0.0, "aa-blocked");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_wavefront_of_tall_dispatches_is_bit_identical_to_plain_steps() {
+        // On the small grids above a pool's wavefront is one slab, i.e. plain
+        // steps in sequence. Rows of 16384 cells make `slab_rows` 16 (two
+        // threads) and 24 (three): several slabs in flight, each dispatch
+        // taller than the thread count and cut into one-row slabs to steal.
+        let dims = GridDims::new2d(16384, 96);
+        let run = |scheme: StorageScheme, k: usize, threads: usize, steps: u64| {
+            let pool = ThreadPool::new(threads);
+            let by = crate::temporal::slab_rows(&pool, dims);
+            assert!(threads == 1 || (by > threads && dims.ny.div_ceil(by) >= 4));
+            let mut s = Solver::<D2Q9>::builder(dims, BgkParams::from_tau(0.8))
+                .storage(scheme)
+                .time_block(k)
+                .pool(pool)
+                .build();
+            s.flags_mut().set_box_walls();
+            s.flags_mut().paint_lid([0.05, 0.0, 0.0]);
+            s.initialize_field(|x, y, _| {
+                let v = 0.01 * ((x * 5 + y * 3) % 7) as Scalar;
+                (1.0 + v, [v, -v, 0.0])
+            });
+            s.run(steps);
+            s.canonical_populations().into_owned()
+        };
+        for (scheme, ks, steps) in [
+            (StorageScheme::Ab, &[3usize][..], 3u64),
+            (StorageScheme::Aa, &[2, 4][..], 4),
+        ] {
+            let plain = run(scheme, 1, 1, steps);
+            for (&k, threads) in ks.iter().flat_map(|k| [(k, 2usize), (k, 3)]) {
+                let blocked = run(scheme, k, threads, steps);
+                assert!(
+                    plain.raw() == blocked.raw(),
+                    "{scheme:?} k={k} threads={threads} diverged from plain steps"
+                );
             }
         }
     }

@@ -55,6 +55,7 @@
 
 use crate::collision::CollisionKind;
 use crate::flags::FlagField;
+use crate::geometry::GridDims;
 use crate::kernels::InteriorIndex;
 use crate::lattice::Lattice;
 use crate::layout::{AaParity, SoaField};
@@ -114,12 +115,15 @@ impl WavefrontSchedule {
     }
 }
 
-/// Slab height for a blocked sweep: one row per worker thread, so each
-/// `(level, slab)` dispatch still spreads across the pool while the resident
-/// window (≈ `3k` slabs of `by` rows) stays as small as the thread count
-/// allows.
-pub fn slab_rows(pool: &ThreadPool) -> usize {
-    pool.threads().max(1)
+/// Slab height for a blocked sweep over rows of `nx · nz` cells: what the
+/// pool balances as well as a whole-grid dispatch
+/// (`ThreadPool::balanced_rows` — enough rows of enough cells for every
+/// thread to find several slabs to steal), because every `(level, slab)`
+/// dispatch ends in a barrier that waits for the slowest participant. A
+/// 1-thread pool dispatches inline and keeps one row, the smallest resident
+/// window (≈ `3k` slabs of `by` rows).
+pub fn slab_rows(pool: &ThreadPool, dims: GridDims) -> usize {
+    pool.balanced_rows(dims.nx * dims.nz)
 }
 
 /// Advance an AB (double-buffered) grid `k` steps in one wavefront sweep.
@@ -138,7 +142,7 @@ pub fn ab_block<L: Lattice>(
     k: usize,
 ) -> KernelClass {
     let dims = flags.dims();
-    let schedule = WavefrontSchedule::new(dims.ny, slab_rows(pool), k);
+    let schedule = WavefrontSchedule::new(dims.ny, slab_rows(pool, dims), k);
     let mut class = KernelClass::Generic;
     schedule.for_each(|level, yr| {
         // Level j reads buffer (j-1)%2 and writes buffer j%2 (a = 0, b = 1).
@@ -170,7 +174,7 @@ pub fn aa_block<L: Lattice>(
     debug_assert_eq!(parity, AaParity::Reversed, "AA blocks start at Reversed");
     debug_assert_eq!(k % 2, 0, "AA blocks need even depth");
     let dims = flags.dims();
-    let schedule = WavefrontSchedule::new(dims.ny, slab_rows(pool), k);
+    let schedule = WavefrontSchedule::new(dims.ny, slab_rows(pool, dims), k);
     let mut class = KernelClass::Generic;
     schedule.for_each(|level, yr| {
         let level_parity = if level % 2 == 1 {
@@ -195,13 +199,32 @@ pub fn aa_block<L: Lattice>(
 mod tests {
     use super::*;
 
+    /// Slab heights [`slab_rows`] can return: one row (1-thread pools), then
+    /// multiples of `threads · 8` for 2..=4 threads, up to and past `ny`
+    /// (and the 2 and 3 that one row per thread used to give).
+    const BYS: [usize; 9] = [1, 2, 3, 16, 24, 32, 48, 64, 4096];
+
+    #[test]
+    fn slab_rows_follow_the_rows_size_not_the_thread_count() {
+        let rows = |threads, nx, nz| slab_rows(&ThreadPool::new(threads), GridDims::new(nx, 9, nz));
+        assert_eq!(rows(1, 128, 128), 1);
+        assert_eq!(rows(1, 4, 4), 1);
+        // 128³ on two threads: 8 dispatches per level, not 64.
+        assert_eq!(rows(2, 128, 128), 16);
+        assert_eq!(rows(3, 128, 128), 24);
+        // Rows with fewer cells: proportionally more of them.
+        assert_eq!(rows(2, 64, 64), 64);
+        assert!(rows(2, 9, 8) > 1000);
+        assert!(BYS.contains(&rows(2, 16384, 1)) && BYS.contains(&rows(3, 16384, 1)));
+    }
+
     /// Every (level, slab) pair appears exactly once, and by the time level j
     /// processes slab t, level j-1 has already processed t-1, t and t+1
     /// (cyclically) — the pull-scheme forward dependency.
     #[test]
     fn wavefront_covers_every_slab_and_respects_dependencies() {
-        for ny in [1usize, 2, 3, 4, 5, 7, 12, 33] {
-            for by in [1usize, 2, 3] {
+        for ny in [1usize, 2, 3, 4, 5, 7, 12, 33, 128] {
+            for by in BYS {
                 for k in [1usize, 2, 3, 4, 6] {
                     let sched = WavefrontSchedule::new(ny, by, k);
                     let s = sched.slabs();
@@ -235,14 +258,17 @@ mod tests {
     /// slab t of level-j output while processing t-1, t and t+1).
     #[test]
     fn wavefront_orders_buffer_reuse_after_consumption() {
-        for ny in [1usize, 4, 5, 7, 10, 16, 33] {
+        for (ny, by) in [1usize, 4, 5, 7, 10, 16, 33, 128]
+            .into_iter()
+            .flat_map(|ny| BYS.map(|by| (ny, by)))
+        {
             for k in [3usize, 4, 5] {
-                let sched = WavefrontSchedule::new(ny, 1, k);
+                let sched = WavefrontSchedule::new(ny, by, k);
                 let s = sched.slabs();
                 // processed[j][t] = true once level j has processed slab t.
                 let mut processed = vec![vec![false; s]; k + 1];
                 sched.for_each(|j, yr| {
-                    let t = yr.start;
+                    let t = yr.start / by;
                     // Level j (j >= 3) writes the buffer level j-2 wrote; the
                     // write is safe once level j-1 has processed t-1, t and
                     // t+1 — i.e. read everything it ever reads from slab t.
@@ -251,7 +277,7 @@ mod tests {
                             let reader = (t + d) % s;
                             assert!(
                                 processed[j - 1][reader],
-                                "ny {ny} k {k}: level {j} overwrites slab {t} before \
+                                "ny {ny} by {by} k {k}: level {j} overwrites slab {t} before \
                                  level {} finished reading it (slab {reader} pending)",
                                 j - 1
                             );

@@ -337,7 +337,7 @@ impl<'c, 'f, L: Lattice, C: Communicator> DistributedSolverBuilder<'c, 'f, L, C>
     /// Run this rank's sweeps on the given thread pool (default: a
     /// single-threaded pool). This is the second level of the paper's two-level
     /// parallelism: ranks partition the domain, the pool's threads partition
-    /// each swept rectangle into y-slabs with z-tile blocking.
+    /// each swept rectangle into work-stolen y-slabs.
     pub fn pool(mut self, pool: ThreadPool) -> Self {
         self.pool = Some(pool);
         self
@@ -916,9 +916,9 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Fused stream+collide over the rectangle `xr × yr` (local coords, full
     /// z; ghost cells allowed), dispatched through the thread pool: y-slabs
-    /// across threads, z-tile blocking inside each slab, and the vectorized
-    /// (or hand-optimized scalar) D3Q19 kernel on interior BGK run-length
-    /// runs. Matches the serial generic kernel bit-for-bit on
+    /// stolen across threads, each streaming its whole z extent (or the
+    /// pool's opt-in z-tile), and the vectorized (or hand-optimized scalar)
+    /// D3Q19 kernel on interior BGK run-length runs. Matches the serial generic kernel bit-for-bit on
     /// scalar-semantics lanes and within the FMA dispatch tolerance under
     /// AVX2. One of the two places the stepper matches the storage scheme.
     fn sweep(&mut self, (xr, yr): Rect) {

@@ -105,3 +105,9 @@ fleet-check:
     cargo test -q -p swlb-fleet
     cargo test -q -p swlb-fleet --release --test fleet_crash
     cargo run --release -p swlb-fleet --bin fleet_soak -- --jobs 1000 --workers 4 --churn-every 250 --out /tmp/fleet_soak.jsonl
+
+# Parent-vs-change pairs of one benchmark workload (benchmark/README.md, "How
+# the numbers are kept steady"): alternating order, fresh seed per pair; per
+# end-to-end metric both medians, both inter-quartile ranges and pairs won.
+pairs workload pairs="10" base="HEAD~1":
+    scripts/pairs.sh {{workload}} {{pairs}} {{base}}
