@@ -33,8 +33,12 @@ pub struct FleetCosts {
     /// serialize on the controller, so `1/admit_s` is a hard throughput
     /// ceiling no worker count can move.
     pub admit_s: f64,
-    /// Serial per-job share \[s\]: controller tick work (placement decision,
-    /// journal append, sync bookkeeping) that does not scale with workers.
+    /// Serial per-job share \[s\]: what the controller spends on one job and
+    /// cannot spread over workers — placement decision and push, journal
+    /// appends, its share of a sync. Since the controller reconciles on a wake
+    /// instead of once per heartbeat this is work, not waiting: up to PR 18
+    /// the measured figure (8.69 ms) was mostly a job waiting for the next
+    /// tick to be placed and the one after to be noticed finished.
     pub serial_s: f64,
     /// Parallel per-job share \[s\]: worker-side service cost that divides
     /// across the pool.

@@ -17,10 +17,11 @@ use swlb_arch::fleet::{FleetCosts, FleetModel};
 use swlb_bench::{header, row};
 use swlb_comm::NetworkModel;
 
-/// Measured on this VM (seed 42, 1000 jobs, churn every 250 completions).
-const ADMIT_S: f64 = 604e-6; // submit_us_mean averaged over the three runs
-const POINT_A: (usize, f64) = (2, 9.118e-3); // per_job_ms at 2 workers
-const POINT_B: (usize, f64) = (8, 8.800e-3); // per_job_ms at 8 workers
+/// Measured on this VM (seed 42, 1000 jobs, churn every 250 completions;
+/// medians of three runs per worker count, EXPERIMENTS.md "PR 19").
+const ADMIT_S: f64 = 963e-6; // submit_us_mean averaged over the three counts
+const POINT_A: (usize, f64) = (2, 1.972e-3); // per_job_ms at 2 workers
+const POINT_B: (usize, f64) = (8, 2.152e-3); // per_job_ms at 8 workers
 const HEARTBEAT_S: f64 = 50e-3;
 const MAX_MISSED: u32 = 3;
 
@@ -49,7 +50,7 @@ fn main() {
         model.controller_ceiling()
     );
     println!(
-        "serial ceil     : {:.0} jobs/s (controller tick work; shard to exceed)",
+        "serial ceil     : {:.0} jobs/s (controller work per job; shard to exceed)",
         1.0 / costs.serial_s
     );
     println!(
@@ -71,7 +72,7 @@ fn main() {
         "utilization".into(),
         "worker-death recovery".into(),
     ]);
-    for r in model.sizing_table(&[20.0, 50.0, 75.0, 80.0, 100.0], 0.7) {
+    for r in model.sizing_table(&[50.0, 100.0, 200.0, 350.0, 600.0], 0.7) {
         let (workers, util, rec) = match r.workers {
             Some(w) => (
                 format!("{w}"),

@@ -14,7 +14,10 @@
 //!
 //! The summary feeds the `swlb-arch` fleet-sizing model (see
 //! `EXPERIMENTS.md`): `submit_us_mean` is the journal-gated admission cost,
-//! `per_job_ms` the end-to-end cost per job at this worker count.
+//! `per_job_ms` the end-to-end cost per job at this worker count. `beats`
+//! and `reconciles` say how the controller spent its passes; a run that
+//! completed jobs without a single wake-triggered reconcile means terminals
+//! are being found by heartbeat polling again, and exits non-zero.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -216,6 +219,8 @@ fn main() -> ExitCode {
         ("failed", Json::num(get("failed"))),
         ("migrations", Json::num(get("migrations"))),
         ("worker_kills", Json::num(kills as f64)),
+        ("beats", Json::num(get("beats"))),
+        ("reconciles", Json::num(get("reconciles"))),
     ]);
     writeln!(out, "{}", summary.to_text()).ok();
     // Also echo the summary to stdout when --out redirected the stream.
@@ -226,7 +231,10 @@ fn main() -> ExitCode {
         server.shutdown();
     }
     controller.shutdown();
-    if get("completed") as u64 == jobs {
+    if get("completed") > 0.0 && get("reconciles") == 0.0 {
+        eprintln!("soak: jobs completed but no wake ever reached the controller");
+        ExitCode::FAILURE
+    } else if get("completed") as u64 == jobs {
         ExitCode::SUCCESS
     } else {
         eprintln!(

@@ -8,6 +8,7 @@
 //! GET  /v1/jobs/<id>          one fleet job
 //! POST /v1/jobs/<id>/cancel   cancel (relayed to the owning worker)
 //! POST /v1/fleet/register     worker announcement {name, addr, dir}
+//! POST /v1/fleet/wake         stateless "something changed, reconcile now"
 //! POST /v1/drain              block until every job is terminal
 //! GET  /v1/stats              fleet counters, worker table, tenant breakdown
 //! ```
@@ -19,7 +20,27 @@
 //! placed jobs re-sync from their workers' live tables, each terminal is
 //! reported exactly once (from the fold, never from a second observation).
 //!
-//! One tick thread drives the data plane every `heartbeat` period:
+//! One tick thread drives the data plane. It waits on a condvar until the
+//! next `heartbeat` is due *or* it is woken, and runs one of two passes of the
+//! same `tick` body:
+//!
+//! * a **beat** (the heartbeat elapsed) runs all five phases below and is the
+//!   only thing that advances the tick counter, probes, reaps, ages pending
+//!   jobs or rebalances — liveness back-off, `max_missed`, priority aging and
+//!   quotas keep the heartbeat as their clock;
+//! * a **reconcile** (woken early) runs only sync → orphan rescue → place —
+//!   at once when the last pass left nothing queued, else half a heartbeat
+//!   after that pass began: a queued job is not waiting for *this* terminal,
+//!   so a saturated pool's wakes coalesce into one round per interval and the
+//!   queue drains on the clock instead of at the host's momentary speed.
+//!
+//! Two things raise the wake: an admission (after its durable journal
+//! append) and `POST /v1/fleet/wake`, which a worker posts when one of its
+//! jobs turns terminal (it learns the port from `?notify_port=` on every
+//! push and pairs it with the push connection's peer IP). The wake carries no
+//! state: the reconcile re-reads the worker's table and `FleetState::settle`
+//! journals each terminal exactly once, so a lost, duplicated, forged or late
+//! wake costs at most one idle sync or one heartbeat of delay.
 //!
 //! 1. **Probe** — sealed `[epoch, seq, crc]` frames to each worker due per
 //!    its backoff; a valid echo carries the worker's load report, a miss
@@ -31,8 +52,9 @@
 //!    checkpoint (read from the dead worker's state directory — the fleet
 //!    assumes a shared filesystem, see `docs/SERVING.md`), preserving the
 //!    fleet id. With no survivor the job returns to pending.
-//! 3. **Sync** — poll each live worker's job table; progress updates step
-//!    counts, worker-side terminals become journaled fleet terminals.
+//! 3. **Sync** — ask each live worker that has jobs placed on it for exactly
+//!    those jobs; progress updates step counts, worker-side terminals become
+//!    journaled fleet terminals.
 //! 4. **Place** — [`policy::pick_next`] chooses among pending jobs under
 //!    tenant quotas and priority aging; the job is pushed (empty checkpoint)
 //!    to the least-loaded worker with room.
@@ -45,15 +67,15 @@
 
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use swlb_comm::frame::{
     check_frame, frame_from_bytes, frame_to_bytes, seal_frame, FrameCheck, FRAME_HEADER,
 };
 use swlb_io::{CheckpointStore, Wal};
-use swlb_obs::{Recorder, SwlbError};
+use swlb_obs::{Counter, Recorder, SwlbError};
 use swlb_serve::http::{self, Listener, Request};
 use swlb_serve::{json, JobSpec, Json, Priority, PushEnvelope, ServeClient};
 
@@ -187,8 +209,14 @@ struct FleetState {
     journal: Wal<FleetEvent>,
     next_id: u64,
     next_seq: u64,
+    /// Beats so far — the clock of probe back-off and priority aging.
     tick: u64,
     migrations: u64,
+    /// Wake requests so far (admissions and `/v1/fleet/wake`); the ticker
+    /// reconciles whenever this has moved since its last pass.
+    wakes: u64,
+    beats: u64,
+    reconciles: u64,
     stopping: bool,
 }
 
@@ -245,6 +273,9 @@ impl FleetState {
             next_seq,
             tick: 0,
             migrations: 0,
+            wakes: 0,
+            beats: 0,
+            reconciles: 0,
             stopping: false,
         }
     }
@@ -350,13 +381,62 @@ impl FleetState {
 
 /// A running controller instance.
 pub struct Controller {
-    shared: Arc<Mutex<FleetState>>,
+    shared: Arc<Shared>,
     listener: Listener,
     ticker: Option<JoinHandle<()>>,
 }
 
-fn lock(shared: &Mutex<FleetState>) -> MutexGuard<'_, FleetState> {
-    shared.lock().unwrap_or_else(|p| p.into_inner())
+/// The state mutex and the condvar the ticker waits on between passes.
+struct Shared {
+    state: Mutex<FleetState>,
+    ticker_wake: Condvar,
+    /// `fleet.wakes`, mirroring `FleetState::wakes`.
+    wakes: Counter,
+}
+
+impl Shared {
+    fn new(state: FleetState, recorder: &Recorder) -> Arc<Shared> {
+        Arc::new(Shared {
+            state: Mutex::new(state),
+            ticker_wake: Condvar::new(),
+            wakes: recorder.counter("fleet.wakes"),
+        })
+    }
+
+    /// Ask the ticker for a reconcile pass now instead of at the next beat.
+    fn wake(&self) {
+        lock(self).wakes += 1;
+        self.wakes.inc();
+        self.ticker_wake.notify_one();
+    }
+}
+
+fn lock(shared: &Shared) -> MutexGuard<'_, FleetState> {
+    shared.state.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The ticker between passes: sleep until the next beat is due (`true`), or
+/// `wakes` has moved past `seen` and `hold` — the spacing of reconciles while
+/// jobs are queued, see the module docs — is over (`false`); `None` once the
+/// controller stops.
+fn next_pass(shared: &Shared, next_beat: Instant, hold: Instant, seen: &mut u64) -> Option<bool> {
+    let mut st = lock(shared);
+    let beat = loop {
+        if st.stopping {
+            return None;
+        }
+        let now = Instant::now();
+        let due = if st.wakes != *seen { hold.min(next_beat) } else { next_beat };
+        if due <= now {
+            break next_beat <= now;
+        }
+        let woken = shared.ticker_wake.wait_timeout(st, due - now);
+        st = woken.unwrap_or_else(|p| p.into_inner()).0;
+    };
+    // A beat does everything a reconcile does, so either pass answers every
+    // wake raised so far; one raised from here on gets a pass of its own.
+    *seen = st.wakes;
+    Some(beat)
 }
 
 impl Controller {
@@ -377,9 +457,10 @@ impl Controller {
                 .counter("fleet.replayed_jobs")
                 .add(replayed.fold.jobs.len() as u64);
         }
-        let shared = Arc::new(Mutex::new(FleetState::restore(journal, replayed)));
+        let shared = Shared::new(FleetState::restore(journal, replayed), &cfg.recorder);
 
         let tick_cfg = TickCfg {
+            notify_port: listener.addr().port(),
             max_missed: cfg.max_missed,
             per_worker_cap: cfg.per_worker_cap,
             policy: cfg.policy.clone(),
@@ -389,12 +470,18 @@ impl Controller {
         let ticker = {
             let shared = shared.clone();
             let period = cfg.heartbeat;
-            std::thread::spawn(move || loop {
-                if lock(&shared).stopping {
-                    break;
+            std::thread::spawn(move || {
+                let (mut next_beat, mut seen) = (Instant::now(), 0);
+                let mut hold = next_beat;
+                while let Some(beat) = next_pass(&shared, next_beat, hold, &mut seen) {
+                    // Start to start: no cadence stretches with a pass's work.
+                    let started = Instant::now();
+                    let queued = tick(&shared, &tick_cfg, beat);
+                    hold = started + if queued { period / 2 } else { Duration::ZERO };
+                    if beat {
+                        next_beat = (next_beat + period).max(Instant::now());
+                    }
                 }
-                tick(&shared, &tick_cfg);
-                std::thread::sleep(period);
             })
         };
 
@@ -422,6 +509,7 @@ impl Controller {
 
     fn stop_threads(&mut self) {
         lock(&self.shared).stopping = true;
+        self.shared.ticker_wake.notify_one();
         self.listener.stop_accepting();
         if let Some(h) = self.ticker.take() {
             let _ = h.join();
@@ -444,6 +532,9 @@ impl Drop for Controller {
 // ---------------------------------------------------------------------------
 
 struct TickCfg {
+    /// This controller's own port: every push names it so the worker knows
+    /// where to post its terminal wakes.
+    notify_port: u16,
     max_missed: u32,
     per_worker_cap: usize,
     policy: PolicyConfig,
@@ -451,9 +542,43 @@ struct TickCfg {
     recorder: Recorder,
 }
 
-/// One controller tick. All network I/O happens with the state lock
-/// released; decisions are re-validated when the lock is retaken.
-fn tick(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
+/// One controller pass: a **beat** runs every phase, a wake-triggered
+/// **reconcile** (`beat == false`) only sync → rescue → place, and leaves
+/// everything that counts heartbeats alone; returns whether jobs stay queued.
+/// Network I/O happens with the state lock released; decisions are
+/// re-validated when the lock is retaken.
+fn tick(shared: &Shared, cfg: &TickCfg, beat: bool) -> bool {
+    if beat {
+        lock(shared).beats += 1;
+        cfg.recorder.counter("fleet.beats").inc();
+        probe_and_reap(shared, cfg);
+    } else {
+        lock(shared).reconciles += 1;
+        cfg.recorder.counter("fleet.reconciles").inc();
+    }
+    sync_and_rescue(shared, cfg);
+
+    // ---- 4. place pending jobs under quota + aging ---------------------
+    if beat {
+        let mut st = lock(shared);
+        for job in &mut st.jobs {
+            if let Binding::Pending { wait_ticks } = &mut job.binding {
+                *wait_ticks += 1;
+            }
+        }
+    }
+    let _ = (0..16).all(|_| place_once(shared, cfg, beat)); // until one does not land
+
+    // ---- 5. rebalance --------------------------------------------------
+    if beat && cfg.rebalance {
+        rebalance_once(shared, cfg);
+    }
+    let queued = |j: &FleetJob| matches!(j.binding, Binding::Pending { .. });
+    lock(shared).jobs.iter().any(queued)
+}
+
+/// Phases 1–2, beats only: the heartbeat clock advances here and nowhere else.
+fn probe_and_reap(shared: &Shared, cfg: &TickCfg) {
     // ---- 1. probe ------------------------------------------------------
     let probes: Vec<(String, String, u64, u64)> = {
         let mut st = lock(shared);
@@ -536,7 +661,7 @@ fn tick(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
                 width,
                 ckpt,
             };
-            push_envelope(&taddr, &env).map(|new_local| (tname, new_local, step))
+            push_envelope(&taddr, &env, cfg).map(|new_local| (tname, new_local, step))
         });
         let mut st = lock(shared);
         if st.job(id).is_none_or(|j| j.binding.is_terminal()) {
@@ -546,8 +671,13 @@ fn tick(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
             cfg.recorder.counter("fleet.migrations").inc();
         }
     }
+}
 
-    // ---- 3. sync: poll live workers' job tables ------------------------
+/// Phase 3 and the orphan rescue it feeds, on every pass. A worker with
+/// nothing placed on it is not contacted, so a wake that finds nothing placed
+/// does no I/O.
+fn sync_and_rescue(shared: &Shared, cfg: &TickCfg) {
+    // ---- 3. sync: ask live workers about the jobs placed on them -------
     let live: Vec<(String, String)> = lock(shared)
         .workers
         .iter()
@@ -559,20 +689,24 @@ fn tick(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
     // them orphaned — nothing on that worker will ever resume them.
     let mut orphans: Vec<(u64, u64, String)> = Vec::new();
     for (name, addr) in live {
-        let Ok(items) = ServeClient::new(addr.clone()).list() else {
+        let on_worker = |j: &FleetJob| match &j.binding {
+            Binding::Placed { worker, local, .. } if *worker == name => Some((j.id, *local)),
+            _ => None,
+        };
+        let placed: Vec<(u64, u64)> = lock(shared).jobs.iter().filter_map(on_worker).collect();
+        if placed.is_empty() {
+            continue;
+        }
+        let locals: Vec<u64> = placed.iter().map(|(_, local)| *local).collect();
+        let Ok(items) = ServeClient::new(addr.clone()).list_ids(&locals) else {
             continue;
         };
         let mut st = lock(shared);
-        let ids: Vec<u64> = st.jobs.iter().map(|j| j.id).collect();
-        for id in ids {
-            let Some(job) = st.job(id) else { continue };
-            let Binding::Placed { worker, local, .. } = &job.binding else {
-                continue;
-            };
-            if *worker != name {
+        for (id, local) in placed {
+            // Re-bound or settled while the request was in flight?
+            if st.job(id).and_then(on_worker) != Some((id, local)) {
                 continue;
             }
-            let local = *local;
             let Some(item) = items
                 .iter()
                 .find(|v| v.get("id").and_then(Json::as_u64) == Some(local))
@@ -630,31 +764,11 @@ fn tick(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
                 .iter()
                 .find(|w| w.name == t)
                 .map(|w| w.addr.clone())?;
-            push_envelope(&addr, &env).map(|new_local| (t, new_local, step))
+            push_envelope(&addr, &env, cfg).map(|new_local| (t, new_local, step))
         });
         if lock(shared).rebind(id, pushed, true) {
             cfg.recorder.counter("fleet.rescues").inc();
         }
-    }
-
-    // ---- 4. place pending jobs under quota + aging ---------------------
-    {
-        let mut st = lock(shared);
-        for job in &mut st.jobs {
-            if let Binding::Pending { wait_ticks } = &mut job.binding {
-                *wait_ticks += 1;
-            }
-        }
-    }
-    for _ in 0..16 {
-        if !place_once(shared, cfg) {
-            break;
-        }
-    }
-
-    // ---- 5. rebalance --------------------------------------------------
-    if cfg.rebalance {
-        rebalance_once(shared, cfg);
     }
 }
 
@@ -687,10 +801,12 @@ fn dead_checkpoint(dir: &str, local: u64) -> (u64, Vec<u8>) {
     read().unwrap_or((0, Vec::new()))
 }
 
-/// Push an envelope to a worker; `Some(local_id)` on 202.
-fn push_envelope(addr: &str, env: &PushEnvelope) -> Option<u64> {
-    let (status, body) =
-        http::roundtrip(addr, "POST", "/v1/fleet/push", &env.encode()).ok()?;
+/// Push an envelope to a worker; `Some(local_id)` on 202. The query names
+/// this controller's port — the worker pairs it with the connection's peer IP
+/// and posts its terminal wakes there; the envelope bytes do not change.
+fn push_envelope(addr: &str, env: &PushEnvelope, cfg: &TickCfg) -> Option<u64> {
+    let target = format!("/v1/fleet/push?notify_port={}", cfg.notify_port);
+    let (status, body) = http::roundtrip(addr, "POST", &target, &env.encode()).ok()?;
     if status != 202 {
         return None;
     }
@@ -714,8 +830,9 @@ fn pull_handoff(addr: &str, local: u64) -> Option<PushEnvelope> {
     PushEnvelope::decode(&body).ok()
 }
 
-/// Decide → push → apply one placement. Returns whether one happened.
-fn place_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) -> bool {
+/// Decide → push → apply one placement. Returns whether one happened. Only a
+/// `beat` counts a refused push as a missed heartbeat.
+fn place_once(shared: &Shared, cfg: &TickCfg, beat: bool) -> bool {
     let decision = {
         let st = lock(shared);
         let pending: Vec<PendingJob> = st
@@ -769,7 +886,7 @@ fn place_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) -> bool {
         ckpt: Vec::new(),
         spec,
     };
-    let local = push_envelope(&addr, &env);
+    let local = push_envelope(&addr, &env, cfg);
     let mut st = lock(shared);
     match local {
         Some(local) => {
@@ -798,10 +915,11 @@ fn place_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) -> bool {
         }
         None => {
             // Push failed: treat like a missed heartbeat so a wedged worker
-            // backs off and eventually dies rather than absorbing retries.
+            // backs off and eventually dies rather than absorbing retries —
+            // at most once per beat, so wakes cannot hurry a death.
             let tick_now = st.tick;
             let max_missed = cfg.max_missed;
-            if let Some(w) = st.worker_mut(&target) {
+            if let Some(w) = st.worker_mut(&target).filter(|_| beat) {
                 w.record_failure(tick_now, max_missed);
             }
             false
@@ -813,7 +931,7 @@ fn place_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) -> bool {
 /// is imbalanced by ≥ 2 — elastic re-sharding in anger: the source parks the
 /// job at a preemption boundary, the chunked checkpoint travels, and the
 /// destination resumes it at whatever width its scheduler grants.
-fn rebalance_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
+fn rebalance_once(shared: &Shared, cfg: &TickCfg) {
     let plan = {
         let st = lock(shared);
         let mut loads: Vec<(usize, &Worker)> = st
@@ -855,7 +973,7 @@ fn rebalance_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
     };
     env.fleet_id = id;
     let step = env.step;
-    match push_envelope(&dst_addr, &env) {
+    match push_envelope(&dst_addr, &env, cfg) {
         Some(new_local) => {
             // Release the parked source-side copy so its slot frees up —
             // a leaked `checkpointed` husk would count against the source's
@@ -872,7 +990,7 @@ fn rebalance_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
             // the pool stays imbalanced until the next attempt. The re-push
             // admits a fresh local copy, so release the parked one first.
             let _ = ServeClient::new(src_addr.clone()).cancel(local);
-            if let Some(new_local) = push_envelope(&src_addr, &env) {
+            if let Some(new_local) = push_envelope(&src_addr, &env, cfg) {
                 let mut st = lock(shared);
                 let src_name = st
                     .workers
@@ -893,7 +1011,7 @@ fn rebalance_once(shared: &Arc<Mutex<FleetState>>, cfg: &TickCfg) {
 // HTTP plane
 // ---------------------------------------------------------------------------
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Mutex<FleetState>>) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let req = match http::read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
@@ -925,6 +1043,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Mutex<FleetState>>) {
             None => (400, err_json("bad job id")),
         },
         ("POST", ["v1", "fleet", "register"]) => register(shared, &req),
+        ("POST", ["v1", "fleet", "wake"]) => {
+            shared.wake();
+            (200, Json::obj([("woken", Json::Bool(true))]))
+        }
         ("POST", ["v1", "drain"]) => drain(shared),
         ("GET", ["v1", "stats"]) => stats(shared),
         _ => (404, err_json("no such route")),
@@ -944,7 +1066,7 @@ fn err_json(msg: &str) -> Json {
 /// Admit a job: validate, journal durably, acknowledge. While the journal is
 /// degraded the controller answers 503 — it will not accept work it cannot
 /// make crash-safe (same contract as the single-worker serve tier).
-fn submit(shared: &Arc<Mutex<FleetState>>, req: &Request) -> (u16, Json) {
+fn submit(shared: &Shared, req: &Request) -> (u16, Json) {
     let spec = match JobSpec::from_body(&req.body) {
         Ok(s) => s,
         Err(e) => return (400, err_json(&e.to_string())),
@@ -980,12 +1102,14 @@ fn submit(shared: &Arc<Mutex<FleetState>>, req: &Request) -> (u16, Json) {
         binding: Binding::Pending { wait_ticks: 0 },
         migrations: 0,
     });
+    drop(st);
+    shared.wake(); // place it now, not at the next beat
     (202, Json::obj([("id", Json::num(id as f64))]))
 }
 
 /// Cancel: pending jobs settle immediately; placed jobs relay to the owning
 /// worker and the sync pass journals the terminal when the worker confirms.
-fn cancel(shared: &Arc<Mutex<FleetState>>, id: u64) -> (u16, Json) {
+fn cancel(shared: &Shared, id: u64) -> (u16, Json) {
     let relay = {
         let mut st = lock(shared);
         let Some(job) = st.job(id) else {
@@ -1016,7 +1140,7 @@ fn cancel(shared: &Arc<Mutex<FleetState>>, id: u64) -> (u16, Json) {
 
 /// Worker announcement: journaled durably (the registry must survive a
 /// controller crash so dead-worker recovery can find checkpoint dirs).
-fn register(shared: &Arc<Mutex<FleetState>>, req: &Request) -> (u16, Json) {
+fn register(shared: &Shared, req: &Request) -> (u16, Json) {
     let parsed = std::str::from_utf8(&req.body)
         .ok()
         .and_then(|t| json::parse(t).ok());
@@ -1051,7 +1175,7 @@ fn register(shared: &Arc<Mutex<FleetState>>, req: &Request) -> (u16, Json) {
 }
 
 /// Block until every fleet job is terminal (or the controller stops).
-fn drain(shared: &Arc<Mutex<FleetState>>) -> (u16, Json) {
+fn drain(shared: &Shared) -> (u16, Json) {
     loop {
         {
             let st = lock(shared);
@@ -1072,7 +1196,7 @@ fn drain(shared: &Arc<Mutex<FleetState>>) -> (u16, Json) {
     }
 }
 
-fn stats(shared: &Arc<Mutex<FleetState>>) -> (u16, Json) {
+fn stats(shared: &Shared) -> (u16, Json) {
     let st = lock(shared);
     let count = |f: &dyn Fn(&Binding) -> bool| {
         Json::num(st.jobs.iter().filter(|j| f(&j.binding)).count() as f64)
@@ -1155,6 +1279,9 @@ fn stats(shared: &Arc<Mutex<FleetState>>) -> (u16, Json) {
                 ),
             ),
             ("migrations", Json::num(st.migrations as f64)),
+            ("wakes", Json::num(st.wakes as f64)),
+            ("reconciles", Json::num(st.reconciles as f64)),
+            ("beats", Json::num(st.beats as f64)),
             ("workers", workers),
             ("journal_degraded", Json::Bool(st.journal.degraded())),
         ]),
@@ -1178,6 +1305,126 @@ mod tests {
         }
     }
 
+    const JOB: &str = r#"{"name":"j","case":"cavity","lattice":"d2q9","nx":8,"ny":8,"nz":1,
+        "tau":0.8,"u":0.05,"steps":32,"priority":"batch","tenant":"acme"}"#;
+
+    /// A reconcile is sync → rescue → place and nothing else: the heartbeat
+    /// clock, priority aging and the liveness state machine do not move, and
+    /// no probe leaves — even though the one worker refuses the placement.
+    #[test]
+    fn reconcile_leaves_everything_that_counts_heartbeats_alone() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let dir = std::env::temp_dir().join(format!("swlb-fleet-reconcile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A worker stub that counts heartbeat probes and refuses everything.
+        let pings = Arc::new(AtomicU64::new(0));
+        let mut stub = Listener::bind("127.0.0.1:0").unwrap();
+        let counted = pings.clone();
+        stub.start(Some(Duration::from_secs(5)), move |mut s| {
+            if let Ok(req) = http::read_request(&mut s) {
+                counted.fetch_add((req.path() == "/v1/fleet/ping") as u64, Ordering::SeqCst);
+                let _ = http::write_response(&mut s, 404, "application/json", b"{}");
+            }
+        });
+        let (journal, replayed, _) = recover(&dir);
+        let shared = Shared::new(FleetState::restore(journal, replayed), &Recorder::disabled());
+        let worker = format!(r#"{{"name":"w0","addr":"{}","dir":"/tmp/w0"}}"#, stub.addr());
+        assert_eq!(register(&shared, &post(&worker)).0, 200);
+        assert_eq!(submit(&shared, &post(JOB)).0, 202);
+        assert_eq!(submit(&shared, &post(JOB)).0, 202);
+        let cfg = TickCfg {
+            notify_port: 9,
+            max_missed: 3,
+            per_worker_cap: 4,
+            policy: PolicyConfig::default(),
+            rebalance: true,
+            recorder: Recorder::disabled(),
+        };
+        let clock = |st: &FleetState| {
+            let w = &st.workers[0];
+            let bindings: Vec<Binding> = st.jobs.iter().map(|j| j.binding.clone()).collect();
+            (st.tick, bindings, w.seq, w.missed, w.next_probe, w.dead)
+        };
+
+        let before = clock(&lock(&shared));
+        for _ in 0..3 {
+            tick(&shared, &cfg, false);
+        }
+        let st = lock(&shared);
+        assert_eq!(clock(&st), before);
+        assert_eq!(pings.load(Ordering::SeqCst), 0, "a reconcile probed");
+        assert_eq!((st.reconciles, st.beats), (3, 0));
+        drop(st);
+
+        // The same body as a beat moves all of it.
+        tick(&shared, &cfg, true);
+        let st = lock(&shared);
+        assert_eq!((st.tick, st.beats, pings.load(Ordering::SeqCst)), (1, 1, 1));
+        assert!(st.workers[0].seq == 1 && st.workers[0].missed >= 1);
+        assert!(st
+            .jobs
+            .iter()
+            .all(|j| j.binding == Binding::Pending { wait_ticks: 1 }));
+        drop(st);
+        stub.stop_accepting();
+        stub.join_handlers();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The ticker's wait: a wake is answered at once when no hold is set,
+    /// waits out a hold that is, and never delays a beat that falls due first.
+    #[test]
+    fn a_wake_waits_out_the_hold_and_a_due_beat_does_not() {
+        let dir = std::env::temp_dir().join(format!("swlb-fleet-hold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, replayed, _) = recover(&dir);
+        let shared = Shared::new(FleetState::restore(journal, replayed), &Recorder::disabled());
+        let (ms, far) = (Duration::from_millis, Duration::from_secs(60));
+        let mut seen = 0;
+
+        shared.wake();
+        let t0 = Instant::now();
+        assert_eq!(next_pass(&shared, t0 + far, t0, &mut seen), Some(false));
+        assert!(t0.elapsed() < ms(50), "{:?}", t0.elapsed());
+        assert_eq!(seen, 1);
+
+        shared.wake();
+        let t0 = Instant::now();
+        assert_eq!(next_pass(&shared, t0 + far, t0 + ms(80), &mut seen), Some(false));
+        assert!(t0.elapsed() >= ms(80), "{:?}", t0.elapsed());
+
+        shared.wake();
+        let t0 = Instant::now();
+        assert_eq!(next_pass(&shared, t0 + ms(30), t0 + far, &mut seen), Some(true));
+        assert!(t0.elapsed() >= ms(30) && t0.elapsed() < far / 2);
+        assert_eq!(seen, 3, "the beat answered the wake");
+
+        // No wake: only the beat ends the wait, whatever the hold says.
+        let t0 = Instant::now();
+        assert_eq!(next_pass(&shared, t0 + ms(30), t0, &mut seen), Some(true));
+        assert!(t0.elapsed() >= ms(30));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Stopping raises the wake: it does not wait out the heartbeat sleep.
+    #[test]
+    fn shutdown_does_not_wait_for_the_next_beat() {
+        let dir = std::env::temp_dir().join(format!("swlb-fleet-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let heartbeat = Duration::from_secs(2);
+        let stops: [fn(Controller); 2] = [Controller::shutdown, |c| drop(c)];
+        for stop in stops {
+            let mut cfg = FleetConfig::new(&dir);
+            cfg.heartbeat = heartbeat;
+            let controller = Controller::spawn(cfg).unwrap();
+            std::thread::sleep(Duration::from_millis(100)); // into the wait
+            let t0 = Instant::now();
+            stop(controller);
+            assert!(t0.elapsed() < heartbeat / 2, "{:?}", t0.elapsed());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// The failure-matrix row "journal disk loss / full": 503, and nothing
     /// acknowledged that cannot be replayed.
     #[test]
@@ -1185,7 +1432,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("swlb-fleet-degraded-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (journal, replayed, _) = recover(&dir);
-        let shared = Arc::new(Mutex::new(FleetState::restore(journal, replayed)));
+        let shared = Shared::new(FleetState::restore(journal, replayed), &Recorder::disabled());
         let job = post(
             r#"{"name":"j","case":"cavity","lattice":"d2q9","nx":8,"ny":8,"nz":1,"tau":0.8,
                 "u":0.05,"steps":32,"priority":"batch","tenant":"acme"}"#,

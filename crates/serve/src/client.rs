@@ -114,7 +114,18 @@ impl ServeClient {
 
     /// Statuses of every job the service has seen.
     pub fn list(&self) -> Result<Vec<Json>, SwlbError> {
-        match self.get_json("/v1/jobs")? {
+        self.list_at("/v1/jobs")
+    }
+
+    /// Statuses of just the jobs in `ids` (ids the service does not know are
+    /// omitted) — the fleet controller's sync asks for what it placed.
+    pub fn list_ids(&self, ids: &[u64]) -> Result<Vec<Json>, SwlbError> {
+        let ids: Vec<String> = ids.iter().map(u64::to_string).collect();
+        self.list_at(&format!("/v1/jobs?ids={}", ids.join(",")))
+    }
+
+    fn list_at(&self, target: &str) -> Result<Vec<Json>, SwlbError> {
+        match self.get_json(target)? {
             Json::Arr(items) => Ok(items),
             _ => Err(SwlbError::CorruptData("job list is not an array".into())),
         }

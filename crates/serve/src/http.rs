@@ -303,7 +303,36 @@ pub fn roundtrip_with_limit(
     body: &[u8],
     max_body: usize,
 ) -> Result<(u16, Vec<u8>), SwlbError> {
-    let mut stream = TcpStream::connect(addr)?;
+    exchange(TcpStream::connect(addr)?, method, target, body, max_body)
+}
+
+/// [`roundtrip`] with `timeout` bounding the connect and every read and
+/// write, so a caller that must stay joinable (the worker's wake notifier)
+/// cannot hang on an unreachable peer. `None` leaves the OS defaults.
+pub fn roundtrip_timeout(
+    addr: &SocketAddr,
+    method: &str,
+    target: &str,
+    body: &[u8],
+    timeout: Option<Duration>,
+) -> Result<(u16, Vec<u8>), SwlbError> {
+    let stream = match timeout {
+        Some(t) => TcpStream::connect_timeout(addr, t)?,
+        None => TcpStream::connect(addr)?,
+    };
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
+    exchange(stream, method, target, body, MAX_BODY)
+}
+
+/// One request out, one full CRC-verified response back, on `stream`.
+fn exchange(
+    mut stream: TcpStream,
+    method: &str,
+    target: &str,
+    body: &[u8],
+    max_body: usize,
+) -> Result<(u16, Vec<u8>), SwlbError> {
     send_request(&mut stream, method, target, body)?;
     let mut reader = BufReader::new(stream);
     let (status, headers) = read_response_head(&mut reader)?;

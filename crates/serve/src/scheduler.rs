@@ -361,7 +361,6 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                         st.journal.append(&JobEvent::Completed { id: picked });
                         let job = st.job_mut(picked).unwrap();
                         job.state = JobState::Completed;
-                        job.recorder.flush(job.steps_done);
                         let status = job.status_json();
                         let mut extra = vec![("status", status)];
                         if let Ok(files) = outputs {
@@ -381,7 +380,6 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                         st.journal.append(&JobEvent::Cancelled { id: picked });
                         let job = st.job_mut(picked).unwrap();
                         job.state = JobState::Cancelled;
-                        job.recorder.flush(job.steps_done);
                         shared.push_event(&mut st, picked, "cancelled", vec![]);
                         shared.event_wake.notify_all();
                         release = true;
@@ -487,7 +485,6 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                         let job = st.job_mut(picked).unwrap();
                         job.state = JobState::Failed;
                         job.error = Some(msg.clone());
-                        job.recorder.flush(job.steps_done);
                         shared.push_event(
                             &mut st,
                             picked,

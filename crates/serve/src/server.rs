@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! POST /v1/jobs               submit a JobSpec          202 {"id":N} | 429 | 503
-//! GET  /v1/jobs               list all job statuses     200 [status...]
+//! GET  /v1/jobs               list job statuses         200 [status...] (?ids=3,7,9)
 //! GET  /v1/jobs/<id>          one job's status          200 | 404
 //! GET  /v1/jobs/<id>/events   NDJSON event stream       200 (?from=N)
 //! POST /v1/jobs/<id>/cancel   cancel at next boundary   200 | 404
@@ -12,6 +12,7 @@
 //! POST /v1/chaos/journal-full (chaos_routes) ?mode=on|off: fail journal writes
 //! POST /v1/fleet/ping         (worker_routes) sealed-frame heartbeat echo
 //! POST /v1/fleet/push         (worker_routes) receive a migrated job  202 | 429 | 503
+//!                             (?notify_port=N: where the pusher hears terminals)
 //! POST /v1/jobs/<id>/handoff  (worker_routes) park + ship the job     200 (envelope)
 //! ```
 //!
@@ -46,7 +47,7 @@ use crate::scheduler::{self, SchedConfig};
 use crate::spec::{JobSpec, JobState, Priority};
 use crate::state::Shared;
 use crate::wire::PushEnvelope;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -128,6 +129,8 @@ pub struct Server {
     shared: Arc<Shared>,
     listener: Listener,
     scheduler: Option<JoinHandle<()>>,
+    /// The terminal-wake notifier (worker mode only).
+    notifier: Option<JoinHandle<()>>,
     jobs_dir: PathBuf,
 }
 
@@ -191,6 +194,15 @@ impl Server {
         let scheduler =
             std::thread::spawn(move || scheduler::run(sched_shared, sched_cfg));
 
+        let notifier = cfg.worker_routes.then(|| {
+            let (shared, recorder, timeout) =
+                (shared.clone(), cfg.recorder.clone(), cfg.io_timeout);
+            std::thread::Builder::new()
+                .name("swlb-serve-notify".into())
+                .spawn(move || notify_loop(&shared, &recorder, timeout))
+                .expect("spawn the wake notifier")
+        });
+
         let ctx = ConnCtx {
             jobs_dir: jobs_dir.clone(),
             recorder: cfg.recorder.clone(),
@@ -210,6 +222,7 @@ impl Server {
             shared,
             listener,
             scheduler: Some(scheduler),
+            notifier,
             jobs_dir,
         })
     }
@@ -258,7 +271,7 @@ impl Server {
         self.shared.sched_wake.notify_all();
         self.shared.event_wake.notify_all();
         self.listener.stop_accepting();
-        if let Some(h) = self.scheduler.take() {
+        for h in [self.scheduler.take(), self.notifier.take()].into_iter().flatten() {
             let _ = h.join();
         }
         self.listener.join_handlers();
@@ -293,6 +306,33 @@ fn job_recorder(jobs_dir: &std::path::Path, id: u64, slice_steps: u64) -> Record
     }
 }
 
+/// The worker-mode `swlb-serve-notify` thread: parked on `event_wake`, and
+/// whenever the terminal counter has moved, one `POST /v1/fleet/wake` to the
+/// address the latest push taught. The wake carries no state — the controller
+/// re-reads this worker's table — so any number of terminals coalesce into
+/// one post, and a failed post is only counted: the controller's next beat
+/// finds the terminal anyway.
+fn notify_loop(shared: &Shared, recorder: &Recorder, timeout: Option<Duration>) {
+    let sent = recorder.counter("serve.wakes_sent");
+    let failed = recorder.counter("serve.wakes_failed");
+    let mut seen = 0;
+    let mut st = shared.lock_state();
+    while !st.stopping {
+        if st.terminals == seen {
+            st = shared.wait_event_timeout(st, Duration::from_secs(1));
+            continue;
+        }
+        seen = st.terminals;
+        let Some(addr) = st.notify else { continue };
+        drop(st);
+        match http::roundtrip_timeout(&addr, "POST", "/v1/fleet/wake", b"", timeout) {
+            Ok((200, _)) => sent.inc(),
+            _ => failed.inc(),
+        }
+        st = shared.lock_state();
+    }
+}
+
 /// Slices a watcher waits between event polls.
 const WATCH_POLL: Duration = Duration::from_millis(50);
 /// Idle interval after which a watch stream emits an empty NDJSON line, so
@@ -319,7 +359,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, ctx: &ConnCtx) {
     let segs: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let out = match (req.method.as_str(), segs.as_slice()) {
         ("POST", ["v1", "jobs"]) => submit(shared, &req, ctx),
-        ("GET", ["v1", "jobs"]) => list(shared),
+        ("GET", ["v1", "jobs"]) => list(shared, req.query("ids")),
         ("GET", ["v1", "jobs", id]) => status(shared, id),
         ("GET", ["v1", "jobs", id, "events"]) => {
             // Streaming path: takes over the connection entirely.
@@ -331,7 +371,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, ctx: &ConnCtx) {
             heartbeat(&mut stream, shared, &req);
             return;
         }
-        ("POST", ["v1", "fleet", "push"]) if ctx.worker_routes => push(shared, &req, ctx),
+        ("POST", ["v1", "fleet", "push"]) if ctx.worker_routes => {
+            push(shared, &req, ctx, stream.peer_addr().ok())
+        }
         ("POST", ["v1", "jobs", id, "handoff"]) if ctx.worker_routes => {
             // Binary envelope response: takes over the connection entirely.
             handoff(&mut stream, shared, id, ctx);
@@ -420,12 +462,22 @@ fn submit(shared: &Shared, req: &Request, ctx: &ConnCtx) -> (u16, Json) {
     }
 }
 
-fn list(shared: &Shared) -> (u16, Json) {
+/// The whole table, or with `?ids=3,7,9` only those jobs (unknown ids are
+/// omitted) — what a fleet sync asks for, so its cost follows the jobs placed
+/// here rather than every job this worker ever ran.
+fn list(shared: &Shared, ids: Option<&str>) -> (u16, Json) {
     let st = shared.lock_state();
-    (
-        200,
-        Json::Arr(st.jobs.iter().map(|j| j.status_json()).collect()),
-    )
+    let jobs: Vec<&crate::state::JobRecord> = match ids {
+        None => st.jobs.iter().collect(),
+        Some(ids) => {
+            let ids = ids.split(',').filter(|s| !s.is_empty()).map(str::parse::<u64>);
+            let Ok(ids) = ids.collect::<Result<Vec<_>, _>>() else {
+                return (400, Json::obj([("error", Json::str("bad ids list"))]));
+            };
+            ids.iter().filter_map(|id| st.job(*id)).collect()
+        }
+    };
+    (200, Json::Arr(jobs.iter().map(|j| j.status_json()).collect()))
 }
 
 fn parse_id(seg: &str) -> Option<u64> {
@@ -458,7 +510,6 @@ fn cancel(shared: &Shared, id_seg: &str) -> (u16, Json) {
         // landed elsewhere — the checkpoint files stay on disk.
         JobState::Queued | JobState::Preempted | JobState::Checkpointed => {
             job.state = JobState::Cancelled;
-            job.recorder.flush(job.steps_done);
             st.journal
                 .append(&crate::journal::JobEvent::Cancelled { id });
             shared.push_event(&mut st, id, "cancelled", vec![]);
@@ -531,7 +582,13 @@ fn heartbeat(stream: &mut TcpStream, shared: &Shared, req: &Request) {
 /// then the envelope's checkpoint bytes are installed into the job's
 /// namespaced store, and only then is the hold released. A seed failure
 /// cancels the held job — the controller retries on another worker.
-fn push(shared: &Shared, req: &Request, ctx: &ConnCtx) -> (u16, Json) {
+/// `?notify_port=N` names where the pusher hears terminals: the port is paired
+/// with this connection's `peer` IP — never a full address, so a pusher can
+/// only make the worker knock on the pusher's own host — and becomes the wake
+/// notifier's target; a push that names none leaves the previous one in place.
+fn push(shared: &Shared, req: &Request, ctx: &ConnCtx, peer: Option<SocketAddr>) -> (u16, Json) {
+    let port = req.query("notify_port").and_then(|p| p.parse().ok());
+    let notify = port.zip(peer).map(|(port, peer)| SocketAddr::new(peer.ip(), port));
     let env = match PushEnvelope::decode(&req.body) {
         Ok(e) => e,
         Err(e) => return (400, Json::obj([("error", Json::str(e.to_string()))])),
@@ -540,6 +597,7 @@ fn push(shared: &Shared, req: &Request, ctx: &ConnCtx) -> (u16, Json) {
         let mut st = shared.lock_state();
         match st.admit(env.spec.clone(), Recorder::disabled()) {
             Ok(id) => {
+                st.notify = notify.or(st.notify);
                 let recorder = job_recorder(&ctx.jobs_dir, id, ctx.slice_steps);
                 let job = st.job_mut(id).unwrap();
                 job.recorder = recorder;

@@ -25,6 +25,7 @@
 use crate::journal::{JobEvent, ReplayOutcome, ReplayedJob};
 use crate::json::Json;
 use crate::spec::{JobSpec, JobState};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -198,6 +199,13 @@ pub struct State {
     pub stopping: bool,
     /// Submissions bounced by admission control.
     pub rejected: u64,
+    /// Jobs that turned `completed` / `failed` / `cancelled` since start-up;
+    /// the worker's wake notifier posts whenever this has moved.
+    pub terminals: u64,
+    /// Where that notifier knocks: the peer of the latest fleet push paired
+    /// with the `notify_port` it named. Not journaled — the next push
+    /// re-teaches it.
+    pub notify: Option<SocketAddr>,
     /// The write-ahead lifecycle journal. Living behind the same mutex as
     /// the job table makes admit+journal one atomic step.
     pub journal: Wal<JobEvent>,
@@ -431,6 +439,8 @@ impl Shared {
                 drained: false,
                 stopping: false,
                 rejected: 0,
+                terminals: 0,
+                notify: None,
                 journal: Wal::disabled(),
             }),
             sched_wake: Condvar::new(),
@@ -477,6 +487,11 @@ impl Shared {
 
     /// Append a serialized event line to a job and wake watchers. `extra`
     /// fields are appended after the standard `event`/`id`/`step` triple.
+    ///
+    /// Every terminal passes through here, so this is where a finished job
+    /// writes its final metrics line and lets go of its recorder (sink,
+    /// buffer and the open `metrics.jsonl` descriptor) — terminal jobs are
+    /// history and never record again, as after crash recovery.
     pub fn push_event(
         &self,
         st: &mut State,
@@ -493,6 +508,11 @@ impl Shared {
         fields.extend(extra);
         let line = Json::obj(fields).to_text();
         job.events.push(line);
+        if matches!(event, "completed" | "failed" | "cancelled") {
+            job.recorder.flush(job.steps_done);
+            job.recorder = Recorder::disabled();
+            st.terminals += 1;
+        }
         self.event_wake.notify_all();
     }
 }

@@ -12,7 +12,11 @@
 //!   and over the real worker handoff → push HTTP path;
 //! * `submit_with_retry` rides through a journal-full degraded window;
 //! * the worker-side `/v1/stats` exposes per-priority queue depth and
-//!   per-tenant running/queued counts.
+//!   per-tenant running/queued counts;
+//! * a terminal reaches the controller when it happens (a wake, not the next
+//!   heartbeat), and wakes that are lost, stale, duplicated or forged cost a
+//!   heartbeat of delay or an idle sync — never a second terminal record, a
+//!   quota breach or a slow shutdown.
 //!
 //! The 100k-job soak stays `--ignored`; `just fleet-check` runs the 1k CI
 //! variant of the same binary.
@@ -20,6 +24,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use swlb_fleet::{Controller, FleetConfig, PolicyConfig};
+use swlb_obs::Recorder;
 use swlb_serve::json::Json;
 use swlb_serve::{
     http, CaseKind, CaseSpec, JobSpec, LatticeKind, Priority, PushEnvelope, ServeClient,
@@ -64,12 +69,24 @@ fn job(name: &str, steps: u64, priority: Priority, tenant: &str) -> JobSpec {
 /// Spawn an in-process worker-mode serve instance and register it with the
 /// controller at `controller_addr`.
 fn spawn_worker(dir: &Path, name: &str, controller_addr: &str, slice_steps: u64) -> Server {
+    spawn_worker_with(dir, name, controller_addr, slice_steps, Recorder::disabled())
+}
+
+/// [`spawn_worker`] with the worker's own counters (`serve.wakes_*`) exposed.
+fn spawn_worker_with(
+    dir: &Path,
+    name: &str,
+    controller_addr: &str,
+    slice_steps: u64,
+    recorder: Recorder,
+) -> Server {
     let worker_dir = dir.join(name);
     let mut cfg = ServeConfig::new(&worker_dir);
     cfg.worker_routes = true;
     cfg.slice_steps = slice_steps;
     cfg.threads = 2;
     cfg.capacity = 16;
+    cfg.recorder = recorder;
     let server = Server::spawn(cfg).expect("spawn worker");
     let body = Json::obj([
         ("name", Json::str(name)),
@@ -300,7 +317,6 @@ fn fleet_aging_lets_batch_overtake_later_interactive() {
 fn migration_envelope_roundtrips_bit_exact_across_widths() {
     use swlb_core::parallel::ThreadPool;
     use swlb_io::{CheckpointStore, ChunkedCheckpoint};
-    use swlb_obs::Recorder;
 
     let dir = unique_dir("bitexact");
     // Source: an elastic solver at width 2, advanced far enough that the
@@ -565,6 +581,335 @@ fn worker_stats_break_down_queue_and_tenants() {
         client.cancel(id).unwrap();
     }
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Poll `what()` until it holds.
+fn wait_until(timeout: Duration, msg: &str, what: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !what() {
+        assert!(start.elapsed() < timeout, "timed out waiting for {msg}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A port on this host that refuses connections.
+fn dead_port() -> u16 {
+    std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .port()
+}
+
+/// Push `env` to a worker by hand, as a controller listening on `notify_port`
+/// would (or one that names no port at all); returns the worker-local id.
+fn push_by_hand(worker: &Server, env: &PushEnvelope, notify_port: Option<u16>) -> u64 {
+    let target = match notify_port {
+        Some(port) => format!("/v1/fleet/push?notify_port={port}"),
+        None => "/v1/fleet/push".to_string(),
+    };
+    let (status, body) =
+        http::roundtrip(&worker.addr().to_string(), "POST", &target, &env.encode()).unwrap();
+    assert_eq!(status, 202, "push refused");
+    let resp = swlb_serve::json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    field_u64(&resp, "id")
+}
+
+fn fresh_envelope(name: &str, steps: u64) -> PushEnvelope {
+    PushEnvelope {
+        spec: job(name, steps, Priority::Batch, "acme"),
+        fleet_id: 0,
+        step: 0,
+        width: 1,
+        ckpt: Vec::new(),
+    }
+}
+
+/// With a heartbeat of five seconds a job can only finish inside one second
+/// if the admission wakes the placement and the worker's terminal notice
+/// wakes the settle — ticking cannot pass this.
+#[test]
+fn fleet_hears_a_terminal_when_it_happens() {
+    let dir = unique_dir("wake");
+    let mut cfg = FleetConfig::new(dir.join("controller"));
+    cfg.heartbeat = Duration::from_secs(5);
+    let controller = Controller::spawn(cfg).unwrap();
+    let caddr = controller.addr().to_string();
+    let sent = Recorder::enabled();
+    let worker = spawn_worker_with(&dir, "w1", &caddr, 16, sent.clone());
+    let client = ServeClient::new(caddr);
+
+    let submitted = Instant::now();
+    let id = client
+        .submit(&job("quick", 16, Priority::Interactive, "t"))
+        .unwrap();
+    wait_until(Duration::from_secs(1), "a completion inside one second", || {
+        field_str(&client.status(id).unwrap(), "state") == "completed"
+    });
+    assert!(submitted.elapsed() < Duration::from_secs(1));
+    let stats = client.stats().unwrap();
+    assert!(
+        field_u64(&stats, "reconciles") >= 2 && field_u64(&stats, "wakes") >= 2,
+        "one pass to place, one to settle: {}",
+        stats.to_text()
+    );
+    assert!(field_u64(&stats, "beats") <= 1, "{}", stats.to_text());
+    assert!(sent.counter("serve.wakes_sent").get() >= 1);
+    assert_eq!(sent.counter("serve.wakes_failed").get(), 0);
+    worker.shutdown();
+    controller.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Eight jobs on two slots: while jobs are queued the wake-triggered passes
+/// are half a heartbeat apart, so the queue drains on that clock — four
+/// placement rounds cannot fit inside one heartbeat — where an idle fleet
+/// (the test above) answers every wake at once.
+#[test]
+fn a_queue_drains_on_the_clock_not_on_every_wake() {
+    let dir = unique_dir("queued");
+    let mut cfg = FleetConfig::new(dir.join("controller"));
+    let heartbeat = Duration::from_millis(600);
+    cfg.heartbeat = heartbeat;
+    cfg.per_worker_cap = 2;
+    let controller = Controller::spawn(cfg).unwrap();
+    let caddr = controller.addr().to_string();
+    let worker = spawn_worker(&dir, "w1", &caddr, 16);
+    let client = ServeClient::new(caddr);
+    std::thread::sleep(Duration::from_millis(50)); // past the first beat
+
+    let submitted = Instant::now();
+    for i in 0..8 {
+        client
+            .submit(&job(&format!("q-{i}"), 16, Priority::Batch, "t"))
+            .unwrap();
+    }
+    wait_until(Duration::from_secs(30), "the queue to drain", || {
+        let jobs = client.list().unwrap();
+        assert!(
+            jobs.iter().filter(|j| field_str(j, "state") == "placed").count() <= 2,
+            "more placed than the pool has slots"
+        );
+        jobs.iter().all(|j| field_str(j, "state") == "completed")
+    });
+    // Passes that can place: the first reconcile, then one per half
+    // heartbeat, plus the beats — the fourth round is at least 0.9 heartbeats
+    // in. Answering every terminal's wake, it drains in tens of ms.
+    assert!(
+        submitted.elapsed() >= heartbeat * 9 / 10,
+        "{:?}",
+        submitted.elapsed()
+    );
+    let stats = client.stats().unwrap();
+    assert!(field_u64(&stats, "reconciles") >= 2, "{}", stats.to_text());
+    worker.shutdown();
+    controller.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every wake lost: the worker was last told to knock on a port nobody
+/// listens on. The fleet job still settles — by heartbeat, as it always did —
+/// the failures are counted, and the worker still stops promptly.
+#[test]
+fn lost_wakes_cost_a_heartbeat_not_a_job() {
+    let dir = unique_dir("lost-wake");
+    let mut cfg = FleetConfig::new(dir.join("controller"));
+    cfg.heartbeat = Duration::from_millis(30);
+    let controller = Controller::spawn(cfg).unwrap();
+    let caddr = controller.addr().to_string();
+    let counters = Recorder::enabled();
+    let worker = spawn_worker_with(&dir, "w1", &caddr, 8, counters.clone());
+    let client = ServeClient::new(caddr);
+
+    // A job long enough to still be running when the hand push below repoints
+    // the worker's notifier at a dead port (the latest push wins).
+    let mut long = job("long", 3000, Priority::Batch, "t");
+    long.case = cavity(40, 40);
+    let id = client.submit(&long).unwrap();
+    wait_until(Duration::from_secs(10), "placement", || {
+        field_str(&client.status(id).unwrap(), "state") == "placed"
+    });
+    let stray = push_by_hand(&worker, &fresh_envelope("stray", 16), Some(dead_port()));
+    let local = ServeClient::new(worker.addr().to_string());
+    wait_fleet(&client, Duration::from_secs(60), "the long job", |jobs| {
+        jobs.iter().all(|j| field_str(j, "state") == "completed")
+    });
+    wait_until(Duration::from_secs(20), "the stray job", || {
+        field_str(&local.status(stray).unwrap(), "state") == "completed"
+    });
+    wait_until(Duration::from_secs(5), "a failed wake", || {
+        counters.counter("serve.wakes_failed").get() >= 1
+    });
+    let stopping = Instant::now();
+    worker.shutdown();
+    assert!(
+        stopping.elapsed() < Duration::from_secs(5),
+        "a dead wake target delayed worker shutdown by {:?}",
+        stopping.elapsed()
+    );
+    controller.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An envelope pushed without `notify_port` behaves as it always did: the job
+/// runs, and the worker knocks nowhere.
+#[test]
+fn push_without_notify_port_sends_no_wake() {
+    let dir = unique_dir("no-notify");
+    let mut cfg = ServeConfig::new(dir.join("w"));
+    cfg.worker_routes = true;
+    cfg.recorder = Recorder::enabled();
+    let counters = cfg.recorder.clone();
+    let worker = Server::spawn(cfg).unwrap();
+    let local = push_by_hand(&worker, &fresh_envelope("plain", 16), None);
+    let client = ServeClient::new(worker.addr().to_string());
+    wait_until(Duration::from_secs(20), "the pushed job", || {
+        field_str(&client.status(local).unwrap(), "state") == "completed"
+    });
+    worker.shutdown();
+    assert_eq!(counters.counter("serve.wakes_sent").get(), 0);
+    assert_eq!(counters.counter("serve.wakes_failed").get(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Duplicate and forged wakes: a thread hammers `POST /v1/fleet/wake` while a
+/// mixed workload runs. Every job still has exactly one terminal record, the
+/// placement counter matches the journal, and the tenant quota holds at every
+/// observation.
+#[test]
+fn wake_spam_changes_nothing_but_the_pass_count() {
+    const JOBS: u64 = 50;
+    const QUOTA: usize = 2;
+    let dir = unique_dir("wake-spam");
+    let mut cfg = FleetConfig::new(dir.join("controller"));
+    cfg.heartbeat = Duration::from_millis(40);
+    cfg.policy = PolicyConfig {
+        quotas: vec![("capped".into(), QUOTA)],
+        ..PolicyConfig::default()
+    };
+    cfg.recorder = Recorder::enabled();
+    let counters = cfg.recorder.clone();
+    let controller = Controller::spawn(cfg).unwrap();
+    let caddr = controller.addr().to_string();
+    let w1 = spawn_worker(&dir, "w1", &caddr, 8);
+    let w2 = spawn_worker(&dir, "w2", &caddr, 8);
+    let client = ServeClient::new(caddr.clone());
+
+    let spammer = {
+        let caddr = caddr.clone();
+        std::thread::spawn(move || {
+            for _ in 0..1500 {
+                let (status, _) = http::roundtrip(&caddr, "POST", "/v1/fleet/wake", b"").unwrap();
+                assert_eq!(status, 200);
+            }
+        })
+    };
+    for i in 0..JOBS {
+        let (tenant, priority) = match i % 3 {
+            0 => ("capped", Priority::Batch),
+            1 => ("alpha", Priority::Interactive),
+            _ => ("beta", Priority::Batch),
+        };
+        let steps = if i % 10 == 0 { 96 } else { 16 };
+        client
+            .submit(&job(&format!("spam-{i}"), steps, priority, tenant))
+            .unwrap();
+    }
+    let start = Instant::now();
+    loop {
+        let jobs = client.list().unwrap();
+        let capped_placed = jobs
+            .iter()
+            .filter(|j| field_str(j, "tenant") == "capped" && field_str(j, "state") == "placed")
+            .count();
+        assert!(capped_placed <= QUOTA, "quota violated: {capped_placed} placed");
+        if jobs.iter().all(|j| field_str(j, "state") == "completed") {
+            break;
+        }
+        assert!(start.elapsed() < Duration::from_secs(120), "workload stalled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    spammer.join().unwrap();
+    let stats = client.stats().unwrap();
+    assert!(field_u64(&stats, "wakes") >= 1500 + JOBS, "{}", stats.to_text());
+    assert_eq!(field_u64(&stats, "completed"), JOBS);
+    w1.shutdown();
+    w2.shutdown();
+    controller.shutdown();
+
+    let (lines, _) = swlb_io::Journal::replay(&dir.join("controller").join("journal")).unwrap();
+    let records: Vec<Json> = lines
+        .iter()
+        .filter_map(|l| swlb_serve::json::parse(l).ok())
+        .collect();
+    let count = |id: u64, recs: &[&str]| {
+        records
+            .iter()
+            .filter(|v| field_u64(v, "id") == id && recs.contains(&field_str(v, "rec")))
+            .count()
+    };
+    for id in 1..=JOBS {
+        assert_eq!(
+            count(id, &["completed", "cancelled", "failed"]),
+            1,
+            "job {id}: terminal records"
+        );
+        assert!(count(id, &["placed"]) >= 1, "job {id} was never placed");
+    }
+    let placed = records
+        .iter()
+        .filter(|v| field_str(v, "rec") == "placed")
+        .count() as u64;
+    assert_eq!(counters.counter("fleet.placements").get(), placed);
+    assert_eq!(counters.counter("fleet.wakes").get(), field_u64(&stats, "wakes"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The controller comes back on a new port while a job is placed: the worker
+/// still knocks on the old one (a lost wake), the job settles by heartbeat,
+/// and the next push teaches the worker the new port.
+#[test]
+fn restarted_controller_on_a_new_port_is_relearned_from_the_next_push() {
+    let dir = unique_dir("new-port");
+    let spawn = || {
+        let mut cfg = FleetConfig::new(dir.join("controller"));
+        cfg.heartbeat = Duration::from_millis(50);
+        Controller::spawn(cfg).unwrap()
+    };
+    let first = spawn();
+    let counters = Recorder::enabled();
+    let worker = spawn_worker_with(&dir, "w1", &first.addr().to_string(), 8, counters.clone());
+    let mut long = job("long", 3000, Priority::Batch, "t");
+    long.case = cavity(40, 40);
+    let client = ServeClient::new(first.addr().to_string());
+    let id = client.submit(&long).unwrap();
+    wait_until(Duration::from_secs(10), "placement", || {
+        field_str(&client.status(id).unwrap(), "state") == "placed"
+    });
+    let old_port = first.addr().port();
+    first.shutdown();
+
+    let second = spawn();
+    assert_ne!(second.addr().port(), old_port, "the premise: a new port");
+    let client = ServeClient::new(second.addr().to_string());
+    wait_until(Duration::from_secs(60), "the replayed job to settle", || {
+        field_str(&client.status(id).unwrap(), "state") == "completed"
+    });
+    assert!(counters.counter("serve.wakes_failed").get() >= 1);
+    let sent_before = counters.counter("serve.wakes_sent").get();
+
+    let next = client
+        .submit(&job("next", 16, Priority::Batch, "t"))
+        .unwrap();
+    wait_until(Duration::from_secs(20), "the next job", || {
+        field_str(&client.status(next).unwrap(), "state") == "completed"
+    });
+    wait_until(Duration::from_secs(5), "a wake on the new port", || {
+        counters.counter("serve.wakes_sent").get() > sent_before
+    });
+    worker.shutdown();
+    second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -536,6 +536,100 @@ fn cancel_stops_a_running_job_at_a_slice_boundary() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A terminal job lets go of its recorder: after hundreds of finished jobs
+/// the server holds O(1) open `metrics.jsonl` descriptors, not one per job
+/// ever run (which under `ulimit -n 1024` silently cost every later job its
+/// metrics), and every stream still ends with the job's final flush.
+#[test]
+#[cfg(target_os = "linux")]
+fn terminal_jobs_release_their_metrics_streams() {
+    const JOBS: u64 = 300;
+    let dir = unique_dir("fd-release").canonicalize().unwrap();
+    let server = Server::spawn(config(&dir, 16, 8)).unwrap();
+    let client = ServeClient::new(server.addr().to_string());
+    // Other tests share this process, so count only the descriptors that
+    // point into this server's own job directory.
+    let open_streams = || {
+        std::fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+            .filter(|target| target.starts_with(&dir))
+            .filter(|target| target.ends_with("metrics.jsonl"))
+            .count()
+    };
+    assert_eq!(open_streams(), 0);
+
+    // One job cancelled mid-run, then the stream of tiny ones, eight at a time.
+    let doomed = client
+        .submit(&job("doomed", cavity(16, 16), 100_000, Priority::Batch))
+        .unwrap();
+    wait_for(&client, doomed, Duration::from_secs(20), "progress", |s| {
+        num_of(s, "steps_done") > 0
+    });
+    client.cancel(doomed).unwrap();
+    wait_for(&client, doomed, Duration::from_secs(20), "cancelled", |s| {
+        state_of(s) == "cancelled"
+    });
+    let mut ids = Vec::new();
+    while (ids.len() as u64) < JOBS {
+        let batch: Vec<u64> = (0..8)
+            .map(|i| {
+                let name = format!("tiny-{}", ids.len() + i);
+                client
+                    .submit(&job(&name, cavity(8, 8), 16, Priority::Batch))
+                    .unwrap()
+            })
+            .collect();
+        for id in &batch {
+            wait_for(&client, *id, Duration::from_secs(30), "completion", |s| {
+                state_of(s) == "completed"
+            });
+        }
+        ids.extend(batch);
+    }
+
+    // The scheduler may still cache the solver (and with it the recorder) of
+    // the job it ran last; nothing else is left open.
+    let open = open_streams();
+    assert!(open <= 2, "{open} metrics streams still open after {JOBS} jobs");
+    // Complete streams: every line parses and the last one is the terminal
+    // flush at the job's final step.
+    for id in ids.iter().copied().chain([doomed]) {
+        assert_metrics_schema(&dir, id);
+        let path = dir.join(format!("jobs/job-{id}/metrics.jsonl"));
+        let text = std::fs::read_to_string(path).unwrap();
+        let last = json::parse(text.lines().last().unwrap()).unwrap();
+        let done = num_of(&client.status(id).unwrap(), "steps_done");
+        assert_eq!(num_of(&last, "step"), done, "job {id}: final flush missing");
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `GET /v1/jobs?ids=…` answers for just those jobs — what a fleet sync asks
+/// for — and leaves the bare route as it was.
+#[test]
+fn list_filters_by_ids() {
+    let dir = unique_dir("list-ids");
+    let server = Server::spawn(config(&dir, 16, 8)).unwrap();
+    let addr = server.addr().to_string();
+    let client = ServeClient::new(addr.clone());
+    for i in 0..5 {
+        client
+            .submit(&job(&format!("j{i}"), cavity(8, 8), 16, Priority::Batch))
+            .unwrap();
+    }
+    let ids_of = |items: Vec<Json>| -> Vec<u64> { items.iter().map(|j| num_of(j, "id")).collect() };
+    assert_eq!(ids_of(client.list().unwrap()), [1, 2, 3, 4, 5]);
+    // Request order is kept; ids the server never saw are omitted.
+    assert_eq!(ids_of(client.list_ids(&[4, 99, 2]).unwrap()), [4, 2]);
+    assert_eq!(ids_of(client.list_ids(&[]).unwrap()), [0u64; 0]);
+    let (status, _) = swlb_serve::http::roundtrip(&addr, "GET", "/v1/jobs?ids=2,x", b"").unwrap();
+    assert_eq!(status, 400, "a malformed id list is refused, not ignored");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A rollback reports the step it actually restored: the job's last
 /// checkpoint before the fault, not 0. Slices of 8 with a checkpoint every 16
 /// steps put checkpoints at 8 and 24; the fault injected at step 24 trips the
