@@ -1,72 +1,18 @@
 //! Error types shared across the core crate.
 //!
-//! [`CoreError`] stays the fine-grained error of the numerics layer; it
-//! converts losslessly into the workspace-wide [`SwlbError`] (defined in
-//! `swlb-obs`, the crate everything depends on), which is what the top-level
-//! drivers — `Solver::run_checked`, `DistributedSolver::run`,
-//! `run_with_recovery` — return.
-
-use std::fmt;
+//! The numerics layer reports the workspace-wide [`SwlbError`] (defined in
+//! `swlb-obs`, the crate everything depends on) directly: [`CoreError`] is its
+//! name inside this crate, so `CoreError::InvalidDims(..)` and a top-level
+//! driver's `SwlbError::InvalidDims(..)` are one value of one type and `?`
+//! needs no conversion between layers.
 
 pub use swlb_obs::{SwlbError, SwlbResult};
 
+/// The error of fallible core APIs: the workspace error under its local name.
+pub type CoreError = SwlbError;
+
 /// Result alias used by fallible core APIs.
 pub type Result<T> = std::result::Result<T, CoreError>;
-
-/// Errors produced by the core solver layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoreError {
-    /// A grid dimension was zero or inconsistent with the lattice dimensionality.
-    InvalidDims(String),
-    /// A relaxation parameter was outside the linear-stability range.
-    InvalidRelaxation(String),
-    /// A field of the wrong length was passed to an API expecting one entry per cell.
-    LengthMismatch {
-        /// What the caller supplied.
-        got: usize,
-        /// What the grid requires.
-        expected: usize,
-    },
-    /// The simulation blew up (NaN/Inf detected in the populations).
-    Diverged {
-        /// Time step at which divergence was first observed.
-        step: u64,
-    },
-    /// A configuration value was rejected.
-    InvalidConfig(String),
-}
-
-impl fmt::Display for CoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoreError::InvalidDims(msg) => write!(f, "invalid grid dimensions: {msg}"),
-            CoreError::InvalidRelaxation(msg) => write!(f, "invalid relaxation: {msg}"),
-            CoreError::LengthMismatch { got, expected } => {
-                write!(f, "field length mismatch: got {got}, expected {expected}")
-            }
-            CoreError::Diverged { step } => {
-                write!(f, "simulation diverged (NaN/Inf) at step {step}")
-            }
-            CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for CoreError {}
-
-impl From<CoreError> for SwlbError {
-    fn from(e: CoreError) -> Self {
-        match e {
-            CoreError::InvalidDims(m) => SwlbError::InvalidDims(m),
-            CoreError::InvalidRelaxation(m) => SwlbError::InvalidRelaxation(m),
-            CoreError::LengthMismatch { got, expected } => {
-                SwlbError::LengthMismatch { got, expected }
-            }
-            CoreError::Diverged { step } => SwlbError::Diverged { step },
-            CoreError::InvalidConfig(m) => SwlbError::InvalidConfig(m),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -90,13 +36,18 @@ mod tests {
 
     #[test]
     fn core_errors_convert_to_workspace_errors() {
+        // One type under two names: `?` from a core API into a workspace
+        // driver is the identity, structured payloads included.
+        fn through_question_mark(e: CoreError) -> std::result::Result<(), SwlbError> {
+            Err(e)?
+        }
         assert_eq!(
-            SwlbError::from(CoreError::Diverged { step: 7 }),
-            SwlbError::Diverged { step: 7 }
+            through_question_mark(CoreError::Diverged { step: 7 }),
+            Err(SwlbError::Diverged { step: 7 })
         );
         assert_eq!(
-            SwlbError::from(CoreError::LengthMismatch { got: 1, expected: 2 }),
-            SwlbError::LengthMismatch { got: 1, expected: 2 }
+            through_question_mark(CoreError::LengthMismatch { got: 1, expected: 2 }),
+            Err(SwlbError::LengthMismatch { got: 1, expected: 2 })
         );
     }
 }

@@ -8,23 +8,23 @@
 //! — the property the paper exploits to fuse the memory-bound propagation with the
 //! compute-bound collision (§IV-C.3, ~30 % gain on Sunway).
 //!
-//! This module holds the per-cell bodies; the loops that drive them live in
-//! two places only:
+//! This module holds the generic cell bodies, valid for every lattice, layout
+//! and collision operator, and the interior index:
 //!
-//! * [`fused_step`] / [`fused_step_rect`] — the generic reference kernel, valid
-//!   for every lattice, layout and boundary condition: one cell body, written
-//!   through a shared writer so the thread pool in [`crate::parallel`] runs the
-//!   very same code per y-slab. All other execution paths in the workspace
-//!   (split kernels, push scheme, the CPE-cluster emulator in `swlb-arch`, the
-//!   distributed engine in `swlb-sim`) are tested for exact agreement with it.
-//! * the hand-specialized D3Q19/SoA **interior** cell updates (AB pull, AA
-//!   odd, AA even) with hoisted neighbor offsets and a fully unrolled
-//!   direction loop, the portable analog of the paper's assembly-level
-//!   optimization stage (manual unroll + instruction reordering). They cover
-//!   interior cells only and are driven by the one y × x × run loop
-//!   nest in [`crate::simd`], reached through
-//!   [`crate::parallel::ThreadPool`]; the generic body finishes the boundary
-//!   shell, skipping the cells of the [`InteriorIndex`] mask.
+//! * [`fused_step`] / [`fused_step_rect`] — the generic reference kernel, every
+//!   boundary condition included: one cell body, written through a shared
+//!   writer so the thread pool in [`crate::parallel`] runs the very same code
+//!   per y-slab. All other execution paths in the workspace (split kernels,
+//!   push scheme, the CPE-cluster emulator in `swlb-arch`, the distributed
+//!   engine in `swlb-sim`) are tested for exact agreement with it.
+//! * `aa_generic_rect` — its single-grid (AA-pattern) counterpart.
+//! * [`InteriorIndex`] — the cells whose whole neighborhood is fluid, as a
+//!   mask and as run-length z-runs. Those cells take the hand-specialized
+//!   D3Q19 update of [`crate::simd`] (hoisted neighbor offsets, a fully
+//!   unrolled direction loop — the portable analog of the paper's
+//!   assembly-level optimization stage — at lane width 8, 4 or 1), reached
+//!   through [`crate::parallel::ThreadPool`]; the generic bodies here finish
+//!   the boundary shell, skipping the cells of the mask.
 
 use crate::boundary::NodeKind;
 use crate::collision::{collide, CollisionKind};
@@ -270,302 +270,6 @@ pub fn fused_step<L: Lattice, F: PopField<L>>(
 ) {
     let dims = flags.dims();
     fused_step_rect::<L, F>(flags, src, dst, collision, 0..dims.nx, 0..dims.ny);
-}
-
-/// One fused pull+BGK update of a single interior D3Q19/SoA cell at linear
-/// index `this`, with per-direction pull offsets `off`. The one interior loop
-/// nest in [`crate::simd`] runs it on sub-lane remainders, and on every run
-/// cell under `LanePolicy::ForceScalar` — keeping it in one place is what
-/// makes the scalar and portable-lane paths bit-exact by construction.
-///
-/// # Safety
-/// `this` must be an interior cell (all 18 pull sources in bounds per `off`),
-/// `sraw`/`draw` must cover `19 * cells` scalars, and no other thread may
-/// write this cell concurrently.
-#[inline(always)]
-pub(crate) unsafe fn d3q19_cell_update(
-    sraw: &[Scalar],
-    draw: *mut Scalar,
-    cells: usize,
-    off: &[isize; 19],
-    this: usize,
-    omega: Scalar,
-) {
-    let mut f = [0.0f64; 19];
-    // Gather: plane q starts at q·cells; source offset is
-    // constant. The unrolled form keeps all 19 loads
-    // independent so the compiler can software-pipeline them
-    // (the paper's L0/L1 dual-pipeline scheduling, in spirit).
-    macro_rules! pull {
-        ($q:literal) => {
-            f[$q] = sraw[($q * cells) as usize + (this as isize + off[$q]) as usize];
-        };
-    }
-    pull!(0);
-    pull!(1);
-    pull!(2);
-    pull!(3);
-    pull!(4);
-    pull!(5);
-    pull!(6);
-    pull!(7);
-    pull!(8);
-    pull!(9);
-    pull!(10);
-    pull!(11);
-    pull!(12);
-    pull!(13);
-    pull!(14);
-    pull!(15);
-    pull!(16);
-    pull!(17);
-    pull!(18);
-
-    d3q19_collide_scalar(&mut f, omega);
-
-    // Scatter back to the SoA planes.
-    macro_rules! store {
-        ($q:literal) => {
-            *draw.add($q * cells + this) = f[$q];
-        };
-    }
-    store!(0);
-    store!(1);
-    store!(2);
-    store!(3);
-    store!(4);
-    store!(5);
-    store!(6);
-    store!(7);
-    store!(8);
-    store!(9);
-    store!(10);
-    store!(11);
-    store!(12);
-    store!(13);
-    store!(14);
-    store!(15);
-    store!(16);
-    store!(17);
-    store!(18);
-}
-
-/// The plain-BGK D3Q19 collision applied to one gathered population vector —
-/// the exact expression tree of the original fused scalar kernel, factored out
-/// so the AB and both AA-pattern scalar cell updates share it (and so the
-/// portable SIMD lane, which transliterates this tree op for op, stays
-/// bit-exact against every scalar caller).
-#[inline(always)]
-pub(crate) fn d3q19_collide_scalar(f: &mut [Scalar; 19], omega: Scalar) {
-    // Moments, unrolled against the D3Q19 velocity table.
-    let rho = f[0]
-        + f[1]
-        + f[2]
-        + f[3]
-        + f[4]
-        + f[5]
-        + f[6]
-        + f[7]
-        + f[8]
-        + f[9]
-        + f[10]
-        + f[11]
-        + f[12]
-        + f[13]
-        + f[14]
-        + f[15]
-        + f[16]
-        + f[17]
-        + f[18];
-    let jx = f[1] - f[2] + f[7] - f[8] + f[9] - f[10] + f[11] - f[12] + f[13] - f[14];
-    let jy = f[3] - f[4] + f[7] - f[8] - f[9] + f[10] + f[15] - f[16] + f[17] - f[18];
-    let jz = f[5] - f[6] + f[11] - f[12] - f[13] + f[14] + f[15] - f[16] - f[17] + f[18];
-    // Mirror `equilibrium::velocity`'s vacuum guard so this path
-    // is bit-exact against the generic kernel even on degenerate
-    // (near-zero-density) states fed in by property tests.
-    let (ux, uy, uz) = if rho.abs() < 1e-300 {
-        (0.0, 0.0, 0.0)
-    } else {
-        let inv_rho = 1.0 / rho;
-        (jx * inv_rho, jy * inv_rho, jz * inv_rho)
-    };
-    let usq15 = 1.5 * (ux * ux + uy * uy + uz * uz);
-
-    // Collision with precomputed weight constants.
-    const W0: f64 = 1.0 / 3.0;
-    const WA: f64 = 1.0 / 18.0;
-    const WE: f64 = 1.0 / 36.0;
-    macro_rules! relax {
-        ($q:literal, $w:expr, $cu:expr) => {{
-            let cu = $cu;
-            let feq = $w * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - usq15);
-            f[$q] -= omega * (f[$q] - feq);
-        }};
-    }
-    relax!(0, W0, 0.0);
-    relax!(1, WA, ux);
-    relax!(2, WA, -ux);
-    relax!(3, WA, uy);
-    relax!(4, WA, -uy);
-    relax!(5, WA, uz);
-    relax!(6, WA, -uz);
-    relax!(7, WE, ux + uy);
-    relax!(8, WE, -ux - uy);
-    relax!(9, WE, ux - uy);
-    relax!(10, WE, -ux + uy);
-    relax!(11, WE, ux + uz);
-    relax!(12, WE, -ux - uz);
-    relax!(13, WE, ux - uz);
-    relax!(14, WE, -ux + uz);
-    relax!(15, WE, uy + uz);
-    relax!(16, WE, -uy - uz);
-    relax!(17, WE, uy - uz);
-    relax!(18, WE, -uy + uz);
-}
-
-/// AA-pattern *odd-step* update for one interior D3Q19 cell, operating on the
-/// single grid in place. In the `Reversed` state slot `(x, q)` holds
-/// `f*_{opp(q)}(x)`, and the previous even step left each neighbor's
-/// contribution reversed in place, so the pull for direction `q` reads plane
-/// `opp(q)` at `this + off[q]` (the `x - c_q` neighbor). After collision the
-/// scatter pushes `f*_q` to `(x + c_q, q)` — plane `q` at `this - off[q]` —
-/// leaving the lattice in the `Streamed` state. Interior-only: every
-/// neighbor must be fluid and in-bounds (no periodic wrap), exactly the
-/// [`interior_mask`] contract.
-///
-/// # Safety
-/// `this` must be an interior cell: `this + off[q]` and `this - off[q]` must
-/// be in-bounds for all `q`, and `raw` must point at `19 * cells` scalars.
-#[inline(always)]
-pub(crate) unsafe fn aa_odd_cell_update(
-    raw: *mut Scalar,
-    cells: usize,
-    off: &[isize; 19],
-    this: usize,
-    omega: Scalar,
-) {
-    let mut f = [0.0; 19];
-    macro_rules! pull {
-        ($q:literal, $opp:literal) => {
-            f[$q] = *raw.offset(($opp * cells + this) as isize + off[$q]);
-        };
-    }
-    pull!(0, 0);
-    pull!(1, 2);
-    pull!(2, 1);
-    pull!(3, 4);
-    pull!(4, 3);
-    pull!(5, 6);
-    pull!(6, 5);
-    pull!(7, 8);
-    pull!(8, 7);
-    pull!(9, 10);
-    pull!(10, 9);
-    pull!(11, 12);
-    pull!(12, 11);
-    pull!(13, 14);
-    pull!(14, 13);
-    pull!(15, 16);
-    pull!(16, 15);
-    pull!(17, 18);
-    pull!(18, 17);
-
-    d3q19_collide_scalar(&mut f, omega);
-
-    macro_rules! scatter {
-        ($q:literal) => {
-            *raw.offset(($q * cells + this) as isize - off[$q]) = f[$q];
-        };
-    }
-    scatter!(0);
-    scatter!(1);
-    scatter!(2);
-    scatter!(3);
-    scatter!(4);
-    scatter!(5);
-    scatter!(6);
-    scatter!(7);
-    scatter!(8);
-    scatter!(9);
-    scatter!(10);
-    scatter!(11);
-    scatter!(12);
-    scatter!(13);
-    scatter!(14);
-    scatter!(15);
-    scatter!(16);
-    scatter!(17);
-    scatter!(18);
-}
-
-/// AA-pattern *even-step* update for one interior D3Q19 cell. In the
-/// `Streamed` state slot `(y, q)` already holds the post-streaming
-/// `f_q(y)` (the odd step's scatter put it there), so the gather is purely
-/// local; the reversed store `(y, opp(q)) = f*_q` returns the lattice to the
-/// `Reversed` state without touching any neighbor. Cell-local by
-/// construction, so it is race-free under any partition.
-///
-/// # Safety
-/// `raw` must point at `19 * cells` scalars and `this < cells`.
-#[inline(always)]
-pub(crate) unsafe fn aa_even_cell_update(
-    raw: *mut Scalar,
-    cells: usize,
-    this: usize,
-    omega: Scalar,
-) {
-    let mut f = [0.0; 19];
-    macro_rules! pull {
-        ($q:literal) => {
-            f[$q] = *raw.add($q * cells + this);
-        };
-    }
-    pull!(0);
-    pull!(1);
-    pull!(2);
-    pull!(3);
-    pull!(4);
-    pull!(5);
-    pull!(6);
-    pull!(7);
-    pull!(8);
-    pull!(9);
-    pull!(10);
-    pull!(11);
-    pull!(12);
-    pull!(13);
-    pull!(14);
-    pull!(15);
-    pull!(16);
-    pull!(17);
-    pull!(18);
-
-    d3q19_collide_scalar(&mut f, omega);
-
-    macro_rules! store_rev {
-        ($q:literal, $opp:literal) => {
-            *raw.add($opp * cells + this) = f[$q];
-        };
-    }
-    store_rev!(0, 0);
-    store_rev!(1, 2);
-    store_rev!(2, 1);
-    store_rev!(3, 4);
-    store_rev!(4, 3);
-    store_rev!(5, 6);
-    store_rev!(6, 5);
-    store_rev!(7, 8);
-    store_rev!(8, 7);
-    store_rev!(9, 10);
-    store_rev!(10, 9);
-    store_rev!(11, 12);
-    store_rev!(12, 11);
-    store_rev!(13, 14);
-    store_rev!(14, 13);
-    store_rev!(15, 16);
-    store_rev!(16, 15);
-    store_rev!(17, 18);
-    store_rev!(18, 17);
 }
 
 /// Precompute the interior-fast-path mask: `true` where the cell is fluid, geometrically interior, and all 18 pull
@@ -1119,16 +823,17 @@ mod tests {
 
     #[test]
     fn simd_interior_kernel_matches_scalar_on_runs() {
-        // Direct kernel-level check of the one interior nest: portable lane
-        // bit-exact vs the per-cell scalar walk; AVX2 lane (when present)
-        // within 1e-12.
+        // Direct kernel-level check of the one interior nest: every portable
+        // width (1 = the scalar kernel) bit-exact vs the generic reference
+        // kernel on the interior cells; AVX2 lane (when present) within 1e-12.
         let dims = GridDims::new(8, 6, 13); // nz−2 = 11: full lanes + remainder
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
         flags.set(3, 2, 6, NodeKind::Wall); // split runs mid-pencil
         let src: SoaField<D3Q19> = setup_random_field(dims, 77);
         let interior = InteriorIndex::build::<D3Q19>(&flags);
-        let omega = BgkParams::from_tau(0.85).omega;
+        let params = BgkParams::from_tau(0.85);
+        let omega = params.omega;
         // Interior cells only; the remainder of `dst` stays zero.
         let sweep = |tile_z: usize, path: FastPath| {
             let mut dst = SoaField::<D3Q19>::new(dims);
@@ -1150,17 +855,26 @@ mod tests {
             dst
         };
 
-        let scalar_dst = sweep(0, FastPath::Cells);
+        // The scalar reference: the generic kernel, kept on interior cells.
+        let mut scalar_dst = SoaField::<D3Q19>::new(dims);
+        fused_step(&flags, &src, &mut scalar_dst, &CollisionKind::Bgk(params));
+        for (c, &inside) in interior.mask().iter().enumerate() {
+            if !inside {
+                scalar_dst.store_cell(c, &[0.0; 19]);
+            }
+        }
 
         for tile_z in [0, 1, 3, 70] {
-            let simd_dst = sweep(tile_z, FastPath::Portable); // must be bit-exact
-            for c in 0..dims.cells() {
-                for q in 0..19 {
-                    assert_eq!(
-                        scalar_dst.get(c, q),
-                        simd_dst.get(c, q),
-                        "portable lane diverged: tile_z {tile_z} cell {c} q {q}"
-                    );
+            for path in [FastPath::Cells, FastPath::Portable, FastPath::Portable8] {
+                let simd_dst = sweep(tile_z, path); // must be bit-exact
+                for c in 0..dims.cells() {
+                    for q in 0..19 {
+                        assert_eq!(
+                            scalar_dst.get(c, q),
+                            simd_dst.get(c, q),
+                            "{path:?} lane diverged: tile_z {tile_z} cell {c} q {q}"
+                        );
+                    }
                 }
             }
 

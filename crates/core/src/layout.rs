@@ -15,11 +15,28 @@
 //! `docs/PERFORMANCE.md`) keeps a *single* grid and alternates two in-place step
 //! flavors, roughly halving both bytes moved per lattice update and resident
 //! footprint — the decisive lever once the fused kernel is memory-bound.
+//!
+//! What the two schemes *mean* lives here and nowhere else: which depths and
+//! flag fields a scheme admits ([`StorageScheme::check_depth`],
+//! [`StorageScheme::check_flags`]), and on `Storage<SoaField<L>>` which kernel
+//! one time level of a sweep runs on which buffer (`sweep`), what completing
+//! steps does to the storage (`advance`), and how the raw grid maps to and
+//! from the canonical, scheme-portable post-collision state (`canonical`,
+//! `load_canonical`, `adopt_canonical`). The serial and the distributed
+//! stepper call these and never look inside a [`Storage`].
 
+use crate::collision::CollisionKind;
+use crate::flags::FlagField;
 use crate::geometry::GridDims;
+use crate::kernels::{canonicalize_streamed, reverse_planes, InteriorIndex};
 use crate::lattice::Lattice;
+use crate::parallel::ThreadPool;
+use crate::simd::KernelClass;
 use crate::Scalar;
+use std::borrow::Cow;
 use std::marker::PhantomData;
+use std::ops::Range;
+use swlb_obs::SwlbError;
 
 /// Runtime layout selector, used by configuration code and benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -266,6 +283,41 @@ impl StorageScheme {
             _ => None,
         }
     }
+
+    /// Whether this scheme can run blocks of `k` steps (temporal-blocking
+    /// depth, or steps per halo exchange): `k ≥ 1`, and even under `Aa` unless
+    /// it is 1, because a block starts and must end at the `Reversed` parity.
+    pub fn check_depth(self, k: usize) -> Result<(), SwlbError> {
+        if k == 0 {
+            return Err(SwlbError::InvalidConfig(
+                "time_block must be >= 1 (1 disables temporal blocking)".into(),
+            ));
+        }
+        if self == StorageScheme::Aa && k > 1 && !k.is_multiple_of(2) {
+            return Err(SwlbError::InvalidConfig(format!(
+                "AA-pattern storage needs an even time_block so a block ends at the \
+                 canonical Reversed parity; got {k}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Whether this scheme can stream over `flags`: `Aa` has no rule for open
+    /// (inlet/outlet/NEBB) boundaries.
+    pub fn check_flags(self, flags: &FlagField) -> Result<(), SwlbError> {
+        if self == StorageScheme::Aa {
+            let c = flags.census();
+            if c.inlet != 0 || c.outlet != 0 {
+                return Err(SwlbError::InvalidConfig(format!(
+                    "AA-pattern storage supports Fluid/Wall/MovingWall nodes only, but the \
+                     flag field has {} inlet and {} outlet nodes; build with \
+                     StorageScheme::Ab for open/NEBB boundaries",
+                    c.inlet, c.outlet
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Which of the AA-pattern's two step flavors applies next, i.e. how the raw
@@ -313,8 +365,8 @@ impl AaParity {
 }
 
 /// Scheme-dispatched population storage: either an A-B pair or a single
-/// AA-pattern grid plus its parity. This is what `Solver` holds; kernels and
-/// drivers match on it once per step.
+/// AA-pattern grid plus its parity. This is what `Solver` and the distributed
+/// engine hold; they drive it through the methods below and never match on it.
 #[derive(Debug, Clone)]
 pub enum Storage<F> {
     /// Double-buffered (ping-pong) state.
@@ -375,6 +427,108 @@ impl<F> Storage<F> {
         match self {
             Storage::Ab(b) => b.src_mut(),
             Storage::Aa { field, .. } => field,
+        }
+    }
+}
+
+impl<L: Lattice> Storage<SoaField<L>> {
+    /// Run time level `level` (1-based, relative to the current state) of a
+    /// sweep over the rectangle `xr × yr` through `pool`, returning the kernel
+    /// class that served the interior cells. Level `j` consumes what level
+    /// `j − 1` produced: AB reads the buffer `j − 1` flips away from the
+    /// current one and writes the other; AA runs, in place, the flavor of the
+    /// current parity flipped `j − 1` times. A plain step is level 1;
+    /// [`crate::temporal::block`] interleaves levels `1..=k`. Follow the last
+    /// level with [`Storage::advance`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep(
+        &mut self,
+        pool: &ThreadPool,
+        flags: &FlagField,
+        collision: &CollisionKind,
+        interior: Option<&InteriorIndex>,
+        level: usize,
+        xr: Range<usize>,
+        yr: Range<usize>,
+    ) -> KernelClass {
+        let odd = level % 2 == 1;
+        match self {
+            Storage::Ab(bufs) => {
+                let (cur, other) = bufs.both_mut();
+                let (src, dst) = if odd { (cur, other) } else { (other, cur) };
+                pool.step_rect::<L, _>(flags, src, dst, collision, xr, yr, interior)
+            }
+            Storage::Aa { field, parity } => {
+                let parity = if odd { *parity } else { parity.flip() };
+                pool.aa_step_rect::<L>(flags, field, collision, parity, xr, yr, interior)
+            }
+        }
+    }
+
+    /// Make the state `k` completed time levels ahead the current one: an odd
+    /// `k` flips the A-B buffers, or the AA parity.
+    pub fn advance(&mut self, k: usize) {
+        if k % 2 == 1 {
+            match self {
+                Storage::Ab(bufs) => bufs.flip(),
+                Storage::Aa { parity, .. } => *parity = parity.flip(),
+            }
+        }
+    }
+
+    /// The canonical (AB-ordered) post-collision populations of the current
+    /// state: borrowed zero-copy under AB, materialized under AA by undoing
+    /// the slot reversal (`Reversed`) or the in-place streaming (`Streamed`,
+    /// with periodic wrap — exact wherever the downwind neighbors belong to
+    /// this grid). Solid cells hold scheme-dependent (finite) values.
+    pub fn canonical(&self) -> Cow<'_, SoaField<L>> {
+        match self {
+            Storage::Ab(b) => Cow::Borrowed(b.src()),
+            Storage::Aa { field, parity } => Cow::Owned(match parity {
+                AaParity::Reversed => {
+                    let mut f = field.clone();
+                    reverse_planes::<L>(&mut f);
+                    f
+                }
+                AaParity::Streamed => canonicalize_streamed::<L>(field),
+            }),
+        }
+    }
+
+    /// The canonical populations of cell `(x, y, z)`, read in place whatever
+    /// the scheme and parity: AB stores them at the cell, AA `Reversed` at the
+    /// cell's opposite slots, and AA `Streamed` at `(cell + c_q, q)`. Nothing
+    /// the size of the field is materialized.
+    pub fn load_canonical(&self, x: usize, y: usize, z: usize, f: &mut [Scalar]) {
+        let src = self.state();
+        let dims = src.dims();
+        let cell = dims.idx(x, y, z);
+        match self.parity() {
+            None => src.load_cell(cell, f),
+            Some(AaParity::Reversed) => {
+                for q in 0..L::Q {
+                    f[q] = src.get(cell, L::OPP[q]);
+                }
+            }
+            Some(AaParity::Streamed) => {
+                for q in 0..L::Q {
+                    let c = L::C[q];
+                    let [a, b, d] = dims.neighbor_periodic(x, y, z, [c[0], c[1], c[2]]);
+                    f[q] = src.get(dims.idx(a, b, d), q);
+                }
+            }
+        }
+    }
+
+    /// Adopt what was just written into [`Storage::state_mut`] as a canonical
+    /// state (an initializer's, a checkpoint's): under AA, reverse it in place
+    /// and restart at the `Reversed` parity — continuing any canonical state
+    /// with an odd step is exactly the AB continuation. The inverse of
+    /// [`Storage::canonical`].
+    pub fn adopt_canonical(&mut self) {
+        if let Storage::Aa { field, parity } = self {
+            reverse_planes::<L>(field);
+            *parity = AaParity::Reversed;
         }
     }
 }
@@ -563,6 +717,201 @@ mod tests {
         assert_eq!(aa.parity(), Some(AaParity::Reversed));
         aa.state_mut().set(1, 2, 3.5);
         assert_eq!(aa.state().get(1, 2), 3.5);
+    }
+
+    /// A walled, lid-driven D2Q9 grid with a non-uniform canonical state, as
+    /// storage of `scheme` (every path through the generic kernels: exact).
+    fn painted(scheme: StorageScheme) -> (FlagField, Storage<SoaField<D2Q9>>) {
+        let dims = GridDims::new2d(7, 6);
+        let mut flags = FlagField::new(dims);
+        flags.set_box_walls();
+        flags.paint_lid([0.05, 0.0, 0.0]);
+        let mut st = Storage::with_scheme(scheme, || SoaField::<D2Q9>::new(dims));
+        crate::kernels::initialize_with::<D2Q9, _>(&flags, st.state_mut(), |x, y, _| {
+            let v = 0.01 * ((x * 7 + y * 3) % 11) as Scalar;
+            (1.0 + v, [0.1 * v, -0.05 * v, 0.0])
+        });
+        st.adopt_canonical();
+        (flags, st)
+    }
+
+    fn coll() -> CollisionKind {
+        CollisionKind::Bgk(crate::collision::BgkParams::from_tau(0.8))
+    }
+
+    /// One plain step: level 1 over the whole grid, then advance by 1.
+    fn plain_step(st: &mut Storage<SoaField<D2Q9>>, flags: &FlagField) {
+        let d = flags.dims();
+        st.sweep(
+            &ThreadPool::new(1),
+            flags,
+            &coll(),
+            None,
+            1,
+            0..d.nx,
+            0..d.ny,
+        );
+        st.advance(1);
+    }
+
+    #[test]
+    fn canonical_undoes_the_scheme_at_every_parity() {
+        // AB: the source buffer itself, borrowed.
+        let (flags, ab) = painted(StorageScheme::Ab);
+        assert!(matches!(ab.canonical(), Cow::Borrowed(f) if std::ptr::eq(f, ab.state())));
+        // AA Reversed: the slot reversal undone.
+        let (_, mut aa) = painted(StorageScheme::Aa);
+        let mut want = aa.state().clone();
+        reverse_planes::<D2Q9>(&mut want);
+        assert!(aa.canonical().raw() == want.raw());
+        assert!(
+            aa.canonical().raw() == ab.state().raw(),
+            "same canonical start"
+        );
+        // AA Streamed: the in-place streaming undone.
+        plain_step(&mut aa, &flags);
+        assert_eq!(aa.parity(), Some(AaParity::Streamed));
+        let want = canonicalize_streamed::<D2Q9>(aa.state());
+        assert!(aa.canonical().raw() == want.raw());
+    }
+
+    #[test]
+    fn load_canonical_reads_in_place_what_canonical_materializes() {
+        for (scheme, steps) in [
+            (StorageScheme::Ab, 1),
+            (StorageScheme::Aa, 0),
+            (StorageScheme::Aa, 1),
+        ] {
+            let (flags, mut st) = painted(scheme);
+            for _ in 0..steps {
+                plain_step(&mut st, &flags);
+            }
+            let (dims, whole) = (flags.dims(), st.canonical());
+            let (mut f, mut g) = ([0.0; 9], [0.0; 9]);
+            for [x, y, z] in dims.iter() {
+                st.load_canonical(x, y, z, &mut f);
+                whole.load_cell(dims.idx(x, y, z), &mut g);
+                assert_eq!(f, g, "{scheme:?} after {steps} step(s) at ({x},{y})");
+            }
+        }
+    }
+
+    #[test]
+    fn adopt_canonical_inverts_canonical() {
+        for (scheme, steps) in [
+            (StorageScheme::Ab, 1),
+            (StorageScheme::Aa, 2),
+            (StorageScheme::Aa, 1),
+        ] {
+            let (flags, mut st) = painted(scheme);
+            for _ in 0..steps {
+                plain_step(&mut st, &flags);
+            }
+            let (raw, canonical) = (st.state().clone(), st.canonical().into_owned());
+            st.state_mut().raw_mut().copy_from_slice(canonical.raw());
+            st.adopt_canonical();
+            assert!(
+                st.canonical().raw() == canonical.raw(),
+                "{scheme:?} {steps}"
+            );
+            // AA restarts at Reversed; from there (and under AB) the raw grid
+            // itself comes back.
+            assert_ne!(st.parity(), Some(AaParity::Streamed));
+            if steps != 1 || scheme == StorageScheme::Ab {
+                assert!(st.state().raw() == raw.raw(), "{scheme:?} {steps}");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_levels_and_advance_compose_to_plain_steps() {
+        // Levels 1..=3 over the whole grid, then one advance(3), must equal
+        // three plain steps — each of which must equal the reference kernel.
+        let d = GridDims::new2d(7, 6);
+        let (flags, ab0) = painted(StorageScheme::Ab);
+        let mut want = [ab0.state().clone(), SoaField::new(d)];
+        for _ in 0..3 {
+            let (src, dst) = want.split_at_mut(1);
+            crate::kernels::fused_step(&flags, &src[0], &mut dst[0], &coll());
+            want.swap(0, 1);
+        }
+        for scheme in [StorageScheme::Ab, StorageScheme::Aa] {
+            let (_, mut plain) = painted(scheme);
+            let (_, mut levels) = painted(scheme);
+            for level in 1..=3 {
+                plain_step(&mut plain, &flags);
+                levels.sweep(
+                    &ThreadPool::new(1),
+                    &flags,
+                    &coll(),
+                    None,
+                    level,
+                    0..d.nx,
+                    0..d.ny,
+                );
+            }
+            levels.advance(3);
+            assert_eq!(levels.parity(), plain.parity());
+            assert!(levels.state().raw() == plain.state().raw(), "{scheme:?}");
+            let got = plain.canonical();
+            for cell in (0..d.cells()).filter(|&c| flags.kind(c).is_fluid()) {
+                for q in 0..9 {
+                    assert_eq!(
+                        got.get(cell, q),
+                        want[0].get(cell, q),
+                        "{scheme:?} {cell} {q}"
+                    );
+                }
+            }
+        }
+        // An even advance changes nothing that is observable.
+        let (_, mut aa) = painted(StorageScheme::Aa);
+        aa.advance(2);
+        assert_eq!(aa.parity(), Some(AaParity::Reversed));
+    }
+
+    #[test]
+    fn check_depth_rejects_zero_and_odd_aa_blocks_only() {
+        for k in 0..=6usize {
+            let ab = StorageScheme::Ab.check_depth(k);
+            let aa = StorageScheme::Aa.check_depth(k);
+            assert_eq!(ab.is_ok(), k >= 1, "AB k={k}");
+            assert_eq!(aa.is_ok(), k == 1 || (k >= 2 && k % 2 == 0), "AA k={k}");
+            for e in [ab, aa].into_iter().filter_map(Result::err) {
+                assert!(matches!(e, SwlbError::InvalidConfig(_)), "{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn check_flags_rejects_open_boundaries_under_aa_only() {
+        let dims = GridDims::new(6, 5, 4);
+        let mut closed = FlagField::new(dims);
+        closed.set_box_walls();
+        closed.paint_lid([0.05, 0.0, 0.0]);
+        let mut io = FlagField::new(dims);
+        io.paint_inflow_outflow_x(1.0, [0.03, 0.0, 0.0]);
+        let mut nebb = FlagField::new(dims);
+        nebb.paint_nebb_inflow_outflow_x([0.03, 0.0, 0.0], 1.0);
+        let mut inlet_only = FlagField::new(dims);
+        inlet_only.set(
+            0,
+            2,
+            2,
+            crate::boundary::NodeKind::Inlet {
+                rho: 1.0,
+                u: [0.0; 3],
+            },
+        );
+        for flags in [&closed, &io, &nebb, &inlet_only, &FlagField::new(dims)] {
+            assert!(StorageScheme::Ab.check_flags(flags).is_ok());
+        }
+        assert!(StorageScheme::Aa.check_flags(&closed).is_ok());
+        assert!(StorageScheme::Aa.check_flags(&FlagField::new(dims)).is_ok());
+        for flags in [&io, &nebb, &inlet_only] {
+            let e = StorageScheme::Aa.check_flags(flags).unwrap_err();
+            assert!(matches!(e, SwlbError::InvalidConfig(_)), "{e}");
+        }
     }
 
     #[test]

@@ -5,21 +5,26 @@
 //! kernel (the SW26010 vector unit is 4 × f64). This module is the host mirror:
 //! a fixed-width f64 [`Lane`] abstraction with
 //!
-//! * an AVX2+FMA lane (`std::arch` intrinsics behind `is_x86_feature_detected!`),
-//! * a portable `[f64; 4]` lane that compiles everywhere and carries exactly the
-//!   scalar kernel's rounding (every lane op is a separately rounded f64 op, so
-//!   the expression tree matches [`crate::kernels`]' scalar per-cell updates
-//!   bit for bit),
+//! * AVX2+FMA and AVX-512F lanes (`std::arch` intrinsics behind
+//!   `is_x86_feature_detected!`),
+//! * a portable `[f64; N]` lane ([`Portable`]) that compiles everywhere and
+//!   rounds every op separately, so at any width — `N = 1`, the scalar
+//!   kernel, included — it reproduces the generic reference kernel of
+//!   [`crate::kernels`] bit for bit,
 //!
-//! and **the one interior loop nest** of the workspace, `interior_nest`
-//! (entered through `interior_sweep`): y × x pencils × precomputed
-//! run-length-encoded interior runs ([`crate::kernels::InteriorRuns`]) — no
-//! per-cell `Vec<bool>` mask test — streamed over the whole z extent, or
-//! clipped to z-tiles when the pool opted in. The SoA layout is z-innermost
-//! (`idx = (y·nx + x)·nz + z`), so within a run all 19 pull-scheme gathers are
-//! plain contiguous (unaligned) lane-wide loads from a shifted line. Sub-lane
-//! remainders take the shared scalar per-cell update, so coverage is exactly
-//! the interior mask. The nest is generic over the lane and over a small
+//! **the one D3Q19 update** (a BGK collision plus the AB-pull, AA-odd and
+//! AA-even gather/store patterns around it), written once against the trait —
+//! the width is a parameter of the body, as the paper's 256-bit and 512-bit
+//! builds of its one fused kernel are — and **the one interior loop nest** of
+//! the workspace, `interior_nest` (entered through `interior_sweep`): y × x
+//! pencils × precomputed run-length-encoded interior runs
+//! ([`crate::kernels::InteriorRuns`]) — no per-cell `Vec<bool>` mask test —
+//! streamed over the whole z extent, or clipped to z-tiles when the pool opted
+//! in. The SoA layout is z-innermost (`idx = (y·nx + x)·nz + z`), so within a
+//! run all 19 pull-scheme gathers are plain contiguous (unaligned) lane-wide
+//! loads from a shifted line. What a run has left after its last full lane
+//! goes through the same update at width 1, so coverage is exactly the
+//! interior mask. The nest is generic over the lane and over a small
 //! `InteriorUpdate` — the AB pull (read `src`, write `dst`) or the AA in-place
 //! half-step (odd: pull reversed slots and scatter; even: a purely local
 //! load/collide/reversed-store permute) — and it is the only place the z-tile
@@ -39,10 +44,10 @@
 //!   `a*b + c` into one rounding).
 //! * `SWLB_NO_SIMD=1` in the environment, or no vector unit → the portable lane
 //!   ([`KernelClass::Scalar`]); results are bit-exact against the scalar kernel.
-//! * Benchmarks switch the lanes off via [`LanePolicy::ForceScalar`] — the
-//!   same nest over the same runs, every cell through the scalar per-cell
-//!   update — for honest scalar baselines; equivalence runs pin specific
-//!   lanes via `ForcePortable`/`ForceAvx2`/`ForceAvx512`.
+//! * Benchmarks narrow the lane to one cell via [`LanePolicy::ForceScalar`]
+//!   — the same nest, runs and update at width 1 — for honest scalar
+//!   baselines; equivalence runs pin specific lanes via
+//!   `ForcePortable`/`ForceAvx2`/`ForceAvx512`.
 //!
 //! The module also hosts the host-metadata helpers (`cpu_features`,
 //! `logical_cores`, `physical_cores`) that bench output and the CLI exit
@@ -73,9 +78,9 @@ pub enum KernelClass {
     /// Generic reference kernel (non-BGK collision, non-SoA layout, or a
     /// lattice without a fast path).
     Generic,
-    /// Scalar-semantics interior fast path: per-cell scalar updates or a
-    /// portable lane over the interior runs (both bit-exact against the
-    /// reference).
+    /// Scalar-semantics interior fast path: a portable lane of any width
+    /// (1 = cell by cell) over the interior runs, bit-exact against the
+    /// reference.
     Scalar,
     /// AVX2+FMA vectorized interior fast path (within 1e-12 of the reference).
     Simd,
@@ -123,8 +128,8 @@ pub enum LanePolicy {
     Auto,
     /// Always run the portable `[f64; 4]` lane (scalar-exact).
     ForcePortable,
-    /// No lane at all: every interior-run cell takes the scalar per-cell
-    /// update (the same cells in the same loop nest as every other policy).
+    /// The width-1 portable lane: every interior-run cell on its own (the
+    /// same cells, loop nest and update as every other policy).
     ForceScalar,
     /// Pin the 4-wide AVX2+FMA lane even when AVX-512F is available (falls back
     /// to the portable 4-wide lane on CPUs without AVX2+FMA).
@@ -210,7 +215,7 @@ pub(crate) enum FastPath {
     /// Portable `[f64; 8]` lane over interior runs (scalar-exact, 8-wide
     /// chunking — the software twin of the AVX-512 lane).
     Portable8,
-    /// Scalar per-cell updates over interior runs (no lane).
+    /// Portable `[f64; 1]` lane over interior runs: one cell at a time.
     Cells,
 }
 
@@ -271,8 +276,9 @@ pub fn dispatch_tolerance() -> f64 {
 /// A fixed-width vector of [`Lane::WIDTH`] f64 values.
 ///
 /// The kernel body is written once against this trait; the portable lanes give
-/// it scalar-exact rounding (`mul_add` is two separately rounded ops), the
-/// AVX2/AVX-512 lanes give it FMA contraction and 4-/8-wide arithmetic.
+/// it scalar-exact rounding (`mul_add` is two separately rounded ops) at width
+/// 1, 4 or 8, the AVX2/AVX-512 lanes give it FMA contraction and 4-/8-wide
+/// arithmetic.
 pub trait Lane: Copy {
     /// Implementation name (diagnostics).
     const NAME: &'static str;
@@ -312,124 +318,121 @@ pub trait Lane: Copy {
     fn velocities(jx: Self, jy: Self, jz: Self, rho: Self) -> (Self, Self, Self);
 }
 
-/// Defines a portable `[f64; N]` lane: plain f64 arithmetic per element. Rust
-/// performs no floating-point contraction, so each op is one IEEE rounding —
-/// the same expression tree as the scalar kernel, hence bit-exact results.
-macro_rules! portable_lane {
-    ($(#[$doc:meta])* $name:ident, $width:expr, $label:expr) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy)]
-        pub struct $name([Scalar; $width]);
+/// Portable lane of `N` f64 values: plain f64 arithmetic per element. Rust
+/// performs no floating-point contraction, so each op is one IEEE rounding and
+/// every width gives every cell the same bits — the scalar-exact reference the
+/// FMA lanes are measured against. `N` only decides how a run is chunked:
+///
+/// * `Portable<1>` is **the scalar kernel**: one cell at a time. It finishes
+///   the sub-lane remainder of every run under every wider lane, and serves
+///   whole runs under [`LanePolicy::ForceScalar`].
+/// * `Portable<4>` ([`PortableLane`]) is the `SWLB_NO_SIMD` / no-AVX2
+///   fallback.
+/// * `Portable<8>` ([`Portable8Lane`]) is the software twin of the AVX-512
+///   lane, so `ForceAvx512`-pinned runs keep the 8-wide chunk split on
+///   hardware without AVX-512F.
+#[derive(Clone, Copy)]
+pub struct Portable<const N: usize>([Scalar; N]);
 
-        impl Lane for $name {
-            const NAME: &'static str = $label;
-            const WIDTH: usize = $width;
+/// The 4-wide portable lane.
+pub type PortableLane = Portable<LANES>;
+/// The 8-wide portable lane.
+pub type Portable8Lane = Portable<8>;
 
-            #[inline(always)]
-            unsafe fn load(p: *const Scalar) -> Self {
-                let mut v = [0.0; $width];
-                for (i, slot) in v.iter_mut().enumerate() {
-                    *slot = unsafe { *p.add(i) };
-                }
-                $name(v)
-            }
+impl<const N: usize> Lane for Portable<N> {
+    const NAME: &'static str = match N {
+        1 => "scalar",
+        8 => "portable8",
+        _ => "portable",
+    };
+    const WIDTH: usize = N;
 
-            #[inline(always)]
-            unsafe fn store(self, p: *mut Scalar) {
-                for (i, v) in self.0.iter().enumerate() {
-                    unsafe { *p.add(i) = *v };
-                }
-            }
+    #[inline(always)]
+    unsafe fn load(p: *const Scalar) -> Self {
+        let mut v = [0.0; N];
+        for (i, slot) in v.iter_mut().enumerate() {
+            *slot = unsafe { *p.add(i) };
+        }
+        Portable(v)
+    }
 
-            #[inline(always)]
-            fn splat(v: Scalar) -> Self {
-                $name([v; $width])
-            }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut Scalar) {
+        for (i, v) in self.0.iter().enumerate() {
+            unsafe { *p.add(i) = *v };
+        }
+    }
 
-            #[inline(always)]
-            fn add(self, o: Self) -> Self {
-                let mut r = self.0;
-                for i in 0..$width {
-                    r[i] += o.0[i];
-                }
-                $name(r)
-            }
+    #[inline(always)]
+    fn splat(v: Scalar) -> Self {
+        Portable([v; N])
+    }
 
-            #[inline(always)]
-            fn sub(self, o: Self) -> Self {
-                let mut r = self.0;
-                for i in 0..$width {
-                    r[i] -= o.0[i];
-                }
-                $name(r)
-            }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        let mut r = self.0;
+        for i in 0..N {
+            r[i] += o.0[i];
+        }
+        Portable(r)
+    }
 
-            #[inline(always)]
-            fn mul(self, o: Self) -> Self {
-                let mut r = self.0;
-                for i in 0..$width {
-                    r[i] *= o.0[i];
-                }
-                $name(r)
-            }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        let mut r = self.0;
+        for i in 0..N {
+            r[i] -= o.0[i];
+        }
+        Portable(r)
+    }
 
-            #[inline(always)]
-            fn mul_add(self, b: Self, c: Self) -> Self {
-                // Deliberately NOT f64::mul_add: two roundings, like scalar.
-                let mut r = [0.0; $width];
-                for i in 0..$width {
-                    r[i] = self.0[i] * b.0[i] + c.0[i];
-                }
-                $name(r)
-            }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        let mut r = self.0;
+        for i in 0..N {
+            r[i] *= o.0[i];
+        }
+        Portable(r)
+    }
 
-            #[inline(always)]
-            fn neg(self) -> Self {
-                let mut r = self.0;
-                for v in &mut r {
-                    *v = -*v;
-                }
-                $name(r)
-            }
+    #[inline(always)]
+    fn mul_add(self, b: Self, c: Self) -> Self {
+        // Deliberately NOT f64::mul_add: two roundings, like scalar.
+        let mut r = [0.0; N];
+        for i in 0..N {
+            r[i] = self.0[i] * b.0[i] + c.0[i];
+        }
+        Portable(r)
+    }
 
-            #[inline(always)]
-            fn velocities(jx: Self, jy: Self, jz: Self, rho: Self) -> (Self, Self, Self) {
-                let (mut ux, mut uy, mut uz) = ([0.0; $width], [0.0; $width], [0.0; $width]);
-                for i in 0..$width {
-                    // Mirror `equilibrium::velocity`'s vacuum guard exactly.
-                    if rho.0[i].abs() < 1e-300 {
-                        ux[i] = 0.0;
-                        uy[i] = 0.0;
-                        uz[i] = 0.0;
-                    } else {
-                        let inv = 1.0 / rho.0[i];
-                        ux[i] = jx.0[i] * inv;
-                        uy[i] = jy.0[i] * inv;
-                        uz[i] = jz.0[i] * inv;
-                    }
-                }
-                ($name(ux), $name(uy), $name(uz))
+    #[inline(always)]
+    fn neg(self) -> Self {
+        let mut r = self.0;
+        for v in &mut r {
+            *v = -*v;
+        }
+        Portable(r)
+    }
+
+    #[inline(always)]
+    fn velocities(jx: Self, jy: Self, jz: Self, rho: Self) -> (Self, Self, Self) {
+        let (mut ux, mut uy, mut uz) = ([0.0; N], [0.0; N], [0.0; N]);
+        for i in 0..N {
+            // Mirror `equilibrium::velocity`'s vacuum guard exactly.
+            if rho.0[i].abs() < 1e-300 {
+                ux[i] = 0.0;
+                uy[i] = 0.0;
+                uz[i] = 0.0;
+            } else {
+                let inv = 1.0 / rho.0[i];
+                ux[i] = jx.0[i] * inv;
+                uy[i] = jy.0[i] * inv;
+                uz[i] = jz.0[i] * inv;
             }
         }
-    };
+        (Portable(ux), Portable(uy), Portable(uz))
+    }
 }
-
-portable_lane!(
-    /// Portable 4-wide lane (scalar-exact rounding; the `SWLB_NO_SIMD` and
-    /// no-AVX2 fallback).
-    PortableLane,
-    LANES,
-    "portable"
-);
-portable_lane!(
-    /// Portable 8-wide lane: the software twin of the AVX-512 lane. Same
-    /// scalar-exact rounding as [`PortableLane`], but 8-wide chunking, so
-    /// `ForceAvx512`-pinned runs reproduce the AVX-512 vector/scalar chunk
-    /// split bit-exactly on hardware without AVX-512F.
-    Portable8Lane,
-    8,
-    "portable8"
-);
 
 /// AVX2 + FMA 4 × f64 lane.
 ///
@@ -607,13 +610,16 @@ use avx512::Avx512Lane;
 // ---------------------------------------------------------------------------
 
 /// The D3Q19 BGK collision applied to one lane group of pre-gathered
-/// populations — the vector transliteration of the scalar
-/// [`crate::kernels::d3q19_collide_scalar`], shared by the AB and both AA
-/// lane kernels. Same expression tree as the scalar body, so the portable
-/// instantiations are bit-exact.
+/// populations — the one hand-specialized collision of the workspace, shared
+/// by the AB and both AA updates at every width. Unfused (any [`Portable`]
+/// width) it rounds exactly as the generic [`crate::collision::collide_bgk`]
+/// does — same reduction order, same `f − ω(f − feq)`; the generic loops only
+/// add the exact zeros and `±1` factors of the velocity table that this one
+/// leaves out — which is what makes the scalar-semantics paths bit-exact
+/// against [`crate::kernels::fused_step`].
 #[inline(always)]
 fn lane_collide<V: Lane>(f: &mut [V; 19], omega: Scalar) {
-    // Moments: same left-associated reduction order as the scalar kernel.
+    // Moments: left-associated reductions in velocity-table order.
     let rho = f[0]
         .add(f[1])
         .add(f[2])
@@ -664,7 +670,7 @@ fn lane_collide<V: Lane>(f: &mut [V; 19], omega: Scalar) {
         .sub(f[17])
         .add(f[18]);
     let (ux, uy, uz) = V::velocities(jx, jy, jz, rho);
-    // usq15 = 1.5·(ux² + uy² + uz²), same reduction order as scalar.
+    // usq15 = 1.5·(ux² + uy² + uz²), reduced left to right.
     let usq15 = {
         let t = ux.mul(ux);
         let t = uy.mul_add(uy, t);
@@ -682,8 +688,8 @@ fn lane_collide<V: Lane>(f: &mut [V; 19], omega: Scalar) {
     macro_rules! relax {
         ($q:literal, $w:expr, $cu:expr) => {{
             let cu = $cu;
-            // feq = (w·ρ) · ((1 + 3cu + 4.5cu²) − usq15): unfused this is the
-            // scalar tree exactly; under FMA two products contract.
+            // feq = (w·ρ) · ((1 + 3cu + 4.5cu²) − usq15); under FMA two
+            // products contract.
             let t = cu.mul_add(three, one);
             let t = four5.mul(cu).mul_add(cu, t);
             let t = t.sub(usq15);
@@ -715,8 +721,9 @@ fn lane_collide<V: Lane>(f: &mut [V; 19], omega: Scalar) {
 
 /// One lane-wide fused AB update of [`Lane::WIDTH`] consecutive-z interior
 /// cells starting at linear index `this`: pull-gather from `sraw`, collide,
-/// store to `draw` — the vector transliteration of the scalar
-/// `d3q19_cell_update` in [`crate::kernels`].
+/// store to `draw`. Plane `q` starts at `q·cells` and the pull offset is a
+/// constant, so the 19 unrolled loads are independent (the paper's L0/L1
+/// dual-pipeline scheduling, in spirit).
 ///
 /// # Safety
 /// Cells `this .. this + WIDTH` must all be interior (per the interior mask),
@@ -819,9 +826,9 @@ unsafe fn aa_even_lane_update<V: Lane>(raw: *mut Scalar, cells: usize, this: usi
 }
 
 /// What one interior sweep does to the cells it visits — the only thing the
-/// AB and AA sweeps differ in. An update supplies the lane-wide and the
-/// single-cell form of the same operation; `interior_sweep` drives either
-/// through the one loop nest.
+/// AB and AA sweeps differ in. The width is the caller's: `interior_sweep`
+/// drives an update through the one loop nest at the dispatched lane's width
+/// and at width 1 for what is left of a run.
 trait InteriorUpdate: Copy {
     /// Update the `V::WIDTH` consecutive-z interior cells starting at `this`.
     ///
@@ -831,12 +838,6 @@ trait InteriorUpdate: Copy {
     /// cover `19 * cells` scalars, and no other thread may touch the slots
     /// these cells own.
     unsafe fn lanes<V: Lane>(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar);
-
-    /// Update the single interior cell `this`.
-    ///
-    /// # Safety
-    /// As [`InteriorUpdate::lanes`], for one cell.
-    unsafe fn cell(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar);
 }
 
 /// The AB (two-grid) update: pull from `sraw`, collide, store to `draw`.
@@ -851,11 +852,6 @@ impl InteriorUpdate for AbPull<'_> {
     #[inline(always)]
     unsafe fn lanes<V: Lane>(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar) {
         unsafe { lane_update::<V>(self.sraw, self.draw, cells, off, this, omega) }
-    }
-
-    #[inline(always)]
-    unsafe fn cell(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar) {
-        unsafe { crate::kernels::d3q19_cell_update(self.sraw, self.draw, cells, off, this, omega) }
     }
 }
 
@@ -879,27 +875,12 @@ impl InteriorUpdate for AaInPlace {
             }
         }
     }
-
-    #[inline(always)]
-    unsafe fn cell(self, cells: usize, off: &[isize; 19], this: usize, omega: Scalar) {
-        unsafe {
-            match self.parity {
-                AaParity::Reversed => {
-                    crate::kernels::aa_odd_cell_update(self.raw, cells, off, this, omega)
-                }
-                AaParity::Streamed => {
-                    crate::kernels::aa_even_cell_update(self.raw, cells, this, omega)
-                }
-            }
-        }
-    }
 }
 
-/// The one interior loop nest: (z-tiles ×) y × x pencils × interior runs. With
-/// `vector` set, full lanes go through [`InteriorUpdate::lanes`] and sub-lane
-/// remainders through [`InteriorUpdate::cell`]; without it every run cell
-/// takes the single-cell update. Either way each run cell is covered exactly
-/// once, matching the interior mask.
+/// The one interior loop nest: (z-tiles ×) y × x pencils × interior runs.
+/// Full lanes of a run go through [`InteriorUpdate::lanes`] at `V`'s width and
+/// what is left of it at width 1 ([`Portable<1>`], nothing when `V` already
+/// is), so each run cell is covered exactly once, matching the interior mask.
 ///
 /// `tile_z == 0` (the pool's default) is one tile spanning the whole z
 /// extent: the field is z-fastest, so every plane is then walked as one
@@ -908,11 +889,11 @@ impl InteriorUpdate for AaInPlace {
 /// 64×3×70 CPE blocking, which feeds a 64 KB LDM by DMA; a cache host gains
 /// nothing from it (`docs/PERFORMANCE.md`), so it is opt-in. Per-cell updates
 /// are independent, so the traversal order never changes a scalar-semantics
-/// result; under an FMA lane it moves the vector/scalar chunk split.
+/// result; under an FMA lane it moves the split between fused full lanes and
+/// the unfused remainder.
 ///
 /// # Safety
 /// See [`interior_sweep`].
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn interior_nest<V: Lane, U: InteriorUpdate>(
     flags: &FlagField,
@@ -922,7 +903,6 @@ unsafe fn interior_nest<V: Lane, U: InteriorUpdate>(
     ys: Range<usize>,
     tile_z: usize,
     runs: &InteriorRuns,
-    vector: bool,
 ) {
     let dims = flags.dims();
     let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
@@ -957,7 +937,7 @@ unsafe fn interior_nest<V: Lane, U: InteriorUpdate>(
                     let a = (rz0 as usize).max(zt);
                     let b = (rz1 as usize).min(zt_end);
                     let mut z = a;
-                    while vector && z + V::WIDTH <= b {
+                    while z + V::WIDTH <= b {
                         // SAFETY: the run certifies cells base+z .. base+z+WIDTH
                         // interior (all 18 neighbors fluid and in bounds);
                         // caller certifies buffers and exclusivity.
@@ -966,7 +946,7 @@ unsafe fn interior_nest<V: Lane, U: InteriorUpdate>(
                     }
                     while z < b {
                         // SAFETY: as above, single interior cell.
-                        unsafe { update.cell(cells, &off, base + z, omega) };
+                        unsafe { update.lanes::<Portable<1>>(cells, &off, base + z, omega) };
                         z += 1;
                     }
                 }
@@ -995,7 +975,7 @@ unsafe fn interior_nest_avx2<U: InteriorUpdate>(
     tile_z: usize,
     runs: &InteriorRuns,
 ) {
-    unsafe { interior_nest::<Avx2Lane, U>(flags, update, omega, xr, ys, tile_z, runs, true) };
+    unsafe { interior_nest::<Avx2Lane, U>(flags, update, omega, xr, ys, tile_z, runs) };
 }
 
 /// AVX-512F instantiation.
@@ -1015,7 +995,7 @@ unsafe fn interior_nest_avx512<U: InteriorUpdate>(
     tile_z: usize,
     runs: &InteriorRuns,
 ) {
-    unsafe { interior_nest::<Avx512Lane, U>(flags, update, omega, xr, ys, tile_z, runs, true) };
+    unsafe { interior_nest::<Avx512Lane, U>(flags, update, omega, xr, ys, tile_z, runs) };
 }
 
 /// One interior pass of `update` over the run-length-encoded interior cells
@@ -1060,12 +1040,12 @@ unsafe fn interior_sweep<U: InteriorUpdate>(
     unsafe {
         match path {
             FastPath::Portable8 => {
-                interior_nest::<Portable8Lane, U>(flags, update, omega, xr, ys, tile_z, runs, true)
+                interior_nest::<Portable8Lane, U>(flags, update, omega, xr, ys, tile_z, runs)
             }
             FastPath::Cells => {
-                interior_nest::<PortableLane, U>(flags, update, omega, xr, ys, tile_z, runs, false)
+                interior_nest::<Portable<1>, U>(flags, update, omega, xr, ys, tile_z, runs)
             }
-            _ => interior_nest::<PortableLane, U>(flags, update, omega, xr, ys, tile_z, runs, true),
+            _ => interior_nest::<PortableLane, U>(flags, update, omega, xr, ys, tile_z, runs),
         }
     }
 }
@@ -1212,27 +1192,35 @@ mod tests {
 
     #[test]
     fn portable_lane_roundtrips_and_is_unfused() {
-        let src = [1.0, -2.5, 3.25, 1e-3];
-        let mut dst = [0.0; LANES];
-        unsafe {
-            let v = PortableLane::load(src.as_ptr());
-            v.store(dst.as_mut_ptr());
+        fn check<const N: usize>() {
+            assert_eq!(Portable::<N>::WIDTH, N);
+            let src = [1.0, -2.5, 3.25, 1e-3];
+            let mut dst = [0.0; LANES];
+            unsafe {
+                let v = Portable::<N>::load(src.as_ptr());
+                v.store(dst.as_mut_ptr());
+            }
+            // Exactly N elements travel; the rest of `dst` is untouched.
+            assert_eq!(src[..N], dst[..N]);
+            assert!(dst[N..].iter().all(|&v| v == 0.0));
+            // mul_add must round twice (no FMA): pick operands where it matters.
+            let a = 1.0 + 2f64.powi(-30);
+            let v = Portable::<N>::splat(a);
+            let r = v.mul_add(v, Portable::<N>::splat(-1.0));
+            let expect = a * a - 1.0; // two roundings
+            unsafe { r.store(dst.as_mut_ptr()) };
+            assert_eq!(dst[0], expect);
+            assert_ne!(dst[0], a.mul_add(a, -1.0), "portable lane must not fuse");
         }
-        assert_eq!(src, dst);
-        // mul_add must round twice (no FMA): pick operands where it matters.
-        let a = 1.0 + 2f64.powi(-30);
-        let v = PortableLane::splat(a);
-        let r = v.mul_add(v, PortableLane::splat(-1.0));
-        let expect = a * a - 1.0; // two roundings
-        unsafe { r.store(dst.as_mut_ptr()) };
-        assert_eq!(dst[0], expect);
-        assert_ne!(dst[0], a.mul_add(a, -1.0), "portable lane must not fuse");
+        check::<LANES>();
+        check::<1>();
     }
 
     #[test]
     fn portable_velocities_apply_vacuum_guard() {
         let j = PortableLane::splat(0.5);
-        let rho = unsafe { PortableLane::load([2.0, 0.0, 1e-301, -4.0].as_ptr()) };
+        let rhos = [2.0, 0.0, 1e-301, -4.0];
+        let rho = unsafe { PortableLane::load(rhos.as_ptr()) };
         let (ux, _, _) = PortableLane::velocities(j, j, j, rho);
         let mut out = [0.0; LANES];
         unsafe { ux.store(out.as_mut_ptr()) };
@@ -1240,6 +1228,18 @@ mod tests {
         assert_eq!(out[1], 0.0);
         assert_eq!(out[2], 0.0);
         assert_eq!(out[3], 0.5 * (1.0 / -4.0));
+        // The width-1 lane gives each of those cells the same answer.
+        for (i, &rho) in rhos.iter().enumerate() {
+            let j = Portable::<1>::splat(0.5);
+            let (ux, uy, uz) = Portable::<1>::velocities(j, j, j, Portable::<1>::splat(rho));
+            let mut one = [f64::NAN; 3];
+            unsafe {
+                ux.store(&mut one[0]);
+                uy.store(&mut one[1]);
+                uz.store(&mut one[2]);
+            }
+            assert_eq!(one, [out[i]; 3], "rho {rho}");
+        }
     }
 
     #[cfg(target_arch = "x86_64")]

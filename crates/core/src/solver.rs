@@ -3,11 +3,13 @@
 //! [`Solver`] owns the population [`Storage`] (an A-B buffer pair or a single
 //! AA-pattern grid, per [`StorageScheme`]), the flag field and the collision
 //! parameters, and advances the lattice in time through **one unified
-//! execution pipeline**: every step goes through [`ThreadPool::fused_step`]
-//! (AB) or [`ThreadPool::aa_fused_step`] (AA), which dispatch the
-//! hand-optimized D3Q19 interior kernel per y-slab whenever the
-//! field/collision combination supports it and the generic reference kernel
-//! everywhere else. Thread count and the opt-in z-tile are the pool's
+//! execution pipeline**: every step is a [`Storage::sweep`] through the
+//! [`ThreadPool`], which dispatches the hand-optimized D3Q19 interior kernel
+//! per y-slab whenever the field/collision combination supports it and the
+//! generic reference kernel everywhere else. What the scheme means — which
+//! buffer or step flavor a sweep runs, how the raw grid maps to the canonical
+//! state, which depths and flags it admits — is asked of [`Storage`] and
+//! [`StorageScheme`]; nothing here matches on the scheme. Thread count and the opt-in z-tile are the pool's
 //! configuration ([`ThreadPool::new`], [`ThreadPool::with_tile_z`]), not
 //! modes — a 1-thread pool runs inline with no worker threads and identical
 //! (bit-exact) results. It is the unit the distributed engine (`swlb-sim`)
@@ -28,7 +30,6 @@
 //! by checkpoints, diagnostics and equivalence tests).
 
 use crate::collision::{BgkParams, CollisionKind};
-use crate::error::CoreError;
 use crate::flags::FlagField;
 use crate::geometry::GridDims;
 use crate::kernels::{self, initialize_equilibrium, initialize_with, InteriorIndex};
@@ -41,8 +42,6 @@ use crate::Scalar;
 use std::borrow::Cow;
 use std::marker::PhantomData;
 use swlb_obs::{Counter, Gauge, Phase, Recorder, SwlbError};
-
-use crate::kernels::{canonicalize_streamed, reverse_planes};
 
 /// Summary statistics of one (or the latest) time step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,23 +136,10 @@ impl<L: Lattice> SolverBuilder<L> {
         self
     }
 
-    /// Build the solver, rejecting contradictory settings.
-    ///
-    /// Errors: `time_block == 0`, and an odd `time_block > 1` under AA
-    /// storage.
+    /// Build the solver, rejecting contradictory settings: a `time_block`
+    /// the storage scheme cannot run ([`StorageScheme::check_depth`]).
     pub fn try_build(self) -> Result<Solver<L>, SwlbError> {
-        if self.time_block == 0 {
-            return Err(SwlbError::InvalidConfig(
-                "time_block must be >= 1 (1 disables temporal blocking)".into(),
-            ));
-        }
-        if self.storage == StorageScheme::Aa && self.time_block > 1 && !self.time_block.is_multiple_of(2) {
-            return Err(SwlbError::InvalidConfig(format!(
-                "AA-pattern storage needs an even time_block so a block ends at the \
-                 canonical Reversed parity; got {}",
-                self.time_block
-            )));
-        }
+        self.storage.check_depth(self.time_block)?;
         let pool = self.pool.unwrap_or_else(|| ThreadPool::new(1));
         let obs_mlups = self.recorder.gauge("mlups");
         let obs_steps = self.recorder.counter("steps");
@@ -303,17 +289,7 @@ impl<L: Lattice> Solver<L> {
     /// This is the scheme-portable payload checkpoints and diagnostics use.
     /// Solid cells hold scheme-dependent (finite) values.
     pub fn canonical_populations(&self) -> Cow<'_, SoaField<L>> {
-        match &self.storage {
-            Storage::Ab(b) => Cow::Borrowed(b.src()),
-            Storage::Aa { field, parity } => match parity {
-                AaParity::Reversed => {
-                    let mut f = field.clone();
-                    reverse_planes::<L>(&mut f);
-                    Cow::Owned(f)
-                }
-                AaParity::Streamed => Cow::Owned(canonicalize_streamed::<L>(field)),
-            },
-        }
+        self.storage.canonical()
     }
 
     /// Restore a canonical (AB-ordered) post-collision state — the payload of
@@ -329,14 +305,8 @@ impl<L: Lattice> Solver<L> {
                 data.len()
             )));
         }
-        match &mut self.storage {
-            Storage::Ab(b) => b.src_mut().raw_mut().copy_from_slice(data),
-            Storage::Aa { field, parity } => {
-                field.raw_mut().copy_from_slice(data);
-                reverse_planes::<L>(field);
-                *parity = AaParity::Reversed;
-            }
-        }
+        self.storage.state_mut().raw_mut().copy_from_slice(data);
+        self.storage.adopt_canonical();
         self.step = step;
         Ok(())
     }
@@ -359,26 +329,13 @@ impl<L: Lattice> Solver<L> {
     /// Convert the canonical state the initializers wrote into the scheme's
     /// raw representation and reset step accounting.
     fn finish_init(&mut self) {
-        if let Storage::Aa { field, parity } = &mut self.storage {
-            reverse_planes::<L>(field);
-            *parity = AaParity::Reversed;
-        }
+        self.storage.adopt_canonical();
         self.step = 0;
     }
 
     fn ensure_interior(&mut self) -> Result<(), SwlbError> {
         if self.mask_dirty {
-            if self.storage.scheme() == StorageScheme::Aa {
-                let c = self.flags.census();
-                if c.inlet != 0 || c.outlet != 0 {
-                    return Err(SwlbError::InvalidConfig(format!(
-                        "AA-pattern storage supports Fluid/Wall/MovingWall nodes only, \
-                         but the flag field has {} inlet and {} outlet nodes; \
-                         build with StorageScheme::Ab for open/NEBB boundaries",
-                        c.inlet, c.outlet
-                    )));
-                }
-            }
+            self.storage.scheme().check_flags(&self.flags)?;
             self.interior = Some(InteriorIndex::build::<L>(&self.flags));
             self.active = kernels::active_cells(&self.flags);
             self.mask_dirty = false;
@@ -423,6 +380,13 @@ impl<L: Lattice> Solver<L> {
     /// [`crate::temporal`].
     fn sweep(&mut self, k: usize) -> Result<(), SwlbError> {
         self.ensure_interior()?;
+        if k > 1 && !self.block_ready() {
+            return Err(SwlbError::InvalidConfig(
+                "an AA temporal block must start at Reversed parity \
+                 (even completed step count)"
+                    .into(),
+            ));
+        }
         // `now()` is `None` for a disabled recorder: the instrumented path
         // then takes no clock reading and touches no atomic.
         let pool = &self.pool;
@@ -430,36 +394,14 @@ impl<L: Lattice> Solver<L> {
         let flags = &self.flags;
         let collision = self.collision;
         let interior = self.interior.as_ref();
-        let class = match &mut self.storage {
-            Storage::Ab(bufs) => {
-                let (src, dst) = bufs.both_mut();
-                let class = if k == 1 {
-                    pool.fused_step::<L, _>(flags, src, dst, &collision, interior)
-                } else {
-                    crate::temporal::ab_block::<L>(pool, flags, src, dst, &collision, interior, k)
-                };
-                // Level k leaves the final state in `dst` only for odd depths.
-                if k % 2 == 1 {
-                    bufs.flip();
-                }
-                class
-            }
-            Storage::Aa { field, parity } if k == 1 => {
-                let class = pool.aa_fused_step::<L>(flags, field, &collision, *parity, interior);
-                *parity = parity.flip();
-                class
-            }
-            Storage::Aa { field, parity } => {
-                if *parity != AaParity::Reversed {
-                    return Err(SwlbError::InvalidConfig(
-                        "an AA temporal block must start at Reversed parity \
-                         (even completed step count)"
-                            .into(),
-                    ));
-                }
-                // Even depth: the block returns to Reversed, parity unchanged.
-                crate::temporal::aa_block::<L>(pool, flags, field, &collision, *parity, interior, k)
-            }
+        let storage = &mut self.storage;
+        let class = if k == 1 {
+            let (xr, yr) = (0..self.dims.nx, 0..self.dims.ny);
+            let class = storage.sweep(pool, flags, &collision, interior, 1, xr, yr);
+            storage.advance(1);
+            class
+        } else {
+            crate::temporal::block(pool, flags, storage, &collision, interior, k)
         };
         self.last_class = class;
         if let Some((t0, (busy0, wall0))) = t0 {
@@ -492,11 +434,7 @@ impl<L: Lattice> Solver<L> {
     /// under AB, and only from the canonical `Reversed` parity under AA (an
     /// even completed step count — blocks both start and end there).
     fn block_ready(&self) -> bool {
-        self.time_block > 1
-            && match self.storage.parity() {
-                None => true,
-                Some(p) => p == AaParity::Reversed,
-            }
+        self.time_block > 1 && self.storage.parity() != Some(AaParity::Streamed)
     }
 
     /// Advance `time_block` steps in one cache-resident wavefront sweep —
@@ -545,7 +483,7 @@ impl<L: Lattice> Solver<L> {
             if done >= next_check || done == n {
                 let m = self.macroscopic();
                 if m.has_non_finite() {
-                    return Err(CoreError::Diverged { step: self.step }.into());
+                    return Err(SwlbError::Diverged { step: self.step });
                 }
                 while next_check <= done {
                     next_check += every;

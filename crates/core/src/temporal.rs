@@ -52,13 +52,19 @@
 //! is a pure reordering of the same per-cell updates and therefore
 //! **bit-identical** to `k` plain steps on every lane, vectorized ones
 //! included.
+//!
+//! ## One driver
+//!
+//! [`block`] runs the schedule over a [`Storage`] of either scheme: what
+//! "level `j`" reads, writes and runs is [`Storage::sweep`]'s business, so the
+//! wavefront itself is written once.
 
 use crate::collision::CollisionKind;
 use crate::flags::FlagField;
 use crate::geometry::GridDims;
 use crate::kernels::InteriorIndex;
 use crate::lattice::Lattice;
-use crate::layout::{AaParity, SoaField};
+use crate::layout::{AaParity, SoaField, Storage};
 use crate::parallel::ThreadPool;
 use crate::simd::KernelClass;
 use std::ops::Range;
@@ -126,72 +132,39 @@ pub fn slab_rows(pool: &ThreadPool, dims: GridDims) -> usize {
     pool.balanced_rows(dims.nx * dims.nz)
 }
 
-/// Advance an AB (double-buffered) grid `k` steps in one wavefront sweep.
+/// Advance `storage` `k` steps in one wavefront sweep, returning the kernel
+/// class of the last dispatch.
 ///
-/// `a` must hold the current (source) state; on return the final state is in
-/// `a` when `k` is even and in `b` when `k` is odd — the caller flips its
-/// buffer pair for odd `k`, exactly like `k` plain steps would have.
-#[allow(clippy::too_many_arguments)]
-pub fn ab_block<L: Lattice>(
+/// The schedule is the scheme's only through [`Storage::sweep`]: level `j`
+/// of the wavefront is level `j` of the storage (AB alternates its buffers,
+/// AA its step flavors), and the `k` completed levels are made current at the
+/// end. An AA block must start at parity [`AaParity::Reversed`] with an even
+/// `k` ([`crate::layout::StorageScheme::check_depth`]) so that it also *ends*
+/// there — the canonical block-boundary parity checkpoints and diagnostics
+/// rely on. Both are the caller's contract (validated by
+/// `SolverBuilder::try_build` and `Solver::try_block`); this function only
+/// debug-asserts them.
+pub fn block<L: Lattice>(
     pool: &ThreadPool,
     flags: &FlagField,
-    a: &mut SoaField<L>,
-    b: &mut SoaField<L>,
+    storage: &mut Storage<SoaField<L>>,
     collision: &CollisionKind,
     interior: Option<&InteriorIndex>,
     k: usize,
 ) -> KernelClass {
+    debug_assert!(storage.scheme().check_depth(k).is_ok(), "depth {k}");
+    debug_assert_ne!(
+        storage.parity(),
+        Some(AaParity::Streamed),
+        "AA blocks start at Reversed"
+    );
     let dims = flags.dims();
     let schedule = WavefrontSchedule::new(dims.ny, slab_rows(pool, dims), k);
     let mut class = KernelClass::Generic;
     schedule.for_each(|level, yr| {
-        // Level j reads buffer (j-1)%2 and writes buffer j%2 (a = 0, b = 1).
-        class = if level % 2 == 1 {
-            pool.step_rect::<L, _>(flags, a, b, collision, 0..dims.nx, yr, interior)
-        } else {
-            pool.step_rect::<L, _>(flags, b, a, collision, 0..dims.nx, yr, interior)
-        };
+        class = storage.sweep(pool, flags, collision, interior, level, 0..dims.nx, yr);
     });
-    class
-}
-
-/// Advance an AA (single-grid) field `k` steps in one wavefront sweep.
-///
-/// The block must start at parity [`AaParity::Reversed`] and `k` must be even
-/// so it also *ends* at `Reversed` — the canonical block-boundary parity
-/// checkpoints and diagnostics rely on. Both are the caller's contract
-/// (validated by `SolverBuilder::try_build`); this function only debug-asserts
-/// them.
-pub fn aa_block<L: Lattice>(
-    pool: &ThreadPool,
-    flags: &FlagField,
-    field: &mut SoaField<L>,
-    collision: &CollisionKind,
-    parity: AaParity,
-    interior: Option<&InteriorIndex>,
-    k: usize,
-) -> KernelClass {
-    debug_assert_eq!(parity, AaParity::Reversed, "AA blocks start at Reversed");
-    debug_assert_eq!(k % 2, 0, "AA blocks need even depth");
-    let dims = flags.dims();
-    let schedule = WavefrontSchedule::new(dims.ny, slab_rows(pool, dims), k);
-    let mut class = KernelClass::Generic;
-    schedule.for_each(|level, yr| {
-        let level_parity = if level % 2 == 1 {
-            AaParity::Reversed
-        } else {
-            AaParity::Streamed
-        };
-        class = pool.aa_step_rect::<L>(
-            flags,
-            field,
-            collision,
-            level_parity,
-            0..dims.nx,
-            yr,
-            interior,
-        );
-    });
+    storage.advance(k);
     class
 }
 

@@ -2,9 +2,12 @@
 //!
 //! Every lane policy, every z-tile extent (none, sub-lane, odd, the default,
 //! larger than the grid) and every sweep flavor (AB, AA odd, AA even) must
-//! reproduce the generic reference kernel on a geometry whose interior
-//! obstacles split runs mid-pencil: bit-for-bit under the scalar-semantics
-//! policies, within `dispatch_tolerance()` under the FMA lanes.
+//! reproduce the generic reference kernel on two geometries — one whose
+//! interior obstacles split runs mid-pencil, one whose plates cut every
+//! pencil into runs of every length 1..=9, so a full lane is followed by
+//! every possible width-1 remainder (0..=7 cells) — bit-for-bit under the
+//! scalar-semantics policies, within `dispatch_tolerance()` under the FMA
+//! lanes.
 //!
 //! The lane policy is process-global, so this matrix is the only test of its
 //! binary.
@@ -45,30 +48,75 @@ fn assert_close(
     }
 }
 
-#[test]
-fn every_lane_tile_and_scheme_matches_the_generic_kernel() {
-    // nz − 2 = 19 interior cells per pencil: full 8- and 4-wide lanes plus
-    // remainders, re-cut by every tile extent below.
-    let dims = GridDims::new(9, 7, 21);
-    let mut flags = FlagField::new(dims);
+/// nz − 2 = 19 interior cells per pencil: full 8- and 4-wide lanes plus
+/// remainders, re-cut by every tile extent; two obstacles split runs.
+fn split_run_cavity() -> FlagField {
+    let mut flags = FlagField::new(GridDims::new(9, 7, 21));
     flags.set_box_walls();
     flags.paint_lid([0.05, 0.0, 0.0]);
     flags.set(4, 3, 10, NodeKind::Wall);
     flags.set(3, 2, 5, NodeKind::Wall);
     flags.set(3, 2, 6, NodeKind::Wall);
-    let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+    flags
+}
+
+/// A cavity cut by z-plates so that every pencil holds interior runs of
+/// length 1, 2, …, 9 (a plate and the two cell layers that pull from it lie
+/// between consecutive runs).
+fn every_run_length_cavity() -> FlagField {
+    let lengths = 1..=9usize;
+    let nz = lengths.clone().sum::<usize>() + 3 * (lengths.clone().count() - 1) + 4;
+    let dims = GridDims::new(9, 7, nz);
+    let mut flags = FlagField::new(dims);
+    flags.set_box_walls();
+    flags.paint_lid([0.05, 0.0, 0.0]);
+    let mut z = 2; // first interior layer above the z = 0 wall
+    for len in lengths {
+        z += len + 1; // the run, then the layer that pulls from the plate
+        if z < nz - 1 {
+            for (x, y) in (0..dims.nx).flat_map(|x| (0..dims.ny).map(move |y| (x, y))) {
+                flags.set(x, y, z, NodeKind::Wall);
+            }
+        }
+        z += 2;
+    }
     let interior = InteriorIndex::build::<D3Q19>(&flags);
+    let mut seen = [false; 10];
+    for p in 0..dims.nx * dims.ny {
+        for &(a, b) in interior.runs().pencil(p) {
+            seen[(b - a) as usize] = true;
+        }
+    }
+    assert_eq!(
+        seen,
+        [false, true, true, true, true, true, true, true, true, true]
+    );
+    flags
+}
+
+#[test]
+fn every_lane_tile_and_scheme_matches_the_generic_kernel() {
+    for flags in [split_run_cavity(), every_run_length_cavity()] {
+        matrix_matches_the_generic_kernel(&flags);
+    }
+    set_lane_policy(LanePolicy::Auto);
+}
+
+fn matrix_matches_the_generic_kernel(flags: &FlagField) {
+    let dims = flags.dims();
+    let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+    let interior = InteriorIndex::build::<D3Q19>(flags);
 
     // Canonical states after 0, 1 and 2 steps of the generic kernel.
     let mut step0 = Field::new(dims);
-    initialize_with::<D3Q19, _>(&flags, &mut step0, |x, y, z| {
+    initialize_with::<D3Q19, _>(flags, &mut step0, |x, y, z| {
         let v = 0.01 * ((x * 7 + y * 3 + z) % 11) as f64;
         (1.0 + v, [v * 0.1, -v * 0.05, 0.02 * v])
     });
     let mut step1 = Field::new(dims);
-    fused_step(&flags, &step0, &mut step1, &coll);
+    fused_step(flags, &step0, &mut step1, &coll);
     let mut step2 = Field::new(dims);
-    fused_step(&flags, &step1, &mut step2, &coll);
+    fused_step(flags, &step1, &mut step2, &coll);
 
     // The AA inputs: step 0 in the Reversed state, step 1 in the Streamed
     // state (one odd half-step of the generic AA body — no lane involved).
@@ -76,7 +124,7 @@ fn every_lane_tile_and_scheme_matches_the_generic_kernel() {
     reverse_planes::<D3Q19>(&mut reversed);
     let mut streamed = reversed.clone();
     let one = ThreadPool::new(1);
-    one.aa_fused_step::<D3Q19>(&flags, &mut streamed, &coll, AaParity::Reversed, None);
+    one.aa_fused_step::<D3Q19>(flags, &mut streamed, &coll, AaParity::Reversed, None);
 
     for policy in [
         LanePolicy::ForceScalar,
@@ -97,13 +145,13 @@ fn every_lane_tile_and_scheme_matches_the_generic_kernel() {
                     |scheme: &str| format!("{scheme} {policy:?} tile_z={tile_z} T={threads}");
 
                 let mut ab = Field::new(dims);
-                let class = pool.fused_step(&flags, &step0, &mut ab, &coll, Some(&interior));
+                let class = pool.fused_step(flags, &step0, &mut ab, &coll, Some(&interior));
                 assert_ne!(class, KernelClass::Generic);
-                assert_close(&flags, &step1, &ab, false, tol, &what("AB"));
+                assert_close(flags, &step1, &ab, false, tol, &what("AB"));
 
                 let mut odd = reversed.clone();
                 let class = pool.aa_fused_step::<D3Q19>(
-                    &flags,
+                    flags,
                     &mut odd,
                     &coll,
                     AaParity::Reversed,
@@ -111,20 +159,19 @@ fn every_lane_tile_and_scheme_matches_the_generic_kernel() {
                 );
                 assert_ne!(class, KernelClass::Generic);
                 let odd = canonicalize_streamed::<D3Q19>(&odd);
-                assert_close(&flags, &step1, &odd, true, tol, &what("AA-odd"));
+                assert_close(flags, &step1, &odd, true, tol, &what("AA-odd"));
 
                 let mut even = streamed.clone();
                 pool.aa_fused_step::<D3Q19>(
-                    &flags,
+                    flags,
                     &mut even,
                     &coll,
                     AaParity::Streamed,
                     Some(&interior),
                 );
                 reverse_planes::<D3Q19>(&mut even);
-                assert_close(&flags, &step2, &even, true, tol, &what("AA-even"));
+                assert_close(flags, &step2, &even, true, tol, &what("AA-even"));
             }
         }
     }
-    set_lane_policy(LanePolicy::Auto);
 }

@@ -71,9 +71,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use swlb_comm::frame::{
-    check_frame, frame_from_bytes, frame_to_bytes, seal_frame, FrameCheck, FRAME_HEADER,
-};
+use swlb_comm::frame::{frame_to_bytes, seal_frame, FRAME_HEADER};
 use swlb_io::{CheckpointStore, Wal};
 use swlb_obs::{Counter, Recorder, SwlbError};
 use swlb_serve::http::{self, Listener, Request};
@@ -781,11 +779,7 @@ fn probe(addr: &str, epoch: u64, seq: u64) -> Option<WorkerLoad> {
     if status != 200 {
         return None;
     }
-    let echo = frame_from_bytes(&body)?;
-    if check_frame(&echo, epoch, seq) != FrameCheck::Valid {
-        return None;
-    }
-    WorkerLoad::from_payload(&echo[FRAME_HEADER..])
+    WorkerLoad::from_echo(&body, epoch, seq)
 }
 
 /// Newest valid checkpoint bytes for a dead worker's local job, read from

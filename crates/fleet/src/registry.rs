@@ -15,6 +15,8 @@
 //! * one valid echo resurrects the worker (a re-registered worker at the
 //!   same name resets the counter immediately).
 
+use swlb_comm::frame::{check_frame, frame_from_bytes, FrameCheck, FRAME_HEADER};
+
 /// Load report a worker echoes inside its heartbeat frame payload.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerLoad {
@@ -43,6 +45,18 @@ impl WorkerLoad {
             queue_interactive: body[3] as u64,
             queue_batch: body[4] as u64,
         })
+    }
+
+    /// Decode a heartbeat reply body: the byte form of a frame sealed for
+    /// `(epoch, seq)` whose payload is a load report. `None` for anything
+    /// else — ragged or short bytes, a damaged, stale or foreign frame, a
+    /// payload too short to be a report — all of which count as a miss.
+    pub(crate) fn from_echo(body: &[u8], epoch: u64, seq: u64) -> Option<WorkerLoad> {
+        let echo = frame_from_bytes(body)?;
+        if check_frame(&echo, epoch, seq) != FrameCheck::Valid {
+            return None;
+        }
+        WorkerLoad::from_payload(&echo[FRAME_HEADER..])
     }
 }
 
@@ -129,6 +143,119 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swlb_comm::frame::{frame_to_bytes, seal_frame};
+
+    // The malformed-heartbeat corpus: `from_echo` reads what a worker (or
+    // whatever answers at its address) sent back. Anything but the sealed
+    // reply to *this* probe is a miss — `None`, never a panic.
+
+    /// A worker's reply to probe `(epoch, seq)`, as `heartbeat` builds it.
+    fn echo(load: [f64; 5], epoch: u64, seq: u64) -> Vec<u8> {
+        let mut frame = vec![0.0; FRAME_HEADER];
+        frame.extend_from_slice(&load);
+        seal_frame(&mut frame, epoch, seq);
+        frame_to_bytes(&frame)
+    }
+
+    const LOAD: WorkerLoad = WorkerLoad {
+        live: 3,
+        queued: 2,
+        capacity: 8,
+        queue_interactive: 1,
+        queue_batch: 1,
+    };
+
+    fn sample() -> Vec<u8> {
+        echo([3.0, 2.0, 8.0, 1.0, 1.0], 7, 123)
+    }
+
+    #[test]
+    fn echo_cut_at_every_byte_or_flipped_in_any_bit_is_a_miss() {
+        let bytes = sample();
+        assert_eq!(WorkerLoad::from_echo(&bytes, 7, 123), Some(LOAD));
+        // Every cut: the f64 slot boundaries (8, 16, …) are the fields.
+        for keep in 0..bytes.len() {
+            assert_eq!(
+                WorkerLoad::from_echo(&bytes[..keep], 7, 123),
+                None,
+                "cut to {keep} B"
+            );
+        }
+        // The CRC covers header and payload, and is itself compared exactly.
+        for byte in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[byte] ^= 1 << bit;
+                assert_eq!(
+                    WorkerLoad::from_echo(&bad, 7, 123),
+                    None,
+                    "bit {bit} of byte {byte}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stale_foreign_short_and_hostile_echoes_are_misses() {
+        let bytes = sample();
+        // A valid frame, but not the reply to this probe.
+        for (epoch, seq) in [
+            (7, 122),
+            (7, 124),
+            (6, 123),
+            (8, 123),
+            (0, 0),
+            (u64::MAX, u64::MAX),
+        ] {
+            assert_eq!(
+                WorkerLoad::from_echo(&bytes, epoch, seq),
+                None,
+                "({epoch}, {seq})"
+            );
+        }
+        // Sealed for this probe, with a payload too short to be a report.
+        for slots in 0..5 {
+            let mut frame = vec![0.0; FRAME_HEADER + slots];
+            seal_frame(&mut frame, 7, 123);
+            assert_eq!(
+                WorkerLoad::from_echo(&frame_to_bytes(&frame), 7, 123),
+                None,
+                "{slots} slots"
+            );
+        }
+        // Values no counter holds saturate; they do not panic or wrap.
+        let hostile = echo([f64::NAN, -1.0, f64::INFINITY, 1e300, -0.0], 7, 123);
+        let load = WorkerLoad::from_echo(&hostile, 7, 123).unwrap();
+        assert_eq!((load.live, load.queued, load.capacity), (0, 0, u64::MAX));
+        assert_eq!((load.queue_interactive, load.queue_batch), (u64::MAX, 0));
+        // A body of the largest size the transport admits is scanned, not trusted.
+        let big = vec![0xffu8; swlb_serve::http::MAX_BODY];
+        assert_eq!(WorkerLoad::from_echo(&big, 7, 123), None);
+        // Extra payload slots behind a report are tolerated (a newer worker).
+        let mut frame = vec![0.0; FRAME_HEADER];
+        frame.extend_from_slice(&[3.0, 2.0, 8.0, 1.0, 1.0, 99.0]);
+        seal_frame(&mut frame, 7, 123);
+        assert_eq!(
+            WorkerLoad::from_echo(&frame_to_bytes(&frame), 7, 123),
+            Some(LOAD)
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sealed_echo_decodes_to_the_load_it_carries(
+            counts in proptest::prop::collection::vec(0u64..(1 << 53), 5),
+            epoch in 0u64..(1 << 53),
+            seq in 0u64..(1 << 53),
+        ) {
+            let load = [0, 1, 2, 3, 4].map(|i| counts[i] as f64);
+            let got = WorkerLoad::from_echo(&echo(load, epoch, seq), epoch, seq).unwrap();
+            proptest::prop_assert_eq!(
+                [got.live, got.queued, got.capacity, got.queue_interactive, got.queue_batch],
+                [counts[0], counts[1], counts[2], counts[3], counts[4]]
+            );
+        }
+    }
 
     #[test]
     fn death_is_declared_exactly_once_and_backoff_grows() {

@@ -32,6 +32,13 @@ pub const MAX_BODY: usize = 1 << 20;
 /// Only the worker-mode routes accept bodies this large.
 pub const MAX_DATA_BODY: usize = 1 << 30;
 
+/// Upper bound on a message head — the request or status line plus every
+/// header line (16 KiB; the heads this protocol writes are under 200 B).
+pub const MAX_HEAD: usize = 16 << 10;
+
+/// Upper bound on the number of header lines in a message head.
+pub const MAX_HEADERS: usize = 64;
+
 /// The body-integrity header name.
 pub const CRC_HEADER: &str = "x-swlb-crc32";
 
@@ -74,20 +81,20 @@ impl Request {
 }
 
 /// Read and verify one request from `stream` (control-plane body limit).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, SwlbError> {
+pub fn read_request(stream: &mut impl Read) -> Result<Request, SwlbError> {
     read_request_with_limit(stream, MAX_BODY)
 }
 
 /// Read and verify one request, accepting bodies up to `max_body` — the
 /// worker-mode data plane raises the limit to [`MAX_DATA_BODY`] so whole
-/// checkpoints can ride a migration push.
+/// checkpoints can ride a migration push. The head is bounded by
+/// [`MAX_HEAD`] and [`MAX_HEADERS`] whatever the body limit.
 pub fn read_request_with_limit(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     max_body: usize,
 ) -> Result<Request, SwlbError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let (line, headers) = read_head(&mut reader)?;
     let mut parts = line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) => (m.to_string(), t.to_string(), v),
@@ -98,51 +105,103 @@ pub fn read_request_with_limit(
             "unsupported protocol {version:?}"
         )));
     }
+    let body = read_body(&mut reader, &headers, max_body)?.unwrap_or_default();
+    check_body_crc(&headers, &body)?;
+    Ok(Request {
+        method,
+        target,
+        headers,
+        body,
+    })
+}
+
+/// Read a message head: the first line, then `name: value` header lines
+/// (names lowercased) up to the empty line that must end it. At most
+/// [`MAX_HEAD`] bytes are read for it and at most [`MAX_HEADERS`] lines kept,
+/// so a peer that never sends a newline, or never stops sending headers, is
+/// refused after a bounded read instead of growing a `String` until memory
+/// runs out.
+fn read_head(reader: &mut impl BufRead) -> Result<(String, Vec<(String, String)>), SwlbError> {
+    let mut head = reader.take(MAX_HEAD as u64);
+    let mut next_line = || -> Result<String, SwlbError> {
+        let mut line = String::new();
+        head.read_line(&mut line)?;
+        if !line.ends_with('\n') {
+            return Err(SwlbError::CorruptData(if head.limit() == 0 {
+                format!("message head exceeds the {MAX_HEAD} B limit")
+            } else {
+                format!("message head cut short at {line:?}")
+            }));
+        }
+        Ok(line)
+    };
+    let first = next_line()?;
     let mut headers = Vec::new();
     loop {
-        let mut h = String::new();
-        reader.read_line(&mut h)?;
+        let h = next_line()?;
         let h = h.trim_end();
         if h.is_empty() {
-            break;
+            return Ok((first, headers));
         }
         let Some((k, v)) = h.split_once(':') else {
             return Err(SwlbError::CorruptData(format!("bad header line {h:?}")));
         };
+        if headers.len() == MAX_HEADERS {
+            return Err(SwlbError::CorruptData(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
+        }
         headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
     }
-    let len: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse())
-        .transpose()
-        .map_err(|_| SwlbError::CorruptData("bad content-length".into()))?
-        .unwrap_or(0);
+}
+
+/// Read the `content-length`-framed body that follows a head (`None` when the
+/// head states no length). A stated length above `max_body` is refused before
+/// anything is read, and past the first 64 KiB the buffer grows with the bytes
+/// that actually arrive, so a head that claims a large body and sends none
+/// costs next to nothing.
+fn read_body(
+    reader: &mut impl Read,
+    headers: &[(String, String)],
+    max_body: usize,
+) -> Result<Option<Vec<u8>>, SwlbError> {
+    let Some(len) = header_of(headers, "content-length") else {
+        return Ok(None);
+    };
+    let len: usize = len
+        .parse()
+        .map_err(|_| SwlbError::CorruptData("bad content-length".into()))?;
     if len > max_body {
         return Err(SwlbError::CorruptData(format!(
             "body of {len} B exceeds the {max_body} B limit"
         )));
     }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    let req = Request {
-        method,
-        target,
-        headers,
-        body,
-    };
-    if let Some(stated) = req.header(CRC_HEADER) {
-        let stated: u32 = stated
-            .parse()
-            .map_err(|_| SwlbError::CorruptData("bad x-swlb-crc32 header".into()))?;
-        let actual = body_crc(&req.body);
-        if stated != actual {
-            return Err(SwlbError::CorruptData(format!(
-                "body CRC mismatch: stated {stated:#010x}, computed {actual:#010x}"
-            )));
-        }
+    let mut body = Vec::with_capacity(len.min(64 << 10));
+    reader.take(len as u64).read_to_end(&mut body)?;
+    if body.len() != len {
+        return Err(SwlbError::CorruptData(format!(
+            "body cut short: {} of {len} B",
+            body.len()
+        )));
     }
-    Ok(req)
+    Ok(Some(body))
+}
+
+/// Verify `body` against the [`CRC_HEADER`] value, when the head carries one.
+fn check_body_crc(headers: &[(String, String)], body: &[u8]) -> Result<(), SwlbError> {
+    let Some(stated) = header_of(headers, CRC_HEADER) else {
+        return Ok(());
+    };
+    let stated: u32 = stated
+        .parse()
+        .map_err(|_| SwlbError::CorruptData("bad x-swlb-crc32 header".into()))?;
+    let actual = body_crc(body);
+    if stated != actual {
+        return Err(SwlbError::CorruptData(format!(
+            "body CRC mismatch: stated {stated:#010x}, computed {actual:#010x}"
+        )));
+    }
+    Ok(())
 }
 
 /// Reason phrases for the statuses the service uses.
@@ -336,36 +395,22 @@ fn exchange(
     send_request(&mut stream, method, target, body)?;
     let mut reader = BufReader::new(stream);
     let (status, headers) = read_response_head(&mut reader)?;
-    let mut resp_body = Vec::new();
-    if let Some(len) = header_of(&headers, "content-length") {
-        let len: usize = len
-            .parse()
-            .map_err(|_| SwlbError::CorruptData("bad content-length".into()))?;
-        if len > max_body {
-            return Err(SwlbError::CorruptData("response too large".into()));
+    let resp_body = match read_body(&mut reader, &headers, max_body)? {
+        Some(body) => body,
+        // No stated length: the body runs to the end of the connection.
+        None => {
+            let mut body = Vec::new();
+            reader.read_to_end(&mut body)?;
+            body
         }
-        resp_body.resize(len, 0);
-        reader.read_exact(&mut resp_body)?;
-    } else {
-        reader.read_to_end(&mut resp_body)?;
-    }
-    if let Some(stated) = header_of(&headers, CRC_HEADER) {
-        let stated: u32 = stated
-            .parse()
-            .map_err(|_| SwlbError::CorruptData("bad x-swlb-crc32 header".into()))?;
-        let actual = body_crc(&resp_body);
-        if stated != actual {
-            return Err(SwlbError::CorruptData(format!(
-                "response CRC mismatch: stated {stated:#010x}, computed {actual:#010x}"
-            )));
-        }
-    }
+    };
+    check_body_crc(&headers, &resp_body)?;
     Ok((status, resp_body))
 }
 
 /// Write one CRC-stamped request (client side).
 pub fn send_request(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     method: &str,
     target: &str,
     body: &[u8],
@@ -384,25 +429,12 @@ pub fn send_request(
 pub fn read_response_head(
     reader: &mut BufReader<TcpStream>,
 ) -> Result<(u16, Vec<(String, String)>), SwlbError> {
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let (line, headers) = read_head(reader)?;
     let status: u16 = line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| SwlbError::CorruptData(format!("bad status line {line:?}")))?;
-    let mut headers = Vec::new();
-    loop {
-        let mut h = String::new();
-        reader.read_line(&mut h)?;
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
-        }
-    }
     Ok((status, headers))
 }
 
@@ -474,6 +506,155 @@ mod tests {
             server.join().unwrap(),
             Err(SwlbError::CorruptData(_))
         ));
+    }
+
+    // The malformed-request corpus, in memory: `read_request` is what every
+    // unauthenticated byte reaches first. Whatever arrives, the answer is a
+    // request or a typed error after a bounded read — no panic, no buffer
+    // sized by what the peer merely claims.
+
+    const BODY: &[u8] = b"{\"nx\":24,\"case\":\"cavit\xc3\xa9\"}";
+
+    /// A CRC-stamped request exactly as the client writes it.
+    fn sample() -> Vec<u8> {
+        let mut wire = Vec::new();
+        send_request(&mut wire, "POST", "/v1/jobs?from=3", BODY).unwrap();
+        wire
+    }
+
+    fn read(mut wire: &[u8]) -> Result<Request, SwlbError> {
+        read_request(&mut wire)
+    }
+
+    fn assert_corrupt(r: Result<Request, SwlbError>, what: &str) -> String {
+        match r {
+            Err(SwlbError::CorruptData(m)) => m,
+            other => panic!("{what}: expected CorruptData, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn request_cut_at_every_byte_is_corrupt() {
+        let wire = sample();
+        assert_eq!(read(&wire).unwrap().body, BODY);
+        for keep in 0..wire.len() {
+            assert_corrupt(read(&wire[..keep]), &format!("cut to {keep} B"));
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_reads_or_fails_typed() {
+        let wire = sample();
+        let body_at = wire.len() - BODY.len();
+        for byte in 0..wire.len() {
+            for bit in 0..8 {
+                let mut bad = wire.clone();
+                bad[byte] ^= 1 << bit;
+                match read(&bad) {
+                    // A flipped method or target letter is a different, valid
+                    // request; a flipped body byte never is (the CRC).
+                    Ok(_) => assert!(byte < body_at, "bit {bit} of body byte {byte} accepted"),
+                    // `Io`: the head is no longer UTF-8.
+                    Err(SwlbError::CorruptData(_) | SwlbError::Io(_)) => {}
+                    Err(e) => panic!("bit {bit} of byte {byte}: untyped failure {e:?}"),
+                }
+            }
+        }
+    }
+
+    /// Counts what `read_request` pulls from the transport.
+    struct Metered<R>(R, usize);
+
+    impl<R: Read> Read for Metered<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.read(buf)?;
+            self.1 += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn hostile_heads_are_refused_after_a_bounded_read() {
+        // One BufReader fill past the limit is the most that is ever pulled.
+        let bound = MAX_HEAD + (8 << 10);
+        let no_newline = vec![b'A'; 1 << 20];
+        let mut endless_header = b"GET / HTTP/1.1\r\nx: ".to_vec();
+        endless_header.resize(1 << 20, b'y');
+        let many_small = [&b"GET / HTTP/1.1\r\n"[..], &b"a: b\r\n".repeat(1 << 17)].concat();
+        for (wire, what) in [
+            (no_newline, "newline-free request line"),
+            (endless_header, "newline-free header"),
+            (many_small, "endless header lines"),
+        ] {
+            let mut src = Metered(&wire[..], 0);
+            let m = assert_corrupt(read_request(&mut src), what);
+            assert!(
+                m.contains("limit") || m.contains("header lines"),
+                "{what}: {m}"
+            );
+            assert!(src.1 <= bound, "{what}: {} B read", src.1);
+        }
+        // The bounds themselves: 64 header lines pass, 65 do not.
+        let with_headers =
+            |n: usize| [&b"GET / HTTP/1.1\r\n"[..], &b"a: b\r\n".repeat(n), b"\r\n"].concat();
+        assert_eq!(
+            read(&with_headers(MAX_HEADERS)).unwrap().headers.len(),
+            MAX_HEADERS
+        );
+        assert_corrupt(read(&with_headers(MAX_HEADERS + 1)), "65 headers");
+    }
+
+    #[test]
+    fn hostile_content_lengths_are_refused_without_a_matching_allocation() {
+        let with_len = |len: &str| format!("POST /x HTTP/1.1\r\ncontent-length: {len}\r\n\r\nabcd");
+        for len in [
+            "-1",
+            "+",
+            "1e3",
+            "4.0",
+            "0x4",
+            "",
+            "99999999999999999999999",
+            "4 4",
+        ] {
+            let m = assert_corrupt(read(with_len(len).as_bytes()), len);
+            assert!(m.contains("content-length"), "{len:?}: {m}");
+        }
+        let over = (MAX_BODY + 1).to_string();
+        assert!(assert_corrupt(read(with_len(&over).as_bytes()), "over").contains("limit"));
+        // A claim of the full megabyte with four bytes behind it: refused as
+        // cut short, having buffered what arrived and not what was claimed.
+        let claim = with_len(&MAX_BODY.to_string());
+        let m = assert_corrupt(read(claim.as_bytes()), "claimed 1 MiB");
+        assert!(m.contains("4 of 1048576"), "{m}");
+        let claim = with_len(&MAX_DATA_BODY.to_string());
+        let mut wire = claim.as_bytes();
+        let m = assert_corrupt(
+            read_request_with_limit(&mut wire, MAX_DATA_BODY),
+            "claimed 1 GiB",
+        );
+        assert!(m.contains("4 of 1073741824"), "{m}");
+        // The first of two lengths decides; bytes past it are not the body.
+        let two = b"POST /x HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 4\r\n\r\nabcd";
+        assert_eq!(read(two).unwrap().body, b"ab");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn send_request_then_read_request_is_the_identity(
+            method in proptest::prop::sample::select(vec!["GET", "POST", "DELETE"]),
+            segs in proptest::prop::collection::vec(0u32..1000, 0..5),
+            body in proptest::prop::collection::vec(0u8..=255, 0..2000),
+        ) {
+            let target = segs.iter().map(|s| format!("/{s}")).collect::<String>() + "?from=7";
+            let mut wire = Vec::new();
+            send_request(&mut wire, method, &target, &body).unwrap();
+            let req = read(&wire).unwrap();
+            proptest::prop_assert_eq!(
+                (req.method.as_str(), req.target.as_str(), req.query("from"), &req.body),
+                (method, target.as_str(), Some("7"), &body)
+            );
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! by `seed_bytes` on the receiving worker — no re-encode, so a migration
 //! between workers at different widths round-trips bit-exact through the
 //! chunked store. The receiver verifies them with the one checkpoint reader,
-//! so a payload in a retired whole-domain layout still lands. Transport integrity comes from the HTTP `x-swlb-crc32`
-//! header plus the checkpoint's own internal CRC.
+//! so a payload in a retired whole-domain layout still lands. Transport
+//! integrity comes from the HTTP `x-swlb-crc32` header plus the checkpoint's
+//! own internal CRC.
 
 use crate::json::{self, Json};
 use crate::spec::JobSpec;
@@ -91,7 +92,8 @@ impl PushEnvelope {
             spec,
             fleet_id: num("fleet_id")?,
             step: num("step")?,
-            width: num("width")? as u32,
+            width: u32::try_from(num("width")?)
+                .map_err(|_| SwlbError::CorruptData("fleet envelope: width out of range".into()))?,
             ckpt: bytes[meta_end..].to_vec(),
         })
     }
@@ -123,6 +125,120 @@ mod tests {
         let back = PushEnvelope::decode(&bare.encode()).unwrap();
         assert_eq!(back, bare);
         assert!(back.ckpt.is_empty());
+    }
+
+    // The malformed-envelope corpus: `decode` reads what `POST /v1/fleet/push`
+    // received. Layout of `sample().encode()`: magic 0..8, meta_len 8..12,
+    // JSON metadata 12..12+meta_len, checkpoint bytes to the end.
+
+    #[test]
+    fn envelope_cut_at_every_byte_is_refused_up_to_the_checkpoint() {
+        let bytes = sample().encode();
+        let meta_end = bytes.len() - sample().ckpt.len();
+        for keep in 0..meta_end {
+            match PushEnvelope::decode(&bytes[..keep]) {
+                Err(SwlbError::CorruptData(_)) => {}
+                other => panic!("cut to {keep} B: {other:?}"),
+            }
+        }
+        // The checkpoint is "the rest": a cut there is a shorter checkpoint,
+        // which its own CRC (not the envelope) refuses downstream.
+        for keep in meta_end..bytes.len() {
+            let env = PushEnvelope::decode(&bytes[..keep]).unwrap();
+            assert_eq!(env.ckpt.len(), keep - meta_end);
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_decodes_or_fails_without_a_panic() {
+        // A flipped metadata bit may still be an envelope (another name,
+        // another step); a flipped framing bit never is.
+        let bytes = sample().encode();
+        let meta_end = bytes.len() - sample().ckpt.len();
+        for byte in 0..meta_end + 2 {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[byte] ^= 1 << bit;
+                let r = PushEnvelope::decode(&bad);
+                assert!(
+                    byte >= 12 || r.is_err(),
+                    "bit {bit} of framing byte {byte} accepted"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_lengths_and_metadata_are_refused() {
+        let bytes = sample().encode();
+        let with_len = |len: u32| {
+            let mut bad = bytes.clone();
+            bad[8..12].copy_from_slice(&len.to_le_bytes());
+            bad
+        };
+        let meta_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        // Past the body, at the integer limits, and one either side of right.
+        for len in [
+            u32::MAX,
+            u32::MAX - 11,
+            1 << 31,
+            bytes.len() as u32,
+            meta_len + 1,
+            meta_len - 1,
+            0,
+        ] {
+            match PushEnvelope::decode(&with_len(len)) {
+                Err(SwlbError::CorruptData(_)) => {}
+                other => panic!("meta_len {len}: {other:?}"),
+            }
+        }
+        // Well-framed metadata that is not what an envelope carries.
+        let framed = |meta: &str| {
+            let mut out = ENVELOPE_MAGIC.to_vec();
+            out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+            out.extend_from_slice(meta.as_bytes());
+            out
+        };
+        let spec = sample().spec.to_json().to_text();
+        for meta in [
+            "".to_string(),
+            "[]".to_string(),
+            "{}".to_string(),
+            "[".repeat(20_000),
+            format!("{{\"spec\":{spec}}}"),
+            format!("{{\"spec\":{spec},\"fleet_id\":1,\"step\":2}}"),
+            format!("{{\"spec\":{spec},\"fleet_id\":-1,\"step\":2,\"width\":1}}"),
+            format!("{{\"spec\":{spec},\"fleet_id\":1.5,\"step\":2,\"width\":1}}"),
+            format!("{{\"spec\":{spec},\"fleet_id\":1,\"step\":1e999,\"width\":1}}"),
+            // 2^32 + 4 used to truncate to width 4.
+            format!("{{\"spec\":{spec},\"fleet_id\":1,\"step\":2,\"width\":4294967300}}"),
+            r#"{"spec":7,"fleet_id":1,"step":2,"width":1}"#.to_string(),
+        ] {
+            let what = &meta[..meta.len().min(60)];
+            match PushEnvelope::decode(&framed(&meta)) {
+                Err(SwlbError::CorruptData(_)) => {}
+                other => panic!("{what:?}: {other:?}"),
+            }
+        }
+        let mut not_utf8 = framed("{}");
+        not_utf8[12] = 0xff;
+        assert!(matches!(
+            PushEnvelope::decode(&not_utf8),
+            Err(SwlbError::CorruptData(_))
+        ));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn encode_then_decode_is_the_identity(
+            fleet_id in 0u64..(1 << 53),
+            step in 0u64..(1 << 53),
+            width in 0u32..=u32::MAX,
+            ckpt in proptest::prop::collection::vec(0u8..=255, 0..600),
+        ) {
+            let env = PushEnvelope { fleet_id, step, width, ckpt, ..sample() };
+            proptest::prop_assert_eq!(PushEnvelope::decode(&env.encode()).unwrap(), env);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the enum closes over the lattice type parameter so a scheduler can hold
 //! jobs of mixed lattices in one queue.
 
-use crate::engine::{soa_from_chunked, DistributedSolver, ExchangeMode};
+use crate::engine::{scheme_byte, soa_from_chunked, DistributedSolver, ExchangeMode};
 use crate::partition::Partition2d;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::cell::Cell;
@@ -25,7 +25,6 @@ use swlb_core::parallel::ThreadPool;
 use swlb_core::simd::KernelClass;
 use swlb_core::solver::{Solver, StepStats};
 use swlb_core::Scalar;
-use swlb_io::checkpoint::{SCHEME_AA, SCHEME_AB};
 use swlb_io::chunked::wire_from_soa;
 use swlb_io::{Checkpoint, CheckpointChunk, ChunkedCheckpoint};
 use swlb_obs::{Counter, Recorder, SwlbError};
@@ -160,28 +159,15 @@ impl CaseSpec {
                 self.u_lattice
             )));
         }
-        if self.storage == StorageScheme::Aa && self.case == CaseKind::Channel {
-            return Err(SwlbError::InvalidConfig(
-                "AA-pattern storage supports closed boundaries only; the channel \
-                 case paints inflow/outflow nodes and must run under StorageScheme::Ab"
-                    .into(),
-            ));
-        }
-        if self.time_block == 0 {
-            return Err(SwlbError::InvalidConfig(
-                "time_block must be >= 1 (1 disables temporal blocking)".into(),
-            ));
-        }
-        if self.storage == StorageScheme::Aa
-            && self.time_block > 1
-            && !self.time_block.is_multiple_of(2)
-        {
-            return Err(SwlbError::InvalidConfig(format!(
-                "AA-pattern temporal blocking needs an even depth (a block must end \
-                 on a completed odd/even step pair); got time_block = {}",
-                self.time_block
-            )));
-        }
+        // Which node kinds a recipe paints does not depend on the extent, so
+        // the smallest grid answers for any without allocating the case's.
+        let mut probe = FlagField::new(match self.lattice {
+            LatticeKind::D2Q9 => GridDims::new2d(3, 3),
+            LatticeKind::D3Q19 => GridDims::new(3, 3, 3),
+        });
+        self.paint_flags(&mut probe);
+        self.storage.check_flags(&probe)?;
+        self.storage.check_depth(self.time_block)?;
         Ok(())
     }
 
@@ -464,13 +450,6 @@ impl ElasticSolver {
 /// Grid dims as checkpoints record them.
 fn extent(dims: GridDims) -> (u32, u32, u32) {
     (dims.nx as u32, dims.ny as u32, dims.nz as u32)
-}
-
-fn scheme_byte(scheme: StorageScheme) -> u8 {
-    match scheme {
-        StorageScheme::Ab => SCHEME_AB,
-        StorageScheme::Aa => SCHEME_AA,
-    }
 }
 
 /// What every rank of a job's worlds is built from.
@@ -1087,7 +1066,7 @@ mod tests {
         // Mid-parity capture (odd step count => AA state is Streamed): the
         // payload must still be canonical and restore into an *AB* solver.
         let ck = sb.capture_chunked();
-        assert_eq!(ck.scheme, SCHEME_AA);
+        assert_eq!(ck.scheme, swlb_io::checkpoint::SCHEME_AA);
         let mut sc = ab.build(pool, Recorder::disabled()).unwrap();
         sc.restore_chunked_state(&ck).unwrap();
         sa.run_checked(3, 3).unwrap();

@@ -29,9 +29,12 @@
 //!
 //! Every sweep, inner rectangle and 1-cell frame strip alike, goes through
 //! the rank's [`ThreadPool`] with the interior fast-path index; there is no
-//! separate serial path for the boundary ring. The stepper matches the
-//! storage scheme in exactly two private methods: `sweep` (which kernel runs
-//! over a rectangle) and `advance` (step 6).
+//! separate serial path for the boundary ring. The stepper never matches the
+//! storage scheme: which kernel a sweep runs on which buffer, what step 6
+//! flips, how the raw grid maps to canonical populations and which depths and
+//! flags a scheme admits are all asked of `swlb_core::layout::Storage` and
+//! [`StorageScheme`]. What it does read is the AA parity, to decide *when* to
+//! communicate (below).
 //!
 //! ## What AA (single-grid) storage adds at `k = 1`
 //!
@@ -99,7 +102,7 @@ use swlb_core::collision::CollisionKind;
 use swlb_core::equilibrium::{moments, velocity};
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{canonicalize_streamed, reverse_planes, InteriorIndex, MAX_Q};
+use swlb_core::kernels::{InteriorIndex, MAX_Q};
 use swlb_core::lattice::Lattice;
 use swlb_core::layout::{AaParity, PopField, SoaField, Storage, StorageScheme};
 use swlb_core::macroscopic::MacroFields;
@@ -381,33 +384,12 @@ impl<'c, 'f, L: Lattice, C: Communicator> DistributedSolverBuilder<'c, 'f, L, C>
             .unwrap_or_else(|e| panic!("distributed solver build failed: {e}"))
     }
 
-    /// Build this rank's solver, rejecting unsupported scheme/flag
-    /// combinations with a typed error: AA-pattern storage has no streaming
-    /// rule for open (inlet/outlet/NEBB) boundaries.
+    /// Build this rank's solver, rejecting with a typed error the flag fields
+    /// ([`StorageScheme::check_flags`]) and depths
+    /// ([`StorageScheme::check_depth`]) the storage scheme cannot run.
     pub fn try_build(self) -> Result<DistributedSolver<'c, L, C>, SwlbError> {
-        if self.storage == StorageScheme::Aa {
-            let c = self.global_flags.census();
-            if c.inlet != 0 || c.outlet != 0 {
-                return Err(SwlbError::InvalidConfig(format!(
-                    "AA-pattern storage supports Fluid/Wall/MovingWall nodes only, but the \
-                     flag field has {} inlet and {} outlet nodes; build with StorageScheme::Ab \
-                     for open/NEBB boundaries",
-                    c.inlet, c.outlet
-                )));
-            }
-        }
-        if self.time_block == 0 {
-            return Err(SwlbError::InvalidConfig(
-                "time_block must be >= 1 (1 disables temporal blocking)".into(),
-            ));
-        }
-        if self.storage == StorageScheme::Aa && self.time_block > 1 && self.time_block % 2 == 1 {
-            return Err(SwlbError::InvalidConfig(format!(
-                "AA-pattern storage needs an even time_block so a block ends at the canonical \
-                 Reversed parity; got {}",
-                self.time_block
-            )));
-        }
+        self.storage.check_flags(self.global_flags)?;
+        self.storage.check_depth(self.time_block)?;
         let comm = self.comm;
         let h = self.time_block;
         let part = Partition2d::new(self.global, comm.size());
@@ -566,24 +548,16 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         self.last_class
     }
 
-    /// Rebuild the interior index and active-cell count if the flags changed.
-    fn ensure_interior(&mut self) {
+    /// Rebuild the interior index and active-cell count if the flags changed,
+    /// refusing flags the storage scheme cannot stream over.
+    fn ensure_interior(&mut self) -> Result<(), SwlbError> {
         if self.interior_dirty {
-            if self.store.scheme() == StorageScheme::Aa {
-                let c = self.flags.census();
-                assert!(
-                    c.inlet == 0 && c.outlet == 0,
-                    "AA-pattern storage supports Fluid/Wall/MovingWall nodes only, but the \
-                     mutated local flags now have {} inlet and {} outlet nodes; use \
-                     StorageScheme::Ab for open/NEBB boundaries",
-                    c.inlet,
-                    c.outlet
-                );
-            }
+            self.store.scheme().check_flags(&self.flags)?;
             self.interior = InteriorIndex::build::<L>(&self.flags);
             self.active = count_active(&self.flags, self.lnx, self.lny, self.halo);
             self.interior_dirty = false;
         }
+        Ok(())
     }
 
     /// Which storage scheme this rank runs.
@@ -613,12 +587,8 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
             let gy = (y0 as isize + ly as isize - h as isize).rem_euclid(global.ny as isize);
             state(gx as usize, gy as usize, z)
         });
-        // The initializer writes the canonical (AB-ordered) state; convert to
-        // the scheme's raw representation.
-        if let Storage::Aa { field, parity } = &mut self.store {
-            reverse_planes::<L>(field);
-            *parity = AaParity::Reversed;
-        }
+        // The initializer wrote the canonical (AB-ordered) state.
+        self.store.adopt_canonical();
         self.step = 0;
         self.phase = 0;
     }
@@ -918,30 +888,16 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// z; ghost cells allowed), dispatched through the thread pool: y-slabs
     /// stolen across threads, each streaming its whole z extent (or the
     /// pool's opt-in z-tile), and the vectorized (or hand-optimized scalar)
-    /// D3Q19 kernel on interior BGK run-length runs. Matches the serial generic kernel bit-for-bit on
-    /// scalar-semantics lanes and within the FMA dispatch tolerance under
-    /// AVX2. One of the two places the stepper matches the storage scheme.
+    /// D3Q19 kernel on interior BGK run-length runs. Matches the serial
+    /// generic kernel bit-for-bit on scalar-semantics lanes and within the FMA
+    /// dispatch tolerance under AVX2. Every step here is one time level, so
+    /// each sweep is level 1 of the storage and `step_block` advances it by 1.
     fn sweep(&mut self, (xr, yr): Rect) {
         let (flags, pool, collision) = (&self.flags, &self.pool, &self.collision);
         let interior = Some(&self.interior);
-        self.last_class = match &mut self.store {
-            Storage::Ab(bufs) => {
-                let (src, dst) = bufs.pair_mut();
-                pool.step_rect::<L, _>(flags, src, dst, collision, xr, yr, interior)
-            }
-            Storage::Aa { field, parity } => {
-                pool.aa_step_rect::<L>(flags, field, collision, *parity, xr, yr, interior)
-            }
-        };
-    }
-
-    /// Make the state the last sweeps wrote the current one: the other place
-    /// the stepper matches the storage scheme.
-    fn advance(&mut self) {
-        match &mut self.store {
-            Storage::Ab(bufs) => bufs.flip(),
-            Storage::Aa { parity, .. } => *parity = parity.flip(),
-        }
+        self.last_class = self
+            .store
+            .sweep(pool, flags, collision, interior, 1, xr, yr);
     }
 
     /// One time step of the single schedule (see the module docs): intra-block
@@ -990,16 +946,19 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
             let _cs = rec.phase(Phase::CollideStream);
             self.sweep(self.expanded_ranges(e));
         }
-        self.advance();
+        self.store.advance(1);
         Ok(())
     }
 
-    /// Advance one time step.
-    pub fn step(&mut self) -> Result<(), CommError> {
+    /// Advance one time step. A halo failure keeps its structure through the
+    /// lossless `CommError → SwlbError` conversion (`CommTimeout`,
+    /// `CommCorrupt`, `Disconnected`); flags mutated into something the
+    /// storage scheme cannot stream over are an `InvalidConfig`.
+    pub fn step(&mut self) -> Result<(), SwlbError> {
         // Cheap handle clone so phase guards don't hold a borrow of `self`.
         let rec = self.recorder.clone();
         let t_step = rec.now();
-        self.ensure_interior();
+        self.ensure_interior()?;
         self.comm.notify_step(self.step);
         self.step_block(&rec)?;
         self.phase = (self.phase + 1) % self.time_block;
@@ -1029,50 +988,13 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// `Reversed` (under `Streamed` canonicalizing a ghost would need the
     /// neighbor's data).
     pub fn local_canonical(&self) -> std::borrow::Cow<'_, SoaField<L>> {
-        use std::borrow::Cow;
-        match &self.store {
-            Storage::Ab(b) => Cow::Borrowed(b.src()),
-            Storage::Aa { field, parity } => match parity {
-                AaParity::Reversed => {
-                    let mut f = field.clone();
-                    reverse_planes::<L>(&mut f);
-                    Cow::Owned(f)
-                }
-                AaParity::Streamed => Cow::Owned(canonicalize_streamed::<L>(field)),
-            },
-        }
+        self.store.canonical()
     }
 
     /// Local macroscopic snapshot (includes the halo ring; the owned block is
     /// `halo..halo+lnx × halo..halo+lny`).
     pub fn local_macroscopic(&self) -> MacroFields {
         MacroFields::compute::<L, _>(&self.flags, self.local_canonical().as_ref())
-    }
-
-    /// The canonical populations of local cell `(x, y, z)`, read in place
-    /// whatever the scheme and parity: AB stores them at the cell, AA
-    /// `Reversed` at the cell's opposite slots, and AA `Streamed` at
-    /// `(cell + c_q, q)` — which for an owned cell never leaves the local
-    /// grid. Nothing the size of the field is materialized.
-    fn load_canonical(&self, x: usize, y: usize, z: usize, f: &mut [Scalar]) {
-        let dims = self.flags.dims();
-        let src = self.store.state();
-        let cell = dims.idx(x, y, z);
-        match self.store.parity() {
-            None => src.load_cell(cell, f),
-            Some(AaParity::Reversed) => {
-                for q in 0..L::Q {
-                    f[q] = src.get(cell, L::OPP[q]);
-                }
-            }
-            Some(AaParity::Streamed) => {
-                for q in 0..L::Q {
-                    let c = L::C[q];
-                    let [a, b, d] = dims.neighbor_periodic(x, y, z, [c[0], c[1], c[2]]);
-                    f[q] = src.get(dims.idx(a, b, d), q);
-                }
-            }
-        }
     }
 
     /// Visit the node kind, density and velocity of every owned cell in the
@@ -1094,7 +1016,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
                         visit(kind, 1.0, [0.0; 3]);
                         continue;
                     }
-                    self.load_canonical(x, y, z, &mut f[..L::Q]);
+                    self.store.load_canonical(x, y, z, &mut f[..L::Q]);
                     let (rho, j) = moments::<L>(&f[..L::Q]);
                     visit(kind, rho, velocity(rho, j));
                 }
@@ -1112,7 +1034,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         for y in h..h + self.lny {
             for x in h..h + self.lnx {
                 for z in 0..nz {
-                    self.load_canonical(x, y, z, &mut f[..L::Q]);
+                    self.store.load_canonical(x, y, z, &mut f[..L::Q]);
                     out.extend_from_slice(&f[..L::Q]);
                 }
             }
@@ -1132,10 +1054,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
             self.halo..self.halo + self.lny,
             payload,
         );
-        if let Storage::Aa { field, parity } = &mut self.store {
-            reverse_planes::<L>(field);
-            *parity = AaParity::Reversed;
-        }
+        self.store.adopt_canonical();
         self.step = step;
         self.phase = 0;
     }
@@ -1157,30 +1076,21 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// Inf anywhere in the interior poisons the sum, which is what lets the
     /// recovery layer detect divergence from one reduced scalar.
     ///
-    /// Scheme-invariant: under AA `Reversed` the slots of a cell are a
-    /// permutation of its canonical values, and under `Streamed` the cell's
-    /// canonical values sit at `(cell + c_q, q)` — which for owned cells never
-    /// leaves the local grid.
+    /// Scheme-invariant: the sum runs over each owned cell's *canonical*
+    /// populations, in direction order, read in place — for an owned cell that
+    /// never leaves the local grid, whatever the scheme and parity.
     pub fn local_mass(&self) -> Scalar {
         let dims = self.flags.dims();
-        let src = self.store.state();
-        let streamed = self.store.parity() == Some(AaParity::Streamed);
         let h = self.halo;
+        let mut f = [0.0; MAX_Q];
         let mut mass = 0.0;
         for y in h..h + self.lny {
             for x in h..h + self.lnx {
                 for z in 0..dims.nz {
-                    let cell = dims.idx(x, y, z);
-                    if self.flags.kind(cell).is_fluid() {
-                        for q in 0..L::Q {
-                            let slot = if streamed {
-                                let c = L::C[q];
-                                let [a, b, d] = dims.neighbor_periodic(x, y, z, [c[0], c[1], c[2]]);
-                                dims.idx(a, b, d)
-                            } else {
-                                cell
-                            };
-                            mass += src.get(slot, q);
+                    if self.flags.kind(dims.idx(x, y, z)).is_fluid() {
+                        self.store.load_canonical(x, y, z, &mut f[..L::Q]);
+                        for v in &f[..L::Q] {
+                            mass += v;
                         }
                     }
                 }
@@ -1231,10 +1141,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
             step: self.step,
             dims: (global.nx as u32, global.ny as u32, global.nz as u32),
             q: L::Q as u32,
-            scheme: match self.store.scheme() {
-                StorageScheme::Ab => swlb_io::checkpoint::SCHEME_AB,
-                StorageScheme::Aa => swlb_io::checkpoint::SCHEME_AA,
-            },
+            scheme: scheme_byte(self.store.scheme()),
             chunks,
         }))
     }
@@ -1288,6 +1195,14 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
             self.restore_owned(&payload, step);
         }
         Ok(())
+    }
+}
+
+/// The checkpoint header's byte for a storage scheme.
+pub(crate) fn scheme_byte(scheme: StorageScheme) -> u8 {
+    match scheme {
+        StorageScheme::Ab => swlb_io::checkpoint::SCHEME_AB,
+        StorageScheme::Aa => swlb_io::checkpoint::SCHEME_AA,
     }
 }
 
@@ -1627,6 +1542,52 @@ mod tests {
                 other => panic!("expected InvalidConfig, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn aa_rank_reports_a_mutated_inlet_as_a_typed_error() {
+        // The serial solver reports AA + open boundary as InvalidConfig when
+        // flags change under it; a rank used to `assert!` instead. Rank 0
+        // paints an inlet into its local flags mid-run: its next step must
+        // fail typed (before sending anything), and the peer, which waits for
+        // strips that never come, must leave that wait with a halo error.
+        let global = GridDims::new(8, 8, 4);
+        let mut flags = FlagField::new(global);
+        flags.set_box_walls();
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        let flags_ref = &flags;
+        let errs = World::new(2).run(|comm| {
+            let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
+                .storage(StorageScheme::Aa)
+                .halo_retry(HaloRetry::snappy())
+                .build();
+            s.initialize_uniform(1.0, [0.0; 3]);
+            s.run(2).unwrap();
+            if comm.rank() == 0 {
+                let inlet = NodeKind::Inlet {
+                    rho: 1.0,
+                    u: [0.02, 0.0, 0.0],
+                };
+                s.local_flags_mut().set(2, 2, 1, inlet);
+            }
+            let err = s.run(1).unwrap_err();
+            assert_eq!(s.step_count(), 2, "a refused step does not count");
+            err
+        });
+        match &errs[0] {
+            SwlbError::InvalidConfig(msg) => {
+                assert!(msg.contains("1 inlet"), "unexpected message: {msg}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        assert!(
+            matches!(
+                errs[1],
+                SwlbError::CommTimeout { .. } | SwlbError::Disconnected
+            ),
+            "peer: {:?}",
+            errs[1]
+        );
     }
 
     #[test]

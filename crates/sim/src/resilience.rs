@@ -211,8 +211,8 @@ fn run_inner<L: Lattice, C: Communicator>(
             }
             // A dead transport cannot reach the status reduction either;
             // fail fast instead of voting.
-            Err(CommError::Disconnected) => return Err(CommError::Disconnected.into()),
-            Err(e) => Some(e.into()),
+            Err(SwlbError::Disconnected) => return Err(SwlbError::Disconnected),
+            Err(e) => Some(e),
         };
 
         // Status agreement + divergence guard in one reduction.

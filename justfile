@@ -106,6 +106,13 @@ fleet-check:
     cargo test -q -p swlb-fleet --release --test fleet_crash
     cargo run --release -p swlb-fleet --bin fleet_soak -- --jobs 1000 --workers 4 --churn-every 250 --out /tmp/fleet_soak.jsonl
 
+# Non-test source lines (everything before a file's first `#[cfg(test)]`) at a
+# base commit and at the working tree, per changed file, per crate and in
+# total — the figure ROADMAP tracks. `just lines -b HEAD` while uncommitted;
+# `just lines crates/core/src/simd.rs …` for every named file.
+lines *args:
+    scripts/lines.sh {{args}}
+
 # Parent-vs-change pairs of one benchmark workload (benchmark/README.md, "How
 # the numbers are kept steady"): alternating order, fresh seed per pair; per
 # end-to-end metric both medians, both inter-quartile ranges and pairs won.

@@ -506,6 +506,79 @@ fn admission_backpressure_rejects_beyond_capacity() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Write `wire` to a fresh connection, leave it open, and return the status
+/// of a reply that arrives within `patience`. The writer runs beside the
+/// reader: a server that answers before it has taken the whole request must
+/// not deadlock the client, and a reset after the answer is not the client's
+/// problem.
+fn raw_status(addr: std::net::SocketAddr, wire: Vec<u8>, patience: Duration) -> u16 {
+    use std::io::{Read, Write};
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(patience)).unwrap();
+    let mut tx = conn.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        let _ = tx.write_all(&wire);
+        let _ = tx.flush();
+    });
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while !reply.windows(4).any(|w| w == b"\r\n\r\n") {
+        match conn.read(&mut chunk) {
+            Ok(n) if n > 0 => reply.extend_from_slice(&chunk[..n]),
+            other => panic!(
+                "no reply head: {other:?} after {:?}",
+                String::from_utf8_lossy(&reply)
+            ),
+        }
+    }
+    drop(conn);
+    writer.join().unwrap();
+    let head = String::from_utf8_lossy(&reply);
+    head.split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status line")
+}
+
+/// One unauthenticated request must not be able to take the process down or
+/// make it buffer without bound: a JSON body nested 20 000 deep used to
+/// overflow the handler thread's stack (an abort, which no one can reap), and
+/// a request head with no newline in it grew a `String` for as long as the
+/// peer kept sending and was refused only when the handler's own read
+/// deadline fired. Both are now a 400 after a bounded read — the client never
+/// closes or finishes, and still hears back well inside that deadline — and
+/// the server keeps serving.
+#[test]
+fn hostile_requests_get_a_400_and_the_server_keeps_serving() {
+    let dir = unique_dir("hostile");
+    let cfg = config(&dir, 4, 8);
+    let patience = cfg.io_timeout.expect("handlers have a deadline") / 2;
+    let server = Server::spawn(cfg).unwrap();
+    let client = ServeClient::new(server.addr().to_string());
+    let status = |wire: Vec<u8>| raw_status(server.addr(), wire, patience);
+
+    let bomb = "[".repeat(20_000);
+    let mut wire = Vec::new();
+    swlb_serve::http::send_request(&mut wire, "POST", "/v1/jobs", bomb.as_bytes()).unwrap();
+    assert_eq!(status(wire), 400, "depth bomb");
+    assert!(client.stats().is_ok(), "server survives the depth bomb");
+
+    assert_eq!(status(vec![b'A'; 1 << 20]), 400, "newline-free head");
+    let mut headers = b"POST /v1/jobs HTTP/1.1\r\n".to_vec();
+    headers.extend(b"x-pad: y\r\n".repeat(1 << 16));
+    assert_eq!(status(headers), 400, "endless headers");
+
+    // Still admitting and running jobs.
+    let id = client
+        .submit(&job("after", cavity(16, 16), 16, Priority::Interactive))
+        .unwrap();
+    wait_for(&client, id, Duration::from_secs(20), "completion", |s| {
+        state_of(s) == "completed"
+    });
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Cancellation is honoured at the next slice boundary for a running job.
 #[test]
 fn cancel_stops_a_running_job_at_a_slice_boundary() {
