@@ -17,7 +17,6 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::{Arc, Barrier, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Message tag. User tags must stay below [`ReservedTags::RESERVED_BASE`].
@@ -568,30 +567,6 @@ impl World {
             .into_iter()
             .map(|r| r.expect("missing rank result"))
             .collect()
-    }
-
-    /// Spawn one *resident* thread per rank, named `swlb-rank-<r>`, each
-    /// running its own `body()` on its own [`Comm`]. Unlike [`World::run`] the
-    /// threads are not scoped: they outlive this call and the caller joins
-    /// them through `handles`, which receives the ranks spawned so far even
-    /// when the OS refuses a later one — so the caller can release and join
-    /// those before reporting the error.
-    pub fn spawn_resident<F>(
-        &self,
-        mut body: impl FnMut() -> F,
-        handles: &mut Vec<JoinHandle<()>>,
-    ) -> std::io::Result<()>
-    where
-        F: FnOnce(Comm) + Send + 'static,
-    {
-        for comm in self.endpoints() {
-            let body = body();
-            let spawned = std::thread::Builder::new()
-                .name(format!("swlb-rank-{}", comm.rank()))
-                .spawn(move || body(comm))?;
-            handles.push(spawned);
-        }
-        Ok(())
     }
 }
 

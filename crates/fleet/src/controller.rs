@@ -61,9 +61,8 @@
 //! 5. **Rebalance** — when the pool is imbalanced by ≥ 2 jobs and nothing is
 //!    pending, one job is migrated from the most- to the least-loaded worker
 //!    through the handoff/push pair: the source parks it at a slice boundary
-//!    and ships spec + checkpoint bytes; the destination resumes it — at
-//!    whatever width its own elastic scheduler grants — bit-exact through
-//!    the rank-count-independent chunked format.
+//!    and ships spec + checkpoint bytes; the destination resumes it on its
+//!    own pool, bit-exact through the partition-independent chunked format.
 
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -164,9 +163,6 @@ struct FleetJob {
     seq: u64,
     spec: JobSpec,
     binding: Binding,
-    /// Width last reported by the owning worker (elastic resume may differ
-    /// from the requested width); seeds the next migration envelope.
-    width: u32,
     migrations: u32,
 }
 
@@ -179,7 +175,7 @@ impl FleetJob {
             ("tenant", Json::str(self.spec.tenant.clone())),
             ("priority", Json::str(self.spec.priority.name())),
             ("steps", Json::num(self.spec.steps as f64)),
-            ("width", Json::num(self.width as f64)),
+            ("width", Json::num(self.spec.width as f64)),
             ("migrations", Json::num(self.migrations as f64)),
         ];
         match &self.binding {
@@ -251,7 +247,6 @@ impl FleetState {
             jobs.push(FleetJob {
                 id: j.id,
                 seq: j.seq,
-                width: j.spec.width.max(1),
                 spec: j.spec,
                 binding,
                 migrations: 0,
@@ -597,7 +592,7 @@ fn probe_and_reap(shared: &Shared, cfg: &TickCfg) {
     }
 
     // ---- 2. reap: collect dead workers' jobs for replay ----------------
-    let mut replays: Vec<(u64, String, u64, JobSpec, u32)> = Vec::new(); // (id, dir, local, spec, width)
+    let mut replays: Vec<(u64, String, u64, JobSpec)> = Vec::new(); // (id, dir, local, spec)
     {
         let mut st = lock(shared);
         let tick_now = st.tick;
@@ -629,13 +624,7 @@ fn probe_and_reap(shared: &Shared, cfg: &TickCfg) {
             for job in &st.jobs {
                 if let Binding::Placed { worker, local, .. } = &job.binding {
                     if *worker == dead_name {
-                        replays.push((
-                            job.id,
-                            dead_dir.clone(),
-                            *local,
-                            job.spec.clone(),
-                            job.width,
-                        ));
+                        replays.push((job.id, dead_dir.clone(), *local, job.spec.clone()));
                     }
                 }
             }
@@ -643,7 +632,7 @@ fn probe_and_reap(shared: &Shared, cfg: &TickCfg) {
     }
     // Death replay: read the newest valid checkpoint from the dead worker's
     // state directory and push it to a survivor (I/O, lock released).
-    for (id, dir, local, spec, width) in replays {
+    for (id, dir, local, spec) in replays {
         let target = lock(shared).best_target(cfg.per_worker_cap, None);
         let (step, ckpt) = dead_checkpoint(&dir, local);
         let placed = target.and_then(|tname| {
@@ -656,7 +645,7 @@ fn probe_and_reap(shared: &Shared, cfg: &TickCfg) {
                 spec: spec.clone(),
                 fleet_id: id,
                 step,
-                width,
+                width: spec.width,
                 ckpt,
             };
             push_envelope(&taddr, &env, cfg).map(|new_local| (tname, new_local, step))
@@ -712,7 +701,6 @@ fn sync_and_rescue(shared: &Shared, cfg: &TickCfg) {
                 continue;
             };
             let step = item.get("steps_done").and_then(Json::as_u64).unwrap_or(0);
-            let width = item.get("width").and_then(Json::as_u64).unwrap_or(1) as u32;
             match item.get("state").and_then(Json::as_str) {
                 Some("completed") => st.settle(id, Binding::Completed),
                 Some("cancelled") => st.settle(id, Binding::Cancelled),
@@ -726,11 +714,10 @@ fn sync_and_rescue(shared: &Shared, cfg: &TickCfg) {
                 }
                 Some("checkpointed") => orphans.push((id, local, addr.clone())),
                 _ => {
-                    if let Some(job) = st.job_mut(id) {
-                        job.width = width;
-                        if let Binding::Placed { step: s, .. } = &mut job.binding {
-                            *s = step;
-                        }
+                    if let Some(Binding::Placed { step: s, .. }) =
+                        st.job_mut(id).map(|job| &mut job.binding)
+                    {
+                        *s = step;
                     }
                 }
             }
@@ -876,7 +863,7 @@ fn place_once(shared: &Shared, cfg: &TickCfg, beat: bool) -> bool {
     let env = PushEnvelope {
         fleet_id: id,
         step: 0,
-        width: spec.width.max(1),
+        width: spec.width,
         ckpt: Vec::new(),
         spec,
     };
@@ -922,9 +909,8 @@ fn place_once(shared: &Shared, cfg: &TickCfg, beat: bool) -> bool {
 }
 
 /// Migrate one job from the most- to the least-loaded worker when the pool
-/// is imbalanced by ≥ 2 — elastic re-sharding in anger: the source parks the
-/// job at a preemption boundary, the chunked checkpoint travels, and the
-/// destination resumes it at whatever width its scheduler grants.
+/// is imbalanced by ≥ 2: the source parks the job at a preemption boundary,
+/// the chunked checkpoint travels, and the destination resumes it.
 fn rebalance_once(shared: &Shared, cfg: &TickCfg) {
     let plan = {
         let st = lock(shared);
@@ -1091,7 +1077,6 @@ fn submit(shared: &Shared, req: &Request) -> (u16, Json) {
     st.jobs.push(FleetJob {
         id,
         seq,
-        width: spec.width.max(1),
         spec,
         binding: Binding::Pending { wait_ticks: 0 },
         migrations: 0,

@@ -1,4 +1,4 @@
-//! # swlb-fleet — an elastic multi-worker scheduler tier
+//! # swlb-fleet — a multi-worker scheduler tier
 //!
 //! One `swlb serve` instance fair-shares a single machine; a pool of
 //! machines wants a tier above it. This crate provides the **controller**:
@@ -21,11 +21,10 @@
 //!   and a CFS-style tenant fair share, with effective weight growing as a
 //!   job waits so Batch work cannot be starved by a stream of Interactive
 //!   submissions ([`policy`]).
-//! * **Elastic re-sharding in anger** — a worker death or pool imbalance
-//!   migrates jobs between workers through the rank-count-independent v3
-//!   chunked checkpoint format: the envelope ([`swlb_serve::PushEnvelope`])
-//!   carries the exact on-disk bytes, so a migration between workers at
-//!   different widths round-trips bit-exact ([`controller`]).
+//! * **Migration** — a worker death or pool imbalance moves jobs between
+//!   workers through the partition-independent v3 chunked checkpoint
+//!   format: the envelope ([`swlb_serve::PushEnvelope`]) carries the exact
+//!   on-disk bytes, so a migration round-trips bit-exact ([`controller`]).
 //!
 //! The `swlb-fleet` binary runs either role (`swlb-fleet serve`,
 //! `swlb-fleet worker`); `fleet_soak` drives admit/preempt/migrate/kill

@@ -61,9 +61,9 @@ pub enum JobEvent {
         /// Completed steps at preemption.
         step: u64,
     },
-    /// Execution width changed at a slice boundary (elastic resume): the
-    /// job's canonical chunked checkpoint was re-partitioned from `from`
-    /// ranks onto `to` ranks.
+    /// A width change at a slice boundary. Nothing writes it any more; it
+    /// still parses, so a journal that holds one replays clean, and the fold
+    /// ignores it.
     Resharded {
         /// Job id.
         id: u64,
@@ -294,9 +294,7 @@ impl WalState<JobEvent> for JobTable {
             JobEvent::Admitted { id, seq, spec } => self.admit(id, seq, spec),
             // Started but no checkpoint yet: restart from 0 — still Queued,
             // build_or_resume finds no checkpoint and rebuilds. Resharded is
-            // width history, not progress: replay always recomputes the
-            // effective width from the spec and the live-job census, so the
-            // record informs operators, not the fold.
+            // width history, not progress.
             JobEvent::Started { .. } | JobEvent::Resharded { .. } => {}
             JobEvent::Checkpointed { id, step }
             | JobEvent::Preempted { id, step }
@@ -475,6 +473,59 @@ mod tests {
         assert_eq!(jobs[1].outcome, ReplayOutcome::Completed);
         assert_eq!(jobs[2].outcome, ReplayOutcome::Queued);
         assert_eq!(jobs[2].spec.name, "third");
+    }
+
+    #[test]
+    fn journals_with_wide_admissions_and_reshards_replay_clean() {
+        // Records as builds that re-sharded wide jobs wrote them.
+        let admitted = |id: u64, seq: u64| {
+            format!(
+                r#"{{"rec":"admitted","id":{id},"seq":{seq},"spec":{{"name":"w","case":"cavity","lattice":"d2q9","nx":8,"ny":8,"nz":1,"tau":0.8,"u":0.05,"storage":"ab","steps":100,"priority":"batch","outputs":["ppm"],"width":4}}}}"#
+            )
+        };
+        let old = [
+            admitted(1, 0),
+            r#"{"rec":"started","id":1}"#.to_string(),
+            r#"{"rec":"resharded","id":1,"from":4,"to":2}"#.to_string(),
+            r#"{"rec":"checkpointed","id":1,"step":32}"#.to_string(),
+            r#"{"rec":"resharded","id":1,"from":2,"to":4}"#.to_string(),
+            admitted(2, 1),
+            r#"{"rec":"started","id":2}"#.to_string(),
+            r#"{"rec":"completed","id":2}"#.to_string(),
+        ];
+        let dir = std::env::temp_dir().join(format!("swlb-journal-reshard-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut journal = Journal::open(&dir, swlb_io::JournalConfig::default()).unwrap();
+        for line in &old {
+            journal.append(line, true).unwrap();
+        }
+        drop(journal);
+
+        let rec = Recorder::enabled();
+        let (_, replayed, corrupt) =
+            Wal::recover::<JobTable>(&dir, 16, rec.clone(), "journal").unwrap();
+        assert_eq!(corrupt, 0);
+        assert_eq!(rec.counter("journal.corrupt").get(), 0);
+        let fate = |jobs: &[ReplayedJob]| -> Vec<(u64, u64, JobSpec, ReplayOutcome)> {
+            jobs.iter()
+                .map(|j| (j.id, j.seq, j.spec.clone(), j.outcome.clone()))
+                .collect()
+        };
+        let without: Vec<String> = old
+            .into_iter()
+            .filter(|l| !l.contains("resharded"))
+            .collect();
+        let (table, 0) = fold::<JobEvent, JobTable>(&without) else {
+            panic!("the records without resharded lines must all parse")
+        };
+        assert_eq!(fate(&replayed.jobs), fate(&table.jobs));
+        assert_eq!(
+            replayed.jobs[0].outcome,
+            ReplayOutcome::Resumable { last_step: 32 }
+        );
+        assert_eq!(replayed.jobs[1].outcome, ReplayOutcome::Completed);
+        assert!(replayed.jobs.iter().all(|j| j.spec.width == 4));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //!   boundaries, by capturing the solver into the job's namespaced
 //!   [`CheckpointStore`](swlb_io::CheckpointStore) and rebuilding it on
 //!   resume; a preempted job loses no steps.
-//! * **Elastic resume** — checkpoints are written in the rank-count-
-//!   independent chunked format (v3), so a job submitted with `width > 1`
-//!   shrinks under contention and grows back as competitors finish; every
-//!   width change is a journaled re-shard of the job's canonical state.
-//!   See `docs/SERVING.md` ("Elastic resume").
+//! * **Width** — one job at a time holds the whole pool, so a job's
+//!   requested `width` is recorded and echoed but sizes nothing; its state
+//!   travels in the partition-independent chunked format (v3), which also
+//!   restores checkpoints written by a distributed run. See `docs/SERVING.md`
+//!   ("Width").
 //! * **Supervised execution** — a faulted job (NaN/Inf, including injected
 //!   chaos faults) rolls back to its last valid checkpoint under the
 //!   [`RecoveryPolicy`](swlb_sim::RecoveryPolicy) restart budget. The job

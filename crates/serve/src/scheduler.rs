@@ -178,42 +178,11 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
         {
             loop {
                 let r = cur.as_mut().expect("a picked job has its solver built");
-                let (steps_total, chaos_at, chaos_fired, eff_width) = {
-                    let mut st = shared.lock_state();
-                    let live = st.live_count();
+                let (steps_total, chaos_at, chaos_fired) = {
+                    let st = shared.lock_state();
                     let job = st.job(picked).unwrap();
-                    let steps = job.spec.steps;
-                    let chaos = job.spec.chaos_nan_at_step;
-                    let fired = job.chaos_fired;
-                    // Elastic width: the job's share of the service shrinks
-                    // under contention and grows back as competitors finish.
-                    // The change is a re-shard of the job's canonical chunked
-                    // state — journaled so the width history survives
-                    // restarts and shows up in `swlb stats`/status.
-                    let eff = effective_width(job.spec.width, live);
-                    let from = job.width;
-                    if eff != from {
-                        let job = st.job_mut(picked).unwrap();
-                        job.width = eff;
-                        job.reshards += 1;
-                        st.journal.append(&JobEvent::Resharded {
-                            id: picked,
-                            from,
-                            to: eff,
-                        });
-                        shared.push_event(
-                            &mut st,
-                            picked,
-                            "resharded",
-                            vec![
-                                ("from", Json::num(from as f64)),
-                                ("to", Json::num(eff as f64)),
-                            ],
-                        );
-                    }
-                    (steps, chaos, fired, eff)
+                    (job.spec.steps, job.spec.chaos_nan_at_step, job.chaos_fired)
                 };
-                r.solver.set_width(eff_width);
                 let remaining = steps_total.saturating_sub(r.solver.step_count());
                 let slice = cfg.slice_steps.min(remaining).max(1);
                 let t0 = Instant::now();
@@ -426,11 +395,11 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                         }
                     }
                     Boundary::Rollback => {
-                        // Drop the faulted solver first, so its state and
-                        // rank threads never coexist with the replacement's,
-                        // then resume from the last valid checkpoint (or from
-                        // scratch — step 0 is always recoverable because the
-                        // spec is deterministic) and retry with backoff.
+                        // Drop the faulted solver first, so its state never
+                        // coexists with the replacement's, then resume from
+                        // the last valid checkpoint (or from scratch — step 0
+                        // is always recoverable because the spec is
+                        // deterministic) and retry with backoff.
                         cur = None;
                         match build_or_resume(&shared, &cfg, picked) {
                             Ok(fresh) => {
@@ -504,18 +473,8 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
     }
 }
 
-/// The width a job actually runs at: its requested width divided among the
-/// live jobs sharing the service (never below 1). Deterministic in the job
-/// census, so a competitor completing grows a shrunk job back at its next
-/// slice. The re-shard is not free: the job's state makes one trip through
-/// the canonical chunked form and a new rank world is spawned
-/// (`sim.elastic_reshard_ms`).
-fn effective_width(requested: u32, live: usize) -> u32 {
-    (requested / live.max(1) as u32).max(1)
-}
-
-/// Save the running job's populations into its namespaced store — one chunk
-/// per rank, resumable at any width. Returns the checkpointed step.
+/// Save the running job's populations into its namespaced store. Returns the
+/// checkpointed step.
 fn checkpoint(cfg: &SchedConfig, r: &Running) -> Result<u64, SwlbError> {
     let store = cfg.store.namespaced(&format!("job-{}", r.id))?;
     let ck = r.solver.capture_chunked();
@@ -524,28 +483,22 @@ fn checkpoint(cfg: &SchedConfig, r: &Running) -> Result<u64, SwlbError> {
 }
 
 /// Build the job's solver on the shared pool; restore its latest valid
-/// checkpoint if one exists (resume after preemption or rollback), at
-/// whatever width the job currently runs at.
+/// checkpoint if one exists (resume after preemption or rollback).
 fn build_or_resume(
     shared: &Shared,
     cfg: &SchedConfig,
     id: u64,
 ) -> Result<Running, SwlbError> {
-    let (case, job_recorder, had_run, req_width, cur_width) = {
+    let (case, job_recorder, had_run) = {
         let st = shared.lock_state();
         let job = st.job(id).ok_or(SwlbError::NoValidCheckpoint)?;
         (
             job.spec.case.clone(),
             job.recorder.clone(),
             job.steps_done > 0,
-            job.spec.width,
-            job.width,
         )
     };
-    let mut solver = case.build_with_width(cfg.pool.clone(), job_recorder, req_width)?;
-    // Start at the job's last known effective width; the slice loop journals
-    // any subsequent change as a reshard.
-    solver.set_width(cur_width);
+    let mut solver = case.build(cfg.pool.clone(), job_recorder)?;
     let store = cfg.store.namespaced(&format!("job-{id}"))?;
     let mut last_ckpt = u64::MAX;
     if let Some((ck, _skipped)) = store.load_latest_valid_any()? {

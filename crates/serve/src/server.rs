@@ -602,7 +602,6 @@ fn push(shared: &Shared, req: &Request, ctx: &ConnCtx, peer: Option<SocketAddr>)
                 let job = st.job_mut(id).unwrap();
                 job.recorder = recorder;
                 job.held = !env.ckpt.is_empty();
-                job.width = env.width.max(1);
                 job.steps_done = env.step;
                 ctx.recorder.counter("serve.pushed").inc();
                 shared.push_event(
@@ -763,11 +762,7 @@ fn handoff(stream: &mut TcpStream, shared: &Shared, id_seg: &str, ctx: &ConnCtx)
         }
         Park::Ready => {}
     }
-    let (spec, width) = {
-        let st = shared.lock_state();
-        let job = st.job(id).unwrap();
-        (job.spec.clone(), job.width)
-    };
+    let spec = shared.lock_state().job(id).unwrap().spec.clone();
     // Newest valid bytes (outside the lock); a job parked before its first
     // checkpoint ships an empty payload — the receiver starts from scratch.
     let bytes = ctx
@@ -777,10 +772,10 @@ fn handoff(stream: &mut TcpStream, shared: &Shared, id_seg: &str, ctx: &ConnCtx)
         .and_then(|s| s.latest_valid_bytes().ok().flatten());
     let (step, ckpt) = bytes.unwrap_or((0, Vec::new()));
     let env = PushEnvelope {
+        width: spec.width,
         spec,
         fleet_id: 0, // stamped by the controller when it relays the envelope
         step,
-        width,
         ckpt,
     };
     ctx.recorder.counter("serve.handoffs").inc();
@@ -850,10 +845,6 @@ fn stats(shared: &Shared, ctx: &ConnCtx) -> (u16, Json) {
             ("capacity", Json::num(st.capacity as f64)),
             ("rejected", Json::num(st.rejected as f64)),
             ("slices", Json::num(st.slice_seq as f64)),
-            (
-                "reshards",
-                Json::num(st.jobs.iter().map(|j| j.reshards).sum::<u64>() as f64),
-            ),
             ("draining", Json::Bool(st.draining)),
             ("drained", Json::Bool(st.drained)),
             ("journal_degraded", Json::Bool(st.journal.degraded())),

@@ -92,12 +92,10 @@ pub struct JobSpec {
     /// completed this many steps (chaos testing of the rollback-retry
     /// supervisor). `None` in production.
     pub chaos_nan_at_step: Option<u64>,
-    /// Requested execution width (in-process ranks per slice). Width 1 is a
-    /// plain serial solver; width > 1 builds an elastic solver whose state
-    /// travels in the rank-count-independent chunked checkpoint format, so
-    /// the scheduler may shrink the job under contention and grow it back —
-    /// resuming a checkpoint written at a different width re-shards on
-    /// restore.
+    /// Requested execution width, validated, journaled and echoed in status
+    /// and in migration envelopes. A worker runs one job at a time on its
+    /// whole thread pool, so nothing computes from it: capping a job's
+    /// threads would only idle threads that no other job can use.
     pub width: u32,
     /// Accounting tenant the job is charged to. The fleet controller enforces
     /// per-tenant quotas and fair shares on this label; a single worker
@@ -108,7 +106,7 @@ pub struct JobSpec {
 /// The tenant jobs are charged to when the submission names none.
 pub const DEFAULT_TENANT: &str = "default";
 
-/// Upper bound on a job's requested execution width (in-process ranks).
+/// Upper bound on a job's requested execution width.
 pub const MAX_WIDTH: u32 = 64;
 
 impl JobSpec {

@@ -60,11 +60,6 @@ pub struct JobRecord {
     pub resumes: u64,
     /// Times this job rolled back after a fault.
     pub rollbacks: u64,
-    /// Current effective execution width (starts at the spec's request;
-    /// updated whenever the scheduler re-shards the job).
-    pub width: u32,
-    /// Times the job's width changed at a slice boundary (elastic resume).
-    pub reshards: u64,
     /// Whether the chaos fault (if configured) has fired already.
     pub chaos_fired: bool,
     /// Client asked for cancellation; honoured at the next slice boundary.
@@ -123,8 +118,7 @@ impl JobRecord {
             ("preemptions", Json::num(self.preemptions as f64)),
             ("resumes", Json::num(self.resumes as f64)),
             ("rollbacks", Json::num(self.rollbacks as f64)),
-            ("width", Json::num(self.width as f64)),
-            ("reshards", Json::num(self.reshards as f64)),
+            ("width", Json::num(self.spec.width as f64)),
             ("restarts", Json::num(self.restarts as f64)),
             ("recovered", Json::Bool(self.recovered)),
             ("mlups", Json::num(mlups)),
@@ -149,12 +143,9 @@ fn blank_record(
     submit_slice: u64,
     recorder: Recorder,
 ) -> JobRecord {
-    let width = spec.width.max(1);
     JobRecord {
         id,
         spec,
-        width,
-        reshards: 0,
         state: JobState::Queued,
         vruntime: 0.0,
         seq,

@@ -14,11 +14,11 @@
 //! The checkpoint bytes are the exact on-disk form produced by
 //! [`swlb_io::CheckpointStore::latest_valid_bytes`] and installed verbatim
 //! by `seed_bytes` on the receiving worker — no re-encode, so a migration
-//! between workers at different widths round-trips bit-exact through the
-//! chunked store. The receiver verifies them with the one checkpoint reader,
-//! so a payload in a retired whole-domain layout still lands. Transport
-//! integrity comes from the HTTP `x-swlb-crc32` header plus the checkpoint's
-//! own internal CRC.
+//! round-trips bit-exact through the chunked store, whatever partition wrote
+//! the chunks and whatever width the job asks for at its destination. The
+//! receiver verifies them with the one checkpoint reader, so a payload in a
+//! retired whole-domain layout still lands. Transport integrity comes from
+//! the HTTP `x-swlb-crc32` header plus the checkpoint's own internal CRC.
 
 use crate::json::{self, Json};
 use crate::spec::JobSpec;
@@ -38,8 +38,8 @@ pub struct PushEnvelope {
     /// Steps completed at the checkpoint the envelope carries (0 when no
     /// checkpoint travels).
     pub step: u64,
-    /// Execution width the job last ran at (the receiver may resume at any
-    /// width; this seeds its effective-width bookkeeping).
+    /// The job's requested width, a copy of `spec.width` that the envelope
+    /// layout carries; receivers read the spec.
     pub width: u32,
     /// Raw checkpoint bytes; empty = start from scratch.
     pub ckpt: Vec<u8>,

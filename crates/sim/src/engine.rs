@@ -97,9 +97,7 @@ use std::time::Duration;
 use swlb_comm::cart::NEIGHBOR_OFFSETS;
 use swlb_comm::frame::{check_frame, seal_frame, FrameCheck, FRAME_HEADER};
 use swlb_comm::{Comm, CommError, Communicator, Tag};
-use swlb_core::boundary::NodeKind;
 use swlb_core::collision::CollisionKind;
-use swlb_core::equilibrium::{moments, velocity};
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
 use swlb_core::kernels::{InteriorIndex, MAX_Q};
@@ -997,36 +995,9 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         MacroFields::compute::<L, _>(&self.flags, self.local_canonical().as_ref())
     }
 
-    /// Visit the node kind, density and velocity of every owned cell in the
-    /// planes `zr`, in chunk wire order (y → x → z). Solid cells report
-    /// `(1, 0)`, as [`MacroFields::compute`] does.
-    pub fn for_each_owned_moment(
-        &self,
-        zr: Range<usize>,
-        mut visit: impl FnMut(NodeKind, Scalar, [Scalar; 3]),
-    ) {
-        let dims = self.flags.dims();
-        let h = self.halo;
-        let mut f = [0.0; MAX_Q];
-        for y in h..h + self.lny {
-            for x in h..h + self.lnx {
-                for z in zr.clone() {
-                    let kind = self.flags.kind(dims.idx(x, y, z));
-                    if kind.is_solid() {
-                        visit(kind, 1.0, [0.0; 3]);
-                        continue;
-                    }
-                    self.store.load_canonical(x, y, z, &mut f[..L::Q]);
-                    let (rho, j) = moments::<L>(&f[..L::Q]);
-                    visit(kind, rho, velocity(rho, j));
-                }
-            }
-        }
-    }
-
     /// This rank's owned block of *canonical* populations in chunk wire
     /// order (y → x → z → q): the payload of one checkpoint chunk.
-    pub fn pack_owned_canonical(&self) -> Vec<Scalar> {
+    fn pack_owned_canonical(&self) -> Vec<Scalar> {
         let nz = self.flags.dims().nz;
         let h = self.halo;
         let mut f = [0.0; MAX_Q];
@@ -1043,12 +1014,12 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     }
 
     /// Land this rank's owned block from a canonical wire-order payload (the
-    /// inverse of [`DistributedSolver::pack_owned_canonical`]) and resume at
-    /// `step` on a block boundary. AA converts to its raw representation:
+    /// inverse of `pack_owned_canonical`) and resume at `step` on a block
+    /// boundary. AA converts to its raw representation:
     /// restarting on the odd flavor from a canonical state is exactly the AB
     /// continuation, and the stale ghost ring is overwritten by the
     /// pre-exchange before anything reads it.
-    pub fn restore_owned(&mut self, payload: &[Scalar], step: u64) {
+    fn restore_owned(&mut self, payload: &[Scalar], step: u64) {
         self.unpack(
             self.halo..self.halo + self.lnx,
             self.halo..self.halo + self.lny,
@@ -1152,8 +1123,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// rank count, its `px × py` shape, a serial single-chunk capture, a
     /// whole-domain file upgraded by the reader) never needs to match the
     /// current one. Payloads are canonical; AA ranks convert to their raw
-    /// representation in [`DistributedSolver::restore_owned`]. Ranks other
-    /// than 0 pass `None`.
+    /// representation in `restore_owned`. Ranks other than 0 pass `None`.
     pub fn restore_chunked(&mut self, ck: Option<&ChunkedCheckpoint>) -> Result<(), SwlbError> {
         const RESHARD_TAG: u64 = 41;
         let global = self.part.global;
@@ -1255,6 +1225,7 @@ pub(crate) fn soa_from_chunked<L: Lattice>(
 mod tests {
     use super::*;
     use swlb_comm::World;
+    use swlb_core::boundary::NodeKind;
     use swlb_core::collision::BgkParams;
     use swlb_core::kernels::fused_step;
     use swlb_core::lattice::{D2Q9, D3Q19};

@@ -29,7 +29,7 @@ pub mod group_io;
 pub mod partition;
 pub mod resilience;
 
-pub use cases::{CaseKind, CaseSolver, CaseSpec, ElasticSolver, LatticeKind};
+pub use cases::{CaseKind, CaseSolver, CaseSpec, LatticeKind};
 pub use config::CaseConfig;
 pub use engine::{DistributedSolver, DistributedSolverBuilder, ExchangeMode, HaloRetry};
 pub use forces::momentum_exchange_force;

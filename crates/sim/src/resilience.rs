@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn rollback_across_a_reshard_restores_a_4_rank_checkpoint_into_6_ranks() {
-        // The elastic-resume contract at the resilience layer: a checkpoint
+        // The N ↔ M resume contract at the resilience layer: a checkpoint
         // written by a 4-rank world must be a valid rollback target for a
         // 6-rank world (different `px × py`), and the resumed trajectory must
         // match the uninterrupted one.

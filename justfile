@@ -27,7 +27,8 @@ obs:
     cargo run --release -p swlb-bench --bin obs_measured_vs_model
 
 # The serving acceptance suite (docs/SERVING.md): clippy-clean serve crate,
-# the loopback integration tests, and the heavier --ignored soak.
+# the loopback integration tests (the wide-job wedge regression among them),
+# and the heavier --ignored soak.
 serve-check:
     cargo clippy -p swlb-serve --all-targets -- -D warnings
     cargo test -q -p swlb-serve
@@ -66,21 +67,17 @@ simd-check:
     SWLB_NO_SIMD=1 cargo test -q -p swlb-sim --release --test simd_equivalence --test unified_dispatch
     SWLB_NO_SIMD=1 cargo test -q -p swlb-core --release
 
-# Rank-elastic checkpoint acceptance (docs/SERVING.md, "Elastic resume")
-# beyond the checkpoint-on-N / resume-on-M matrix in `just equivalence`:
-# rollback across a reshard, the resident rank world's ownership tests in
-# release (they otherwise run only in debug), the service-level
-# shrink-and-grow cycle, and the malformed-input corpora of swlb-io — the
-# chunked checkpoint (index and manifest cut at every field boundary, bit
-# flips with and without a resealed CRC, hostile counts, aliased / missing /
-# duplicate / short member chunks), the retired whole-domain layouts the one
-# reader upgrades, and the journal records — where every truncated or hostile
-# input must fail typed or be skipped and counted, never panic.
+# Re-sharding a checkpoint across rank counts, beyond the checkpoint-on-N /
+# resume-on-M matrix in `just equivalence`: rollback across a reshard, and
+# the malformed-input corpora of swlb-io — the chunked checkpoint (index and
+# manifest cut at every field boundary, bit flips with and without a resealed
+# CRC, hostile counts, aliased / missing / duplicate / short member chunks),
+# the retired whole-domain layouts the one reader upgrades, and the journal
+# records — where every truncated or hostile input must fail typed or be
+# skipped and counted, never panic.
 reshard-check:
     cargo test -q -p swlb-sim --release --lib resilience
-    cargo test -q -p swlb-sim --release --lib cases::tests::elastic
     cargo test -q -p swlb-io
-    cargo test -q -p swlb-serve --release --test serve_integration elastic
 
 # Temporal-blocking acceptance (docs/PERFORMANCE.md, "Temporal blocking")
 # beyond `just equivalence`: the depth-k conservation proptest.

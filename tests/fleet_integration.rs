@@ -8,8 +8,8 @@
 //!   priority aging lets a waiting Batch job overtake Interactive work
 //!   submitted after it (the starvation-bound regression);
 //! * the migration envelope round-trips a v3 chunked checkpoint bit-exact
-//!   between stores at different execution widths, both at the API level
-//!   and over the real worker handoff → push HTTP path;
+//!   from a 2-rank distributed run into a case solver at the API level, and
+//!   between workers over the real handoff → push HTTP path;
 //! * `submit_with_retry` rides through a journal-full degraded window;
 //! * the worker-side `/v1/stats` exposes per-priority queue depth and
 //!   per-tenant running/queued counts;
@@ -315,18 +315,34 @@ fn fleet_aging_lets_batch_overtake_later_interactive() {
 
 #[test]
 fn migration_envelope_roundtrips_bit_exact_across_widths() {
+    use swlb_comm::World;
+    use swlb_core::collision::{BgkParams, CollisionKind};
+    use swlb_core::lattice::D2Q9;
     use swlb_core::parallel::ThreadPool;
     use swlb_io::{CheckpointStore, ChunkedCheckpoint};
+    use swlb_sim::DistributedSolver;
 
     let dir = unique_dir("bitexact");
-    // Source: an elastic solver at width 2, advanced far enough that the
-    // state is nontrivial, captured one chunk per rank.
+    // Source: a 2-rank distributed run of the job's case, advanced far
+    // enough that the state is nontrivial, captured one chunk per rank.
     let spec = cavity(14, 12);
-    let mut src = spec
-        .build_with_width(ThreadPool::new(1), Recorder::disabled(), 2)
-        .unwrap();
-    src.run_checked(24, 8).unwrap();
-    let ck = src.capture_chunked();
+    let mut flags = swlb_core::flags::FlagField::new(spec.dims());
+    spec.paint_flags(&mut flags);
+    let coll = CollisionKind::Bgk(BgkParams::try_from_tau(spec.tau).unwrap());
+    let ck = World::new(2)
+        .run(|comm| {
+            let mut s = DistributedSolver::<D2Q9>::builder(&comm, spec.dims(), &flags, coll)
+                .try_build()
+                .unwrap();
+            s.initialize_with(|x, y, z| spec.initial_state(x, y, z));
+            s.run(24).unwrap();
+            s.capture_chunked().unwrap()
+        })
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("rank 0 captures");
+    assert_eq!(ck.chunks.len(), 2, "one chunk per source rank");
     let reference = ck.assemble_global().unwrap();
 
     // Sender half: persist through the store, then lift the exact on-disk
@@ -353,23 +369,21 @@ fn migration_envelope_roundtrips_bit_exact_across_widths() {
     assert_eq!(step_b, 24);
     assert_eq!(bytes_b, bytes, "migration altered the checkpoint bytes");
 
-    // Restore at a *different* width (3) and at width 1 (serial): the
-    // assembled global state matches the width-2 capture exactly.
+    // Restore the two rank chunks into one case solver: its state matches
+    // the 2-rank capture exactly.
     let (restored, _) = store_b.load_latest_valid_any().unwrap().unwrap();
     assert_eq!(restored, ck, "the chunks survive the wire as captured");
     assert_eq!(restored.assemble_global().unwrap(), reference);
-    for width in [1u32, 3] {
-        let mut dst = spec
-            .build_with_width(ThreadPool::new(1), Recorder::disabled(), width)
-            .unwrap();
-        dst.restore_chunked_state(&restored).unwrap();
-        assert_eq!(dst.step_count(), 24);
-        assert_eq!(
-            dst.capture_chunked().assemble_global().unwrap(),
-            reference,
-            "width-2 → width-{width} restore is not bit-exact"
-        );
-    }
+    let mut dst = spec
+        .build(ThreadPool::new(1), Recorder::disabled())
+        .unwrap();
+    dst.restore_chunked_state(&restored).unwrap();
+    assert_eq!(dst.step_count(), 24);
+    assert_eq!(
+        dst.capture_chunked().assemble_global().unwrap(),
+        reference,
+        "2 ranks → case solver restore is not bit-exact"
+    );
     // Sanity on the raw parse path the receiver uses to verify transit.
     assert_eq!(ChunkedCheckpoint::read(&mut bytes.as_slice()).unwrap(), ck);
     let _ = std::fs::remove_dir_all(&dir);
