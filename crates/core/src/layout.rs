@@ -567,23 +567,6 @@ impl<F> AbBuffers<F> {
         &mut self.bufs[self.cur]
     }
 
-    /// The buffer that the next step will write into.
-    #[inline]
-    pub fn dst_mut(&mut self) -> &mut F {
-        &mut self.bufs[1 - self.cur]
-    }
-
-    /// Borrow `(src, dst)` simultaneously — the shape every kernel wants.
-    #[inline]
-    pub fn pair_mut(&mut self) -> (&F, &mut F) {
-        let (lo, hi) = self.bufs.split_at_mut(1);
-        if self.cur == 0 {
-            (&lo[0], &mut hi[0])
-        } else {
-            (&hi[0], &mut lo[0])
-        }
-    }
-
     /// Borrow both buffers mutably as `(src, dst)` — the shape a multi-step
     /// wavefront sweep wants, since it alternates write targets within one
     /// call.
@@ -601,12 +584,6 @@ impl<F> AbBuffers<F> {
     #[inline]
     pub fn flip(&mut self) {
         self.cur = 1 - self.cur;
-    }
-
-    /// Which physical buffer (0/1) is currently `src` — used by checkpointing.
-    #[inline]
-    pub fn current_index(&self) -> usize {
-        self.cur
     }
 }
 
@@ -920,16 +897,14 @@ mod tests {
         let a = SoaField::<D2Q9>::new(dims);
         let b = SoaField::<D2Q9>::new(dims);
         let mut ab = AbBuffers::new(a, b);
-        assert_eq!(ab.current_index(), 0);
 
         ab.src_mut().set(0, 0, 42.0);
         {
-            let (src, dst) = ab.pair_mut();
+            let (src, dst) = ab.both_mut();
             assert_eq!(src.get(0, 0), 42.0);
             dst.set(0, 0, 43.0);
         }
         ab.flip();
-        assert_eq!(ab.current_index(), 1);
         assert_eq!(ab.src().get(0, 0), 43.0);
         // Flipping back recovers the original buffer.
         ab.flip();

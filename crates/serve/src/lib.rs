@@ -1,6 +1,6 @@
 //! # swlb-serve — a multi-tenant simulation service
 //!
-//! The batch CLI runs one case per process; a shared machine wants one
+//! `swlb run` runs one case per process; a shared machine wants one
 //! *resident* service that many users submit cases to. This crate provides
 //! it, with zero external dependencies — `std::net` sockets, a hand-rolled
 //! HTTP/1.1 subset, and a minimal JSON codec:
@@ -91,7 +91,8 @@ pub mod wire;
 pub use client::ServeClient;
 pub use journal::{JobEvent, JobTable, ReplayOutcome, ReplayedJob};
 pub use json::Json;
-pub use server::{ServeConfig, Server};
+pub use scheduler::write_artifacts;
+pub use server::{ServeConfig, Server, DEFAULT_SLICE_STEPS};
 pub use spec::{JobSpec, JobState, OutputKind, Priority, DEFAULT_TENANT};
 pub use wire::PushEnvelope;
 // Re-export the pieces a submission is made of, so client code doesn't need

@@ -15,9 +15,11 @@ use crate::journal::JobEvent;
 use crate::json::Json;
 use crate::spec::{JobState, OutputKind};
 use crate::state::Shared;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use swlb_core::parallel::ThreadPool;
+use swlb_core::post::vorticity_z;
 use swlb_io::{colormap_viridis_like, write_ppm, write_vtk_scalars, CheckpointStore, PpmImage};
 use swlb_obs::{Recorder, SwlbError};
 use swlb_sim::cases::CaseSolver;
@@ -598,35 +600,56 @@ fn write_outputs(
     id: u64,
     solver: &CaseSolver,
 ) -> std::io::Result<Vec<String>> {
-    let outputs = {
+    let (name, outputs) = {
         let st = shared.lock_state();
-        st.job(id).map(|j| j.spec.outputs.clone()).unwrap_or_default()
+        match st.job(id) {
+            Some(j) => (j.spec.name.clone(), j.spec.outputs.clone()),
+            None => return Ok(Vec::new()),
+        }
     };
+    write_artifacts(
+        &cfg.jobs_dir.join(format!("job-{id}")),
+        &name,
+        solver,
+        &outputs,
+    )
+}
+
+/// Write `outputs` of `solver` into `dir` (created if any are asked for) and
+/// return the paths written: `speed.ppm`, the z=0 speed slice, and
+/// `fields.vtk`, density and z-vorticity titled `name`. Both come from one
+/// macroscopic pass. The scheduler writes a completed job's artifacts with
+/// this, and `swlb run` writes its own with it too.
+pub fn write_artifacts(
+    dir: &Path,
+    name: &str,
+    solver: &CaseSolver,
+    outputs: &[OutputKind],
+) -> std::io::Result<Vec<String>> {
     if outputs.is_empty() {
         return Ok(Vec::new());
     }
-    let dir = cfg.jobs_dir.join(format!("job-{id}"));
-    std::fs::create_dir_all(&dir)?;
+    std::fs::create_dir_all(dir)?;
     let dims = solver.dims();
+    let m = solver.macroscopic();
     let mut written = Vec::new();
     for kind in outputs {
-        match kind {
+        let path = match kind {
             OutputKind::Ppm => {
-                let speed = solver.slice_speed();
+                let speed = m.slice_xy_speed(0);
                 let img = PpmImage::from_scalar(dims.nx, dims.ny, &speed, colormap_viridis_like);
                 let path = dir.join("speed.ppm");
-                let mut f = std::fs::File::create(&path)?;
-                write_ppm(&mut f, &img)?;
-                written.push(path.display().to_string());
+                write_ppm(&mut std::fs::File::create(&path)?, &img)?;
+                path
             }
             OutputKind::Vtk => {
-                let rho = solver.rho();
+                let fields = [("rho", &m.rho[..]), ("vorticity", &vorticity_z(&m)[..])];
                 let path = dir.join("fields.vtk");
-                let mut f = std::fs::File::create(&path)?;
-                write_vtk_scalars(&mut f, "swlb-serve job", dims, &[("rho", &rho)])?;
-                written.push(path.display().to_string());
+                write_vtk_scalars(&mut std::fs::File::create(&path)?, name, dims, &fields)?;
+                path
             }
-        }
+        };
+        written.push(path.display().to_string());
     }
     Ok(written)
 }

@@ -58,6 +58,10 @@ use swlb_io::{CheckpointStore, Wal};
 use swlb_obs::{JsonlSink, Recorder, SwlbError};
 use swlb_sim::RecoveryPolicy;
 
+/// Solver steps per scheduler slice unless configured otherwise; also the
+/// divergence-check cadence of an in-process `swlb run`.
+pub const DEFAULT_SLICE_STEPS: u64 = 32;
+
 /// Service configuration.
 pub struct ServeConfig {
     /// Bind address; use `127.0.0.1:0` to pick a free loopback port.
@@ -98,7 +102,7 @@ impl ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             capacity: 16,
-            slice_steps: 32,
+            slice_steps: DEFAULT_SLICE_STEPS,
             threads: 2,
             base_dir: base_dir.into(),
             policy: RecoveryPolicy::default(),

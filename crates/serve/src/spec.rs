@@ -48,7 +48,8 @@ impl Priority {
 /// Post-processing artifacts a job can request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputKind {
-    /// `fields.vtk` — density volume.
+    /// `fields.vtk` — density and z-vorticity volume, titled with the job
+    /// name.
     Vtk,
     /// `speed.ppm` — z=0 speed slice image.
     Ppm,
@@ -110,9 +111,10 @@ pub const DEFAULT_TENANT: &str = "default";
 pub const MAX_WIDTH: u32 = 64;
 
 impl JobSpec {
-    /// Validate the submission (physics bounds via [`CaseSpec::validate`],
-    /// plus service-level bounds).
-    pub fn validate(&self) -> Result<(), SwlbError> {
+    /// Validate the submission (physics bounds and the pre-flight gate via
+    /// [`CaseSpec::validate`], plus service-level bounds). Returns the case's
+    /// pre-flight warnings.
+    pub fn validate(&self) -> Result<Vec<String>, SwlbError> {
         if self.name.is_empty() || self.name.len() > 64 {
             return Err(SwlbError::InvalidConfig(
                 "job name must be 1..=64 characters".into(),

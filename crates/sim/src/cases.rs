@@ -1,13 +1,14 @@
 //! Reusable case construction: one validated description of "a simulation"
 //! that front-ends can build solvers from.
 //!
-//! The `swlb` CLI historically inlined its case setup (paint walls, paint lid,
-//! initialize, run); the serving layer (`swlb-serve`) needs the same setups
-//! driven programmatically — build a solver from a job's spec, slice it, drop
-//! it on preemption, and rebuild it later from a checkpoint. [`CaseSpec`] is
-//! that description and [`CaseSolver`] the lattice-erased solver it builds:
-//! the enum closes over the lattice type parameter so a scheduler can hold
-//! jobs of mixed lattices in one queue.
+//! This is the one case catalogue: `swlb run`, the serving layer
+//! (`swlb-serve`), the fleet and the benchmark all build their solvers here —
+//! build a solver from a job's spec, slice it, drop it on preemption, and
+//! rebuild it later from a checkpoint. [`CaseSpec`] is that description, its
+//! [`validate`](CaseSpec::validate) the one pre-flight gate, and
+//! [`CaseSolver`] the lattice-erased solver it builds: the enum closes over
+//! the lattice type parameter so a scheduler can hold jobs of mixed lattices
+//! in one queue.
 //!
 //! A case solver is one shared-memory [`Solver`] sweeping on the pool it is
 //! given, whatever width its job asked for: ranks are for crossing an address
@@ -15,17 +16,21 @@
 //! for filling one.
 
 use crate::engine::{scheme_byte, soa_from_chunked};
+use std::f64::consts::TAU;
 use swlb_core::collision::BgkParams;
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
 use swlb_core::lattice::{Lattice, D2Q9, D3Q19};
 use swlb_core::layout::{PopField, StorageScheme};
+use swlb_core::macroscopic::MacroFields;
 use swlb_core::parallel::ThreadPool;
 use swlb_core::simd::KernelClass;
 use swlb_core::solver::{Solver, StepStats};
+use swlb_core::stability::{self, Severity};
 use swlb_core::Scalar;
 use swlb_io::chunked::wire_from_soa;
 use swlb_io::{Checkpoint, ChunkedCheckpoint};
+use swlb_mesh::cylinder_z_mask;
 use swlb_obs::{Recorder, SwlbError};
 
 /// Lattice family a case runs on.
@@ -71,6 +76,9 @@ pub enum CaseKind {
     Cavity,
     /// Channel: y-walls, density inflow/outflow in x.
     Channel,
+    /// Flow past a cylinder: the channel with a z-aligned solid cylinder of
+    /// diameter `ny / 6` a quarter of the way downstream.
+    Cylinder,
     /// Taylor–Green vortex: fully periodic decaying vortices.
     TaylorGreen,
 }
@@ -81,6 +89,7 @@ impl CaseKind {
         match self {
             CaseKind::Cavity => "cavity",
             CaseKind::Channel => "channel",
+            CaseKind::Cylinder => "cylinder",
             CaseKind::TaylorGreen => "taylor-green",
         }
     }
@@ -90,6 +99,7 @@ impl CaseKind {
         match s {
             "cavity" => Some(CaseKind::Cavity),
             "channel" => Some(CaseKind::Channel),
+            "cylinder" => Some(CaseKind::Cylinder),
             "taylor-green" => Some(CaseKind::TaylorGreen),
             _ => None,
         }
@@ -115,7 +125,8 @@ pub struct CaseSpec {
     pub u_lattice: Scalar,
     /// Population storage scheme (two-grid AB or single-grid AA). AA halves
     /// the job's resident footprint but supports closed boundaries only, so
-    /// [`CaseKind::Channel`] (inflow/outflow) must run under AB.
+    /// [`CaseKind::Channel`] and [`CaseKind::Cylinder`] (inflow/outflow) must
+    /// run under AB.
     pub storage: StorageScheme,
     /// Temporal-blocking depth `k` (1 disables blocking). Each sweep advances
     /// the grid `k` steps; distributed slices exchange `k`-deep halos once per
@@ -136,9 +147,25 @@ impl CaseSpec {
         }
     }
 
-    /// Validate physics and admission bounds without building anything.
-    pub fn validate(&self) -> Result<(), SwlbError> {
-        BgkParams::try_from_tau(self.tau)?;
+    /// Validate physics and admission bounds without building anything, and
+    /// vet the case before burning cycles on it (§IV-B pre-processing): a
+    /// Critical pre-flight finding is `InvalidConfig` carrying its message.
+    /// A launchable case returns its Warning findings for a front-end to
+    /// show.
+    pub fn validate(&self) -> Result<Vec<String>, SwlbError> {
+        let report = stability::analyze(BgkParams::try_from_tau(self.tau)?, self.u_lattice);
+        let of = |severity| {
+            report
+                .findings
+                .iter()
+                .filter(move |f| f.severity == severity)
+        };
+        if let Some(critical) = of(Severity::Critical).next() {
+            return Err(SwlbError::InvalidConfig(format!(
+                "pre-flight: {}",
+                critical.message
+            )));
+        }
         let need_z = matches!(self.lattice, LatticeKind::D3Q19);
         if self.nx < 3 || self.ny < 3 || (need_z && self.nz < 3) {
             return Err(SwlbError::InvalidDims(format!(
@@ -167,7 +194,7 @@ impl CaseSpec {
         self.paint_flags(&mut probe);
         self.storage.check_flags(&probe)?;
         self.storage.check_depth(self.time_block)?;
-        Ok(())
+        Ok(of(Severity::Warning).map(|f| f.message.clone()).collect())
     }
 
     /// Build a painted, initialized solver running on `pool` and reporting
@@ -217,9 +244,17 @@ impl CaseSpec {
                 flags.set_box_walls();
                 flags.paint_lid([u, 0.0, 0.0]);
             }
-            CaseKind::Channel => {
+            CaseKind::Channel | CaseKind::Cylinder => {
                 flags.paint_channel_walls_y();
                 flags.paint_inflow_outflow_x(1.0, [u, 0.0, 0.0]);
+                if self.case == CaseKind::Cylinder {
+                    let d = flags.dims();
+                    let (nx, ny) = (d.nx as Scalar, d.ny as Scalar);
+                    let mask = cylinder_z_mask(d, nx / 4.0, ny / 2.0 + 0.5, ny / 12.0);
+                    flags
+                        .apply_mask(&mask)
+                        .expect("a mask of the field's own dims fits it");
+                }
             }
             CaseKind::TaylorGreen => {} // fully periodic
         }
@@ -232,10 +267,12 @@ impl CaseSpec {
         let u = self.u_lattice;
         match self.case {
             CaseKind::Cavity => (1.0, [0.0; 3]),
-            CaseKind::Channel => (1.0, [u, 0.0, 0.0]),
+            CaseKind::Channel | CaseKind::Cylinder => (1.0, [u, 0.0, 0.0]),
             CaseKind::TaylorGreen => {
-                let k = std::f64::consts::TAU / self.nx as Scalar;
-                let (xs, ys) = (x as Scalar * k, y as Scalar * k);
+                // One period per axis, so the field wraps smoothly on a
+                // non-square grid too.
+                let (kx, ky) = (TAU / self.nx as Scalar, TAU / self.ny as Scalar);
+                let (xs, ys) = (x as Scalar * kx, y as Scalar * ky);
                 (
                     1.0 - 0.75 * u * u * ((2.0 * xs).cos() + (2.0 * ys).cos()),
                     [u * xs.sin() * ys.cos(), -u * xs.cos() * ys.sin(), 0.0],
@@ -318,28 +355,23 @@ impl CaseSolver {
         }
     }
 
+    /// Density and velocity of every cell: one whole-lattice pass, which
+    /// every output of a job is derived from.
+    pub fn macroscopic(&self) -> MacroFields {
+        match self {
+            CaseSolver::D2(s) => s.macroscopic(),
+            CaseSolver::D3(s) => s.macroscopic(),
+        }
+    }
+
     /// Whether the current state contains NaN/Inf.
     pub fn has_non_finite(&self) -> bool {
-        match self {
-            CaseSolver::D2(s) => s.macroscopic().has_non_finite(),
-            CaseSolver::D3(s) => s.macroscopic().has_non_finite(),
-        }
+        self.macroscopic().has_non_finite()
     }
 
     /// Speed magnitude of the z=0 plane (slice outputs).
     pub fn slice_speed(&self) -> Vec<Scalar> {
-        match self {
-            CaseSolver::D2(s) => s.macroscopic().slice_xy_speed(0),
-            CaseSolver::D3(s) => s.macroscopic().slice_xy_speed(0),
-        }
-    }
-
-    /// Density field (volume outputs).
-    pub fn rho(&self) -> Vec<Scalar> {
-        match self {
-            CaseSolver::D2(s) => s.macroscopic().rho.clone(),
-            CaseSolver::D3(s) => s.macroscopic().rho.clone(),
-        }
+        self.macroscopic().slice_xy_speed(0)
     }
 
     /// Storage scheme of the underlying solver.
@@ -437,8 +469,9 @@ impl CaseSolver {
     /// rollback-retry supervision.
     pub fn poison_with_nan(&mut self) {
         let d = self.dims();
-        // Center cell: guaranteed interior fluid for every case family (walls
-        // only ever occupy the outermost shell).
+        // Center cell: interior fluid for every case family (walls occupy the
+        // outermost shell; the cylinder, of radius ny/12 centred at nx/4,
+        // stays clear of it whenever nx > ny/3).
         let cell = d.idx(d.nx / 2, d.ny / 2, d.nz / 2);
         // Slot q=0 is the rest population: under every scheme and parity it
         // is stored at (and read back from) the cell itself, so the poison is
@@ -470,7 +503,12 @@ mod tests {
 
     #[test]
     fn wire_names_roundtrip() {
-        for c in [CaseKind::Cavity, CaseKind::Channel, CaseKind::TaylorGreen] {
+        for c in [
+            CaseKind::Cavity,
+            CaseKind::Channel,
+            CaseKind::Cylinder,
+            CaseKind::TaylorGreen,
+        ] {
             assert_eq!(CaseKind::parse(c.name()), Some(c));
         }
         for l in [LatticeKind::D2Q9, LatticeKind::D3Q19] {
@@ -496,8 +534,53 @@ mod tests {
     }
 
     #[test]
+    fn preflight_gates_critical_and_returns_warnings() {
+        assert_eq!(spec().validate().unwrap(), Vec::<String>::new());
+        let mut s = spec();
+        s.tau = 0.502; // a positive viscosity, but inside the BGK margin
+        match s.validate() {
+            Err(SwlbError::InvalidConfig(msg)) => assert!(msg.contains("within 0.005"), "{msg}"),
+            other => panic!("expected a Critical pre-flight finding, got {other:?}"),
+        }
+        s.tau = 0.51;
+        let warnings = s.validate().unwrap();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("thin stability margin"));
+    }
+
+    #[test]
+    fn non_square_taylor_green_is_periodic_in_both_axes() {
+        let s = CaseSpec {
+            case: CaseKind::TaylorGreen,
+            lattice: LatticeKind::D2Q9,
+            nx: 24,
+            ny: 16,
+            nz: 1,
+            ..spec()
+        };
+        for x in 0..s.nx {
+            let (wrap_y, row0) = (s.initial_state(x, s.ny, 0), s.initial_state(x, 0, 0));
+            assert!((wrap_y.0 - row0.0).abs() < 1e-12, "rho at x={x}");
+            for a in 0..3 {
+                assert!((wrap_y.1[a] - row0.1[a]).abs() < 1e-12, "u[{a}] at x={x}");
+            }
+        }
+        for y in 0..s.ny {
+            let (wrap_x, col0) = (s.initial_state(s.nx, y, 0), s.initial_state(0, y, 0));
+            for a in 0..3 {
+                assert!((wrap_x.1[a] - col0.1[a]).abs() < 1e-12, "u[{a}] at y={y}");
+            }
+        }
+    }
+
+    #[test]
     fn every_case_family_builds_and_steps() {
-        for case in [CaseKind::Cavity, CaseKind::Channel, CaseKind::TaylorGreen] {
+        for case in [
+            CaseKind::Cavity,
+            CaseKind::Channel,
+            CaseKind::Cylinder,
+            CaseKind::TaylorGreen,
+        ] {
             for lattice in [LatticeKind::D2Q9, LatticeKind::D3Q19] {
                 for storage in [StorageScheme::Ab, StorageScheme::Aa] {
                     let s = CaseSpec {
@@ -511,7 +594,8 @@ mod tests {
                         storage,
                         time_block: 1,
                     };
-                    if case == CaseKind::Channel && storage == StorageScheme::Aa {
+                    let open = matches!(case, CaseKind::Channel | CaseKind::Cylinder);
+                    if open && storage == StorageScheme::Aa {
                         // Open boundaries are AB-only; validated below.
                         assert!(matches!(s.validate(), Err(SwlbError::InvalidConfig(_))));
                         continue;
@@ -552,7 +636,7 @@ mod tests {
         // Compare fluid cells only: AA wall slots are scatter mailboxes, so
         // macroscopic values over solid cells are not meaningful.
         let tol = swlb_core::simd::dispatch_tolerance() * 100.0;
-        let (ra, rb, rc) = (sa.rho(), sb.rho(), sc.rho());
+        let [ra, rb, rc] = [&sa, &sb, &sc].map(|s| s.macroscopic().rho);
         for i in 0..ra.len() {
             if sa.flags().kind(i) != swlb_core::boundary::NodeKind::Fluid {
                 continue;
@@ -692,7 +776,7 @@ mod tests {
                     }
                 };
                 close(&serial.slice_speed(), &wide.slice_speed(), "slice_speed");
-                close(&serial.rho(), &wide.rho(), "rho");
+                close(&serial.macroscopic().rho, &wide.macroscopic().rho, "rho");
                 // Solid cells hold scheme-dependent leftovers: compare the
                 // populations of fluid cells only.
                 let (pops, got) = (serial.capture(), wide.capture());

@@ -15,14 +15,13 @@
 //! single-domain reference solver, for any rank count.
 //!
 //! The crate also provides momentum-exchange force evaluation ([`forces`]) for
-//! drag/lift observables and case configuration ([`config`]).
+//! drag/lift observables and the case catalogue ([`cases`]).
 
 // Indexed loops mirror the stencil mathematics throughout this workspace and
 // are kept deliberately as the clearer idiom for this domain.
 #![allow(clippy::needless_range_loop)]
 
 pub mod cases;
-pub mod config;
 pub mod engine;
 pub mod forces;
 pub mod group_io;
@@ -30,7 +29,6 @@ pub mod partition;
 pub mod resilience;
 
 pub use cases::{CaseKind, CaseSolver, CaseSpec, LatticeKind};
-pub use config::CaseConfig;
 pub use engine::{DistributedSolver, DistributedSolverBuilder, ExchangeMode, HaloRetry};
 pub use forces::momentum_exchange_force;
 pub use group_io::aggregate_group;

@@ -4,41 +4,24 @@
 //! conditions, initialize, run, and post-process. Writes `cavity_speed.ppm`
 //! (velocity-magnitude colormap) into the working directory.
 //!
-//! Run with: `cargo run --release --example quickstart [-- <config-file>]`
+//! Run with: `cargo run --release --example quickstart`. The same case
+//! through the case catalogue is `swlb run --nx 96 --ny 96 --tau 0.56 --u 0.1
+//! --steps 4000 --output ppm`.
 
 use std::io::Write as _;
 use swlb_core::prelude::*;
 use swlb_io::{colormap_viridis_like, write_ppm, PpmImage};
-use swlb_sim::CaseConfig;
 
 fn main() {
-    // Optional `key = value` config file; defaults otherwise.
-    let cfg = match std::env::args().nth(1) {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path).expect("config file unreadable");
-            CaseConfig::parse(&text).expect("invalid config")
-        }
-        None => CaseConfig {
-            name: "cavity".into(),
-            nx: 96,
-            ny: 96,
-            nz: 1,
-            tau: 0.56,
-            u_lattice: 0.1,
-            steps: 4000,
-            ..CaseConfig::default()
-        },
-    };
-    cfg.validate().expect("invalid configuration");
-
-    let dims = cfg.dims();
-    let lid = [cfg.u_lattice, 0.0, 0.0];
+    let (tau, u_lid, steps) = (0.56, 0.1, 4000u64);
+    let dims = GridDims::new2d(96, 96);
+    let lid = [u_lid, 0.0, 0.0];
     println!(
-        "lid-driven cavity: {}x{} grid, tau = {}, lid u = {}",
-        dims.nx, dims.ny, cfg.tau, cfg.u_lattice
+        "lid-driven cavity: {}x{} grid, tau = {tau}, lid u = {u_lid}",
+        dims.nx, dims.ny
     );
 
-    let mut solver = Solver::<D2Q9>::builder(dims, BgkParams::from_tau(cfg.tau))
+    let mut solver = Solver::<D2Q9>::builder(dims, BgkParams::from_tau(tau))
         .pool(ThreadPool::auto())
         .build();
     solver.flags_mut().set_box_walls();
@@ -46,11 +29,11 @@ fn main() {
     solver.initialize_uniform(1.0, [0.0; 3]);
 
     // Run in chunks and report convergence of the kinetic energy.
-    let chunk = (cfg.steps / 10).max(1);
+    let chunk = (steps / 10).max(1);
     let mut prev_energy = 0.0;
     let mut done = 0;
-    while done < cfg.steps {
-        let n = chunk.min(cfg.steps - done);
+    while done < steps {
+        let n = chunk.min(steps - done);
         solver
             .run_checked(n, n)
             .expect("simulation diverged — lower u_lattice or raise tau");
@@ -80,8 +63,8 @@ fn main() {
 
     let speed = m.slice_xy_speed(0);
     let img = PpmImage::from_scalar(dims.nx, dims.ny, &speed, colormap_viridis_like);
-    let path = format!("{}_speed.ppm", cfg.name);
-    let mut f = std::fs::File::create(&path).expect("cannot create image");
+    let path = "cavity_speed.ppm";
+    let mut f = std::fs::File::create(path).expect("cannot create image");
     write_ppm(&mut f, &img).expect("cannot write image");
     f.flush().ok();
     println!("wrote {path}");

@@ -27,12 +27,14 @@ obs:
     cargo run --release -p swlb-bench --bin obs_measured_vs_model
 
 # The serving acceptance suite (docs/SERVING.md): clippy-clean serve crate,
-# the loopback integration tests (the wide-job wedge regression among them),
-# and the heavier --ignored soak.
+# the loopback integration tests (the wide-job wedge regression and the
+# `swlb run` / served-job artifact parity among them), the heavier --ignored
+# soak, and the front door as a user types it (exit 0, one JSON summary line).
 serve-check:
     cargo clippy -p swlb-serve --all-targets -- -D warnings
     cargo test -q -p swlb-serve
     cargo test -q -p swlb-serve --release --test serve_integration -- --ignored
+    out=$(cargo run --release -p swlb-serve --bin swlb -- run --case cylinder --lattice d3q19 --nx 48 --ny 24 --nz 3 --steps 40 --output ppm --quiet) && echo "$out" && test "$(printf '%s\n' "$out" | wc -l)" -eq 1 && printf '%s' "$out" | python3 -c "import json, sys; assert json.load(sys.stdin)['summary']"
 
 # Crash-safety acceptance (docs/SERVING.md, "Durability & crash recovery"):
 # SIGKILL the real server binary mid-workload, restart on the same state

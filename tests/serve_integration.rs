@@ -10,8 +10,9 @@
 //!   verified by restoring a drained job's checkpoint into a fresh solver;
 //! * every job's `metrics.jsonl` parses and carries the snapshot schema.
 //!
-//! Plus admission backpressure (HTTP 429), cancellation, and an `--ignored`
-//! loopback soak.
+//! Plus admission backpressure (HTTP 429), the pre-flight gate (HTTP 400),
+//! cancellation, byte-identical artifacts from `swlb run` and from a served
+//! job, and an `--ignored` loopback soak.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -20,8 +21,8 @@ use swlb_io::CheckpointStore;
 use swlb_obs::{Recorder, SwlbError};
 use swlb_serve::json::{self, Json};
 use swlb_serve::{
-    CaseKind, CaseSpec, JobSpec, LatticeKind, Priority, ServeClient, ServeConfig, Server,
-    StorageScheme,
+    CaseKind, CaseSpec, JobSpec, LatticeKind, OutputKind, Priority, ServeClient, ServeConfig,
+    Server, StorageScheme,
 };
 use swlb_sim::RecoveryPolicy;
 
@@ -426,35 +427,46 @@ fn wide_job_is_preempted_and_resumes_bit_exact() {
     assert!(num_of(&status, "preemptions") >= 1, "{}", status.to_text());
     assert!(num_of(&status, "resumes") >= 1, "{}", status.to_text());
 
-    // A completed job leaves no checkpoint of its last step; its newest one
-    // was written after its last resume.
+    assert_newest_checkpoint_is_the_straight_run(&client, &dir, wide_id, &wide.case);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A completed job leaves no checkpoint of its last step; its newest one was
+/// written after its last resume, and holds the state the same case reaches
+/// run straight through in one solver.
+fn assert_newest_checkpoint_is_the_straight_run(
+    client: &ServeClient,
+    dir: &std::path::Path,
+    id: u64,
+    case: &CaseSpec,
+) {
     let resumed_at = client
-        .watch(wide_id, 0)
+        .watch(id, 0)
         .unwrap()
         .iter()
         .filter_map(|e| json::parse(e).ok())
         .filter(|e| e.get("event").and_then(Json::as_str) == Some("resumed"))
         .map(|e| num_of(&e, "at_step"))
         .max()
-        .expect("the wide job resumed");
+        .expect("the job resumed");
     let store = CheckpointStore::new(dir.join("checkpoints"), 2).unwrap();
-    let store = store.namespaced(&format!("job-{wide_id}")).unwrap();
+    let store = store.namespaced(&format!("job-{id}")).unwrap();
     let (ck, _) = store
         .load_latest_valid_any()
         .unwrap()
-        .expect("the wide job left a checkpoint");
+        .expect("the job left a checkpoint");
     assert!(
         ck.step > resumed_at,
         "checkpoint {} vs resume {resumed_at}",
         ck.step
     );
-    let mut served = wide
-        .case
+    let mut served = case
         .build(ThreadPool::new(1), Recorder::disabled())
         .unwrap();
     served.restore_chunked_state(&ck).unwrap();
-    let mut straight = wide
-        .case
+    let mut straight = case
         .build(ThreadPool::new(1), Recorder::disabled())
         .unwrap();
     straight.run_checked(ck.step, ck.step).unwrap();
@@ -462,7 +474,139 @@ fn wide_job_is_preempted_and_resumes_bit_exact() {
         served.capture() == straight.capture(),
         "served trajectory diverged"
     );
+}
 
+/// The D3Q19 flow past a cylinder (open boundaries, an immersed solid) takes
+/// turns with a rival: preempted to a checkpoint, resumed from it, and its
+/// newest checkpoint is the straight run's state.
+#[test]
+fn cylinder_job_is_preempted_and_resumes_bit_exact() {
+    let dir = unique_dir("cylinder");
+    let server = Server::spawn(config(&dir, 8, 8)).unwrap();
+    let client = ServeClient::new(server.addr().to_string());
+
+    let case = CaseSpec {
+        case: CaseKind::Cylinder,
+        lattice: LatticeKind::D3Q19,
+        nz: 3,
+        ..cavity(24, 12)
+    };
+    let cyl = job("cylinder", case, 480, Priority::Batch);
+    let cyl_id = client.submit(&cyl).unwrap();
+    wait_for(
+        &client,
+        cyl_id,
+        Duration::from_secs(20),
+        "first slice",
+        |s| num_of(s, "steps_done") > 0,
+    );
+    let rival_id = client
+        .submit(&job("rival", cavity(16, 16), 120, Priority::Batch))
+        .unwrap();
+    for id in [rival_id, cyl_id] {
+        wait_for(&client, id, Duration::from_secs(60), "completed", |s| {
+            state_of(s) == "completed"
+        });
+    }
+    let status = client.status(cyl_id).unwrap();
+    assert!(num_of(&status, "preemptions") >= 1, "{}", status.to_text());
+    assert!(num_of(&status, "resumes") >= 1, "{}", status.to_text());
+    assert_newest_checkpoint_is_the_straight_run(&client, &dir, cyl_id, &cyl.case);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `swlb run` is a served job run in-process: the same spec, run by the CLI
+/// and by a server, writes byte-identical artifacts.
+#[test]
+fn run_and_a_served_job_write_identical_artifacts() {
+    let dir = unique_dir("run-parity");
+    let server = Server::spawn(config(&dir, 8, 8)).unwrap();
+    let client = ServeClient::new(server.addr().to_string());
+    let cwd = dir.join("cli");
+    std::fs::create_dir_all(&cwd).unwrap();
+
+    let cavity2d = cavity(24, 20);
+    let cylinder3d = CaseSpec {
+        case: CaseKind::Cylinder,
+        lattice: LatticeKind::D3Q19,
+        nz: 3,
+        ..cavity(30, 12)
+    };
+    for (name, case) in [("cavity2d", cavity2d), ("cylinder3d", cylinder3d)] {
+        let mut spec = job(name, case, 40, Priority::Interactive);
+        spec.outputs = vec![OutputKind::Ppm, OutputKind::Vtk];
+        let c = &spec.case;
+        let flags = [
+            ("--name", spec.name.clone()),
+            ("--case", c.case.name().into()),
+            ("--lattice", c.lattice.name().into()),
+            ("--nx", c.nx.to_string()),
+            ("--ny", c.ny.to_string()),
+            ("--nz", c.nz.to_string()),
+            ("--tau", c.tau.to_string()),
+            ("--u", c.u_lattice.to_string()),
+            ("--storage", c.storage.name().into()),
+            ("--steps", spec.steps.to_string()),
+            ("--output", "ppm".into()),
+            ("--output", "vtk".into()),
+        ];
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_swlb"))
+            .arg("run")
+            .args(flags.iter().flat_map(|(f, v)| [f.to_string(), v.clone()]))
+            .arg("--quiet")
+            .current_dir(&cwd)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{name}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let summary = json::parse(stdout.trim()).expect("one JSON summary line");
+        assert_eq!(num_of(&summary, "steps"), spec.steps, "{stdout}");
+
+        let id = client.submit(&spec).unwrap();
+        wait_for(&client, id, Duration::from_secs(60), "completed", |s| {
+            state_of(s) == "completed"
+        });
+        for file in ["speed.ppm", "fields.vtk"] {
+            let ran = std::fs::read(cwd.join(name).join(file)).unwrap();
+            let served = std::fs::read(server.jobs_dir().join(format!("job-{id}/{file}"))).unwrap();
+            assert!(
+                ran == served,
+                "{name}: {file} differs between run and serve"
+            );
+        }
+    }
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The pre-flight stability gate guards admission: a BGK case inside the
+/// checkerboard margin is refused with a 400 that says why.
+#[test]
+fn critical_preflight_is_a_400() {
+    let dir = unique_dir("preflight");
+    let server = Server::spawn(config(&dir, 4, 8)).unwrap();
+    let mut spec = job("thin-tau", cavity(16, 16), 16, Priority::Batch);
+    spec.case.tau = 0.502;
+    let (status, body) = swlb_serve::http::roundtrip(
+        &server.addr().to_string(),
+        "POST",
+        "/v1/jobs",
+        spec.to_json().to_text().as_bytes(),
+    )
+    .unwrap();
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("tau = 0.5020 is within 0.005 of the stability bound"),
+        "{body}"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
