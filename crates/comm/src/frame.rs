@@ -16,11 +16,8 @@ pub const FRAME_HEADER: usize = 3;
 /// CRC-32 over everything in the frame except the checksum slot itself.
 pub fn frame_crc(frame: &[f64]) -> u32 {
     let mut c = Crc32::new();
-    c.update(&frame[0].to_le_bytes());
-    c.update(&frame[1].to_le_bytes());
-    for x in &frame[FRAME_HEADER..] {
-        c.update(&x.to_le_bytes());
-    }
+    c.update_f64s(&frame[..2]);
+    c.update_f64s(&frame[FRAME_HEADER..]);
     c.finish()
 }
 
@@ -134,6 +131,25 @@ mod tests {
         assert_eq!(check_frame(&h, 2, 40), FrameCheck::Corrupt);
         // Truncated below the header is Corrupt, not a panic.
         assert_eq!(check_frame(&[1.0, 2.0], 2, 40), FrameCheck::Corrupt);
+    }
+
+    #[test]
+    fn every_bit_flip_in_a_4k_frame_is_corrupt() {
+        // 512 values take the checksum through its folding path, which the
+        // few-value frames above never reach.
+        let payload: Vec<f64> = (0..512).map(|i| 1.0 + i as f64 / 3.0).collect();
+        let f = sealed(3, 41, &payload);
+        // The checksum a previous build stamped on this frame.
+        assert_eq!(f[2], 0x01ea_6000u32 as f64);
+        assert_eq!(check_frame(&f, 3, 41), FrameCheck::Valid);
+        let n = f.len();
+        for slot in [0, 1, 2, FRAME_HEADER, FRAME_HEADER + payload.len() / 2, n - 1] {
+            for bit in 0..64 {
+                let mut d = f.clone();
+                d[slot] = f64::from_bits(d[slot].to_bits() ^ 1 << bit);
+                assert_eq!(check_frame(&d, 3, 41), FrameCheck::Corrupt, "slot {slot}, bit {bit}");
+            }
+        }
     }
 
     #[test]

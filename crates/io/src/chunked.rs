@@ -5,8 +5,8 @@
 //! **per-source-rank chunks tagged with their global rectangle**: a manifest
 //! records the global dims plus each chunk's `(x0, y0, lnx, lny)`, and each
 //! chunk carries its owned interior (no halo ring) in a fixed
-//! y → x → z → q order — the same wire order the distributed engine's halo
-//! and restore paths use. A resume on any rank count assembles each
+//! y → x → z → q order — the order the distributed engine captures and
+//! restores. A resume on any rank count assembles each
 //! destination rectangle from whichever source chunks overlap it
 //! ([`ChunkedCheckpoint::extract_rect`]), so checkpoint-on-N / resume-on-M is
 //! pure coordinate arithmetic — the same block-wise repartitioning
@@ -44,7 +44,7 @@ use crate::checkpoint::{
     check_canonical, checked_payload_len, f64s_from_le, upgrade_legacy, CheckpointError,
     FieldReader, SCHEME_AA,
 };
-use crate::group::{GroupFile, GroupFileError, GROUP_MAGIC};
+use crate::group::{ContainerWriter, GroupFile, GroupFileError, GROUP_MAGIC};
 use std::io::{self, Read, Write};
 
 /// Reserved [`GroupFile`] id holding the manifest.
@@ -236,7 +236,8 @@ impl ChunkedCheckpoint {
     }
 
     /// Serialize as a [`GroupFile`] container (manifest + one member chunk
-    /// per source rectangle).
+    /// per source rectangle). Chunk values stream straight to `w`; the file
+    /// is never assembled in memory.
     pub fn write(&self, w: &mut impl Write) -> io::Result<()> {
         let mut manifest = Vec::with_capacity(40 + self.chunks.len() * 16);
         manifest.extend_from_slice(&CHUNKED_VERSION.to_le_bytes());
@@ -255,16 +256,21 @@ impl ChunkedCheckpoint {
             manifest.extend_from_slice(&ch.meta.lnx.to_le_bytes());
             manifest.extend_from_slice(&ch.meta.lny.to_le_bytes());
         }
-        let mut group = GroupFile::new();
-        group.insert(MANIFEST_ID, manifest);
-        for (i, ch) in self.chunks.iter().enumerate() {
-            let mut bytes = Vec::with_capacity(ch.data.len() * 8);
-            for v in &ch.data {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            group.insert(i as u32, bytes);
+        // Members in ascending id, as the container lays them out: chunk
+        // `i` under id `i`, the manifest under the largest id.
+        let members: Vec<_> = (0..)
+            .zip(self.chunks.iter().map(|ch| ch.data.len() as u64 * 8))
+            .chain([(MANIFEST_ID, manifest.len() as u64)])
+            .collect();
+        let mut out = ContainerWriter::start(w, &members)?;
+        let mut buf = Vec::new();
+        for block in self.chunks.iter().flat_map(|ch| ch.data.chunks(1 << 15)) {
+            buf.clear();
+            block.iter().for_each(|v| buf.extend_from_slice(&v.to_le_bytes()));
+            out.put(&buf)?;
         }
-        group.write(w)
+        out.put(&manifest)?;
+        out.finish()
     }
 
     /// Decode from an already-parsed [`GroupFile`] container.
@@ -367,17 +373,22 @@ mod tests {
     /// 6×4×1 domain, q = 2, split into two x-halves with distinct values so
     /// misplacement is visible.
     fn sample() -> ChunkedCheckpoint {
-        let dims = (6u32, 4u32, 1u32);
-        let q = 2u32;
+        x_strips((6, 4, 1), 2, &[3, 3])
+    }
+
+    /// A `dims` domain with `q` populations, cut into x-strips of `widths`,
+    /// every value distinct.
+    fn x_strips(dims: (u32, u32, u32), q: u32, widths: &[usize]) -> ChunkedCheckpoint {
+        let (ny, nz) = (dims.1 as usize, dims.2 as usize);
         let value = |x: usize, y: usize, z: usize, qi: usize| {
             (x * 1000 + y * 100 + z * 10 + qi) as f64
         };
         let chunk = |x0: usize, lnx: usize| {
             let mut data = Vec::new();
-            for y in 0..4 {
+            for y in 0..ny {
                 for x in 0..lnx {
-                    for z in 0..1 {
-                        for qi in 0..2 {
+                    for z in 0..nz {
+                        for qi in 0..q as usize {
                             data.push(value(x0 + x, y, z, qi));
                         }
                     }
@@ -388,17 +399,62 @@ mod tests {
                     x0: x0 as u32,
                     y0: 0,
                     lnx: lnx as u32,
-                    lny: 4,
+                    lny: ny as u32,
                 },
                 data,
             }
         };
+        let x0s = widths.iter().scan(0, |x0, w| {
+            *x0 += w;
+            Some(*x0 - w)
+        });
         ChunkedCheckpoint {
             step: 17,
             dims,
             q,
             scheme: SCHEME_AB,
-            chunks: vec![chunk(0, 3), chunk(3, 3)],
+            chunks: x0s.zip(widths).map(|(x0, &w)| chunk(x0, w)).collect(),
+        }
+    }
+
+    /// The file as the writer used to build it: every chunk copied out to
+    /// bytes, the whole body assembled in memory, then checksummed at once.
+    fn assembled_bytes(ck: &ChunkedCheckpoint) -> Vec<u8> {
+        let mut members: Vec<(u32, Vec<u8>)> = (0..)
+            .zip(&ck.chunks)
+            .map(|(i, ch)| (i, ch.data.iter().flat_map(|v| v.to_le_bytes()).collect()))
+            .collect();
+        let streamed = GroupFile::parse(&bytes_of(ck)).unwrap();
+        members.push((MANIFEST_ID, streamed.chunk(MANIFEST_ID).unwrap().to_vec()));
+        let mut body = GROUP_MAGIC.to_vec();
+        body.extend_from_slice(&(members.len() as u32).to_le_bytes());
+        let mut offset = (12 + 20 * members.len()) as u64;
+        for (rank, data) in &members {
+            body.extend_from_slice(&rank.to_le_bytes());
+            body.extend_from_slice(&offset.to_le_bytes());
+            body.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            offset += data.len() as u64;
+        }
+        for (_, data) in &members {
+            body.extend_from_slice(data);
+        }
+        let crc = crate::checkpoint::crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn streamed_file_is_byte_identical_to_the_assembled_one() {
+        let sample_file = bytes_of(&sample());
+        // The CRC a previous build wrote into this file.
+        assert_eq!(sample_file[sample_file.len() - 4..], 0xda4a_7ce0u32.to_le_bytes());
+        assert_eq!(sample_file, assembled_bytes(&sample()));
+        // Chunks larger than one streaming block, in 2- and 3-chunk groups.
+        for widths in [&[20, 20][..], &[14, 13, 13]] {
+            let ck = x_strips((40, 16, 12), 19, widths);
+            assert!(ck.chunks[0].data.len() > 1 << 15);
+            assert_eq!(bytes_of(&ck), assembled_bytes(&ck), "widths {widths:?}");
+            assert_eq!(read(&bytes_of(&ck)).unwrap(), ck);
         }
     }
 

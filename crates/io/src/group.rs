@@ -17,7 +17,7 @@
 //! crc      u32   CRC-32 of everything above
 //! ```
 
-use crate::checkpoint::crc32;
+use crate::checkpoint::{crc32, Crc32};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -89,23 +89,12 @@ impl GroupFile {
 
     /// Serialize the container.
     pub fn write(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut body = Vec::new();
-        body.extend_from_slice(GROUP_MAGIC);
-        body.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
-        let index_len = self.chunks.len() * 20;
-        let mut offset = (8 + 4 + index_len) as u64;
-        for (rank, data) in &self.chunks {
-            body.extend_from_slice(&rank.to_le_bytes());
-            body.extend_from_slice(&offset.to_le_bytes());
-            body.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            offset += data.len() as u64;
-        }
+        let members: Vec<_> = self.chunks.iter().map(|(r, d)| (*r, d.len() as u64)).collect();
+        let mut out = ContainerWriter::start(w, &members)?;
         for data in self.chunks.values() {
-            body.extend_from_slice(data);
+            out.put(data)?;
         }
-        let crc = crc32(&body);
-        w.write_all(&body)?;
-        w.write_all(&crc.to_le_bytes())
+        out.finish()
     }
 
     /// Deserialize and verify a container.
@@ -179,6 +168,42 @@ impl GroupFile {
             }
         }
         Ok(Self { chunks })
+    }
+}
+
+/// Streams a container: the index, then member bytes as they are put,
+/// checksummed on the way; `finish` appends the CRC.
+pub(crate) struct ContainerWriter<W: Write> {
+    w: W,
+    crc: Crc32,
+}
+
+impl<W: Write> ContainerWriter<W> {
+    /// Write the magic, count and index for `members`, `(rank, byte length)`
+    /// in ascending rank — the order their bytes must then be put in.
+    pub(crate) fn start(w: W, members: &[(u32, u64)]) -> io::Result<Self> {
+        let mut head = [&GROUP_MAGIC[..], &(members.len() as u32).to_le_bytes()].concat();
+        let mut offset = (12 + 20 * members.len()) as u64;
+        for &(rank, len) in members {
+            head.extend_from_slice(&rank.to_le_bytes());
+            head.extend_from_slice(&offset.to_le_bytes());
+            head.extend_from_slice(&len.to_le_bytes());
+            offset += len;
+        }
+        let mut out = ContainerWriter { w, crc: Crc32::new() };
+        out.put(&head)?;
+        Ok(out)
+    }
+
+    /// Append raw member bytes.
+    pub(crate) fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.crc.update(bytes);
+        self.w.write_all(bytes)
+    }
+
+    /// Append the CRC-32 of everything written.
+    pub(crate) fn finish(mut self) -> io::Result<()> {
+        self.w.write_all(&self.crc.finish().to_le_bytes())
     }
 }
 

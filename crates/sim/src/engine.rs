@@ -618,43 +618,37 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         }
     }
 
-    /// Append the strip `xr × yr` (full z) of `field` to `out` in halo wire
-    /// order (y → x → z → q).
+    /// Append the strip `xr × yr` (full z) of `field` to `out` in halo frame
+    /// order: plane-major (q → y → x → z). A row's `x` pencils are adjacent in
+    /// a plane, so each `(q, y)` is one contiguous copy. Both ends of a frame
+    /// run this code, so the order is no contract beyond [`Self::unpack`].
     fn pack_strip(field: &SoaField<L>, xr: Range<usize>, yr: Range<usize>, out: &mut Vec<f64>) {
         let dims = field.dims();
-        out.reserve(xr.len() * yr.len() * dims.nz * L::Q);
-        for y in yr {
-            for x in xr.clone() {
-                for z in 0..dims.nz {
-                    let cell = dims.idx(x, y, z);
-                    for q in 0..L::Q {
-                        out.push(field.get(cell, q));
-                    }
-                }
+        let run = xr.len() * dims.nz;
+        out.reserve(run * yr.len() * L::Q);
+        for q in 0..L::Q {
+            let plane = field.plane(q);
+            for y in yr.clone() {
+                let at = dims.idx(xr.start, y, 0);
+                out.extend_from_slice(&plane[at..at + run]);
             }
         }
     }
 
-    /// Append the strip `xr × yr` of the current raw state to `out`.
-    fn pack_into(&self, xr: Range<usize>, yr: Range<usize>, out: &mut Vec<f64>) {
-        Self::pack_strip(self.store.state(), xr, yr, out);
-    }
-
+    /// Land a strip packed by [`Self::pack_strip`] at `xr × yr`.
     fn unpack(&mut self, xr: Range<usize>, yr: Range<usize>, data: &[f64]) {
         let dims = self.flags.dims();
+        let run = xr.len() * dims.nz;
+        assert_eq!(data.len(), run * yr.len() * L::Q, "halo message length");
         let dst = self.store.state_mut();
-        let mut it = data.iter();
-        for y in yr {
-            for x in xr.clone() {
-                for z in 0..dims.nz {
-                    let cell = dims.idx(x, y, z);
-                    for q in 0..L::Q {
-                        dst.set(cell, q, *it.next().expect("halo message too short"));
-                    }
-                }
+        let mut rows = data.chunks_exact(run);
+        for q in 0..L::Q {
+            let plane = dst.plane_mut(q);
+            for y in yr.clone() {
+                let at = dims.idx(xr.start, y, 0);
+                plane[at..at + run].copy_from_slice(rows.next().expect("length checked"));
             }
         }
-        assert!(it.next().is_none(), "halo message too long");
     }
 
     /// Post the 8 halo sends of exchange `ex`, timed as [`Phase::HaloPack`].
@@ -680,7 +674,8 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
                     .expect("periodic topology always has neighbors");
                 buf.clear();
                 buf.resize(FRAME_HEADER, 0.0);
-                self.pack_into(
+                Self::pack_strip(
+                    self.store.state(),
                     strip(*dx, self.lnx, self.halo),
                     strip(*dy, self.lny, self.halo),
                     &mut buf,
@@ -810,9 +805,11 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Merge one post-exchange strip from the neighbor in direction
     /// `(dx, dy)`. The payload mirrors my owned boundary strip
-    /// `send_range(dx) × send_range(dy)` in halo wire order; a slot is taken
+    /// `send_range(dx) × send_range(dy)` in halo frame order; a slot is taken
     /// iff its writer cell lies in the sender's region (beyond my owned block
     /// in exactly the directions the sender sits, in unwrapped local coords).
+    /// The writer's column does not depend on z, so each `(q, x, y)` pencil
+    /// is taken or left whole.
     fn aa_merge_strip(&mut self, dx: i32, dy: i32, data: &[f64]) {
         fn writer_in_sender(w: isize, d: i32, ln: usize, h: usize) -> bool {
             match d {
@@ -823,25 +820,25 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         }
         let dims = self.flags.dims();
         let (lnx, lny, h) = (self.lnx, self.lny, self.halo);
+        let (xs, ys) = (Self::send_range(dx, lnx, h), Self::send_range(dy, lny, h));
+        let nz = dims.nz;
+        assert_eq!(data.len(), xs.len() * ys.len() * nz * L::Q, "post-exchange message length");
         let dst = self.store.state_mut();
-        let mut it = data.iter();
-        for y in Self::send_range(dy, lny, h) {
-            for x in Self::send_range(dx, lnx, h) {
-                for z in 0..dims.nz {
-                    let cell = dims.idx(x, y, z);
-                    for q in 0..L::Q {
-                        let v = *it.next().expect("post-exchange message too short");
-                        let c = L::C[q];
-                        let wx = x as isize - c[0] as isize;
-                        let wy = y as isize - c[1] as isize;
-                        if writer_in_sender(wx, dx, lnx, h) && writer_in_sender(wy, dy, lny, h) {
-                            dst.set(cell, q, v);
-                        }
+        let mut pencils = data.chunks_exact(nz);
+        for q in 0..L::Q {
+            let c = L::C[q];
+            let plane = dst.plane_mut(q);
+            for y in ys.clone() {
+                let take_y = writer_in_sender(y as isize - c[1] as isize, dy, lny, h);
+                for x in xs.clone() {
+                    let pencil = pencils.next().expect("length checked");
+                    if take_y && writer_in_sender(x as isize - c[0] as isize, dx, lnx, h) {
+                        let at = dims.idx(x, y, 0);
+                        plane[at..at + nz].copy_from_slice(pencil);
                     }
                 }
             }
         }
-        assert!(it.next().is_none(), "post-exchange message too long");
     }
 
     /// The inner rectangle: owned cells whose step-1 pulls and scatters touch
@@ -1020,11 +1017,21 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// continuation, and the stale ghost ring is overwritten by the
     /// pre-exchange before anything reads it.
     fn restore_owned(&mut self, payload: &[Scalar], step: u64) {
-        self.unpack(
-            self.halo..self.halo + self.lnx,
-            self.halo..self.halo + self.lny,
-            payload,
-        );
+        let dims = self.flags.dims();
+        let (h, lnx, lny) = (self.halo, self.lnx, self.lny);
+        assert_eq!(payload.len(), lnx * lny * dims.nz * L::Q, "checkpoint chunk length");
+        let dst = self.store.state_mut();
+        let mut cells = payload.chunks_exact(L::Q);
+        for y in h..h + lny {
+            for x in h..h + lnx {
+                for z in 0..dims.nz {
+                    let cell = dims.idx(x, y, z);
+                    for (q, &v) in cells.next().expect("length checked").iter().enumerate() {
+                        dst.set(cell, q, v);
+                    }
+                }
+            }
+        }
         self.store.adopt_canonical();
         self.step = step;
         self.phase = 0;
@@ -1089,7 +1096,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Capture a checkpoint on rank 0 (`None` elsewhere): each rank packs its
     /// owned interior's *canonical* populations in chunk wire order
-    /// (y → x → z → q — the same order the halo and restore paths use), and
+    /// (y → x → z → q — the order the restore path lands), and
     /// rank 0 tags each payload with its global rectangle. Nothing is
     /// re-assembled into a whole-domain field — the chunks stay
     /// per-source-rank, which is what lets a later resume re-shard them onto
@@ -1958,5 +1965,44 @@ mod tests {
                 assert!((r - g).abs() < tol, "cell {cell} q {q}: {r} vs {g}");
             }
         }
+    }
+
+    #[test]
+    fn halo_strips_round_trip_bit_identically() {
+        // Every corner, edge and face strip of a 2-deep ring, plus the whole
+        // owned block: pack from a field of distinct values, land on a zeroed
+        // one, and exactly the strip's slots come back, bit for bit.
+        type S<'a> = DistributedSolver<'a, D3Q19>;
+        let global = GridDims::new(7, 6, 5);
+        let flags = FlagField::new(global);
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        World::new(1).run(|comm| {
+            let mut s = S::builder(&comm, global, &flags, coll).time_block(2).build();
+            for (i, v) in s.local_populations_mut().raw_mut().iter_mut().enumerate() {
+                *v = i as Scalar + 0.25;
+            }
+            let src = s.local_populations().clone();
+            let (lnx, lny, h) = (s.lnx, s.lny, s.halo);
+            let dims = src.dims();
+            for &(dx, dy) in NEIGHBOR_OFFSETS.iter().chain(&[(0, 0)]) {
+                let (xr, yr) = (S::send_range(dx, lnx, h), S::send_range(dy, lny, h));
+                let mut buf = Vec::new();
+                S::pack_strip(&src, xr.clone(), yr.clone(), &mut buf);
+                // Plane-major: the frame opens with plane 0's first row.
+                let (at, run) = (dims.idx(xr.start, yr.start, 0), xr.len() * dims.nz);
+                assert_eq!(buf[..run], src.plane(0)[at..at + run]);
+                s.local_populations_mut().raw_mut().fill(0.0);
+                s.unpack(xr.clone(), yr.clone(), &buf);
+                let got = s.local_populations();
+                for cell in 0..dims.cells() {
+                    let [x, y, _] = dims.coords(cell);
+                    let inside = xr.contains(&x) && yr.contains(&y);
+                    for q in 0..D3Q19::Q {
+                        let want = if inside { src.get(cell, q) } else { 0.0 };
+                        assert_eq!(got.get(cell, q).to_bits(), want.to_bits(), "({dx}, {dy})");
+                    }
+                }
+            }
+        });
     }
 }

@@ -15,9 +15,12 @@ lint:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The chaos/resilience suite: fault injection, retry healing, rollback
-# recovery (deterministic seeds — failures reproduce exactly).
+# recovery (deterministic seeds — failures reproduce exactly); then the CRC
+# corpus and the frame bit-flip test at the optimisation level and CPU-feature
+# dispatch the code ships with.
 chaos:
     cargo test -q -p swlb-sim --release --test chaos_recovery
+    cargo test -q --release -p swlb-obs -p swlb-comm
 
 # Observability guarantees: zero-alloc disabled path, JSONL schema,
 # counters-vs-report agreement; then measured vs modeled MLUPS side by side.
