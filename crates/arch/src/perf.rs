@@ -31,7 +31,7 @@
 //! count); the DMA transaction size is the z-pencil the LDM plan permits
 //! (~70 cells on SW26010, ~4× that on the Pro).
 
-use crate::machine::{MachineKind, MachineSpec};
+use crate::machine::MachineSpec;
 use crate::pipeline::{cg_compute_time, mpe_compute_time, InstructionMix};
 use swlb_comm::netmodel::NetworkModel;
 use swlb_comm::Cart2d;
@@ -253,13 +253,6 @@ impl PerfModel {
         self.stage_time(OptStage::AssemblyOpt, w, p)
     }
 
-    /// Modeled throughput at `stage` in MLUPS for one rank owning `w` at
-    /// scale `p` — the unit measured runs report, so model and measurement
-    /// compare directly (see `swlb-bench`'s `obs_measured_vs_model`).
-    pub fn stage_mlups(&self, stage: OptStage, w: &Workload, p: usize) -> f64 {
-        w.cells() as f64 / self.stage_time(stage, w, p) / 1e6
-    }
-
     /// Build one scaling point at `p` ranks each owning `w`.
     fn point(&self, w: &Workload, p: usize, t_ref: f64, weak: bool, p_ref: usize) -> ScalePoint {
         let t = self.step_time(w, p);
@@ -310,11 +303,6 @@ impl PerfModel {
             .map(|&p| self.point(&sub(p), p, t0, false, ps[0]))
             .collect()
     }
-}
-
-/// Human-readable platform name (convenience for harness output).
-pub fn machine_name(kind: MachineKind) -> &'static str {
-    kind.name()
 }
 
 #[cfg(test)]
@@ -478,20 +466,6 @@ mod tests {
         // z = 100: SW26010 caps at 70 cells (560 B), the Pro fits all 100.
         assert_eq!(t.pencil_bytes(100), 560.0);
         assert_eq!(p.pencil_bytes(100), 800.0);
-    }
-
-    #[test]
-    fn stage_mlups_inverts_stage_time_and_respects_roofline() {
-        let m = PerfModel::taihulight();
-        let w = Workload::taihulight_weak_block();
-        let mlups = m.stage_mlups(OptStage::AssemblyOpt, &w, 1);
-        let expect = w.cells() as f64 / m.stage_time(OptStage::AssemblyOpt, &w, 1) / 1e6;
-        assert!((mlups - expect).abs() < 1e-9);
-        // The fully optimized stage approaches but never beats the roofline.
-        assert!(mlups < m.roofline_mlups());
-        assert!(mlups > 0.5 * m.roofline_mlups());
-        // The ladder is monotone in MLUPS too.
-        assert!(m.stage_mlups(OptStage::MpeOnly, &w, 1) < mlups);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # swlb-bench — the figure/table regeneration harness
 //!
 //! One binary per evaluation artifact of the paper (see `src/bin/`), plus
-//! Criterion microbenchmarks of the real kernels (`benches/`). This library
-//! holds the shared table-formatting and measurement helpers.
+//! the Criterion SoA-vs-AoS layout microbenchmark (`benches/layouts.rs`).
+//! This library holds the shared table-formatting and measurement helpers.
 
 // Indexed loops mirror the stencil mathematics throughout this workspace and
 // are kept deliberately as the clearer idiom for this domain.

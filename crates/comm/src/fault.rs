@@ -119,6 +119,9 @@ struct Rates {
     duplicate: f64,
 }
 
+/// How long a randomly drawn delay fault holds its message.
+const RANDOM_DELAY: Duration = Duration::from_millis(20);
+
 /// A deterministic, seeded schedule of faults. Build one, wrap it in an
 /// [`Arc`], and hand it to [`ChaosComm::new`] on every rank.
 pub struct FaultPlan {
@@ -127,7 +130,6 @@ pub struct FaultPlan {
     kills: Vec<(usize, u64)>,
     stalls: Vec<(usize, u64, Duration)>,
     rates: Rates,
-    random_delay: Duration,
     fault_tags: Range<Tag>,
     log: Mutex<Vec<FaultRecord>>,
     verbose: bool,
@@ -142,7 +144,6 @@ impl FaultPlan {
             kills: Vec::new(),
             stalls: Vec::new(),
             rates: Rates::default(),
-            random_delay: Duration::from_millis(20),
             fault_tags: 0..8,
             log: Mutex::new(Vec::new()),
             verbose: false,
@@ -206,12 +207,6 @@ impl FaultPlan {
         );
         assert!(drop + corrupt + delay + duplicate <= 1.0, "fault rates must sum to at most 1");
         self.rates = Rates { drop, corrupt, delay, duplicate };
-        self
-    }
-
-    /// Duration applied by randomly drawn delay faults.
-    pub fn with_random_delay(mut self, dur: Duration) -> Self {
-        self.random_delay = dur;
         self
     }
 
@@ -281,7 +276,7 @@ impl FaultPlan {
             let h2 = mix(self.seed ^ 0xBAD_F00D, rank, tag, seq);
             Some(FaultAction::CorruptBit { elem: (h2 >> 8) as usize, bit: (h2 % 64) as u32 })
         } else if u < r.drop + r.corrupt + r.delay {
-            Some(FaultAction::Delay(self.random_delay))
+            Some(FaultAction::Delay(RANDOM_DELAY))
         } else if u < r.drop + r.corrupt + r.delay + r.duplicate {
             Some(FaultAction::Duplicate)
         } else {

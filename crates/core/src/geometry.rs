@@ -56,12 +56,6 @@ impl GridDims {
         self.nx * self.ny * self.nz
     }
 
-    /// Whether this is a 2-D grid.
-    #[inline]
-    pub fn is_2d(&self) -> bool {
-        self.nz == 1
-    }
-
     /// Linear index of cell `(x, y, z)`; z fastest, then x, then y.
     #[inline(always)]
     pub fn idx(&self, x: usize, y: usize, z: usize) -> usize {

@@ -44,7 +44,6 @@ pub mod kernels;
 pub mod lattice;
 pub mod layout;
 pub mod macroscopic;
-pub mod moment_rep;
 pub mod mrt;
 pub mod nebb;
 pub mod parallel;

@@ -42,7 +42,7 @@
 //! records what the producer ran (the restore itself is scheme-agnostic).
 //! Version-1 files decode as `scheme = 0`.
 
-use crate::chunked::{wire_from_soa, ChunkedCheckpoint};
+use crate::chunked::ChunkedCheckpoint;
 use std::fmt;
 use std::io::{self, Write};
 
@@ -227,9 +227,8 @@ pub(crate) fn split_verified(body: &[u8]) -> Result<&[u8], CheckpointError> {
 }
 
 /// Decode a retired whole-domain (v1/v2) body and upgrade it to the one
-/// checkpoint type: a single chunk covering the global rectangle, its SoA
-/// payload transposed into chunk wire order. Only
-/// [`ChunkedCheckpoint::parse`] calls this.
+/// checkpoint type: a single chunk covering the global rectangle, packed
+/// from its SoA payload. Only [`ChunkedCheckpoint::parse`] calls this.
 pub(crate) fn upgrade_legacy(body: &[u8]) -> Result<ChunkedCheckpoint, CheckpointError> {
     let payload = split_verified(body)?;
     let mut rd = FieldReader::new(payload);
@@ -274,14 +273,7 @@ pub(crate) fn upgrade_legacy(body: &[u8]) -> Result<ChunkedCheckpoint, Checkpoin
     }
     // `expected` is bounded by the actual file size here, so this allocation
     // cannot be driven past the bytes we were handed.
-    let soa = f64s_from_le(rd.rest());
-    let ck = ChunkedCheckpoint::single_chunk(
-        step,
-        dims,
-        q,
-        scheme,
-        wire_from_soa(&soa, q as usize),
-    );
+    let ck = ChunkedCheckpoint::single_chunk(step, dims, q, scheme, &f64s_from_le(rd.rest()));
     ck.validate()?;
     Ok(ck)
 }

@@ -5,13 +5,19 @@
 //! **per-source-rank chunks tagged with their global rectangle**: a manifest
 //! records the global dims plus each chunk's `(x0, y0, lnx, lny)`, and each
 //! chunk carries its owned interior (no halo ring) in a fixed
-//! y → x → z → q order — the order the distributed engine captures and
-//! restores. A resume on any rank count assembles each
+//! y → x → z → q order. A resume on any rank count lands each
 //! destination rectangle from whichever source chunks overlap it
-//! ([`ChunkedCheckpoint::extract_rect`]), so checkpoint-on-N / resume-on-M is
+//! ([`ChunkedCheckpoint::land`]), so checkpoint-on-N / resume-on-M is
 //! pure coordinate arithmetic — the same block-wise repartitioning
 //! waLBerla-style frameworks use for dynamic load balancing. A serial
 //! solver's checkpoint is the special case of one chunk covering the domain.
+//!
+//! Only this module knows the chunk order. Callers hold SoA grids
+//! (`grid[q · cells + cell]`) and cross over through two pencil transposes,
+//! [`CheckpointChunk::from_soa`] and [`ChunkedCheckpoint::land`] (whole
+//! domain: [`ChunkedCheckpoint::to_soa`]): each `(y, x)` pencil's `nz` runs
+//! move to or from the stride-`q` slots of its `nz·q` payload block. The
+//! chunks tile the domain exactly once ([`ChunkedCheckpoint::validate`]).
 //!
 //! [`ChunkedCheckpoint::read`] is the one reader. It dispatches on the file
 //! magic: a group container is decoded here; anything else is handed to the
@@ -46,6 +52,7 @@ use crate::checkpoint::{
 };
 use crate::group::{ContainerWriter, GroupFile, GroupFileError, GROUP_MAGIC};
 use std::io::{self, Read, Write};
+use swlb_core::geometry::GridDims;
 
 /// Reserved [`GroupFile`] id holding the manifest.
 pub const MANIFEST_ID: u32 = u32::MAX;
@@ -83,9 +90,41 @@ pub struct CheckpointChunk {
     pub data: Vec<f64>,
 }
 
+impl CheckpointChunk {
+    /// Pack the global rectangle `meta` out of a SoA grid `src` of `dims`
+    /// cells and `q` planes. The rectangle's first column sits at local
+    /// `origin` of the grid: `(0, 0)` for a whole-domain grid, `(h, h)` for a
+    /// rank's grid behind an `h`-deep ghost ring.
+    pub fn from_soa(
+        src: &[f64],
+        dims: GridDims,
+        q: usize,
+        origin: (usize, usize),
+        meta: ChunkMeta,
+    ) -> Self {
+        let (lnx, lny, nz) = (meta.lnx as usize, meta.lny as usize, dims.nz);
+        let cells = dims.cells();
+        assert_eq!(src.len(), cells * q, "SoA grid length");
+        assert!(
+            origin.0 + lnx <= dims.nx && origin.1 + lny <= dims.ny,
+            "rectangle leaves the grid"
+        );
+        let mut data = vec![0.0; lnx * lny * nz * q];
+        for (p, pencil) in data.chunks_exact_mut(nz * q).enumerate() {
+            let at = dims.idx(origin.0 + p % lnx, origin.1 + p / lnx, 0);
+            for qi in 0..q {
+                let run = &src[qi * cells + at..][..nz];
+                for (slot, &v) in pencil[qi..].iter_mut().step_by(q).zip(run) {
+                    *slot = v;
+                }
+            }
+        }
+        CheckpointChunk { meta, data }
+    }
+}
+
 /// A rank-count-independent checkpoint: global metadata plus per-source-rank
-/// rectangles. The union of the rectangles must tile the global domain for
-/// the extraction paths to succeed.
+/// rectangles that tile the global domain exactly once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkedCheckpoint {
     /// Completed time steps at capture.
@@ -100,36 +139,46 @@ pub struct ChunkedCheckpoint {
     pub chunks: Vec<CheckpointChunk>,
 }
 
+/// The rectangle covering a whole `dims` domain.
+fn whole(dims: (u32, u32, u32)) -> ChunkMeta {
+    ChunkMeta { x0: 0, y0: 0, lnx: dims.0, lny: dims.1 }
+}
+
+/// Whether `m` is a nonempty rectangle inside the `dims` domain.
+fn inside(m: ChunkMeta, dims: (u32, u32, u32)) -> bool {
+    let fits = |at: u32, n: u32, extent: u32| n > 0 && at as u64 + n as u64 <= extent as u64;
+    fits(m.x0, m.lnx, dims.0) && fits(m.y0, m.lny, dims.1)
+}
+
+/// Grid dims of a checkpoint that passed [`ChunkedCheckpoint::validate`]
+/// (every extent nonzero).
+fn grid(dims: (u32, u32, u32)) -> GridDims {
+    GridDims::new(dims.0 as usize, dims.1 as usize, dims.2 as usize)
+}
+
 impl ChunkedCheckpoint {
-    /// Wrap a whole-domain payload (laid out y → x → z → q over the full
-    /// grid, see [`wire_from_soa`]) as a single chunk covering the global
-    /// rectangle.
-    pub fn single_chunk(
-        step: u64,
-        dims: (u32, u32, u32),
-        q: u32,
-        scheme: u8,
-        data: Vec<f64>,
-    ) -> Self {
-        ChunkedCheckpoint {
-            step,
-            dims,
-            q,
-            scheme,
-            chunks: vec![CheckpointChunk {
-                meta: ChunkMeta {
-                    x0: 0,
-                    y0: 0,
-                    lnx: dims.0,
-                    lny: dims.1,
-                },
-                data,
-            }],
+    /// Pack a whole-domain SoA grid (`q` planes over `dims`) as a single
+    /// chunk covering the global rectangle.
+    pub fn single_chunk(step: u64, dims: (u32, u32, u32), q: u32, scheme: u8, soa: &[f64]) -> Self {
+        let chunk = CheckpointChunk::from_soa(soa, grid(dims), q as usize, (0, 0), whole(dims));
+        ChunkedCheckpoint { step, dims, q, scheme, chunks: vec![chunk] }
+    }
+
+    /// Refuse a checkpoint that does not restore into a `dims` grid of `q`
+    /// populations: another shape, or chunks that do not tile the domain.
+    pub fn check_fits(&self, dims: (u32, u32, u32), q: u32) -> Result<(), CheckpointError> {
+        if (self.dims, self.q) != (dims, q) {
+            return Err(CheckpointError::Corrupt(format!(
+                "checkpoint is {:?} q{}, solver needs {dims:?} q{q}",
+                self.dims, self.q
+            )));
         }
+        self.validate()
     }
 
     /// Structural validation: sane header fields, every rectangle inside the
-    /// global domain, every payload exactly `lnx·lny·nz·q` long.
+    /// global domain, every payload exactly `lnx·lny·nz·q` long, and the
+    /// rectangles tiling the domain exactly once (no gap, no overlap).
     pub fn validate(&self) -> Result<(), CheckpointError> {
         if self.scheme > SCHEME_AA {
             return Err(CheckpointError::Corrupt(format!(
@@ -140,11 +189,10 @@ impl ChunkedCheckpoint {
         // Also rejects dims×q products that are zero or overflow.
         checked_payload_len(self.dims, self.q)?;
         let zq = self.dims.2 as usize * self.q as usize;
+        let mut area = 0usize;
         for (i, ch) in self.chunks.iter().enumerate() {
             let m = ch.meta;
-            let in_x = (m.x0 as u64 + m.lnx as u64) <= self.dims.0 as u64;
-            let in_y = (m.y0 as u64 + m.lny as u64) <= self.dims.1 as u64;
-            if m.lnx == 0 || m.lny == 0 || !in_x || !in_y {
+            if !inside(m, self.dims) {
                 return Err(CheckpointError::Corrupt(format!(
                     "chunk {i} rectangle {}x{} at ({}, {}) leaves the {}x{} domain",
                     m.lnx, m.lny, m.x0, m.y0, self.dims.0, self.dims.1
@@ -162,77 +210,89 @@ impl ChunkedCheckpoint {
                     self.q
                 )));
             }
+            // Bounded by the payload just checked, so this cannot overflow.
+            area += m.lnx as usize * m.lny as usize;
+        }
+        // Areas first: the coverage map below is as large as the domain, and
+        // only a domain the payloads actually fill may size an allocation.
+        let (nx, ny) = (self.dims.0 as usize, self.dims.1 as usize);
+        if area != nx * ny {
+            return Err(CheckpointError::Corrupt(format!(
+                "chunks cover {area} cell columns of the {nx}x{ny} domain's {}",
+                nx * ny
+            )));
+        }
+        let mut covered = vec![false; nx * ny];
+        for (i, ch) in self.chunks.iter().enumerate() {
+            let m = ch.meta;
+            for y in m.y0 as usize..(m.y0 + m.lny) as usize {
+                let row = &mut covered[y * nx + m.x0 as usize..][..m.lnx as usize];
+                if row.contains(&true) {
+                    return Err(CheckpointError::Corrupt(format!("chunk {i} overlaps another")));
+                }
+                row.fill(true);
+            }
         }
         Ok(())
     }
 
-    /// Assemble the populations of an arbitrary global rectangle from every
-    /// chunk that overlaps it, in the same y → x → z → q order chunks use.
-    /// This is the re-sharding primitive: the caller's partition and the
-    /// producer's partition never need to match. A cell covered by no chunk
-    /// is a coverage gap and yields `Corrupt`.
-    pub fn extract_rect(
+    /// Fill the SoA grid `dst` (`q` planes over `dims`) with the global
+    /// rectangle `rect`, taking cells from every chunk that overlaps it; the
+    /// rectangle's first column lands at local `origin`. This is the
+    /// re-sharding primitive: the caller's partition and the producer's never
+    /// need to match. Cells of `dst` outside the rectangle are left alone.
+    pub fn land(
         &self,
-        x0: usize,
-        y0: usize,
-        lnx: usize,
-        lny: usize,
-    ) -> Result<Vec<f64>, CheckpointError> {
+        rect: ChunkMeta,
+        dst: &mut [f64],
+        dims: GridDims,
+        origin: (usize, usize),
+    ) -> Result<(), CheckpointError> {
         self.validate()?;
-        let (nx, ny) = (self.dims.0 as usize, self.dims.1 as usize);
-        let bad_rect = lnx == 0
-            || lny == 0
-            || x0.checked_add(lnx).is_none_or(|e| e > nx)
-            || y0.checked_add(lny).is_none_or(|e| e > ny);
-        if bad_rect {
+        if !inside(rect, self.dims) {
             return Err(CheckpointError::Corrupt(format!(
-                "requested rectangle {lnx}x{lny} at ({x0}, {y0}) leaves the {nx}x{ny} domain"
+                "requested rectangle {}x{} at ({}, {}) leaves the {}x{} domain",
+                rect.lnx, rect.lny, rect.x0, rect.y0, self.dims.0, self.dims.1
             )));
         }
-        let zq = self.dims.2 as usize * self.q as usize;
-        let len = lnx
-            .checked_mul(lny)
-            .and_then(|c| c.checked_mul(zq))
-            .ok_or_else(|| {
-                CheckpointError::Corrupt(format!(
-                    "requested rectangle {lnx}x{lny} overflows the payload size"
-                ))
-            })?;
-        let mut out = vec![0.0; len];
-        let mut filled = vec![false; lnx * lny];
+        let (q, nz, cells) = (self.q as usize, dims.nz, dims.cells());
+        assert_eq!((nz, dst.len()), (self.dims.2 as usize, cells * q), "grid shape");
+        assert!(
+            origin.0 + rect.lnx as usize <= dims.nx && origin.1 + rect.lny as usize <= dims.ny,
+            "rectangle leaves the grid"
+        );
+        let (rx, ry) = (rect.x0 as usize, rect.y0 as usize);
+        let (rx1, ry1) = (rx + rect.lnx as usize, ry + rect.lny as usize);
         for ch in &self.chunks {
             let m = ch.meta;
-            let (cx0, cy0) = (m.x0 as usize, m.y0 as usize);
-            let (clnx, clny) = (m.lnx as usize, m.lny as usize);
-            let ix0 = x0.max(cx0);
-            let ix1 = (x0 + lnx).min(cx0 + clnx);
-            let iy0 = y0.max(cy0);
-            let iy1 = (y0 + lny).min(cy0 + clny);
-            if ix0 >= ix1 || iy0 >= iy1 {
-                continue;
-            }
-            for gy in iy0..iy1 {
-                for gx in ix0..ix1 {
-                    let src = ((gy - cy0) * clnx + (gx - cx0)) * zq;
-                    let col = (gy - y0) * lnx + (gx - x0);
-                    out[col * zq..(col + 1) * zq].copy_from_slice(&ch.data[src..src + zq]);
-                    filled[col] = true;
+            let (cx, cy) = (m.x0 as usize, m.y0 as usize);
+            let (x0, x1) = (rx.max(cx), rx1.min(cx + m.lnx as usize));
+            let (y0, y1) = (ry.max(cy), ry1.min(cy + m.lny as usize));
+            for y in y0..y1 {
+                for x in x0..x1 {
+                    let p = (y - cy) * m.lnx as usize + (x - cx);
+                    let pencil = &ch.data[p * nz * q..][..nz * q];
+                    let at = dims.idx(origin.0 + x - rx, origin.1 + y - ry, 0);
+                    for qi in 0..q {
+                        let run = &mut dst[qi * cells + at..][..nz];
+                        for (v, &slot) in run.iter_mut().zip(pencil[qi..].iter().step_by(q)) {
+                            *v = slot;
+                        }
+                    }
                 }
             }
         }
-        if let Some(col) = filled.iter().position(|&f| !f) {
-            return Err(CheckpointError::Corrupt(format!(
-                "coverage gap: no chunk covers global cell column ({}, {})",
-                x0 + col % lnx,
-                y0 + col / lnx
-            )));
-        }
-        Ok(out)
+        Ok(())
     }
 
-    /// Assemble the full global domain as one y → x → z → q payload.
-    pub fn assemble_global(&self) -> Result<Vec<f64>, CheckpointError> {
-        self.extract_rect(0, 0, self.dims.0 as usize, self.dims.1 as usize)
+    /// The whole domain as one SoA grid: [`ChunkedCheckpoint::land`] over the
+    /// global rectangle.
+    pub fn to_soa(&self) -> Result<Vec<f64>, CheckpointError> {
+        self.validate()?;
+        let dims = grid(self.dims);
+        let mut soa = vec![0.0; dims.cells() * self.q as usize];
+        self.land(whole(self.dims), &mut soa, dims, (0, 0))?;
+        Ok(soa)
     }
 
     /// Serialize as a [`GroupFile`] container (manifest + one member chunk
@@ -341,28 +401,6 @@ impl ChunkedCheckpoint {
             upgrade_legacy(body)
         }
     }
-}
-
-/// Re-pack a whole-domain SoA payload (`raw[q_i · cells + cell]`, `q ≥ 1`
-/// planes) in chunk wire order (y → x → z → q). Cells are indexed y → x → z,
-/// so this is a plain `[q][cells]` → `[cells][q]` transpose with no field in
-/// between, done in cell blocks small enough that a block of the output stays
-/// in cache while the `q` planes stream through it.
-pub fn wire_from_soa(raw: &[f64], q: usize) -> Vec<f64> {
-    const BLOCK: usize = 512;
-    let cells = raw.len() / q;
-    let mut wire = vec![0.0; raw.len()];
-    for (b, out) in wire.chunks_mut(BLOCK * q).enumerate() {
-        let first = b * BLOCK;
-        let n = out.len() / q;
-        for qi in 0..q {
-            let plane = &raw[qi * cells + first..qi * cells + first + n];
-            for (i, &v) in plane.iter().enumerate() {
-                out[i * q + qi] = v;
-            }
-        }
-    }
-    wire
 }
 
 #[cfg(test)]
@@ -485,16 +523,41 @@ mod tests {
         assert_eq!(back, ck);
     }
 
+    /// A 4×2 rectangle at global (1, 1), landed at `origin` of a `w × h × 1`
+    /// grid of `sample()`'s two planes pre-filled with -1.
+    fn land_sample_rect(
+        ck: &ChunkedCheckpoint,
+        w: usize,
+        h: usize,
+        origin: (usize, usize),
+    ) -> Vec<f64> {
+        let dims = GridDims::new(w, h, 1);
+        let mut grid = vec![-1.0; dims.cells() * 2];
+        let rect = ChunkMeta {
+            x0: 1,
+            y0: 1,
+            lnx: 4,
+            lny: 2,
+        };
+        ck.land(rect, &mut grid, dims, origin).unwrap();
+        grid
+    }
+
     #[test]
     fn extract_rect_crosses_chunk_boundaries() {
-        let ck = sample();
-        // A 4×2 rectangle at (1, 1) straddles both source chunks.
-        let got = ck.extract_rect(1, 1, 4, 2).unwrap();
+        // The 4×2 rectangle at (1, 1) straddles both source chunks; landed at
+        // (1, 1) of a 5×3 grid, the grid's first row and column stay -1.
+        let got = land_sample_rect(&sample(), 5, 3, (1, 1));
         let mut want = Vec::new();
-        for y in 1..3 {
-            for x in 1..5 {
-                for qi in 0..2 {
-                    want.push((x * 1000 + y * 100 + qi) as f64);
+        for qi in 0..2 {
+            for y in 0..3 {
+                for x in 0..5 {
+                    let inside = x >= 1 && y >= 1;
+                    want.push(if inside {
+                        (x * 1000 + y * 100 + qi) as f64
+                    } else {
+                        -1.0
+                    });
                 }
             }
         }
@@ -504,36 +567,67 @@ mod tests {
     #[test]
     fn assemble_global_matches_single_chunk_of_itself() {
         let ck = sample();
-        let global = ck.assemble_global().unwrap();
-        let single =
-            ChunkedCheckpoint::single_chunk(ck.step, ck.dims, ck.q, ck.scheme, global.clone());
-        assert_eq!(single.assemble_global().unwrap(), global);
-        assert_eq!(single.extract_rect(1, 1, 4, 2).unwrap(), ck.extract_rect(1, 1, 4, 2).unwrap());
+        let global = ck.to_soa().unwrap();
+        let single = ChunkedCheckpoint::single_chunk(ck.step, ck.dims, ck.q, ck.scheme, &global);
+        assert_eq!(single.to_soa().unwrap(), global);
+        assert_eq!(
+            land_sample_rect(&single, 4, 2, (0, 0)),
+            land_sample_rect(&ck, 4, 2, (0, 0))
+        );
     }
 
     #[test]
     fn coverage_gap_is_corrupt_not_zeros() {
-        let mut ck = sample();
-        ck.chunks.pop();
-        match ck.extract_rect(0, 0, 6, 4) {
-            Err(CheckpointError::Corrupt(m)) => assert!(m.contains("coverage gap"), "{m}"),
-            other => panic!("expected coverage-gap error, got {other:?}"),
+        // A missing chunk, and a chunk moved one column onto its neighbour:
+        // the same total area, so only the coverage map can see it.
+        let mut gap = sample();
+        gap.chunks.pop();
+        let m = assert_corrupt(read(&bytes_of(&gap)), "gap");
+        assert!(m.contains("cover"), "{m}");
+        let mut overlap = sample();
+        overlap.chunks[1].meta.x0 = 2;
+        let m = assert_corrupt(read(&bytes_of(&overlap)), "overlap");
+        assert!(m.contains("overlaps"), "{m}");
+        // Nothing lands from either.
+        let dims = GridDims::new(6, 4, 1);
+        let whole_rect = whole(gap.dims);
+        for ck in [&gap, &overlap] {
+            let mut grid = vec![0.0; dims.cells() * 2];
+            assert!(ck.land(whole_rect, &mut grid, dims, (0, 0)).is_err());
+            assert!(ck.to_soa().is_err());
         }
-        // A rectangle inside the surviving chunk still extracts fine.
-        assert!(ck.extract_rect(0, 0, 3, 4).is_ok());
     }
 
     #[test]
     fn out_of_domain_rect_is_rejected() {
         let ck = sample();
-        assert!(matches!(
-            ck.extract_rect(4, 0, 3, 4),
-            Err(CheckpointError::Corrupt(_))
-        ));
-        assert!(matches!(
-            ck.extract_rect(0, 0, 0, 4),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        let dims = GridDims::new(6, 4, 1);
+        let mut grid = vec![0.0; dims.cells() * 2];
+        for rect in [
+            ChunkMeta {
+                x0: 4,
+                y0: 0,
+                lnx: 3,
+                lny: 4,
+            },
+            ChunkMeta {
+                x0: 0,
+                y0: 0,
+                lnx: 0,
+                lny: 4,
+            },
+            ChunkMeta {
+                x0: u32::MAX,
+                y0: 0,
+                lnx: 2,
+                lny: 1,
+            },
+        ] {
+            assert!(matches!(
+                ck.land(rect, &mut grid, dims, (0, 0)),
+                Err(CheckpointError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
@@ -547,16 +641,38 @@ mod tests {
     }
 
     #[test]
-    fn wire_from_soa_is_the_cell_major_transpose() {
-        // 5 cells × 3 planes, and a payload longer than one transpose block.
-        for (cells, q) in [(5usize, 3usize), (1300, 2)] {
+    fn from_soa_is_the_cell_major_transpose() {
+        // A 3×2 rectangle at local (1, 2) of a 5×4×3 grid, and at the origin
+        // of a 1×1×1 one; q = 3 and the production lattice's 19.
+        for (dims, q, origin, (lnx, lny)) in [
+            (GridDims::new(5, 4, 3), 3, (1, 2), (3, 2)),
+            (GridDims::new(5, 4, 3), 19, (1, 2), (3, 2)),
+            (GridDims::new(1, 1, 1), 19, (0, 0), (1, 1)),
+        ] {
+            let cells = dims.cells();
             let soa: Vec<f64> = (0..cells * q).map(|i| i as f64).collect();
-            let wire = wire_from_soa(&soa, q);
-            for cell in 0..cells {
-                for qi in 0..q {
-                    assert_eq!(wire[cell * q + qi], soa[qi * cells + cell]);
+            let meta = ChunkMeta {
+                x0: 7,
+                y0: 9,
+                lnx,
+                lny,
+            };
+            let chunk = CheckpointChunk::from_soa(&soa, dims, q, origin, meta);
+            let mut want = Vec::new();
+            for y in origin.1..origin.1 + lny as usize {
+                for x in origin.0..origin.0 + lnx as usize {
+                    for z in 0..dims.nz {
+                        for qi in 0..q {
+                            want.push(soa[qi * cells + dims.idx(x, y, z)]);
+                        }
+                    }
                 }
             }
+            assert_eq!(
+                chunk,
+                CheckpointChunk { meta, data: want },
+                "{dims:?} q {q}"
+            );
         }
     }
 
@@ -703,11 +819,34 @@ mod tests {
             let g = with_manifest_patch(32, &count.to_le_bytes());
             assert_corrupt(ChunkedCheckpoint::from_group(&g), &format!("count {count}"));
         }
-        // Fewer chunks than the domain needs decodes, and is refused where
-        // it matters: at extraction, as a coverage gap.
+        // Fewer chunks than the domain needs is a gap, refused at read.
         let g = with_manifest_patch(32, &1u32.to_le_bytes());
-        let ck = ChunkedCheckpoint::from_group(&g).unwrap();
-        assert!(ck.assemble_global().is_err());
+        let m = assert_corrupt(ChunkedCheckpoint::from_group(&g), "count 1");
+        assert!(m.contains("cover"), "{m}");
+    }
+
+    #[test]
+    fn hostile_domain_with_one_tiny_chunk_is_corrupt_without_a_huge_allocation() {
+        // A 2^20 × 2^20 domain claimed by one 1×1 chunk: a coverage map of
+        // the claimed domain would be a terabyte.
+        let ck = ChunkedCheckpoint {
+            step: 1,
+            dims: (1 << 20, 1 << 20, 1),
+            q: 1,
+            scheme: SCHEME_AB,
+            chunks: vec![CheckpointChunk {
+                meta: ChunkMeta {
+                    x0: 0,
+                    y0: 0,
+                    lnx: 1,
+                    lny: 1,
+                },
+                data: vec![0.5],
+            }],
+        };
+        let m = assert_corrupt(read(&bytes_of(&ck)), "2^40 cells, one chunk");
+        assert!(m.contains("cover"), "{m}");
+        assert!(ck.to_soa().is_err());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! arbitrary field values.
 
 use proptest::prelude::*;
+use swlb_core::geometry::GridDims;
 use swlb_io::{
     colormap_jet, colormap_viridis_like, CheckpointChunk, ChunkMeta, ChunkedCheckpoint, PpmImage,
     ProbeLog,
@@ -59,8 +60,33 @@ proptest! {
         ck.write(&mut bytes).unwrap();
         let back = ChunkedCheckpoint::read(&mut bytes.as_slice()).unwrap();
         // Whatever the tiling, the chunks cover the domain exactly once.
-        prop_assert_eq!(back.assemble_global().unwrap().len(), (nx * ny * nz * q) as usize);
+        prop_assert_eq!(back.to_soa().unwrap().len(), (nx * ny * nz * q) as usize);
         prop_assert_eq!(back, ck);
+    }
+
+    #[test]
+    fn to_soa_returns_the_grid_the_tiles_were_cut_from(
+        nx in 1usize..9, ny in 1usize..9, nz in 1usize..4,
+        q in prop::sample::select(vec![1usize, 9, 19]),
+        px in 1u32..5, py in 1u32..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let dims = GridDims::new(nx, ny, nz);
+        let soa: Vec<f64> = (0..dims.cells() * q)
+            .map(|i| ((seed as f64 + i as f64) * 0.61).cos())
+            .collect();
+        // Cut the grid along `tiled`'s rectangles, packing each from the SoA.
+        let tiles = tiled(0, (nx as u32, ny as u32, nz as u32), q as u32, (px, py), 0, seed);
+        let chunks = tiles
+            .chunks
+            .iter()
+            .map(|ch| {
+                let origin = (ch.meta.x0 as usize, ch.meta.y0 as usize);
+                CheckpointChunk::from_soa(&soa, dims, q, origin, ch.meta)
+            })
+            .collect();
+        let ck = ChunkedCheckpoint { chunks, ..tiles };
+        prop_assert_eq!(ck.to_soa().unwrap(), soa);
     }
 
     #[test]

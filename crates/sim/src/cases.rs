@@ -13,9 +13,12 @@
 //! A case solver is one shared-memory [`Solver`] sweeping on the pool it is
 //! given, whatever width its job asked for: ranks are for crossing an address
 //! space ([`DistributedSolver`](crate::engine::DistributedSolver)), threads
-//! for filling one.
+//! for filling one. Its checkpoint is one whole-domain chunk packed from the
+//! canonical SoA state, and a restore is [`ChunkedCheckpoint::to_soa`] of a
+//! checkpoint with any number of chunks: the chunk order lives in
+//! `swlb_io::chunked`, not here.
 
-use crate::engine::{scheme_byte, soa_from_chunked};
+use crate::engine::scheme_byte;
 use std::f64::consts::TAU;
 use swlb_core::collision::BgkParams;
 use swlb_core::flags::FlagField;
@@ -28,7 +31,6 @@ use swlb_core::simd::KernelClass;
 use swlb_core::solver::{Solver, StepStats};
 use swlb_core::stability::{self, Severity};
 use swlb_core::Scalar;
-use swlb_io::chunked::wire_from_soa;
 use swlb_io::{Checkpoint, ChunkedCheckpoint};
 use swlb_mesh::cylinder_z_mask;
 use swlb_obs::{Recorder, SwlbError};
@@ -425,17 +427,14 @@ impl CaseSolver {
     /// schemes: an AA job's checkpoint restores into an AB solver and vice
     /// versa.
     pub fn capture_chunked(&self) -> ChunkedCheckpoint {
-        let data = match self {
-            CaseSolver::D2(s) => wire_from_soa(s.canonical_populations().raw(), D2Q9::Q),
-            CaseSolver::D3(s) => wire_from_soa(s.canonical_populations().raw(), D3Q19::Q),
+        let pack = |soa: &[Scalar]| {
+            let (dims, q, scheme) = (extent(self.dims()), self.q(), scheme_byte(self.scheme()));
+            ChunkedCheckpoint::single_chunk(self.step_count(), dims, q, scheme, soa)
         };
-        ChunkedCheckpoint::single_chunk(
-            self.step_count(),
-            extent(self.dims()),
-            self.q(),
-            scheme_byte(self.scheme()),
-            data,
-        )
+        match self {
+            CaseSolver::D2(s) => pack(s.canonical_populations().raw()),
+            CaseSolver::D3(s) => pack(s.canonical_populations().raw()),
+        }
     }
 
     /// Restore population state and step count from a checkpoint of the same
@@ -443,23 +442,11 @@ impl CaseSolver {
     /// rank of a [`DistributedSolver`](crate::engine::DistributedSolver) lands
     /// as well as a case solver's single chunk.
     pub fn restore_chunked_state(&mut self, ck: &ChunkedCheckpoint) -> Result<(), SwlbError> {
-        let want = extent(self.dims());
-        if ck.dims != want || ck.q != self.q() {
-            return Err(SwlbError::CorruptData(format!(
-                "checkpoint is {}x{}x{} q{}, solver wants {}x{}x{} q{}",
-                ck.dims.0,
-                ck.dims.1,
-                ck.dims.2,
-                ck.q,
-                want.0,
-                want.1,
-                want.2,
-                self.q()
-            )));
-        }
+        ck.check_fits(extent(self.dims()), self.q())?;
+        let soa = ck.to_soa()?;
         match self {
-            CaseSolver::D2(s) => s.restore_canonical(&soa_from_chunked::<D2Q9>(ck)?, ck.step),
-            CaseSolver::D3(s) => s.restore_canonical(&soa_from_chunked::<D3Q19>(ck)?, ck.step),
+            CaseSolver::D2(s) => s.restore_canonical(&soa, ck.step),
+            CaseSolver::D3(s) => s.restore_canonical(&soa, ck.step),
         }
     }
 
@@ -669,6 +656,29 @@ mod tests {
             panic!("expected D3 solvers");
         };
         assert_eq!(sa.state().raw(), sb.state().raw());
+    }
+
+    #[test]
+    fn capture_chunked_is_the_cell_major_order_of_the_canonical_state() {
+        for storage in [StorageScheme::Ab, StorageScheme::Aa] {
+            let mut s = CaseSpec { storage, ..spec() }
+                .build(ThreadPool::new(1), Recorder::disabled())
+                .unwrap();
+            s.run_checked(5, 5).unwrap();
+            let (ck, snap, dims) = (s.capture_chunked(), s.capture(), s.dims());
+            let mut want = Vec::new();
+            for y in 0..dims.ny {
+                for x in 0..dims.nx {
+                    for z in 0..dims.nz {
+                        for q in 0..19 {
+                            want.push(snap.data[q * dims.cells() + dims.idx(x, y, z)]);
+                        }
+                    }
+                }
+            }
+            assert_eq!(ck.chunks.len(), 1);
+            assert!(ck.chunks[0].data == want, "{storage:?}");
+        }
     }
 
     #[test]

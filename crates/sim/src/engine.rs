@@ -90,6 +90,13 @@
 //! mid-block (owned cells are always current); restore lands on a block
 //! *boundary* — it resets the intra-block phase so the next step re-exchanges
 //! before anything reads the (then stale) ghosts.
+//!
+//! ## Checkpoints
+//!
+//! Capture packs each owned block with [`CheckpointChunk::from_soa`]; restore
+//! lands each owned rectangle with [`ChunkedCheckpoint::land`], on rank 0, into
+//! SoA buffers that the other ranks land with the halo `unpack`. The chunk
+//! order is `swlb_io::chunked`'s alone. A refused restore fails on every rank.
 
 use crate::partition::Partition2d;
 use std::ops::Range;
@@ -107,7 +114,7 @@ use swlb_core::macroscopic::MacroFields;
 use swlb_core::parallel::ThreadPool;
 use swlb_core::simd::KernelClass;
 use swlb_core::Scalar;
-use swlb_io::ChunkedCheckpoint;
+use swlb_io::{CheckpointChunk, ChunkedCheckpoint};
 use swlb_obs::{exponential_buckets, Counter, Gauge, Histogram, Phase, Recorder, SwlbError};
 
 /// Halo-exchange schedule.
@@ -508,11 +515,6 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// Temporal-blocking depth (steps per halo exchange; 1 = unblocked).
     pub fn time_block(&self) -> usize {
         self.time_block
-    }
-
-    /// Ghost-ring width in cells (= [`DistributedSolver::time_block`]).
-    pub fn halo_width(&self) -> usize {
-        self.halo
     }
 
     /// Intra-block phase `0..time_block`; 0 means the next step starts a new
@@ -992,51 +994,6 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         MacroFields::compute::<L, _>(&self.flags, self.local_canonical().as_ref())
     }
 
-    /// This rank's owned block of *canonical* populations in chunk wire
-    /// order (y → x → z → q): the payload of one checkpoint chunk.
-    fn pack_owned_canonical(&self) -> Vec<Scalar> {
-        let nz = self.flags.dims().nz;
-        let h = self.halo;
-        let mut f = [0.0; MAX_Q];
-        let mut out = Vec::with_capacity(self.lnx * self.lny * nz * L::Q);
-        for y in h..h + self.lny {
-            for x in h..h + self.lnx {
-                for z in 0..nz {
-                    self.store.load_canonical(x, y, z, &mut f[..L::Q]);
-                    out.extend_from_slice(&f[..L::Q]);
-                }
-            }
-        }
-        out
-    }
-
-    /// Land this rank's owned block from a canonical wire-order payload (the
-    /// inverse of `pack_owned_canonical`) and resume at `step` on a block
-    /// boundary. AA converts to its raw representation:
-    /// restarting on the odd flavor from a canonical state is exactly the AB
-    /// continuation, and the stale ghost ring is overwritten by the
-    /// pre-exchange before anything reads it.
-    fn restore_owned(&mut self, payload: &[Scalar], step: u64) {
-        let dims = self.flags.dims();
-        let (h, lnx, lny) = (self.halo, self.lnx, self.lny);
-        assert_eq!(payload.len(), lnx * lny * dims.nz * L::Q, "checkpoint chunk length");
-        let dst = self.store.state_mut();
-        let mut cells = payload.chunks_exact(L::Q);
-        for y in h..h + lny {
-            for x in h..h + lnx {
-                for z in 0..dims.nz {
-                    let cell = dims.idx(x, y, z);
-                    for (q, &v) in cells.next().expect("length checked").iter().enumerate() {
-                        dst.set(cell, q, v);
-                    }
-                }
-            }
-        }
-        self.store.adopt_canonical();
-        self.step = step;
-        self.phase = 0;
-    }
-
     /// Current local raw state (with halo ring). Under AB this is the source
     /// buffer; under AA the slot meaning depends on
     /// [`DistributedSolver::parity`] — use
@@ -1087,7 +1044,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// whole-domain field.
     pub fn gather_populations(&self) -> Result<Option<SoaField<L>>, CommError> {
         Ok(self.capture_chunked()?.map(|ck| {
-            let soa = soa_from_chunked::<L>(&ck).expect("a self-capture tiles the domain");
+            let soa = ck.to_soa().expect("a self-capture tiles the domain");
             let mut field = SoaField::<L>::new(self.part.global);
             field.raw_mut().copy_from_slice(&soa);
             field
@@ -1095,14 +1052,16 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     }
 
     /// Capture a checkpoint on rank 0 (`None` elsewhere): each rank packs its
-    /// owned interior's *canonical* populations in chunk wire order
-    /// (y → x → z → q — the order the restore path lands), and
-    /// rank 0 tags each payload with its global rectangle. Nothing is
-    /// re-assembled into a whole-domain field — the chunks stay
-    /// per-source-rank, which is what lets a later resume re-shard them onto
-    /// any layout.
+    /// owned interior's *canonical* populations as one chunk, and rank 0 tags
+    /// each payload with its global rectangle. Nothing is re-assembled into a
+    /// whole-domain field — the chunks stay per-source-rank, which is what
+    /// lets a later resume re-shard them onto any layout.
     pub fn capture_chunked(&self) -> Result<Option<ChunkedCheckpoint>, CommError> {
-        let gathered = self.comm.gather_to_root(&self.pack_owned_canonical())?;
+        let local = self.local_canonical();
+        let h = self.halo;
+        let mine = self.part.chunk_meta(self.comm.rank());
+        let chunk = CheckpointChunk::from_soa(local.raw(), local.dims(), L::Q, (h, h), mine);
+        let gathered = self.comm.gather_to_root(&chunk.data)?;
         if self.comm.rank() != 0 {
             return Ok(None);
         }
@@ -1110,7 +1069,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         let chunks = gathered
             .into_iter()
             .enumerate()
-            .map(|(rank, data)| swlb_io::CheckpointChunk {
+            .map(|(rank, data)| CheckpointChunk {
                 meta: self.part.chunk_meta(rank),
                 data,
             })
@@ -1125,53 +1084,71 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     }
 
     /// Restore from a checkpoint — the one restart path. Rank 0 holds the
-    /// checkpoint and extracts each destination rank's owned rectangle from
-    /// whichever source chunks overlap it, so the producing partition (its
-    /// rank count, its `px × py` shape, a serial single-chunk capture, a
-    /// whole-domain file upgraded by the reader) never needs to match the
-    /// current one. Payloads are canonical; AA ranks convert to their raw
-    /// representation in `restore_owned`. Ranks other than 0 pass `None`.
+    /// checkpoint (ranks other than 0 pass `None`) and lands each rank's owned
+    /// rectangle from whichever source chunks overlap it, so the producing
+    /// partition (its rank count, its `px × py` shape, a serial single-chunk
+    /// capture, a whole-domain file upgraded by the reader) never needs to
+    /// match the current one. Payloads are canonical; AA ranks convert to
+    /// their raw representation after landing.
+    ///
+    /// Rank 0 vets the checkpoint before anything moves and broadcasts the
+    /// verdict with the step, so a refused restore fails on every rank: rank 0
+    /// returns the precise error ([`SwlbError::NoValidCheckpoint`] for `None`),
+    /// the others `NoValidCheckpoint` or `CorruptData`.
     pub fn restore_chunked(&mut self, ck: Option<&ChunkedCheckpoint>) -> Result<(), SwlbError> {
         const RESHARD_TAG: u64 = 41;
-        let global = self.part.global;
-        if self.comm.rank() == 0 {
-            let ck = ck.expect("rank 0 must supply the checkpoint");
-            let want = (global.nx as u32, global.ny as u32, global.nz as u32);
-            if ck.dims != want || ck.q != L::Q as u32 {
-                return Err(SwlbError::CorruptData(format!(
-                    "checkpoint is {}x{}x{}x{}, solver needs {}x{}x{}x{}",
-                    ck.dims.0,
-                    ck.dims.1,
-                    ck.dims.2,
-                    ck.q,
-                    want.0,
-                    want.1,
-                    want.2,
-                    L::Q
-                )));
-            }
-            self.comm
-                .broadcast(&[ck.step as f64])
-                .map_err(SwlbError::from)?;
-            for rank in (0..self.comm.size()).rev() {
-                let ((x0, lnx), (y0, lny)) = self.part.owned(rank);
-                let payload = ck
-                    .extract_rect(x0, y0, lnx, lny)
-                    .map_err(swlb_obs::SwlbError::from)?;
-                if rank == 0 {
-                    self.restore_owned(&payload, ck.step);
+        // The verdict rank 0 broadcasts with the step: 0 restores, 1 has no
+        // checkpoint, 2 refuses the one it has.
+        let h = self.halo;
+        if self.comm.rank() != 0 {
+            let verdict = self.comm.broadcast(&[0.0; 2])?;
+            if verdict[0] != 0.0 {
+                return Err(if verdict[0] == 1.0 {
+                    SwlbError::NoValidCheckpoint
                 } else {
-                    self.comm
-                        .send(rank, RESHARD_TAG, payload)
-                        .map_err(SwlbError::from)?;
-                }
+                    SwlbError::CorruptData("rank 0 refused the checkpoint".into())
+                });
             }
-        } else {
-            let step = self.comm.broadcast(&[0.0]).map_err(SwlbError::from)?[0] as u64;
-            let payload = self.comm.recv(0, RESHARD_TAG).map_err(SwlbError::from)?;
-            self.restore_owned(&payload, step);
+            let frame = self.comm.recv(0, RESHARD_TAG)?;
+            self.unpack(h..h + self.lnx, h..h + self.lny, &frame);
+            self.resume_at(verdict[1] as u64);
+            return Ok(());
         }
+        let global = self.part.global;
+        let want = (global.nx as u32, global.ny as u32, global.nz as u32);
+        let vetted = match ck {
+            Some(ck) => ck.check_fits(want, L::Q as u32).map(|()| ck).map_err(SwlbError::from),
+            None => Err(SwlbError::NoValidCheckpoint),
+        };
+        let verdict = match &vetted {
+            Ok(_) => 0.0,
+            Err(SwlbError::NoValidCheckpoint) => 1.0,
+            Err(_) => 2.0,
+        };
+        self.comm.broadcast(&[verdict, ck.map_or(0.0, |ck| ck.step as f64)])?;
+        let ck = vetted?;
+        const VETTED: &str = "a vetted checkpoint lands every owned rectangle";
+        for rank in 1..self.comm.size() {
+            // A rectangle's SoA grid is the halo frame order `unpack` lands.
+            let dims = self.part.local_dims_h(rank, 0);
+            let mut frame = vec![0.0; dims.cells() * L::Q];
+            ck.land(self.part.chunk_meta(rank), &mut frame, dims, (0, 0)).expect(VETTED);
+            self.comm.send(rank, RESHARD_TAG, frame)?;
+        }
+        let (rect, local) = (self.part.chunk_meta(0), self.flags.dims());
+        ck.land(rect, self.store.state_mut().raw_mut(), local, (h, h)).expect(VETTED);
+        self.resume_at(ck.step);
         Ok(())
+    }
+
+    /// Adopt the canonical owned block just landed and resume at `step` on a
+    /// block boundary: restarting on the odd AA flavor from a canonical state
+    /// is exactly the AB continuation, and the stale ghost ring is
+    /// overwritten by the pre-exchange before anything reads it.
+    fn resume_at(&mut self, step: u64) {
+        self.store.adopt_canonical();
+        self.step = step;
+        self.phase = 0;
     }
 }
 
@@ -1181,51 +1158,6 @@ pub(crate) fn scheme_byte(scheme: StorageScheme) -> u8 {
         StorageScheme::Ab => swlb_io::checkpoint::SCHEME_AB,
         StorageScheme::Aa => swlb_io::checkpoint::SCHEME_AA,
     }
-}
-
-/// Unpack a chunked checkpoint's canonical payload straight into one
-/// whole-domain SoA payload (`raw[q · cells + cell]`, the inverse of
-/// [`swlb_io::chunked::wire_from_soa`]), chunk by chunk with no assembled wire-order
-/// intermediate. A cell column covered by no chunk is a coverage gap and
-/// yields `CorruptData`.
-pub(crate) fn soa_from_chunked<L: Lattice>(
-    ck: &ChunkedCheckpoint,
-) -> Result<Vec<Scalar>, SwlbError> {
-    ck.validate()?;
-    let dims = GridDims::new(ck.dims.0 as usize, ck.dims.1 as usize, ck.dims.2 as usize);
-    if ck.q != L::Q as u32 {
-        return Err(SwlbError::CorruptData(format!(
-            "chunked checkpoint has q = {}, lattice needs q = {}",
-            ck.q,
-            L::Q
-        )));
-    }
-    let cells = dims.cells();
-    let mut raw = vec![0.0; cells * L::Q];
-    let mut filled = vec![false; dims.nx * dims.ny];
-    for ch in &ck.chunks {
-        let m = ch.meta;
-        let mut it = ch.data.iter();
-        for y in m.y0 as usize..(m.y0 + m.lny) as usize {
-            for x in m.x0 as usize..(m.x0 + m.lnx) as usize {
-                filled[y * dims.nx + x] = true;
-                for z in 0..dims.nz {
-                    let cell = dims.idx(x, y, z);
-                    for q in 0..L::Q {
-                        raw[q * cells + cell] = *it.next().expect("validated chunk length");
-                    }
-                }
-            }
-        }
-    }
-    if let Some(col) = filled.iter().position(|&f| !f) {
-        return Err(SwlbError::CorruptData(format!(
-            "coverage gap: no chunk covers global cell column ({}, {})",
-            col % dims.nx,
-            col / dims.nx
-        )));
-    }
-    Ok(raw)
 }
 
 #[cfg(test)]
@@ -1963,6 +1895,110 @@ mod tests {
             for q in 0..D3Q19::Q {
                 let (r, g) = (reference.get(cell, q), gathered.get(cell, q));
                 assert!((r - g).abs() < tol, "cell {cell} q {q}: {r} vs {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn capture_matches_a_per_cell_canonical_reference() {
+        // Each rank's chunk is its owned block read one cell at a time through
+        // `load_canonical`, in chunk order: under AB, and under AA at both
+        // parities (5 steps end Streamed, 6 Reversed).
+        let global = GridDims::new(7, 6, 5);
+        let mut flags = FlagField::new(global);
+        flags.set_box_walls();
+        flags.paint_lid([0.05, 0.0, 0.0]);
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        let flags_ref = &flags;
+        for ranks in [1, 2] {
+            for scheme in [StorageScheme::Ab, StorageScheme::Aa] {
+                for steps in [5, 6] {
+                    let out = World::new(ranks).run(|comm| {
+                        let mut s =
+                            DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
+                                .storage(scheme)
+                                .build();
+                        s.initialize_with(|x, y, z| {
+                            (1.0 + 0.01 * ((x + 2 * y + 3 * z) % 7) as Scalar, [0.0; 3])
+                        });
+                        s.run(steps).unwrap();
+                        let (nz, h) = (global.nz, s.halo);
+                        let mut f = [0.0; D3Q19::Q];
+                        let mut want = Vec::new();
+                        for y in h..h + s.lny {
+                            for x in h..h + s.lnx {
+                                for z in 0..nz {
+                                    s.store.load_canonical(x, y, z, &mut f);
+                                    want.extend_from_slice(&f);
+                                }
+                            }
+                        }
+                        (want, s.capture_chunked().unwrap())
+                    });
+                    let ck = out[0].1.as_ref().expect("rank 0 captures");
+                    assert_eq!(ck.chunks.len(), ranks);
+                    for (rank, (want, _)) in out.iter().enumerate() {
+                        assert!(
+                            ck.chunks[rank].data == *want,
+                            "{ranks} ranks {scheme:?} {steps} steps: rank {rank}'s chunk"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refused_restore_fails_on_every_rank() {
+        // Rank 0 refuses each of these; its peer must leave the restore with
+        // an error too instead of waiting for a broadcast or a payload. The
+        // world runs on its own thread so a hang fails the test.
+        let global = GridDims::new(8, 8, 4);
+        let zeros = |d: (u32, u32, u32), q: u32| vec![0.0; (d.0 * d.1 * d.2 * q) as usize];
+        let q = D3Q19::Q as u32;
+        let ab = swlb_io::checkpoint::SCHEME_AB;
+        let wrong_dims = ChunkedCheckpoint::single_chunk(3, (6, 8, 4), q, ab, &zeros((6, 8, 4), q));
+        let wrong_q = ChunkedCheckpoint::single_chunk(3, (8, 8, 4), 9, ab, &zeros((8, 8, 4), 9));
+        let mut half = ChunkedCheckpoint::single_chunk(3, (8, 8, 4), q, ab, &zeros((8, 8, 4), q));
+        let west = swlb_io::ChunkMeta {
+            x0: 0,
+            y0: 0,
+            lnx: 4,
+            lny: 8,
+        };
+        half.chunks[0] =
+            CheckpointChunk::from_soa(&zeros((8, 8, 4), q), global, D3Q19::Q, (0, 0), west);
+        for (what, ck) in [
+            ("wrong dims", Some(wrong_dims)),
+            ("wrong q", Some(wrong_q)),
+            ("half the domain", Some(half)),
+            ("no checkpoint", None),
+        ] {
+            let missing = ck.is_none();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let world = std::thread::spawn(move || {
+                let mut flags = FlagField::new(global);
+                flags.set_box_walls();
+                let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+                let errs = World::new(2).run(|comm| {
+                    let mut s =
+                        DistributedSolver::<D3Q19>::builder(&comm, global, &flags, coll).build();
+                    s.initialize_uniform(1.0, [0.0; 3]);
+                    s.restore_chunked(ck.as_ref().filter(|_| comm.rank() == 0))
+                        .err()
+                });
+                let _ = tx.send(errs);
+            });
+            let errs = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|e| panic!("{what}: the world did not return ({e})"));
+            world.join().expect("the world thread returned");
+            for (rank, err) in errs.iter().enumerate() {
+                match (missing, err) {
+                    (true, Some(SwlbError::NoValidCheckpoint)) => {}
+                    (false, Some(SwlbError::CorruptData(_))) => {}
+                    (_, other) => panic!("{what}: rank {rank} returned {other:?}"),
+                }
             }
         }
     }

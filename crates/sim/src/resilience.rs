@@ -123,14 +123,22 @@ fn rollback<L: Lattice, C: Communicator>(
     solver: &mut DistributedSolver<'_, L, C>,
     store: &CheckpointStore,
 ) -> Result<u64, SwlbError> {
+    // Rank 0 passes a missing checkpoint through to the restore, which fails
+    // it on every rank; a store it cannot read releases the peers the same
+    // way before failing with the I/O error.
     let ck = if solver.rank() == 0 {
-        let (ck, skipped) = store
-            .load_latest_valid_any()?
-            .ok_or(SwlbError::NoValidCheckpoint)?;
-        for path in skipped {
-            eprintln!("[recovery] skipping corrupt checkpoint {}", path.display());
+        match store.load_latest_valid_any() {
+            Ok(found) => found.map(|(ck, skipped)| {
+                for path in skipped {
+                    eprintln!("[recovery] skipping corrupt checkpoint {}", path.display());
+                }
+                ck
+            }),
+            Err(e) => {
+                let _ = solver.restore_chunked(None);
+                return Err(e.into());
+            }
         }
-        Some(ck)
     } else {
         None
     };
@@ -529,6 +537,31 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn rollback_without_a_checkpoint_fails_on_every_rank() {
+        // Rank 0 finds nothing to load, then cannot read the store at all;
+        // its peer must hear that inside the restore, not wait out the op
+        // deadline and report a timeout.
+        let (global, flags, coll) = case();
+        let flags_ref = &flags;
+        let store = temp_store("none");
+        let store_ref = &store;
+        let roll = || {
+            World::new(2).run(|comm| {
+                comm.set_op_timeout(Some(Duration::from_secs(5)));
+                let mut s =
+                    DistributedSolver::<D2Q9>::builder(&comm, global, flags_ref, coll).build();
+                s.initialize_uniform(1.0, [0.0; 3]);
+                rollback(&mut s, store_ref).unwrap_err()
+            })
+        };
+        assert_eq!(roll(), vec![SwlbError::NoValidCheckpoint; 2]);
+        std::fs::remove_dir_all(store.dir()).unwrap();
+        let errs = roll();
+        assert!(matches!(errs[0], SwlbError::Io(_)), "rank 0: {:?}", errs[0]);
+        assert_eq!(errs[1], SwlbError::NoValidCheckpoint);
     }
 
     #[test]

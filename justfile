@@ -23,11 +23,10 @@ chaos:
     cargo test -q --release -p swlb-obs -p swlb-comm
 
 # Observability guarantees: zero-alloc disabled path, JSONL schema,
-# counters-vs-report agreement; then measured vs modeled MLUPS side by side.
+# counters that agree with the live solver and with the recovery report.
 obs:
     cargo test -q -p swlb-obs
     cargo test -q -p swlb-sim --release --test obs_integration
-    cargo run --release -p swlb-bench --bin obs_measured_vs_model
 
 # The serving acceptance suite (docs/SERVING.md): clippy-clean serve crate,
 # the loopback integration tests (the wide-job wedge regression and the
@@ -73,15 +72,18 @@ simd-check:
     SWLB_NO_SIMD=1 cargo test -q -p swlb-core --release
 
 # Re-sharding a checkpoint across rank counts, beyond the checkpoint-on-N /
-# resume-on-M matrix in `just equivalence`: rollback across a reshard, and
+# resume-on-M matrix in `just equivalence`: rollback across a reshard, a
+# refused restore failing on every rank instead of hanging the peers, and
 # the malformed-input corpora of swlb-io — the chunked checkpoint (index and
 # manifest cut at every field boundary, bit flips with and without a resealed
-# CRC, hostile counts, aliased / missing / duplicate / short member chunks),
+# CRC, hostile counts, aliased / missing / duplicate / short member chunks,
+# chunks that do not tile the domain),
 # the retired whole-domain layouts the one reader upgrades, and the journal
 # records — where every truncated or hostile input must fail typed or be
 # skipped and counted, never panic.
 reshard-check:
     cargo test -q -p swlb-sim --release --lib resilience
+    cargo test -q -p swlb-sim --release --lib refused_restore_fails_on_every_rank
     cargo test -q -p swlb-io
 
 # Temporal-blocking acceptance (docs/PERFORMANCE.md, "Temporal blocking")

@@ -293,7 +293,7 @@ fn reshard_matrix_resumes_on_any_rank_count() {
 
     for scheme in [StorageScheme::Ab, StorageScheme::Aa] {
         // Uninterrupted 24-step reference, exported canonically.
-        let want = run_world(1, scheme, None, 24).assemble_global().unwrap();
+        let want = run_world(1, scheme, None, 24).to_soa().unwrap();
 
         for n in [1usize, 2, 4] {
             // Checkpoint at step 9: odd, so an AA producer is mid-cycle.
@@ -302,7 +302,7 @@ fn reshard_matrix_resumes_on_any_rank_count() {
 
             for m in [1usize, 2, 6] {
                 let got = run_world(m, scheme, Some(&ck), 15)
-                    .assemble_global()
+                    .to_soa()
                     .unwrap();
                 assert_eq!(got.len(), want.len());
                 for (i, (a, b)) in want.iter().zip(&got).enumerate() {
@@ -355,7 +355,7 @@ fn reshard_handles_degenerate_narrow_source_subdomains() {
                 .expect("rank 0 captures")
         };
 
-    let want = run_world(1, None, 20).assemble_global().unwrap();
+    let want = run_world(1, None, 20).to_soa().unwrap();
     let ck = run_world(4, None, 8);
     assert!(
         ck.chunks.iter().any(|c| c.meta.lnx <= 2),
@@ -364,7 +364,7 @@ fn reshard_handles_degenerate_narrow_source_subdomains() {
     );
 
     for m in [1usize, 6] {
-        let got = run_world(m, Some(&ck), 12).assemble_global().unwrap();
+        let got = run_world(m, Some(&ck), 12).to_soa().unwrap();
         for (i, (a, b)) in want.iter().zip(&got).enumerate() {
             assert!(
                 (a - b).abs() <= tol,
@@ -450,13 +450,13 @@ fn reshard_matrix_resumes_blocked_runs_on_any_rank_count() {
     };
 
     for scheme in [StorageScheme::Ab, StorageScheme::Aa] {
-        let want = run_world(1, scheme, None, 24).assemble_global().unwrap();
+        let want = run_world(1, scheme, None, 24).to_soa().unwrap();
         for n in [1usize, 2, 4] {
             let ck = run_world(n, scheme, None, 10);
             assert_eq!(ck.chunks.len(), n, "one chunk per source rank");
             for m in [1usize, 2, 6] {
                 let got = run_world(m, scheme, Some(&ck), 14)
-                    .assemble_global()
+                    .to_soa()
                     .unwrap();
                 for (i, (a, b)) in want.iter().zip(&got).enumerate() {
                     assert!(

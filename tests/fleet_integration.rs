@@ -343,7 +343,7 @@ fn migration_envelope_roundtrips_bit_exact_across_widths() {
         .next()
         .expect("rank 0 captures");
     assert_eq!(ck.chunks.len(), 2, "one chunk per source rank");
-    let reference = ck.assemble_global().unwrap();
+    let reference = ck.to_soa().unwrap();
 
     // Sender half: persist through the store, then lift the exact on-disk
     // bytes into an envelope — the controller's migration path.
@@ -373,14 +373,14 @@ fn migration_envelope_roundtrips_bit_exact_across_widths() {
     // the 2-rank capture exactly.
     let (restored, _) = store_b.load_latest_valid_any().unwrap().unwrap();
     assert_eq!(restored, ck, "the chunks survive the wire as captured");
-    assert_eq!(restored.assemble_global().unwrap(), reference);
+    assert_eq!(restored.to_soa().unwrap(), reference);
     let mut dst = spec
         .build(ThreadPool::new(1), Recorder::disabled())
         .unwrap();
     dst.restore_chunked_state(&restored).unwrap();
     assert_eq!(dst.step_count(), 24);
     assert_eq!(
-        dst.capture_chunked().assemble_global().unwrap(),
+        dst.capture_chunked().to_soa().unwrap(),
         reference,
         "2 ranks → case solver restore is not bit-exact"
     );

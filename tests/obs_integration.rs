@@ -5,9 +5,11 @@
 //!    heap allocations per step (asserted with a counting global allocator).
 //! 2. **Exports are well-formed**: an instrumented run emits structurally
 //!    valid JSONL with the documented keys (`docs/OBSERVABILITY.md`).
-//! 3. **Counters tell the truth**: after a chaos run with injected faults,
-//!    the recovery counters agree with the [`RecoveryReport`] the recovery
-//!    driver returns, and the halo retry counter reflects the healed fault.
+//! 3. **Counters tell the truth**: a live run's step counter and
+//!    `kernel_class` gauge agree with the solver; after a chaos run with
+//!    injected faults, the recovery counters agree with the
+//!    [`RecoveryReport`] the recovery driver returns, and the halo retry
+//!    counter reflects the healed fault.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -233,6 +235,31 @@ fn enabled_recorder_exports_valid_jsonl() {
         "step counter reaches the run length"
     );
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Guarantee 3, shared memory: after a live D3Q19 run the recorder's step
+/// counter equals the run length, and its `kernel_class` gauge names the
+/// kernel the solver reports.
+#[test]
+fn recorder_step_counter_and_kernel_class_agree_with_the_solver() {
+    use swlb_core::lattice::D3Q19;
+
+    let rec = Recorder::enabled();
+    let mut s = Solver::<D3Q19>::builder(GridDims::new(16, 16, 16), BgkParams::from_tau(0.8))
+        .recorder(rec.clone())
+        .build();
+    s.flags_mut().set_box_walls();
+    s.flags_mut().paint_lid([0.05, 0.0, 0.0]);
+    s.initialize_uniform(1.0, [0.0; 3]);
+    s.run(5);
+    s.run(12);
+    let snap = rec.snapshot(s.step_count()).expect("recorder is enabled");
+    assert_eq!(snap.counter("steps"), Some(17), "step counter vs run length");
+    assert_eq!(
+        snap.gauge("kernel_class"),
+        Some(s.last_kernel_class().as_gauge()),
+        "kernel_class gauge vs the dispatch"
+    );
 }
 
 /// Guarantee 3: after a 2-rank chaos run — one delayed halo message (healed
