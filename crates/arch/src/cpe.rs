@@ -864,11 +864,11 @@ mod tests {
         let coll = CollisionKind::Bgk(BgkParams::from_tau(tau));
 
         let mut ref_src = random_field(dims, 8);
-        swlb_core::kernels::initialize_equilibrium::<D3Q19, _>(
+        swlb_core::kernels::initialize_with::<D3Q19, _>(
+            &swlb_core::parallel::ThreadPool::new(1),
             &flags,
             &mut ref_src,
-            1.0,
-            [0.0; 3],
+            |_, _, _| (1.0, [0.0; 3]),
         );
         let mut emu_src = ref_src.clone();
         let mut ref_dst = SoaField::<D3Q19>::new(dims);

@@ -12,7 +12,8 @@ use swlb_core::layout::{AosField, PopField, SoaField};
 fn init<L: swlb_core::lattice::Lattice, F: PopField<L>>(dims: GridDims) -> F {
     let flags = FlagField::new(dims);
     let mut f = F::new(dims);
-    swlb_core::kernels::initialize_with::<L, _>(&flags, &mut f, |x, y, z| {
+    let pool = swlb_core::parallel::ThreadPool::new(1);
+    swlb_core::kernels::initialize_with::<L, _>(&pool, &flags, &mut f, |x, y, z| {
         (1.0 + 0.001 * ((x + y + z) % 5) as f64, [0.01, 0.0, 0.0])
     });
     f

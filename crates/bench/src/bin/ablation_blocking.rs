@@ -61,7 +61,8 @@ fn main() {
         let dims = GridDims::new(10, h * ncpe, 24);
         let flags = FlagField::new(dims);
         let mut src = SoaField::<D3Q19>::new(dims);
-        swlb_core::kernels::initialize_with::<D3Q19, _>(&flags, &mut src, |_, _, _| {
+        let pool = swlb_core::parallel::ThreadPool::new(1);
+        swlb_core::kernels::initialize_with::<D3Q19, _>(&pool, &flags, &mut src, |_, _, _| {
             (1.0, [0.01, 0.0, 0.0])
         });
         let run = |sharing: SharingMode| {

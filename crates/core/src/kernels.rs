@@ -25,13 +25,14 @@
 //!   assembly-level optimization stage — at lane width 8, 4 or 1), reached
 //!   through [`crate::parallel::ThreadPool`]; the generic bodies here finish
 //!   the boundary shell, skipping the cells of the mask.
+//! * [`initialize_with`] — the one initializer, a column walk on the pool.
 
 use crate::boundary::NodeKind;
 use crate::collision::{collide, CollisionKind};
-use crate::equilibrium::{equilibrium, moments};
+use crate::equilibrium::equilibrium;
 use crate::flags::FlagField;
 use crate::lattice::Lattice;
-use crate::layout::{AaParity, PopField, SoaField};
+use crate::layout::{for_each_column, AaParity, PopField, SoaField};
 use crate::parallel::ThreadPool;
 use crate::Scalar;
 use std::ops::Range;
@@ -161,6 +162,17 @@ impl SharedWriter {
     #[inline(always)]
     pub(crate) fn ptr(&self) -> *mut Scalar {
         self.ptr
+    }
+
+    /// The `len` scalars from `index` on, as one mutable run.
+    ///
+    /// # Safety
+    /// In bounds, and no other thread touches them while the run lives.
+    #[allow(clippy::mut_from_ref)]
+    #[inline(always)]
+    pub(crate) unsafe fn slice_mut(&self, index: usize, len: usize) -> &mut [Scalar] {
+        debug_assert!(index + len <= self.len);
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(index), len) }
     }
 
     /// # Safety
@@ -532,95 +544,63 @@ pub fn reverse_planes<L: Lattice>(field: &mut SoaField<L>) {
     }
 }
 
-/// Canonicalize an AA grid in the `Streamed` state: slot `(y, q)` holds
-/// `f*_q(y − c_q)`, so the canonical post-collision value of cell `x` in
-/// direction `q` sits at `(x + c_q, q)` (periodic wrap; for a solid neighbor
-/// that slot is the mailbox the odd scatter parked it in — same formula).
-/// Solid cells' own canonical values are scheme-dependent mailbox leftovers
-/// (always finite, never fed back into the dynamics).
-pub fn canonicalize_streamed<L: Lattice>(grid: &SoaField<L>) -> SoaField<L> {
-    let dims = grid.dims();
-    let mut out = SoaField::<L>::new(dims);
-    for y in 0..dims.ny {
-        for x in 0..dims.nx {
-            for z in 0..dims.nz {
-                let this = dims.idx(x, y, z);
-                for q in 0..L::Q {
-                    let c = L::C[q];
-                    let [a, b, d] = dims.neighbor_periodic(x, y, z, [c[0], c[1], c[2]]);
-                    out.set(this, q, grid.get(dims.idx(a, b, d), q));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Compute `(rho, u)` of a cell directly from a population field.
-#[inline]
-pub fn cell_moments<L: Lattice, F: PopField<L>>(field: &F, cell: usize) -> (Scalar, [Scalar; 3]) {
-    let mut f = [0.0; MAX_Q];
-    field.load_cell(cell, &mut f[..L::Q]);
-    let (rho, j) = moments::<L>(&f[..L::Q]);
-    (rho, crate::equilibrium::velocity(rho, j))
-}
-
-/// Initialize every non-solid cell of `field` to `f_eq(rho, u)`.
-pub fn initialize_equilibrium<L: Lattice, F: PopField<L>>(
-    flags: &FlagField,
-    field: &mut F,
-    rho: Scalar,
-    u: [Scalar; 3],
-) {
-    let mut feq = [0.0; MAX_Q];
-    equilibrium::<L>(rho, u, &mut feq[..L::Q]);
-    for cell in 0..field.cells() {
-        if !flags.kind(cell).is_solid() {
-            field.store_cell(cell, &feq[..L::Q]);
-        } else {
-            // Deterministic inert state for solids.
-            for q in 0..L::Q {
-                field.set(cell, q, L::W[q] * rho);
-            }
-        }
-    }
-}
-
-/// Initialize with a position-dependent velocity field (e.g. Taylor–Green).
+/// Initialize every cell of `field` from `state(x, y, z) = (rho, u)`:
+/// non-solid cells to `f_eq(rho, u)`, solid cells to the inert, deterministic
+/// `w_q · rho`. The one initializer, a column walk on `pool`: initialising
+/// also gives first touch to the thread that will sweep the slab. Every cell
+/// is written once from its own state, so the result does not depend on the
+/// thread count.
 pub fn initialize_with<L: Lattice, F: PopField<L>>(
+    pool: &ThreadPool,
     flags: &FlagField,
     field: &mut F,
-    mut state: impl FnMut(usize, usize, usize) -> (Scalar, [Scalar; 3]),
+    state: impl Fn(usize, usize, usize) -> (Scalar, [Scalar; 3]) + Sync,
 ) {
     let dims = flags.dims();
-    let mut feq = [0.0; MAX_Q];
-    for [x, y, z] in dims.iter() {
-        let cell = dims.idx(x, y, z);
-        let (rho, u) = state(x, y, z);
-        if !flags.kind(cell).is_solid() {
-            equilibrium::<L>(rho, u, &mut feq[..L::Q]);
-            field.store_cell(cell, &feq[..L::Q]);
-        } else {
+    assert_eq!(field.dims(), dims, "field does not fit the flag grid");
+    let writer = SharedWriter::new(field.raw_mut());
+    // From here on only the field's index arithmetic is read; its storage is
+    // written through `writer`.
+    let field = &*field;
+    for_each_column(pool, dims, |x, y| {
+        let mut feq = [0.0; MAX_Q];
+        for z in 0..dims.nz {
+            let cell = dims.idx(x, y, z);
+            let (rho, u) = state(x, y, z);
+            if flags.kind(cell).is_solid() {
+                for (v, w) in feq.iter_mut().zip(L::W) {
+                    *v = w * rho;
+                }
+            } else {
+                equilibrium::<L>(rho, u, &mut feq[..L::Q]);
+            }
             for q in 0..L::Q {
-                field.set(cell, q, L::W[q] * rho);
+                // SAFETY: `(cell, q)` lies in this column, which the walk
+                // hands to exactly one thread; `&mut field` is held
+                // throughout.
+                unsafe { writer.write(field.index_of(cell, q), feq[q]) };
             }
         }
-    }
-}
-
-/// Count flop-relevant (fluid) cells — the "lattice updates" of GLUPS accounting.
-pub fn active_cells(flags: &FlagField) -> usize {
-    flags.census().fluid
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collision::BgkParams;
+    use crate::equilibrium::moments;
     use crate::geometry::GridDims;
     use crate::lattice::{D2Q9, D3Q19};
     use crate::layout::AosField;
+    use crate::macroscopic::MacroFields;
     use crate::simd::{ab_interior_sweep, FastPath, KernelClass};
+
+    /// A field at equilibrium `(rho, u)` everywhere.
+    fn uniform<L: Lattice>(flags: &FlagField, rho: Scalar, u: [Scalar; 3]) -> SoaField<L> {
+        let mut field = SoaField::<L>::new(flags.dims());
+        initialize_with::<L, _>(&ThreadPool::new(1), flags, &mut field, |_, _, _| (rho, u));
+        field
+    }
 
     fn setup_random_field<L: Lattice, F: PopField<L>>(dims: GridDims, seed: u64) -> F {
         let mut field = F::new(dims);
@@ -649,11 +629,8 @@ mod tests {
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
         fused_step(&flags, &src, &mut dst, &coll);
 
-        let total = |f: &SoaField<D3Q19>| -> Scalar {
-            (0..f.cells())
-                .map(|c| cell_moments::<D3Q19, _>(f, c).0)
-                .sum()
-        };
+        let total =
+            |f: &SoaField<D3Q19>| MacroFields::compute::<D3Q19, _>(&flags, f).total_mass(&flags);
         assert!((total(&src) - total(&dst)).abs() < 1e-10);
     }
 
@@ -925,7 +902,11 @@ mod tests {
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
         fused_step(&flags, &src, &mut dst, &coll);
 
-        let (rho, u) = cell_moments::<D3Q19, _>(&dst, dims.idx(0, 2, 1));
+        let (m, inlet) = (
+            MacroFields::compute::<D3Q19, _>(&flags, &dst),
+            dims.idx(0, 2, 1),
+        );
+        let (rho, u) = (m.rho[inlet], m.u[inlet]);
         assert!((rho - 1.0).abs() < 1e-12);
         assert!((u[0] - 0.07).abs() < 1e-12);
         assert!(u[1].abs() < 1e-12);
@@ -955,21 +936,14 @@ mod tests {
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
         flags.paint_lid([0.1, 0.0, 0.0]);
-        let mut src = SoaField::<D2Q9>::new(dims);
-        initialize_equilibrium::<D2Q9, _>(&flags, &mut src, 1.0, [0.0; 3]);
+        let mut src = uniform::<D2Q9>(&flags, 1.0, [0.0; 3]);
         let mut dst = SoaField::<D2Q9>::new(dims);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
         for _ in 0..10 {
             fused_step(&flags, &src, &mut dst, &coll);
             std::mem::swap(&mut src, &mut dst);
         }
-        let mut jx = 0.0;
-        for c in 0..dims.cells() {
-            if flags.kind(c).is_fluid() {
-                let (rho, u) = cell_moments::<D2Q9, _>(&src, c);
-                jx += rho * u[0];
-            }
-        }
+        let jx = MacroFields::compute::<D2Q9, _>(&flags, &src).total_momentum(&flags)[0];
         assert!(jx > 1e-6, "lid failed to drag fluid: jx = {jx}");
     }
 
@@ -979,17 +953,17 @@ mod tests {
         let dims = GridDims::new(6, 6, 6);
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
-        let mut src = SoaField::<D3Q19>::new(dims);
-        initialize_equilibrium::<D3Q19, _>(&flags, &mut src, 1.0, [0.0; 3]);
+        let mut src = uniform::<D3Q19>(&flags, 1.0, [0.0; 3]);
         let mut dst = SoaField::<D3Q19>::new(dims);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.6));
         for _ in 0..5 {
             fused_step(&flags, &src, &mut dst, &coll);
             std::mem::swap(&mut src, &mut dst);
         }
+        let m = MacroFields::compute::<D3Q19, _>(&flags, &src);
         for c in 0..dims.cells() {
             if flags.kind(c).is_fluid() {
-                let (rho, u) = cell_moments::<D3Q19, _>(&src, c);
+                let (rho, u) = (m.rho[c], m.u[c]);
                 assert!((rho - 1.0).abs() < 1e-12);
                 for a in 0..3 {
                     assert!(u[a].abs() < 1e-12);

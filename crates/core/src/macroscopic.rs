@@ -8,9 +8,8 @@
 use crate::equilibrium::{moments, velocity};
 use crate::flags::FlagField;
 use crate::geometry::GridDims;
-use crate::kernels::MAX_Q;
 use crate::lattice::Lattice;
-use crate::layout::PopField;
+use crate::layout::CanonicalRuns;
 use crate::{Scalar, CS2};
 
 /// Dense snapshot of density and velocity, one entry per cell.
@@ -24,21 +23,23 @@ pub struct MacroFields {
 }
 
 impl MacroFields {
-    /// Extract moments from a population field. Solid cells get `(1, 0)`.
-    pub fn compute<L: Lattice, F: PopField<L>>(flags: &FlagField, field: &F) -> Self {
+    /// Extract moments from the canonical populations of `field` — a plain
+    /// canonical [`crate::layout::SoaField`], or a [`crate::layout::Storage`]
+    /// under any scheme and parity, read in place through its
+    /// [`CanonicalRuns`] (nothing the size of the lattice is copied). Solid
+    /// cells get `(1, 0)`.
+    pub fn compute<L: Lattice, F: CanonicalRuns<L>>(flags: &FlagField, field: &F) -> Self {
         let dims = flags.dims();
         let n = dims.cells();
         let mut rho = vec![1.0; n];
         let mut u = vec![[0.0; 3]; n];
-        let mut f = [0.0; MAX_Q];
-        for cell in 0..n {
-            if !flags.kind(cell).is_solid() {
-                field.load_cell(cell, &mut f[..L::Q]);
-                let (r, j) = moments::<L>(&f[..L::Q]);
+        field.for_each_cell(flags, 0..dims.nx, 0..dims.ny, |cell, kind, f| {
+            if !kind.is_solid() {
+                let (r, j) = moments::<L>(f);
                 rho[cell] = r;
                 u[cell] = velocity(r, j);
             }
-        }
+        });
         Self { dims, rho, u }
     }
 
@@ -129,16 +130,23 @@ impl MacroFields {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::initialize_equilibrium;
+    use crate::kernels::initialize_with;
     use crate::lattice::D3Q19;
-    use crate::layout::SoaField;
+    use crate::layout::{PopField, SoaField};
+    use crate::parallel::ThreadPool;
+
+    /// A field at equilibrium `(rho, u)` everywhere.
+    fn uniform<L: Lattice>(flags: &FlagField, rho: Scalar, u: [Scalar; 3]) -> SoaField<L> {
+        let mut field = SoaField::<L>::new(flags.dims());
+        initialize_with::<L, _>(&ThreadPool::new(1), flags, &mut field, |_, _, _| (rho, u));
+        field
+    }
 
     #[test]
     fn uniform_state_reports_uniform_moments() {
         let dims = GridDims::new(4, 4, 4);
         let flags = FlagField::new(dims);
-        let mut field = SoaField::<D3Q19>::new(dims);
-        initialize_equilibrium::<D3Q19, _>(&flags, &mut field, 1.25, [0.02, 0.01, -0.01]);
+        let field = uniform::<D3Q19>(&flags, 1.25, [0.02, 0.01, -0.01]);
         let m = MacroFields::compute::<D3Q19, _>(&flags, &field);
         for c in 0..dims.cells() {
             assert!((m.rho[c] - 1.25).abs() < 1e-12);
@@ -153,8 +161,7 @@ mod tests {
     fn pressure_is_cs2_rho() {
         let dims = GridDims::new2d(2, 2);
         let flags = FlagField::new(dims);
-        let mut field = SoaField::<crate::lattice::D2Q9>::new(dims);
-        initialize_equilibrium::<crate::lattice::D2Q9, _>(&flags, &mut field, 3.0, [0.0; 3]);
+        let field = uniform::<crate::lattice::D2Q9>(&flags, 3.0, [0.0; 3]);
         let m = MacroFields::compute::<crate::lattice::D2Q9, _>(&flags, &field);
         for p in m.pressure() {
             assert!((p - 1.0).abs() < 1e-12);
@@ -166,8 +173,7 @@ mod tests {
         let dims = GridDims::new2d(3, 3);
         let mut flags = FlagField::new(dims);
         flags.set(1, 1, 0, crate::boundary::NodeKind::Wall);
-        let mut field = SoaField::<crate::lattice::D2Q9>::new(dims);
-        initialize_equilibrium::<crate::lattice::D2Q9, _>(&flags, &mut field, 2.0, [0.1, 0.0, 0.0]);
+        let field = uniform::<crate::lattice::D2Q9>(&flags, 2.0, [0.1, 0.0, 0.0]);
         let m = MacroFields::compute::<crate::lattice::D2Q9, _>(&flags, &field);
         let solid = dims.idx(1, 1, 0);
         assert_eq!(m.rho[solid], 1.0);
@@ -180,8 +186,7 @@ mod tests {
     fn kinetic_energy_and_momentum_match_hand_computation() {
         let dims = GridDims::new2d(2, 1);
         let flags = FlagField::new(dims);
-        let mut field = SoaField::<crate::lattice::D2Q9>::new(dims);
-        initialize_equilibrium::<crate::lattice::D2Q9, _>(&flags, &mut field, 1.0, [0.1, 0.0, 0.0]);
+        let field = uniform::<crate::lattice::D2Q9>(&flags, 1.0, [0.1, 0.0, 0.0]);
         let m = MacroFields::compute::<crate::lattice::D2Q9, _>(&flags, &field);
         assert!((m.kinetic_energy(&flags) - 2.0 * 0.5 * 0.01).abs() < 1e-12);
         let mom = m.total_momentum(&flags);
@@ -192,8 +197,7 @@ mod tests {
     fn slice_extraction_has_row_major_shape() {
         let dims = GridDims::new(3, 2, 2);
         let flags = FlagField::new(dims);
-        let mut field = SoaField::<D3Q19>::new(dims);
-        initialize_equilibrium::<D3Q19, _>(&flags, &mut field, 1.0, [0.3, 0.0, 0.0]);
+        let field = uniform::<D3Q19>(&flags, 1.0, [0.3, 0.0, 0.0]);
         let m = MacroFields::compute::<D3Q19, _>(&flags, &field);
         let s = m.slice_xy_speed(1);
         assert_eq!(s.len(), 6);

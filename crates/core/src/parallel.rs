@@ -333,9 +333,10 @@ impl ThreadPool {
 
     /// Run `slab(ys)` for every slab of the balanced partition of `yr` (rows
     /// of `row_cells` cells) into [`slab_count`] contiguous slabs, on all pool
-    /// threads at once (atomic slab stealing). `slab` lives on this stack
-    /// frame: no allocation.
-    fn for_each_slab<F: Fn(Range<usize>) + Sync>(
+    /// threads at once (atomic slab stealing) — the one dispatch under the
+    /// sweeps and under the pencil walks of [`crate::layout`]. `slab` lives
+    /// on this stack frame: no allocation.
+    pub(crate) fn for_each_slab<F: Fn(Range<usize>) + Sync>(
         &self,
         yr: Range<usize>,
         row_cells: usize,

@@ -102,10 +102,14 @@ mod tests {
     use crate::layout::{PopField, SoaField};
     use crate::macroscopic::MacroFields;
 
-    fn fields_from(dims: GridDims, f: impl Fn(usize, usize, usize) -> [Scalar; 3]) -> MacroFields {
+    fn fields_from(
+        dims: GridDims,
+        f: impl Fn(usize, usize, usize) -> [Scalar; 3] + Sync,
+    ) -> MacroFields {
         let flags = FlagField::new(dims);
         let mut field = SoaField::<D3Q19>::new(dims);
-        initialize_with::<D3Q19, _>(&flags, &mut field, |x, y, z| (1.0, f(x, y, z)));
+        let pool = crate::parallel::ThreadPool::new(1);
+        initialize_with::<D3Q19, _>(&pool, &flags, &mut field, |x, y, z| (1.0, f(x, y, z)));
         MacroFields::compute::<D3Q19, _>(&flags, &field)
     }
 

@@ -27,12 +27,16 @@
 //! (the raw current grid, whose slot interpretation depends on the scheme and
 //! [`Solver::parity`]) plus [`Solver::canonical_populations`]/
 //! [`Solver::restore_canonical`] (the scheme-portable post-collision view used
-//! by checkpoints, diagnostics and equivalence tests).
+//! by checkpoints, diagnostics and equivalence tests). That view,
+//! [`Solver::macroscopic`] and the divergence check of [`Solver::run_checked`]
+//! read the state where [`crate::layout::CanonicalRuns`] says it lives: only
+//! `canonical_populations` copies the lattice (under AA, on the solver's
+//! pool), and the divergence check allocates nothing.
 
 use crate::collision::{BgkParams, CollisionKind};
 use crate::flags::FlagField;
 use crate::geometry::GridDims;
-use crate::kernels::{self, initialize_equilibrium, initialize_with, InteriorIndex};
+use crate::kernels::{initialize_with, InteriorIndex};
 use crate::lattice::Lattice;
 use crate::layout::{AaParity, PopField, SoaField, Storage, StorageScheme};
 use crate::macroscopic::MacroFields;
@@ -284,12 +288,13 @@ impl<L: Lattice> Solver<L> {
     }
 
     /// The canonical (AB-ordered) post-collision populations of the current
-    /// state: borrowed zero-copy under AB, materialized under AA by undoing
-    /// the slot reversal (`Reversed`) or the in-place streaming (`Streamed`).
+    /// state: borrowed zero-copy under AB, materialized under AA on the
+    /// solver's pool by undoing the slot reversal (`Reversed`) or the
+    /// in-place streaming (`Streamed`) — [`Storage::canonical`].
     /// This is the scheme-portable payload checkpoints and diagnostics use.
     /// Solid cells hold scheme-dependent (finite) values.
     pub fn canonical_populations(&self) -> Cow<'_, SoaField<L>> {
-        self.storage.canonical()
+        self.storage.canonical(&self.pool)
     }
 
     /// Restore a canonical (AB-ordered) post-collision state — the payload of
@@ -313,16 +318,16 @@ impl<L: Lattice> Solver<L> {
 
     /// Initialize every non-solid cell to `f_eq(rho, u)` and reset the step count.
     pub fn initialize_uniform(&mut self, rho: Scalar, u: [Scalar; 3]) {
-        initialize_equilibrium::<L, _>(&self.flags, self.storage.state_mut(), rho, u);
-        self.finish_init();
+        self.initialize_field(|_, _, _| (rho, u));
     }
 
-    /// Initialize with a position-dependent state and reset the step count.
+    /// Initialize with a position-dependent state on the solver's pool
+    /// ([`initialize_with`]) and reset the step count.
     pub fn initialize_field(
         &mut self,
-        state: impl FnMut(usize, usize, usize) -> (Scalar, [Scalar; 3]),
+        state: impl Fn(usize, usize, usize) -> (Scalar, [Scalar; 3]) + Sync,
     ) {
-        initialize_with::<L, _>(&self.flags, self.storage.state_mut(), state);
+        initialize_with::<L, _>(&self.pool, &self.flags, self.storage.state_mut(), state);
         self.finish_init();
     }
 
@@ -337,7 +342,7 @@ impl<L: Lattice> Solver<L> {
         if self.mask_dirty {
             self.storage.scheme().check_flags(&self.flags)?;
             self.interior = Some(InteriorIndex::build::<L>(&self.flags));
-            self.active = kernels::active_cells(&self.flags);
+            self.active = self.flags.census().fluid;
             self.mask_dirty = false;
         }
         Ok(())
@@ -473,16 +478,20 @@ impl<L: Lattice> Solver<L> {
     }
 
     /// Advance `n` steps, checking for divergence every `check_every` steps
-    /// (rounded up to temporal-block boundaries when blocking is on).
+    /// (rounded up to temporal-block boundaries when blocking is on). A check
+    /// is [`Storage::fluid_mass`] of the whole grid: NaN as soon as any
+    /// non-solid cell holds a non-finite population, read in place with no
+    /// allocation.
     pub fn run_checked(&mut self, n: u64, check_every: u64) -> Result<(), SwlbError> {
         let every = check_every.max(1);
         let mut done = 0;
         let mut next_check = every;
+        let (xr, yr) = (0..self.dims.nx, 0..self.dims.ny);
         while done < n {
             done += self.advance(n - done)?;
             if done >= next_check || done == n {
-                let m = self.macroscopic();
-                if m.has_non_finite() {
+                let mass = self.storage.fluid_mass(&self.flags, xr.clone(), yr.clone());
+                if !mass.is_finite() {
                     return Err(SwlbError::Diverged { step: self.step });
                 }
                 while next_check <= done {
@@ -493,10 +502,11 @@ impl<L: Lattice> Solver<L> {
         Ok(())
     }
 
-    /// Extract the macroscopic fields of the current state (computed from the
-    /// canonical view, so AA parity never leaks into diagnostics).
+    /// Extract the macroscopic fields of the current state, read in place
+    /// from the storage's canonical runs (so AA parity never leaks into
+    /// diagnostics, and nothing the size of the lattice is copied).
     pub fn macroscopic(&self) -> MacroFields {
-        MacroFields::compute::<L, _>(&self.flags, self.canonical_populations().as_ref())
+        MacroFields::compute::<L, _>(&self.flags, &self.storage)
     }
 
     /// Summary statistics of the current state.
@@ -512,7 +522,7 @@ impl<L: Lattice> Solver<L> {
 
     /// Number of fluid cells — the "lattice updates" of GLUPS accounting.
     pub fn active_cells(&self) -> usize {
-        kernels::active_cells(&self.flags)
+        self.flags.census().fluid
     }
 
     /// Million lattice updates per second for a measured wall time per step.
@@ -819,6 +829,46 @@ mod tests {
                 assert!(!s.macroscopic().has_non_finite());
             }
             Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    #[test]
+    fn run_checked_trips_on_a_planted_non_finite_at_the_next_check() {
+        // NaN, then +Inf, in a fluid cell under AB and under AA at both
+        // parities, and in an inflow cell of an AB channel: the first check
+        // after the plant reports it, two steps on.
+        for poison in [Scalar::NAN, Scalar::INFINITY] {
+            for (scheme, before, channel) in [
+                (StorageScheme::Ab, 2, false),
+                (StorageScheme::Aa, 2, false),
+                (StorageScheme::Aa, 3, false),
+                (StorageScheme::Ab, 2, true),
+            ] {
+                let mut s =
+                    Solver::<D3Q19>::builder(GridDims::new(10, 8, 6), BgkParams::from_tau(0.8))
+                        .storage(scheme)
+                        .build();
+                let at = if channel {
+                    s.flags_mut().paint_channel_walls_y();
+                    s.flags_mut().paint_inflow_outflow_x(1.0, [0.03, 0.0, 0.0]);
+                    [0, 3, 2]
+                } else {
+                    s.flags_mut().set_box_walls();
+                    s.flags_mut().paint_lid([0.05, 0.0, 0.0]);
+                    [4, 3, 2]
+                };
+                s.initialize_uniform(1.0, [0.0; 3]);
+                s.run(before);
+                let cell = s.dims().idx(at[0], at[1], at[2]);
+                for q in 0..19 {
+                    s.state_mut().set(cell, q, poison);
+                }
+                let what = format!("{poison} at {at:?}, {scheme:?} after {before} steps");
+                match s.run_checked(6, 2) {
+                    Err(SwlbError::Diverged { step }) => assert_eq!(step, before + 2, "{what}"),
+                    other => panic!("{what}: expected Diverged, got {other:?}"),
+                }
+            }
         }
     }
 

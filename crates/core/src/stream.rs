@@ -139,9 +139,19 @@ mod tests {
     use super::*;
     use crate::collision::BgkParams;
     use crate::geometry::GridDims;
-    use crate::kernels::{fused_step, initialize_equilibrium};
+    use crate::kernels::{fused_step, initialize_with};
     use crate::lattice::{D2Q9, D3Q19};
     use crate::layout::SoaField;
+    use crate::parallel::ThreadPool;
+
+    /// A D2Q9 field at rest at unit density.
+    fn at_rest(flags: &FlagField) -> SoaField<D2Q9> {
+        let mut field = SoaField::<D2Q9>::new(flags.dims());
+        initialize_with::<D2Q9, _>(&ThreadPool::new(1), flags, &mut field, |_, _, _| {
+            (1.0, [0.0; 3])
+        });
+        field
+    }
 
     fn random_field<L: Lattice>(dims: GridDims, seed: u64) -> SoaField<L> {
         let mut field = SoaField::<L>::new(dims);
@@ -215,8 +225,7 @@ mod tests {
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
         flags.paint_lid([0.08, 0.0, 0.0]);
-        let mut src = SoaField::<D2Q9>::new(dims);
-        initialize_equilibrium::<D2Q9, _>(&flags, &mut src, 1.0, [0.0; 3]);
+        let src = at_rest(&flags);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.7));
 
         // Evolve a few steps with push; mirror with the split collide→stream pair.
@@ -247,8 +256,7 @@ mod tests {
         let dims = GridDims::new2d(10, 10);
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
-        let mut src = SoaField::<D2Q9>::new(dims);
-        initialize_equilibrium::<D2Q9, _>(&flags, &mut src, 1.0, [0.0; 3]);
+        let mut src = at_rest(&flags);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
         let mass = |f: &SoaField<D2Q9>| -> Scalar {
             let mut m = 0.0;

@@ -16,11 +16,9 @@ use swlb_core::boundary::NodeKind;
 use swlb_core::collision::{BgkParams, CollisionKind};
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{
-    canonicalize_streamed, fused_step, initialize_with, reverse_planes, InteriorIndex,
-};
+use swlb_core::kernels::{fused_step, initialize_with, reverse_planes, InteriorIndex};
 use swlb_core::lattice::{Lattice, D3Q19};
-use swlb_core::layout::{AaParity, PopField, SoaField};
+use swlb_core::layout::{AaParity, PopField, SoaField, Storage};
 use swlb_core::parallel::ThreadPool;
 use swlb_core::simd::{dispatch_tolerance, set_lane_policy, KernelClass, LanePolicy};
 
@@ -109,7 +107,7 @@ fn matrix_matches_the_generic_kernel(flags: &FlagField) {
 
     // Canonical states after 0, 1 and 2 steps of the generic kernel.
     let mut step0 = Field::new(dims);
-    initialize_with::<D3Q19, _>(flags, &mut step0, |x, y, z| {
+    initialize_with::<D3Q19, _>(&ThreadPool::new(1), flags, &mut step0, |x, y, z| {
         let v = 0.01 * ((x * 7 + y * 3 + z) % 11) as f64;
         (1.0 + v, [v * 0.1, -v * 0.05, 0.02 * v])
     });
@@ -158,7 +156,11 @@ fn matrix_matches_the_generic_kernel(flags: &FlagField) {
                     Some(&interior),
                 );
                 assert_ne!(class, KernelClass::Generic);
-                let odd = canonicalize_streamed::<D3Q19>(&odd);
+                let odd = Storage::Aa {
+                    field: odd,
+                    parity: AaParity::Streamed,
+                };
+                let odd = odd.canonical(&one);
                 assert_close(flags, &step1, &odd, true, tol, &what("AA-odd"));
 
                 let mut even = streamed.clone();
@@ -169,7 +171,11 @@ fn matrix_matches_the_generic_kernel(flags: &FlagField) {
                     AaParity::Streamed,
                     Some(&interior),
                 );
-                reverse_planes::<D3Q19>(&mut even);
+                let even = Storage::Aa {
+                    field: even,
+                    parity: AaParity::Reversed,
+                };
+                let even = even.canonical(&one);
                 assert_close(flags, &step2, &even, true, tol, &what("AA-even"));
             }
         }

@@ -366,11 +366,6 @@ impl CaseSolver {
         }
     }
 
-    /// Whether the current state contains NaN/Inf.
-    pub fn has_non_finite(&self) -> bool {
-        self.macroscopic().has_non_finite()
-    }
-
     /// Speed magnitude of the z=0 plane (slice outputs).
     pub fn slice_speed(&self) -> Vec<Scalar> {
         self.macroscopic().slice_xy_speed(0)
@@ -592,7 +587,68 @@ mod tests {
                         .unwrap_or_else(|e| panic!("{case:?}/{lattice:?}/{storage:?}: {e}"));
                     solver.run_checked(4, 2).unwrap();
                     assert_eq!(solver.step_count(), 4);
-                    assert!(!solver.has_non_finite());
+                    assert!(!solver.macroscopic().has_non_finite());
+                }
+            }
+        }
+    }
+
+    /// The per-cell initializer: `f_eq` of the case's state at every
+    /// non-solid cell and `w_q · rho` at every solid one, in SoA order.
+    fn per_cell_initial_state<L: Lattice>(spec: &CaseSpec) -> Vec<Scalar> {
+        let dims = spec.dims();
+        let mut flags = FlagField::new(dims);
+        spec.paint_flags(&mut flags);
+        let (cells, mut feq) = (dims.cells(), [0.0; swlb_core::kernels::MAX_Q]);
+        let mut want = vec![0.0; L::Q * cells];
+        for [x, y, z] in dims.iter() {
+            let cell = dims.idx(x, y, z);
+            let (rho, u) = spec.initial_state(x, y, z);
+            swlb_core::equilibrium::equilibrium::<L>(rho, u, &mut feq[..L::Q]);
+            for q in 0..L::Q {
+                let solid = flags.kind(cell).is_solid();
+                want[q * cells + cell] = if solid { L::W[q] * rho } else { feq[q] };
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn every_catalogue_case_starts_where_the_per_cell_initializer_does() {
+        for case in [
+            CaseKind::Cavity,
+            CaseKind::Channel,
+            CaseKind::Cylinder,
+            CaseKind::TaylorGreen,
+        ] {
+            for lattice in [LatticeKind::D2Q9, LatticeKind::D3Q19] {
+                for storage in [StorageScheme::Ab, StorageScheme::Aa] {
+                    let spec = CaseSpec {
+                        case,
+                        lattice,
+                        nx: 12,
+                        ny: 9,
+                        nz: 5,
+                        storage,
+                        ..spec()
+                    };
+                    if spec.validate().is_err() {
+                        continue; // open boundaries are AB-only
+                    }
+                    let want = match lattice {
+                        LatticeKind::D2Q9 => per_cell_initial_state::<D2Q9>(&spec),
+                        LatticeKind::D3Q19 => per_cell_initial_state::<D3Q19>(&spec),
+                    };
+                    for threads in [1, 3] {
+                        let solver = spec.build(ThreadPool::new(threads), Recorder::disabled());
+                        let got = solver.unwrap().capture().data;
+                        assert!(
+                            got.iter()
+                                .map(|v| v.to_bits())
+                                .eq(want.iter().map(|v| v.to_bits())),
+                            "{case:?}/{lattice:?}/{storage:?} on {threads} threads"
+                        );
+                    }
                 }
             }
         }
@@ -743,7 +799,7 @@ mod tests {
                 .unwrap();
             wide.run_checked(2, 2).unwrap();
             wide.poison_with_nan();
-            assert!(wide.has_non_finite());
+            assert!(wide.macroscopic().has_non_finite());
             match wide.run_checked(8, check_every) {
                 Err(SwlbError::Diverged { step }) => assert_eq!(step, 2 + check_every),
                 other => panic!("check_every {check_every}: expected Diverged, got {other:?}"),
@@ -809,7 +865,7 @@ mod tests {
             .unwrap();
         solver.run_checked(2, 2).unwrap();
         solver.poison_with_nan();
-        assert!(solver.has_non_finite());
+        assert!(solver.macroscopic().has_non_finite());
         assert!(matches!(
             solver.run_checked(2, 1),
             Err(SwlbError::Diverged { .. })

@@ -34,7 +34,11 @@
 //! flips, how the raw grid maps to canonical populations and which depths and
 //! flags a scheme admits are all asked of `swlb_core::layout::Storage` and
 //! [`StorageScheme`]. What it does read is the AA parity, to decide *when* to
-//! communicate (below).
+//! communicate (below). Where a canonical population lives is `Storage`'s
+//! question too (`swlb_core::layout::CanonicalRuns`):
+//! [`DistributedSolver::local_mass`] and
+//! [`DistributedSolver::local_macroscopic`] read the runs in place, and
+//! [`DistributedSolver::local_canonical`] copies them on the rank's pool.
 //!
 //! ## What AA (single-grid) storage adds at `k = 1`
 //!
@@ -107,7 +111,7 @@ use swlb_comm::{Comm, CommError, Communicator, Tag};
 use swlb_core::collision::CollisionKind;
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{InteriorIndex, MAX_Q};
+use swlb_core::kernels::InteriorIndex;
 use swlb_core::lattice::Lattice;
 use swlb_core::layout::{AaParity, PopField, SoaField, Storage, StorageScheme};
 use swlb_core::macroscopic::MacroFields;
@@ -571,22 +575,22 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         self.store.parity()
     }
 
-    /// Initialize all local cells from a *global-coordinate* state function.
+    /// Initialize all local cells from a *global-coordinate* state function,
+    /// on the rank's pool.
     pub fn initialize_with(
         &mut self,
-        mut state: impl FnMut(usize, usize, usize) -> (Scalar, [Scalar; 3]),
+        state: impl Fn(usize, usize, usize) -> (Scalar, [Scalar; 3]) + Sync,
     ) {
-        let part = self.part;
-        let rank = self.comm.rank();
-        let global = part.global;
-        let ((x0, _), (y0, _)) = part.owned(rank);
+        let global = self.part.global;
+        let ((x0, _), (y0, _)) = self.part.owned(self.comm.rank());
         let h = self.halo;
-        let flags = self.flags.clone();
-        swlb_core::kernels::initialize_with::<L, _>(&flags, self.store.state_mut(), |lx, ly, z| {
+        let local = |lx: usize, ly: usize, z: usize| {
             let gx = (x0 as isize + lx as isize - h as isize).rem_euclid(global.nx as isize);
             let gy = (y0 as isize + ly as isize - h as isize).rem_euclid(global.ny as isize);
             state(gx as usize, gy as usize, z)
-        });
+        };
+        let store = self.store.state_mut();
+        swlb_core::kernels::initialize_with::<L, _>(&self.pool, &self.flags, store, local);
         // The initializer wrote the canonical (AB-ordered) state.
         self.store.adopt_canonical();
         self.step = 0;
@@ -980,18 +984,18 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     }
 
     /// The canonical (AB-ordered post-collision) view of the local grid:
-    /// borrowed zero-copy under AB, materialized under AA. Owned cells are
-    /// always correct; ghost-ring values are only meaningful under AB and AA
-    /// `Reversed` (under `Streamed` canonicalizing a ghost would need the
-    /// neighbor's data).
+    /// borrowed zero-copy under AB, materialized under AA on the rank's pool.
+    /// Owned cells are always correct; ghost-ring values are only meaningful
+    /// under AB and AA `Reversed` (under `Streamed` canonicalizing a ghost
+    /// would need the neighbor's data).
     pub fn local_canonical(&self) -> std::borrow::Cow<'_, SoaField<L>> {
-        self.store.canonical()
+        self.store.canonical(&self.pool)
     }
 
     /// Local macroscopic snapshot (includes the halo ring; the owned block is
-    /// `halo..halo+lnx × halo..halo+lny`).
+    /// `halo..halo+lnx × halo..halo+lny`), read in place from the storage.
     pub fn local_macroscopic(&self) -> MacroFields {
-        MacroFields::compute::<L, _>(&self.flags, self.local_canonical().as_ref())
+        MacroFields::compute::<L, _>(&self.flags, &self.store)
     }
 
     /// Current local raw state (with halo ring). Under AB this is the source
@@ -1007,31 +1011,19 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         self.store.state_mut()
     }
 
-    /// This rank's fluid mass over interior cells (no communication). A NaN or
-    /// Inf anywhere in the interior poisons the sum, which is what lets the
-    /// recovery layer detect divergence from one reduced scalar.
+    /// This rank's fluid mass over its owned cells (no communication):
+    /// [`Storage::fluid_mass`] of the owned block. It is NaN as soon as any
+    /// owned non-solid cell — fluid or open boundary — holds a non-finite
+    /// population, which is what lets the recovery layer detect divergence
+    /// from one reduced scalar.
     ///
     /// Scheme-invariant: the sum runs over each owned cell's *canonical*
     /// populations, in direction order, read in place — for an owned cell that
     /// never leaves the local grid, whatever the scheme and parity.
     pub fn local_mass(&self) -> Scalar {
-        let dims = self.flags.dims();
         let h = self.halo;
-        let mut f = [0.0; MAX_Q];
-        let mut mass = 0.0;
-        for y in h..h + self.lny {
-            for x in h..h + self.lnx {
-                for z in 0..dims.nz {
-                    if self.flags.kind(dims.idx(x, y, z)).is_fluid() {
-                        self.store.load_canonical(x, y, z, &mut f[..L::Q]);
-                        for v in &f[..L::Q] {
-                            mass += v;
-                        }
-                    }
-                }
-            }
-        }
-        mass
+        self.store
+            .fluid_mass(&self.flags, h..h + self.lnx, h..h + self.lny)
     }
 
     /// Global fluid mass (allreduce over interior cells).
@@ -1174,10 +1166,10 @@ mod tests {
         flags: &FlagField,
         coll: &CollisionKind,
         steps: u64,
-        init: impl Fn(usize, usize, usize) -> (Scalar, [Scalar; 3]),
+        init: impl Fn(usize, usize, usize) -> (Scalar, [Scalar; 3]) + Sync,
     ) -> SoaField<L> {
         let mut src = SoaField::<L>::new(global);
-        swlb_core::kernels::initialize_with::<L, _>(flags, &mut src, init);
+        swlb_core::kernels::initialize_with::<L, _>(&ThreadPool::new(1), flags, &mut src, init);
         let mut dst = SoaField::<L>::new(global);
         for _ in 0..steps {
             fused_step(flags, &src, &mut dst, coll);
@@ -1899,11 +1891,34 @@ mod tests {
         }
     }
 
+    /// The per-cell reference of where a canonical population lives: AB at
+    /// the cell, AA `Reversed` at its opposite slots, AA `Streamed` at
+    /// `(cell + c_q, q)` with periodic wrap.
+    fn canonical_cell<L: Lattice>(
+        st: &Storage<SoaField<L>>,
+        [x, y, z]: [usize; 3],
+        f: &mut [Scalar],
+    ) {
+        let (src, dims) = (st.state(), st.state().dims());
+        for (q, v) in f.iter_mut().enumerate().take(L::Q) {
+            *v = match st.parity() {
+                None => src.get(dims.idx(x, y, z), q),
+                Some(AaParity::Reversed) => src.get(dims.idx(x, y, z), L::OPP[q]),
+                Some(AaParity::Streamed) => {
+                    let [a, b, d] = dims.neighbor_periodic(x, y, z, L::C[q]);
+                    src.get(dims.idx(a, b, d), q)
+                }
+            };
+        }
+    }
+
     #[test]
     fn capture_matches_a_per_cell_canonical_reference() {
         // Each rank's chunk is its owned block read one cell at a time through
-        // `load_canonical`, in chunk order: under AB, and under AA at both
-        // parities (5 steps end Streamed, 6 Reversed).
+        // the per-cell reference, in chunk order, and its `local_mass` is the
+        // (y, x, z, q) sum of the same reads over its fluid cells, bit for
+        // bit: under AB, and under AA at both parities (5 steps end Streamed,
+        // 6 Reversed).
         let global = GridDims::new(7, 6, 5);
         let mut flags = FlagField::new(global);
         flags.set_box_walls();
@@ -1922,17 +1937,22 @@ mod tests {
                             (1.0 + 0.01 * ((x + 2 * y + 3 * z) % 7) as Scalar, [0.0; 3])
                         });
                         s.run(steps).unwrap();
-                        let (nz, h) = (global.nz, s.halo);
+                        let (dims, h) = (s.flags.dims(), s.halo);
                         let mut f = [0.0; D3Q19::Q];
-                        let mut want = Vec::new();
+                        let (mut want, mut mass) = (Vec::new(), 0.0);
                         for y in h..h + s.lny {
                             for x in h..h + s.lnx {
-                                for z in 0..nz {
-                                    s.store.load_canonical(x, y, z, &mut f);
+                                for z in 0..dims.nz {
+                                    canonical_cell(&s.store, [x, y, z], &mut f);
                                     want.extend_from_slice(&f);
+                                    if s.flags.kind(dims.idx(x, y, z)).is_fluid() {
+                                        f.iter().for_each(|v| mass += v);
+                                    }
                                 }
                             }
                         }
+                        let what = format!("{scheme:?} {steps} steps, rank {}", comm.rank());
+                        assert_eq!(s.local_mass().to_bits(), mass.to_bits(), "{what}");
                         (want, s.capture_chunked().unwrap())
                     });
                     let ck = out[0].1.as_ref().expect("rank 0 captures");
@@ -1944,6 +1964,48 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_owned_cell_makes_local_mass_nan() {
+        // NaN, then +Inf, in a fluid cell under AB and under AA at both
+        // parities, and in an inflow cell of an AB channel: the owning rank's
+        // mass is NaN and its peer's stays finite.
+        let global = GridDims::new(8, 6, 4);
+        let mut cavity = FlagField::new(global);
+        cavity.set_box_walls();
+        cavity.paint_lid([0.05, 0.0, 0.0]);
+        let mut channel = FlagField::new(global);
+        channel.paint_channel_walls_y();
+        channel.paint_inflow_outflow_x(1.0, [0.03, 0.0, 0.0]);
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        for poison in [Scalar::NAN, Scalar::INFINITY] {
+            for (flags, scheme, steps, at) in [
+                (&cavity, StorageScheme::Ab, 2, [2, 2, 1]),
+                (&cavity, StorageScheme::Aa, 2, [2, 2, 1]),
+                (&cavity, StorageScheme::Aa, 3, [2, 2, 1]),
+                (&channel, StorageScheme::Ab, 2, [0, 2, 1]),
+            ] {
+                let masses = World::new(2).run(|comm| {
+                    let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags, coll)
+                        .storage(scheme)
+                        .build();
+                    s.initialize_uniform(1.0, [0.0; 3]);
+                    s.run(steps).unwrap();
+                    if comm.rank() == 0 {
+                        // Rank 0 owns the global origin, `halo` cells in.
+                        let (dims, h) = (s.flags.dims(), s.halo);
+                        let cell = dims.idx(at[0] + h, at[1] + h, at[2]);
+                        assert!(!s.flags.kind(cell).is_solid());
+                        s.local_populations_mut().set(cell, 0, poison);
+                    }
+                    s.local_mass()
+                });
+                let what = format!("{poison} at {at:?}, {scheme:?} after {steps} steps");
+                assert!(masses[0].is_nan(), "{what}: rank 0 reads {}", masses[0]);
+                assert!(masses[1].is_finite(), "{what}: rank 1 reads {}", masses[1]);
             }
         }
     }

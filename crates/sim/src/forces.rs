@@ -162,10 +162,18 @@ pub fn cylinder_frontal_area(d: Scalar, dims: GridDims) -> Scalar {
 mod tests {
     use super::*;
     use swlb_core::collision::{BgkParams, CollisionKind};
-    use swlb_core::kernels::{fused_step, initialize_equilibrium};
+    use swlb_core::kernels::{fused_step, initialize_with};
     use swlb_core::lattice::D2Q9;
     use swlb_core::layout::SoaField;
+    use swlb_core::parallel::ThreadPool;
     use swlb_core::prelude::NodeKind;
+
+    /// A D2Q9 field at unit density moving with `u` everywhere.
+    fn uniform(flags: &FlagField, u: [Scalar; 3]) -> SoaField<D2Q9> {
+        let mut field = SoaField::<D2Q9>::new(flags.dims());
+        initialize_with::<D2Q9, _>(&ThreadPool::new(1), flags, &mut field, |_, _, _| (1.0, u));
+        field
+    }
 
     #[test]
     fn fluid_at_rest_exerts_no_net_force() {
@@ -173,8 +181,7 @@ mod tests {
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
         flags.set(5, 5, 0, NodeKind::Wall);
-        let mut field = SoaField::<D2Q9>::new(dims);
-        initialize_equilibrium::<D2Q9, _>(&flags, &mut field, 1.0, [0.0; 3]);
+        let field = uniform(&flags, [0.0; 3]);
         let f = momentum_exchange_force::<D2Q9, _>(&flags, &field);
         for a in 0..3 {
             assert!(f[a].abs() < 1e-12, "axis {a}: {}", f[a]);
@@ -189,8 +196,7 @@ mod tests {
         for y in 3..9 {
             flags.set(8, y, 0, NodeKind::Wall);
         }
-        let mut src = SoaField::<D2Q9>::new(dims);
-        initialize_equilibrium::<D2Q9, _>(&flags, &mut src, 1.0, [0.08, 0.0, 0.0]);
+        let mut src = uniform(&flags, [0.08, 0.0, 0.0]);
         let mut dst = SoaField::<D2Q9>::new(dims);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
         for _ in 0..10 {
@@ -209,8 +215,7 @@ mod tests {
         let mut flags = FlagField::new(dims);
         flags.set(6, 6, 0, NodeKind::Wall);
         flags.set(6, 7, 0, NodeKind::Wall);
-        let mut src = SoaField::<D2Q9>::new(dims);
-        initialize_equilibrium::<D2Q9, _>(&flags, &mut src, 1.0, [0.05, 0.02, 0.0]);
+        let src = uniform(&flags, [0.05, 0.02, 0.0]);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.9));
         let mut dst = SoaField::<D2Q9>::new(dims);
         fused_step(&flags, &src, &mut dst, &coll);

@@ -305,6 +305,7 @@ mod tests {
     use super::*;
     use crate::engine::{DistributedSolver, ExchangeMode, HaloRetry};
     use swlb_comm::World;
+    use swlb_core::boundary::NodeKind;
     use swlb_core::collision::{BgkParams, CollisionKind};
     use swlb_core::flags::FlagField;
     use swlb_core::geometry::GridDims;
@@ -421,6 +422,55 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn poison_in_an_inflow_cell_rolls_back() {
+        // An inflow cell is reset to its equilibrium every step and nothing
+        // streams its rest population anywhere, so a NaN (or +Inf) parked
+        // there never reaches a fluid cell. The mass guard reads every owned
+        // non-solid cell, so it still trips on the step that left it there.
+        let global = GridDims::new2d(12, 8);
+        let mut flags = FlagField::new(global);
+        flags.paint_channel_walls_y();
+        flags.paint_inflow_outflow_x(1.0, [0.03, 0.0, 0.0]);
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        let flags_ref = &flags;
+        for (tag, poison) in [("inflow-nan", f64::NAN), ("inflow-inf", f64::INFINITY)] {
+            let store = temp_store(tag);
+            let store_ref = &store;
+            World::new(2).run(|comm| {
+                let mut s = DistributedSolver::<D2Q9>::builder(&comm, global, flags_ref, coll)
+                    .halo_retry(HaloRetry::snappy())
+                    .build();
+                s.initialize_uniform(1.0, [0.03, 0.0, 0.0]);
+                let policy = RecoveryPolicy {
+                    checkpoint_every: 4,
+                    status_timeout: Duration::from_secs(10),
+                    ..Default::default()
+                };
+                let mut injected = false;
+                let report = run_with_recovery_instrumented(&mut s, 8, &policy, store_ref, |s| {
+                    if !injected && s.rank() == 0 && s.step_count() == 6 {
+                        injected = true;
+                        // Rank 0 owns the inflow column, one ghost cell in.
+                        let cell = s.local_flags().dims().idx(1, 3, 0);
+                        let inlet = s.local_flags().kind(cell);
+                        assert!(matches!(inlet, NodeKind::Inlet { .. }), "{inlet:?}");
+                        s.local_populations_mut().set(cell, 0, poison);
+                    }
+                })
+                .unwrap();
+                assert_eq!(report.restarts, 1, "{tag}: exactly one rollback expected");
+                assert_eq!(
+                    report.wasted_steps, 2,
+                    "{tag}: rolled back from step 6 to 4"
+                );
+                let faults = &report.faults_recovered;
+                assert!(faults[0].contains("diverged"), "{tag}: {faults:?}");
+            });
+            std::fs::remove_dir_all(store.dir()).unwrap();
+        }
     }
 
     #[test]

@@ -107,6 +107,7 @@ figures:
 fleet-check:
     cargo clippy -p swlb-fleet --all-targets -- -D warnings
     cargo test -q -p swlb-fleet
+    cargo test -q -p swlb-fleet --release --test fleet_integration
     cargo test -q -p swlb-fleet --release --test fleet_crash
     cargo run --release -p swlb-fleet --bin fleet_soak -- --jobs 1000 --workers 4 --churn-every 250 --out /tmp/fleet_soak.jsonl
 

@@ -14,6 +14,11 @@ use swlb_core::layout::{PopField, SoaField};
 use swlb_core::prelude::Solver;
 use swlb_mesh::{cylinder_z_mask, sphere_mask};
 
+/// The inline pool the reference fields are initialised on.
+fn one() -> swlb_core::parallel::ThreadPool {
+    swlb_core::parallel::ThreadPool::new(1)
+}
+
 fn run_reference(dims: GridDims, flags: &FlagField, tau: f64, steps: usize) -> SoaField<D3Q19> {
     let mut s = Solver::<D3Q19>::builder(dims, BgkParams::from_tau(tau))
         .collision(CollisionKind::Bgk(BgkParams::from_tau(tau)))
@@ -35,7 +40,7 @@ fn run_emulated(
     exec: &CoreGroupExecutor,
 ) -> SoaField<D3Q19> {
     let mut src = SoaField::<D3Q19>::new(dims);
-    swlb_core::kernels::initialize_with::<D3Q19, _>(flags, &mut src, |x, y, z| {
+    swlb_core::kernels::initialize_with::<D3Q19, _>(&one(), flags, &mut src, |x, y, z| {
         let v = 0.006 * ((x * 3 + y * 7 + z * 5) % 17) as f64;
         (1.0 + v, [0.02 - v * 0.1, v * 0.05, -0.01])
     });
@@ -120,7 +125,7 @@ fn emulated_dma_traffic_is_close_to_the_papers_bytes_per_lup() {
     let flags = FlagField::new(dims);
     let exec = CoreGroupExecutor::new(MachineSpec::taihulight()).with_cpes(8);
     let mut src = SoaField::<D3Q19>::new(dims);
-    swlb_core::kernels::initialize_with::<D3Q19, _>(&flags, &mut src, |_, _, _| {
+    swlb_core::kernels::initialize_with::<D3Q19, _>(&one(), &flags, &mut src, |_, _, _| {
         (1.0, [0.01, 0.0, 0.0])
     });
     let mut dst = SoaField::<D3Q19>::new(dims);
@@ -139,7 +144,7 @@ fn sharing_and_fusion_compose() {
     let dims = GridDims::new(8, 12, 10);
     let flags = FlagField::new(dims);
     let mut src = SoaField::<D3Q19>::new(dims);
-    swlb_core::kernels::initialize_with::<D3Q19, _>(&flags, &mut src, |x, y, z| {
+    swlb_core::kernels::initialize_with::<D3Q19, _>(&one(), &flags, &mut src, |x, y, z| {
         (1.0 + 0.001 * ((x + y + z) % 5) as f64, [0.01, 0.0, 0.0])
     });
 
@@ -185,7 +190,9 @@ fn ldm_pressure_stays_within_capacity_on_both_machines() {
     let dims = GridDims::new(10, 12, 40);
     let flags = FlagField::new(dims);
     let mut src = SoaField::<D3Q19>::new(dims);
-    swlb_core::kernels::initialize_with::<D3Q19, _>(&flags, &mut src, |_, _, _| (1.0, [0.0; 3]));
+    swlb_core::kernels::initialize_with::<D3Q19, _>(&one(), &flags, &mut src, |_, _, _| {
+        (1.0, [0.0; 3])
+    });
     for machine in [MachineSpec::taihulight(), MachineSpec::new_sunway()] {
         let exec = CoreGroupExecutor::new(machine).with_cpes(4);
         let mut dst = SoaField::<D3Q19>::new(dims);

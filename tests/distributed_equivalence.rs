@@ -19,7 +19,7 @@ fn reference<L: Lattice>(
     flags: &FlagField,
     coll: CollisionKind,
     steps: u64,
-    init: impl Fn(usize, usize, usize) -> (Scalar, [Scalar; 3]) + Copy,
+    init: impl Fn(usize, usize, usize) -> (Scalar, [Scalar; 3]) + Copy + Sync,
 ) -> SoaField<L> {
     let mut s = Solver::<L>::builder(global, BgkParams::from_tau(0.8))
         .collision(coll)

@@ -406,7 +406,10 @@ fn handoff_then_push_migrates_between_workers_at_new_width() {
     let client_b = ServeClient::new(b.addr().to_string());
 
     // A width-2 job on worker A; wait until it has checkpointed progress.
-    let mut spec = job("mover", 512, Priority::Batch, "acme");
+    // Its step count is far beyond what any build finishes before the
+    // handoff below, so the handoff never finds it already completed; the
+    // push lowers it to a bounded target.
+    let mut spec = job("mover", u64::from(u32::MAX), Priority::Batch, "acme");
     spec.width = 2;
     let local_a = client_a.submit(&spec).unwrap();
     let start = Instant::now();
@@ -443,6 +446,7 @@ fn handoff_then_push_migrates_between_workers_at_new_width() {
     // each slice's effective width from it); `env.width` seeds the
     // last-ran-at bookkeeping.
     env.fleet_id = 42;
+    env.spec.steps = env.step + 512;
     env.spec.width = 3;
     env.width = 3;
     let (status, body) = http::roundtrip(
@@ -463,7 +467,7 @@ fn handoff_then_push_migrates_between_workers_at_new_width() {
     loop {
         let st = client_b.status(local_b).unwrap();
         if field_str(&st, "state") == "completed" {
-            assert_eq!(field_u64(&st, "steps_done"), 512);
+            assert_eq!(field_u64(&st, "steps_done"), env.spec.steps);
             assert_eq!(field_u64(&st, "width"), 3);
             break;
         }

@@ -90,6 +90,52 @@ fn disabled_recorder_step_makes_no_allocations() {
     assert_eq!(s.step_count(), 35);
 }
 
+/// Guarantee 1, for the divergence check: on a 2-thread pool,
+/// `Solver::run_checked` allocates nothing in steady state — under AB, and
+/// under AA with and without temporal blocking — and `Solver::macroscopic`
+/// under AA allocates its two output vectors and nothing else, at either
+/// parity.
+#[test]
+fn run_checked_allocates_nothing_and_macroscopic_only_its_output() {
+    use swlb_core::lattice::D3Q19;
+    use swlb_core::layout::StorageScheme;
+    use swlb_core::parallel::ThreadPool;
+
+    for (scheme, k) in [
+        (StorageScheme::Ab, 1),
+        (StorageScheme::Aa, 1),
+        (StorageScheme::Aa, 2),
+    ] {
+        let dims = GridDims::new(12, 10, 8);
+        let mut s = Solver::<D3Q19>::builder(dims, BgkParams::from_tau(0.8))
+            .storage(scheme)
+            .time_block(k)
+            .pool(ThreadPool::new(2))
+            .build();
+        s.flags_mut().set_box_walls();
+        s.flags_mut().paint_lid([0.05, 0.0, 0.0]);
+        s.initialize_uniform(1.0, [0.0; 3]);
+        // Warm up: the first step builds the interior index.
+        s.run_checked(4, 1).unwrap();
+
+        let before = thread_allocs();
+        s.run_checked(8, 2).unwrap();
+        let allocs = thread_allocs() - before;
+        assert_eq!(allocs, 0, "{scheme:?} k={k}: run_checked allocated");
+
+        if scheme == StorageScheme::Aa {
+            for steps in [0, 1] {
+                s.run(steps);
+                let before = thread_allocs();
+                let m = s.macroscopic();
+                let allocs = thread_allocs() - before;
+                assert!(!m.has_non_finite());
+                assert_eq!(allocs, 2, "{scheme:?} k={k} at {:?}", s.parity());
+            }
+        }
+    }
+}
+
 /// Guarantee 1, distributed: with metrics off, the steady-state
 /// `DistributedSolver::step` — halo pack, framing, buffered send/receive,
 /// pooled inner-rectangle dispatch, boundary ring — performs zero heap

@@ -373,7 +373,7 @@ fn aa_job_drains_to_cross_scheme_resumable_checkpoint() {
         solver.restore_chunked_state(&ck).unwrap();
         assert_eq!(solver.step_count(), steps_done);
         solver.run_checked(4, 2).unwrap();
-        assert!(!solver.has_non_finite());
+        assert!(!solver.macroscopic().has_non_finite());
     }
 
     server.shutdown();

@@ -107,7 +107,12 @@ fn portable_lane_is_bit_exact_against_scalar_and_generic() {
     let dims = GridDims::new(10, 8, 14);
     let flags = obstacle_flags(dims);
     let mut src = SoaField::<D3Q19>::new(dims);
-    swlb_core::kernels::initialize_with::<D3Q19, _>(&flags, &mut src, init_state);
+    swlb_core::kernels::initialize_with::<D3Q19, _>(
+        &ThreadPool::new(1),
+        &flags,
+        &mut src,
+        init_state,
+    );
     let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
     let interior = InteriorIndex::build::<D3Q19>(&flags);
     let reference = serial_step(&flags, &src, &coll);
@@ -139,7 +144,12 @@ fn native_lane_stays_within_dispatch_tolerance() {
     let dims = GridDims::new(9, 9, 16);
     let flags = obstacle_flags(dims);
     let mut src = SoaField::<D3Q19>::new(dims);
-    swlb_core::kernels::initialize_with::<D3Q19, _>(&flags, &mut src, init_state);
+    swlb_core::kernels::initialize_with::<D3Q19, _>(
+        &ThreadPool::new(1),
+        &flags,
+        &mut src,
+        init_state,
+    );
     let coll = CollisionKind::Bgk(BgkParams::from_tau(0.7));
     let interior = InteriorIndex::build::<D3Q19>(&flags);
     let reference = serial_step(&flags, &src, &coll);
@@ -244,7 +254,12 @@ fn distributed_portable_lane_matches_reference_exactly() {
             let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
             let steps = 4u64;
             let mut src = SoaField::<D3Q19>::new(global);
-            swlb_core::kernels::initialize_with::<D3Q19, _>(&flags, &mut src, init_state);
+            swlb_core::kernels::initialize_with::<D3Q19, _>(
+                &ThreadPool::new(1),
+                &flags,
+                &mut src,
+                init_state,
+            );
             let mut dst = SoaField::<D3Q19>::new(global);
             for _ in 0..steps {
                 fused_step(&flags, &src, &mut dst, &coll);

@@ -35,7 +35,7 @@ fn reference_run<L: Lattice>(
     steps: u64,
 ) -> SoaField<L> {
     let mut src = SoaField::<L>::new(global);
-    swlb_core::kernels::initialize_with::<L, _>(flags, &mut src, init_state);
+    swlb_core::kernels::initialize_with::<L, _>(&ThreadPool::new(1), flags, &mut src, init_state);
     let mut dst = SoaField::<L>::new(global);
     for _ in 0..steps {
         fused_step(flags, &src, &mut dst, coll);
