@@ -25,13 +25,14 @@
 //!
 //! The scheme-agnostic state surface is [`Solver::state`]/[`Solver::state_mut`]
 //! (the raw current grid, whose slot interpretation depends on the scheme and
-//! [`Solver::parity`]) plus [`Solver::canonical_populations`]/
-//! [`Solver::restore_canonical`] (the scheme-portable post-collision view used
-//! by checkpoints, diagnostics and equivalence tests). That view,
-//! [`Solver::macroscopic`] and the divergence check of [`Solver::run_checked`]
-//! read the state where [`crate::layout::CanonicalRuns`] says it lives: only
-//! `canonical_populations` copies the lattice (under AA, on the solver's
-//! pool), and the divergence check allocates nothing.
+//! [`Solver::parity`]), [`Solver::storage`] (where each canonical run lives,
+//! [`crate::layout::CanonicalRuns`]) and [`Solver::adopt_canonical`] (what was
+//! just written into `state_mut` is the canonical state at a step).
+//! Checkpoints, [`Solver::macroscopic`] and the divergence check of
+//! [`Solver::run_checked`] read the runs in place: only
+//! [`Solver::canonical_populations`], for diagnostics and equivalence tests,
+//! copies the lattice (under AA, on the solver's pool), and the divergence
+//! check allocates nothing.
 
 use crate::collision::{BgkParams, CollisionKind};
 use crate::flags::FlagField;
@@ -242,14 +243,6 @@ impl<L: Lattice> Solver<L> {
         self.step
     }
 
-    /// Overwrite the completed step count — the checkpoint-resume hook: after
-    /// restoring populations via [`Solver::restore_canonical`], set the count
-    /// to the checkpointed step so accounting (stats, obs, slice budgets)
-    /// continues where the saved run left off.
-    pub fn set_step_count(&mut self, step: u64) {
-        self.step = step;
-    }
-
     /// The storage scheme this solver was built with.
     pub fn scheme(&self) -> StorageScheme {
         self.storage.scheme()
@@ -282,9 +275,16 @@ impl<L: Lattice> Solver<L> {
 
     /// Mutable access to the raw current-state grid. Under AA the caller is
     /// responsible for honoring the current [`Solver::parity`] slot
-    /// interpretation; prefer [`Solver::restore_canonical`] for restarts.
+    /// interpretation, or for writing a canonical state and then calling
+    /// [`Solver::adopt_canonical`].
     pub fn state_mut(&mut self) -> &mut SoaField<L> {
         self.storage.state_mut()
+    }
+
+    /// The population storage, read-only: [`crate::layout::CanonicalRuns::run`]
+    /// on it locates any canonical run without a copy.
+    pub fn storage(&self) -> &Storage<SoaField<L>> {
+        &self.storage
     }
 
     /// The canonical (AB-ordered) post-collision populations of the current
@@ -297,23 +297,15 @@ impl<L: Lattice> Solver<L> {
         self.storage.canonical(&self.pool)
     }
 
-    /// Restore a canonical (AB-ordered) post-collision state — the payload of
-    /// [`Solver::canonical_populations`] — into whichever scheme this solver
-    /// uses, and set the step count. Under AA the grid is re-reversed in place
-    /// and the parity reset to `Reversed` (restarting any canonical state with
-    /// an odd step is exactly equivalent to the AB continuation).
-    pub fn restore_canonical(&mut self, data: &[Scalar], step: u64) -> Result<(), SwlbError> {
-        let expect = L::Q * self.dims.cells();
-        if data.len() != expect {
-            return Err(SwlbError::InvalidConfig(format!(
-                "canonical state has {} scalars, grid needs {expect}",
-                data.len()
-            )));
-        }
-        self.storage.state_mut().raw_mut().copy_from_slice(data);
+    /// Adopt what was just written into [`Solver::state_mut`] as the
+    /// canonical (AB-ordered) post-collision state at `step` — an
+    /// initializer's at 0, a checkpoint's at its step. Under AA the grid is
+    /// reversed in place and the parity reset to `Reversed`
+    /// ([`Storage::adopt_canonical`]); stats, obs and slice budgets continue
+    /// from `step`.
+    pub fn adopt_canonical(&mut self, step: u64) {
         self.storage.adopt_canonical();
         self.step = step;
-        Ok(())
     }
 
     /// Initialize every non-solid cell to `f_eq(rho, u)` and reset the step count.
@@ -328,14 +320,7 @@ impl<L: Lattice> Solver<L> {
         state: impl Fn(usize, usize, usize) -> (Scalar, [Scalar; 3]) + Sync,
     ) {
         initialize_with::<L, _>(&self.pool, &self.flags, self.storage.state_mut(), state);
-        self.finish_init();
-    }
-
-    /// Convert the canonical state the initializers wrote into the scheme's
-    /// raw representation and reset step accounting.
-    fn finish_init(&mut self) {
-        self.storage.adopt_canonical();
-        self.step = 0;
+        self.adopt_canonical(0);
     }
 
     fn ensure_interior(&mut self) -> Result<(), SwlbError> {
@@ -551,12 +536,12 @@ mod tests {
     }
 
     #[test]
-    fn set_step_count_resumes_accounting() {
+    fn adopt_canonical_resumes_accounting() {
         let mut s =
             Solver::<D2Q9>::builder(GridDims::new2d(8, 8), BgkParams::from_tau(0.8)).build();
         s.initialize_uniform(1.0, [0.0; 3]);
         s.run(3);
-        s.set_step_count(120);
+        s.adopt_canonical(120);
         s.step();
         assert_eq!(s.step_count(), 121);
         assert_eq!(s.stats().step, 121);
@@ -1096,15 +1081,19 @@ mod tests {
         let saved_step = full.step_count();
         full.run(4);
 
+        let restore = |s: &mut Solver<D3Q19>| {
+            s.state_mut().raw_mut().copy_from_slice(saved.raw());
+            s.adopt_canonical(saved_step);
+        };
         let mut resumed = build(StorageScheme::Aa);
-        resumed.restore_canonical(saved.raw(), saved_step).unwrap();
+        restore(&mut resumed);
         assert_eq!(resumed.parity(), Some(AaParity::Reversed));
         assert_eq!(resumed.step_count(), 3);
         resumed.run(4);
         assert_canonical_match(&full, &resumed, 0.0, "aa-resume");
 
         let mut ab = build(StorageScheme::Ab);
-        ab.restore_canonical(saved.raw(), saved_step).unwrap();
+        restore(&mut ab);
         ab.run(4);
         assert_canonical_match(
             &ab,
@@ -1112,15 +1101,6 @@ mod tests {
             crate::simd::dispatch_tolerance() * 100.0,
             "ab-resume",
         );
-    }
-
-    #[test]
-    fn restore_canonical_rejects_wrong_length() {
-        let mut s = Solver::<D2Q9>::builder(GridDims::new2d(4, 4), BgkParams::from_tau(0.8))
-            .storage(StorageScheme::Aa)
-            .build();
-        let err = s.restore_canonical(&[0.0; 7], 1).unwrap_err();
-        assert!(matches!(err, SwlbError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -45,6 +45,7 @@
 use crate::chunked::ChunkedCheckpoint;
 use std::fmt;
 use std::io::{self, Write};
+use swlb_core::geometry::GridDims;
 
 const LEGACY_MAGIC: &[u8; 8] = b"SWLBCKPT";
 
@@ -273,7 +274,12 @@ pub(crate) fn upgrade_legacy(body: &[u8]) -> Result<ChunkedCheckpoint, Checkpoin
     }
     // `expected` is bounded by the actual file size here, so this allocation
     // cannot be driven past the bytes we were handed.
-    let ck = ChunkedCheckpoint::single_chunk(step, dims, q, scheme, &f64s_from_le(rd.rest()));
+    let soa = f64s_from_le(rd.rest());
+    let grid = GridDims::new(dims.0 as usize, dims.1 as usize, dims.2 as usize);
+    let ck = ChunkedCheckpoint::single_chunk(step, dims, q, scheme, |qi, x, y| {
+        let at = qi * grid.cells() + grid.idx(x, y, 0);
+        (&soa[at..at + grid.nz], 0)
+    });
     ck.validate()?;
     Ok(ck)
 }
@@ -451,13 +457,20 @@ impl CheckpointStore {
     /// Install pre-encoded checkpoint bytes as this store's checkpoint for
     /// `step` — the receiving half of a migration. The bytes are verified
     /// before the atomic tmp→rename install, so a payload damaged in transit
-    /// never lands under a valid name.
+    /// never lands under a valid name, and bytes whose manifest records
+    /// another step are refused: the name is what retention prunes by.
     pub fn seed_bytes(
         &self,
         step: u64,
         bytes: &[u8],
     ) -> Result<std::path::PathBuf, CheckpointError> {
-        ChunkedCheckpoint::parse(bytes)?;
+        let ck = ChunkedCheckpoint::parse(bytes)?;
+        if ck.step != step {
+            return Err(CheckpointError::Corrupt(format!(
+                "checkpoint bytes record step {}, not {step}",
+                ck.step
+            )));
+        }
         self.save_with(step, bytes.len() as u64, |f| f.write_all(bytes))
     }
 
@@ -873,6 +886,25 @@ mod tests {
             data: (0..9).map(|i| i as f64 + 0.25).collect(),
         };
         assert_upgrades_to(&read(&write_legacy(2, &ck)).unwrap(), &ck);
+    }
+
+    #[test]
+    fn seed_bytes_refuses_a_step_its_manifest_contradicts() {
+        let dir = std::env::temp_dir().join(format!("swlb-ckpt-seed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir, 2).unwrap();
+        let ck = at_step(40);
+        let mut bytes = Vec::new();
+        ck.write(&mut bytes).unwrap();
+        let m = match store.seed_bytes(ck.step + 1, &bytes) {
+            Err(CheckpointError::Corrupt(m)) => m,
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        assert!(m.contains("step 40"), "{m}");
+        assert!(store.list().unwrap().is_empty(), "nothing is installed");
+        store.seed_bytes(ck.step, &bytes).unwrap();
+        assert_eq!(store.load_latest_valid_any().unwrap().unwrap().0, ck);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! waLBerla-style frameworks use for dynamic load balancing. A serial
 //! solver's checkpoint is the special case of one chunk covering the domain.
 //!
-//! Only this module knows the chunk order. Callers hold SoA grids
-//! (`grid[q · cells + cell]`) and cross over through two pencil transposes,
-//! [`CheckpointChunk::from_soa`] and [`ChunkedCheckpoint::land`] (whole
-//! domain: [`ChunkedCheckpoint::to_soa`]): each `(y, x)` pencil's `nz` runs
-//! move to or from the stride-`q` slots of its `nz·q` payload block. The
+//! Only this module knows the chunk order. Callers cross over through two
+//! pencil transposes: [`CheckpointChunk::pack`] reads each `(y, x)` pencil's
+//! `nz` runs wherever the caller's grid keeps them (a run and a z rotation
+//! per direction), and [`ChunkedCheckpoint::land`] writes them into a SoA
+//! grid (`grid[q · cells + cell]`; whole domain: [`ChunkedCheckpoint::to_soa`]),
+//! each run to or from the stride-`q` slots of its `nz·q` payload block. The
 //! chunks tile the domain exactly once ([`ChunkedCheckpoint::validate`]).
 //!
 //! [`ChunkedCheckpoint::read`] is the one reader. It dispatches on the file
@@ -81,6 +82,13 @@ pub struct ChunkMeta {
     pub lny: u32,
 }
 
+impl ChunkMeta {
+    /// The rectangle covering a whole `dims` domain.
+    pub fn whole(dims: (u32, u32, u32)) -> Self {
+        ChunkMeta { x0: 0, y0: 0, lnx: dims.0, lny: dims.1 }
+    }
+}
+
 /// One source rank's owned rectangle plus its canonical populations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointChunk {
@@ -91,30 +99,25 @@ pub struct CheckpointChunk {
 }
 
 impl CheckpointChunk {
-    /// Pack the global rectangle `meta` out of a SoA grid `src` of `dims`
-    /// cells and `q` planes. The rectangle's first column sits at local
-    /// `origin` of the grid: `(0, 0)` for a whole-domain grid, `(h, h)` for a
-    /// rank's grid behind an `h`-deep ghost ring.
-    pub fn from_soa(
-        src: &[f64],
-        dims: GridDims,
+    /// Pack the global rectangle `meta` (`nz` cells deep, `q` populations)
+    /// from a run source: `run(q, x, y)` gives the canonical `nz` run of
+    /// direction `q` at the rectangle's column `(x, y)` and its z rotation,
+    /// `f_q(z) = run[(z + rot) % nz]`. A SoA grid gives its plane slice at
+    /// rotation 0; a solver gives its raw storage wherever the scheme put it.
+    pub fn pack<'a>(
+        nz: usize,
         q: usize,
-        origin: (usize, usize),
         meta: ChunkMeta,
+        run: impl Fn(usize, usize, usize) -> (&'a [f64], usize),
     ) -> Self {
-        let (lnx, lny, nz) = (meta.lnx as usize, meta.lny as usize, dims.nz);
-        let cells = dims.cells();
-        assert_eq!(src.len(), cells * q, "SoA grid length");
-        assert!(
-            origin.0 + lnx <= dims.nx && origin.1 + lny <= dims.ny,
-            "rectangle leaves the grid"
-        );
-        let mut data = vec![0.0; lnx * lny * nz * q];
+        let lnx = meta.lnx as usize;
+        let mut data = vec![0.0; lnx * meta.lny as usize * nz * q];
         for (p, pencil) in data.chunks_exact_mut(nz * q).enumerate() {
-            let at = dims.idx(origin.0 + p % lnx, origin.1 + p / lnx, 0);
             for qi in 0..q {
-                let run = &src[qi * cells + at..][..nz];
-                for (slot, &v) in pencil[qi..].iter_mut().step_by(q).zip(run) {
+                let (run, rot) = run(qi, p % lnx, p / lnx);
+                assert_eq!(run.len(), nz, "run length");
+                let slots = pencil[qi..].iter_mut().step_by(q);
+                for (slot, &v) in slots.zip(run[rot..].iter().chain(&run[..rot])) {
                     *slot = v;
                 }
             }
@@ -139,28 +142,23 @@ pub struct ChunkedCheckpoint {
     pub chunks: Vec<CheckpointChunk>,
 }
 
-/// The rectangle covering a whole `dims` domain.
-fn whole(dims: (u32, u32, u32)) -> ChunkMeta {
-    ChunkMeta { x0: 0, y0: 0, lnx: dims.0, lny: dims.1 }
-}
-
 /// Whether `m` is a nonempty rectangle inside the `dims` domain.
 fn inside(m: ChunkMeta, dims: (u32, u32, u32)) -> bool {
     let fits = |at: u32, n: u32, extent: u32| n > 0 && at as u64 + n as u64 <= extent as u64;
     fits(m.x0, m.lnx, dims.0) && fits(m.y0, m.lny, dims.1)
 }
 
-/// Grid dims of a checkpoint that passed [`ChunkedCheckpoint::validate`]
-/// (every extent nonzero).
-fn grid(dims: (u32, u32, u32)) -> GridDims {
-    GridDims::new(dims.0 as usize, dims.1 as usize, dims.2 as usize)
-}
-
 impl ChunkedCheckpoint {
-    /// Pack a whole-domain SoA grid (`q` planes over `dims`) as a single
-    /// chunk covering the global rectangle.
-    pub fn single_chunk(step: u64, dims: (u32, u32, u32), q: u32, scheme: u8, soa: &[f64]) -> Self {
-        let chunk = CheckpointChunk::from_soa(soa, grid(dims), q as usize, (0, 0), whole(dims));
+    /// A serial solver's checkpoint: one chunk covering the `dims` domain,
+    /// packed from `run` ([`CheckpointChunk::pack`]).
+    pub fn single_chunk<'a>(
+        step: u64,
+        dims: (u32, u32, u32),
+        q: u32,
+        scheme: u8,
+        run: impl Fn(usize, usize, usize) -> (&'a [f64], usize),
+    ) -> Self {
+        let chunk = CheckpointChunk::pack(dims.2 as usize, q as usize, ChunkMeta::whole(dims), run);
         ChunkedCheckpoint { step, dims, q, scheme, chunks: vec![chunk] }
     }
 
@@ -289,9 +287,10 @@ impl ChunkedCheckpoint {
     /// global rectangle.
     pub fn to_soa(&self) -> Result<Vec<f64>, CheckpointError> {
         self.validate()?;
-        let dims = grid(self.dims);
+        let (nx, ny, nz) = self.dims;
+        let dims = GridDims::new(nx as usize, ny as usize, nz as usize);
         let mut soa = vec![0.0; dims.cells() * self.q as usize];
-        self.land(whole(self.dims), &mut soa, dims, (0, 0))?;
+        self.land(ChunkMeta::whole(self.dims), &mut soa, dims, (0, 0))?;
         Ok(soa)
     }
 
@@ -564,11 +563,27 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// The run source of a SoA grid of `dims` and `q` planes whose column
+    /// `(x, y)` sits at local `origin + (x, y)`.
+    fn soa_runs<'a>(
+        soa: &'a [f64],
+        dims: GridDims,
+        q: usize,
+        origin: (usize, usize),
+    ) -> impl Fn(usize, usize, usize) -> (&'a [f64], usize) {
+        assert_eq!(soa.len(), dims.cells() * q);
+        move |qi, x, y| {
+            let at = qi * dims.cells() + dims.idx(origin.0 + x, origin.1 + y, 0);
+            (&soa[at..at + dims.nz], 0)
+        }
+    }
+
     #[test]
     fn assemble_global_matches_single_chunk_of_itself() {
         let ck = sample();
         let global = ck.to_soa().unwrap();
-        let single = ChunkedCheckpoint::single_chunk(ck.step, ck.dims, ck.q, ck.scheme, &global);
+        let runs = soa_runs(&global, GridDims::new(6, 4, 1), 2, (0, 0));
+        let single = ChunkedCheckpoint::single_chunk(ck.step, ck.dims, ck.q, ck.scheme, runs);
         assert_eq!(single.to_soa().unwrap(), global);
         assert_eq!(
             land_sample_rect(&single, 4, 2, (0, 0)),
@@ -590,7 +605,7 @@ mod tests {
         assert!(m.contains("overlaps"), "{m}");
         // Nothing lands from either.
         let dims = GridDims::new(6, 4, 1);
-        let whole_rect = whole(gap.dims);
+        let whole_rect = ChunkMeta::whole(gap.dims);
         for ck in [&gap, &overlap] {
             let mut grid = vec![0.0; dims.cells() * 2];
             assert!(ck.land(whole_rect, &mut grid, dims, (0, 0)).is_err());
@@ -642,8 +657,9 @@ mod tests {
 
     #[test]
     fn from_soa_is_the_cell_major_transpose() {
-        // A 3×2 rectangle at local (1, 2) of a 5×4×3 grid, and at the origin
-        // of a 1×1×1 one; q = 3 and the production lattice's 19.
+        // Packed from a SoA grid: a 3×2 rectangle at local (1, 2) of a 5×4×3
+        // grid, and at the origin of a 1×1×1 one; q = 3 and the production
+        // lattice's 19.
         for (dims, q, origin, (lnx, lny)) in [
             (GridDims::new(5, 4, 3), 3, (1, 2), (3, 2)),
             (GridDims::new(5, 4, 3), 19, (1, 2), (3, 2)),
@@ -657,7 +673,7 @@ mod tests {
                 lnx,
                 lny,
             };
-            let chunk = CheckpointChunk::from_soa(&soa, dims, q, origin, meta);
+            let chunk = CheckpointChunk::pack(dims.nz, q, meta, soa_runs(&soa, dims, q, origin));
             let mut want = Vec::new();
             for y in origin.1..origin.1 + lny as usize {
                 for x in origin.0..origin.0 + lnx as usize {

@@ -75,14 +75,30 @@ proptest! {
         let soa: Vec<f64> = (0..dims.cells() * q)
             .map(|i| ((seed as f64 + i as f64) * 0.61).cos())
             .collect();
-        // Cut the grid along `tiled`'s rectangles, packing each from the SoA.
+        // The same grid with every run stored rotated by `rot(qi, x, y)`, the
+        // way an in-place streaming scheme leaves it: f(z) = run[(z + rot) % nz].
+        let rot = |qi: usize, x: usize, y: usize| (qi + x * 3 + y * 5 + seed as usize) % nz;
+        let mut rotated = soa.clone();
+        for qi in 0..q {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let at = qi * dims.cells() + dims.idx(x, y, 0);
+                    rotated[at..at + nz].rotate_right(rot(qi, x, y));
+                }
+            }
+        }
+        // Cut the grid along `tiled`'s rectangles, packing each from the
+        // rotated runs.
         let tiles = tiled(0, (nx as u32, ny as u32, nz as u32), q as u32, (px, py), 0, seed);
         let chunks = tiles
             .chunks
             .iter()
             .map(|ch| {
-                let origin = (ch.meta.x0 as usize, ch.meta.y0 as usize);
-                CheckpointChunk::from_soa(&soa, dims, q, origin, ch.meta)
+                let (x0, y0) = (ch.meta.x0 as usize, ch.meta.y0 as usize);
+                CheckpointChunk::pack(nz, q, ch.meta, |qi, x, y| {
+                    let at = qi * dims.cells() + dims.idx(x0 + x, y0 + y, 0);
+                    (&rotated[at..at + nz], rot(qi, x0 + x, y0 + y))
+                })
             })
             .collect();
         let ck = ChunkedCheckpoint { chunks, ..tiles };

@@ -13,10 +13,10 @@
 //! A case solver is one shared-memory [`Solver`] sweeping on the pool it is
 //! given, whatever width its job asked for: ranks are for crossing an address
 //! space ([`DistributedSolver`](crate::engine::DistributedSolver)), threads
-//! for filling one. Its checkpoint is one whole-domain chunk packed from the
-//! canonical SoA state, and a restore is [`ChunkedCheckpoint::to_soa`] of a
-//! checkpoint with any number of chunks: the chunk order lives in
-//! `swlb_io::chunked`, not here.
+//! for filling one. Its checkpoint is one whole-domain chunk packed straight
+//! from the solver's storage runs, and a restore lands a checkpoint of any
+//! number of chunks straight into the raw grid ([`ChunkedCheckpoint::land`]):
+//! the chunk order lives in `swlb_io::chunked`, not here.
 
 use crate::engine::scheme_byte;
 use std::f64::consts::TAU;
@@ -24,14 +24,14 @@ use swlb_core::collision::BgkParams;
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
 use swlb_core::lattice::{Lattice, D2Q9, D3Q19};
-use swlb_core::layout::{PopField, StorageScheme};
+use swlb_core::layout::{CanonicalRuns, PopField, StorageScheme};
 use swlb_core::macroscopic::MacroFields;
 use swlb_core::parallel::ThreadPool;
 use swlb_core::simd::KernelClass;
 use swlb_core::solver::{Solver, StepStats};
 use swlb_core::stability::{self, Severity};
 use swlb_core::Scalar;
-use swlb_io::{Checkpoint, ChunkedCheckpoint};
+use swlb_io::{Checkpoint, ChunkMeta, ChunkedCheckpoint};
 use swlb_mesh::cylinder_z_mask;
 use swlb_obs::{Recorder, SwlbError};
 
@@ -289,6 +289,25 @@ fn extent(dims: GridDims) -> (u32, u32, u32) {
     (dims.nx as u32, dims.ny as u32, dims.nz as u32)
 }
 
+/// `s`'s checkpoint: one whole-domain chunk packed straight from the
+/// canonical runs of its storage.
+fn capture_solver<L: Lattice>(s: &Solver<L>) -> ChunkedCheckpoint {
+    let (dims, q, scheme) = (extent(s.dims()), L::Q as u32, scheme_byte(s.scheme()));
+    ChunkedCheckpoint::single_chunk(s.step_count(), dims, q, scheme, |qi, x, y| {
+        s.storage().run(qi, x, y)
+    })
+}
+
+/// Land a checkpoint that fits `s` straight into its raw grid and adopt it
+/// as the canonical state at the checkpoint's step.
+fn restore_solver<L: Lattice>(s: &mut Solver<L>, ck: &ChunkedCheckpoint) -> Result<(), SwlbError> {
+    let (dims, whole) = (s.dims(), ChunkMeta::whole(ck.dims));
+    ck.check_fits(extent(dims), L::Q as u32)?;
+    ck.land(whole, s.state_mut().raw_mut(), dims, (0, 0))?;
+    s.adopt_canonical(ck.step);
+    Ok(())
+}
+
 /// A lattice-erased case solver: the unit a job scheduler slices, checkpoints,
 /// drops, and rebuilds.
 pub enum CaseSolver {
@@ -422,13 +441,9 @@ impl CaseSolver {
     /// schemes: an AA job's checkpoint restores into an AB solver and vice
     /// versa.
     pub fn capture_chunked(&self) -> ChunkedCheckpoint {
-        let pack = |soa: &[Scalar]| {
-            let (dims, q, scheme) = (extent(self.dims()), self.q(), scheme_byte(self.scheme()));
-            ChunkedCheckpoint::single_chunk(self.step_count(), dims, q, scheme, soa)
-        };
         match self {
-            CaseSolver::D2(s) => pack(s.canonical_populations().raw()),
-            CaseSolver::D3(s) => pack(s.canonical_populations().raw()),
+            CaseSolver::D2(s) => capture_solver(s),
+            CaseSolver::D3(s) => capture_solver(s),
         }
     }
 
@@ -437,11 +452,9 @@ impl CaseSolver {
     /// rank of a [`DistributedSolver`](crate::engine::DistributedSolver) lands
     /// as well as a case solver's single chunk.
     pub fn restore_chunked_state(&mut self, ck: &ChunkedCheckpoint) -> Result<(), SwlbError> {
-        ck.check_fits(extent(self.dims()), self.q())?;
-        let soa = ck.to_soa()?;
         match self {
-            CaseSolver::D2(s) => s.restore_canonical(&soa, ck.step),
-            CaseSolver::D3(s) => s.restore_canonical(&soa, ck.step),
+            CaseSolver::D2(s) => restore_solver(s, ck),
+            CaseSolver::D3(s) => restore_solver(s, ck),
         }
     }
 

@@ -36,9 +36,9 @@
 //! [`StorageScheme`]. What it does read is the AA parity, to decide *when* to
 //! communicate (below). Where a canonical population lives is `Storage`'s
 //! question too (`swlb_core::layout::CanonicalRuns`):
-//! [`DistributedSolver::local_mass`] and
-//! [`DistributedSolver::local_macroscopic`] read the runs in place, and
-//! [`DistributedSolver::local_canonical`] copies them on the rank's pool.
+//! [`DistributedSolver::local_mass`],
+//! [`DistributedSolver::local_macroscopic`] and checkpoint capture read the
+//! runs in place.
 //!
 //! ## What AA (single-grid) storage adds at `k = 1`
 //!
@@ -97,9 +97,13 @@
 //!
 //! ## Checkpoints
 //!
-//! Capture packs each owned block with [`CheckpointChunk::from_soa`]; restore
-//! lands each owned rectangle with [`ChunkedCheckpoint::land`], on rank 0, into
-//! SoA buffers that the other ranks land with the halo `unpack`. The chunk
+//! Capture packs each owned block with [`CheckpointChunk::pack`] straight
+//! from the storage's canonical runs, at any scheme, parity and block phase
+//! (under AA `Streamed` an owned cell's runs may sit in the ghost ring, where
+//! its odd step scattered them). Restore lands each owned rectangle with
+//! [`ChunkedCheckpoint::land`] on rank 0: its own straight into the raw grid,
+//! the others' into frames that their ranks land with the halo `unpack`; every
+//! rank then adopts the canonical block at the checkpoint's step. The chunk
 //! order is `swlb_io::chunked`'s alone. A refused restore fails on every rank.
 
 use crate::partition::Partition2d;
@@ -113,12 +117,12 @@ use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
 use swlb_core::kernels::InteriorIndex;
 use swlb_core::lattice::Lattice;
-use swlb_core::layout::{AaParity, PopField, SoaField, Storage, StorageScheme};
+use swlb_core::layout::{AaParity, CanonicalRuns, PopField, SoaField, Storage, StorageScheme};
 use swlb_core::macroscopic::MacroFields;
 use swlb_core::parallel::ThreadPool;
 use swlb_core::simd::KernelClass;
 use swlb_core::Scalar;
-use swlb_io::{CheckpointChunk, ChunkedCheckpoint};
+use swlb_io::{CheckpointChunk, ChunkMeta, ChunkedCheckpoint};
 use swlb_obs::{exponential_buckets, Counter, Gauge, Histogram, Phase, Recorder, SwlbError};
 
 /// Halo-exchange schedule.
@@ -401,7 +405,7 @@ impl<'c, 'f, L: Lattice, C: Communicator> DistributedSolverBuilder<'c, 'f, L, C>
         self.storage.check_depth(self.time_block)?;
         let comm = self.comm;
         let h = self.time_block;
-        let part = Partition2d::new(self.global, comm.size());
+        let part = Partition2d::new(self.global, comm.size())?;
         let ((_, lnx), (_, lny)) = part.owned(comm.rank());
         let flags = part.local_flags_h(comm.rank(), self.global_flags, h);
         let local = part.local_dims_h(comm.rank(), h);
@@ -591,10 +595,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         };
         let store = self.store.state_mut();
         swlb_core::kernels::initialize_with::<L, _>(&self.pool, &self.flags, store, local);
-        // The initializer wrote the canonical (AB-ordered) state.
-        self.store.adopt_canonical();
-        self.step = 0;
-        self.phase = 0;
+        self.resume_at(0);
     }
 
     /// Initialize to a uniform equilibrium.
@@ -983,15 +984,6 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         Ok(())
     }
 
-    /// The canonical (AB-ordered post-collision) view of the local grid:
-    /// borrowed zero-copy under AB, materialized under AA on the rank's pool.
-    /// Owned cells are always correct; ghost-ring values are only meaningful
-    /// under AB and AA `Reversed` (under `Streamed` canonicalizing a ghost
-    /// would need the neighbor's data).
-    pub fn local_canonical(&self) -> std::borrow::Cow<'_, SoaField<L>> {
-        self.store.canonical(&self.pool)
-    }
-
     /// Local macroscopic snapshot (includes the halo ring; the owned block is
     /// `halo..halo+lnx × halo..halo+lny`), read in place from the storage.
     pub fn local_macroscopic(&self) -> MacroFields {
@@ -1000,8 +992,8 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Current local raw state (with halo ring). Under AB this is the source
     /// buffer; under AA the slot meaning depends on
-    /// [`DistributedSolver::parity`] — use
-    /// [`DistributedSolver::local_canonical`] for a scheme-portable view.
+    /// [`DistributedSolver::parity`] — `swlb_core::layout::CanonicalRuns` says
+    /// where each canonical run lives.
     pub fn local_populations(&self) -> &SoaField<L> {
         self.store.state()
     }
@@ -1032,27 +1024,28 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     }
 
     /// Gather the full global *canonical* population field on rank 0 (`None`
-    /// elsewhere): [`DistributedSolver::capture_chunked`], unpacked into one
+    /// elsewhere): [`DistributedSolver::capture_chunked`], landed into one
     /// whole-domain field.
     pub fn gather_populations(&self) -> Result<Option<SoaField<L>>, CommError> {
         Ok(self.capture_chunked()?.map(|ck| {
-            let soa = ck.to_soa().expect("a self-capture tiles the domain");
             let mut field = SoaField::<L>::new(self.part.global);
-            field.raw_mut().copy_from_slice(&soa);
+            ck.land(ChunkMeta::whole(ck.dims), field.raw_mut(), self.part.global, (0, 0))
+                .expect("a self-capture tiles the domain");
             field
         }))
     }
 
     /// Capture a checkpoint on rank 0 (`None` elsewhere): each rank packs its
-    /// owned interior's *canonical* populations as one chunk, and rank 0 tags
-    /// each payload with its global rectangle. Nothing is re-assembled into a
-    /// whole-domain field — the chunks stay per-source-rank, which is what
-    /// lets a later resume re-shard them onto any layout.
+    /// owned interior's *canonical* populations as one chunk, read in place
+    /// from its storage, and rank 0 tags each payload with its global
+    /// rectangle. Nothing is re-assembled into a whole-domain field — the
+    /// chunks stay per-source-rank, which is what lets a later resume
+    /// re-shard them onto any layout.
     pub fn capture_chunked(&self) -> Result<Option<ChunkedCheckpoint>, CommError> {
-        let local = self.local_canonical();
-        let h = self.halo;
+        let (h, nz) = (self.halo, self.part.global.nz);
         let mine = self.part.chunk_meta(self.comm.rank());
-        let chunk = CheckpointChunk::from_soa(local.raw(), local.dims(), L::Q, (h, h), mine);
+        let run = |q, x, y| self.store.run(q, x + h, y + h);
+        let chunk = CheckpointChunk::pack(nz, L::Q, mine, run);
         let gathered = self.comm.gather_to_root(&chunk.data)?;
         if self.comm.rank() != 0 {
             return Ok(None);
@@ -1133,10 +1126,11 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         Ok(())
     }
 
-    /// Adopt the canonical owned block just landed and resume at `step` on a
-    /// block boundary: restarting on the odd AA flavor from a canonical state
-    /// is exactly the AB continuation, and the stale ghost ring is
-    /// overwritten by the pre-exchange before anything reads it.
+    /// Adopt the canonical state just written (by the initializer, or a
+    /// restore's owned block) and resume at `step` on a block boundary:
+    /// restarting on the odd AA flavor from a canonical state is exactly the
+    /// AB continuation, and the stale ghost ring is overwritten by the
+    /// pre-exchange before anything reads it.
     fn resume_at(&mut self, step: u64) {
         self.store.adopt_canonical();
         self.step = step;
@@ -1918,20 +1912,22 @@ mod tests {
         // the per-cell reference, in chunk order, and its `local_mass` is the
         // (y, x, z, q) sum of the same reads over its fluid cells, bit for
         // bit: under AB, and under AA at both parities (5 steps end Streamed,
-        // 6 Reversed).
+        // 6 Reversed), with 1- and 2-deep rings (at k = 2, 5 steps stop
+        // mid-block, and Streamed runs come out of the 2-deep ring).
         let global = GridDims::new(7, 6, 5);
         let mut flags = FlagField::new(global);
         flags.set_box_walls();
         flags.paint_lid([0.05, 0.0, 0.0]);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
         let flags_ref = &flags;
-        for ranks in [1, 2] {
+        for (ranks, k) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
             for scheme in [StorageScheme::Ab, StorageScheme::Aa] {
                 for steps in [5, 6] {
                     let out = World::new(ranks).run(|comm| {
                         let mut s =
                             DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
                                 .storage(scheme)
+                                .time_block(k)
                                 .build();
                         s.initialize_with(|x, y, z| {
                             (1.0 + 0.01 * ((x + 2 * y + 3 * z) % 7) as Scalar, [0.0; 3])
@@ -1951,7 +1947,8 @@ mod tests {
                                 }
                             }
                         }
-                        let what = format!("{scheme:?} {steps} steps, rank {}", comm.rank());
+                        assert_eq!(s.block_phase(), steps as usize % k);
+                        let what = format!("k={k} {scheme:?} {steps} steps, rank {}", comm.rank());
                         assert_eq!(s.local_mass().to_bits(), mass.to_bits(), "{what}");
                         (want, s.capture_chunked().unwrap())
                     });
@@ -1960,7 +1957,7 @@ mod tests {
                     for (rank, (want, _)) in out.iter().enumerate() {
                         assert!(
                             ck.chunks[rank].data == *want,
-                            "{ranks} ranks {scheme:?} {steps} steps: rank {rank}'s chunk"
+                            "{ranks} ranks k={k} {scheme:?} {steps} steps: rank {rank}'s chunk"
                         );
                     }
                 }
@@ -2011,25 +2008,45 @@ mod tests {
     }
 
     #[test]
+    fn untileable_layout_is_a_typed_error_on_every_rank() {
+        // Three ranks balance to 3×1, and a 2-wide footprint has no third
+        // column: every rank refuses on its own, none waits on another.
+        let global = GridDims::new(2, 8, 4);
+        let flags = FlagField::new(global);
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        let errs = World::new(3).run(|comm| {
+            DistributedSolver::<D3Q19>::builder(&comm, global, &flags, coll)
+                .try_build()
+                .err()
+        });
+        for (rank, err) in errs.iter().enumerate() {
+            assert!(
+                matches!(err, Some(SwlbError::InvalidConfig(m)) if m.contains("cannot tile")),
+                "rank {rank}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn refused_restore_fails_on_every_rank() {
         // Rank 0 refuses each of these; its peer must leave the restore with
         // an error too instead of waiting for a broadcast or a payload. The
         // world runs on its own thread so a hang fails the test.
         let global = GridDims::new(8, 8, 4);
-        let zeros = |d: (u32, u32, u32), q: u32| vec![0.0; (d.0 * d.1 * d.2 * q) as usize];
+        let zeros = [0.0; 4];
+        let zero = |_, _, _| (&zeros[..], 0);
         let q = D3Q19::Q as u32;
         let ab = swlb_io::checkpoint::SCHEME_AB;
-        let wrong_dims = ChunkedCheckpoint::single_chunk(3, (6, 8, 4), q, ab, &zeros((6, 8, 4), q));
-        let wrong_q = ChunkedCheckpoint::single_chunk(3, (8, 8, 4), 9, ab, &zeros((8, 8, 4), 9));
-        let mut half = ChunkedCheckpoint::single_chunk(3, (8, 8, 4), q, ab, &zeros((8, 8, 4), q));
+        let wrong_dims = ChunkedCheckpoint::single_chunk(3, (6, 8, 4), q, ab, zero);
+        let wrong_q = ChunkedCheckpoint::single_chunk(3, (8, 8, 4), 9, ab, zero);
+        let mut half = ChunkedCheckpoint::single_chunk(3, (8, 8, 4), q, ab, zero);
         let west = swlb_io::ChunkMeta {
             x0: 0,
             y0: 0,
             lnx: 4,
             lny: 8,
         };
-        half.chunks[0] =
-            CheckpointChunk::from_soa(&zeros((8, 8, 4), q), global, D3Q19::Q, (0, 0), west);
+        half.chunks[0] = CheckpointChunk::pack(4, D3Q19::Q, west, zero);
         for (what, ck) in [
             ("wrong dims", Some(wrong_dims)),
             ("wrong q", Some(wrong_q)),

@@ -4,11 +4,13 @@
 //! processes when x/y are ~10³) and 3-D decomposition (more complex
 //! communication), settling on 2-D over (x, y) with each subdomain keeping the
 //! whole z axis. [`Partition2d`] maps ranks to subdomains and builds each
-//! rank's local flag field (interior + one halo ring) from the global one.
+//! rank's local flag field (interior + an `h`-deep ghost ring) from the
+//! global one.
 
 use swlb_comm::Cart2d;
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
+use swlb_obs::SwlbError;
 
 /// A 2-D block partition of a global grid over a cartesian rank layout.
 #[derive(Debug, Clone, Copy)]
@@ -21,22 +23,19 @@ pub struct Partition2d {
 }
 
 impl Partition2d {
-    /// Partition `global` over `nranks` ranks in a balanced near-square layout.
-    ///
-    /// # Panics
-    /// Panics if any rank would receive an empty subdomain.
-    pub fn new(global: GridDims, nranks: usize) -> Self {
+    /// Partition `global` over `nranks` ranks in a balanced near-square
+    /// layout, refusing with [`SwlbError::InvalidConfig`] a layout that would
+    /// leave some rank an empty subdomain. The answer depends only on the
+    /// arguments, so every rank of a world reaches the same one.
+    pub fn new(global: GridDims, nranks: usize) -> Result<Self, SwlbError> {
         let cart = Cart2d::balanced(nranks, true);
-        assert!(
-            cart.px <= global.nx && cart.py <= global.ny,
-            "{} ranks ({}x{}) cannot tile a {}x{} xy footprint",
-            nranks,
-            cart.px,
-            cart.py,
-            global.nx,
-            global.ny
-        );
-        Self { cart, global }
+        if cart.px > global.nx || cart.py > global.ny {
+            return Err(SwlbError::InvalidConfig(format!(
+                "{nranks} ranks ({}x{}) cannot tile a {}x{} xy footprint",
+                cart.px, cart.py, global.nx, global.ny
+            )));
+        }
+        Ok(Self { cart, global })
     }
 
     /// Global (offset, extent) of `rank`'s interior along x and y:
@@ -60,11 +59,6 @@ impl Partition2d {
         }
     }
 
-    /// Local grid dims of `rank` *including* the one-cell xy halo ring.
-    pub fn local_dims(&self, rank: usize) -> GridDims {
-        self.local_dims_h(rank, 1)
-    }
-
     /// Local grid dims of `rank` with an `h`-cell-deep xy ghost ring, as used
     /// by depth-`h` temporal blocking.
     pub fn local_dims_h(&self, rank: usize, h: usize) -> GridDims {
@@ -72,16 +66,11 @@ impl Partition2d {
         GridDims::new(lnx + 2 * h, lny + 2 * h, self.global.nz)
     }
 
-    /// Build `rank`'s local flag field: interior cells copy the global flags;
-    /// the halo ring copies the (periodically wrapped) global neighbors' flags,
-    /// so boundary rules at subdomain edges match the single-domain reference
-    /// exactly.
-    pub fn local_flags(&self, rank: usize, global_flags: &FlagField) -> FlagField {
-        self.local_flags_h(rank, global_flags, 1)
-    }
-
-    /// [`Self::local_flags`] for an `h`-deep ghost ring: local interior cell
-    /// `(h, h)` corresponds to global `(x0, y0)`.
+    /// Build `rank`'s local flag field behind an `h`-deep ghost ring (local
+    /// interior cell `(h, h)` is global `(x0, y0)`): interior cells copy the
+    /// global flags; the ring copies the (periodically wrapped) global
+    /// neighbors' flags, so boundary rules at subdomain edges match the
+    /// single-domain reference exactly.
     pub fn local_flags_h(&self, rank: usize, global_flags: &FlagField, h: usize) -> FlagField {
         assert_eq!(global_flags.dims(), self.global);
         let ((x0, _), (y0, _)) = self.owned(rank);
@@ -116,7 +105,7 @@ mod tests {
 
     #[test]
     fn owned_ranges_tile_the_domain() {
-        let p = Partition2d::new(GridDims::new(10, 9, 4), 6); // 3x2 layout
+        let p = Partition2d::new(GridDims::new(10, 9, 4), 6).unwrap(); // 3x2 layout
         let mut covered = [false; 10 * 9];
         for rank in 0..6 {
             let ((x0, lnx), (y0, lny)) = p.owned(rank);
@@ -132,15 +121,15 @@ mod tests {
 
     #[test]
     fn local_dims_add_halo_ring() {
-        let p = Partition2d::new(GridDims::new(8, 8, 5), 4);
-        let d = p.local_dims(0);
+        let p = Partition2d::new(GridDims::new(8, 8, 5), 4).unwrap();
+        let d = p.local_dims_h(0, 1);
         assert_eq!((d.nx, d.ny, d.nz), (6, 6, 5));
     }
 
     #[test]
-    #[should_panic(expected = "cannot tile")]
-    fn too_many_ranks_panics() {
-        Partition2d::new(GridDims::new(2, 2, 4), 16);
+    fn too_many_ranks_is_a_typed_error() {
+        let err = Partition2d::new(GridDims::new(2, 2, 4), 16).unwrap_err();
+        assert!(matches!(&err, SwlbError::InvalidConfig(m) if m.contains("cannot tile")), "{err}");
     }
 
     #[test]
@@ -149,9 +138,9 @@ mod tests {
         let mut gf = FlagField::new(global);
         gf.set(0, 0, 0, NodeKind::Wall);
         gf.set(5, 5, 1, NodeKind::Wall);
-        let p = Partition2d::new(global, 4); // 2x2, each 3x3
-                                             // Rank 0 owns x 0..3, y 0..3; its west halo column wraps to gx = 5.
-        let lf = p.local_flags(0, &gf);
+        let p = Partition2d::new(global, 4).unwrap(); // 2x2, each 3x3
+        // Rank 0 owns x 0..3, y 0..3; its west halo column wraps to gx = 5.
+        let lf = p.local_flags_h(0, &gf, 1);
         assert!(lf.kind_at(1, 1, 0).is_solid()); // global (0,0,0)
         assert!(lf.kind_at(0, 0, 1).is_solid()); // halo corner wraps to (5,5,1)
         assert!(lf.kind_at(2, 2, 0).is_fluid());
@@ -163,7 +152,7 @@ mod tests {
         let mut gf = FlagField::new(global);
         gf.set(0, 0, 0, NodeKind::Wall);
         gf.set(4, 5, 1, NodeKind::Wall);
-        let p = Partition2d::new(global, 4); // 2x2, each 3x3
+        let p = Partition2d::new(global, 4).unwrap(); // 2x2, each 3x3
         assert_eq!(
             p.local_dims_h(0, 2),
             GridDims::new(7, 7, 2),
@@ -177,7 +166,7 @@ mod tests {
 
     #[test]
     fn to_global_roundtrip() {
-        let p = Partition2d::new(GridDims::new(10, 10, 1), 4);
+        let p = Partition2d::new(GridDims::new(10, 10, 1), 4).unwrap();
         for rank in 0..4 {
             let ((x0, lnx), (y0, lny)) = p.owned(rank);
             assert_eq!(p.to_global(rank, 1, 1), (x0, y0));

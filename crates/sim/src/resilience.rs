@@ -39,10 +39,9 @@
 
 use crate::engine::DistributedSolver;
 use std::time::Duration;
-use swlb_comm::{CommError, Communicator};
+use swlb_comm::Communicator;
 use swlb_core::lattice::Lattice;
 use swlb_io::checkpoint::CheckpointStore;
-use swlb_io::ChunkedCheckpoint;
 use swlb_obs::{Phase, SwlbError};
 
 /// When to checkpoint, how often to retry, how long to wait.
@@ -104,16 +103,6 @@ pub struct RecoveryReport {
     pub faults_recovered: Vec<String>,
     /// Global mass at exit.
     pub final_mass: f64,
-}
-
-/// Capture the global state as a rank-count-independent [`ChunkedCheckpoint`]
-/// (collective; `Some` on rank 0). Chunks stay per-source-rank with global
-/// coordinates, so the file this produces can be rolled back into a world of
-/// any size — including after the scheduler re-shards a preempted job.
-fn capture<L: Lattice, C: Communicator>(
-    solver: &DistributedSolver<'_, L, C>,
-) -> Result<Option<ChunkedCheckpoint>, CommError> {
-    solver.capture_chunked()
 }
 
 /// Roll every rank back to the newest valid checkpoint (collective), through
@@ -292,7 +281,7 @@ fn save_checkpoint<L: Lattice, C: Communicator>(
     report: &mut RecoveryReport,
 ) -> Result<(), SwlbError> {
     let _g = solver.recorder().phase(Phase::Checkpoint);
-    if let Some(ck) = capture(solver)? {
+    if let Some(ck) = solver.capture_chunked()? {
         store.save_chunked(&ck)?;
         report.checkpoints_written += 1;
         solver.recorder().counter("recovery.checkpoints").inc();

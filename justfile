@@ -73,7 +73,10 @@ simd-check:
 
 # Re-sharding a checkpoint across rank counts, beyond the checkpoint-on-N /
 # resume-on-M matrix in `just equivalence`: rollback across a reshard, a
-# refused restore failing on every rank instead of hanging the peers, and
+# refused restore failing on every rank instead of hanging the peers, chunks
+# packed in place matching a per-cell canonical reference (AB and AA at both
+# parities, 1- and 2-deep rings), a rank layout that cannot tile the domain
+# refused with a typed error on every rank, and
 # the malformed-input corpora of swlb-io — the chunked checkpoint (index and
 # manifest cut at every field boundary, bit flips with and without a resealed
 # CRC, hostile counts, aliased / missing / duplicate / short member chunks,
@@ -84,6 +87,8 @@ simd-check:
 reshard-check:
     cargo test -q -p swlb-sim --release --lib resilience
     cargo test -q -p swlb-sim --release --lib refused_restore_fails_on_every_rank
+    cargo test -q -p swlb-sim --release --lib capture_matches_a_per_cell_canonical_reference
+    cargo test -q -p swlb-sim --release --lib untileable_layout_is_a_typed_error_on_every_rank
     cargo test -q -p swlb-io
 
 # Temporal-blocking acceptance (docs/PERFORMANCE.md, "Temporal blocking")

@@ -2,7 +2,9 @@
 //! `swlb-obs` facade makes.
 //!
 //! 1. **Disabled is free**: a solver built without a recorder performs zero
-//!    heap allocations per step (asserted with a counting global allocator).
+//!    heap allocations per step (asserted with a counting global allocator),
+//!    and a checkpoint moves between the solver's storage and its chunk
+//!    without staging a copy of the lattice.
 //! 2. **Exports are well-formed**: an instrumented run emits structurally
 //!    valid JSONL with the documented keys (`docs/OBSERVABILITY.md`).
 //! 3. **Counters tell the truth**: a live run's step counter and
@@ -26,30 +28,38 @@ use swlb_core::prelude::Solver;
 use swlb_io::CheckpointStore;
 use swlb_sim::prelude::{JsonlSink, Recorder};
 use swlb_sim::{
-    run_with_recovery_instrumented, DistributedSolver, ExchangeMode, HaloRetry, RecoveryPolicy,
+    run_with_recovery_instrumented, CaseKind, CaseSpec, DistributedSolver, ExchangeMode,
+    HaloRetry, LatticeKind, RecoveryPolicy,
 };
 
 // ---------------------------------------------------------------------------
 // Counting allocator. Per-thread counters keep the zero-allocation assertion
-// immune to the other tests in this binary running on sibling threads. The
-// `const` initializer matters: it makes the TLS slot allocation-free, so the
-// hook cannot recurse into itself.
+// immune to the other tests in this binary running on sibling threads; each
+// thread also keeps the largest single allocation it has made. The `const`
+// initializers matter: they make the TLS slots allocation-free, so the hook
+// cannot recurse into itself.
 // ---------------------------------------------------------------------------
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
+fn count(size: usize) {
+    THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+    THREAD_LARGEST.with(|c| c.set(c.get().max(size)));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -63,6 +73,15 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn thread_allocs() -> u64 {
     THREAD_ALLOCS.with(|c| c.get())
+}
+
+/// Run `f` and return its result, the allocations it made on this thread and
+/// the size in bytes of the largest of them.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
+    THREAD_LARGEST.with(|c| c.set(0));
+    let before = thread_allocs();
+    let out = f();
+    (out, thread_allocs() - before, THREAD_LARGEST.with(|c| c.get()))
 }
 
 /// Guarantee 1: with the default (disabled) recorder, the instrumented
@@ -202,6 +221,67 @@ fn distributed_steady_state_step_makes_no_allocations() {
                  zero-allocation steady state (20 consecutive allocation-free steps)"
             );
         }
+    }
+}
+
+/// A 12×10×8 D3Q19 lid-driven cavity case on a 2-thread pool.
+fn cavity_case(storage: swlb_core::layout::StorageScheme) -> swlb_sim::CaseSolver {
+    let spec = CaseSpec {
+        case: CaseKind::Cavity,
+        lattice: LatticeKind::D3Q19,
+        nx: 12,
+        ny: 10,
+        nz: 8,
+        tau: 0.8,
+        u_lattice: 0.05,
+        storage,
+        time_block: 1,
+    };
+    let pool = swlb_core::parallel::ThreadPool::new(2);
+    spec.build(pool, Recorder::disabled()).unwrap()
+}
+
+/// Guarantee 1, for checkpoint capture: `CaseSolver::capture_chunked` packs
+/// the chunk straight from the storage's runs, so under AA, at either parity,
+/// it makes exactly the allocations it makes under AB — no canonical copy of
+/// the lattice.
+#[test]
+fn case_capture_allocates_the_same_under_aa_as_under_ab() {
+    use swlb_core::layout::StorageScheme;
+
+    let mut ab = cavity_case(StorageScheme::Ab);
+    ab.run_checked(3, 3).unwrap();
+    let (_, want, _) = measured(|| ab.capture_chunked());
+    let mut aa = cavity_case(StorageScheme::Aa);
+    // 3 steps end at the Streamed parity, 4 at Reversed.
+    for steps in [3, 1] {
+        aa.run_checked(steps, steps).unwrap();
+        let (_, allocs, _) = measured(|| aa.capture_chunked());
+        assert_eq!(allocs, want, "AA after {} steps", aa.step_count());
+    }
+}
+
+/// Guarantee 1, for checkpoint restore: `CaseSolver::restore_chunked_state`
+/// lands the chunks straight into the raw grid, so no single allocation it
+/// makes is as large as one lattice — under AB and under AA.
+#[test]
+fn case_restore_stages_no_lattice_sized_copy() {
+    use swlb_core::layout::StorageScheme;
+
+    for scheme in [StorageScheme::Ab, StorageScheme::Aa] {
+        let mut s = cavity_case(scheme);
+        s.run_checked(3, 3).unwrap();
+        let ck = s.capture_chunked();
+        s.run_checked(2, 2).unwrap();
+        let lattice = s.dims().cells() * s.q() as usize * std::mem::size_of::<f64>();
+        let (restored, _, largest) = measured(|| s.restore_chunked_state(&ck));
+        restored.unwrap();
+        assert!(
+            largest < lattice,
+            "{scheme:?}: restore made a {largest} B allocation, one lattice is {lattice} B"
+        );
+        assert_eq!(s.step_count(), 3);
+        assert_eq!(s.capture_chunked(), ck, "{scheme:?}: restore lands the checkpoint");
     }
 }
 
