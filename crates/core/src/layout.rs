@@ -302,9 +302,10 @@ impl StorageScheme {
         Ok(())
     }
 
-    /// Whether this scheme can stream over `flags`: `Aa` has no rule for open
-    /// (inlet/outlet/NEBB) boundaries.
+    /// Whether this scheme can stream over `flags`: none runs a field that refused
+    /// a kind ([`FlagField::check_kinds`]); `Aa` has no rule for open boundaries.
     pub fn check_flags(self, flags: &FlagField) -> Result<(), SwlbError> {
+        flags.check_kinds()?;
         if self == StorageScheme::Aa {
             let c = flags.census();
             if c.inlet != 0 || c.outlet != 0 {

@@ -344,8 +344,8 @@ impl<L: Lattice> Solver<L> {
     ///
     /// # Panics
     /// Panics when the flag field is incompatible with the storage scheme
-    /// (AA + open boundaries) — use [`Solver::try_step`] or
-    /// [`Solver::run_checked`] for the typed error.
+    /// (AA + open boundaries) or refused a kind ([`FlagField::check_kinds`])
+    /// — use [`Solver::try_step`] or [`Solver::run_checked`] for the typed error.
     pub fn step(&mut self) {
         self.try_step()
             .unwrap_or_else(|e| panic!("solver step failed: {e}"));

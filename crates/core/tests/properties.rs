@@ -10,7 +10,7 @@ use swlb_core::collision::{
     collide_bgk, collide_smagorinsky, BgkParams, CollisionKind, SmagorinskyParams,
 };
 use swlb_core::equilibrium::{equilibrium, moments};
-use swlb_core::flags::FlagField;
+use swlb_core::flags::{FlagCensus, FlagField};
 use swlb_core::geometry::GridDims;
 use swlb_core::kernels::{fused_step, InteriorIndex};
 use swlb_core::lattice::{Lattice, D2Q9, D3Q19};
@@ -372,4 +372,132 @@ proptest! {
             prop_assert_eq!(d.idx(x, y, z), i);
         }
     }
+
+    #[test]
+    fn flag_field_matches_a_per_cell_model(
+        nx in 1usize..6, ny in 1usize..6, nz in 1usize..5,
+        ops in prop::collection::vec((0usize..9, 0usize..1000, 0usize..PALETTE), 0..24),
+        mask_bits in prop::collection::vec(prop::bool::weighted(0.3), 1..40),
+    ) {
+        let d = GridDims::new(nx, ny, nz);
+        let mut flags = FlagField::new(d);
+        let mut model = vec![NodeKind::Fluid; d.cells()];
+        // Wall velocities never painted before: enough of them overflow the
+        // 256-entry table, which must then drop the entries no cell uses.
+        let mut fresh = 0u32;
+        for &(op, cell, p) in &ops {
+            let kind = palette(p);
+            let u = match kind {
+                NodeKind::MovingWall { u } | NodeKind::Inlet { u, .. } => u,
+                _ => [0.01, -0.0, 0.0],
+            };
+            let rho = if p % 2 == 0 { 1.0 } else { Scalar::NAN };
+            let mask: Vec<bool> = (0..d.cells()).map(|i| mask_bits[i % mask_bits.len()]).collect();
+            let [x, y, z] = d.coords(cell % d.cells());
+            let (last_x, last_y) = (d.nx - 1, d.ny - 1);
+            let paint = |model: &mut Vec<NodeKind>, k: NodeKind, on: &dyn Fn([usize; 3]) -> bool| {
+                for (i, c) in d.iter().enumerate() {
+                    if on(c) {
+                        model[i] = k;
+                    }
+                }
+            };
+            match op {
+                0 => {
+                    flags.set(x, y, z, kind);
+                    model[d.idx(x, y, z)] = kind;
+                }
+                1 => {
+                    flags.set_box_walls();
+                    paint(&mut model, NodeKind::Wall, &|[x, y, z]| d.on_boundary(x, y, z));
+                }
+                2 => {
+                    flags.paint_lid(u);
+                    paint(&mut model, NodeKind::MovingWall { u }, &|c| c[1] == last_y);
+                }
+                3 => {
+                    flags.paint_inflow_outflow_x(rho, u);
+                    paint(&mut model, NodeKind::Inlet { rho, u }, &|c| c[0] == 0);
+                    let outlet = NodeKind::Outlet { normal: [1, 0, 0] };
+                    paint(&mut model, outlet, &|c| c[0] == last_x);
+                }
+                4 => {
+                    flags.paint_nebb_inflow_outflow_x(u, rho);
+                    let inlet = NodeKind::VelocityNebb { u, normal: [-1, 0, 0] };
+                    paint(&mut model, inlet, &|c| c[0] == 0);
+                    let outlet = NodeKind::PressureNebb { rho, normal: [1, 0, 0] };
+                    paint(&mut model, outlet, &|c| c[0] == last_x);
+                }
+                5 => {
+                    flags.paint_channel_walls_y();
+                    paint(&mut model, NodeKind::Wall, &|c| c[1] == 0 || c[1] == last_y);
+                }
+                6 => {
+                    flags.paint_ground_z();
+                    paint(&mut model, NodeKind::Wall, &|c| c[2] == 0);
+                }
+                7 => {
+                    flags.apply_mask(&mask).unwrap();
+                    paint(&mut model, NodeKind::Wall, &|[x, y, z]| mask[d.idx(x, y, z)]);
+                }
+                _ => {
+                    // One cell repainted `cell % 600` times: every other cell
+                    // keeps its kind while the table drops the dead entries.
+                    for _ in 0..cell % 600 {
+                        fresh += 1;
+                        let kind = NodeKind::MovingWall { u: [Scalar::from(fresh) * 1e-3, 0.0, 0.0] };
+                        flags.set(x, y, z, kind);
+                        model[d.idx(x, y, z)] = kind;
+                    }
+                }
+            }
+        }
+        let mut census = FlagCensus::default();
+        for (i, k) in model.iter().enumerate() {
+            let [x, y, z] = d.coords(i);
+            prop_assert_eq!(bits_text(flags.kind(i)), bits_text(*k), "cell {}", i);
+            prop_assert_eq!(bits_text(flags.kind_at(x, y, z)), bits_text(*k));
+            match k {
+                NodeKind::Fluid => census.fluid += 1,
+                NodeKind::Wall | NodeKind::MovingWall { .. } => census.solid += 1,
+                NodeKind::Inlet { .. } | NodeKind::VelocityNebb { .. } => census.inlet += 1,
+                NodeKind::Outlet { .. } | NodeKind::PressureNebb { .. } => census.outlet += 1,
+            }
+        }
+        prop_assert_eq!(flags.census(), census);
+        prop_assert!(flags.check_kinds().is_ok());
+    }
+}
+
+/// Kinds the flag-field model paints: signed zeros and a NaN among them, so
+/// the comparison sees any interning that is not bit-exact.
+const PALETTE: usize = 8;
+
+fn palette(p: usize) -> NodeKind {
+    match p {
+        0 => NodeKind::Fluid,
+        1 => NodeKind::Wall,
+        2 => NodeKind::MovingWall {
+            u: [0.05, 0.0, 0.0],
+        },
+        3 => NodeKind::MovingWall {
+            u: [-0.0, 0.0, 0.0],
+        },
+        4 => NodeKind::MovingWall { u: [0.0, 0.0, 0.0] },
+        5 => NodeKind::Inlet {
+            rho: 1.0,
+            u: [Scalar::NAN, 0.0, 0.0],
+        },
+        6 => NodeKind::Outlet { normal: [1, 0, 0] },
+        _ => NodeKind::PressureNebb {
+            rho: -0.0,
+            normal: [-1, 0, 0],
+        },
+    }
+}
+
+/// A kind's `Debug` text: `f64`'s shortest round-trip form keeps `-0.0` and
+/// `0.0` apart, and the palette has one NaN, so equal text is equal bits.
+fn bits_text(k: NodeKind) -> String {
+    format!("{k:?}")
 }

@@ -954,8 +954,8 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Advance one time step. A halo failure keeps its structure through the
     /// lossless `CommError → SwlbError` conversion (`CommTimeout`,
-    /// `CommCorrupt`, `Disconnected`); flags mutated into something the
-    /// storage scheme cannot stream over are an `InvalidConfig`.
+    /// `CommCorrupt`, `Disconnected`); flags mutated into something the storage
+    /// scheme cannot stream over, or that refused a kind, are an `InvalidConfig`.
     pub fn step(&mut self) -> Result<(), SwlbError> {
         // Cheap handle clone so phase guards don't hold a borrow of `self`.
         let rec = self.recorder.clone();
@@ -1436,6 +1436,33 @@ mod tests {
                     assert!(msg.contains("AA-pattern"), "unexpected message: {msg}")
                 }
                 other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn flags_that_refused_a_257th_kind_fail_the_build_on_every_rank() {
+        let global = GridDims::new(8, 8, 5);
+        let mut flags = FlagField::new(global);
+        for i in 1..=256 {
+            let [x, y, z] = global.coords(i);
+            let u = [i as Scalar * 1e-4, 0.0, 0.0];
+            flags.set(x, y, z, NodeKind::MovingWall { u });
+        }
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        let flags_ref = &flags;
+        for scheme in [StorageScheme::Ab, StorageScheme::Aa] {
+            let errs = World::new(2).run(|comm| {
+                DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
+                    .storage(scheme)
+                    .try_build()
+                    .err()
+            });
+            for e in errs {
+                match e {
+                    Some(SwlbError::InvalidConfig(msg)) => assert!(msg.contains("256"), "{msg}"),
+                    other => panic!("{scheme:?}: expected InvalidConfig, got {other:?}"),
+                }
             }
         }
     }

@@ -70,24 +70,13 @@ impl Partition2d {
     /// interior cell `(h, h)` is global `(x0, y0)`): interior cells copy the
     /// global flags; the ring copies the (periodically wrapped) global
     /// neighbors' flags, so boundary rules at subdomain edges match the
-    /// single-domain reference exactly.
+    /// single-domain reference exactly, as id z-pencils ([`FlagField::columns`]).
     pub fn local_flags_h(&self, rank: usize, global_flags: &FlagField, h: usize) -> FlagField {
         assert_eq!(global_flags.dims(), self.global);
-        let ((x0, _), (y0, _)) = self.owned(rank);
-        let local = self.local_dims_h(rank, h);
-        let mut flags = FlagField::new(local);
-        for ly in 0..local.ny {
-            let gy = (y0 as isize + ly as isize - h as isize).rem_euclid(self.global.ny as isize)
-                as usize;
-            for lx in 0..local.nx {
-                let gx = (x0 as isize + lx as isize - h as isize)
-                    .rem_euclid(self.global.nx as isize) as usize;
-                for z in 0..local.nz {
-                    flags.set(lx, ly, z, global_flags.kind_at(gx, gy, z));
-                }
-            }
-        }
-        flags
+        let (((x0, _), (y0, _)), g) = (self.owned(rank), self.global);
+        let wrap = |o: usize, l: usize, n: usize| (o + l + n * h - h) % n;
+        let col = |lx, ly| (wrap(x0, lx, g.nx), wrap(y0, ly, g.ny));
+        global_flags.columns(self.local_dims_h(rank, h), col)
     }
 
     /// Translate a local interior coordinate to the global coordinate.
@@ -171,6 +160,59 @@ mod tests {
             let ((x0, lnx), (y0, lny)) = p.owned(rank);
             assert_eq!(p.to_global(rank, 1, 1), (x0, y0));
             assert_eq!(p.to_global(rank, lnx, lny), (x0 + lnx - 1, y0 + lny - 1));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn local_flags_sample_a_per_cell_model(
+            nx in 3usize..9, ny in 3usize..9, nz in 1usize..4, ranks in 1usize..5,
+            sets in proptest::prop::collection::vec((0usize..1000, 0usize..4), 0..30),
+            lid in proptest::prop::bool::weighted(0.5),
+        ) {
+            let global = GridDims::new(nx, ny, nz);
+            let p = Partition2d::new(global, ranks).unwrap();
+            let kinds = [
+                NodeKind::Wall,
+                NodeKind::MovingWall { u: [-0.0, 0.0, 0.0] },
+                NodeKind::MovingWall { u: [0.0, 0.0, 0.0] },
+                NodeKind::Inlet { rho: f64::NAN, u: [0.02, 0.0, 0.0] },
+            ];
+            let mut gf = FlagField::new(global);
+            let mut model = vec![NodeKind::Fluid; global.cells()];
+            if lid {
+                gf.paint_lid([0.05, 0.0, 0.0]);
+                for (i, [_, y, _]) in global.iter().enumerate() {
+                    if y == ny - 1 {
+                        model[i] = NodeKind::MovingWall { u: [0.05, 0.0, 0.0] };
+                    }
+                }
+            }
+            for &(cell, k) in &sets {
+                let [x, y, z] = global.coords(cell % global.cells());
+                gf.set(x, y, z, kinds[k]);
+                model[global.idx(x, y, z)] = kinds[k];
+            }
+            for h in [1, 2] {
+                for rank in 0..ranks {
+                    let ((x0, _), (y0, _)) = p.owned(rank);
+                    let lf = p.local_flags_h(rank, &gf, h);
+                    let local = lf.dims();
+                    assert_eq!(local, p.local_dims_h(rank, h));
+                    for [lx, ly, z] in local.iter() {
+                        let gx = (x0 + nx * h + lx - h) % nx;
+                        let gy = (y0 + ny * h + ly - h) % ny;
+                        let want = model[global.idx(gx, gy, z)];
+                        assert_eq!(
+                            format!("{:?}", lf.kind_at(lx, ly, z)),
+                            format!("{want:?}"),
+                            "rank {rank} h {h} local ({lx},{ly},{z})"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -123,6 +123,11 @@ fleet-check:
 lines *args:
     scripts/lines.sh {{args}}
 
+# Peak RSS (MiB) of the release `swlb` binary on a 128³ D3Q19 cavity, 4 steps,
+# under `--storage ab` and `--storage aa` — the memory line ROADMAP tracks.
+rss:
+    scripts/rss.sh
+
 # Parent-vs-change pairs of one benchmark workload (benchmark/README.md, "How
 # the numbers are kept steady"): alternating order, fresh seed per pair; per
 # end-to-end metric both medians, both inter-quartile ranges and pairs won.

@@ -285,6 +285,36 @@ fn case_restore_stages_no_lattice_sized_copy() {
     }
 }
 
+/// A flag costs one byte per cell: painting a 64³ cavity's flags for its
+/// solver, and cutting a rank's halo-padded field from them, make no
+/// allocation larger than one byte per cell of the field built.
+#[test]
+fn flag_fields_cost_a_byte_per_cell() {
+    use swlb_core::lattice::D3Q19;
+    use swlb_sim::Partition2d;
+
+    let dims = GridDims::new(64, 64, 64);
+    let (flags, _, largest) = measured(|| {
+        let mut f = FlagField::new(dims);
+        f.set_box_walls();
+        f.paint_lid([0.05, 0.0, 0.0]);
+        f
+    });
+    assert!(largest <= dims.cells(), "painting allocated {largest} B");
+    let mut s = Solver::<D3Q19>::builder(dims, BgkParams::from_tau(0.8)).build();
+    *s.flags_mut() = flags.clone();
+    s.initialize_uniform(1.0, [0.0; 3]);
+    s.try_step().unwrap();
+    assert_eq!(s.active_cells(), 62 * 62 * 62);
+
+    let p = Partition2d::new(dims, 2).unwrap();
+    for h in [1, 2] {
+        let (local, _, largest) = measured(|| p.local_flags_h(1, &flags, h));
+        let cells = local.dims().cells();
+        assert!(largest <= cells, "h={h}: {largest} B for {cells} cells");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // JSONL structural validation (no JSON parser in the dependency tree — a
 // brace/bracket balance walk that honors string escapes is enough to reject
