@@ -4,14 +4,14 @@
 //!
 //! * `send` is buffered and never blocks (channels are unbounded) — this matches
 //!   the eager protocol of small/medium MPI messages and is what makes the
-//!   on-the-fly halo exchange's `isend` trivially non-blocking.
+//!   on-the-fly halo exchange's sends trivially non-blocking: a rank posts its
+//!   strips, computes its inner domain, then receives.
 //! * `recv(src, tag)` matches on *both* source and tag; out-of-order arrivals are
 //!   stashed in a per-rank unexpected-message queue, exactly like an MPI
-//!   implementation's unexpected queue.
-//! * `irecv` returns a [`RecvRequest`] completed by `wait` — enough to express
-//!   the paper's communication/computation overlap.
-//! * Collectives (`barrier`, `allreduce_sum`, `allreduce_max`, `gather_to_root`,
-//!   `broadcast`) are built from point-to-point messages over reserved tags.
+//!   implementation's unexpected queue. Messages of one `(src, tag)` stay FIFO.
+//! * Collectives (`allreduce_sum`, `allreduce_max`, `broadcast`) are built from
+//!   point-to-point messages over reserved tags; `barrier` is a shared
+//!   `std::sync::Barrier`.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cell::{Cell, RefCell};
@@ -30,7 +30,6 @@ impl ReservedTags {
     pub const RESERVED_BASE: Tag = 1 << 60;
     const REDUCE: Tag = Self::RESERVED_BASE;
     const BCAST: Tag = Self::RESERVED_BASE + 1;
-    const GATHER: Tag = Self::RESERVED_BASE + 2;
 }
 
 /// Errors surfaced by communicator misuse.
@@ -175,13 +174,6 @@ pub struct Message {
     pub tag: Tag,
     /// Payload (population values, reduced scalars, …).
     pub data: Vec<f64>,
-}
-
-/// Handle for a posted non-blocking receive; complete with [`Comm::wait`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvRequest {
-    src: usize,
-    tag: Tag,
 }
 
 /// Per-rank communicator endpoint. Not `Sync`: each rank thread owns its own.
@@ -378,42 +370,6 @@ impl Comm {
         self.op_timeout.get()
     }
 
-    /// Post a non-blocking receive. The returned request is completed by
-    /// [`Comm::wait`]; matching follows `(src, tag)` like `recv`.
-    pub fn irecv(&self, src: usize, tag: Tag) -> Result<RecvRequest, CommError> {
-        Self::check_tag(tag)?;
-        self.check_rank(src)?;
-        Ok(RecvRequest { src, tag })
-    }
-
-    /// Complete a posted receive, blocking until the message arrives.
-    pub fn wait(&self, req: RecvRequest) -> Result<Vec<f64>, CommError> {
-        self.recv_raw(req.src, req.tag)
-    }
-
-    /// Non-blocking probe: `true` if a matching message is already available
-    /// (either stashed or deliverable without blocking).
-    pub fn probe(&self, src: usize, tag: Tag) -> Result<bool, CommError> {
-        self.check_rank(src)?;
-        if self
-            .stash
-            .borrow()
-            .iter()
-            .any(|m| m.src == src && m.tag == tag)
-        {
-            return Ok(true);
-        }
-        // Drain whatever is immediately available into the stash, then re-check.
-        while let Ok(msg) = self.rx.try_recv() {
-            self.stash.borrow_mut().push(msg);
-        }
-        Ok(self
-            .stash
-            .borrow()
-            .iter()
-            .any(|m| m.src == src && m.tag == tag))
-    }
-
     /// Synchronize all ranks.
     pub fn barrier(&self) {
         self.barrier.wait();
@@ -462,26 +418,6 @@ impl Comm {
         } else {
             self.send_raw(0, ReservedTags::REDUCE, data.to_vec())?;
             self.recv_raw(0, ReservedTags::BCAST)
-        }
-    }
-
-    /// Gather every rank's payload at rank 0 (ordered by rank). Non-roots get
-    /// an empty vec.
-    pub fn gather_to_root(&self, data: &[f64]) -> Result<Vec<Vec<f64>>, CommError> {
-        if self.rank == 0 {
-            let mut out = vec![Vec::new(); self.size];
-            out[0] = data.to_vec();
-            // Receive in rank order (see allreduce_with): a gather is not a
-            // synchronization point for non-roots, so a fast rank's *next*
-            // gather payload may already be queued — any-source matching
-            // would consume it in place of a slow rank's current one.
-            for src in 1..self.size {
-                out[src] = self.recv_raw(src, ReservedTags::GATHER)?;
-            }
-            Ok(out)
-        } else {
-            self.send_raw(0, ReservedTags::GATHER, data.to_vec())?;
-            Ok(Vec::new())
         }
     }
 
@@ -637,50 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn irecv_wait_completes() {
-        let out = World::new(2).run(|c| {
-            if c.rank() == 0 {
-                let req = c.irecv(1, 3).unwrap();
-                // Do "work" before waiting — the overlap pattern.
-                let x: f64 = (0..100).map(|i| i as f64).sum();
-                let data = c.wait(req).unwrap();
-                vec![data[0] + x * 0.0]
-            } else {
-                c.send(0, 3, vec![42.0]).unwrap();
-                vec![]
-            }
-        });
-        assert_eq!(out[0], vec![42.0]);
-    }
-
-    #[test]
-    fn probe_sees_pending_message() {
-        let out = World::new(2).run(|c| {
-            if c.rank() == 0 {
-                c.send(1, 4, vec![5.0]).unwrap();
-                c.barrier();
-                true
-            } else {
-                c.barrier(); // ensure the message is in flight
-                             // Spin briefly until the probe sees it (delivery is async).
-                let mut seen = false;
-                for _ in 0..1000 {
-                    if c.probe(0, 4).unwrap() {
-                        seen = true;
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                assert!(seen, "probe never saw the message");
-                let d = c.recv(0, 4).unwrap();
-                assert_eq!(d, vec![5.0]);
-                seen
-            }
-        });
-        assert!(out.iter().all(|&b| b));
-    }
-
-    #[test]
     fn allreduce_sum_and_max() {
         let out = World::new(4).run(|c| {
             let r = c.rank() as f64;
@@ -692,14 +584,6 @@ mod tests {
             assert_eq!(sum, &vec![6.0, 4.0]);
             assert_eq!(max, &vec![3.0]);
         }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = World::new(3).run(|c| c.gather_to_root(&[c.rank() as f64 * 2.0]).unwrap());
-        assert_eq!(out[0], vec![vec![0.0], vec![2.0], vec![4.0]]);
-        assert!(out[1].is_empty());
-        assert!(out[2].is_empty());
     }
 
     #[test]
@@ -732,7 +616,7 @@ mod tests {
         World::new(2).run(|c| {
             let e = c.send(5, 1, vec![]).unwrap_err();
             assert_eq!(e, CommError::RankOutOfRange { rank: 5, size: 2 });
-            let e = c.irecv(9, 1).unwrap_err();
+            let e = c.recv(9, 1).unwrap_err();
             assert_eq!(e, CommError::RankOutOfRange { rank: 9, size: 2 });
         });
     }

@@ -19,7 +19,7 @@
 //! reliable; explicit specs match whatever they name. Injected faults are
 //! recorded in a shared log for post-run assertions.
 
-use crate::comm::{Comm, CommError, RecvRequest, Tag};
+use crate::comm::{Comm, CommError, Tag};
 use crate::communicator::Communicator;
 use crate::World;
 use std::cell::{Cell, RefCell};
@@ -132,7 +132,6 @@ pub struct FaultPlan {
     rates: Rates,
     fault_tags: Range<Tag>,
     log: Mutex<Vec<FaultRecord>>,
-    verbose: bool,
 }
 
 impl FaultPlan {
@@ -146,7 +145,6 @@ impl FaultPlan {
             rates: Rates::default(),
             fault_tags: 0..8,
             log: Mutex::new(Vec::new()),
-            verbose: false,
         }
     }
 
@@ -217,12 +215,6 @@ impl FaultPlan {
         self
     }
 
-    /// Also print every injected fault to stderr as it fires.
-    pub fn with_verbose_log(mut self, verbose: bool) -> Self {
-        self.verbose = verbose;
-        self
-    }
-
     /// Everything injected so far, in injection order.
     pub fn records(&self) -> Vec<FaultRecord> {
         self.log.lock().unwrap().clone()
@@ -239,17 +231,6 @@ impl FaultPlan {
     }
 
     fn record(&self, rank: usize, event: FaultEvent) {
-        if self.verbose {
-            match &event {
-                FaultEvent::Message { tag, seq, action } => {
-                    eprintln!("[chaos] rank {rank} tag {tag} seq {seq}: {action}")
-                }
-                FaultEvent::Kill { step } => eprintln!("[chaos] rank {rank} killed at step {step}"),
-                FaultEvent::Stall { step, dur } => {
-                    eprintln!("[chaos] rank {rank} stalled {dur:?} at step {step}")
-                }
-            }
-        }
         self.log.lock().unwrap().push(FaultRecord { rank, event });
     }
 
@@ -410,53 +391,21 @@ impl Communicator for ChaosComm {
         self.inner.recv(src, tag)
     }
 
-    fn recv_deadline(
+    /// Recycles the delivered vector like the production transport.
+    fn recv_deadline_buffered(
         &self,
         src: usize,
         tag: Tag,
         timeout: Duration,
-    ) -> Result<Vec<f64>, CommError> {
+        out: &mut Vec<f64>,
+    ) -> Result<(), CommError> {
         self.check_alive()?;
-        self.inner.recv_deadline(src, tag, timeout)
-    }
-
-    fn irecv(&self, src: usize, tag: Tag) -> Result<RecvRequest, CommError> {
-        self.check_alive()?;
-        self.inner.irecv(src, tag)
-    }
-
-    fn wait(&self, req: RecvRequest) -> Result<Vec<f64>, CommError> {
-        self.check_alive()?;
-        self.inner.wait(req)
-    }
-
-    fn probe(&self, src: usize, tag: Tag) -> Result<bool, CommError> {
-        self.check_alive()?;
-        self.inner.probe(src, tag)
-    }
-
-    /// No-op once killed (a dead rank cannot reach a barrier; the live ranks'
-    /// barrier would deadlock — resilient code must not barrier under kill
-    /// faults, which is why the recovery protocol never does).
-    fn barrier(&self) {
-        if !self.killed.get() {
-            self.inner.barrier();
-        }
+        self.inner.recv_deadline_buffered(src, tag, timeout, out)
     }
 
     fn allreduce_sum(&self, data: &[f64]) -> Result<Vec<f64>, CommError> {
         self.check_alive()?;
         self.inner.allreduce_sum(data)
-    }
-
-    fn allreduce_max(&self, data: &[f64]) -> Result<Vec<f64>, CommError> {
-        self.check_alive()?;
-        self.inner.allreduce_max(data)
-    }
-
-    fn gather_to_root(&self, data: &[f64]) -> Result<Vec<Vec<f64>>, CommError> {
-        self.check_alive()?;
-        self.inner.gather_to_root(data)
     }
 
     fn broadcast(&self, data: &[f64]) -> Result<Vec<f64>, CommError> {
@@ -602,8 +551,13 @@ mod tests {
                 c.notify_step(3);
                 let e = c.send(0, 1, vec![0.0]).unwrap_err();
                 assert_eq!(e, CommError::Disconnected);
-                let e = c.recv_deadline(0, 1, Duration::from_millis(1)).unwrap_err();
+                let e = c.recv(0, 1).unwrap_err();
                 assert_eq!(e, CommError::Disconnected);
+                let mut buf = Vec::new();
+                let e = c.recv_deadline_buffered(0, 1, Duration::from_millis(1), &mut buf);
+                assert_eq!(e.unwrap_err(), CommError::Disconnected);
+                assert_eq!(c.allreduce_sum(&[1.0]).unwrap_err(), CommError::Disconnected);
+                assert_eq!(c.broadcast(&[1.0]).unwrap_err(), CommError::Disconnected);
                 assert!(c.is_killed());
                 true
             } else {

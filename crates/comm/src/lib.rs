@@ -4,9 +4,11 @@
 //! on TaihuLight). This crate provides the equivalent abstraction for the
 //! reproduction: an MPI-flavoured communicator where **each rank is a thread** and
 //! messages travel over in-process channels. The distributed engine in `swlb-sim`
-//! is written against [`Comm`] exactly as the paper's solver is written against
-//! MPI: point-to-point send/recv with tags, non-blocking receives for the
-//! on-the-fly halo exchange, barriers and reductions for diagnostics.
+//! is written against [`Communicator`], which [`Comm`] implements, exactly as
+//! the paper's solver is written against MPI: point-to-point send/recv with
+//! tags (buffered sends let the on-the-fly halo exchange compute while its
+//! strips fly, and carry checkpoint chunks to rank 0 and back), deadline-aware
+//! receives, and reductions and a broadcast for diagnostics and recovery.
 //!
 //! Running ranks as threads keeps the halo-exchange, overlap and decomposition
 //! logic *real* (actual concurrency, actual message reordering) while staying on
@@ -29,7 +31,7 @@ pub use frame::{
     body_crc, check_frame, frame_crc, frame_from_bytes, frame_to_bytes, seal_frame, FrameCheck,
     FRAME_HEADER,
 };
-pub use comm::{Comm, CommError, Message, RecvRequest, Tag, World};
+pub use comm::{Comm, CommError, Message, Tag, World};
 pub use communicator::Communicator;
 pub use fault::{ChaosComm, FaultAction, FaultEvent, FaultPlan, FaultRecord, FaultSpec};
 pub use netmodel::{CollectiveKind, NetworkModel};

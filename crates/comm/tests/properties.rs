@@ -87,21 +87,6 @@ proptest! {
     }
 
     #[test]
-    fn gather_reassembles_rank_order(
-        n in 1usize..6,
-        len in 1usize..5,
-    ) {
-        let out = World::new(n).run(|c| {
-            c.gather_to_root(&vec![c.rank() as f64; len]).unwrap()
-        });
-        let root = &out[0];
-        prop_assert_eq!(root.len(), n);
-        for (rank, chunk) in root.iter().enumerate() {
-            prop_assert_eq!(chunk, &vec![rank as f64; len]);
-        }
-    }
-
-    #[test]
     fn cart_neighbor_is_involutive_on_torus(
         px in 1usize..8,
         py in 1usize..8,

@@ -64,7 +64,7 @@
 //!    and ships spec + checkpoint bytes; the destination resumes it on its
 //!    own pool, bit-exact through the partition-independent chunked format.
 
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -458,6 +458,7 @@ impl Controller {
             per_worker_cap: cfg.per_worker_cap,
             policy: cfg.policy.clone(),
             rebalance: cfg.rebalance,
+            io_timeout: cfg.io_timeout,
             recorder: cfg.recorder.clone(),
         };
         let ticker = {
@@ -532,6 +533,9 @@ struct TickCfg {
     per_worker_cap: usize,
     policy: PolicyConfig,
     rebalance: bool,
+    /// [`FleetConfig::io_timeout`]: bounds every probe and push, so a worker
+    /// that accepts and never answers costs one deadline, not the ticker.
+    io_timeout: Option<Duration>,
     recorder: Recorder,
 }
 
@@ -588,7 +592,7 @@ fn probe_and_reap(shared: &Shared, cfg: &TickCfg) {
     };
     let mut results = Vec::new();
     for (name, addr, epoch, seq) in probes {
-        results.push((name, probe(&addr, epoch, seq)));
+        results.push((name, probe(&addr, epoch, seq, cfg)));
     }
 
     // ---- 2. reap: collect dead workers' jobs for replay ----------------
@@ -757,12 +761,22 @@ fn sync_and_rescue(shared: &Shared, cfg: &TickCfg) {
     }
 }
 
+/// POST `body` to a worker within [`TickCfg::io_timeout`].
+fn post_to_worker(
+    addr: &str,
+    target: &str,
+    body: &[u8],
+    cfg: &TickCfg,
+) -> Option<(u16, Vec<u8>)> {
+    let addr = addr.to_socket_addrs().ok()?.next()?;
+    http::roundtrip_timeout(&addr, "POST", target, body, cfg.io_timeout).ok()
+}
+
 /// Send one sealed heartbeat probe; `Some(load)` on a valid echo.
-fn probe(addr: &str, epoch: u64, seq: u64) -> Option<WorkerLoad> {
+fn probe(addr: &str, epoch: u64, seq: u64, cfg: &TickCfg) -> Option<WorkerLoad> {
     let mut frame = vec![0.0; FRAME_HEADER];
     seal_frame(&mut frame, epoch, seq);
-    let (status, body) =
-        http::roundtrip(addr, "POST", "/v1/fleet/ping", &frame_to_bytes(&frame)).ok()?;
+    let (status, body) = post_to_worker(addr, "/v1/fleet/ping", &frame_to_bytes(&frame), cfg)?;
     if status != 200 {
         return None;
     }
@@ -787,7 +801,7 @@ fn dead_checkpoint(dir: &str, local: u64) -> (u64, Vec<u8>) {
 /// and posts its terminal wakes there; the envelope bytes do not change.
 fn push_envelope(addr: &str, env: &PushEnvelope, cfg: &TickCfg) -> Option<u64> {
     let target = format!("/v1/fleet/push?notify_port={}", cfg.notify_port);
-    let (status, body) = http::roundtrip(addr, "POST", &target, &env.encode()).ok()?;
+    let (status, body) = post_to_worker(addr, &target, &env.encode(), cfg)?;
     if status != 202 {
         return None;
     }
@@ -1317,6 +1331,7 @@ mod tests {
             per_worker_cap: 4,
             policy: PolicyConfig::default(),
             rebalance: true,
+            io_timeout: Some(Duration::from_secs(5)),
             recorder: Recorder::disabled(),
         };
         let clock = |st: &FleetState| {

@@ -25,9 +25,11 @@
 //! upgrade of the retired whole-domain layouts (see [`crate::checkpoint`]),
 //! which returns one whole-domain chunk. Callers never learn which it was.
 //!
-//! On disk a checkpoint reuses the [`GroupFile`] container (the paper's
-//! group-I/O aggregation, §IV-B): chunk payloads are the member chunks, and
-//! the manifest sits under the reserved id [`MANIFEST_ID`].
+//! On disk a checkpoint is one indexed container (`group`, the paper's group
+//! I/O of §IV-B with the whole world as one group): chunk payloads are the
+//! members, and the manifest sits under the reserved id [`MANIFEST_ID`]. The
+//! reader decodes each member straight from the verified file bytes, so a
+//! load holds the lattice twice at most: the file and the decoded chunks.
 //!
 //! Manifest layout (little-endian), stored as the [`MANIFEST_ID`] chunk:
 //!
@@ -51,23 +53,14 @@ use crate::checkpoint::{
     check_canonical, checked_payload_len, f64s_from_le, upgrade_legacy, CheckpointError,
     FieldReader, SCHEME_AA,
 };
-use crate::group::{ContainerWriter, GroupFile, GroupFileError, GROUP_MAGIC};
+use crate::group::{members, ContainerWriter, GROUP_MAGIC};
 use std::io::{self, Read, Write};
 use swlb_core::geometry::GridDims;
 
-/// Reserved [`GroupFile`] id holding the manifest.
+/// Reserved container id holding the manifest.
 pub const MANIFEST_ID: u32 = u32::MAX;
 /// Format version recorded in the manifest.
 pub const CHUNKED_VERSION: u32 = 3;
-
-impl From<GroupFileError> for CheckpointError {
-    fn from(e: GroupFileError) -> Self {
-        match e {
-            GroupFileError::Io(e) => CheckpointError::Io(e),
-            GroupFileError::Corrupt(m) => CheckpointError::Corrupt(m),
-        }
-    }
-}
 
 /// Global rectangle owned by one chunk (interior cells, no halo).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,9 +287,9 @@ impl ChunkedCheckpoint {
         Ok(soa)
     }
 
-    /// Serialize as a [`GroupFile`] container (manifest + one member chunk
-    /// per source rectangle). Chunk values stream straight to `w`; the file
-    /// is never assembled in memory.
+    /// Serialize as a container (manifest + one member chunk per source
+    /// rectangle). Chunk values stream straight to `w`; the file is never
+    /// assembled in memory.
     pub fn write(&self, w: &mut impl Write) -> io::Result<()> {
         let mut manifest = Vec::with_capacity(40 + self.chunks.len() * 16);
         manifest.extend_from_slice(&CHUNKED_VERSION.to_le_bytes());
@@ -332,9 +325,23 @@ impl ChunkedCheckpoint {
         out.finish()
     }
 
-    /// Decode from an already-parsed [`GroupFile`] container.
-    pub fn from_group(group: &GroupFile) -> Result<Self, CheckpointError> {
-        let manifest = group.chunk(MANIFEST_ID).ok_or_else(|| {
+    /// Read and verify a checkpoint — the one reader. Retired whole-domain
+    /// files come back upgraded to a single chunk.
+    pub fn read(r: &mut impl Read) -> Result<Self, CheckpointError> {
+        let mut body = Vec::new();
+        r.read_to_end(&mut body)?;
+        Self::parse(&body)
+    }
+
+    /// [`ChunkedCheckpoint::read`] over bytes already in memory. A container
+    /// is decoded here, each chunk once, from the bytes its CRC was checked
+    /// over.
+    pub(crate) fn parse(body: &[u8]) -> Result<Self, CheckpointError> {
+        if !body.starts_with(GROUP_MAGIC) {
+            return upgrade_legacy(body);
+        }
+        let members = members(body)?;
+        let manifest = members.get(&MANIFEST_ID).ok_or_else(|| {
             CheckpointError::Corrupt("container has no checkpoint manifest".into())
         })?;
         let mut rd = FieldReader::new(manifest);
@@ -359,7 +366,7 @@ impl ChunkedCheckpoint {
                 lnx: rd.u32("chunk lnx")?,
                 lny: rd.u32("chunk lny")?,
             };
-            let bytes = group.chunk(i).ok_or_else(|| {
+            let bytes = members.get(&i).ok_or_else(|| {
                 CheckpointError::Corrupt(format!("manifest lists chunk {i} but it is missing"))
             })?;
             if !bytes.len().is_multiple_of(8) {
@@ -383,29 +390,14 @@ impl ChunkedCheckpoint {
         ck.validate()?;
         Ok(ck)
     }
-
-    /// Read and verify a checkpoint — the one reader. Retired whole-domain
-    /// files come back upgraded to a single chunk.
-    pub fn read(r: &mut impl Read) -> Result<Self, CheckpointError> {
-        let mut body = Vec::new();
-        r.read_to_end(&mut body)?;
-        Self::parse(&body)
-    }
-
-    /// [`ChunkedCheckpoint::read`] over bytes already in memory.
-    pub(crate) fn parse(body: &[u8]) -> Result<Self, CheckpointError> {
-        if body.starts_with(GROUP_MAGIC) {
-            Self::from_group(&GroupFile::parse(body)?)
-        } else {
-            upgrade_legacy(body)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::{reseal, SCHEME_AB};
+    use crate::group::container;
+    use std::collections::BTreeMap;
 
     /// 6×4×1 domain, q = 2, split into two x-halves with distinct values so
     /// misplacement is visible.
@@ -461,8 +453,7 @@ mod tests {
             .zip(&ck.chunks)
             .map(|(i, ch)| (i, ch.data.iter().flat_map(|v| v.to_le_bytes()).collect()))
             .collect();
-        let streamed = GroupFile::parse(&bytes_of(ck)).unwrap();
-        members.push((MANIFEST_ID, streamed.chunk(MANIFEST_ID).unwrap().to_vec()));
+        members.push((MANIFEST_ID, members_of(ck).remove(&MANIFEST_ID).unwrap()));
         let mut body = GROUP_MAGIC.to_vec();
         body.extend_from_slice(&(members.len() as u32).to_le_bytes());
         let mut offset = (12 + 20 * members.len()) as u64;
@@ -499,6 +490,13 @@ mod tests {
         let mut buf = Vec::new();
         ck.write(&mut buf).unwrap();
         buf
+    }
+
+    /// `ck`'s file as an editable map of its container members; rebuild a
+    /// file from one with `container`.
+    fn members_of(ck: &ChunkedCheckpoint) -> BTreeMap<u32, Vec<u8>> {
+        let file = bytes_of(ck);
+        members(&file).unwrap().into_iter().map(|(id, m)| (id, m.to_vec())).collect()
     }
 
     fn read(bytes: &[u8]) -> Result<ChunkedCheckpoint, CheckpointError> {
@@ -747,17 +745,13 @@ mod tests {
     #[test]
     fn manifest_cut_at_every_field_boundary_is_corrupt() {
         // A well-formed container around a short manifest.
-        let ck = sample();
-        let group = GroupFile::parse(&bytes_of(&ck)).unwrap();
-        let manifest = group.chunk(MANIFEST_ID).unwrap().to_vec();
+        let group = members_of(&sample());
+        let manifest = &group[&MANIFEST_ID];
         assert_eq!(manifest.len(), *MANIFEST_FIELDS.last().unwrap());
         for keep in MANIFEST_FIELDS.iter().copied().filter(|&k| k < manifest.len()) {
             let mut g = group.clone();
             g.insert(MANIFEST_ID, manifest[..keep].to_vec());
-            let m = assert_corrupt(
-                ChunkedCheckpoint::from_group(&g),
-                &format!("manifest cut to {keep} B"),
-            );
+            let m = assert_corrupt(read(&container(&g)), &format!("manifest cut to {keep} B"));
             assert!(m.contains("cut short"), "{m}");
         }
     }
@@ -820,24 +814,23 @@ mod tests {
         assert!(m.contains("parity"), "{m}");
     }
 
-    /// `sample()`'s container with its manifest patched at `at`.
-    fn with_manifest_patch(at: usize, bytes: &[u8]) -> GroupFile {
-        let mut group = GroupFile::parse(&bytes_of(&sample())).unwrap();
-        let mut manifest = group.chunk(MANIFEST_ID).unwrap().to_vec();
+    /// `sample()`'s file with its manifest patched at `at`.
+    fn with_manifest_patch(at: usize, bytes: &[u8]) -> Vec<u8> {
+        let mut group = members_of(&sample());
+        let manifest = group.get_mut(&MANIFEST_ID).unwrap();
         manifest[at..at + bytes.len()].copy_from_slice(bytes);
-        group.insert(MANIFEST_ID, manifest);
-        group
+        container(&group)
     }
 
     #[test]
     fn hostile_chunk_count_is_corrupt_without_a_huge_allocation() {
         for count in [3u32, 1 << 20, u32::MAX] {
             let g = with_manifest_patch(32, &count.to_le_bytes());
-            assert_corrupt(ChunkedCheckpoint::from_group(&g), &format!("count {count}"));
+            assert_corrupt(read(&g), &format!("count {count}"));
         }
         // Fewer chunks than the domain needs is a gap, refused at read.
         let g = with_manifest_patch(32, &1u32.to_le_bytes());
-        let m = assert_corrupt(ChunkedCheckpoint::from_group(&g), "count 1");
+        let m = assert_corrupt(read(&g), "count 1");
         assert!(m.contains("cover"), "{m}");
     }
 
@@ -873,34 +866,32 @@ mod tests {
             dims_q.extend_from_slice(&v.to_le_bytes());
         }
         let g = with_manifest_patch(12, &dims_q);
-        let m = assert_corrupt(ChunkedCheckpoint::from_group(&g), "dims overflow");
+        let m = assert_corrupt(read(&g), "dims overflow");
         assert!(m.contains("overflow"), "{m}");
     }
 
     #[test]
     fn missing_short_and_duplicate_member_chunks_are_corrupt() {
         let buf = bytes_of(&sample());
-        let group = GroupFile::parse(&buf).unwrap();
+        let group = members_of(&sample());
 
         // No manifest at all.
-        let mut g = GroupFile::new();
-        g.insert(0, vec![0u8; 16]);
-        let m = assert_corrupt(ChunkedCheckpoint::from_group(&g), "no manifest");
+        let g = BTreeMap::from([(0, vec![0u8; 16])]);
+        let m = assert_corrupt(read(&container(&g)), "no manifest");
         assert!(m.contains("manifest"), "{m}");
 
         // The manifest lists two chunks; the container holds one.
-        let mut g = GroupFile::new();
-        g.insert(MANIFEST_ID, group.chunk(MANIFEST_ID).unwrap().to_vec());
-        g.insert(0, group.chunk(0).unwrap().to_vec());
-        let m = assert_corrupt(ChunkedCheckpoint::from_group(&g), "missing chunk 1");
+        let mut g = group.clone();
+        g.remove(&1);
+        let m = assert_corrupt(read(&container(&g)), "missing chunk 1");
         assert!(m.contains("missing"), "{m}");
 
         // A member one value short, and one cut mid-value.
         for cut in [8, 3] {
             let mut g = group.clone();
-            let full = group.chunk(1).unwrap();
+            let full = &group[&1];
             g.insert(1, full[..full.len() - cut].to_vec());
-            assert_corrupt(ChunkedCheckpoint::from_group(&g), &format!("chunk 1 short by {cut} B"));
+            assert_corrupt(read(&container(&g)), &format!("chunk 1 short by {cut} B"));
         }
 
         // Two index entries naming the same member.

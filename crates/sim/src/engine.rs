@@ -161,7 +161,7 @@ impl Exchange {
     /// The tag of halo direction `d`. Pre-exchange round 0 uses `0..8`, the
     /// post-exchange `8..16`, and pre-exchange round `r ≥ 1` uses
     /// `64 + 16·(r−1) + d`, so every exchange's 8 strips stay distinguishable
-    /// from each other and from the restart tags (`40`, `41`).
+    /// from each other and from [`CAPTURE_TAG`] and [`RESHARD_TAG`].
     fn tag(self, d: usize) -> u64 {
         match self {
             Exchange::Pre(0) => d as u64,
@@ -170,6 +170,12 @@ impl Exchange {
         }
     }
 }
+
+/// Tag of the chunks a capture sends to rank 0. It and [`RESHARD_TAG`] lie
+/// outside every [`Exchange::tag`] block.
+const CAPTURE_TAG: u64 = 40;
+/// Tag of the rectangles a restore sends out from rank 0.
+const RESHARD_TAG: u64 = 41;
 
 /// Retry/backoff policy for halo receives.
 ///
@@ -1037,28 +1043,28 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Capture a checkpoint on rank 0 (`None` elsewhere): each rank packs its
     /// owned interior's *canonical* populations as one chunk, read in place
-    /// from its storage, and rank 0 tags each payload with its global
-    /// rectangle. Nothing is re-assembled into a whole-domain field — the
-    /// chunks stay per-source-rank, which is what lets a later resume
-    /// re-shard them onto any layout.
+    /// from its storage, and sends the packed vector to rank 0, which tags
+    /// each payload with its global rectangle. Nothing is re-assembled into a
+    /// whole-domain field — the chunks stay per-source-rank, which is what
+    /// lets a later resume re-shard them onto any layout.
     pub fn capture_chunked(&self) -> Result<Option<ChunkedCheckpoint>, CommError> {
         let (h, nz) = (self.halo, self.part.global.nz);
         let mine = self.part.chunk_meta(self.comm.rank());
         let run = |q, x, y| self.store.run(q, x + h, y + h);
         let chunk = CheckpointChunk::pack(nz, L::Q, mine, run);
-        let gathered = self.comm.gather_to_root(&chunk.data)?;
         if self.comm.rank() != 0 {
+            self.comm.send(0, CAPTURE_TAG, chunk.data)?;
             return Ok(None);
         }
+        let mut chunks = vec![chunk];
+        // In rank order: capture is no synchronization point for the other
+        // ranks, so a fast rank's next chunk may already be queued, and only
+        // per-(src, tag) FIFO keeps it from standing in for this one.
+        for rank in 1..self.comm.size() {
+            let data = self.comm.recv(rank, CAPTURE_TAG)?;
+            chunks.push(CheckpointChunk { meta: self.part.chunk_meta(rank), data });
+        }
         let global = self.part.global;
-        let chunks = gathered
-            .into_iter()
-            .enumerate()
-            .map(|(rank, data)| CheckpointChunk {
-                meta: self.part.chunk_meta(rank),
-                data,
-            })
-            .collect();
         Ok(Some(ChunkedCheckpoint {
             step: self.step,
             dims: (global.nx as u32, global.ny as u32, global.nz as u32),
@@ -1081,7 +1087,6 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// returns the precise error ([`SwlbError::NoValidCheckpoint`] for `None`),
     /// the others `NoValidCheckpoint` or `CorruptData`.
     pub fn restore_chunked(&mut self, ck: Option<&ChunkedCheckpoint>) -> Result<(), SwlbError> {
-        const RESHARD_TAG: u64 = 41;
         // The verdict rank 0 broadcasts with the step: 0 restores, 1 has no
         // checkpoint, 2 refuses the one it has.
         let h = self.halo;

@@ -14,6 +14,12 @@
 //! Both schedules are verified bit-identical to each other and to the
 //! single-domain reference solver, for any rank count.
 //!
+//! Checkpoints are rank-count independent: a capture packs each rank's owned
+//! interior as one chunk and sends it to rank 0 point to point (the paper's
+//! group write, §IV-B, with the world as one group), and a restore lands each
+//! rank's rectangle from whatever chunks overlap it and sends it back the
+//! same way; [`resilience`] rolls back through that pair.
+//!
 //! The crate also provides momentum-exchange force evaluation ([`forces`]) for
 //! drag/lift observables and the case catalogue ([`cases`]).
 
@@ -24,14 +30,12 @@
 pub mod cases;
 pub mod engine;
 pub mod forces;
-pub mod group_io;
 pub mod partition;
 pub mod resilience;
 
 pub use cases::{CaseKind, CaseSolver, CaseSpec, LatticeKind};
 pub use engine::{DistributedSolver, DistributedSolverBuilder, ExchangeMode, HaloRetry};
 pub use forces::momentum_exchange_force;
-pub use group_io::aggregate_group;
 pub use partition::Partition2d;
 pub use resilience::{
     run_with_recovery, run_with_recovery_instrumented, RecoveryPolicy, RecoveryReport,

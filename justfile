@@ -54,13 +54,16 @@ equivalence:
     cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence --test checkpoint_roundtrip
 
 # The benchmark's own gate (benchmark/README.md): fmt, clippy, self-tests,
-# the smoke suite and schema validation of every result line.
+# the smoke suite and schema validation of every result line. The suite opens
+# out/../../BENCHMARK.json, so the gitignored out/ must exist first.
 bench-check:
+    mkdir -p benchmark/out
     benchmark/check.sh
 
 # The repo's one benchmark: the seven workloads, five end-to-end metrics and
 # per-layer ladder declared in BENCHMARK.json (see benchmark/README.md).
 bench:
+    mkdir -p benchmark/out
     cargo run --release --offline --manifest-path benchmark/Cargo.toml
 
 # The SIMD correctness contract, both ways: native dispatch (tolerance-based

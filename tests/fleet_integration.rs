@@ -644,6 +644,56 @@ fn fresh_envelope(name: &str, steps: u64) -> PushEnvelope {
     }
 }
 
+/// A "black hole" worker accepts TCP (the kernel completes the handshake
+/// from the listen backlog) and never answers: a SIGSTOPped process looks
+/// like this. Every probe and push the controller sends it ends at
+/// `io_timeout`, so the fleet keeps its clock: a job still completes on the
+/// healthy worker, and the hole is reported dead within 10 s.
+#[test]
+fn a_worker_that_never_answers_is_reaped_and_stalls_nothing() {
+    let dir = unique_dir("blackhole");
+    let mut cfg = FleetConfig::new(dir.join("controller"));
+    cfg.heartbeat = Duration::from_millis(50);
+    cfg.io_timeout = Some(Duration::from_millis(200));
+    let controller = Controller::spawn(cfg).unwrap();
+    let caddr = controller.addr().to_string();
+    // Declared after the controller so that it drops first: closing it
+    // resets any exchange still waiting on it, and a failed assertion below
+    // then ends the test instead of hanging the controller's shutdown.
+    let hole = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let body = Json::obj([
+        ("name", Json::str("hole")),
+        ("addr", Json::str(hole.local_addr().unwrap().to_string())),
+        ("dir", Json::str(dir.join("hole").display().to_string())),
+    ])
+    .to_text();
+    let (status, _) =
+        http::roundtrip(&caddr, "POST", "/v1/fleet/register", body.as_bytes()).unwrap();
+    assert_eq!(status, 200);
+    let worker = spawn_worker(&dir, "w1", &caddr, 16);
+    let client = ServeClient::new(caddr);
+
+    let submitted = Instant::now();
+    let id = client
+        .submit(&job("survivor", 16, Priority::Interactive, "t"))
+        .unwrap();
+    let hole_dead = || {
+        let stats = client.stats().unwrap();
+        let workers = stats.get("workers").and_then(Json::as_arr).unwrap();
+        workers.iter().any(|w| {
+            field_str(w, "name") == "hole" && w.get("alive") == Some(&Json::Bool(false))
+        })
+    };
+    wait_until(Duration::from_secs(10), "the job done and the hole dead", || {
+        field_str(&client.status(id).unwrap(), "state") == "completed" && hole_dead()
+    });
+    assert!(submitted.elapsed() < Duration::from_secs(10));
+    worker.shutdown();
+    controller.shutdown();
+    drop(hole);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// With a heartbeat of five seconds a job can only finish inside one second
 /// if the admission wakes the placement and the worker's terminal notice
 /// wakes the settle — ticking cannot pass this.

@@ -35,13 +35,15 @@ use swlb_sim::{
 // ---------------------------------------------------------------------------
 // Counting allocator. Per-thread counters keep the zero-allocation assertion
 // immune to the other tests in this binary running on sibling threads; each
-// thread also keeps the largest single allocation it has made. The `const`
+// thread also keeps the bytes it has allocated (a `realloc` counts its whole
+// new block) and the largest single allocation it has made. The `const`
 // initializers matter: they make the TLS slots allocation-free, so the hook
 // cannot recurse into itself.
 // ---------------------------------------------------------------------------
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
     static THREAD_LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -49,6 +51,7 @@ struct CountingAlloc;
 
 fn count(size: usize) {
     THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+    THREAD_BYTES.with(|c| c.set(c.get() + size as u64));
     THREAD_LARGEST.with(|c| c.set(c.get().max(size)));
 }
 
@@ -73,6 +76,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn thread_allocs() -> u64 {
     THREAD_ALLOCS.with(|c| c.get())
+}
+
+/// Run `f` and return its result and the bytes it allocated on this thread.
+fn bytes_allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = THREAD_BYTES.with(|c| c.get());
+    let out = f();
+    (out, THREAD_BYTES.with(|c| c.get()) - before)
 }
 
 /// Run `f` and return its result, the allocations it made on this thread and
@@ -282,6 +292,74 @@ fn case_restore_stages_no_lattice_sized_copy() {
         );
         assert_eq!(s.step_count(), 3);
         assert_eq!(s.capture_chunked(), ck, "{scheme:?}: restore lands the checkpoint");
+    }
+}
+
+/// A checkpoint load holds the lattice twice: the file's bytes and the
+/// chunks decoded straight from them. Loading a saved 64³ D3Q19 checkpoint
+/// allocates less than 2.5× the file's size, so no member is copied out of
+/// the file before it is decoded.
+#[test]
+fn checkpoint_load_decodes_each_chunk_once_from_the_file() {
+    use swlb_core::layout::StorageScheme;
+
+    let spec = CaseSpec {
+        case: CaseKind::Cavity,
+        lattice: LatticeKind::D3Q19,
+        nx: 64,
+        ny: 64,
+        nz: 64,
+        tau: 0.8,
+        u_lattice: 0.05,
+        storage: StorageScheme::Ab,
+        time_block: 1,
+    };
+    let pool = swlb_core::parallel::ThreadPool::new(2);
+    let mut s = spec.build(pool, Recorder::disabled()).unwrap();
+    s.run_checked(2, 2).unwrap();
+    let ck = s.capture_chunked();
+    drop(s);
+    let dir = std::env::temp_dir().join(format!("swlb-obs-load-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir, 1).unwrap();
+    let file = std::fs::metadata(store.save_chunked(&ck).unwrap()).unwrap().len();
+
+    let (loaded, bytes) = bytes_allocated(|| store.load_latest_valid_any());
+    let (back, skipped) = loaded.unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(skipped.is_empty());
+    assert_eq!(back, ck);
+    let ratio = bytes as f64 / file as f64;
+    assert!(ratio < 2.5, "loading a {file} B checkpoint allocated {bytes} B ({ratio:.2}×)");
+}
+
+/// A distributed capture moves each rank's packed chunk to rank 0 without
+/// copying it: on 2 ranks no rank allocates 1.5× its own chunk's bytes.
+#[test]
+fn distributed_capture_packs_each_chunk_once() {
+    use swlb_core::lattice::D3Q19;
+
+    let global = GridDims::new(32, 16, 16);
+    let mut flags = FlagField::new(global);
+    flags.set_box_walls();
+    flags.paint_lid([0.04, 0.0, 0.0]);
+    let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+    let flags_ref = &flags;
+    let out = World::new(2).run(|comm| {
+        let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll).build();
+        s.initialize_uniform(1.0, [0.0; 3]);
+        s.run(2).unwrap();
+        let (ck, bytes) = bytes_allocated(|| s.capture_chunked().unwrap());
+        let meta = s.partition().chunk_meta(comm.rank());
+        let own = (meta.lnx * meta.lny) as u64 * global.nz as u64 * 19 * 8;
+        (ck, bytes, own)
+    });
+    let ck = out[0].0.as_ref().expect("rank 0 holds the capture");
+    assert_eq!(ck.chunks.len(), 2);
+    for (rank, (_, bytes, own)) in out.iter().enumerate() {
+        assert_eq!(ck.chunks[rank].data.len() as u64 * 8, *own, "rank {rank}");
+        let ratio = *bytes as f64 / *own as f64;
+        assert!(ratio < 1.5, "rank {rank}: capture allocated {bytes} B for a {own} B chunk");
     }
 }
 
