@@ -346,28 +346,12 @@ impl AaParity {
             AaParity::Streamed => AaParity::Reversed,
         }
     }
-
-    /// Stable byte encoding for checkpoints (0 = reversed, 1 = streamed).
-    pub fn as_u8(self) -> u8 {
-        match self {
-            AaParity::Reversed => 0,
-            AaParity::Streamed => 1,
-        }
-    }
-
-    /// Decode the checkpoint byte.
-    pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(AaParity::Reversed),
-            1 => Some(AaParity::Streamed),
-            _ => None,
-        }
-    }
 }
 
 /// Scheme-dispatched population storage: either an A-B pair or a single
-/// AA-pattern grid plus its parity. This is what `Solver` and the distributed
-/// engine hold; they drive it through the methods below and never match on it.
+/// AA-pattern grid plus its parity. This is what `Solver` holds, and a
+/// distributed rank through its `Solver`; it drives the storage through the
+/// methods below and never matches on it.
 #[derive(Debug, Clone)]
 pub enum Storage<F> {
     /// Double-buffered (ping-pong) state.
@@ -751,16 +735,6 @@ mod tests {
         }
         assert_eq!(StorageScheme::parse("esoteric"), None);
         assert_eq!(StorageScheme::default(), StorageScheme::Ab);
-    }
-
-    #[test]
-    fn aa_parity_flips_and_encodes() {
-        assert_eq!(AaParity::Reversed.flip(), AaParity::Streamed);
-        assert_eq!(AaParity::Streamed.flip(), AaParity::Reversed);
-        for p in [AaParity::Reversed, AaParity::Streamed] {
-            assert_eq!(AaParity::from_u8(p.as_u8()), Some(p));
-        }
-        assert_eq!(AaParity::from_u8(7), None);
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //! [`StorageScheme`]; nothing here matches on the scheme. Thread count and the opt-in z-tile are the pool's
 //! configuration ([`ThreadPool::new`], [`ThreadPool::with_tile_z`]), not
 //! modes — a 1-thread pool runs inline with no worker threads and identical
-//! (bit-exact) results. It is the unit the distributed engine (`swlb-sim`)
-//! instantiates per rank, and the reference implementation the architecture
+//! (bit-exact) results. It is the reference implementation the architecture
 //! emulator (`swlb-arch`) is validated against.
+//!
+//! A distributed rank (`swlb-sim`'s engine) is a `Solver` plus a halo: one
+//! over its halo-padded grid, stepped through [`Solver::sweep_rect`] and
+//! [`Solver::finish_step`], the body of a depth-1 step here, with the
+//! exchange around the sweeps.
 //!
 //! Construction goes through [`SolverBuilder`] — the single path for dims,
 //! collision, storage scheme, thread pool, temporal-blocking depth and
@@ -46,6 +50,7 @@ use crate::simd::KernelClass;
 use crate::Scalar;
 use std::borrow::Cow;
 use std::marker::PhantomData;
+use std::ops::Range;
 use swlb_obs::{Counter, Gauge, Phase, Recorder, SwlbError};
 
 /// Summary statistics of one (or the latest) time step.
@@ -364,10 +369,11 @@ impl<L: Lattice> Solver<L> {
     /// field/collision combination allows (SoA + D3Q19 + plain BGK, via the
     /// cached interior index — vectorized when the CPU supports it) and the
     /// generic kernel everywhere else; a 1-thread pool runs inline. Depth 1 is
-    /// one whole-grid dispatch; a depth-`k` wavefront is `k · ny / by` narrow
-    /// ones (`by` = [`crate::temporal::slab_rows`], sized by the cells in a
-    /// row), which is a different schedule, so `k = 1` does not go through
-    /// [`crate::temporal`].
+    /// one whole-grid [`Solver::sweep_rect`], the step body a distributed rank
+    /// runs over its rectangles too; a depth-`k` wavefront is `k · ny / by`
+    /// narrow ones (`by` = [`crate::temporal::slab_rows`], sized by the cells
+    /// in a row), which is a different schedule, so `k = 1` does not go
+    /// through [`crate::temporal`].
     fn sweep(&mut self, k: usize) -> Result<(), SwlbError> {
         self.ensure_interior()?;
         if k > 1 && !self.block_ready() {
@@ -379,21 +385,17 @@ impl<L: Lattice> Solver<L> {
         }
         // `now()` is `None` for a disabled recorder: the instrumented path
         // then takes no clock reading and touches no atomic.
-        let pool = &self.pool;
-        let t0 = self.recorder.now().map(|t| (t, pool.busy_wall_ns()));
-        let flags = &self.flags;
-        let collision = self.collision;
-        let interior = self.interior.as_ref();
-        let storage = &mut self.storage;
-        let class = if k == 1 {
-            let (xr, yr) = (0..self.dims.nx, 0..self.dims.ny);
-            let class = storage.sweep(pool, flags, &collision, interior, 1, xr, yr);
-            storage.advance(1);
-            class
+        let t0 = self.recorder.now().map(|t| (t, self.pool.busy_wall_ns()));
+        if k == 1 {
+            self.sweep_rect(0..self.dims.nx, 0..self.dims.ny)?;
+            self.finish_step();
         } else {
-            crate::temporal::block(pool, flags, storage, &collision, interior, k)
-        };
-        self.last_class = class;
+            let (pool, flags, interior) = (&self.pool, &self.flags, self.interior.as_ref());
+            let storage = &mut self.storage;
+            self.last_class =
+                crate::temporal::block(pool, flags, storage, &self.collision, interior, k);
+            self.step += k as u64;
+        }
         if let Some((t0, (busy0, wall0))) = t0 {
             let ns = (t0.elapsed().as_nanos() as u64).max(1);
             self.recorder.record_phase_ns(Phase::CollideStream, ns);
@@ -401,7 +403,7 @@ impl<L: Lattice> Solver<L> {
             // MLUPS = cells · steps / seconds / 1e6 = cells · steps · 1000 / ns.
             self.obs_mlups
                 .set(self.active as f64 * k as f64 * 1e3 / ns as f64);
-            self.obs_kernel_class.set(class.as_gauge());
+            self.obs_kernel_class.set(self.last_class.as_gauge());
             // Σ busy / (threads · dispatch wall) over this sweep's dispatches.
             let (busy, wall) = self.pool.busy_wall_ns();
             if wall > wall0 {
@@ -409,9 +411,30 @@ impl<L: Lattice> Solver<L> {
                 self.obs_pool_busy.set((busy - busy0) as f64 / slots as f64);
             }
         }
-        self.step += k as u64;
         self.recorder.maybe_flush(self.step);
         Ok(())
+    }
+
+    /// Sweep the rectangle `xr × yr` (full z) as level 1 of a step through the
+    /// pool and the cached interior index, rebuilt first if the flags changed
+    /// (refusing flags the scheme cannot stream over; an empty rectangle does
+    /// only that). A step is such sweeps over the cells it updates, cut into
+    /// rectangles at no cost in bits, then [`Solver::finish_step`]. Records
+    /// nothing: the caller times its own phases.
+    pub fn sweep_rect(&mut self, xr: Range<usize>, yr: Range<usize>) -> Result<(), SwlbError> {
+        self.ensure_interior()?;
+        let interior = self.interior.as_ref();
+        self.last_class =
+            self.storage
+                .sweep(&self.pool, &self.flags, &self.collision, interior, 1, xr, yr);
+        Ok(())
+    }
+
+    /// Complete a step swept by [`Solver::sweep_rect`]: make its output the
+    /// current state and count it.
+    pub fn finish_step(&mut self) {
+        self.storage.advance(1);
+        self.step += 1;
     }
 
     /// The temporal-blocking depth this solver was built with (1 = no
@@ -859,16 +882,32 @@ mod tests {
 
     #[test]
     fn flags_mut_invalidates_fast_path_mask() {
-        let dims = GridDims::new(6, 6, 6);
-        let mut s = Solver::<D3Q19>::builder(dims, BgkParams::from_tau(0.8)).build();
+        let dims = GridDims::new(8, 8, 8);
+        let build = || Solver::<D3Q19>::builder(dims, BgkParams::from_tau(0.8)).build();
+        let mut s = build();
         s.flags_mut().set_box_walls();
-        s.initialize_uniform(1.0, [0.0; 3]);
+        // Off rest everywhere: at rest a wall streamed as fluid leaves the
+        // bits as they are.
+        s.initialize_field(|x, y, z| {
+            let rho = 1.0 + 1e-3 * ((7 * x + 3 * y + z) % 5) as f64;
+            (rho, [0.02 * (y as f64 - 3.5) / 3.5, 0.01 * ((x + z) % 3) as f64, -0.01])
+        });
         s.run(2);
-        // Now drop an obstacle in and keep running; results must stay finite and
-        // the obstacle must influence the flow (mask rebuilt).
+        // Drop an obstacle into the interior and keep running: the run must
+        // match a solver built with the obstacle and handed the same state,
+        // which a stale mask would stream as fluid.
         s.flags_mut().set(3, 3, 3, crate::boundary::NodeKind::Wall);
+        let mut fresh = build();
+        *fresh.flags_mut() = s.flags().clone();
+        *fresh.state_mut() = s.state().clone();
         s.run(2);
-        assert!(!s.macroscopic().has_non_finite());
+        fresh.run(2);
+        for c in 0..dims.cells() {
+            for q in 0..D3Q19::Q {
+                let (a, b) = (s.state().get(c, q), fresh.state().get(c, q));
+                assert_eq!(a.to_bits(), b.to_bits(), "cell {c} q {q}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,17 @@
-//! The distributed solver: halo exchange + fused kernel per rank.
+//! The distributed solver: a rank is a [`Solver`] plus a halo.
 //!
-//! Each rank owns an `(lnx + 2k) × (lny + 2k) × nz` local grid: its owned
-//! block plus a `k`-cell ghost ring in x/y, where `k = time_block` (default 1)
-//! is the number of steps advanced per halo exchange. There is **one**
-//! schedule. A *block* is `k` consecutive steps, `k = 1` is a block of one,
-//! and intra-block step `s` (1-based) computes the owned block expanded by
-//! `e = k − s` ghost layers:
+//! Each rank holds one [`Solver`] over its owned block plus a `k`-cell ghost
+//! ring in x/y, `(lnx + 2k) × (lny + 2k) × nz`, where `k = time_block`
+//! (default 1) is the number of steps advanced per halo exchange. The solver
+//! keeps the flags, interior index, storage, pool, initializer and step count,
+//! and sweeps any rectangle with [`Solver::sweep_rect`], its own depth-1 step
+//! body. This module adds what is distributed, the paper's MPE around the
+//! core group's kernel (Fig. 6(2)): partition, strips and frames, rounds,
+//! phase, epoch, retry, halo counters and the checkpoint protocol.
+//!
+//! There is **one** schedule. A *block* is `k` consecutive steps, `k = 1` is
+//! a block of one, and intra-block step `s` (1-based) computes the owned
+//! block expanded by `e = k − s` ghost layers:
 //!
 //! 1. (`s = 1`) send the 8 boundary strips of the current state to the
 //!    neighbors,
@@ -16,7 +22,8 @@
 //!    as four strips around the inner rectangle,
 //! 5. (`s > 1`) sweep the whole expansion-`e` rectangle, with no
 //!    communication,
-//! 6. advance the storage: flip the A-B buffers, or the AA parity.
+//! 6. finish the step ([`Solver::finish_step`]): flip the A-B buffers, or the
+//!    AA parity, and count it.
 //!
 //! [`ExchangeMode::Sequential`] runs 3 before 2; [`ExchangeMode::OnTheFly`]
 //! runs them as listed, so the inner rectangle is computed while the strips
@@ -27,18 +34,12 @@
 //! property the paper relies on when pipelining the MPE (communication)
 //! against the CPE cluster (inner-domain computation), Fig. 6(2)/Fig. 9(2).
 //!
-//! Every sweep, inner rectangle and 1-cell frame strip alike, goes through
-//! the rank's [`ThreadPool`] with the interior fast-path index; there is no
-//! separate serial path for the boundary ring. The stepper never matches the
-//! storage scheme: which kernel a sweep runs on which buffer, what step 6
-//! flips, how the raw grid maps to canonical populations and which depths and
-//! flags a scheme admits are all asked of `swlb_core::layout::Storage` and
-//! [`StorageScheme`]. What it does read is the AA parity, to decide *when* to
-//! communicate (below). Where a canonical population lives is `Storage`'s
-//! question too (`swlb_core::layout::CanonicalRuns`):
-//! [`DistributedSolver::local_mass`],
-//! [`DistributedSolver::local_macroscopic`] and checkpoint capture read the
-//! runs in place.
+//! The stepper never matches the storage scheme (the solver's
+//! `swlb_core::layout::Storage` and [`StorageScheme`] answer for it); it reads
+//! the AA parity only to decide *when* to communicate (below).
+//! [`DistributedSolver::local_mass`], [`DistributedSolver::local_macroscopic`]
+//! and checkpoint capture read the canonical runs in place
+//! (`swlb_core::layout::CanonicalRuns`).
 //!
 //! ## What AA (single-grid) storage adds at `k = 1`
 //!
@@ -84,6 +85,10 @@
 //!   post-exchange are instead *recomputed* by the neighbor inside its own
 //!   ghost ring, so blocked AA has no post-exchange.
 //!
+//! Unlike the solver's wavefront (`swlb_core::temporal::block`), each level
+//! sweeps the whole shrinking rectangle once: depth `k` saves `k×` halo
+//! messages, not DRAM traffic, and recomputes the ghost ring on top.
+//!
 //! When a subdomain is shallower than the ring (`ln < k`) one exchange cannot
 //! fill it, so step 3 becomes `R = ceil(k / min_ln)` rounds, each past round 0
 //! a send and a receive (tags `64 + 16·(round−1) + d`): a round forwards what
@@ -115,12 +120,12 @@ use swlb_comm::{Comm, CommError, Communicator, Tag};
 use swlb_core::collision::CollisionKind;
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::InteriorIndex;
 use swlb_core::lattice::Lattice;
-use swlb_core::layout::{AaParity, CanonicalRuns, PopField, SoaField, Storage, StorageScheme};
+use swlb_core::layout::{AaParity, CanonicalRuns, PopField, SoaField, StorageScheme};
 use swlb_core::macroscopic::MacroFields;
 use swlb_core::parallel::ThreadPool;
 use swlb_core::simd::KernelClass;
+use swlb_core::solver::{Solver, SolverBuilder};
 use swlb_core::Scalar;
 use swlb_io::{CheckpointChunk, ChunkMeta, ChunkedCheckpoint};
 use swlb_obs::{exponential_buckets, Counter, Gauge, Histogram, Phase, Recorder, SwlbError};
@@ -136,12 +141,6 @@ pub enum ExchangeMode {
 
 /// An `x × y` rectangle of local cells (full z), the unit of every sweep.
 type Rect = (Range<usize>, Range<usize>);
-
-/// Index of the opposite direction in [`NEIGHBOR_OFFSETS`] order.
-fn opposite_dir(d: usize) -> usize {
-    // E↔W, N↔S, NE↔SW, SE↔NW.
-    d ^ 1
-}
 
 /// The two halo exchanges of the schedule. They share the send and receive
 /// loops and differ in three things only: which strips are packed, the tag
@@ -217,6 +216,12 @@ impl HaloRetry {
         }
     }
 
+    /// `self`; panics when `max_attempts` is 0.
+    fn checked(self) -> Self {
+        assert!(self.max_attempts >= 1, "halo retry needs at least one attempt");
+        self
+    }
+
     fn timeout_for(&self, attempt: u32) -> Duration {
         let mult = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
         self.base_timeout
@@ -233,15 +238,13 @@ impl HaloRetry {
 pub struct DistributedSolver<'c, L: Lattice, C: Communicator = Comm> {
     comm: &'c C,
     part: Partition2d,
-    flags: FlagField,
-    store: Storage<SoaField<L>>,
-    collision: CollisionKind,
+    /// The rank's box over the halo-padded local grid. It has no recorder:
+    /// the rank's own recorder times the step around it.
+    solver: Solver<L>,
     mode: ExchangeMode,
     lnx: usize,
     lny: usize,
-    /// Temporal-blocking depth: steps advanced per halo exchange.
-    time_block: usize,
-    /// Ghost-ring width (= `time_block`). The owned block is
+    /// Ghost-ring width (= the solver's `time_block`). The owned block is
     /// `halo..halo+lnx × halo..halo+lny` in local coordinates.
     halo: usize,
     /// Exchange rounds per deep-halo fill: 1 unless some subdomain is
@@ -251,30 +254,17 @@ pub struct DistributedSolver<'c, L: Lattice, C: Communicator = Comm> {
     /// block (exchanges halos). Reset by initialize/restore so a resumed run
     /// never reads stale ghosts.
     phase: usize,
-    /// Execution pipeline for every sweep: the same pooled + z-blocked
-    /// dispatch the shared-memory [`Solver`](swlb_core::solver::Solver) uses.
-    pool: ThreadPool,
-    /// Interior fast-path index of the local grid (per-cell mask + run-length
-    /// runs, halo ring excluded), enabling the vectorized / hand-optimized
-    /// D3Q19 kernels inside the pooled dispatch. Rebuilt lazily when the local
-    /// flags change (see [`DistributedSolver::local_flags_mut`]).
-    interior: InteriorIndex,
-    /// Set by [`DistributedSolver::local_flags_mut`]; the next step rebuilds
-    /// the interior index and the active-cell count before dispatch.
-    interior_dirty: bool,
-    /// Which kernel class served the most recent sweep.
-    last_class: KernelClass,
     /// Reusable halo frame buffers: once capacities stabilize, the
     /// steady-state step performs no heap allocation.
     send_buf: Vec<f64>,
     recv_buf: Vec<f64>,
-    step: u64,
     /// Restart generation: bumped on rollback so in-flight pre-rollback halo
     /// frames are recognized as stale and discarded.
     epoch: u64,
     retry: HaloRetry,
-    /// Interior fluid-cell count (MLUPS accounting for this rank).
-    active: usize,
+    /// Fluid cells of the owned block (the MLUPS numerator), counted on the
+    /// first instrumented step after build or [`Self::local_flags_mut`].
+    owned_fluid: Option<usize>,
     recorder: Recorder,
     obs_mlups: Gauge,
     obs_steps: Counter,
@@ -285,22 +275,6 @@ pub struct DistributedSolver<'c, L: Lattice, C: Communicator = Comm> {
     obs_halo_msgs: Counter,
     obs_halo_bytes: Counter,
     obs_kernel_class: Gauge,
-}
-
-/// Interior (halo-ring-excluded) fluid-cell count of a local grid.
-fn count_active(flags: &FlagField, lnx: usize, lny: usize, h: usize) -> usize {
-    let local = flags.dims();
-    let mut active = 0;
-    for y in h..h + lny {
-        for x in h..h + lnx {
-            for z in 0..local.nz {
-                if flags.kind(local.idx(x, y, z)).is_fluid() {
-                    active += 1;
-                }
-            }
-        }
-    }
-    active
 }
 
 /// The single construction path for [`DistributedSolver`]: communicator,
@@ -320,7 +294,7 @@ pub struct DistributedSolverBuilder<'c, 'f, L: Lattice, C: Communicator = Comm> 
     storage: StorageScheme,
     retry: HaloRetry,
     recorder: Recorder,
-    pool: Option<ThreadPool>,
+    pool: ThreadPool,
     time_block: usize,
     _lattice: std::marker::PhantomData<L>,
 }
@@ -342,7 +316,7 @@ impl<'c, 'f, L: Lattice, C: Communicator> DistributedSolverBuilder<'c, 'f, L, C>
             storage: StorageScheme::Ab,
             retry: HaloRetry::default(),
             recorder: Recorder::disabled(),
-            pool: None,
+            pool: ThreadPool::new(1),
             time_block: 1,
             _lattice: std::marker::PhantomData,
         }
@@ -361,7 +335,7 @@ impl<'c, 'f, L: Lattice, C: Communicator> DistributedSolverBuilder<'c, 'f, L, C>
     /// parallelism: ranks partition the domain, the pool's threads partition
     /// each swept rectangle into work-stolen y-slabs.
     pub fn pool(mut self, pool: ThreadPool) -> Self {
-        self.pool = Some(pool);
+        self.pool = pool;
         self
     }
 
@@ -381,13 +355,10 @@ impl<'c, 'f, L: Lattice, C: Communicator> DistributedSolverBuilder<'c, 'f, L, C>
         self
     }
 
-    /// Replace the halo retry/backoff policy (default [`HaloRetry::default`]).
+    /// Replace the halo retry/backoff policy (default [`HaloRetry::default`];
+    /// panics when `retry.max_attempts` is 0).
     pub fn halo_retry(mut self, retry: HaloRetry) -> Self {
-        assert!(
-            retry.max_attempts >= 1,
-            "halo retry needs at least one attempt"
-        );
-        self.retry = retry;
+        self.retry = retry.checked();
         self
     }
 
@@ -405,55 +376,47 @@ impl<'c, 'f, L: Lattice, C: Communicator> DistributedSolverBuilder<'c, 'f, L, C>
 
     /// Build this rank's solver, rejecting with a typed error the flag fields
     /// ([`StorageScheme::check_flags`]) and depths
-    /// ([`StorageScheme::check_depth`]) the storage scheme cannot run.
+    /// ([`StorageScheme::check_depth`], through [`SolverBuilder::try_build`])
+    /// the storage scheme cannot run. The flags are checked on the global
+    /// field, so every rank refuses the same problem.
     pub fn try_build(self) -> Result<DistributedSolver<'c, L, C>, SwlbError> {
         self.storage.check_flags(self.global_flags)?;
-        self.storage.check_depth(self.time_block)?;
-        let comm = self.comm;
-        let h = self.time_block;
+        let (comm, h) = (self.comm, self.time_block);
         let part = Partition2d::new(self.global, comm.size())?;
         let ((_, lnx), (_, lny)) = part.owned(comm.rank());
-        let flags = part.local_flags_h(comm.rank(), self.global_flags, h);
         let local = part.local_dims_h(comm.rank(), h);
-        let active = count_active(&flags, lnx, lny, h);
-        // Rounds needed to fill an h-deep ring when subdomains may be
-        // shallower than h: each round advances the valid front by at least
-        // the shallowest owned extent along that axis. Every rank must agree,
-        // so the minima run over the whole layout, not this rank.
-        let min_lnx = (0..part.cart.px)
-            .map(|cx| swlb_comm::Cart2d::block_range(self.global.nx, part.cart.px, cx).1)
-            .min()
-            .expect("at least one column");
-        let min_lny = (0..part.cart.py)
-            .map(|cy| swlb_comm::Cart2d::block_range(self.global.ny, part.cart.py, cy).1)
-            .min()
-            .expect("at least one row");
-        let rounds = h.div_ceil(min_lnx).max(h.div_ceil(min_lny)).max(1);
+        let mut solver = SolverBuilder::new(local, self.collision.base())
+            .collision(self.collision)
+            .storage(self.storage)
+            .pool(self.pool)
+            .time_block(h)
+            .try_build()?;
+        *solver.flags_mut() = part.local_flags_h(comm.rank(), self.global_flags, h);
+        // Rounds to fill an h-deep ring: each advances the valid front by the
+        // shallowest owned extent along an axis. Every rank must agree, so the
+        // minima run over the whole layout, not this rank.
+        let rounds_for = |n, p| {
+            let ln = (0..p).map(|c| swlb_comm::Cart2d::block_range(n, p, c).1).min();
+            h.div_ceil(ln.expect("a partition has a block on each axis"))
+        };
+        let (nx, ny, cart) = (self.global.nx, self.global.ny, part.cart);
+        let rounds = rounds_for(nx, cart.px).max(rounds_for(ny, cart.py)).max(1);
         let recorder = self.recorder;
-        let interior = InteriorIndex::build::<L>(&flags);
         Ok(DistributedSolver {
             comm,
             part,
-            flags,
-            store: Storage::with_scheme(self.storage, || SoaField::new(local)),
-            collision: self.collision,
+            solver,
             mode: self.mode,
             lnx,
             lny,
-            time_block: self.time_block,
             halo: h,
             rounds,
             phase: 0,
-            pool: self.pool.unwrap_or_else(|| ThreadPool::new(1)),
-            interior,
-            interior_dirty: false,
-            last_class: KernelClass::Generic,
             send_buf: Vec::new(),
             recv_buf: Vec::new(),
-            step: 0,
             epoch: 0,
             retry: self.retry,
-            active,
+            owned_fluid: None,
             obs_mlups: recorder.gauge("mlups"),
             obs_steps: recorder.counter("steps"),
             obs_retries: recorder.counter("halo.retries"),
@@ -485,22 +448,11 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     }
 
     /// Replace the halo retry/backoff policy.
+    ///
+    /// # Panics
+    /// Panics when `retry.max_attempts` is 0.
     pub fn set_halo_retry(&mut self, retry: HaloRetry) {
-        assert!(
-            retry.max_attempts >= 1,
-            "halo retry needs at least one attempt"
-        );
-        self.retry = retry;
-    }
-
-    /// The active halo retry/backoff policy.
-    pub fn halo_retry(&self) -> HaloRetry {
-        self.retry
-    }
-
-    /// Current restart generation.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.retry = retry.checked();
     }
 
     /// Enter the next restart generation. Called by the recovery layer after a
@@ -523,12 +475,12 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Completed steps.
     pub fn step_count(&self) -> u64 {
-        self.step
+        self.solver.step_count()
     }
 
     /// Temporal-blocking depth (steps per halo exchange; 1 = unblocked).
     pub fn time_block(&self) -> usize {
-        self.time_block
+        self.solver.time_block()
     }
 
     /// Intra-block phase `0..time_block`; 0 means the next step starts a new
@@ -545,48 +497,35 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Local flags (with halo ring).
     pub fn local_flags(&self) -> &FlagField {
-        &self.flags
+        self.solver.flags()
     }
 
-    /// Mutable access to the local flags (with halo ring). Marks the cached
-    /// interior fast-path index dirty; the next [`DistributedSolver::step`]
-    /// rebuilds it (and the active-cell count) before dispatch.
+    /// Mutable access to the local flags (with halo ring): the next step
+    /// rebuilds the solver's interior index ([`Solver::flags_mut`]) first.
     pub fn local_flags_mut(&mut self) -> &mut FlagField {
-        self.interior_dirty = true;
-        &mut self.flags
+        self.owned_fluid = None;
+        self.solver.flags_mut()
     }
 
     /// Which kernel class served the most recent step's last sweep
     /// ([`KernelClass::Generic`] before the first step).
     pub fn last_kernel_class(&self) -> KernelClass {
-        self.last_class
-    }
-
-    /// Rebuild the interior index and active-cell count if the flags changed,
-    /// refusing flags the storage scheme cannot stream over.
-    fn ensure_interior(&mut self) -> Result<(), SwlbError> {
-        if self.interior_dirty {
-            self.store.scheme().check_flags(&self.flags)?;
-            self.interior = InteriorIndex::build::<L>(&self.flags);
-            self.active = count_active(&self.flags, self.lnx, self.lny, self.halo);
-            self.interior_dirty = false;
-        }
-        Ok(())
+        self.solver.last_kernel_class()
     }
 
     /// Which storage scheme this rank runs.
     pub fn scheme(&self) -> StorageScheme {
-        self.store.scheme()
+        self.solver.scheme()
     }
 
     /// AA step-flavor parity (`None` under AB storage). `Reversed` means the
     /// next step is the odd (communicating) flavor.
     pub fn parity(&self) -> Option<AaParity> {
-        self.store.parity()
+        self.solver.parity()
     }
 
-    /// Initialize all local cells from a *global-coordinate* state function,
-    /// on the rank's pool.
+    /// Initialize all local cells from a *global-coordinate* state function
+    /// ([`Solver::initialize_field`]) and resume at step 0.
     pub fn initialize_with(
         &mut self,
         state: impl Fn(usize, usize, usize) -> (Scalar, [Scalar; 3]) + Sync,
@@ -594,14 +533,12 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         let global = self.part.global;
         let ((x0, _), (y0, _)) = self.part.owned(self.comm.rank());
         let h = self.halo;
-        let local = |lx: usize, ly: usize, z: usize| {
+        self.solver.initialize_field(|lx, ly, z| {
             let gx = (x0 as isize + lx as isize - h as isize).rem_euclid(global.nx as isize);
             let gy = (y0 as isize + ly as isize - h as isize).rem_euclid(global.ny as isize);
             state(gx as usize, gy as usize, z)
-        };
-        let store = self.store.state_mut();
-        swlb_core::kernels::initialize_with::<L, _>(&self.pool, &self.flags, store, local);
-        self.resume_at(0);
+        });
+        self.phase = 0;
     }
 
     /// Initialize to a uniform equilibrium.
@@ -650,10 +587,10 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Land a strip packed by [`Self::pack_strip`] at `xr × yr`.
     fn unpack(&mut self, xr: Range<usize>, yr: Range<usize>, data: &[f64]) {
-        let dims = self.flags.dims();
+        let dims = self.solver.dims();
         let run = xr.len() * dims.nz;
         assert_eq!(data.len(), run * yr.len() * L::Q, "halo message length");
-        let dst = self.store.state_mut();
+        let dst = self.solver.state_mut();
         let mut rows = data.chunks_exact(run);
         for q in 0..L::Q {
             let plane = dst.plane_mut(q);
@@ -662,6 +599,12 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
                 plane[at..at + run].copy_from_slice(rows.next().expect("length checked"));
             }
         }
+    }
+
+    /// The rank in direction `(dx, dy)` of the periodic layout.
+    fn neighbor(&self, dx: i32, dy: i32) -> usize {
+        let cart = self.part.cart;
+        cart.neighbor(self.comm.rank(), dx, dy).expect("periodic topology always has neighbors")
     }
 
     /// Post the 8 halo sends of exchange `ex`, timed as [`Phase::HaloPack`].
@@ -680,20 +623,16 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         let mut buf = std::mem::take(&mut self.send_buf);
         let result = (|| {
             for (d, (dx, dy)) in NEIGHBOR_OFFSETS.iter().enumerate() {
-                let dst = self
-                    .part
-                    .cart
-                    .neighbor(self.comm.rank(), *dx, *dy)
-                    .expect("periodic topology always has neighbors");
+                let dst = self.neighbor(*dx, *dy);
                 buf.clear();
                 buf.resize(FRAME_HEADER, 0.0);
                 Self::pack_strip(
-                    self.store.state(),
+                    self.solver.state(),
                     strip(*dx, self.lnx, self.halo),
                     strip(*dy, self.lny, self.halo),
                     &mut buf,
                 );
-                seal_frame(&mut buf, self.epoch, self.step);
+                seal_frame(&mut buf, self.epoch, self.solver.step_count());
                 self.obs_halo_msgs.inc();
                 self.obs_halo_bytes
                     .add((buf.len() * std::mem::size_of::<f64>()) as u64);
@@ -717,53 +656,33 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         let mut attempts: u32 = 0;
         let mut saw_corrupt = false;
         loop {
-            match self
-                .comm
-                .recv_deadline_buffered(src, tag, retry.timeout_for(attempts), buf)
-            {
-                Ok(()) => {}
-                Err(CommError::Timeout { .. }) => {
-                    attempts += 1;
-                    self.obs_retries.inc();
-                    if attempts >= retry.max_attempts {
-                        return if saw_corrupt {
-                            self.obs_corrupt.inc();
-                            Err(CommError::Corrupt { rank: src, tag })
-                        } else {
-                            self.obs_timeouts.inc();
-                            Err(CommError::Timeout {
-                                rank: src,
-                                tag,
-                                attempts,
-                            })
-                        };
+            match self.comm.recv_deadline_buffered(src, tag, retry.timeout_for(attempts), buf) {
+                Ok(()) => match check_frame(buf, self.epoch, self.solver.step_count()) {
+                    FrameCheck::Valid => return Ok(()),
+                    // Stale frames are bounded by what was actually in flight,
+                    // so discarding them without charging an attempt cannot loop.
+                    FrameCheck::Stale => continue,
+                    FrameCheck::Corrupt => saw_corrupt = true,
+                    FrameCheck::Gap => {
+                        self.obs_timeouts.inc();
+                        let attempts = attempts + 1;
+                        return Err(CommError::Timeout { rank: src, tag, attempts });
                     }
-                    continue;
-                }
+                },
+                Err(CommError::Timeout { .. }) => {}
                 Err(e) => return Err(e),
-            };
-            match check_frame(buf, self.epoch, self.step) {
-                FrameCheck::Valid => return Ok(()),
-                // Stale frames are bounded by what was actually in flight, so
-                // discarding them without charging an attempt cannot loop.
-                FrameCheck::Stale => continue,
-                FrameCheck::Corrupt => {
-                    saw_corrupt = true;
-                    attempts += 1;
-                    self.obs_retries.inc();
-                    if attempts >= retry.max_attempts {
-                        self.obs_corrupt.inc();
-                        return Err(CommError::Corrupt { rank: src, tag });
-                    }
-                }
-                FrameCheck::Gap => {
+            }
+            // A timeout or a corrupt copy: charge an attempt.
+            attempts += 1;
+            self.obs_retries.inc();
+            if attempts >= retry.max_attempts {
+                return if saw_corrupt {
+                    self.obs_corrupt.inc();
+                    Err(CommError::Corrupt { rank: src, tag })
+                } else {
                     self.obs_timeouts.inc();
-                    return Err(CommError::Timeout {
-                        rank: src,
-                        tag,
-                        attempts: attempts + 1,
-                    });
-                }
+                    Err(CommError::Timeout { rank: src, tag, attempts })
+                };
             }
         }
     }
@@ -775,13 +694,11 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         let mut buf = std::mem::take(&mut self.recv_buf);
         let result = (|| {
             for (d, (dx, dy)) in NEIGHBOR_OFFSETS.iter().enumerate() {
-                let src_rank = self
-                    .part
-                    .cart
-                    .neighbor(self.comm.rank(), *dx, *dy)
-                    .expect("periodic topology always has neighbors");
+                let src_rank = self.neighbor(*dx, *dy);
                 let t_recv = rec.now();
-                self.recv_framed_into(src_rank, ex.tag(opposite_dir(d)), &mut buf)?;
+                // The sender's direction is the opposite one in
+                // [`NEIGHBOR_OFFSETS`] order: E↔W, N↔S, NE↔SW, SE↔NW.
+                self.recv_framed_into(src_rank, ex.tag(d ^ 1), &mut buf)?;
                 if let Some(t) = t_recv {
                     let ns = t.elapsed().as_nanos() as u64;
                     rec.record_phase_ns(Phase::HaloExchange, ns);
@@ -831,12 +748,12 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
                 _ => w >= h as isize && w < (ln + h) as isize,
             }
         }
-        let dims = self.flags.dims();
+        let dims = self.solver.dims();
         let (lnx, lny, h) = (self.lnx, self.lny, self.halo);
         let (xs, ys) = (Self::send_range(dx, lnx, h), Self::send_range(dy, lny, h));
         let nz = dims.nz;
         assert_eq!(data.len(), xs.len() * ys.len() * nz * L::Q, "post-exchange message length");
-        let dst = self.store.state_mut();
+        let dst = self.solver.state_mut();
         let mut pencils = data.chunks_exact(nz);
         for q in 0..L::Q {
             let c = L::C[q];
@@ -892,29 +809,13 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         (rects, 4)
     }
 
-    /// Fused stream+collide over the rectangle `xr × yr` (local coords, full
-    /// z; ghost cells allowed), dispatched through the thread pool: y-slabs
-    /// stolen across threads, each streaming its whole z extent (or the
-    /// pool's opt-in z-tile), and the vectorized (or hand-optimized scalar)
-    /// D3Q19 kernel on interior BGK run-length runs. Matches the serial
-    /// generic kernel bit-for-bit on scalar-semantics lanes and within the FMA
-    /// dispatch tolerance under AVX2. Every step here is one time level, so
-    /// each sweep is level 1 of the storage and `step_block` advances it by 1.
-    fn sweep(&mut self, (xr, yr): Rect) {
-        let (flags, pool, collision) = (&self.flags, &self.pool, &self.collision);
-        let interior = Some(&self.interior);
-        self.last_class = self
-            .store
-            .sweep(pool, flags, collision, interior, 1, xr, yr);
-    }
-
     /// One time step of the single schedule (see the module docs): intra-block
-    /// step `s = phase + 1` computes the owned block expanded by
+    /// step `s = phase + 1` sweeps the owned block expanded by
     /// `e = time_block − s` ghost layers. An AA even step (`Streamed`) never
     /// starts a block: it is communication-free whatever the ghost depth.
-    fn step_block(&mut self, rec: &Recorder) -> Result<(), CommError> {
-        let e = self.time_block - (self.phase + 1);
-        let parity = self.store.parity();
+    fn step_block(&mut self, rec: &Recorder) -> Result<(), SwlbError> {
+        let e = self.halo - (self.phase + 1);
+        let parity = self.solver.parity();
         if self.phase == 0 && parity != Some(AaParity::Streamed) {
             self.send_strips(Exchange::Pre(0))?;
             // Both modes sweep the same inner rectangle and frame strips (so
@@ -932,7 +833,8 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
             }
             {
                 let _cs = rec.phase(Phase::CollideStream);
-                self.sweep(self.inner_ranges());
+                let (xr, yr) = self.inner_ranges();
+                self.solver.sweep_rect(xr, yr)?;
             }
             if overlap {
                 self.finish_exchange()?;
@@ -940,45 +842,52 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
             {
                 let _bd = rec.phase(Phase::Boundary);
                 let (rects, n) = self.frame_rects(e);
-                for rect in rects.into_iter().take(n) {
-                    self.sweep(rect);
+                for (xr, yr) in rects.into_iter().take(n) {
+                    self.solver.sweep_rect(xr, yr)?;
                 }
             }
             // 1-deep ghosts cannot recompute the neighbor's share of an AA
             // odd step, so its scatters into the ghost ring go back across.
-            if parity.is_some() && self.time_block == 1 {
+            if parity.is_some() && self.halo == 1 {
                 self.send_strips(Exchange::AaPost)?;
                 self.recv_strips(Exchange::AaPost)?;
             }
         } else {
             let _cs = rec.phase(Phase::CollideStream);
-            self.sweep(self.expanded_ranges(e));
+            let (xr, yr) = self.expanded_ranges(e);
+            self.solver.sweep_rect(xr, yr)?;
         }
-        self.store.advance(1);
+        self.solver.finish_step();
         Ok(())
     }
 
     /// Advance one time step. A halo failure keeps its structure through the
     /// lossless `CommError → SwlbError` conversion (`CommTimeout`,
-    /// `CommCorrupt`, `Disconnected`); flags mutated into something the storage
-    /// scheme cannot stream over, or that refused a kind, are an `InvalidConfig`.
+    /// `CommCorrupt`, `Disconnected`); local flags the storage scheme cannot
+    /// stream over, or that refused a kind, are an `InvalidConfig` before any send.
     pub fn step(&mut self) -> Result<(), SwlbError> {
         // Cheap handle clone so phase guards don't hold a borrow of `self`.
         let rec = self.recorder.clone();
         let t_step = rec.now();
-        self.ensure_interior()?;
-        self.comm.notify_step(self.step);
+        self.solver.sweep_rect(0..0, 0..0)?; // only brings the index up to date
+        self.comm.notify_step(self.solver.step_count());
         self.step_block(&rec)?;
-        self.phase = (self.phase + 1) % self.time_block;
-        self.step += 1;
+        self.phase = (self.phase + 1) % self.halo;
         if let Some(t) = t_step {
             let ns = (t.elapsed().as_nanos() as u64).max(1);
             self.obs_steps.inc();
-            // Per-rank MLUPS = interior fluid cells · 1000 / step-ns.
-            self.obs_mlups.set(self.active as f64 * 1e3 / ns as f64);
-            self.obs_kernel_class.set(self.last_class.as_gauge());
+            // Per-rank MLUPS = owned fluid cells · 1000 / step-ns.
+            let (flags, h, (lnx, lny)) = (self.solver.flags(), self.halo, (self.lnx, self.lny));
+            let fluid = *self.owned_fluid.get_or_insert_with(|| {
+                let d = flags.dims();
+                let pencil = |(x, y)| (0..d.nz).map(move |z| d.idx(x, y, z));
+                let owned = (h..h + lny).flat_map(|y| (h..h + lnx).map(move |x| (x, y)));
+                owned.flat_map(pencil).filter(|&c| flags.kind(c).is_fluid()).count()
+            });
+            self.obs_mlups.set(fluid as f64 * 1e3 / ns as f64);
+            self.obs_kernel_class.set(self.solver.last_kernel_class().as_gauge());
         }
-        self.recorder.maybe_flush(self.step);
+        self.recorder.maybe_flush(self.solver.step_count());
         Ok(())
     }
 
@@ -993,7 +902,7 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// Local macroscopic snapshot (includes the halo ring; the owned block is
     /// `halo..halo+lnx × halo..halo+lny`), read in place from the storage.
     pub fn local_macroscopic(&self) -> MacroFields {
-        MacroFields::compute::<L, _>(&self.flags, &self.store)
+        self.solver.macroscopic()
     }
 
     /// Current local raw state (with halo ring). Under AB this is the source
@@ -1001,27 +910,24 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// [`DistributedSolver::parity`] — `swlb_core::layout::CanonicalRuns` says
     /// where each canonical run lives.
     pub fn local_populations(&self) -> &SoaField<L> {
-        self.store.state()
+        self.solver.state()
     }
 
     /// Mutable local raw state (restart, fault injection in tests).
     pub fn local_populations_mut(&mut self) -> &mut SoaField<L> {
-        self.store.state_mut()
+        self.solver.state_mut()
     }
 
-    /// This rank's fluid mass over its owned cells (no communication):
-    /// [`Storage::fluid_mass`] of the owned block. It is NaN as soon as any
-    /// owned non-solid cell — fluid or open boundary — holds a non-finite
-    /// population, which is what lets the recovery layer detect divergence
-    /// from one reduced scalar.
-    ///
-    /// Scheme-invariant: the sum runs over each owned cell's *canonical*
-    /// populations, in direction order, read in place — for an owned cell that
-    /// never leaves the local grid, whatever the scheme and parity.
+    /// This rank's fluid mass over its owned cells, with no communication: the
+    /// solver storage's `fluid_mass` of the owned block, a sum of each cell's
+    /// *canonical* populations read in place, so it is scheme-invariant. It
+    /// is NaN as soon as any owned non-solid cell holds a non-finite
+    /// population, which lets the recovery layer detect divergence from one
+    /// reduced scalar.
     pub fn local_mass(&self) -> Scalar {
         let h = self.halo;
-        self.store
-            .fluid_mass(&self.flags, h..h + self.lnx, h..h + self.lny)
+        let flags = self.solver.flags();
+        self.solver.storage().fluid_mass(flags, h..h + self.lnx, h..h + self.lny)
     }
 
     /// Global fluid mass (allreduce over interior cells).
@@ -1050,7 +956,8 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     pub fn capture_chunked(&self) -> Result<Option<ChunkedCheckpoint>, CommError> {
         let (h, nz) = (self.halo, self.part.global.nz);
         let mine = self.part.chunk_meta(self.comm.rank());
-        let run = |q, x, y| self.store.run(q, x + h, y + h);
+        let storage = self.solver.storage();
+        let run = |q, x, y| storage.run(q, x + h, y + h);
         let chunk = CheckpointChunk::pack(nz, L::Q, mine, run);
         if self.comm.rank() != 0 {
             self.comm.send(0, CAPTURE_TAG, chunk.data)?;
@@ -1066,10 +973,10 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
         }
         let global = self.part.global;
         Ok(Some(ChunkedCheckpoint {
-            step: self.step,
+            step: self.solver.step_count(),
             dims: (global.nx as u32, global.ny as u32, global.nz as u32),
             q: L::Q as u32,
-            scheme: scheme_byte(self.store.scheme()),
+            scheme: scheme_byte(self.solver.scheme()),
             chunks,
         }))
     }
@@ -1125,20 +1032,18 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
             ck.land(self.part.chunk_meta(rank), &mut frame, dims, (0, 0)).expect(VETTED);
             self.comm.send(rank, RESHARD_TAG, frame)?;
         }
-        let (rect, local) = (self.part.chunk_meta(0), self.flags.dims());
-        ck.land(rect, self.store.state_mut().raw_mut(), local, (h, h)).expect(VETTED);
+        let (rect, local) = (self.part.chunk_meta(0), self.solver.dims());
+        ck.land(rect, self.solver.state_mut().raw_mut(), local, (h, h)).expect(VETTED);
         self.resume_at(ck.step);
         Ok(())
     }
 
-    /// Adopt the canonical state just written (by the initializer, or a
-    /// restore's owned block) and resume at `step` on a block boundary:
-    /// restarting on the odd AA flavor from a canonical state is exactly the
-    /// AB continuation, and the stale ghost ring is overwritten by the
-    /// pre-exchange before anything reads it.
+    /// Adopt the canonical state a restore just landed and resume at `step`
+    /// on a block boundary: restarting on the odd AA flavor from a canonical
+    /// state is exactly the AB continuation, and the stale ghost ring is
+    /// overwritten by the pre-exchange before anything reads it.
     fn resume_at(&mut self, step: u64) {
-        self.store.adopt_canonical();
-        self.step = step;
+        self.solver.adopt_canonical(step);
         self.phase = 0;
     }
 }
@@ -1159,6 +1064,7 @@ mod tests {
     use swlb_core::collision::BgkParams;
     use swlb_core::kernels::fused_step;
     use swlb_core::lattice::{D2Q9, D3Q19};
+    use swlb_core::layout::Storage;
 
     fn reference_run<L: Lattice>(
         global: GridDims,
@@ -1626,41 +1532,59 @@ mod tests {
         let global = GridDims::new(10, 10, 12);
         let mut flags = FlagField::new(global);
         flags.set_box_walls();
-        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        flags.paint_lid([0.05, 0.0, 0.0]);
+        let params = BgkParams::from_tau(0.8);
+        let coll = CollisionKind::Bgk(params);
+        // A flow off rest everywhere, so a wall streamed as fluid shows in
+        // the bits: at rest, bounce-back equals streaming from a fluid cell.
+        let init = |x: usize, y: usize, z: usize| {
+            let rho = 1.0 + 1e-3 * ((7 * x + 3 * y + z) % 5) as f64;
+            (rho, [0.02 * (y as f64 - 4.5) / 4.5, 0.01 * ((x + z) % 3) as f64, -0.01])
+        };
+        // The same history on plain solvers: a step, a wall at global
+        // (4, 4, 5) — local (5, 5, 5) on the 1-deep ring — and a step, taken
+        // by a solver built with the wall, whose index is fresh.
+        let mut first = Solver::<D3Q19>::builder(global, params).build();
+        *first.flags_mut() = flags.clone();
+        first.initialize_field(init);
+        first.step();
+        let mut reference = Solver::<D3Q19>::builder(global, params).build();
+        *reference.flags_mut() = flags.clone();
+        reference.flags_mut().set(4, 4, 5, NodeKind::Wall);
+        *reference.state_mut() = first.state().clone();
+        reference.step();
         let flags_ref = &flags;
         let out = World::new(1).run(|comm| {
             let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
                 .exchange(ExchangeMode::OnTheFly)
+                .recorder(Recorder::enabled())
                 .build();
-            s.initialize_uniform(1.0, [0.0; 3]);
+            s.initialize_with(init);
             s.step().unwrap();
             let class_before = s.last_kernel_class();
-            let runs_before = s.interior.runs().run_count();
+            let active_before = s.owned_fluid;
             // Carve an obstacle out of the inner rectangle through the public
-            // mutator; the next step must pick it up (more runs, fewer active
-            // cells) without an explicit rebuild call.
-            // Mid-pencil in z: the excluded 1-neighborhood leaves interior
-            // cells on both sides, so the pencil splits into two runs.
-            s.local_flags_mut()
-                .set(5, 5, 5, swlb_core::boundary::NodeKind::Wall);
-            let active_before = s.active;
+            // mutator; the next step must pick it up (the solver's index
+            // rebuilt, one fewer owned fluid cell) without an explicit
+            // rebuild call. A stale index would stream the wall as fluid.
+            s.local_flags_mut().set(5, 5, 5, NodeKind::Wall);
             s.step().unwrap();
-            (
-                class_before,
-                runs_before,
-                s.interior.runs().run_count(),
-                active_before,
-                s.active,
-                s.last_kernel_class(),
-            )
+            let gathered = s.gather_populations().unwrap().expect("rank 0 gathers");
+            (class_before, active_before, s.owned_fluid, s.last_kernel_class(), gathered)
         });
-        let (class_before, runs_before, runs_after, active_before, active_after, class_after) =
-            out[0];
-        assert_eq!(class_before, swlb_core::simd::selected_kernel_class());
-        assert_ne!(class_before, KernelClass::Generic);
+        let (class_before, active_before, active_after, class_after, gathered) = &out[0];
+        assert_eq!(*class_before, swlb_core::simd::selected_kernel_class());
+        assert_ne!(*class_before, KernelClass::Generic);
         assert_eq!(class_after, class_before);
-        assert!(runs_after > runs_before, "wall must split a z-run");
-        assert_eq!(active_after, active_before - 1);
+        assert_eq!(*active_before, Some(8 * 8 * 10));
+        assert_eq!(*active_after, Some(8 * 8 * 10 - 1));
+        let tol = 1e-14_f64.max(swlb_core::simd::dispatch_tolerance() * 100.0);
+        for cell in 0..global.cells() {
+            for q in 0..D3Q19::Q {
+                let (r, g) = (reference.state().get(cell, q), gathered.get(cell, q));
+                assert!((r - g).abs() < tol, "cell {cell} q {q}: {r} vs {g}");
+            }
+        }
     }
 
     /// Distributed depth-k run vs the serial per-step reference. Exact on
@@ -1965,15 +1889,15 @@ mod tests {
                             (1.0 + 0.01 * ((x + 2 * y + 3 * z) % 7) as Scalar, [0.0; 3])
                         });
                         s.run(steps).unwrap();
-                        let (dims, h) = (s.flags.dims(), s.halo);
+                        let (dims, h) = (s.local_flags().dims(), s.halo);
                         let mut f = [0.0; D3Q19::Q];
                         let (mut want, mut mass) = (Vec::new(), 0.0);
                         for y in h..h + s.lny {
                             for x in h..h + s.lnx {
                                 for z in 0..dims.nz {
-                                    canonical_cell(&s.store, [x, y, z], &mut f);
+                                    canonical_cell(s.solver.storage(), [x, y, z], &mut f);
                                     want.extend_from_slice(&f);
-                                    if s.flags.kind(dims.idx(x, y, z)).is_fluid() {
+                                    if s.local_flags().kind(dims.idx(x, y, z)).is_fluid() {
                                         f.iter().for_each(|v| mass += v);
                                     }
                                 }
@@ -2025,9 +1949,9 @@ mod tests {
                     s.run(steps).unwrap();
                     if comm.rank() == 0 {
                         // Rank 0 owns the global origin, `halo` cells in.
-                        let (dims, h) = (s.flags.dims(), s.halo);
+                        let (dims, h) = (s.local_flags().dims(), s.halo);
                         let cell = dims.idx(at[0] + h, at[1] + h, at[2]);
-                        assert!(!s.flags.kind(cell).is_solid());
+                        assert!(!s.local_flags().kind(cell).is_solid());
                         s.local_populations_mut().set(cell, 0, poison);
                     }
                     s.local_mass()
@@ -2151,5 +2075,48 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// A halo receive escalates after `max_attempts` charged attempts, a
+    /// timeout and a corrupt copy alike: as `Corrupt` when any copy was
+    /// corrupt, as `Timeout` otherwise. One rank is its own neighbor in every
+    /// direction, so nothing but the faulted strip is in flight on its tag.
+    #[test]
+    fn halo_receive_escalates_after_max_attempts() {
+        use swlb_comm::{ChaosComm, FaultPlan};
+        let global = GridDims::new(8, 6, 1);
+        let flags = FlagField::new(global);
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+        let retry = HaloRetry {
+            base_timeout: Duration::from_millis(5),
+            max_backoff: Duration::from_millis(20),
+            max_attempts: 3,
+        };
+        let tag = Exchange::Pre(0).tag(0);
+        let corrupt = FaultPlan::new(7).corrupt_message(0, tag, 0);
+        let dropped = FaultPlan::new(7).drop_message(0, tag, 0);
+        for (plan, want) in [(corrupt, [3, 1, 0]), (dropped, [3, 0, 1])] {
+            let flags_ref = &flags;
+            let out = World::new(1).run_chaos(&std::sync::Arc::new(plan), |comm| {
+                let rec = Recorder::enabled();
+                type S<'c> = DistributedSolver<'c, D2Q9, ChaosComm>;
+                let mut s = S::builder(&comm, global, flags_ref, coll)
+                    .halo_retry(retry)
+                    .recorder(rec.clone())
+                    .build();
+                s.initialize_uniform(1.0, [0.0; 3]);
+                let err = s.step().expect_err("a faulted strip is never healed");
+                let snap = rec.snapshot(0).expect("recorder is enabled");
+                let count = |name| snap.counter(name).unwrap_or(0);
+                (err, [count("halo.retries"), count("halo.corrupt"), count("halo.timeouts")])
+            });
+            let (err, counts) = &out[0];
+            match err {
+                SwlbError::CommCorrupt { .. } => assert_eq!(want[1], 1, "{err:?}"),
+                SwlbError::CommTimeout { attempts: 3, .. } => assert_eq!(want[2], 1, "{err:?}"),
+                other => panic!("unexpected halo failure {other:?}"),
+            }
+            assert_eq!(*counts, want, "retries, corrupt, timeouts after {err:?}");
+        }
     }
 }

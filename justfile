@@ -48,10 +48,12 @@ crash-check:
     cargo test -q -p swlb-serve --release --test serve_crash -- --ignored
 
 # The cross-layer equivalence suites, once each: dispatch (incl. the depth-k
-# matrix), AA↔AB / lane policies, and the checkpoint + reshard roundtrips
-# (every one through the checkpoint codec's write and its one reader).
+# matrix), AA↔AB / lane policies, N-rank ↔ serial, the checkpoint + reshard
+# roundtrips (every one through the checkpoint codec's write and its one
+# reader), and the engine's own matrix.
 equivalence:
-    cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence --test checkpoint_roundtrip
+    cargo test -q -p swlb-sim --release --test unified_dispatch --test simd_equivalence --test checkpoint_roundtrip --test distributed_equivalence
+    cargo test -q -p swlb-sim --release --lib engine
 
 # The benchmark's own gate (benchmark/README.md): fmt, clippy, self-tests,
 # the smoke suite and schema validation of every result line. The suite opens

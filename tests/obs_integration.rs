@@ -234,6 +234,98 @@ fn distributed_steady_state_step_makes_no_allocations() {
     }
 }
 
+/// A rank is one `Solver` over its halo-padded local grid: building one
+/// allocates its population grids (two under AB, one under AA), two flag
+/// fields (the solver's all-fluid default and the rank's cut that replaces
+/// it, a byte per padded cell and a kind table each) and at most 4 KiB
+/// besides — no third flag field, no interior index, no second grid.
+/// Bytes are counted on each rank's own thread, 64³ D3Q19 on 2 ranks, with
+/// 1- and 2-deep rings.
+#[test]
+fn building_a_rank_allocates_its_grids_and_little_else() {
+    use swlb_core::lattice::D3Q19;
+    use swlb_core::layout::StorageScheme;
+
+    let table = std::mem::size_of::<[swlb_core::boundary::NodeKind; 256]>() as u64;
+    let global = GridDims::new(64, 64, 64);
+    let mut flags = FlagField::new(global);
+    flags.set_box_walls();
+    flags.paint_lid([0.04, 0.0, 0.0]);
+    let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+    let flags_ref = &flags;
+    for (scheme, grids) in [(StorageScheme::Ab, 2u64), (StorageScheme::Aa, 1)] {
+        for k in [1, 2] {
+            let out = World::new(2).run(|comm| {
+                let (s, bytes) = bytes_allocated(|| {
+                    DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
+                        .storage(scheme)
+                        .time_block(k)
+                        .build()
+                });
+                (s.local_flags().dims().cells() as u64, bytes)
+            });
+            for (rank, (cells, bytes)) in out.iter().enumerate() {
+                let bound = (grids * 19 * 8 + 2) * cells + 2 * table + 4096;
+                assert!(
+                    *bytes <= bound,
+                    "{scheme:?} k={k} rank {rank}: building allocated {bytes} B, \
+                     bound {bound} B for {cells} padded cells"
+                );
+            }
+        }
+    }
+}
+
+/// A rank's recorder carries the metric names it has always carried, and
+/// nothing of the solver inside it: after 4 steps on 2 ranks with 2-thread
+/// pools, `steps` reads 4 (the step is counted once, not once per layer) and
+/// there is no `pool.busy_share`.
+#[test]
+fn rank_recorder_keeps_its_metric_names_and_counts_each_step_once() {
+    use swlb_core::lattice::D3Q19;
+    use swlb_core::parallel::ThreadPool;
+
+    let global = GridDims::new(12, 8, 6);
+    let mut flags = FlagField::new(global);
+    flags.set_box_walls();
+    flags.paint_lid([0.04, 0.0, 0.0]);
+    let coll = CollisionKind::Bgk(BgkParams::from_tau(0.8));
+    let flags_ref = &flags;
+    let snaps = World::new(2).run(|comm| {
+        let rec = Recorder::enabled();
+        let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
+            .pool(ThreadPool::new(2))
+            .recorder(rec.clone())
+            .build();
+        s.initialize_uniform(1.0, [0.0; 3]);
+        s.run(4).unwrap();
+        rec.snapshot(s.step_count()).expect("recorder is enabled")
+    });
+    for (rank, snap) in snaps.iter().enumerate() {
+        // A snapshot lists each kind of metric name-sorted.
+        let counters: Vec<&str> = snap.counters.iter().map(|(k, _)| k.as_str()).collect();
+        let gauges: Vec<&str> = snap.gauges.iter().map(|(k, _)| k.as_str()).collect();
+        let histograms: Vec<&str> = snap.histograms.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            counters,
+            [
+                "halo.bytes",
+                "halo.corrupt",
+                "halo.messages",
+                "halo.retries",
+                "halo.timeouts",
+                "steps"
+            ],
+            "rank {rank}"
+        );
+        assert_eq!(gauges, ["kernel_class", "mlups"], "rank {rank}");
+        assert_eq!(histograms, ["halo.latency_us"], "rank {rank}");
+        assert_eq!(snap.counter("steps"), Some(4), "rank {rank}");
+        assert_eq!(snap.gauge("pool.busy_share"), None, "rank {rank}");
+        assert!(snap.gauge("mlups").is_some_and(|v| v > 0.0), "rank {rank}");
+    }
+}
+
 /// A 12×10×8 D3Q19 lid-driven cavity case on a 2-thread pool.
 fn cavity_case(storage: swlb_core::layout::StorageScheme) -> swlb_sim::CaseSolver {
     let spec = CaseSpec {
