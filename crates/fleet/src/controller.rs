@@ -74,7 +74,7 @@ use swlb_comm::frame::{frame_to_bytes, seal_frame, FRAME_HEADER};
 use swlb_io::{CheckpointStore, Wal};
 use swlb_obs::{Counter, Recorder, SwlbError};
 use swlb_serve::http::{self, Listener, Request};
-use swlb_serve::{json, JobSpec, Json, Priority, PushEnvelope, ServeClient};
+use swlb_serve::{json, JobSpec, Json, Priority, PushEnvelope};
 
 use crate::policy::{self, PendingJob, PolicyConfig, TenantAccount};
 use crate::record::{FleetEvent, FleetFold, FleetOutcome};
@@ -479,9 +479,9 @@ impl Controller {
             })
         };
 
-        let conn_shared = shared.clone();
-        listener.start(cfg.io_timeout, move |stream| {
-            handle_connection(stream, &conn_shared)
+        let (conn_shared, io_timeout) = (shared.clone(), cfg.io_timeout);
+        listener.start(io_timeout, move |stream| {
+            handle_connection(stream, &conn_shared, io_timeout)
         });
 
         Ok(Controller {
@@ -533,7 +533,7 @@ struct TickCfg {
     per_worker_cap: usize,
     policy: PolicyConfig,
     rebalance: bool,
-    /// [`FleetConfig::io_timeout`]: bounds every probe and push, so a worker
+    /// [`FleetConfig::io_timeout`]: bounds every call to a worker, so one
     /// that accepts and never answers costs one deadline, not the ticker.
     io_timeout: Option<Duration>,
     recorder: Recorder,
@@ -688,8 +688,13 @@ fn sync_and_rescue(shared: &Shared, cfg: &TickCfg) {
         if placed.is_empty() {
             continue;
         }
-        let locals: Vec<u64> = placed.iter().map(|(_, local)| *local).collect();
-        let Ok(items) = ServeClient::new(addr.clone()).list_ids(&locals) else {
+        let ids: Vec<String> = placed.iter().map(|(_, local)| local.to_string()).collect();
+        let target = format!("/v1/jobs?ids={}", ids.join(","));
+        let listed = call_worker(&addr, "GET", &target, b"", http::MAX_BODY, cfg.io_timeout);
+        let Some(Json::Arr(items)) = listed.and_then(|(status, body)| {
+            let text = String::from_utf8(body).ok().filter(|_| status == 200)?;
+            json::parse(&text).ok()
+        }) else {
             continue;
         };
         let mut st = lock(shared);
@@ -732,7 +737,7 @@ fn sync_and_rescue(shared: &Shared, cfg: &TickCfg) {
     // the envelope immediately; ship it to the least-loaded worker (possibly
     // the same one — a fresh push un-parks it) and release the husk.
     for (id, local, src_addr) in orphans {
-        let Some(mut env) = pull_handoff(&src_addr, local) else {
+        let Some(mut env) = pull_handoff(&src_addr, local, cfg) else {
             continue;
         };
         env.fleet_id = id;
@@ -746,7 +751,7 @@ fn sync_and_rescue(shared: &Shared, cfg: &TickCfg) {
             }
             st.best_target(cfg.per_worker_cap, None)
         };
-        let _ = ServeClient::new(src_addr.clone()).cancel(local);
+        cancel_on_worker(&src_addr, local, cfg.io_timeout);
         let pushed = target.and_then(|t| {
             let addr = lock(shared)
                 .workers
@@ -761,22 +766,35 @@ fn sync_and_rescue(shared: &Shared, cfg: &TickCfg) {
     }
 }
 
-/// POST `body` to a worker within [`TickCfg::io_timeout`].
-fn post_to_worker(
+/// One request to a worker, bounded by `timeout` ([`FleetConfig::io_timeout`])
+/// from connect to the last byte of a reply of at most `max_body` bytes.
+/// Every call the controller makes to a worker goes through here.
+fn call_worker(
     addr: &str,
+    method: &str,
     target: &str,
     body: &[u8],
-    cfg: &TickCfg,
+    max_body: usize,
+    timeout: Option<Duration>,
 ) -> Option<(u16, Vec<u8>)> {
     let addr = addr.to_socket_addrs().ok()?.next()?;
-    http::roundtrip_timeout(&addr, "POST", target, body, cfg.io_timeout).ok()
+    http::roundtrip_timeout(&addr, method, target, body, max_body, timeout).ok()
+}
+
+/// Cancel `local` on a worker, best effort: a refusal or a silence costs at
+/// most `timeout`, and the sync pass sees what happened.
+fn cancel_on_worker(addr: &str, local: u64, timeout: Option<Duration>) {
+    let target = format!("/v1/jobs/{local}/cancel");
+    let _ = call_worker(addr, "POST", &target, b"", http::MAX_BODY, timeout);
 }
 
 /// Send one sealed heartbeat probe; `Some(load)` on a valid echo.
 fn probe(addr: &str, epoch: u64, seq: u64, cfg: &TickCfg) -> Option<WorkerLoad> {
     let mut frame = vec![0.0; FRAME_HEADER];
     seal_frame(&mut frame, epoch, seq);
-    let (status, body) = post_to_worker(addr, "/v1/fleet/ping", &frame_to_bytes(&frame), cfg)?;
+    let ping = frame_to_bytes(&frame);
+    let (status, body) =
+        call_worker(addr, "POST", "/v1/fleet/ping", &ping, http::MAX_BODY, cfg.io_timeout)?;
     if status != 200 {
         return None;
     }
@@ -801,7 +819,8 @@ fn dead_checkpoint(dir: &str, local: u64) -> (u64, Vec<u8>) {
 /// and posts its terminal wakes there; the envelope bytes do not change.
 fn push_envelope(addr: &str, env: &PushEnvelope, cfg: &TickCfg) -> Option<u64> {
     let target = format!("/v1/fleet/push?notify_port={}", cfg.notify_port);
-    let (status, body) = post_to_worker(addr, &target, &env.encode(), cfg)?;
+    let (status, body) =
+        call_worker(addr, "POST", &target, &env.encode(), http::MAX_BODY, cfg.io_timeout)?;
     if status != 202 {
         return None;
     }
@@ -810,15 +829,10 @@ fn push_envelope(addr: &str, env: &PushEnvelope, cfg: &TickCfg) -> Option<u64> {
 }
 
 /// Ask a worker to park `local` at a slice boundary and ship its envelope.
-fn pull_handoff(addr: &str, local: u64) -> Option<PushEnvelope> {
-    let (status, body) = http::roundtrip_with_limit(
-        addr,
-        "POST",
-        &format!("/v1/jobs/{local}/handoff"),
-        b"",
-        http::MAX_DATA_BODY,
-    )
-    .ok()?;
+fn pull_handoff(addr: &str, local: u64, cfg: &TickCfg) -> Option<PushEnvelope> {
+    let target = format!("/v1/jobs/{local}/handoff");
+    let (status, body) =
+        call_worker(addr, "POST", &target, b"", http::MAX_DATA_BODY, cfg.io_timeout)?;
     if status != 200 {
         return None;
     }
@@ -962,7 +976,7 @@ fn rebalance_once(shared: &Shared, cfg: &TickCfg) {
     let Some((id, local, src_addr, dst_name, dst_addr)) = plan else {
         return;
     };
-    let Some(mut env) = pull_handoff(&src_addr, local) else {
+    let Some(mut env) = pull_handoff(&src_addr, local, cfg) else {
         return;
     };
     env.fleet_id = id;
@@ -973,7 +987,7 @@ fn rebalance_once(shared: &Shared, cfg: &TickCfg) {
             // a leaked `checkpointed` husk would count against the source's
             // admission capacity forever. Best-effort: if the source is
             // dying anyway, the husk dies with it.
-            let _ = ServeClient::new(src_addr.clone()).cancel(local);
+            cancel_on_worker(&src_addr, local, cfg.io_timeout);
             lock(shared).rebind(id, Some((dst_name, new_local, step)), true);
             cfg.recorder.counter("fleet.migrations").inc();
         }
@@ -983,7 +997,7 @@ fn rebalance_once(shared: &Shared, cfg: &TickCfg) {
             // we hold back onto the source — the job keeps its progress and
             // the pool stays imbalanced until the next attempt. The re-push
             // admits a fresh local copy, so release the parked one first.
-            let _ = ServeClient::new(src_addr.clone()).cancel(local);
+            cancel_on_worker(&src_addr, local, cfg.io_timeout);
             if let Some(new_local) = push_envelope(&src_addr, &env, cfg) {
                 let mut st = lock(shared);
                 let src_name = st
@@ -1005,7 +1019,9 @@ fn rebalance_once(shared: &Shared, cfg: &TickCfg) {
 // HTTP plane
 // ---------------------------------------------------------------------------
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+/// `io_timeout` bounds the one call a handler makes to a worker: a relayed
+/// cancel.
+fn handle_connection(mut stream: TcpStream, shared: &Shared, io_timeout: Option<Duration>) {
     let req = match http::read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
@@ -1033,7 +1049,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             None => (400, err_json("bad job id")),
         },
         ("POST", ["v1", "jobs", id, "cancel"]) => match parse_id(id) {
-            Some(id) => cancel(shared, id),
+            Some(id) => cancel(shared, id, io_timeout),
             None => (400, err_json("bad job id")),
         },
         ("POST", ["v1", "fleet", "register"]) => register(shared, &req),
@@ -1102,7 +1118,7 @@ fn submit(shared: &Shared, req: &Request) -> (u16, Json) {
 
 /// Cancel: pending jobs settle immediately; placed jobs relay to the owning
 /// worker and the sync pass journals the terminal when the worker confirms.
-fn cancel(shared: &Shared, id: u64) -> (u16, Json) {
+fn cancel(shared: &Shared, id: u64, io_timeout: Option<Duration>) -> (u16, Json) {
     let relay = {
         let mut st = lock(shared);
         let Some(job) = st.job(id) else {
@@ -1122,7 +1138,7 @@ fn cancel(shared: &Shared, id: u64) -> (u16, Json) {
         }
     };
     if let Some((addr, local)) = relay {
-        let _ = ServeClient::new(addr).cancel(local);
+        cancel_on_worker(&addr, local, io_timeout);
     }
     let st = lock(shared);
     match st.job(id) {
@@ -1362,6 +1378,90 @@ mod tests {
         drop(st);
         stub.stop_accepting();
         stub.join_handlers();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A worker that accepts and never answers: the kernel completes the
+    /// handshake from the listen backlog, and nothing ever reads or writes.
+    fn silent_worker(shared: &Shared, name: &str) -> std::net::TcpListener {
+        let hole = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = hole.local_addr().unwrap();
+        let body = format!(r#"{{"name":"{name}","addr":"{addr}","dir":"/tmp/{name}"}}"#);
+        assert_eq!(register(shared, &post(&body)).0, 200);
+        hole
+    }
+
+    /// Admit a job and bind it to `worker` as if a push had landed there.
+    fn placed_on(shared: &Shared, worker: &str) -> u64 {
+        let (status, body) = submit(shared, &post(JOB));
+        assert_eq!(status, 202);
+        let id = body.get("id").and_then(Json::as_u64).unwrap();
+        lock(shared).job_mut(id).unwrap().binding = Binding::Placed {
+            worker: worker.into(),
+            local: id,
+            step: 0,
+        };
+        id
+    }
+
+    /// Run `pass` on its own thread and fail unless it ends within one second
+    /// past `io_timeout`: a call with no deadline fails here, not by hanging.
+    fn ends_by_the_deadline(shared: &Arc<Shared>, pass: fn(&Shared, &TickCfg)) {
+        let io_timeout = Duration::from_millis(200);
+        let cfg = TickCfg {
+            notify_port: 9,
+            max_missed: 3,
+            per_worker_cap: 4,
+            policy: PolicyConfig::default(),
+            rebalance: true,
+            io_timeout: Some(io_timeout),
+            recorder: Recorder::disabled(),
+        };
+        let (done, ended) = std::sync::mpsc::channel();
+        let shared = shared.clone();
+        std::thread::spawn(move || {
+            pass(&shared, &cfg);
+            let _ = done.send(());
+        });
+        let patience = io_timeout + Duration::from_secs(1);
+        assert!(ended.recv_timeout(patience).is_ok(), "the pass outlived {patience:?}");
+    }
+
+    /// The sync pass asks a silent worker for its jobs and gives up at the
+    /// deadline: the ticker moves on, the job stays where it was.
+    #[test]
+    fn a_sync_with_a_silent_worker_ends_at_the_deadline() {
+        let dir =
+            std::env::temp_dir().join(format!("swlb-fleet-silent-list-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, replayed, _) = recover(&dir);
+        let shared = Shared::new(FleetState::restore(journal, replayed), &Recorder::disabled());
+        let _hole = silent_worker(&shared, "hole");
+        let id = placed_on(&shared, "hole");
+        ends_by_the_deadline(&shared, sync_and_rescue);
+        assert!(matches!(lock(&shared).job(id).unwrap().binding, Binding::Placed { .. }));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A rebalance pulls a job from a silent worker and gives up at the
+    /// deadline, leaving the job placed where it was.
+    #[test]
+    fn a_handoff_pull_from_a_silent_worker_ends_at_the_deadline() {
+        let dir =
+            std::env::temp_dir().join(format!("swlb-fleet-silent-pull-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, replayed, _) = recover(&dir);
+        let shared = Shared::new(FleetState::restore(journal, replayed), &Recorder::disabled());
+        let _hole = silent_worker(&shared, "hole");
+        let _idle = silent_worker(&shared, "idle");
+        let ids = [placed_on(&shared, "hole"), placed_on(&shared, "hole")];
+        ends_by_the_deadline(&shared, rebalance_once);
+        let st = lock(&shared);
+        for id in ids {
+            let binding = &st.job(id).unwrap().binding;
+            assert!(matches!(binding, Binding::Placed { worker, .. } if worker == "hole"));
+        }
+        drop(st);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -350,29 +350,20 @@ pub fn roundtrip(
     target: &str,
     body: &[u8],
 ) -> Result<(u16, Vec<u8>), SwlbError> {
-    roundtrip_with_limit(addr, method, target, body, MAX_BODY)
-}
-
-/// [`roundtrip`] with an explicit response-body bound — the fleet controller
-/// pulling a migration envelope accepts up to [`MAX_DATA_BODY`].
-pub fn roundtrip_with_limit(
-    addr: &str,
-    method: &str,
-    target: &str,
-    body: &[u8],
-    max_body: usize,
-) -> Result<(u16, Vec<u8>), SwlbError> {
-    exchange(TcpStream::connect(addr)?, method, target, body, max_body)
+    exchange(TcpStream::connect(addr)?, method, target, body, MAX_BODY)
 }
 
 /// [`roundtrip`] with `timeout` bounding the connect and every read and
-/// write, so a caller that must stay joinable (the worker's wake notifier)
-/// cannot hang on an unreachable peer. `None` leaves the OS defaults.
+/// write, so a caller that must stay joinable (the worker's wake notifier,
+/// the fleet controller) cannot hang on an unreachable or silent peer, and a
+/// response-body bound — the fleet controller pulling a migration envelope
+/// accepts up to [`MAX_DATA_BODY`]. `None` leaves the OS defaults.
 pub fn roundtrip_timeout(
     addr: &SocketAddr,
     method: &str,
     target: &str,
     body: &[u8],
+    max_body: usize,
     timeout: Option<Duration>,
 ) -> Result<(u16, Vec<u8>), SwlbError> {
     let stream = match timeout {
@@ -381,7 +372,7 @@ pub fn roundtrip_timeout(
     };
     stream.set_read_timeout(timeout)?;
     stream.set_write_timeout(timeout)?;
-    exchange(stream, method, target, body, MAX_BODY)
+    exchange(stream, method, target, body, max_body)
 }
 
 /// One request out, one full CRC-verified response back, on `stream`.

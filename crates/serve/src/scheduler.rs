@@ -10,11 +10,15 @@
 //! injected chaos faults) roll the job back to its last valid checkpoint
 //! under the [`RecoveryPolicy`] restart budget — a faulted job fails alone;
 //! the server keeps serving.
+//!
+//! Every way off the pool for good goes through [`Shared::settle`], every
+//! park (handoff, drain) through [`Shared::park`]; `docs/SERVING.md`
+//! ("Lifecycle transitions") tables what each journals and emits.
 
 use crate::journal::JobEvent;
 use crate::json::Json;
 use crate::spec::{JobState, OutputKind};
-use crate::state::Shared;
+use crate::state::{Exit, Shared};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -155,28 +159,14 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
             match build_or_resume(&shared, &cfg, picked) {
                 Ok(r) => cur = Some(r),
                 Err(e) => {
-                    let mut st = shared.lock_state();
-                    if let Some(job) = st.job_mut(picked) {
-                        job.state = JobState::Failed;
-                        job.error = Some(e.to_string());
-                    }
-                    st.journal.append(&JobEvent::Faulted {
-                        id: picked,
-                        error: e.to_string(),
-                    });
-                    shared.push_event(
-                        &mut st,
-                        picked,
-                        "failed",
-                        vec![("error", Json::str(e.to_string()))],
-                    );
-                    shared.event_wake.notify_all();
+                    let exit = Exit::Failed(e.to_string());
+                    shared.settle(&mut shared.lock_state(), picked, exit);
                     continue;
                 }
             }
         }
         // ---- slice loop: keep the pool until a boundary event ---------
-        let mut release = false;
+        // A job that leaves the pool for good takes its solver with it.
         {
             loop {
                 let r = cur.as_mut().expect("a picked job has its solver built");
@@ -327,33 +317,16 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                         }
                     }
                     Boundary::Complete => {
-                        let outputs = write_outputs(&shared, &cfg, picked, &r.solver);
-                        let mut st = shared.lock_state();
-                        st.journal.append(&JobEvent::Completed { id: picked });
-                        let job = st.job_mut(picked).unwrap();
-                        job.state = JobState::Completed;
-                        let status = job.status_json();
-                        let mut extra = vec![("status", status)];
-                        if let Ok(files) = outputs {
-                            extra.push((
-                                "outputs",
-                                Json::Arr(files.into_iter().map(Json::str).collect()),
-                            ));
-                        }
-                        shared.push_event(&mut st, picked, "completed", extra);
-                        shared.event_wake.notify_all();
-                        shared.sched_wake.notify_all();
-                        release = true;
+                        let outputs = write_outputs(&shared, &cfg, picked, &r.solver).ok();
+                        let exit = Exit::Completed { outputs };
+                        shared.settle(&mut shared.lock_state(), picked, exit);
+                        cur = None;
                         break;
                     }
                     Boundary::Cancel => {
-                        let mut st = shared.lock_state();
-                        st.journal.append(&JobEvent::Cancelled { id: picked });
-                        let job = st.job_mut(picked).unwrap();
-                        job.state = JobState::Cancelled;
-                        shared.push_event(&mut st, picked, "cancelled", vec![]);
-                        shared.event_wake.notify_all();
-                        release = true;
+                        let exit = Exit::Cancelled { error: None };
+                        shared.settle(&mut shared.lock_state(), picked, exit);
+                        cur = None;
                         break;
                     }
                     Boundary::Handoff => {
@@ -361,21 +334,11 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                         let mut st = shared.lock_state();
                         match ck {
                             Ok(step) => {
-                                let job = st.job_mut(picked).unwrap();
                                 // Parked like a drain: resumable from this
                                 // checkpoint, on this worker or another.
-                                job.state = JobState::Checkpointed;
-                                job.handoff_requested = false;
-                                job.recorder.flush(job.steps_done);
-                                st.journal.append(&JobEvent::Drained { id: picked, step });
-                                shared.push_event(
-                                    &mut st,
-                                    picked,
-                                    "handed_off",
-                                    vec![("at_step", Json::num(step as f64))],
-                                );
-                                shared.event_wake.notify_all();
-                                release = true;
+                                shared.park(&mut st, picked, step, "handed_off");
+                                drop(st);
+                                cur = None;
                                 break;
                             }
                             Err(e) => {
@@ -391,7 +354,6 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                                     "checkpoint_error",
                                     vec![("error", Json::str(e.to_string()))],
                                 );
-                                shared.event_wake.notify_all();
                                 continue;
                             }
                         }
@@ -410,7 +372,6 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                                 let mut st = shared.lock_state();
                                 let job = st.job_mut(picked).unwrap();
                                 job.rollbacks += 1;
-                                job.steps_done = to_step;
                                 job.recorder.counter("job.rollbacks").inc();
                                 let restarts = job.restarts;
                                 shared.push_event(
@@ -427,50 +388,19 @@ pub fn run(shared: Arc<Shared>, cfg: SchedConfig) {
                                 continue;
                             }
                             Err(e) => {
-                                let mut st = shared.lock_state();
-                                st.journal.append(&JobEvent::Faulted {
-                                    id: picked,
-                                    error: e.to_string(),
-                                });
-                                let job = st.job_mut(picked).unwrap();
-                                job.state = JobState::Failed;
-                                job.error = Some(e.to_string());
-                                shared.push_event(
-                                    &mut st,
-                                    picked,
-                                    "failed",
-                                    vec![("error", Json::str(e.to_string()))],
-                                );
-                                shared.event_wake.notify_all();
-                                release = true;
+                                let exit = Exit::Failed(e.to_string());
+                                shared.settle(&mut shared.lock_state(), picked, exit);
                                 break;
                             }
                         }
                     }
                     Boundary::Fail(msg) => {
-                        let mut st = shared.lock_state();
-                        st.journal.append(&JobEvent::Faulted {
-                            id: picked,
-                            error: msg.clone(),
-                        });
-                        let job = st.job_mut(picked).unwrap();
-                        job.state = JobState::Failed;
-                        job.error = Some(msg.clone());
-                        shared.push_event(
-                            &mut st,
-                            picked,
-                            "failed",
-                            vec![("error", Json::str(msg))],
-                        );
-                        shared.event_wake.notify_all();
-                        release = true;
+                        shared.settle(&mut shared.lock_state(), picked, Exit::Failed(msg));
+                        cur = None;
                         break;
                     }
                 }
             }
-        }
-        if release {
-            cur = None;
         }
     }
 }
@@ -503,33 +433,28 @@ fn build_or_resume(
     let mut solver = case.build(cfg.pool.clone(), job_recorder)?;
     let store = cfg.store.namespaced(&format!("job-{id}"))?;
     let mut last_ckpt = u64::MAX;
+    // Progress recorded but no checkpoint survived restarts from 0, and
+    // counts as a resume so the exactly-once accounting stays whole.
+    let mut resume_at = had_run.then_some(0);
     if let Some((ck, _skipped)) = store.load_latest_valid_any()? {
         solver.restore_chunked_state(&ck)?;
-        let ck_step = ck.step;
-        last_ckpt = ck_step;
+        last_ckpt = ck.step;
+        resume_at = Some(ck.step);
+    }
+    if let Some(at) = resume_at {
         let mut st = shared.lock_state();
         if let Some(job) = st.job_mut(id) {
             job.resumes += 1;
             // After crash recovery the journaled step can be newer than the
-            // newest *valid* checkpoint; converge on what actually loaded.
-            job.steps_done = ck_step;
+            // newest *valid* checkpoint; converge on where the solver starts.
+            job.steps_done = at;
             job.recorder.counter("job.resumes").inc();
-            let at = ck_step;
             shared.push_event(
                 &mut st,
                 id,
                 "resumed",
                 vec![("at_step", Json::num(at as f64))],
             );
-        }
-    } else if had_run {
-        // Progress was recorded but no checkpoint survived: restart from 0
-        // (counts as a resume so the exactly-once accounting stays whole).
-        let mut st = shared.lock_state();
-        if let Some(job) = st.job_mut(id) {
-            job.resumes += 1;
-            job.recorder.counter("job.resumes").inc();
-            shared.push_event(&mut st, id, "resumed", vec![("at_step", Json::num(0.0))]);
         }
     }
     Ok(Running {
@@ -539,8 +464,8 @@ fn build_or_resume(
     })
 }
 
-/// Drain: checkpoint the in-flight job, mark every live job `Checkpointed`,
-/// flag the drain complete. Runs with the state lock held.
+/// Drain: checkpoint the in-flight job, park every live job, flag the drain
+/// complete. Runs with the state lock held.
 fn drain_all(
     shared: &Shared,
     st: &mut crate::state::State,
@@ -550,46 +475,26 @@ fn drain_all(
     if st.drained {
         return;
     }
-    if let Some(r) = cur.take() {
-        let saved = checkpoint(cfg, &r);
-        let id = r.id;
-        if let Some(job) = st.job_mut(id) {
-            if job.state.is_live() {
-                job.state = JobState::Checkpointed;
-                job.recorder.flush(job.steps_done);
-            }
-        }
-        let step = saved.unwrap_or(0);
-        st.journal.append(&JobEvent::Drained { id, step });
-        shared.push_event(
-            st,
-            id,
-            "checkpointed",
-            vec![("at_step", Json::num(step as f64))],
-        );
+    // A cached solver whose job has since ended has nothing left to park.
+    if let Some(r) = cur
+        .take()
+        .filter(|r| st.job(r.id).is_some_and(|j| j.state.is_live()))
+    {
+        let step = checkpoint(cfg, &r).unwrap_or(0);
+        shared.park(st, r.id, step, "checkpointed");
     }
-    let live: Vec<u64> = st
+    let live: Vec<(u64, u64)> = st
         .jobs
         .iter()
         .filter(|j| j.state.is_live())
-        .map(|j| j.id)
+        .map(|j| (j.id, j.steps_done))
         .collect();
-    for id in live {
-        if let Some(job) = st.job_mut(id) {
-            job.state = JobState::Checkpointed;
-            job.recorder.flush(job.steps_done);
-        }
-        let step = st.job(id).map_or(0, |j| j.steps_done);
-        st.journal.append(&JobEvent::Drained { id, step });
-        shared.push_event(
-            st,
-            id,
-            "checkpointed",
-            vec![("at_step", Json::num(step as f64))],
-        );
+    for (id, step) in live {
+        shared.park(st, id, step, "checkpointed");
     }
     st.drained = true;
     st.journal.sync();
+    // Drain waiters watch `drained`, which no event announces.
     shared.event_wake.notify_all();
 }
 

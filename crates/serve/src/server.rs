@@ -40,12 +40,12 @@
 //! running and their records buffer in memory (bounded) until the disk
 //! recovers.
 
-use crate::http::{self, Listener, Request};
+use crate::http::{self, Listener, Request, MAX_BODY};
 use crate::journal::{JobTable, Outcome};
 use crate::json::Json;
 use crate::scheduler::{self, SchedConfig};
 use crate::spec::{JobSpec, JobState, Priority};
-use crate::state::Shared;
+use crate::state::{Exit, Shared};
 use crate::wire::PushEnvelope;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -329,7 +329,8 @@ fn notify_loop(shared: &Shared, recorder: &Recorder, timeout: Option<Duration>) 
         seen = st.terminals;
         let Some(addr) = st.notify else { continue };
         drop(st);
-        match http::roundtrip_timeout(&addr, "POST", "/v1/fleet/wake", b"", timeout) {
+        let wake = http::roundtrip_timeout(&addr, "POST", "/v1/fleet/wake", b"", MAX_BODY, timeout);
+        match wake {
             Ok((200, _)) => sent.inc(),
             _ => failed.inc(),
         }
@@ -513,11 +514,7 @@ fn cancel(shared: &Shared, id_seg: &str) -> (u16, Json) {
         // controller releases the source-side copy once a migration has
         // landed elsewhere — the checkpoint files stay on disk.
         JobState::Queued | JobState::Preempted | JobState::Checkpointed => {
-            job.state = JobState::Cancelled;
-            st.journal
-                .append(&crate::journal::JobEvent::Cancelled { id });
-            shared.push_event(&mut st, id, "cancelled", vec![]);
-            shared.event_wake.notify_all();
+            shared.settle(&mut st, id, Exit::Cancelled { error: None });
         }
         // On the pool: honoured at the next slice boundary.
         JobState::Running => {
@@ -644,21 +641,8 @@ fn push(shared: &Shared, req: &Request, ctx: &ConnCtx, peer: Option<SocketAddr>)
             .map_err(swlb_io::CheckpointError::Io)
             .and_then(|s| s.seed_bytes(env.step, &env.ckpt));
         if let Err(e) = seeded {
-            let mut st = shared.lock_state();
-            st.journal
-                .append(&crate::journal::JobEvent::Cancelled { id });
-            if let Some(job) = st.job_mut(id) {
-                job.state = JobState::Cancelled;
-                job.held = false;
-                job.error = Some(e.to_string());
-            }
-            shared.push_event(
-                &mut st,
-                id,
-                "cancelled",
-                vec![("error", Json::str(e.to_string()))],
-            );
-            shared.event_wake.notify_all();
+            let error = Some(e.to_string());
+            shared.settle(&mut shared.lock_state(), id, Exit::Cancelled { error });
             return (500, Json::obj([("error", Json::str(e.to_string()))]));
         }
     }
@@ -695,33 +679,17 @@ fn handoff(stream: &mut TcpStream, shared: &Shared, id_seg: &str, ctx: &ConnCtx)
     }
     let parked = {
         let mut st = shared.lock_state();
-        let park_now = |st: &mut crate::state::State, shared: &Shared| {
-            let job = st.job_mut(id).unwrap();
-            job.state = JobState::Checkpointed;
-            let step = job.steps_done;
-            job.handoff_requested = false;
-            job.recorder.flush(step);
-            st.journal
-                .append(&crate::journal::JobEvent::Drained { id, step });
-            shared.push_event(
-                st,
-                id,
-                "handed_off",
-                vec![("at_step", Json::num(step as f64))],
-            );
-            shared.event_wake.notify_all();
-        };
-        match st.job(id).map(|j| j.state) {
+        match st.job(id).map(|j| (j.state, j.steps_done)) {
             None => Park::NotFound,
             // Off the pool: any existing checkpoint (from preemption) is
             // already on disk, so park directly.
-            Some(JobState::Queued | JobState::Preempted) => {
-                park_now(&mut st, shared);
+            Some((JobState::Queued | JobState::Preempted, step)) => {
+                shared.park(&mut st, id, step, "handed_off");
                 Park::Ready
             }
             // Drained already — nothing to do, just ship.
-            Some(JobState::Checkpointed) => Park::Ready,
-            Some(JobState::Running) => {
+            Some((JobState::Checkpointed, _)) => Park::Ready,
+            Some((JobState::Running, _)) => {
                 st.job_mut(id).unwrap().handoff_requested = true;
                 shared.sched_wake.notify_all();
                 let deadline = Instant::now() + HANDOFF_TIMEOUT;

@@ -9,6 +9,11 @@
 //! atomic step: there is no window where a client holds a 202 for a job the
 //! journal does not know about.
 //!
+//! A job leaves the pool for good through [`Shared::settle`] and is parked
+//! resumable through [`Shared::park`]: each sets the state, appends the one
+//! journal record and pushes the one event, as the transition table in
+//! `docs/SERVING.md` ("Lifecycle transitions") lays out.
+//!
 //! Scheduling is CFS-flavoured fair share: each job carries a virtual
 //! runtime charged `slice_steps / weight` per slice, the ready job with the
 //! smallest vruntime runs next, and a newly admitted job starts at the
@@ -190,8 +195,8 @@ pub struct State {
     pub stopping: bool,
     /// Submissions bounced by admission control.
     pub rejected: u64,
-    /// Jobs that turned `completed` / `failed` / `cancelled` since start-up;
-    /// the worker's wake notifier posts whenever this has moved.
+    /// Jobs settled since start-up (see [`Shared::settle`]); the worker's
+    /// wake notifier posts whenever this has moved.
     pub terminals: u64,
     /// Where that notifier knocks: the peer of the latest fleet push paired
     /// with the `notify_port` it named. Not journaled — the next push
@@ -401,6 +406,24 @@ impl State {
     }
 }
 
+/// How a job ends: the argument of [`Shared::settle`].
+#[derive(Debug)]
+pub enum Exit {
+    /// Every step ran; `outputs` lists the artifacts written, if writing
+    /// them succeeded.
+    Completed {
+        /// Paths of the written artifacts.
+        outputs: Option<Vec<String>>,
+    },
+    /// Withdrawn before the end; `error` says why when no one asked for it.
+    Cancelled {
+        /// Why the service cancelled the job itself.
+        error: Option<String>,
+    },
+    /// Faulted beyond recovery.
+    Failed(String),
+}
+
 /// The shared handle every service thread holds.
 pub struct Shared {
     /// The guarded state.
@@ -476,13 +499,65 @@ impl Shared {
         }
     }
 
+    /// End job `id`: set its state (and error), journal its one terminal
+    /// record, count it in `terminals` for the fleet's wake and push its one
+    /// terminal event. A finished job writes its final metrics line and lets
+    /// go of its recorder (sink, buffer and the open `metrics.jsonl`
+    /// descriptor) — terminal jobs are history and never record again, as
+    /// after crash recovery.
+    pub fn settle(&self, st: &mut State, id: u64, exit: Exit) {
+        let Some(job) = st.job_mut(id) else { return };
+        let (record, event, extra) = match exit {
+            Exit::Completed { outputs } => {
+                job.state = JobState::Completed;
+                let mut extra = vec![("status", job.status_json())];
+                if let Some(files) = outputs {
+                    extra.push((
+                        "outputs",
+                        Json::Arr(files.into_iter().map(Json::str).collect()),
+                    ));
+                }
+                (JobEvent::Completed { id }, "completed", extra)
+            }
+            Exit::Cancelled { error } => {
+                job.state = JobState::Cancelled;
+                let extra = error
+                    .iter()
+                    .map(|e| ("error", Json::str(e.clone())))
+                    .collect();
+                job.error = error;
+                (JobEvent::Cancelled { id }, "cancelled", extra)
+            }
+            Exit::Failed(error) => {
+                job.state = JobState::Failed;
+                job.error = Some(error.clone());
+                let extra = vec![("error", Json::str(error.clone()))];
+                (JobEvent::Faulted { id, error }, "failed", extra)
+            }
+        };
+        let recorder = std::mem::replace(&mut job.recorder, Recorder::disabled());
+        let step = job.steps_done;
+        st.journal.append(&record);
+        recorder.flush(step);
+        st.terminals += 1;
+        self.push_event(st, id, event, extra);
+    }
+
+    /// Park job `id` `Checkpointed` at `step`, resumable here or wherever its
+    /// checkpoint lands: journal `Drained { step }` and push `event`
+    /// (`handed_off` or `checkpointed`) with `at_step`. A park keeps the
+    /// recorder and is not a terminal for the fleet, so it sends no wake.
+    pub fn park(&self, st: &mut State, id: u64, step: u64, event: &str) {
+        let Some(job) = st.job_mut(id) else { return };
+        job.state = JobState::Checkpointed;
+        job.handoff_requested = false;
+        job.recorder.flush(job.steps_done);
+        st.journal.append(&JobEvent::Drained { id, step });
+        self.push_event(st, id, event, vec![("at_step", Json::num(step as f64))]);
+    }
+
     /// Append a serialized event line to a job and wake watchers. `extra`
     /// fields are appended after the standard `event`/`id`/`step` triple.
-    ///
-    /// Every terminal passes through here, so this is where a finished job
-    /// writes its final metrics line and lets go of its recorder (sink,
-    /// buffer and the open `metrics.jsonl` descriptor) — terminal jobs are
-    /// history and never record again, as after crash recovery.
     pub fn push_event(
         &self,
         st: &mut State,
@@ -499,11 +574,6 @@ impl Shared {
         fields.extend(extra);
         let line = Json::obj(fields).to_text();
         job.events.push(line);
-        if matches!(event, "completed" | "failed" | "cancelled") {
-            job.recorder.flush(job.steps_done);
-            job.recorder = Recorder::disabled();
-            st.terminals += 1;
-        }
         self.event_wake.notify_all();
     }
 }
@@ -609,6 +679,30 @@ mod tests {
         assert_eq!(parsed.get("event").and_then(Json::as_str), Some("started"));
         assert_eq!(parsed.get("id").and_then(Json::as_u64), Some(id));
         assert_eq!(parsed.get("slice").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn settle_counts_a_terminal_and_park_does_not() {
+        let shared = Shared::new(4);
+        let mut st = shared.lock_state();
+        let failed = st
+            .admit(spec(Priority::Batch), Recorder::disabled())
+            .unwrap();
+        let parked = st
+            .admit(spec(Priority::Batch), Recorder::disabled())
+            .unwrap();
+        shared.settle(&mut st, failed, Exit::Failed("boom".into()));
+        shared.park(&mut st, parked, 5, "checkpointed");
+        assert_eq!(st.terminals, 1);
+        let last = |id| crate::json::parse(st.job(id).unwrap().events.last().unwrap()).unwrap();
+        let (f, p) = (last(failed), last(parked));
+        assert_eq!(f.get("event").and_then(Json::as_str), Some("failed"));
+        assert_eq!(f.get("error").and_then(Json::as_str), Some("boom"));
+        assert_eq!(p.get("event").and_then(Json::as_str), Some("checkpointed"));
+        assert_eq!(p.get("at_step").and_then(Json::as_u64), Some(5));
+        assert_eq!(st.job(failed).unwrap().state, JobState::Failed);
+        assert_eq!(st.job(failed).unwrap().error.as_deref(), Some("boom"));
+        assert_eq!(st.job(parked).unwrap().state, JobState::Checkpointed);
     }
 
     #[test]

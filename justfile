@@ -35,6 +35,7 @@ obs:
 serve-check:
     cargo clippy -p swlb-serve --all-targets -- -D warnings
     cargo test -q -p swlb-serve
+    cargo test -q -p swlb-serve --release --test serve_integration
     cargo test -q -p swlb-serve --release --test serve_integration -- --ignored
     out=$(cargo run --release -p swlb-serve --bin swlb -- run --case cylinder --lattice d3q19 --nx 48 --ny 24 --nz 3 --steps 40 --output ppm --quiet) && echo "$out" && test "$(printf '%s\n' "$out" | wc -l)" -eq 1 && printf '%s' "$out" | python3 -c "import json, sys; assert json.load(sys.stdin)['summary']"
 

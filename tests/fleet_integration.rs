@@ -694,6 +694,57 @@ fn a_worker_that_never_answers_is_reaped_and_stalls_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A cancel the controller relays to a worker that accepts and never answers
+/// ends at `io_timeout`: the caller hears back, and no handler thread is held
+/// for good. The job's worker is re-registered at a silent address once the
+/// job is placed there.
+#[test]
+fn a_cancel_relayed_to_a_silent_worker_ends_at_the_deadline() {
+    let dir = unique_dir("silent-cancel");
+    let io_timeout = Duration::from_millis(200);
+    let mut cfg = FleetConfig::new(dir.join("controller"));
+    cfg.io_timeout = Some(io_timeout);
+    // No beat in the window: the silent worker is not reaped under the cancel.
+    cfg.heartbeat = Duration::from_secs(5);
+    let controller = Controller::spawn(cfg).unwrap();
+    let caddr = controller.addr().to_string();
+    let worker = spawn_worker(&dir, "w1", &caddr, 16);
+    // Declared after the controller so that it drops first, resetting any
+    // exchange still waiting on it (see the black-hole test above).
+    let hole = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = ServeClient::new(caddr.clone());
+    let id = client
+        .submit(&job("long", 1_000_000, Priority::Batch, "t"))
+        .unwrap();
+    wait_fleet(&client, Duration::from_secs(10), "the placement", |jobs| {
+        jobs.iter().any(|j| field_str(j, "worker") == "w1")
+    });
+    let body = Json::obj([
+        ("name", Json::str("w1")),
+        ("addr", Json::str(hole.local_addr().unwrap().to_string())),
+        ("dir", Json::str(dir.join("w1").display().to_string())),
+    ])
+    .to_text();
+    let (status, _) =
+        http::roundtrip(&caddr, "POST", "/v1/fleet/register", body.as_bytes()).unwrap();
+    assert_eq!(status, 200);
+
+    let (done, ended) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(ServeClient::new(caddr).cancel(id));
+    });
+    let patience = io_timeout + Duration::from_secs(1);
+    let status = ended
+        .recv_timeout(patience)
+        .unwrap_or_else(|_| panic!("the relayed cancel outlived {patience:?}"))
+        .unwrap();
+    assert_eq!(field_str(&status, "state"), "placed", "{}", status.to_text());
+    worker.shutdown();
+    controller.shutdown();
+    drop(hole);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// With a heartbeat of five seconds a job can only finish inside one second
 /// if the admission wakes the placement and the worker's terminal notice
 /// wakes the settle — ticking cannot pass this.

@@ -21,8 +21,8 @@ use swlb_io::CheckpointStore;
 use swlb_obs::{Recorder, SwlbError};
 use swlb_serve::json::{self, Json};
 use swlb_serve::{
-    CaseKind, CaseSpec, JobSpec, LatticeKind, OutputKind, Priority, ServeClient, ServeConfig,
-    Server, StorageScheme,
+    CaseKind, CaseSpec, JobSpec, LatticeKind, OutputKind, Priority, PushEnvelope, ServeClient,
+    ServeConfig, Server, StorageScheme,
 };
 use swlb_sim::RecoveryPolicy;
 
@@ -111,6 +111,68 @@ fn num_of(status: &Json, key: &str) -> u64 {
         .get(key)
         .and_then(Json::as_u64)
         .unwrap_or_else(|| panic!("status missing numeric {key:?}: {}", status.to_text()))
+}
+
+/// One job's exit as the service records it: the `rec` of each of its
+/// journal records in order, and each of its events in order as its name
+/// followed by the fields it carries beyond `event`/`id`/`step`. A run of
+/// equal entries reads as one, so how many slices, periodic checkpoints and
+/// progress lines a path took does not show.
+fn exit_trace(dir: &std::path::Path, client: &ServeClient, id: u64) -> (Vec<String>, Vec<String>) {
+    let (lines, _) = swlb_io::Journal::replay(&dir.join("journal")).unwrap();
+    let mut recs: Vec<String> = lines
+        .iter()
+        .filter_map(|l| json::parse(l).ok())
+        .filter(|r| r.get("id").and_then(Json::as_u64) == Some(id))
+        .map(|r| r.get("rec").and_then(Json::as_str).unwrap().to_string())
+        .collect();
+    recs.dedup();
+    let mut events: Vec<String> = client
+        .watch(id, 0)
+        .unwrap()
+        .iter()
+        .map(|line| {
+            let Ok(Json::Obj(fields)) = json::parse(line) else {
+                panic!("event is not an object: {line}")
+            };
+            let name = fields[0].1.as_str().unwrap();
+            let extra: Vec<&str> = fields[3..].iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                fields[..3].iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
+                ["event", "id", "step"],
+                "{line}"
+            );
+            if extra.is_empty() {
+                name.to_string()
+            } else {
+                format!("{name}({})", extra.join(","))
+            }
+        })
+        .collect();
+    events.dedup();
+    (recs, events)
+}
+
+/// `exit_trace` of a job whose exit path runs without rivals.
+fn assert_exit(
+    dir: &std::path::Path,
+    client: &ServeClient,
+    id: u64,
+    recs: &[&str],
+    events: &[&str],
+) {
+    let (got_recs, got_events) = exit_trace(dir, client, id);
+    assert_eq!(got_recs, recs, "job {id}: journal records");
+    assert_eq!(got_events, events, "job {id}: events");
+}
+
+/// A trace of a job that took turns with rivals: how many turns is up to
+/// timing, so only where it starts and where it ends are pinned.
+fn assert_ends(trace: &[String], head: &[&str], last: &str) {
+    assert_eq!(&trace[..head.len()], head, "{trace:?}");
+    assert_eq!(trace.last().map(String::as_str), Some(last), "{trace:?}");
+    let lasts = trace.iter().filter(|t| *t == last).count();
+    assert_eq!(lasts, 1, "{trace:?}");
 }
 
 /// Acceptance (a), (b) and (d): mixed workload under chaos on one loopback
@@ -294,6 +356,12 @@ fn drain_leaves_resumable_checkpoints() {
 
     let resp = client.drain().unwrap();
     assert_eq!(resp.get("drained").and_then(Json::as_bool), Some(true));
+    // The job on the pool and the one waiting park alike.
+    for &id in &ids {
+        let (recs, events) = exit_trace(&dir, &client, id);
+        assert_ends(&recs, &["admitted", "started"], "drained");
+        assert_ends(&events, &["queued", "started(slice)"], "checkpointed(at_step)");
+    }
 
     // Both jobs are terminal-but-resumable, and admission is now closed.
     for &id in &ids {
@@ -428,6 +496,24 @@ fn wide_job_is_preempted_and_resumes_bit_exact() {
     assert!(num_of(&status, "resumes") >= 1, "{}", status.to_text());
 
     assert_newest_checkpoint_is_the_straight_run(&client, &dir, wide_id, &wide.case);
+    let (recs, events) = exit_trace(&dir, &client, wide_id);
+    assert_ends(&recs, &["admitted", "started"], "completed");
+    assert_ends(&events, &["queued", "started(slice)"], "completed(status,outputs)");
+    let mut kinds = events.clone();
+    kinds.sort();
+    kinds.dedup();
+    assert_eq!(
+        kinds,
+        [
+            "completed(status,outputs)",
+            "preempted(at_step)",
+            "progress(steps,of)",
+            "queued",
+            "resumed(at_step)",
+            "started(slice)",
+        ]
+    );
+    assert!(recs.iter().any(|r| r == "preempted"), "{recs:?}");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -580,6 +666,13 @@ fn run_and_a_served_job_write_identical_artifacts() {
                 "{name}: {file} differs between run and serve"
             );
         }
+        assert_exit(
+            &dir,
+            &client,
+            id,
+            &["admitted", "started", "checkpointed", "completed"],
+            &["queued", "started(slice)", "progress(steps,of)", "completed(status,outputs)"],
+        );
     }
 
     server.shutdown();
@@ -780,6 +873,13 @@ fn cancel_stops_a_running_job_at_a_slice_boundary() {
         events.iter().any(|e| e.contains("\"event\":\"cancelled\"")),
         "{events:?}"
     );
+    assert_exit(
+        &dir,
+        &client,
+        id,
+        &["admitted", "started", "checkpointed", "cancelled"],
+        &["queued", "started(slice)", "progress(steps,of)", "cancelled"],
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -908,6 +1008,23 @@ fn rollback_event_reports_the_restored_checkpoint_step() {
     let status = client.status(id).unwrap();
     assert_eq!(num_of(&status, "rollbacks"), 1, "{}", status.to_text());
     assert_eq!(num_of(&status, "steps_done"), 64, "{}", status.to_text());
+    assert_exit(
+        &dir,
+        &client,
+        id,
+        &["admitted", "started", "checkpointed", "completed"],
+        &[
+            "queued",
+            "started(slice)",
+            "progress(steps,of)",
+            "chaos_injected",
+            "progress(steps,of)",
+            "resumed(at_step)",
+            "rollback(to_step,restarts)",
+            "progress(steps,of)",
+            "completed(status,outputs)",
+        ],
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -998,6 +1115,162 @@ fn retired_checkpoint_layouts_resume_through_the_scheduler() {
         assert_eq!(got, want, "{tag}: resumed populations at step 24");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// With no restart budget a fault fails the job alone: one `faulted` record,
+/// one `failed` event that says why, and the next job still runs.
+#[test]
+fn an_exhausted_restart_budget_fails_the_job_alone() {
+    let dir = unique_dir("budget");
+    let mut cfg = config(&dir, 4, 8);
+    cfg.policy.max_restarts = 0;
+    let server = Server::spawn(cfg).unwrap();
+    let client = ServeClient::new(server.addr().to_string());
+
+    let mut faulted = job("faulted", cavity(16, 16), 64, Priority::Batch);
+    faulted.chaos_nan_at_step = Some(24);
+    let id = client.submit(&faulted).unwrap();
+    let status = wait_for(&client, id, Duration::from_secs(20), "failure", |s| {
+        state_of(s) == "failed"
+    });
+    let error = status.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("restart budget exhausted"), "{}", status.to_text());
+    assert_exit(
+        &dir,
+        &client,
+        id,
+        &["admitted", "started", "checkpointed", "faulted"],
+        &[
+            "queued",
+            "started(slice)",
+            "progress(steps,of)",
+            "chaos_injected",
+            "progress(steps,of)",
+            "failed(error)",
+        ],
+    );
+    let next = client
+        .submit(&job("next", cavity(16, 16), 16, Priority::Batch))
+        .unwrap();
+    wait_for(&client, next, Duration::from_secs(20), "completion", |s| {
+        state_of(s) == "completed"
+    });
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The exits a fleet worker adds, each pinned while one long first slice
+/// holds the pool, so the jobs behind it are still queued: a cancel and a
+/// handoff of a queued job end it without a slice, a push whose checkpoint
+/// cannot be seeded is cancelled with the reason, and a handoff of the
+/// running job parks it at its next slice boundary.
+#[test]
+fn worker_exits_journal_and_emit_one_record_each() {
+    let dir = unique_dir("worker-exits");
+    let mut cfg = config(&dir, 8, 2048);
+    cfg.worker_routes = true;
+    let server = Server::spawn(cfg).unwrap();
+    let addr = server.addr().to_string();
+    let client = ServeClient::new(addr.clone());
+    let post = |target: &str, body: &[u8]| {
+        swlb_serve::http::roundtrip(&addr, "POST", target, body)
+            .unwrap()
+            .0
+    };
+
+    // A first slice of a second or so in either build: long enough for the
+    // requests below to find the pool taken, well inside the 20 s a handoff
+    // handler waits for a slice boundary, and a handoff envelope that fits
+    // `http::roundtrip`'s 1 MiB reply.
+    let n = if cfg!(debug_assertions) { 64 } else { 112 };
+    let blocker = client
+        .submit(&job("blocker", cavity(n, n), 100_000, Priority::Batch))
+        .unwrap();
+    wait_for(&client, blocker, Duration::from_secs(20), "the pool", |s| {
+        state_of(s) == "running"
+    });
+    let cancelled = client
+        .submit(&job("cancelled", cavity(8, 8), 16, Priority::Batch))
+        .unwrap();
+    client.cancel(cancelled).unwrap();
+    let handed = client
+        .submit(&job("handed", cavity(8, 8), 16, Priority::Batch))
+        .unwrap();
+    assert_eq!(post(&format!("/v1/jobs/{handed}/handoff"), b""), 200);
+    let unseeded = PushEnvelope {
+        spec: job("unseeded", cavity(8, 8), 16, Priority::Batch),
+        fleet_id: 7,
+        step: 8,
+        width: 1,
+        ckpt: b"not a checkpoint".to_vec(),
+    };
+    assert_eq!(post("/v1/fleet/push", &unseeded.encode()), 500);
+    let unseeded = handed + 1;
+    // Everything above found the pool taken: the first slice has not ended.
+    assert_eq!(num_of(&client.status(blocker).unwrap(), "steps_done"), 0);
+    assert_eq!(post(&format!("/v1/jobs/{blocker}/handoff"), b""), 200);
+
+    assert_exit(&dir, &client, cancelled, &["admitted", "cancelled"], &["queued", "cancelled"]);
+    assert_exit(
+        &dir,
+        &client,
+        handed,
+        &["admitted", "drained"],
+        &["queued", "handed_off(at_step)"],
+    );
+    assert_exit(
+        &dir,
+        &client,
+        unseeded,
+        &["admitted", "cancelled"],
+        &["pushed(fleet_id,at_step)", "cancelled(error)"],
+    );
+    assert_exit(
+        &dir,
+        &client,
+        blocker,
+        &["admitted", "started", "checkpointed", "drained"],
+        &["queued", "started(slice)", "progress(steps,of)", "handed_off(at_step)"],
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job that ran and restarts with every checkpoint gone starts again from
+/// step 0, and its `resumed` event says so in both fields: the step the
+/// solver starts at, not the step the journal last saw.
+#[test]
+fn a_job_restarted_without_its_checkpoints_resumes_at_step_zero() {
+    let dir = unique_dir("resume-at-zero");
+    let server = Server::spawn(config(&dir, 4, 8)).unwrap();
+    let client = ServeClient::new(server.addr().to_string());
+    let id = client
+        .submit(&job("lost", cavity(16, 16), 100_000, Priority::Batch))
+        .unwrap();
+    wait_for(&client, id, Duration::from_secs(20), "progress", |s| {
+        num_of(s, "steps_done") > 0
+    });
+    server.shutdown();
+    std::fs::remove_dir_all(dir.join("checkpoints").join(format!("job-{id}"))).unwrap();
+
+    let server = Server::spawn(config(&dir, 4, 8)).unwrap();
+    let client = ServeClient::new(server.addr().to_string());
+    wait_for(&client, id, Duration::from_secs(20), "the resume", |s| {
+        num_of(s, "resumes") > 0
+    });
+    client.cancel(id).unwrap();
+    let resumed: Vec<Json> = client
+        .watch(id, 0)
+        .unwrap()
+        .iter()
+        .map(|e| json::parse(e).unwrap())
+        .filter(|e| e.get("event").and_then(Json::as_str) == Some("resumed"))
+        .collect();
+    assert_eq!(resumed.len(), 1, "{resumed:?}");
+    let at = (num_of(&resumed[0], "step"), num_of(&resumed[0], "at_step"));
+    assert_eq!(at, (0, 0), "{}", resumed[0].to_text());
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Loopback soak: forty mixed jobs pushed through a capacity-8 table with
